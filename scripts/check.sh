@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI sweep: default build + tests, the bench-regression smoke
-# gate, the sanitizer matrix (tsan/asan/ubsan presets), the energy-accounting
-# linter, and — when clang-tidy is installed — a clang-tidy pass over src/.
+# gate, the benchmark's output checks, the sanitizer matrix
+# (tsan/asan/ubsan presets), the energy-accounting linter, and — when
+# clang-tidy is installed — a clang-tidy pass over src/.
 #
 # Usage: scripts/check.sh [-j N]
 set -euo pipefail
@@ -46,6 +47,16 @@ run ./build/bench/ablate_join_order --smoke
 #     contract (deadline kills and sheds keep their Joules on the bill, the
 #     power-cap ladder engages, books balance at every load point).
 run ./build/bench/overload_sweep --smoke
+
+# 3d. The benchmark harness: its own tests, then a short run of each
+#     workload. A run exits non-zero when an output check fails: both
+#     lambda plans return the same rows (join_graph), bills conserve and
+#     replay (serve_tpch), the sort output is sorted and complete
+#     (joulesort).
+run python3 ecobench/run.py --self-test
+for workload in serve_tpch join_graph joulesort; do
+  run python3 ecobench/run.py --workload "$workload" --seconds 2
+done
 
 # 4. Sanitizer matrix. tsan filters to the concurrency-sensitive suites;
 #    asan and ubsan run everything. The fault-injection, serving, overload,

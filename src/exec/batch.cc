@@ -1,8 +1,35 @@
 #include "exec/batch.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ecodb::exec {
+
+namespace {
+
+template <typename T>
+void GatherLane(const std::vector<T>& src, std::span<const uint32_t> rows,
+                std::vector<T>* dst) {
+  const size_t base = dst->size();
+  dst->resize(base + rows.size());
+  T* out = dst->data() + base;
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = src[rows[i]];
+}
+
+/// Moves the rows whose mask entry is set to the front of `lane`, in
+/// order, and drops the rest.
+template <typename T>
+void CompactLane(const std::vector<uint8_t>& mask, std::vector<T>* lane) {
+  size_t kept = 0;
+  for (size_t r = 0; r < mask.size(); ++r) {
+    if (!mask[r]) continue;
+    if (kept != r) (*lane)[kept] = std::move((*lane)[r]);
+    ++kept;
+  }
+  lane->resize(kept);
+}
+
+}  // namespace
 
 RecordBatch::RecordBatch(catalog::Schema schema)
     : schema_(std::move(schema)) {
@@ -92,44 +119,46 @@ void RecordBatch::AppendRowFrom(const RecordBatch& src, size_t row) {
   ++num_rows_;
 }
 
+void RecordBatch::Gather(const RecordBatch& src,
+                         std::span<const uint32_t> rows, size_t first_col) {
+  assert(first_col + src.num_columns() <= columns_.size());
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    const ColumnData& from = src.columns_[c];
+    ColumnData& to = columns_[first_col + c];
+    assert(from.type == to.type);
+    switch (to.type) {
+      case catalog::DataType::kInt64:
+      case catalog::DataType::kDate:
+        GatherLane(from.i64, rows, &to.i64);
+        break;
+      case catalog::DataType::kDouble:
+        GatherLane(from.f64, rows, &to.f64);
+        break;
+      case catalog::DataType::kString:
+        GatherLane(from.str, rows, &to.str);
+        break;
+    }
+  }
+}
+
 void RecordBatch::FilterInPlace(const std::vector<uint8_t>& mask) {
   assert(mask.size() == num_rows_);
-  size_t kept = 0;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    if (!mask[r]) continue;
-    if (kept != r) {
-      for (ColumnData& c : columns_) {
-        switch (c.type) {
-          case catalog::DataType::kInt64:
-          case catalog::DataType::kDate:
-            c.i64[kept] = c.i64[r];
-            break;
-          case catalog::DataType::kDouble:
-            c.f64[kept] = c.f64[r];
-            break;
-          case catalog::DataType::kString:
-            c.str[kept] = std::move(c.str[r]);
-            break;
-        }
-      }
-    }
-    ++kept;
-  }
   for (ColumnData& c : columns_) {
     switch (c.type) {
       case catalog::DataType::kInt64:
       case catalog::DataType::kDate:
-        c.i64.resize(kept);
+        CompactLane(mask, &c.i64);
         break;
       case catalog::DataType::kDouble:
-        c.f64.resize(kept);
+        CompactLane(mask, &c.f64);
         break;
       case catalog::DataType::kString:
-        c.str.resize(kept);
+        CompactLane(mask, &c.str);
         break;
     }
   }
-  num_rows_ = kept;
+  num_rows_ = static_cast<size_t>(
+      std::count_if(mask.begin(), mask.end(), [](uint8_t m) { return m != 0; }));
 }
 
 }  // namespace ecodb::exec

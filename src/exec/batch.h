@@ -8,6 +8,7 @@
 #define ECODB_EXEC_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,13 @@ class RecordBatch {
   /// Copies row `row` of `src` onto the end of this batch (schemas must
   /// be column-compatible by position).
   void AppendRowFrom(const RecordBatch& src, size_t row);
+
+  /// Appends rows `rows` of `src`, in that order, to this batch's columns
+  /// [first_col, first_col + src.num_columns()), copying one column at a
+  /// time; column types must match. Seal the row count with SealRows once
+  /// every lane is filled.
+  void Gather(const RecordBatch& src, std::span<const uint32_t> rows,
+              size_t first_col = 0);
 
   /// Keeps only rows whose mask entry is non-zero.
   void FilterInPlace(const std::vector<uint8_t>& mask);

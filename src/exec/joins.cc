@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 namespace ecodb::exec {
 
@@ -27,15 +28,19 @@ namespace {
 /// deterministic batch boundary with its partial charges intact.
 Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
   *out = RecordBatch(child->output_schema());
+  std::vector<uint32_t> all_rows;  // 0, 1, 2, ...: selects a whole batch
+  size_t rows = 0;
   bool eos = false;
   while (true) {
     ECODB_RETURN_IF_ERROR(ctx->PollCancel());
     RecordBatch batch;
     ECODB_RETURN_IF_ERROR(child->Next(&batch, &eos));
-    if (eos) return Status::OK();
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      out->AppendRowFrom(batch, r);
+    if (eos) return out->SealRows(rows);
+    while (all_rows.size() < batch.num_rows()) {
+      all_rows.push_back(static_cast<uint32_t>(all_rows.size()));
     }
+    out->Gather(batch, std::span(all_rows).first(batch.num_rows()));
+    rows += batch.num_rows();
   }
 }
 
@@ -50,41 +55,46 @@ uint64_t BatchBytes(const RecordBatch& batch) {
   return bytes;
 }
 
-/// Emits left row `lr` joined with build row `rr` into `out`.
-void EmitJoined(const RecordBatch& left, size_t lr, const RecordBatch& right,
-                size_t rr, RecordBatch* out) {
-  const size_t lcols = left.num_columns();
-  for (size_t c = 0; c < lcols; ++c) {
-    ColumnData& dst = out->column(c);
-    const ColumnData& src = left.column(c);
-    switch (src.type) {
-      case DataType::kInt64:
-      case DataType::kDate:
-        dst.i64.push_back(src.i64[lr]);
-        break;
-      case DataType::kDouble:
-        dst.f64.push_back(src.f64[lr]);
-        break;
-      case DataType::kString:
-        dst.str.push_back(src.str[lr]);
-        break;
-    }
-  }
-  for (size_t c = 0; c < right.num_columns(); ++c) {
-    ColumnData& dst = out->column(lcols + c);
-    const ColumnData& src = right.column(c);
-    switch (src.type) {
-      case DataType::kInt64:
-      case DataType::kDate:
-        dst.i64.push_back(src.i64[rr]);
-        break;
-      case DataType::kDouble:
-        dst.f64.push_back(src.f64[rr]);
-        break;
-      case DataType::kString:
-        dst.str.push_back(src.str[rr]);
-        break;
-    }
+/// Fills `out` (left columns, then right) with the pairs (left row
+/// `left_sel[i]`, right row `right_sel[i]`), copying each column once.
+Status GatherJoined(const catalog::Schema& schema, const RecordBatch& left,
+                    std::span<const uint32_t> left_sel,
+                    const RecordBatch& right,
+                    std::span<const uint32_t> right_sel, RecordBatch* out) {
+  *out = RecordBatch(schema);
+  out->Gather(left, left_sel);
+  out->Gather(right, right_sel, left.num_columns());
+  return out->SealRows(left_sel.size());
+}
+
+constexpr auto kHashInt64 = [](int64_t key) {
+  return MixHash64(static_cast<uint64_t>(key));
+};
+constexpr auto kHashString = [](const std::string& key) {
+  return HashBytes(key);
+};
+
+/// Groups the build key lane's rows by key; keys compare with ==.
+template <typename Key, typename Hash>
+void BuildIndex(const std::vector<Key>& keys, Hash hash, FlatKeyIndex* index) {
+  index->Build(
+      keys.size(), [&](size_t r) { return hash(keys[r]); },
+      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+}
+
+/// Selects, for each probe row in order, the pairs (probe row, build row)
+/// of its matches in ascending build-row order.
+template <typename Key, typename Hash>
+void ProbeIndex(const FlatKeyIndex& index, const std::vector<Key>& build_keys,
+                const std::vector<Key>& probe_keys, Hash hash,
+                std::vector<uint32_t>* probe_sel,
+                std::vector<uint32_t>* build_sel) {
+  for (size_t r = 0; r < probe_keys.size(); ++r) {
+    const Key& key = probe_keys[r];
+    const std::span<const uint32_t> run = index.Find(
+        hash(key), [&](uint32_t b) { return build_keys[b] == key; });
+    probe_sel->insert(probe_sel->end(), run.size(), static_cast<uint32_t>(r));
+    build_sel->insert(build_sel->end(), run.begin(), run.end());
   }
 }
 
@@ -123,15 +133,15 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   }
   string_key_ = lt == DataType::kString;
 
-  // Build phase: materialize the right side and index it.
+  // Build phase: materialize the right side and index it. Both replace
+  // what an earlier Open left, so an Open retried after a mid-query error
+  // builds once.
   ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &build_rows_));
   const ColumnData& key_lane = build_rows_.column(right_key_);
-  for (size_t r = 0; r < build_rows_.num_rows(); ++r) {
-    if (string_key_) {
-      str_index_.emplace(key_lane.str[r], r);
-    } else {
-      i64_index_.emplace(key_lane.i64[r], r);
-    }
+  if (string_key_) {
+    BuildIndex(key_lane.str, kHashString, &index_);
+  } else {
+    BuildIndex(key_lane.i64, kHashInt64, &index_);
   }
   build_bytes_ = BatchBytes(build_rows_) +
                  build_rows_.num_rows() * 32;  // bucket + entry overhead
@@ -148,25 +158,21 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 
 Status HashJoinOp::ProbeBatch(const RecordBatch& probe, RecordBatch* joined,
                               size_t* matches) const {
-  *joined = RecordBatch(schema_);
   const ColumnData& keys = probe.column(static_cast<size_t>(left_key_));
-  *matches = 0;
-  for (size_t r = 0; r < probe.num_rows(); ++r) {
-    if (string_key_) {
-      auto [lo, hi] = str_index_.equal_range(keys.str[r]);
-      for (auto it = lo; it != hi; ++it) {
-        EmitJoined(probe, r, build_rows_, it->second, joined);
-        ++*matches;
-      }
-    } else {
-      auto [lo, hi] = i64_index_.equal_range(keys.i64[r]);
-      for (auto it = lo; it != hi; ++it) {
-        EmitJoined(probe, r, build_rows_, it->second, joined);
-        ++*matches;
-      }
-    }
+  const ColumnData& build_keys =
+      build_rows_.column(static_cast<size_t>(right_key_));
+  std::vector<uint32_t> probe_sel;
+  std::vector<uint32_t> build_sel;
+  if (string_key_) {
+    ProbeIndex(index_, build_keys.str, keys.str, kHashString, &probe_sel,
+               &build_sel);
+  } else {
+    ProbeIndex(index_, build_keys.i64, keys.i64, kHashInt64, &probe_sel,
+               &build_sel);
   }
-  return joined->SealRows(*matches);
+  *matches = build_sel.size();
+  return GatherJoined(schema_, probe, probe_sel, build_rows_, build_sel,
+                      joined);
 }
 
 Status HashJoinOp::ParallelProbe() {
@@ -237,8 +243,7 @@ Status HashJoinOp::Next(RecordBatch* out, bool* eos) {
 void HashJoinOp::Close() {
   left_->Close();
   right_->Close();
-  i64_index_.clear();
-  str_index_.clear();
+  index_ = FlatKeyIndex();
   probe_slots_.clear();
 }
 
@@ -273,14 +278,20 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
   ctx_->ChargeInstructions(ctx_->options().costs.nl_join_inner_per_pair *
                            static_cast<double>(outer.num_rows()) *
                            static_cast<double>(inner_.num_rows()));
-  RecordBatch joined(schema_);
+  std::vector<uint32_t> inner_rows(inner_.num_rows());
+  std::iota(inner_rows.begin(), inner_rows.end(), uint32_t{0});
+  std::vector<uint32_t> outer_sel;
+  std::vector<uint32_t> inner_sel;
+  outer_sel.reserve(outer.num_rows() * inner_rows.size());
+  inner_sel.reserve(outer.num_rows() * inner_rows.size());
   for (size_t lr = 0; lr < outer.num_rows(); ++lr) {
-    for (size_t rr = 0; rr < inner_.num_rows(); ++rr) {
-      EmitJoined(outer, lr, inner_, rr, &joined);
-    }
+    outer_sel.insert(outer_sel.end(), inner_rows.size(),
+                     static_cast<uint32_t>(lr));
+    inner_sel.insert(inner_sel.end(), inner_rows.begin(), inner_rows.end());
   }
+  RecordBatch joined;
   ECODB_RETURN_IF_ERROR(
-      joined.SealRows(outer.num_rows() * inner_.num_rows()));
+      GatherJoined(schema_, outer, outer_sel, inner_, inner_sel, &joined));
   ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                          predicate_->EvaluateMask(joined));
   joined.FilterInPlace(mask);
@@ -321,34 +332,35 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
     return Status::InvalidArgument("merge join requires int64 keys");
   }
 
-  RecordBatch lrows, rrows;
-  ECODB_RETURN_IF_ERROR(Drain(left_.get(), ctx, &lrows));
-  ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &rrows));
+  ECODB_RETURN_IF_ERROR(Drain(left_.get(), ctx, &left_rows_));
+  ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &right_rows_));
 
   auto sorted_order = [&](const RecordBatch& b, int key) {
-    std::vector<size_t> order(b.num_rows());
-    std::iota(order.begin(), order.end(), size_t{0});
+    std::vector<uint32_t> order(b.num_rows());
+    std::iota(order.begin(), order.end(), uint32_t{0});
     const ColumnData& lane = b.column(key);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t c) {
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t c) {
       return lane.i64[a] < lane.i64[c];
     });
     return order;
   };
-  const std::vector<size_t> lorder = sorted_order(lrows, lk);
-  const std::vector<size_t> rorder = sorted_order(rrows, rk);
+  const std::vector<uint32_t> lorder = sorted_order(left_rows_, lk);
+  const std::vector<uint32_t> rorder = sorted_order(right_rows_, rk);
   const auto nlogn = [](size_t n) {
     return n > 1 ? static_cast<double>(n) *
                        std::log2(static_cast<double>(n))
                  : 0.0;
   };
-  ctx->ChargeInstructions(ctx->options().costs.sort_per_row_log_row *
-                          (nlogn(lrows.num_rows()) + nlogn(rrows.num_rows())));
+  ctx->ChargeInstructions(
+      ctx->options().costs.sort_per_row_log_row *
+      (nlogn(left_rows_.num_rows()) + nlogn(right_rows_.num_rows())));
 
-  // Merge equal-key runs.
-  output_ = RecordBatch(schema_);
-  const ColumnData& lkeys = lrows.column(lk);
-  const ColumnData& rkeys = rrows.column(rk);
-  size_t i = 0, j = 0, emitted = 0;
+  // Merge equal-key runs into the output's row pairs.
+  left_sel_.clear();
+  right_sel_.clear();
+  const ColumnData& lkeys = left_rows_.column(lk);
+  const ColumnData& rkeys = right_rows_.column(rk);
+  size_t i = 0, j = 0;
   while (i < lorder.size() && j < rorder.size()) {
     const int64_t lv = lkeys.i64[lorder[i]];
     const int64_t rv = rkeys.i64[rorder[j]];
@@ -363,17 +375,17 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
       while (iend < lorder.size() && lkeys.i64[lorder[iend]] == lv) ++iend;
       for (size_t a = i; a < iend; ++a) {
         for (size_t b = j; b < jend; ++b) {
-          EmitJoined(lrows, lorder[a], rrows, rorder[b], &output_);
-          ++emitted;
+          left_sel_.push_back(lorder[a]);
+          right_sel_.push_back(rorder[b]);
         }
       }
       i = iend;
       j = jend;
     }
   }
-  ECODB_RETURN_IF_ERROR(output_.SealRows(emitted));
   ctx->ChargeInstructions(
-      ctx->options().costs.output_per_row * static_cast<double>(emitted) +
+      ctx->options().costs.output_per_row *
+          static_cast<double>(left_sel_.size()) +
       2.0 * static_cast<double>(lorder.size() + rorder.size()));
   cursor_ = 0;
   return Status::OK();
@@ -382,18 +394,16 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
 Status MergeJoinOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   const size_t batch_rows = ctx_->options().batch_rows;
-  if (cursor_ >= output_.num_rows()) {
+  if (cursor_ >= left_sel_.size()) {
     *eos = true;
     return Status::OK();
   }
   *eos = false;
-  const size_t take = std::min(batch_rows, output_.num_rows() - cursor_);
-  RecordBatch batch(schema_);
-  for (size_t r = cursor_; r < cursor_ + take; ++r) {
-    batch.AppendRowFrom(output_, r);
-  }
+  const size_t take = std::min(batch_rows, left_sel_.size() - cursor_);
+  ECODB_RETURN_IF_ERROR(GatherJoined(
+      schema_, left_rows_, std::span(left_sel_).subspan(cursor_, take),
+      right_rows_, std::span(right_sel_).subspan(cursor_, take), out));
   cursor_ += take;
-  *out = std::move(batch);
   return Status::OK();
 }
 

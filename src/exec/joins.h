@@ -14,13 +14,14 @@
 #ifndef ECODB_EXEC_JOINS_H_
 #define ECODB_EXEC_JOINS_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/expr.h"
 #include "exec/operator.h"
 #include "exec/parallel_scan.h"
+#include "util/flat_key_index.h"
 
 namespace ecodb::exec {
 
@@ -29,7 +30,9 @@ catalog::Schema JoinedSchema(const catalog::Schema& left,
                              const catalog::Schema& right);
 
 /// Equi-join on one key column per side. The right (build) side must fit
-/// in memory; its size is charged as DRAM traffic.
+/// in memory; its size is charged as DRAM traffic. Rows come out in probe
+/// order, each probe row's matches in ascending build-row order, so no
+/// output depends on the hash function.
 ///
 /// When the left (probe) child is a MorselSource (a parallel table scan),
 /// the probe phase runs morsel-parallel: each worker pulls probe morsels
@@ -66,10 +69,10 @@ class HashJoinOp final : public Operator {
   int left_key_ = -1;
   int right_key_ = -1;
   catalog::Schema schema_;
-  // Build side, materialized; int64 and string keys supported.
+  // Build side, materialized and grouped by key; int64 and string keys
+  // supported.
   RecordBatch build_rows_;
-  std::unordered_multimap<int64_t, size_t> i64_index_;
-  std::unordered_multimap<std::string, size_t> str_index_;
+  FlatKeyIndex index_;
   bool string_key_ = false;
   uint64_t build_bytes_ = 0;
   // Parallel probe state (set when the left child is a MorselSource).
@@ -118,7 +121,12 @@ class MergeJoinOp final : public Operator {
   std::string left_key_name_;
   std::string right_key_name_;
   catalog::Schema schema_;
-  RecordBatch output_;  // fully computed on Open; streamed out in batches
+  // Both sides, materialized and merged on Open: output row i pairs left
+  // row left_sel_[i] with right row right_sel_[i]; Next streams them out.
+  RecordBatch left_rows_;
+  RecordBatch right_rows_;
+  std::vector<uint32_t> left_sel_;
+  std::vector<uint32_t> right_sel_;
   size_t cursor_ = 0;
   ExecContext* ctx_ = nullptr;
 };

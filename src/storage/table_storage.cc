@@ -1,8 +1,12 @@
 #include "storage/table_storage.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <unordered_set>
+
+#include "util/flat_key_index.h"
 
 namespace ecodb::storage {
 
@@ -50,6 +54,22 @@ uint64_t RawColumnBytes(const catalog::Column& col, uint64_t rows,
     return total;
   }
   return rows * 8;
+}
+
+/// Distinct values of `values` under ==; `hash(r)` hashes row r.
+template <typename T, typename RowHash>
+uint64_t CountDistinct(const std::vector<T>& values, RowHash hash) {
+  return FlatKeyIndex::CountDistinct(
+      values.size(), hash,
+      [&](size_t a, size_t b) { return values[a] == values[b]; });
+}
+
+/// Equal doubles hash alike (-0.0 as 0.0). NaN equals nothing, so hashing
+/// it by its row spreads a NaN-heavy lane over the table instead of piling
+/// it onto one probe chain.
+uint64_t HashDoubleRow(double v, size_t row) {
+  if (std::isnan(v)) return MixHash64(row);
+  return MixHash64(std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v));
 }
 
 }  // namespace
@@ -268,9 +288,9 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
         if (!data.i64.empty()) {
           cs.min_i64 = *std::min_element(data.i64.begin(), data.i64.end());
           cs.max_i64 = *std::max_element(data.i64.begin(), data.i64.end());
-          std::unordered_set<int64_t> distinct(data.i64.begin(),
-                                               data.i64.end());
-          cs.distinct_values = distinct.size();
+          cs.distinct_values = CountDistinct(data.i64, [&](size_t r) {
+            return MixHash64(static_cast<uint64_t>(data.i64[r]));
+          });
         }
         break;
       }
@@ -278,16 +298,16 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
         if (!data.f64.empty()) {
           cs.min_f64 = *std::min_element(data.f64.begin(), data.f64.end());
           cs.max_f64 = *std::max_element(data.f64.begin(), data.f64.end());
-          std::unordered_set<double> distinct(data.f64.begin(),
-                                              data.f64.end());
-          cs.distinct_values = distinct.size();
+          cs.distinct_values = CountDistinct(data.f64, [&](size_t r) {
+            return HashDoubleRow(data.f64[r], r);
+          });
         }
         break;
       }
       case catalog::DataType::kString: {
-        std::unordered_set<std::string> distinct(data.str.begin(),
-                                                 data.str.end());
-        cs.distinct_values = distinct.size();
+        cs.distinct_values = CountDistinct(data.str, [&](size_t r) {
+          return HashBytes(data.str[r]);
+        });
         break;
       }
     }

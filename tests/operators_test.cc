@@ -247,6 +247,32 @@ TEST_F(OperatorTest, HashJoinEmptyBuildSideYieldsNothing) {
   EXPECT_EQ(result->TotalRows(), 0u);
 }
 
+TEST_F(OperatorTest, HashJoinReopenBuildsOnce) {
+  // Open is retried after a mid-query error (a sort or top-k over a join):
+  // the second Open must rebuild the build table, not add to it.
+  auto left = MakeOrders(100);
+  auto right = MakeOrders(100);
+  HashJoinOp join(
+      std::make_unique<TableScanOp>(left.get(), std::vector<std::string>{"id"}),
+      std::make_unique<TableScanOp>(right.get(),
+                                    std::vector<std::string>{"id"}),
+      "id", "id");
+  ExecContext ctx(platform_.get(), ExecOptions{});
+  ASSERT_TRUE(join.Open(&ctx).ok());
+  ASSERT_TRUE(join.Open(&ctx).ok());
+  size_t rows = 0;
+  RecordBatch batch;
+  bool eos = false;
+  while (true) {
+    ASSERT_TRUE(join.Next(&batch, &eos).ok());
+    if (eos) break;
+    rows += batch.num_rows();
+  }
+  join.Close();
+  ctx.Finish();
+  EXPECT_EQ(rows, 100u);
+}
+
 TEST_F(OperatorTest, HashJoinMissingKeyFailsOpen) {
   auto orders = MakeOrders(5);
   auto customers = MakeCustomers();

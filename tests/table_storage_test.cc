@@ -2,7 +2,11 @@
 // round-trips, layout-dependent scan volumes, decode-cost accounting, and
 // statistics.
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "sim/clock.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
+#include "util/random.h"
 
 namespace ecodb::storage {
 namespace {
@@ -176,6 +181,58 @@ TEST_F(TableStorageTest, AnalyzeComputesStats) {
   EXPECT_EQ(stats.columns[2].distinct_values, 2u);   // "ok"/"bad"
   EXPECT_EQ(stats.columns[3].distinct_values, 30u);  // 30 distinct days
   EXPECT_DOUBLE_EQ(stats.columns[1].max_f64, 99 * 1.5);
+}
+
+TEST_F(TableStorageTest, AnalyzeDistinctCountsMatchUnorderedSet) {
+  // Planner estimates were built on std::unordered_set counts, so the flat
+  // key index must reproduce them exactly: ±0.0 counts once, each NaN on
+  // its own.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<int64_t> edge_ints = {INT64_MIN, INT64_MAX, 0, -1,
+                                          INT64_MIN, -1};
+  const std::vector<double> edge_doubles = {0.0, -0.0, nan, nan, -nan, inf};
+  const std::vector<std::string> edge_strings = {
+      "", "", std::string("a\0b", 3), std::string("a\0c", 3),
+      std::string(1, '\0'), std::string("a\0b", 3)};
+  for (uint64_t seed : {1, 2, 3, 4, 5}) {
+    Rng rng(seed);
+    const int64_t domain = rng.Uniform(1, 2000);
+    std::vector<ColumnData> cols = TestRows(0);
+    for (int i = 0; i < 3000; ++i) {
+      cols[0].i64.push_back(rng.Uniform(-domain, domain));
+      cols[1].f64.push_back(static_cast<double>(rng.Uniform(-domain, domain)) *
+                            0.5);
+      cols[2].str.push_back(std::to_string(rng.Uniform(0, domain)));
+      cols[3].i64.push_back(rng.Uniform(0, domain));
+    }
+    for (size_t i = 0; i < edge_ints.size(); ++i) {
+      cols[0].i64.push_back(edge_ints[i]);
+      cols[1].f64.push_back(edge_doubles[i]);
+      cols[2].str.push_back(edge_strings[i]);
+      cols[3].i64.push_back(edge_ints[i]);
+    }
+    TableStorage table(1, TestSchema(), TableLayout::kColumn, &ssd_);
+    ASSERT_TRUE(table.Append(cols).ok());
+    catalog::TableStats stats;
+    ASSERT_TRUE(table.AnalyzeInto(&stats).ok());
+    EXPECT_EQ(stats.columns[0].distinct_values,
+              std::unordered_set<int64_t>(cols[0].i64.begin(),
+                                          cols[0].i64.end())
+                  .size());
+    EXPECT_EQ(stats.columns[1].distinct_values,
+              std::unordered_set<double>(cols[1].f64.begin(),
+                                         cols[1].f64.end())
+                  .size());
+    EXPECT_EQ(stats.columns[2].distinct_values,
+              std::unordered_set<std::string>(cols[2].str.begin(),
+                                              cols[2].str.end())
+                  .size());
+    EXPECT_EQ(stats.columns[3].distinct_values,
+              std::unordered_set<int64_t>(cols[3].i64.begin(),
+                                          cols[3].i64.end())
+                  .size());
+  }
 }
 
 TEST_F(TableStorageTest, TotalBytesTracksCompression) {

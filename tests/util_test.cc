@@ -1,11 +1,15 @@
-// Tests for util: Status/StatusOr, deterministic RNG, histograms, units.
+// Tests for util: Status/StatusOr, deterministic RNG, histograms, units,
+// the flat key index.
 
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/flat_key_index.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -298,6 +302,76 @@ TEST(Units, FormatJoules) {
   EXPECT_EQ(FormatJoules(1500.0), "1.500 kJ");
   EXPECT_EQ(FormatJoules(0.25), "250.000 mJ");
   EXPECT_EQ(FormatJoules(2.5e6), "2.500 MJ");
+}
+
+// --- FlatKeyIndex -----------------------------------------------------------
+
+uint64_t MixedHash(int64_t key) { return MixHash64(static_cast<uint64_t>(key)); }
+uint64_t ConstantHash(int64_t) { return 42; }
+
+/// Checks every key's run against a std::map of the rows holding it.
+void ExpectRunsGroupRowsByKey(const std::vector<int64_t>& keys,
+                              uint64_t (*hash)(int64_t)) {
+  FlatKeyIndex index;
+  index.Build(
+      keys.size(), [&](size_t r) { return hash(keys[r]); },
+      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+  std::map<int64_t, std::vector<uint32_t>> expected;
+  for (size_t r = 0; r < keys.size(); ++r) {
+    expected[keys[r]].push_back(static_cast<uint32_t>(r));
+  }
+  EXPECT_EQ(index.distinct_keys(), expected.size());
+  for (const auto& [key, rows] : expected) {
+    const auto run =
+        index.Find(hash(key), [&](uint32_t r) { return keys[r] == key; });
+    EXPECT_EQ(std::vector<uint32_t>(run.begin(), run.end()), rows) << key;
+  }
+  const int64_t absent = 1'000'003;  // outside every caller's key range
+  EXPECT_TRUE(
+      index.Find(hash(absent), [&](uint32_t r) { return keys[r] == absent; })
+          .empty());
+}
+
+TEST(FlatKeyIndex, GroupsRowsByKeyInAscendingRowOrder) {
+  Rng rng(7);
+  std::vector<int64_t> keys = {INT64_MIN, INT64_MAX, 0, -1, INT64_MIN, -1};
+  for (int i = 0; i < 5000; ++i) keys.push_back(rng.Uniform(-300, 300));
+  ExpectRunsGroupRowsByKey(keys, MixedHash);
+}
+
+TEST(FlatKeyIndex, ConstantHashFallsBackOnKeyEquality) {
+  // Every key collides, so only the equality check tells keys apart.
+  Rng rng(8);
+  std::vector<int64_t> keys = {INT64_MIN, INT64_MAX, 0, -1};
+  for (int i = 0; i < 400; ++i) keys.push_back(rng.Uniform(-40, 40));
+  ExpectRunsGroupRowsByKey(keys, ConstantHash);
+}
+
+TEST(FlatKeyIndex, RebuildDropsEarlierContents) {
+  const std::vector<int64_t> first = {1, 2, 2, 3};
+  const std::vector<int64_t> second = {2};
+  FlatKeyIndex index;
+  const auto build = [&](const std::vector<int64_t>& keys) {
+    index.Build(
+        keys.size(), [&](size_t r) { return MixedHash(keys[r]); },
+        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+  };
+  const auto find = [&](const std::vector<int64_t>& keys, int64_t key) {
+    const auto run = index.Find(
+        MixedHash(key), [&](uint32_t r) { return keys[r] == key; });
+    return std::vector<uint32_t>(run.begin(), run.end());
+  };
+  build(first);
+  build(second);
+  EXPECT_EQ(index.distinct_keys(), 1u);
+  EXPECT_EQ(find(second, 2), std::vector<uint32_t>{0});
+  build({});
+  EXPECT_EQ(index.distinct_keys(), 0u);
+  EXPECT_TRUE(find(second, 2).empty());
+  build(first);
+  index = FlatKeyIndex();
+  EXPECT_EQ(index.distinct_keys(), 0u);
+  EXPECT_TRUE(find(first, 2).empty());
 }
 
 }  // namespace
