@@ -4,14 +4,14 @@
 // The harness sorts a fixed record set through the engine's sort operators
 // and reports records/Joule across two sweeps:
 //
-//  1. Configuration sweep (serial SortOp): in-memory vs external sorts
+//  1. Configuration sweep (SortOp at dop 1): in-memory vs external sorts
 //     spilling to SSD and to disk, and a low-power-CPU platform — the
 //     memory/I/O/platform balance JouleSort is about.
-//  2. Dop sweep (morsel-parallel ParallelSortOp): dop 1/2/4/8, in-memory
-//     and spilling. Results and modeled charges are dop-invariant; only the
-//     CPU critical path — and with it the energy window — shrinks
-//     (race-to-idle). Emitted as schema-versioned JSON lines for plotting
-//     (see EXPERIMENTS.md "JouleSort methodology").
+//  2. Dop sweep (the same SortOp): dop 1/2/4/8, in-memory and spilling.
+//     Results and modeled charges are dop-invariant; only the CPU critical
+//     path — and with it the energy window — shrinks (race-to-idle).
+//     Emitted as schema-versioned JSON lines for plotting (see
+//     EXPERIMENTS.md "JouleSort methodology").
 
 #include <cinttypes>
 #include <memory>
@@ -19,8 +19,6 @@
 #include <utility>
 
 #include "bench_util.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "exec/topk.h"
@@ -72,17 +70,15 @@ struct SortOutcome {
   }
 };
 
-/// Sorts `records` at the given dop. `parallel_op` selects ParallelSortOp
-/// behind a morsel-parallel scan (valid at any dop, including 1) vs the
-/// serial SortOp behind a sequential scan. Both return identically ordered
-/// rows, and ParallelSortOp's modeled charges are dop-invariant — the
-/// engine's determinism contract (DESIGN.md §7).
+/// Sorts `records` at the given dop. The rows and the modeled charges are
+/// the same at every dop — the engine's determinism contract (DESIGN.md
+/// §7).
 SortOutcome RunSort(power::HardwarePlatform* platform,
                     storage::StorageDevice* table_device,
                     storage::StorageDevice* spill_device,
                     uint64_t memory_budget,
                     const std::vector<storage::ColumnData>& records,
-                    int dop, bool parallel_op) {
+                    int dop) {
   storage::TableStorage table(1, RecordSchema(),
                               storage::TableLayout::kColumn, table_device);
   if (!table.Append(records).ok()) std::exit(1);
@@ -91,23 +87,9 @@ SortOutcome RunSort(power::HardwarePlatform* platform,
   options.dop = dop;
   exec::ExecContext ctx(platform, options);
   const std::vector<exec::SortKey> keys = {{"key", true}};
-  exec::OperatorPtr root;
-  exec::ParallelSortOp* parallel_sort = nullptr;
-  exec::SortOp* serial_sort = nullptr;
-  if (parallel_op) {
-    auto op = std::make_unique<exec::ParallelSortOp>(
-        std::make_unique<exec::ParallelTableScanOp>(&table), keys,
-        memory_budget, spill_device);
-    parallel_sort = op.get();
-    root = std::move(op);
-  } else {
-    auto op = std::make_unique<exec::SortOp>(
-        std::make_unique<exec::TableScanOp>(&table), keys, memory_budget,
-        spill_device);
-    serial_sort = op.get();
-    root = std::move(op);
-  }
-  auto result = exec::CollectAll(root.get(), &ctx);
+  exec::SortOp sort(std::make_unique<exec::TableScanOp>(&table), keys,
+                    memory_budget, spill_device);
+  auto result = exec::CollectAll(&sort, &ctx);
   if (!result.ok()) std::exit(1);
   const exec::QueryStats stats = ctx.Finish();
 
@@ -118,8 +100,7 @@ SortOutcome RunSort(power::HardwarePlatform* platform,
   out.cpu_elapsed_seconds = stats.cpu_elapsed_seconds;
   out.active_cores = stats.active_cores;
   out.io_bytes = stats.io_bytes;
-  out.spilled =
-      parallel_sort ? parallel_sort->spilled() : serial_sort->spilled();
+  out.spilled = sort.spilled();
   int64_t prev = INT64_MIN;
   size_t rows = 0;
   for (const auto& batch : result->batches) {
@@ -146,8 +127,8 @@ struct TopKOutcome {
   bool sorted = true;
 };
 
-/// ORDER BY key LIMIT k through either the fused ParallelTopKOp or the
-/// unfused ParallelSortOp + LimitOp pair, behind a morsel-parallel scan.
+/// ORDER BY key LIMIT k through either the fused TopKOp or the unfused
+/// SortOp + LimitOp pair.
 /// Both emit byte-identical rows; the fused path does O(n log k) work and
 /// only spills its k-row candidate set.
 TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
@@ -165,14 +146,14 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
   const std::vector<exec::SortKey> keys = {{"key", true}};
   exec::OperatorPtr root;
   if (fused) {
-    root = std::make_unique<exec::ParallelTopKOp>(
-        std::make_unique<exec::ParallelTableScanOp>(&table), keys, k,
-        memory_budget, &ssd);
+    root = std::make_unique<exec::TopKOp>(
+        std::make_unique<exec::TableScanOp>(&table), keys, k, memory_budget,
+        &ssd);
   } else {
     root = std::make_unique<exec::LimitOp>(
-        std::make_unique<exec::ParallelSortOp>(
-            std::make_unique<exec::ParallelTableScanOp>(&table), keys,
-            memory_budget, &ssd),
+        std::make_unique<exec::SortOp>(
+            std::make_unique<exec::TableScanOp>(&table), keys, memory_budget,
+            &ssd),
         k);
   }
   auto result = exec::CollectAll(root.get(), &ctx);
@@ -238,8 +219,7 @@ int Main() {
                                         ? static_cast<storage::StorageDevice*>(&hdd)
                                         : &ssd;
     const SortOutcome out = RunSort(platform.get(), &ssd, spill, c.budget,
-                                    records, /*dop=*/1,
-                                    /*parallel_op=*/false);
+                                    records, /*dop=*/1);
     outcomes.push_back(out);
     table.AddRow({c.name, bench::Fmt("%.3f", out.seconds),
                   bench::Fmt("%.1f", out.joules),
@@ -262,7 +242,7 @@ int Main() {
               "low-power node wins records/J): %s\n\n",
               shape ? "PASS" : "FAIL");
 
-  // --- Dop sweep: morsel-parallel external sort, JSON lines ---------------
+  // --- Dop sweep: the same external sort at every dop, JSON lines ---------
   // Header line pins the schema version and the workload; one line per
   // (dop, spill) point follows. Busy core-seconds stay constant across dop
   // while the CPU critical path shrinks — parallelism only narrows the
@@ -283,9 +263,8 @@ int Main() {
     for (const int dop : dops) {
       auto platform = power::MakeDl785Platform();
       storage::SsdDevice ssd("data-ssd", power::SsdSpec{}, platform->meter());
-      const SortOutcome out =
-          RunSort(platform.get(), &ssd, &ssd, spill ? tight : full, records,
-                  dop, /*parallel_op=*/true);
+      const SortOutcome out = RunSort(platform.get(), &ssd, &ssd,
+                                      spill ? tight : full, records, dop);
       std::printf(
           "{\"bench\":\"joulesort\",\"dop\":%d,\"spill\":\"%s\","
           "\"sim_seconds\":%.6f,\"joules\":%.3f,\"records_per_joule\":%.1f,"

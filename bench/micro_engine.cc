@@ -2,7 +2,8 @@
 // engine's hot paths — scan + filter pipelines, hash join build/probe, and
 // aggregation — over in-memory tables.
 //
-// BM_DopSweepAggregate additionally emits one JSON line per (dop, P-state)
+// BM_DopSweepAggregate times scan + grouped aggregation at each dop (dop 1
+// is the single-worker case) and emits one JSON line per (dop, P-state)
 // sweep point: real rows/s next to the simulated energy ledger
 // (Rows-per-Joule, busy core-seconds), comparing P0 against the CPU's
 // most-efficient P-state at each dop.
@@ -13,10 +14,7 @@
 #include <cstdio>
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
 #include "exec/joins.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -71,8 +69,8 @@ void BM_ScanFilter(benchmark::State& state) {
   Fixture& f = GetFixture();
   size_t rows = 0;
   for (auto _ : state) {
-    FilterOp plan(std::make_unique<TableScanOp>(f.table.get()),
-                  Col("v") < Lit(int64_t{50000}));
+    TableScanOp plan(f.table.get(), {}, nullptr,
+                     Col("v") < Lit(int64_t{50000}));
     rows = RunToCompletion(&plan, f.platform.get());
   }
   benchmark::DoNotOptimize(rows);
@@ -86,27 +84,11 @@ void BM_HashJoin(benchmark::State& state) {
     HashJoinOp join(
         std::make_unique<TableScanOp>(f.table.get(),
                                       std::vector<std::string>{"k", "v"}),
-        std::make_unique<FilterOp>(
-            std::make_unique<TableScanOp>(
-                f.table.get(), std::vector<std::string>{"k"}),
-            Col("k") < Lit(int64_t{10})),
+        std::make_unique<TableScanOp>(f.table.get(),
+                                      std::vector<std::string>{"k"}, nullptr,
+                                      Col("k") < Lit(int64_t{10})),
         "k", "k");
     rows = RunToCompletion(&join, f.platform.get());
-  }
-  benchmark::DoNotOptimize(rows);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 200000);
-}
-
-void BM_HashAggregate(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  size_t rows = 0;
-  for (auto _ : state) {
-    std::vector<AggregateItem> aggs;
-    aggs.push_back({"total", AggFunc::kSum, Col("x")});
-    aggs.push_back({"n", AggFunc::kCount, nullptr});
-    HashAggregateOp agg(std::make_unique<TableScanOp>(f.table.get()),
-                        {"k"}, std::move(aggs));
-    rows = RunToCompletion(&agg, f.platform.get());
   }
   benchmark::DoNotOptimize(rows);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 200000);
@@ -128,10 +110,9 @@ void BM_DopSweepAggregate(benchmark::State& state) {
     std::vector<AggregateItem> aggs;
     aggs.push_back({"total", AggFunc::kSum, Col("x")});
     aggs.push_back({"n", AggFunc::kCount, nullptr});
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(
-            f.table.get(), std::vector<std::string>{"k", "x"}),
-        {"k"}, std::move(aggs));
+    HashAggregateOp agg(std::make_unique<TableScanOp>(
+                            f.table.get(), std::vector<std::string>{"k", "x"}),
+                        {"k"}, std::move(aggs));
     ExecOptions options;
     options.dop = dop;
     options.pstate = pstate;
@@ -164,7 +145,6 @@ void BM_DopSweepAggregate(benchmark::State& state) {
 
 BENCHMARK(BM_ScanFilter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HashJoin)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HashAggregate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DopSweepAggregate)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <unordered_map>
+#include <utility>
+
+#include "exec/scan.h"
 
 namespace ecodb::exec {
 
@@ -164,42 +168,91 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status HashAggregateOp::Consume(const RecordBatch& batch) {
-  const size_t n = batch.num_rows();
-  ctx_->ChargeInstructions(ctx_->options().costs.agg_update_per_row *
-                           static_cast<double>(n));
+void HashAggregateOp::ChargeUpdate(uint64_t rows) {
+  // ecodb-lint: coordinator-only
+  const double n = static_cast<double>(rows);
+  ctx_->ChargeInstructions(ctx_->options().costs.agg_update_per_row * n);
   for (const AggregateItem& item : aggregates_) {
     if (item.input != nullptr) {
-      ctx_->ChargeInstructions(item.input->InstructionsPerRow() *
-                               static_cast<double>(n));
+      ctx_->ChargeInstructions(item.input->InstructionsPerRow() * n);
     }
   }
-  return AccumulateBatch(batch, group_by_, aggregates_, &groups_);
 }
 
-Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
+Status HashAggregateOp::Compute() {
+  // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  if (!computed_) {
+  auto* source = dynamic_cast<MorselSource*>(child_.get());
+  if (source != nullptr) {
+    const size_t n_morsels = source->morsel_count();
+    std::vector<std::unordered_map<std::string, GroupAccum>> partials(
+        n_morsels);
+    WorkerPool* pool = ctx_->worker_pool();
+    std::vector<WorkAccumulator> accs(
+        static_cast<size_t>(pool->parallelism()));
+    ECODB_RETURN_IF_ERROR(
+        pool->Run(n_morsels, [&](size_t m, int slot) -> Status {
+          // ecodb-lint: worker-context
+          RecordBatch batch;
+          WorkAccumulator& acc = accs[static_cast<size_t>(slot)];
+          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch, &acc));
+          return AccumulateBatch(batch, group_by_, aggregates_, &partials[m]);
+        }));
+    uint64_t input_rows = 0;
+    for (const WorkAccumulator& acc : accs) {
+      input_rows += acc.rows_out;  // rows surviving the source's filter
+      ctx_->MergeWork(acc);
+    }
+    ChargeUpdate(input_rows);
+    // Merge partials in morsel index order: each key occurs at most once
+    // per partial, so every group's accumulator sees its contributions in
+    // a fixed, dop-independent order — iterating the unordered partials
+    // below cannot perturb results or charges (groups_ is an ordered map).
+    // NOLINT-ECODB(EC5)
+    for (std::unordered_map<std::string, GroupAccum>& partial : partials) {
+      // NOLINT-ECODB(EC5)
+      for (auto& [key, gs] : partial) {
+        auto [it, inserted] = groups_.try_emplace(key);
+        if (inserted) {
+          it->second = std::move(gs);
+        } else {
+          MergeGroupAccum(&it->second, gs);
+        }
+      }
+    }
+  } else {
+    // Any other child: drain it batch by batch into groups_ directly.
     bool child_eos = false;
     while (true) {
       ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
       RecordBatch batch;
       ECODB_RETURN_IF_ERROR(child_->Next(&batch, &child_eos));
       if (child_eos) break;
-      ECODB_RETURN_IF_ERROR(Consume(batch));
+      ChargeUpdate(batch.num_rows());
+      ECODB_RETURN_IF_ERROR(
+          AccumulateBatch(batch, group_by_, aggregates_, &groups_));
     }
-    // A global aggregate over zero rows still emits one row of zeros.
-    if (groups_.empty() && group_by_.empty()) {
-      groups_.emplace("", ZeroGroupAccum(aggregates_.size()));
-    }
-    emit_order_.clear();
-    emit_order_.reserve(groups_.size());
-    for (const auto& [k, gs] : groups_) emit_order_.push_back(k);
-    // Rough DRAM residency of the aggregation state.
-    ctx_->ChargeDram(groups_.size() *
-                     (32 + 32 * (aggregates_.size() + group_by_.size())));
-    computed_ = true;
   }
+
+  // A global aggregate over zero rows still emits one row of zeros.
+  if (groups_.empty() && group_by_.empty()) {
+    groups_.emplace("", ZeroGroupAccum(aggregates_.size()));
+  }
+  emit_order_.clear();
+  emit_order_.reserve(groups_.size());
+  for (const auto& [k, gs] : groups_) emit_order_.push_back(k);
+  // Rough DRAM residency of the final aggregation state (partials are
+  // transient).
+  ctx_->ChargeDram(groups_.size() *
+                   (32 + 32 * (aggregates_.size() + group_by_.size())));
+  computed_ = true;
+  return Status::OK();
+}
+
+Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
+  // ecodb-lint: coordinator-only
+  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
+  if (!computed_) ECODB_RETURN_IF_ERROR(Compute());
 
   if (cursor_ >= emit_order_.size()) {
     *eos = true;

@@ -1,9 +1,19 @@
 // Hash aggregation: GROUP BY over key columns with SUM/COUNT/MIN/MAX/AVG.
 //
-// The binding, key-encoding, accumulation, and row-emission pieces are
-// shared free helpers so the serial HashAggregateOp and the parallel
-// partitioned aggregate (parallel_aggregate.h) compute with exactly the
-// same arithmetic.
+// When its child is a MorselSource (a table scan), HashAggregateOp
+// aggregates each morsel into a morsel-local partial hash table inside the
+// worker that produced the morsel — no shared state, no locks — then merges
+// the partials into one ordered group table in morsel index order. Any
+// other child (a join, a filter, another aggregate) is drained batch by
+// batch on the coordinator with the same arithmetic; the child's type
+// selects the branch, never the dop.
+//
+// Determinism contract: a group key appears at most once per morsel
+// partial, and partials merge in morsel order, so the merged accumulators
+// see contributions in a fixed order independent of dop and scheduling.
+// With morsel boundaries themselves dop-invariant, the output and all
+// modeled charges are identical at every dop. Charges are computed by the
+// coordinator from merged row totals.
 
 #ifndef ECODB_EXEC_AGGREGATE_H_
 #define ECODB_EXEC_AGGREGATE_H_
@@ -70,8 +80,8 @@ Status AppendGroupRow(const GroupAccum& gs,
                       RecordBatch* batch);
 
 /// Aggregates one batch into `groups` — any map keyed by the encoded group
-/// key (the serial operator uses an ordered std::map, parallel partials use
-/// unordered_map). Pure accumulation; the caller owns the cost charges.
+/// key (the final table is an ordered std::map, morsel partials are
+/// unordered_maps). Pure accumulation; the caller owns the cost charges.
 template <typename GroupMap>
 Status AccumulateBatch(const RecordBatch& batch,
                        const std::vector<int>& group_by,
@@ -120,14 +130,17 @@ class HashAggregateOp final : public Operator {
   void Close() override;
 
  private:
-  Status Consume(const RecordBatch& batch);
+  /// Builds groups_ (morsel partials, or a batch drain of the child).
+  Status Compute();
+  /// Charges the aggregation's modeled CPU work for `rows` input rows.
+  void ChargeUpdate(uint64_t rows);
 
   OperatorPtr child_;
   std::vector<std::string> group_by_names_;
   std::vector<int> group_by_;
   std::vector<AggregateItem> aggregates_;
   catalog::Schema schema_;
-  // Deterministic output ordering for tests: ordered map on the encoded key.
+  // Deterministic output ordering: ordered map on the encoded key.
   std::map<std::string, GroupAccum> groups_;
   bool computed_ = false;
   std::vector<std::string> emit_order_;

@@ -23,27 +23,6 @@ catalog::Schema JoinedSchema(const catalog::Schema& left,
 
 namespace {
 
-/// Materializes everything a child produces into one batch. Polls the
-/// cancellation token per batch: a killed session stops draining at a
-/// deterministic batch boundary with its partial charges intact.
-Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
-  *out = RecordBatch(child->output_schema());
-  std::vector<uint32_t> all_rows;  // 0, 1, 2, ...: selects a whole batch
-  size_t rows = 0;
-  bool eos = false;
-  while (true) {
-    ECODB_RETURN_IF_ERROR(ctx->PollCancel());
-    RecordBatch batch;
-    ECODB_RETURN_IF_ERROR(child->Next(&batch, &eos));
-    if (eos) return out->SealRows(rows);
-    while (all_rows.size() < batch.num_rows()) {
-      all_rows.push_back(static_cast<uint32_t>(all_rows.size()));
-    }
-    out->Gather(batch, std::span(all_rows).first(batch.num_rows()));
-    rows += batch.num_rows();
-  }
-}
-
 /// Nominal resident bytes of a materialized batch.
 uint64_t BatchBytes(const RecordBatch& batch) {
   uint64_t bytes = 0;

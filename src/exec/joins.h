@@ -20,7 +20,7 @@
 
 #include "exec/expr.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
+#include "exec/scan.h"
 #include "util/flat_key_index.h"
 
 namespace ecodb::exec {
@@ -34,12 +34,12 @@ catalog::Schema JoinedSchema(const catalog::Schema& left,
 /// order, each probe row's matches in ascending build-row order, so no
 /// output depends on the hash function.
 ///
-/// When the left (probe) child is a MorselSource (a parallel table scan),
-/// the probe phase runs morsel-parallel: each worker pulls probe morsels
-/// and probes the read-only build table into a per-morsel output slot;
-/// slots are emitted in morsel order and all modeled charges come from
-/// dop-invariant row/match totals, so results and accounting match the
-/// serial probe exactly.
+/// When the left (probe) child is a MorselSource (a table scan), the probe
+/// phase runs morsel-parallel: each worker pulls probe morsels and probes
+/// the read-only build table into a per-morsel output slot; slots are
+/// emitted in morsel order and all modeled charges come from dop-invariant
+/// row/match totals, so results and accounting match the batch-at-a-time
+/// probe of any other child exactly.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key,

@@ -41,6 +41,11 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// the context. The operator must not yet be open.
 StatusOr<QueryResultSet> CollectAll(Operator* root, ExecContext* ctx);
 
+/// Materializes everything an open `child` produces into one batch. Polls
+/// the cancellation token per batch: a killed session stops draining at a
+/// deterministic batch boundary with its partial charges intact.
+Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out);
+
 }  // namespace ecodb::exec
 
 #endif  // ECODB_EXEC_OPERATOR_H_

@@ -1,7 +1,10 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <cassert>
+#include <span>
 
+#include "exec/exec_context.h"
 #include "exec/operator.h"
 #include "storage/zone_map.h"
 
@@ -26,6 +29,24 @@ StatusOr<QueryResultSet> CollectAll(Operator* root, ExecContext* ctx) {
   }
   root->Close();
   return result;
+}
+
+Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
+  *out = RecordBatch(child->output_schema());
+  std::vector<uint32_t> all_rows;  // 0, 1, 2, ...: selects a whole batch
+  size_t rows = 0;
+  bool eos = false;
+  while (true) {
+    ECODB_RETURN_IF_ERROR(ctx->PollCancel());
+    RecordBatch batch;
+    ECODB_RETURN_IF_ERROR(child->Next(&batch, &eos));
+    if (eos) return out->SealRows(rows);
+    while (all_rows.size() < batch.num_rows()) {
+      all_rows.push_back(static_cast<uint32_t>(all_rows.size()));
+    }
+    out->Gather(batch, std::span(all_rows).first(batch.num_rows()));
+    rows += batch.num_rows();
+  }
 }
 
 namespace {
@@ -218,16 +239,34 @@ double ScanDecodeInstructions(const storage::TableStorage& table,
   return decode_instr;
 }
 
+std::vector<ScanRowRange> MorselizeRanges(
+    const std::vector<ScanRowRange>& ranges, size_t block_rows,
+    size_t target_rows) {
+  const size_t align = std::max<size_t>(1, block_rows);
+  // Round the target up to a whole number of zone blocks so every cut
+  // lands on a block boundary (ranges already start block-aligned).
+  const size_t step = std::max(align, (target_rows + align - 1) / align * align);
+  std::vector<ScanRowRange> morsels;
+  for (const ScanRowRange& r : ranges) {
+    for (size_t begin = r.begin; begin < r.end; begin += step) {
+      morsels.push_back({begin, std::min(r.end, begin + step)});
+    }
+  }
+  return morsels;
+}
+
 TableScanOp::TableScanOp(const storage::TableStorage* table,
                          std::vector<std::string> columns,
-                         ExprPtr prune_filter)
+                         ExprPtr prune_filter, ExprPtr exact_filter)
     : table_(table),
       column_names_(std::move(columns)),
-      prune_filter_(std::move(prune_filter)) {}
+      prune_filter_(std::move(prune_filter)),
+      exact_filter_(std::move(exact_filter)) {}
 
 Status TableScanOp::Open(ExecContext* ctx) {
+  // ecodb-lint: coordinator-only
   ctx_ = ctx;
-  batch_rows_ = ctx->options().batch_rows;
+  ECODB_RETURN_IF_ERROR(ctx->PollCancel());
 
   column_indexes_.clear();
   if (column_names_.empty()) {
@@ -243,10 +282,12 @@ Status TableScanOp::Open(ExecContext* ctx) {
     }
   }
   schema_ = table_->schema().ProjectIndexes(column_indexes_);
+  if (exact_filter_ != nullptr) {
+    ECODB_RETURN_IF_ERROR(exact_filter_->Bind(schema_));
+  }
 
   // --- Zone-map pruning: selected row ranges + the surviving fraction.
   ScanPruning pruning = PruneScan(prune_filter_, *table_);
-  ranges_ = std::move(pruning.ranges);
   blocks_skipped_ = pruning.blocks_skipped;
 
   // --- Device transfer (skipped blocks skip their bytes where the storage
@@ -263,69 +304,143 @@ Status TableScanOp::Open(ExecContext* ctx) {
     ECODB_RETURN_IF_ERROR(
         ctx->ChargeRead(table_->device(), bytes, /*sequential=*/true));
   }
-
-  // --- Real decode of compressed columns + per-value touch cost.
-  decoded_.clear();
-  decoded_.reserve(column_indexes_.size());
-  for (int idx : column_indexes_) {
-    ECODB_ASSIGN_OR_RETURN(storage::ColumnData data,
-                           table_->ReadColumn(idx));
-    decoded_.push_back(std::move(data));
-  }
   ctx->ChargeInstructions(
       ScanDecodeInstructions(*table_, column_indexes_,
                              pruning.selected_fraction) *
       ctx->options().costs.decode_scale);
 
-  range_idx_ = 0;
-  cursor_ = ranges_.empty() ? 0 : ranges_[0].begin;
+  // Column sources: borrow uncompressed lanes in place; decode compressed
+  // columns across the pool (one task per compressed column).
+  const size_t n_cols = column_indexes_.size();
+  sources_.assign(n_cols, nullptr);
+  owned_decodes_.assign(n_cols, storage::ColumnData{});
+  std::vector<size_t> to_decode;
+  for (size_t c = 0; c < n_cols; ++c) {
+    const int idx = column_indexes_[c];
+    if (table_->column_layout(idx).compression ==
+        storage::CompressionKind::kNone) {
+      sources_[c] = &table_->RawColumn(idx);
+    } else {
+      to_decode.push_back(c);
+    }
+  }
+  if (!to_decode.empty()) {
+    WorkerPool* pool = ctx->worker_pool();
+    ECODB_RETURN_IF_ERROR(pool->Run(
+        to_decode.size(), [&](size_t t, int /*slot*/) -> Status {
+          // ecodb-lint: worker-context
+          const size_t c = to_decode[t];
+          ECODB_ASSIGN_OR_RETURN(owned_decodes_[c],
+                                 table_->ReadColumn(column_indexes_[c]));
+          return Status::OK();
+        }));
+    for (size_t c : to_decode) sources_[c] = &owned_decodes_[c];
+  }
+
+  morsels_ = MorselizeRanges(pruning.ranges, table_->zone_maps().block_rows,
+                             ctx->options().morsel_rows);
+
+  // The fused filter's modeled cost is charged up front from the selected
+  // row total (dop-invariant; what a downstream FilterOp would charge on
+  // the scan's output).
+  if (exact_filter_ != nullptr) {
+    uint64_t selected = 0;
+    for (const ScanRowRange& m : morsels_) selected += m.end - m.begin;
+    ctx->ChargeInstructions(exact_filter_->InstructionsPerRow() *
+                            static_cast<double>(selected));
+  }
+
+  slots_.clear();
+  materialized_ = false;
+  cursor_ = 0;
   open_ = true;
   return Status::OK();
 }
 
-Status TableScanOp::Next(RecordBatch* out, bool* eos) {
-  if (!open_) return Status::FailedPrecondition("scan not open");
-  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  // Advance past exhausted ranges.
-  while (range_idx_ < ranges_.size() && cursor_ >= ranges_[range_idx_].end) {
-    ++range_idx_;
-    if (range_idx_ < ranges_.size()) cursor_ = ranges_[range_idx_].begin;
-  }
-  if (range_idx_ >= ranges_.size()) {
-    *eos = true;
-    return Status::OK();
-  }
-  *eos = false;
-  const size_t take =
-      std::min(batch_rows_, ranges_[range_idx_].end - cursor_);
+Status TableScanOp::ProduceRange(ScanRowRange range, RecordBatch* out,
+                                 WorkAccumulator* acc) const {
+  // ecodb-lint: worker-context
+  const size_t take = range.end - range.begin;
+  const auto first = static_cast<long>(range.begin);
+  const auto last = static_cast<long>(range.end);
   RecordBatch batch(schema_);
-  for (size_t c = 0; c < decoded_.size(); ++c) {
+  for (size_t c = 0; c < sources_.size(); ++c) {
     storage::ColumnData& lane = batch.column(c);
-    const storage::ColumnData& src = decoded_[c];
+    const storage::ColumnData& src = *sources_[c];
     switch (src.type) {
       case catalog::DataType::kInt64:
       case catalog::DataType::kDate:
-        lane.i64.assign(src.i64.begin() + static_cast<long>(cursor_),
-                        src.i64.begin() + static_cast<long>(cursor_ + take));
+        lane.i64.assign(src.i64.begin() + first, src.i64.begin() + last);
         break;
       case catalog::DataType::kDouble:
-        lane.f64.assign(src.f64.begin() + static_cast<long>(cursor_),
-                        src.f64.begin() + static_cast<long>(cursor_ + take));
+        lane.f64.assign(src.f64.begin() + first, src.f64.begin() + last);
         break;
       case catalog::DataType::kString:
-        lane.str.assign(src.str.begin() + static_cast<long>(cursor_),
-                        src.str.begin() + static_cast<long>(cursor_ + take));
+        lane.str.assign(src.str.begin() + first, src.str.begin() + last);
         break;
     }
   }
   ECODB_RETURN_IF_ERROR(batch.SealRows(take));
-  cursor_ += take;
+  acc->rows_in += take;
+  if (exact_filter_ != nullptr) {
+    ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
+                           exact_filter_->EvaluateMask(batch));
+    batch.FilterInPlace(mask);
+  }
+  acc->rows_out += batch.num_rows();
   *out = std::move(batch);
   return Status::OK();
 }
 
+Status TableScanOp::ProduceMorsel(size_t index, RecordBatch* out,
+                                  WorkAccumulator* acc) const {
+  // ecodb-lint: worker-context
+  assert(index < morsels_.size());
+  return ProduceRange(morsels_[index], out, acc);
+}
+
+Status TableScanOp::Materialize() {
+  // ecodb-lint: coordinator-only
+  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
+  // Batches of at most batch_rows, each cut from one morsel: the rows and
+  // their order are the morsels', only the batch granularity differs.
+  const std::vector<ScanRowRange> batches =
+      MorselizeRanges(morsels_, 1, ctx_->options().batch_rows);
+  WorkerPool* pool = ctx_->worker_pool();
+  slots_.assign(batches.size(), RecordBatch{});
+  std::vector<WorkAccumulator> accs(
+      static_cast<size_t>(pool->parallelism()));
+  ECODB_RETURN_IF_ERROR(
+      pool->Run(batches.size(), [&](size_t b, int slot) -> Status {
+        // ecodb-lint: worker-context
+        return ProduceRange(batches[b], &slots_[b],
+                            &accs[static_cast<size_t>(slot)]);
+      }));
+  for (const WorkAccumulator& acc : accs) ctx_->MergeWork(acc);
+  materialized_ = true;
+  cursor_ = 0;
+  return Status::OK();
+}
+
+Status TableScanOp::Next(RecordBatch* out, bool* eos) {
+  // ecodb-lint: coordinator-only
+  if (!open_) return Status::FailedPrecondition("scan not open");
+  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
+  if (!materialized_) ECODB_RETURN_IF_ERROR(Materialize());
+  if (cursor_ >= slots_.size()) {
+    *eos = true;
+    return Status::OK();
+  }
+  *eos = false;
+  *out = std::move(slots_[cursor_]);
+  ++cursor_;
+  return Status::OK();
+}
+
 void TableScanOp::Close() {
-  decoded_.clear();
+  sources_.clear();
+  owned_decodes_.clear();
+  slots_.clear();
   open_ = false;
 }
 

@@ -1,14 +1,96 @@
 #include "exec/topk.h"
 
-#include <numeric>
 #include <queue>
 
 #include "exec/exec_context.h"
-#include "exec/parallel_scan.h"
+#include "exec/scan.h"
 
 namespace ecodb::exec {
 
-// --- TopKOp -----------------------------------------------------------------
+// Streams rows through a bounded max-heap whose top is the worst kept row
+// in (key, input position) order. Evicted rows stay in the pool until as
+// many have piled up as are kept, then the pool is compacted, so each
+// builder's working set stays O(k).
+class TopKOp::RunBuilder {
+ public:
+  RunBuilder(const TopKOp& op, const catalog::Schema& schema)
+      : op_(op), pool_(schema) {}
+
+  /// Offers every row of `batch`, in order, after the rows offered before.
+  Status Offer(const RecordBatch& batch) {
+    const auto worse = [this](const Entry& a, const Entry& b) {
+      return Before(a, b);
+    };
+    for (size_t r = 0; r < batch.num_rows(); ++r, ++pos_) {
+      if (heap_.size() < op_.k_) {
+        pool_.AppendRowFrom(batch, r);
+        heap_.push_back({static_cast<uint32_t>(pool_.num_rows() - 1), pos_});
+        std::push_heap(heap_.begin(), heap_.end(), worse);
+        continue;
+      }
+      // A new row displaces the worst kept row only when it sorts strictly
+      // before it on the keys: on a tie the kept row's input position is
+      // smaller, so stability keeps it — exactly what a stable sort
+      // followed by LimitOp(k) would retain.
+      if (op_.k_ == 0 || CompareRowsOnKeys(batch, r, pool_, heap_.front().row,
+                                           op_.keys_, op_.key_idx_) >= 0) {
+        continue;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), worse);
+      pool_.AppendRowFrom(batch, r);
+      heap_.back() = {static_cast<uint32_t>(pool_.num_rows() - 1), pos_};
+      std::push_heap(heap_.begin(), heap_.end(), worse);
+      if (pool_.num_rows() - heap_.size() >= op_.k_) {
+        ECODB_RETURN_IF_ERROR(Compact());
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Moves the kept rows, in output order, into `run`.
+  Status TakeRun(CandidateRun* run) {
+    std::sort(heap_.begin(), heap_.end(),
+              [this](const Entry& a, const Entry& b) { return Before(a, b); });
+    ECODB_RETURN_IF_ERROR(Compact());
+    run->rows = std::move(pool_);
+    run->rows_in = pos_;
+    return Status::OK();
+  }
+
+ private:
+  /// A kept candidate: a row in pool_ plus its input position.
+  struct Entry {
+    uint32_t row;
+    uint64_t pos;
+  };
+
+  /// True when `a` precedes `b` in the output order (keys, then input
+  /// position). A strict total order: no two entries share pos.
+  bool Before(const Entry& a, const Entry& b) const {
+    const int cmp = CompareRowsOnKeys(pool_, a.row, pool_, b.row, op_.keys_,
+                                      op_.key_idx_);
+    if (cmp != 0) return cmp < 0;
+    return a.pos < b.pos;
+  }
+
+  /// Rebuilds pool_ from the kept rows alone, in heap_ order.
+  Status Compact() {
+    std::vector<uint32_t> rows(heap_.size());
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      rows[i] = heap_[i].row;
+      heap_[i].row = static_cast<uint32_t>(i);
+    }
+    RecordBatch fresh(pool_.schema());
+    fresh.Gather(pool_, rows);
+    pool_ = std::move(fresh);
+    return pool_.SealRows(rows.size());
+  }
+
+  const TopKOp& op_;
+  RecordBatch pool_;
+  std::vector<Entry> heap_;  // max-heap on Before: front = worst kept
+  uint64_t pos_ = 0;
+};
 
 TopKOp::TopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
                uint64_t memory_budget_bytes,
@@ -19,170 +101,12 @@ TopKOp::TopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
       memory_budget_bytes_(memory_budget_bytes),
       spill_device_(spill_device) {}
 
-bool TopKOp::OutputBefore(const Entry& a, const Entry& b) const {
-  const int cmp =
-      CompareRowsOnKeys(pool_, a.row, pool_, b.row, keys_, key_idx_);
-  if (cmp != 0) return cmp < 0;
-  return a.pos < b.pos;
-}
-
-void TopKOp::CompactPool() {
-  RecordBatch fresh(pool_.schema());
-  for (Entry& e : heap_) {
-    fresh.AppendRowFrom(pool_, e.row);
-    e.row = fresh.num_rows() - 1;
-  }
-  pool_ = std::move(fresh);
-}
-
-Status TopKOp::Open(ExecContext* ctx) {
+Status TopKOp::FormRuns() {
   // ecodb-lint: coordinator-only
-  ctx_ = ctx;
-  ECODB_RETURN_IF_ERROR(child_->Open(ctx));
+  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   const catalog::Schema& schema = child_->output_schema();
-  ECODB_RETURN_IF_ERROR(ResolveSortKeys(schema, keys_, &key_idx_));
-
-  pool_ = RecordBatch(schema);
-  heap_.clear();
-  order_.clear();
-  cursor_ = 0;
-  const uint64_t row_width =
-      static_cast<uint64_t>(schema.RowWidthBytes());
-  const auto heap_cmp = [this](const Entry& a, const Entry& b) {
-    return OutputBefore(a, b);  // max-heap: top = last in output order
-  };
-
-  uint64_t pos = 0;
-  bool eos = false;
-  while (true) {
-    // Polled per batch so a killed session stops at a deterministic
-    // boundary with its spill watermarks (and hence its bill) intact.
-    ECODB_RETURN_IF_ERROR(ctx->PollCancel());
-    RecordBatch batch;
-    ECODB_RETURN_IF_ERROR(child_->Next(&batch, &eos));
-    if (eos) break;
-    for (size_t r = 0; r < batch.num_rows(); ++r, ++pos) {
-      if (k_ == 0) continue;
-      if (heap_.size() < k_) {
-        pool_.AppendRowFrom(batch, r);
-        heap_.push_back({pool_.num_rows() - 1, pos});
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-        continue;
-      }
-      // A new row displaces the worst kept row only when it sorts strictly
-      // before it on the keys: on a tie the kept row's input position is
-      // smaller, so stability keeps it — exactly what a stable sort
-      // followed by LimitOp(k) would retain.
-      const Entry& top = heap_.front();
-      if (CompareRowsOnKeys(batch, r, pool_, top.row, keys_, key_idx_) < 0) {
-        std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-        pool_.AppendRowFrom(batch, r);
-        heap_.back() = {pool_.num_rows() - 1, pos};
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-        if (pool_.num_rows() >= 2 * k_) CompactPool();
-      }
-    }
-    // Spill accounting during the drain (mirrors SortOp): when even the
-    // k-row working set exceeds the budget, the kept bytes are written out
-    // as they accumulate. Guarded by spill_write_charged_ so an Open retry
-    // after a mid-drain error never bills the device twice.
-    const uint64_t kept_bytes = heap_.size() * row_width;
-    if (kept_bytes > memory_budget_bytes_ && spill_device_ != nullptr) {
-      spilled_ = true;
-      if (kept_bytes > spill_write_charged_) {
-        ECODB_RETURN_IF_ERROR(
-            ctx->ChargeWrite(spill_device_, kept_bytes - spill_write_charged_,
-                             /*sequential=*/true));
-        spill_write_charged_ = kept_bytes;
-      }
-    }
-  }
-
-  // The emission pass reads every spilled byte back exactly once.
-  if (spilled_ && !spill_read_charged_) {
-    ECODB_RETURN_IF_ERROR(ctx->ChargeRead(spill_device_, spill_write_charged_,
-                                          /*sequential=*/true));
-    spill_read_charged_ = true;
-  }
-
-  const CostConstants& c = ctx->options().costs;
-  ctx->ChargeInstructions(TopKCompareInstructions(
-      c, static_cast<double>(pos), static_cast<double>(k_),
-      static_cast<double>(keys_.size())));
-  const uint64_t kept_bytes = heap_.size() * row_width;
-  ctx->ChargeDram(std::min<uint64_t>(kept_bytes, memory_budget_bytes_));
-
-  CompactPool();
-  order_ = heap_;
-  std::sort(order_.begin(), order_.end(), heap_cmp);
-  return Status::OK();
-}
-
-Status TopKOp::Next(RecordBatch* out, bool* eos) {
-  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  if (cursor_ >= order_.size()) {
-    *eos = true;
-    return Status::OK();
-  }
-  *eos = false;
-  const size_t take =
-      std::min(ctx_->options().batch_rows, order_.size() - cursor_);
-  RecordBatch batch(child_->output_schema());
-  for (size_t i = 0; i < take; ++i) {
-    batch.AppendRowFrom(pool_, order_[cursor_ + i].row);
-  }
-  cursor_ += take;
-  *out = std::move(batch);
-  return Status::OK();
-}
-
-void TopKOp::Close() {
-  pool_ = RecordBatch();
-  heap_.clear();
-  order_.clear();
-  child_->Close();
-}
-
-// --- ParallelTopKOp ---------------------------------------------------------
-
-ParallelTopKOp::ParallelTopKOp(OperatorPtr child, std::vector<SortKey> keys,
-                               size_t k, uint64_t memory_budget_bytes,
-                               storage::StorageDevice* spill_device)
-    : child_(std::move(child)),
-      keys_(std::move(keys)),
-      k_(k),
-      memory_budget_bytes_(memory_budget_bytes),
-      spill_device_(spill_device) {}
-
-ParallelTopKOp::CandidateRun ParallelTopKOp::ReduceMorsel(
-    RecordBatch batch) const {
-  CandidateRun run;
-  run.rows_in = batch.num_rows();
-  const size_t keep = std::min(k_, batch.num_rows());
-  std::vector<size_t> order(batch.num_rows());
-  std::iota(order.begin(), order.end(), size_t{0});
-  // (key, position-in-morsel) is a strict total order, so the selected
-  // prefix is unique — deterministic for a given morsel at any dop.
-  const auto before = [&](size_t a, size_t b) {
-    const int cmp = CompareRowsOnKeys(batch, a, batch, b, keys_, key_idx_);
-    if (cmp != 0) return cmp < 0;
-    return a < b;
-  };
-  std::partial_sort(order.begin(), order.begin() + keep, order.end(), before);
-  run.rows = RecordBatch(batch.schema());
-  run.pos.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    run.rows.AppendRowFrom(batch, order[i]);
-    run.pos.push_back(order[i]);
-  }
-  return run;
-}
-
-Status ParallelTopKOp::FormRuns() {
-  // ecodb-lint: coordinator-only
-  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   auto* source = dynamic_cast<MorselSource*>(child_.get());
-  if (source != nullptr && source->morsel_count() > 0) {
+  if (source != nullptr) {
     const size_t n_morsels = source->morsel_count();
     runs_.assign(n_morsels, CandidateRun{});
     WorkerPool* pool = ctx_->worker_pool();
@@ -194,26 +118,25 @@ Status ParallelTopKOp::FormRuns() {
           RecordBatch batch;
           ECODB_RETURN_IF_ERROR(source->ProduceMorsel(
               m, &batch, &accs[static_cast<size_t>(slot)]));
-          runs_[m] = ReduceMorsel(std::move(batch));
-          return Status::OK();
+          RunBuilder builder(*this, schema);
+          ECODB_RETURN_IF_ERROR(builder.Offer(batch));
+          return builder.TakeRun(&runs_[m]);
         }));
     for (const WorkAccumulator& acc : accs) ctx_->MergeWork(acc);
   } else {
-    // Serial fallback (non-morsel child): the whole input is one candidate
-    // run, so the operator degenerates to the serial bounded-heap top-k.
-    RecordBatch all(child_->output_schema());
+    // Any other child streams through one heap into a single candidate
+    // run, batch by batch: at most 2k rows are ever held.
+    RunBuilder builder(*this, schema);
     bool eos = false;
     while (true) {
       ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
       RecordBatch batch;
       ECODB_RETURN_IF_ERROR(child_->Next(&batch, &eos));
       if (eos) break;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        all.AppendRowFrom(batch, r);
-      }
+      ECODB_RETURN_IF_ERROR(builder.Offer(batch));
     }
-    runs_.clear();
-    runs_.push_back(ReduceMorsel(std::move(all)));
+    runs_.assign(1, CandidateRun{});
+    ECODB_RETURN_IF_ERROR(builder.TakeRun(&runs_[0]));
   }
   // Morsels with no surviving rows form empty candidate runs; dropping
   // them (in morsel order) keeps run indexes — the merge tie-break — dense
@@ -224,14 +147,14 @@ Status ParallelTopKOp::FormRuns() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::SettleRunCharges() {
+Status TopKOp::SettleRunCharges() {
   // ecodb-lint: coordinator-only
   const CostConstants& c = ctx_->options().costs;
   const double n_keys = static_cast<double>(keys_.size());
   const uint64_t row_width =
       static_cast<uint64_t>(child_->output_schema().RowWidthBytes());
 
-  // Formation: each morsel streams through its own bounded heap. Summed in
+  // Formation: each run streams through its own bounded heap. Summed in
   // run order on the coordinator so the floating-point total is
   // dop-invariant (run boundaries derive from morsels, not from dop).
   double formation = 0.0;
@@ -267,7 +190,7 @@ Status ParallelTopKOp::SettleRunCharges() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::MergeRuns() {
+Status TopKOp::MergeRuns() {
   // ecodb-lint: coordinator-only
   result_ = RecordBatch(child_->output_schema());
   const CostConstants& c = ctx_->options().costs;
@@ -330,7 +253,7 @@ Status ParallelTopKOp::MergeRuns() {
   return Status::OK();
 }
 
-Status ParallelTopKOp::Open(ExecContext* ctx) {
+Status TopKOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ECODB_RETURN_IF_ERROR(child_->Open(ctx));
   ECODB_RETURN_IF_ERROR(
@@ -346,7 +269,7 @@ Status ParallelTopKOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status ParallelTopKOp::Next(RecordBatch* out, bool* eos) {
+Status TopKOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   if (cursor_ >= result_.num_rows()) {
     *eos = true;
@@ -364,7 +287,7 @@ Status ParallelTopKOp::Next(RecordBatch* out, bool* eos) {
   return Status::OK();
 }
 
-void ParallelTopKOp::Close() {
+void TopKOp::Close() {
   runs_.clear();
   result_ = RecordBatch();
   child_->Close();

@@ -1,25 +1,29 @@
-// Top-k ORDER BY + LIMIT fusion: bounded-heap operators that keep only the
-// first k rows of the sort order instead of materializing a full sort.
+// Top-k ORDER BY + LIMIT fusion: a bounded-heap operator that keeps only
+// the first k rows of the sort order instead of materializing a full sort.
 //
 // The paper's thesis is doing the same work with fewer Joules; a full
 // external sort that spills runs to a device only to discard all but k rows
-// is exactly the energy waste it targets. TopKOp streams the input through
-// a bounded max-heap of k rows (O(n log k) modeled comparisons, a k-row
-// working set, and zero spill when those k rows fit the sort memory
-// budget), and ParallelTopKOp runs the same selection morsel-parallel.
+// is exactly the energy waste it targets. TopKOp streams its input through
+// bounded max-heaps of k rows (O(n log k) modeled comparisons, a k-row
+// working set per heap, and zero spill when the kept rows fit the sort
+// memory budget).
 //
-// Equivalence contract (DESIGN.md §8): both operators emit rows
-// byte-identical to SortOp (stable sort) followed by LimitOp(k). Stability
-// is enforced by breaking key ties with the row's input position — serial:
-// the global stream position; parallel: (run index, position in run), which
-// equals the input's global order because runs are indexed by morsel.
+// When the child is a MorselSource, workers reduce each morsel to its local
+// top-k candidate run, and every run is kept until the merge: runs·k
+// candidate rows in total. Any other child (a join, a filter, an aggregate)
+// streams batch by batch through one heap into a single candidate run of at
+// most k rows. The child's type selects the branch, never the dop.
 //
-// Determinism contract (DESIGN.md §7): ParallelTopKOp derives its runs from
-// morsel boundaries (never from dop), keeps worker-side results exact
-// (copied rows + integer positions), and settles every modeled charge on
-// the coordinator in run order, so results and accounting are bit-identical
-// at every dop. The coordinator's candidate merge is charged through the
-// serial-instruction bucket (Amdahl).
+// Equivalence contract (DESIGN.md §8): TopKOp emits rows byte-identical to
+// SortOp (stable sort) followed by LimitOp(k). Stability is enforced by
+// breaking key ties with (run index, position in run), which equals the
+// input's global order because runs are indexed by morsel.
+//
+// Determinism contract (DESIGN.md §7): runs derive from morsel boundaries
+// (never from dop), worker-side results are exact (copied rows), and every
+// modeled charge is settled on the coordinator in run order, so results and
+// accounting are bit-identical at every dop. The coordinator's candidate
+// merge is charged through the serial-instruction bucket (Amdahl).
 
 #ifndef ECODB_EXEC_TOPK_H_
 #define ECODB_EXEC_TOPK_H_
@@ -40,7 +44,7 @@ namespace ecodb::exec {
 /// root plus a log2(k) sift ladder. At k = n this approaches the full
 /// sort's n·log2(n); at k = 1 it degenerates to a linear min-scan. Shared
 /// with CostModel::SortDemand so the planner prices exactly what the
-/// operators charge.
+/// operator charges.
 inline double TopKCompareInstructions(const CostConstants& c, double rows,
                                       double k, double num_keys) {
   if (rows <= 0.0 || k <= 0.0) return 0.0;
@@ -49,11 +53,11 @@ inline double TopKCompareInstructions(const CostConstants& c, double rows,
          (1.0 + std::log2(std::max(1.0, k_eff))) * num_keys;
 }
 
-/// Serial top-k: the first `k` rows of the child's stable sort order on
-/// `keys`, produced with a bounded max-heap instead of a full sort. When
-/// the k-row working set exceeds `memory_budget_bytes` and a spill device
-/// is configured, the kept rows are billed one sequential write + read
-/// (exactly-once across Open retries, like SortOp).
+/// The first `k` rows of the child's stable sort order on `keys`. When the
+/// kept candidate rows, summed over every candidate run (runs·k at most),
+/// exceed `memory_budget_bytes` and a spill device is configured, each
+/// candidate run is billed one sequential write + read (exactly once across
+/// Open retries, like SortOp).
 class TopKOp final : public Operator {
  public:
   TopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
@@ -67,80 +71,23 @@ class TopKOp final : public Operator {
   Status Next(RecordBatch* out, bool* eos) override;
   void Close() override;
 
-  /// True once the kept working set exceeded the memory budget on any Open
-  /// attempt (sticky across retries: the spill really happened).
-  bool spilled() const { return spilled_; }
-
- private:
-  /// A kept candidate: a row in pool_ plus its global input position (the
-  /// stable tie-break).
-  struct Entry {
-    size_t row;
-    uint64_t pos;
-  };
-
-  /// True when `a` precedes `b` in the final output order (keys, then
-  /// input position). A strict total order: no two entries share pos.
-  bool OutputBefore(const Entry& a, const Entry& b) const;
-
-  /// Drops evicted rows from pool_ so the working set stays O(k).
-  void CompactPool();
-
-  OperatorPtr child_;
-  std::vector<SortKey> keys_;
-  size_t k_;
-  uint64_t memory_budget_bytes_;
-  storage::StorageDevice* spill_device_;
-
-  std::vector<int> key_idx_;
-  RecordBatch pool_;          // kept rows (plus not-yet-compacted evictees)
-  std::vector<Entry> heap_;   // max-heap on OutputBefore: top = worst kept
-  std::vector<Entry> order_;  // heap_ sorted into output order after drain
-  size_t cursor_ = 0;
-  bool spilled_ = false;
-  /// Spill bytes already billed to the device; survives Open retries so
-  /// accounting is exactly-once (mirrors SortOp).
-  uint64_t spill_write_charged_ = 0;
-  bool spill_read_charged_ = false;
-  ExecContext* ctx_ = nullptr;
-};
-
-/// Morsel-parallel top-k. Workers claim morsels and reduce each to its
-/// local top-k (a k-row candidate run, sorted by (key, position)); the
-/// coordinator then merges the candidate runs in run order and keeps the
-/// global first k by (key, run, position) — the input's global order, so
-/// output is byte-identical to the serial TopKOp and to SortOp + LimitOp.
-class ParallelTopKOp final : public Operator {
- public:
-  ParallelTopKOp(OperatorPtr child, std::vector<SortKey> keys, size_t k,
-                 uint64_t memory_budget_bytes = UINT64_MAX,
-                 storage::StorageDevice* spill_device = nullptr);
-
-  const catalog::Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  Status Open(ExecContext* ctx) override;
-  Status Next(RecordBatch* out, bool* eos) override;
-  void Close() override;
-
-  /// True when the kept candidate set exceeded the memory budget and was
-  /// billed to the spill device.
+  /// True when the last Open's kept candidate set exceeded the memory
+  /// budget and was billed to the spill device.
   bool spilled() const { return spilled_; }
   /// Non-empty candidate runs formed (valid after Open; dop-invariant).
   size_t num_runs() const { return num_runs_; }
 
  private:
-  /// One morsel's local top-k: kept rows in output order, their positions
-  /// within the morsel, and the morsel's input row count (for charging).
+  /// One run's local top-k: kept rows in output order, plus the run's input
+  /// row count (for charging).
   struct CandidateRun {
     RecordBatch rows;
-    std::vector<uint64_t> pos;
     uint64_t rows_in = 0;
   };
+  /// Streams rows into a bounded heap that becomes one CandidateRun.
+  class RunBuilder;
 
-  /// Reduces `batch` to its local top-k (sorted by key then position).
-  CandidateRun ReduceMorsel(RecordBatch batch) const;
-  /// Forms runs_ (morsel-parallel or serial single-run fallback).
+  /// Forms runs_ (one per morsel, or one streamed from the child).
   Status FormRuns();
   /// Settles formation instructions + DRAM + per-run spill writes
   /// (coordinator, run order).

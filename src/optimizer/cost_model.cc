@@ -47,7 +47,7 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
   const double runs = std::max(1.0, std::ceil(rows / run_rows));
   const double per_run = std::min(rows, run_rows);
   if (limit_rows >= 0.0) {
-    // Fused top-k (mirrors TopKOp / ParallelTopKOp's charges). Formation:
+    // Fused top-k (mirrors TopKOp's charges). Formation:
     // every row pays the bounded heap's 1 + log2(min(run, k)) ladder,
     // divided across workers. Merge: the coordinator's comparison ladder
     // over the ≤ runs·k candidates plus the k-row emission are serial. At

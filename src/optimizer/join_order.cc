@@ -9,11 +9,10 @@
 //   - The estimator feeds pricing only: every enumerated tree joins on real
 //     equi-join edges and applies the remaining crossing edges as residual
 //     filters, so all orders are row-equivalent regardless of estimates.
-//   - Physical join operators are reused unchanged; at dop > 1 every leaf is
-//     a morsel-parallel scan, and only a join whose LEFT child is such a
-//     leaf probes in parallel (upper joins consume materialized children
-//     serially) — which rule the serial/parallel instruction split below
-//     mirrors.
+//   - Physical join operators are reused unchanged; every leaf is a morsel
+//     scan, and only a join whose LEFT child is such a leaf probes in
+//     parallel (upper joins consume materialized children serially) — which
+//     rule the serial/parallel instruction split below mirrors.
 
 #include "optimizer/join_order.h"
 
@@ -25,7 +24,6 @@
 
 #include "exec/filter_project.h"
 #include "exec/joins.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "optimizer/planner_internal.h"
 
@@ -249,8 +247,8 @@ ResourceEstimate LeafDemand(const QuerySpec& spec, const JoinGraph& graph,
 }
 
 /// Adds one join node's demand on top of its children's. `left_is_leaf`
-/// decides probe attribution: a leaf left child is a morsel source at
-/// dop > 1, so its probe parallelizes; joins above joins probe serially.
+/// decides probe attribution: a leaf left child is a morsel source, so its
+/// probe parallelizes; joins above joins probe serially.
 /// Returns the primary crossing edge index via `primary` (first by spec
 /// order — the same rule tree construction uses).
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
@@ -651,19 +649,10 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
     for (const std::string& name : needed) {
       if (t.schema().FindColumn(name) >= 0) cols.push_back(name);
     }
-    if (plan.dop > 1) {
-      // Morsel-parallel scan with the exact filter fused in; also the
-      // morsel source that lets a directly-attached hash join probe in
-      // parallel.
-      return OperatorPtr(std::make_unique<exec::ParallelTableScanOp>(
-          &t, cols, side.filter, side.filter));
-    }
-    OperatorPtr scan =
-        std::make_unique<exec::TableScanOp>(&t, cols, side.filter);
-    if (side.filter != nullptr) {
-      scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
-    }
-    return scan;
+    // Table scan with the exact filter fused in; also the morsel source
+    // that lets a directly-attached hash join probe in parallel.
+    return OperatorPtr(std::make_unique<exec::TableScanOp>(
+        &t, cols, side.filter, side.filter));
   }
 
   ECODB_ASSIGN_OR_RETURN(OperatorPtr left,

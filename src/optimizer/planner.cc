@@ -10,9 +10,6 @@
 #include "exec/filter_project.h"
 #include "exec/index_scan.h"
 #include "exec/joins.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/topk.h"
 
@@ -155,35 +152,18 @@ void PriceTail(const QuerySpec& spec, const PhysicalPlan& plan,
 exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
                                      const PhysicalPlan& plan,
                                      exec::OperatorPtr root) {
-  const bool parallel = plan.dop > 1;
   if (!spec.aggregates.empty()) {
-    if (parallel) {
-      root = std::make_unique<exec::ParallelHashAggregateOp>(
-          std::move(root), spec.group_by, spec.aggregates);
-    } else {
-      root = std::make_unique<exec::HashAggregateOp>(
-          std::move(root), spec.group_by, spec.aggregates);
-    }
+    root = std::make_unique<exec::HashAggregateOp>(
+        std::move(root), spec.group_by, spec.aggregates);
   }
 
   bool limit_applied = false;
   if (!spec.order_by.empty()) {
     if (plan.use_topk && spec.limit.has_value()) {
-      const size_t limit = static_cast<size_t>(*spec.limit);
-      if (parallel) {
-        root = std::make_unique<exec::ParallelTopKOp>(
-            std::move(root), spec.order_by, limit,
-            spec.sort_memory_budget_bytes, spec.sort_spill_device);
-      } else {
-        root = std::make_unique<exec::TopKOp>(
-            std::move(root), spec.order_by, limit,
-            spec.sort_memory_budget_bytes, spec.sort_spill_device);
-      }
+      root = std::make_unique<exec::TopKOp>(
+          std::move(root), spec.order_by, static_cast<size_t>(*spec.limit),
+          spec.sort_memory_budget_bytes, spec.sort_spill_device);
       limit_applied = true;
-    } else if (parallel) {
-      root = std::make_unique<exec::ParallelSortOp>(
-          std::move(root), spec.order_by, spec.sort_memory_budget_bytes,
-          spec.sort_spill_device);
     } else {
       root = std::make_unique<exec::SortOp>(std::move(root), spec.order_by,
                                             spec.sort_memory_budget_bytes,
@@ -896,31 +876,23 @@ StatusOr<exec::OperatorPtr> Planner::BuildOperator(
 
   if (!spec.relations.empty()) return BuildJoinGraphOperator(spec, plan);
 
-  const bool parallel = plan.dop > 1;
   auto build_side = [&](const TableAlternatives& side, bool is_left,
                         int variant, AccessPath path) -> OperatorPtr {
     const storage::TableStorage& t = *side.variants[variant];
     const std::vector<std::string> cols = ScanColumnsFor(side, spec, is_left);
-    OperatorPtr scan;
     int64_t lo = INT64_MIN, hi = INT64_MAX;
     if (path == AccessPath::kIndexScan && side.index != nullptr &&
         ExtractKeyRange(side.filter, side.index_column, &lo, &hi)) {
-      scan = std::make_unique<exec::IndexScanOp>(&t, side.index, cols, lo,
-                                                 hi);
-    } else if (parallel) {
-      // Morsel-parallel scan with the exact filter fused into the morsel
-      // loop (no separate FilterOp; results and accounting match the
-      // serial scan+filter pair).
-      return std::make_unique<exec::ParallelTableScanOp>(
-          &t, cols, side.filter, side.filter);
-    } else {
-      // Sequential scan with zone-map pruning when available.
-      scan = std::make_unique<exec::TableScanOp>(&t, cols, side.filter);
+      OperatorPtr scan =
+          std::make_unique<exec::IndexScanOp>(&t, side.index, cols, lo, hi);
+      if (side.filter != nullptr) {
+        scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
+      }
+      return scan;
     }
-    if (side.filter != nullptr) {
-      scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
-    }
-    return scan;
+    // Table scan with zone-map pruning and the exact filter fused in.
+    return std::make_unique<exec::TableScanOp>(&t, cols, side.filter,
+                                               side.filter);
   };
 
   const storage::TableStorage& lt = *spec.left.variants[plan.left_variant];

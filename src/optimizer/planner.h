@@ -84,8 +84,8 @@ struct QuerySpec {
   std::vector<std::string> group_by;
   std::vector<exec::AggregateItem> aggregates;
   /// Final ordering of the output. Priced with CostModel::SortDemand and
-  /// realized as SortOp (dop 1) or the morsel-parallel ParallelSortOp
-  /// (dop > 1) — byte-identical results and charges either way.
+  /// realized as the morsel-driven SortOp — byte-identical results and
+  /// charges at every dop.
   std::vector<exec::SortKey> order_by;
   /// Sort memory budget; when the estimated sorted bytes exceed it and a
   /// spill device is set, the plan is priced for (and the operator charges)
@@ -94,7 +94,7 @@ struct QuerySpec {
   storage::StorageDevice* sort_spill_device = nullptr;
   /// Optional LIMIT on the final output. With order_by present the planner
   /// also enumerates fusing ORDER BY + LIMIT into a bounded-heap top-k
-  /// (TopKOp / ParallelTopKOp) and picks it when priced cheaper — typically
+  /// (TopKOp) and picks it when priced cheaper — typically
   /// small k, where it saves O(n log n) comparisons and all spill I/O —
   /// falling back to Sort + Limit otherwise (k ≈ n). Both paths emit
   /// byte-identical rows.

@@ -25,8 +25,8 @@ std::vector<int> ToIndexes(const catalog::Schema& schema,
 double RowWidthOf(const storage::TableStorage& table,
                   const std::vector<std::string>& columns);
 
-/// Zone-pruned scan demand, built from the exact helpers TableScanOp and
-/// ParallelTableScanOp charge with — estimator and executor cannot drift.
+/// Zone-pruned scan demand, built from the exact helpers TableScanOp
+/// charges with — estimator and executor cannot drift.
 ResourceEstimate PrunedScanDemand(const storage::TableStorage& table,
                                   const std::vector<int>& col_indexes,
                                   const exec::ExprPtr& filter,
@@ -43,7 +43,7 @@ void PriceTail(const QuerySpec& spec, const PhysicalPlan& plan,
                double input_width, ResourceEstimate* demand);
 
 /// Wraps `root` with the operators realizing the post-join tail (aggregate,
-/// sort or fused top-k, limit), serial or morsel-parallel per plan.dop.
+/// sort or fused top-k, limit); the tree is the same at every dop.
 exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
                                      const PhysicalPlan& plan,
                                      exec::OperatorPtr root);

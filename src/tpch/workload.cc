@@ -1,7 +1,6 @@
 #include "tpch/workload.h"
 
 #include "exec/aggregate.h"
-#include "exec/filter_project.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "tpch/generator.h"
@@ -22,9 +21,9 @@ OperatorPtr MakePricingSummaryQuery(const storage::TableStorage* lineitem,
       lineitem,
       std::vector<std::string>{"l_returnflag", "l_quantity",
                                "l_extendedprice", "l_discount",
-                               "l_shipdate"});
-  OperatorPtr filtered = std::make_unique<exec::FilterOp>(
-      std::move(scan), Col("l_shipdate") <= LitDate(ship_date_cutoff));
+                               "l_shipdate"},
+      /*prune_filter=*/nullptr,
+      Col("l_shipdate") <= LitDate(ship_date_cutoff));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"sum_qty", AggFunc::kSum, Col("l_quantity")});
   aggs.push_back({"sum_base_price", AggFunc::kSum, Col("l_extendedprice")});
@@ -33,7 +32,7 @@ OperatorPtr MakePricingSummaryQuery(const storage::TableStorage* lineitem,
   aggs.push_back({"avg_qty", AggFunc::kAvg, Col("l_quantity")});
   aggs.push_back({"count_order", AggFunc::kCount, nullptr});
   return std::make_unique<exec::HashAggregateOp>(
-      std::move(filtered), std::vector<std::string>{"l_returnflag"},
+      std::move(scan), std::vector<std::string>{"l_returnflag"},
       std::move(aggs));
 }
 
@@ -41,23 +40,22 @@ OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
                              int64_t date_lo, int64_t date_hi,
                              double discount_lo, double discount_hi,
                              double quantity_cap) {
-  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
-                               "l_shipdate"});
   exec::ExprPtr pred =
       And(And(Col("l_shipdate") >= LitDate(date_lo),
               Col("l_shipdate") < LitDate(date_hi)),
           And(And(Col("l_discount") >= Lit(discount_lo),
                   Col("l_discount") <= Lit(discount_hi)),
               Col("l_quantity") < Lit(quantity_cap)));
-  OperatorPtr filtered =
-      std::make_unique<exec::FilterOp>(std::move(scan), std::move(pred));
+  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
+      lineitem,
+      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
+                               "l_shipdate"},
+      /*prune_filter=*/nullptr, std::move(pred));
   std::vector<AggregateItem> aggs;
   aggs.push_back({"revenue", AggFunc::kSum,
                   Col("l_extendedprice") * Col("l_discount")});
   return std::make_unique<exec::HashAggregateOp>(
-      std::move(filtered), std::vector<std::string>{}, std::move(aggs));
+      std::move(scan), std::vector<std::string>{}, std::move(aggs));
 }
 
 OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
@@ -66,16 +64,16 @@ OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
   OperatorPtr oscan = std::make_unique<exec::TableScanOp>(
       orders,
       std::vector<std::string>{"o_orderkey", "o_orderdate",
-                               "o_shippriority"});
-  OperatorPtr ofiltered = std::make_unique<exec::FilterOp>(
-      std::move(oscan), Col("o_orderdate") < LitDate(order_date_cutoff));
+                               "o_shippriority"},
+      /*prune_filter=*/nullptr,
+      Col("o_orderdate") < LitDate(order_date_cutoff));
   OperatorPtr lscan = std::make_unique<exec::TableScanOp>(
       lineitem,
       std::vector<std::string>{"l_orderkey", "l_extendedprice",
                                "l_discount"});
   // Probe with lineitem (large side), build on filtered orders.
   OperatorPtr join = std::make_unique<exec::HashJoinOp>(
-      std::move(lscan), std::move(ofiltered), "l_orderkey", "o_orderkey");
+      std::move(lscan), std::move(oscan), "l_orderkey", "o_orderkey");
   std::vector<AggregateItem> aggs;
   aggs.push_back({"revenue", AggFunc::kSum,
                   Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))});

@@ -17,7 +17,6 @@
 #include "exec/batch.h"
 #include "exec/expr.h"
 #include "exec/filter_project.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -266,8 +265,7 @@ TEST_F(FusedPlanDifferentialTest, FilterPlanIdenticalAtEveryDop) {
   ASSERT_FALSE(base.rows.empty());
 
   for (int dop : {1, 2, 4, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, GnarlyPredicate(),
-                             GnarlyPredicate());
+    TableScanOp scan(table.get(), {}, GnarlyPredicate(), GnarlyPredicate());
     const RunOutcome got = Run(&scan, dop);
     EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
     // Charges are computed from static per-row costs before evaluation,
@@ -303,7 +301,7 @@ TEST_F(FusedPlanDifferentialTest, ProjectOverFilterIdenticalAtEveryDop) {
   ASSERT_FALSE(base.rows.empty());
 
   for (int dop : {1, 2, 4, 8}) {
-    ProjectOp plan(std::make_unique<ParallelTableScanOp>(
+    ProjectOp plan(std::make_unique<TableScanOp>(
                        table.get(), std::vector<std::string>{},
                        GnarlyPredicate(), GnarlyPredicate()),
                    make_items());

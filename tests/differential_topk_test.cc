@@ -1,15 +1,17 @@
 // Differential test harness for plan equivalence: randomized ORDER BY +
-// LIMIT specs executed through the fused top-k operators AND through
+// LIMIT specs executed through the fused top-k operator AND through
 // Sort + Limit, at dop 1/2/4/8.
 //
-// The oracle is the serial SortOp (stable sort) followed by LimitOp — the
-// semantics the planner's fusion must preserve. For every generated case
-// (varying n, k, key count, duplicate density, ASC/DESC, spill pressure)
-// the harness asserts:
-//   1. rows are byte-identical across every path and every dop, and
-//   2. within each parallel family the modeled charges (instructions, I/O
-//      bytes, busy core-seconds, serial core-seconds) are bit-identical
-//      across dop — DESIGN.md §7's determinism contract.
+// The oracle is a naive stable sort of the table's rows followed by the
+// first k — the semantics the planner's fusion must preserve. For every
+// generated case (varying n, k, key count, duplicate density, ASC/DESC,
+// spill pressure) the harness asserts:
+//   1. rows are byte-identical to the oracle on every path and every dop,
+//      including a top-k over a FilterOp (the streamed, non-morsel branch),
+//      and
+//   2. within each operator the modeled charges (instructions, I/O bytes,
+//      busy core-seconds, serial core-seconds) are bit-identical across
+//      dop — DESIGN.md §7's determinism contract.
 
 #include <memory>
 #include <optional>
@@ -17,9 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/filter_project.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "exec/topk.h"
@@ -28,6 +29,7 @@
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 #include "util/random.h"
+#include "naive_reference.h"
 
 namespace ecodb::exec {
 namespace {
@@ -167,8 +169,8 @@ class DifferentialTopKTest : public ::testing::Test {
     return out;
   }
 
-  /// Asserts the §7 contract within a family: charges bit-identical to the
-  /// family's dop-1 baseline.
+  /// Asserts the §7 contract for one operator: charges bit-identical to
+  /// its dop-1 baseline.
   static void ExpectChargesIdentical(const QueryStats& got,
                                      const QueryStats& base) {
     EXPECT_EQ(got.cpu_instructions, base.cpu_instructions);
@@ -184,41 +186,40 @@ class DifferentialTopKTest : public ::testing::Test {
     auto table = MakeTable(c);
     storage::StorageDevice* spill = c.spill ? device() : nullptr;
 
-    // Oracle: serial stable sort, then limit.
-    LimitOp oracle(
-        std::make_unique<SortOp>(std::make_unique<TableScanOp>(table.get()),
-                                 c.keys, c.budget, spill),
-        c.k);
-    const RunOutcome expected = Run(&oracle, 1);
-    ASSERT_EQ(expected.rows.size(),
+    // Oracle: naive stable sort, then the first k.
+    TableScanOp input(table.get());
+    const std::vector<naive::Row> expected = naive::TopK(
+        naive::Materialize(&input, platform_.get()), c.keys, c.k);
+    ASSERT_EQ(expected.size(),
               std::min<size_t>(c.k, static_cast<size_t>(c.n)));
 
-    // Serial fused path.
-    TopKOp serial(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
-                  c.budget, spill);
-    EXPECT_EQ(Run(&serial, 1).rows, expected.rows) << "serial TopKOp";
+    // The streamed branch: a FilterOp child is not a MorselSource.
+    TopKOp streamed(std::make_unique<FilterOp>(
+                        std::make_unique<TableScanOp>(table.get()),
+                        Col("payload") >= Lit(int64_t{0})),
+                    c.keys, c.k, c.budget, spill);
+    EXPECT_EQ(Run(&streamed, 1).rows, expected) << "streamed TopKOp";
 
-    // Parallel families across the dop ladder.
+    // Both operators over the morsel scan across the dop ladder.
     std::optional<QueryStats> topk_base, sort_base;
     for (int dop : {1, 2, 4, 8}) {
       SCOPED_TRACE("dop=" + std::to_string(dop));
-      ParallelTopKOp topk(
-          std::make_unique<ParallelTableScanOp>(table.get()), c.keys, c.k,
-          c.budget, spill);
+      TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
+                  c.budget, spill);
       const RunOutcome t = Run(&topk, dop);
-      EXPECT_EQ(t.rows, expected.rows);
+      EXPECT_EQ(t.rows, expected);
       if (!topk_base.has_value()) {
         topk_base = t.stats;
       } else {
         ExpectChargesIdentical(t.stats, *topk_base);
       }
 
-      LimitOp sl(std::make_unique<ParallelSortOp>(
-                     std::make_unique<ParallelTableScanOp>(table.get()),
-                     c.keys, c.budget, spill),
+      LimitOp sl(std::make_unique<SortOp>(
+                     std::make_unique<TableScanOp>(table.get()), c.keys,
+                     c.budget, spill),
                  c.k);
       const RunOutcome s = Run(&sl, dop);
-      EXPECT_EQ(s.rows, expected.rows);
+      EXPECT_EQ(s.rows, expected);
       if (!sort_base.has_value()) {
         sort_base = s.stats;
       } else {
@@ -289,12 +290,10 @@ TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {
 
   // Oracle on the pristine SSD.
   auto clean_table = MakeTable(c);
-  LimitOp oracle(std::make_unique<SortOp>(
-                     std::make_unique<TableScanOp>(clean_table.get()), c.keys,
-                     c.budget, ssd_.get()),
-                 c.k);
-  const RunOutcome expected = Run(&oracle, 1);
-  ASSERT_EQ(expected.rows.size(), c.k);
+  TableScanOp input(clean_table.get());
+  const std::vector<naive::Row> expected = naive::TopK(
+      naive::Materialize(&input, platform_.get()), c.keys, c.k);
+  ASSERT_EQ(expected.size(), c.k);
 
   auto run_faulted = [&](int dop) {
     storage::FaultPlan plan;
@@ -306,20 +305,20 @@ TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {
     plan.devices.push_back(spec);
     ArmFaultPlan(plan);
     auto table = MakeTable(c);
-    ParallelTopKOp topk(std::make_unique<ParallelTableScanOp>(table.get()),
-                        c.keys, c.k, c.budget, device());
+    TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
+                c.budget, device());
     return Run(&topk, dop);
   };
 
   const RunOutcome base = run_faulted(1);
-  EXPECT_EQ(base.rows, expected.rows);
+  EXPECT_EQ(base.rows, expected);
   ASSERT_GT(base.stats.faults.transient_errors, 0u);
   ASSERT_GT(base.stats.faults.retry_joules, 0.0);
 
   for (int dop : {2, 4, 8}) {
     SCOPED_TRACE("dop=" + std::to_string(dop));
     const RunOutcome got = run_faulted(dop);
-    EXPECT_EQ(got.rows, expected.rows);
+    EXPECT_EQ(got.rows, expected);
     ExpectChargesIdentical(got.stats, base.stats);
   }
 }

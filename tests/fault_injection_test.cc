@@ -12,7 +12,6 @@
 
 #include "core/ecodb.h"
 #include "exec/exec_context.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/energy_meter.h"
 #include "power/platform.h"
@@ -694,7 +693,7 @@ class FaultedScanRig {
   Outcome Run(int dop) {
     exec::ExecOptions options;
     options.dop = dop;
-    exec::ParallelTableScanOp scan(table_.get(), {}, nullptr, nullptr);
+    exec::TableScanOp scan(table_.get(), {}, nullptr, nullptr);
     exec::ExecContext ctx(platform_.get(), options);
     auto result = exec::CollectAll(&scan, &ctx);
     EXPECT_TRUE(result.ok()) << result.status().message();

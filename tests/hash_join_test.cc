@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/filter_project.h"
 #include "exec/joins.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -187,12 +187,20 @@ TEST_F(HashJoinTest, ChargesAreBitIdenticalAtEveryProbeDop) {
   const Rows expected =
       NestedLoopReference(Scan(probe.get()), Scan(build.get()));
 
-  HashJoinOp serial(std::make_unique<TableScanOp>(probe.get()),
-                    std::make_unique<TableScanOp>(build.get()), "k", "k");
+  // A FilterOp probe child is not a MorselSource, so this join probes
+  // batch by batch; the morsel probe below fuses the same pass-all filter
+  // into its scan, so both bill the filter alike.
+  const auto all = [] { return Col("k") >= Lit(int64_t{INT64_MIN}); };
+  HashJoinOp serial(
+      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(probe.get()),
+                                 all()),
+      std::make_unique<TableScanOp>(build.get()), "k", "k");
   const Outcome base = Run(&serial);
   EXPECT_EQ(base.rows, expected);
   for (int dop : {1, 2, 4, 8}) {
-    HashJoinOp join(std::make_unique<ParallelTableScanOp>(probe.get()),
+    HashJoinOp join(std::make_unique<TableScanOp>(
+                        probe.get(), std::vector<std::string>{}, nullptr,
+                        all()),
                     std::make_unique<TableScanOp>(build.get()), "k", "k");
     const Outcome got = Run(&join, dop);
     EXPECT_EQ(got.rows, expected) << "dop=" << dop;

@@ -358,8 +358,8 @@ TEST_F(OptimizerTest, OrderByPlansBuildSerialAndParallelSorts) {
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->Describe(spec).find("-> sort"), std::string::npos);
 
-  // The realized tree sorts identically at dop 1 (SortOp) and dop 4
-  // (ParallelSortOp) — the engine's determinism contract.
+  // The realized tree (one SortOp at every dop) sorts identically at dop 1
+  // and dop 4 — the engine's determinism contract.
   std::vector<std::vector<exec::Value>> reference;
   for (int dop : {1, 4}) {
     PhysicalPlan variant = *plan;

@@ -23,6 +23,8 @@
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "gtest/gtest.h"
+#include "optimizer/cost_model.h"
+#include "optimizer/planner.h"
 #include "power/platform.h"
 #include "power/power_cap.h"
 #include "sched/session.h"
@@ -195,6 +197,49 @@ TEST(CancelExecTest, SharedScanFollowerKillLeavesLeaderTransferBilledOnce) {
   const exec::QueryStats follower_stats = follower.Finish();
   EXPECT_EQ(follower_stats.io_bytes, 0u);
   EXPECT_EQ(follower_stats.rows_emitted, 0u);
+}
+
+TEST(CancelExecTest, SharedScanFollowerAtDopTwoBillsNoTransfer) {
+  // The same follower, planned at dop 2: the scan the planner builds must
+  // consume the staged waiver exactly like the dop-1 scan, or the follower
+  // re-bills the leader's whole transfer and leaves the waiver staged.
+  ExecRig rig;
+  auto table = rig.MakeOrders(5000);
+
+  exec::ExecContext leader(rig.platform.get(), exec::ExecOptions{});
+  exec::TableScanOp leader_scan(table.get());
+  ASSERT_TRUE(exec::CollectAll(&leader_scan, &leader).ok());
+  const double ready = leader.io_completion();
+  ASSERT_GT(leader.Finish().io_bytes, 0u);
+
+  optimizer::QuerySpec spec;
+  spec.left.name = "orders";
+  spec.left.variants = {table.get()};
+  optimizer::CostModel model(rig.platform.get(), {});
+  optimizer::Planner planner(&model);
+  optimizer::PhysicalPlan plan;
+  plan.dop = 2;
+  auto follower_scan = planner.BuildOperator(spec, plan);
+  ASSERT_TRUE(follower_scan.ok()) << follower_scan.status().message();
+
+  exec::ExecOptions options;
+  options.dop = plan.dop;
+  exec::ExecContext follower(rig.platform.get(), options);
+  follower.StageSharedScan(table.get(), ready);
+  ASSERT_TRUE((*follower_scan)->Open(&follower).ok());
+  double staged = 0.0;
+  EXPECT_FALSE(follower.ConsumeSharedScan(table.get(), &staged));
+  exec::CancelToken token;
+  token.Cancel(exec::CancelReason::kShed);
+  follower.set_cancel_token(token);
+
+  exec::RecordBatch batch;
+  bool eos = false;
+  EXPECT_EQ((*follower_scan)->Next(&batch, &eos).code(), StatusCode::kShed);
+  const exec::QueryStats follower_stats = follower.Finish();
+  EXPECT_EQ(follower_stats.io_bytes, 0u);
+  EXPECT_EQ(follower_stats.rows_emitted, 0u);
+  EXPECT_GE(follower_stats.end_time, ready);  // waited on the shared data
 }
 
 // --- PowerCapGovernor --------------------------------------------------------------

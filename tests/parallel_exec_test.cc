@@ -1,5 +1,5 @@
-// Tests for the morsel-driven parallel execution layer: the worker pool,
-// morselization, and the parallel scan / aggregate / join-probe operators.
+// Tests for the morsel-driven execution layer: the worker pool,
+// morselization, and the scan / aggregate / join-probe operators.
 //
 // The central invariant under test is energy-consistent determinism: a query
 // must return byte-identical results AND identical modeled accounting
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,10 +19,9 @@
 #include "exec/filter_project.h"
 #include "exec/joins.h"
 #include "exec/operator.h"
-#include "exec/parallel_aggregate.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "exec/worker_pool.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/fault_injector.h"
 #include "storage/ssd.h"
@@ -199,19 +199,21 @@ class ParallelExecTest : public ::testing::Test {
   std::unique_ptr<storage::SsdDevice> ssd_;
 };
 
-// --- Parallel scan ------------------------------------------------------------
+// --- Scan ---------------------------------------------------------------------
 
 TEST_F(ParallelExecTest, ScanMatchesSerialAtEveryDop) {
   auto table = MakeLineitem(20000, 256);
   const auto filter = [] { return Col("id") < Lit(int64_t{15000}); };
 
+  // Reference: the prune-only scan at dop 1 with a separate FilterOp.
   FilterOp serial(std::make_unique<TableScanOp>(
                       table.get(), std::vector<std::string>{}, filter()),
                   filter());
   const RunOutcome base = Run(&serial, 1);
+  EXPECT_EQ(base.rows.size(), 15000u);
 
   for (int dop : {1, 2, 4, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, filter(), filter());
+    TableScanOp scan(table.get(), {}, filter(), filter());
     const RunOutcome got = Run(&scan, dop);
     EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
     EXPECT_EQ(got.stats.rows_emitted, base.stats.rows_emitted);
@@ -229,7 +231,7 @@ TEST_F(ParallelExecTest, MorselSizeDoesNotChangeResultsOrAccounting) {
 
   std::vector<RunOutcome> outcomes;
   for (size_t morsel_rows : {size_t{128}, size_t{1000}, size_t{100000}}) {
-    ParallelTableScanOp scan(table.get(), {}, nullptr, filter());
+    TableScanOp scan(table.get(), {}, nullptr, filter());
     outcomes.push_back(Run(&scan, 4, morsel_rows));
   }
   for (size_t i = 1; i < outcomes.size(); ++i) {
@@ -248,10 +250,10 @@ TEST_F(ParallelExecTest, ZoneMapPruningMatchesSerialUnderParallelScan) {
   TableScanOp serial(table.get(), {}, filter());
   const RunOutcome base = Run(&serial, 1);
   const size_t serial_skipped = serial.blocks_skipped();
-  EXPECT_GT(serial_skipped, 0u);
+  EXPECT_EQ(serial_skipped, 63u);
 
   for (int dop : {2, 8}) {
-    ParallelTableScanOp scan(table.get(), {}, filter(), nullptr);
+    TableScanOp scan(table.get(), {}, filter(), nullptr);
     const RunOutcome got = Run(&scan, dop, /*morsel_rows=*/300);
     EXPECT_EQ(scan.blocks_skipped(), serial_skipped) << "dop=" << dop;
     EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
@@ -259,7 +261,7 @@ TEST_F(ParallelExecTest, ZoneMapPruningMatchesSerialUnderParallelScan) {
   }
 }
 
-// --- Parallel aggregation -----------------------------------------------------
+// --- Aggregation --------------------------------------------------------------
 
 std::vector<AggregateItem> LineitemAggregates() {
   std::vector<AggregateItem> aggs;
@@ -274,67 +276,78 @@ std::vector<AggregateItem> LineitemAggregates() {
 TEST_F(ParallelExecTest, AggregateMatchesSerialAtEveryDop) {
   auto table = MakeLineitem(30000, 256);
   const auto filter = [] { return Col("id") < Lit(int64_t{27000}); };
+  TableScanOp input(table.get(), {}, filter(), filter());
+  const naive::Rows rows = naive::Materialize(&input, platform_.get());
+  const std::vector<naive::Row> expected =
+      naive::Aggregate(rows, {"part", "flag"}, LineitemAggregates());
+  EXPECT_EQ(expected.size(), 50u);  // 25 parts x 2 flags
 
-  HashAggregateOp serial(
-      std::make_unique<FilterOp>(
-          std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
-                                        filter()),
-          filter()),
-      {"part", "flag"}, LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
-  EXPECT_EQ(base.rows.size(), 50u);  // 25 parts x 2 flags
-
+  std::optional<RunOutcome> base;
   for (int dop : {1, 2, 4, 8}) {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get(),
-                                              std::vector<std::string>{},
-                                              filter(), filter()),
+    HashAggregateOp agg(
+        std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
+                                      filter(), filter()),
         {"part", "flag"}, LineitemAggregates());
     const RunOutcome got = Run(&agg, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
-    EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions)
+    EXPECT_EQ(naive::Canonical(got.rows), expected) << "dop=" << dop;
+    if (!base.has_value()) {
+      base = got;
+      continue;
+    }
+    EXPECT_EQ(got.rows, base->rows) << "dop=" << dop;  // byte-identical
+    EXPECT_EQ(got.stats.cpu_instructions, base->stats.cpu_instructions)
         << "dop=" << dop;
   }
 }
 
 TEST_F(ParallelExecTest, GlobalAggregateMatchesSerial) {
   auto table = MakeLineitem(5000, 128);
-  HashAggregateOp serial(std::make_unique<TableScanOp>(table.get()), {},
-                         LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
-  ASSERT_EQ(base.rows.size(), 1u);
+  TableScanOp input(table.get());
+  const std::vector<naive::Row> expected = naive::Aggregate(
+      naive::Materialize(&input, platform_.get()), {}, LineitemAggregates());
+  ASSERT_EQ(expected.size(), 1u);
 
-  ParallelHashAggregateOp agg(
-      std::make_unique<ParallelTableScanOp>(table.get()), {},
-      LineitemAggregates());
+  HashAggregateOp agg(std::make_unique<TableScanOp>(table.get()), {},
+                      LineitemAggregates());
   const RunOutcome got = Run(&agg, 4);
-  EXPECT_EQ(got.rows, base.rows);
+  EXPECT_EQ(got.rows, expected);
 }
 
 TEST_F(ParallelExecTest, ParallelAggregateFallsBackOnSerialChild) {
   auto table = MakeLineitem(5000, 128);
-  HashAggregateOp serial(std::make_unique<TableScanOp>(table.get()), {"part"},
-                         LineitemAggregates());
-  const RunOutcome base = Run(&serial, 1);
+  const auto filter = [] { return Col("part") < Lit(int64_t{20}); };
+  HashAggregateOp morsels(
+      std::make_unique<TableScanOp>(table.get(), std::vector<std::string>{},
+                                    nullptr, filter()),
+      {"part"}, LineitemAggregates());
+  const RunOutcome base = Run(&morsels, 1);
+  EXPECT_EQ(base.rows.size(), 20u);
 
-  // Child is a plain TableScanOp — not a MorselSource — so the parallel
-  // operator must drain it serially and still agree exactly.
-  ParallelHashAggregateOp agg(std::make_unique<TableScanOp>(table.get()),
-                              {"part"}, LineitemAggregates());
+  // A FilterOp is not a MorselSource, so the aggregate drains it batch by
+  // batch and must still agree exactly with the morsel path.
+  HashAggregateOp agg(
+      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
+                                 filter()),
+      {"part"}, LineitemAggregates());
   const RunOutcome got = Run(&agg, 4);
   EXPECT_EQ(got.rows, base.rows);
   EXPECT_DOUBLE_EQ(got.stats.cpu_instructions, base.stats.cpu_instructions);
 }
 
-// --- Parallel join probe ------------------------------------------------------
+// --- Join probe ---------------------------------------------------------------
 
 TEST_F(ParallelExecTest, HashJoinProbeMatchesSerialAtEveryDop) {
   auto probe = MakeLineitem(20000, 256);
   auto build = MakeLineitem(200, 0);
+  const auto all = [] { return Col("id") >= Lit(int64_t{0}); };
 
+  // A FilterOp probe child is not a MorselSource: the batch-at-a-time
+  // probe is the reference for the morsel probe below.
   HashJoinOp serial(
-      std::make_unique<TableScanOp>(probe.get(),
-                                    std::vector<std::string>{"id", "part"}),
+      std::make_unique<FilterOp>(
+          std::make_unique<TableScanOp>(probe.get(),
+                                        std::vector<std::string>{"id", "part"}),
+          all()),
       std::make_unique<TableScanOp>(build.get(),
                                     std::vector<std::string>{"part", "qty"}),
       "part", "part");
@@ -343,8 +356,9 @@ TEST_F(ParallelExecTest, HashJoinProbeMatchesSerialAtEveryDop) {
 
   for (int dop : {1, 2, 4, 8}) {
     HashJoinOp join(
-        std::make_unique<ParallelTableScanOp>(
-            probe.get(), std::vector<std::string>{"id", "part"}),
+        std::make_unique<TableScanOp>(probe.get(),
+                                      std::vector<std::string>{"id", "part"},
+                                      nullptr, all()),
         std::make_unique<TableScanOp>(build.get(),
                                       std::vector<std::string>{"part", "qty"}),
         "part", "part");
@@ -364,14 +378,14 @@ TEST_F(ParallelExecTest, DopShortensElapsedButNotBusyCoreSeconds) {
 
   QueryStats s1, s4;
   {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get()), {"part"},
+    HashAggregateOp agg(
+        std::make_unique<TableScanOp>(table.get()), {"part"},
         LineitemAggregates());
     s1 = Run(&agg, 1).stats;
   }
   {
-    ParallelHashAggregateOp agg(
-        std::make_unique<ParallelTableScanOp>(table.get()), {"part"},
+    HashAggregateOp agg(
+        std::make_unique<TableScanOp>(table.get()), {"part"},
         LineitemAggregates());
     s4 = Run(&agg, 4).stats;
   }
@@ -393,7 +407,7 @@ TEST_F(ParallelExecTest, DopShortensElapsedButNotBusyCoreSeconds) {
 
 TEST_F(ParallelExecTest, DopBeyondPlatformCoresIsClamped) {
   auto table = MakeLineitem(2000, 128);
-  ParallelTableScanOp scan(table.get());
+  TableScanOp scan(table.get());
   const RunOutcome got = Run(&scan, 64);  // platform has 16 cores
   EXPECT_EQ(got.stats.active_cores, 16);
   EXPECT_EQ(got.stats.rows_emitted, 2000u);
@@ -410,8 +424,8 @@ TEST_F(ParallelExecTest, WallClockSpeedupOnMultiCoreHosts) {
   const auto time_at_dop = [&](int dop) {
     double best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
-      ParallelHashAggregateOp agg(
-          std::make_unique<ParallelTableScanOp>(
+      HashAggregateOp agg(
+          std::make_unique<TableScanOp>(
               table.get(), std::vector<std::string>{"part", "qty"}),
           {"part"}, LineitemAggregates());
       const auto t0 = std::chrono::steady_clock::now();
@@ -463,7 +477,7 @@ TEST_F(ParallelExecTest, FaultPlanReplaysBitIdenticalAtEveryDop) {
     }
     EXPECT_TRUE(table.Append(cols).ok());
 
-    ParallelTableScanOp scan(&table, {});
+    TableScanOp scan(&table, {});
     return Run(&scan, dop);
   };
 

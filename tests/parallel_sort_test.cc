@@ -1,10 +1,13 @@
-// Tests for the morsel-parallel external sort (ParallelSortOp) and the
-// serial SortOp's exactly-once spill accounting.
+// Tests for the morsel-driven external sort (SortOp) and its exactly-once
+// spill accounting.
 //
 // The invariant under test is the determinism contract of DESIGN.md §7: the
 // sort returns byte-identical rows and identical modeled accounting
 // (instructions, I/O bytes, busy core-seconds) at every dop — parallelism
-// only shortens the CPU critical path and the energy window.
+// only shortens the CPU critical path and the energy window. Rows are
+// checked against a naive stable sort, and every edge case runs over both
+// child shapes: the morsel scan, and a FilterOp over it (not a
+// MorselSource, so the sort drains it into one run).
 
 #include <memory>
 #include <vector>
@@ -13,10 +16,9 @@
 
 #include "exec/filter_project.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
-#include "exec/parallel_sort.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -91,6 +93,25 @@ class ParallelSortTest : public ::testing::Test {
     return out;
   }
 
+  /// The sort's input: the morsel scan, or a FilterOp over a scan. Both
+  /// apply `filter` (default: every row passes) and charge it alike.
+  static OperatorPtr Child(const storage::TableStorage* table, bool morsels,
+                           ExprPtr filter = Col("id") >= Lit(int64_t{0})) {
+    if (morsels) {
+      return std::make_unique<TableScanOp>(table, std::vector<std::string>{},
+                                           nullptr, std::move(filter));
+    }
+    return std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table),
+                                      std::move(filter));
+  }
+
+  /// The naive reference: the table's rows, stably sorted.
+  std::vector<naive::Row> Expected(const storage::TableStorage* table,
+                                   const std::vector<SortKey>& keys) {
+    TableScanOp scan(table);
+    return naive::Sort(naive::Materialize(&scan, platform_.get()), keys);
+  }
+
   std::unique_ptr<power::HardwarePlatform> platform_;
   std::unique_ptr<storage::SsdDevice> ssd_;
 };
@@ -101,18 +122,24 @@ std::vector<SortKey> Keys() {
 
 TEST_F(ParallelSortTest, MatchesSerialSortAtEveryDop) {
   auto table = MakeLineitem(10000, 512);
-  SortOp serial(std::make_unique<TableScanOp>(table.get()), Keys());
-  const RunOutcome base = Run(&serial, 1);
-  ASSERT_EQ(base.rows.size(), 10000u);
+  const std::vector<naive::Row> expected = Expected(table.get(), Keys());
+  ASSERT_EQ(expected.size(), 10000u);
 
-  for (int dop : {1, 2, 4, 8}) {
-    ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                        Keys());
-    const RunOutcome got = Run(&sort, dop);
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;  // byte-identical
-    EXPECT_GT(sort.num_runs(), 1u);
-    EXPECT_EQ(sort.merge_partitions(),
-              std::min<size_t>(8, sort.num_runs()));
+  for (const bool morsels : {true, false}) {
+    for (int dop : {1, 2, 4, 8}) {
+      SCOPED_TRACE("morsels=" + std::to_string(morsels) +
+                   " dop=" + std::to_string(dop));
+      SortOp sort(Child(table.get(), morsels), Keys());
+      const RunOutcome got = Run(&sort, dop);
+      EXPECT_EQ(got.rows, expected);  // byte-identical
+      if (morsels) {
+        EXPECT_GT(sort.num_runs(), 1u);
+        EXPECT_EQ(sort.merge_partitions(),
+                  std::min<size_t>(8, sort.num_runs()));
+      } else {
+        EXPECT_EQ(sort.num_runs(), 1u);
+      }
+    }
   }
 }
 
@@ -120,8 +147,7 @@ TEST_F(ParallelSortTest, AccountingIsDopInvariantAndCriticalPathShrinks) {
   auto table = MakeLineitem(20000, 512);
   std::vector<RunOutcome> outcomes;
   for (int dop : {1, 2, 4, 8}) {
-    ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                        Keys());
+    SortOp sort(std::make_unique<TableScanOp>(table.get()), Keys());
     outcomes.push_back(Run(&sort, dop));
   }
   const QueryStats& base = outcomes[0].stats;
@@ -146,33 +172,36 @@ TEST_F(ParallelSortTest, AccountingIsDopInvariantAndCriticalPathShrinks) {
 
 TEST_F(ParallelSortTest, SpilledSortReturnsSameRowsAsInMemory) {
   auto table = MakeLineitem(10000, 512);
-  ParallelSortOp in_memory(
-      std::make_unique<ParallelTableScanOp>(table.get()), Keys());
-  const RunOutcome base = Run(&in_memory, 4);
-  EXPECT_FALSE(in_memory.spilled());
+  const std::vector<naive::Row> expected = Expected(table.get(), Keys());
+  const uint64_t row_width =
+      static_cast<uint64_t>(table->schema().RowWidthBytes());
 
-  for (int dop : {1, 4}) {
-    ParallelSortOp spilling(
-        std::make_unique<ParallelTableScanOp>(table.get()), Keys(),
-        /*memory_budget_bytes=*/16 * 1024, ssd_.get());
-    const RunOutcome got = Run(&spilling, dop);
-    EXPECT_TRUE(spilling.spilled());
-    EXPECT_EQ(got.rows, base.rows) << "dop=" << dop;
-    // Every run is written once and read back once on top of the scan.
-    const uint64_t row_width =
-        static_cast<uint64_t>(table->schema().RowWidthBytes());
-    EXPECT_EQ(got.stats.io_bytes,
-              base.stats.io_bytes + 2 * 10000 * row_width);
+  for (const bool morsels : {true, false}) {
+    SCOPED_TRACE("morsels=" + std::to_string(morsels));
+    SortOp in_memory(Child(table.get(), morsels), Keys());
+    const RunOutcome base = Run(&in_memory, 4);
+    EXPECT_FALSE(in_memory.spilled());
+    EXPECT_EQ(base.rows, expected);
+
+    for (int dop : {1, 4}) {
+      SortOp spilling(Child(table.get(), morsels), Keys(),
+                      /*memory_budget_bytes=*/16 * 1024, ssd_.get());
+      const RunOutcome got = Run(&spilling, dop);
+      EXPECT_TRUE(spilling.spilled());
+      EXPECT_EQ(got.rows, expected) << "dop=" << dop;
+      // Every run is written once and read back once on top of the scan.
+      EXPECT_EQ(got.stats.io_bytes,
+                base.stats.io_bytes + 2 * 10000 * row_width);
+    }
   }
 }
 
 TEST_F(ParallelSortTest, SerialChildFallsBackToSingleRun) {
   auto table = MakeLineitem(2000, 0);
-  // FilterOp is not a MorselSource, so the sort drains it serially.
-  ParallelSortOp sort(
-      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
-                                 Col("part") < Lit(int64_t{20})),
-      Keys());
+  // FilterOp is not a MorselSource, so the sort drains it into one run.
+  SortOp sort(Child(table.get(), /*morsels=*/false,
+                    Col("part") < Lit(int64_t{20})),
+              Keys());
   const RunOutcome got = Run(&sort, 4);
   EXPECT_EQ(sort.num_runs(), 1u);
   EXPECT_EQ(sort.merge_partitions(), 1u);
@@ -184,25 +213,27 @@ TEST_F(ParallelSortTest, SerialChildFallsBackToSingleRun) {
 
 TEST_F(ParallelSortTest, EmptyInputYieldsEmptyOutput) {
   auto table = MakeLineitem(100, 0);
-  ParallelSortOp sort(
-      std::make_unique<ParallelTableScanOp>(table.get(), std::vector<std::string>{},
-                                            nullptr,
-                                            Col("part") < Lit(int64_t{-1})),
-      Keys());
-  const RunOutcome got = Run(&sort, 4);
-  EXPECT_TRUE(got.rows.empty());
-  EXPECT_EQ(sort.merge_partitions(), 0u);
+  for (const bool morsels : {true, false}) {
+    SortOp sort(Child(table.get(), morsels, Col("part") < Lit(int64_t{-1})),
+                Keys());
+    const RunOutcome got = Run(&sort, 4);
+    EXPECT_TRUE(got.rows.empty()) << "morsels=" << morsels;
+    EXPECT_EQ(sort.num_runs(), 0u);
+    EXPECT_EQ(sort.merge_partitions(), 0u);
+  }
 }
 
 TEST_F(ParallelSortTest, MissingSortColumnIsNotFound) {
   auto table = MakeLineitem(100, 0);
-  ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                      {{"no_such_column", true}});
-  ExecContext ctx(platform_.get(), ExecOptions{});
-  EXPECT_EQ(sort.Open(&ctx).code(), StatusCode::kNotFound);
+  for (const bool morsels : {true, false}) {
+    SortOp sort(Child(table.get(), morsels), {{"no_such_column", true}});
+    ExecContext ctx(platform_.get(), ExecOptions{});
+    EXPECT_EQ(sort.Open(&ctx).code(), StatusCode::kNotFound)
+        << "morsels=" << morsels;
+  }
 }
 
-// --- SortOp spill accounting across Open retries ------------------------------
+// --- Spill accounting across Open retries -------------------------------------
 
 /// Emits `rows` rows in fixed-size batches; fails the drain once at
 /// `fail_at_batch` on the first Open, then replays cleanly on retry.
@@ -258,15 +289,18 @@ class FlakyRowsOp final : public Operator {
 };
 
 TEST_F(ParallelSortTest, SortOpChargesSpillExactlyOnceAcrossOpenRetry) {
-  // 1000 rows x 8 B; 2 KiB budget spills after the third 100-row batch.
-  // The first Open fails at batch 6, after spill writes began.
+  // A drained child fails mid-drain on the first Open: runs settle only
+  // after the drain, so the failed attempt bills no spill at all, and
+  // the retry bills all 8000 spilled bytes (1000 rows x 8 B over a 2 KiB
+  // budget) written once and read once.
   SortOp sort(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
               /*memory_budget_bytes=*/2048, ssd_.get());
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(sort.Open(&ctx).code(), StatusCode::kInternal);
-  EXPECT_TRUE(sort.spilled());  // sticky: the spill really happened
+  EXPECT_FALSE(sort.spilled());
 
   ASSERT_TRUE(sort.Open(&ctx).ok());
+  EXPECT_TRUE(sort.spilled());
   RecordBatch batch;
   bool eos = false;
   uint64_t rows = 0;
@@ -282,56 +316,49 @@ TEST_F(ParallelSortTest, SortOpChargesSpillExactlyOnceAcrossOpenRetry) {
   }
   sort.Close();
   EXPECT_EQ(rows, 1000u);
-
-  // Exactly-once accounting: all 8000 spilled bytes written once and read
-  // once — no double-billing of the pre-failure prefix on the retried
-  // drain.
-  const QueryStats stats = ctx.Finish();
-  EXPECT_EQ(stats.io_bytes, 2u * 8000u);
+  EXPECT_EQ(ctx.Finish().io_bytes, 2u * 8000u);
 }
 
 TEST_F(ParallelSortTest, ParallelSortChargesSpillExactlyOnceAcrossOpenRetry) {
-  auto table = MakeLineitem(10000, 512);
-  const uint64_t row_width =
-      static_cast<uint64_t>(table->schema().RowWidthBytes());
-
-  // Scan-only I/O baseline: the in-memory sort adds no spill traffic.
-  ParallelSortOp in_memory(
-      std::make_unique<ParallelTableScanOp>(table.get()), Keys());
-  const RunOutcome base = Run(&in_memory, 4);
-
   // A query retried end-to-end: the first Open completes — runs spilled,
   // merged, billed — before a downstream failure forces a second Open of
   // the same tree. The table is physically re-scanned (and re-billed), but
   // the runs are already on the spill device, so spill I/O bills once.
-  ParallelSortOp sort(std::make_unique<ParallelTableScanOp>(table.get()),
-                      Keys(), /*memory_budget_bytes=*/16 * 1024, ssd_.get());
-  ExecOptions options;
-  options.dop = 4;
-  options.morsel_rows = 1024;
-  ExecContext ctx(platform_.get(), options);
-  ASSERT_TRUE(sort.Open(&ctx).ok());
-  EXPECT_TRUE(sort.spilled());
-  ASSERT_TRUE(sort.Open(&ctx).ok());  // the retry
+  auto table = MakeLineitem(10000, 512);
+  const uint64_t row_width =
+      static_cast<uint64_t>(table->schema().RowWidthBytes());
+  const std::vector<naive::Row> expected = Expected(table.get(), Keys());
+  for (const bool morsels : {true, false}) {
+    SCOPED_TRACE("morsels=" + std::to_string(morsels));
+    SortOp in_memory(Child(table.get(), morsels), Keys());
+    const RunOutcome base = Run(&in_memory, 4);  // scan-only I/O
 
-  RecordBatch batch;
-  bool eos = false;
-  std::vector<std::vector<Value>> rows;
-  while (true) {
-    ASSERT_TRUE(sort.Next(&batch, &eos).ok());
-    if (eos) break;
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> row;
-      for (size_t c = 0; c < 4; ++c) row.push_back(batch.GetValue(r, c));
-      rows.push_back(std::move(row));
+    SortOp sort(Child(table.get(), morsels), Keys(),
+                /*memory_budget_bytes=*/16 * 1024, ssd_.get());
+    ExecOptions options;
+    options.dop = 4;
+    options.morsel_rows = 1024;
+    ExecContext ctx(platform_.get(), options);
+    ASSERT_TRUE(sort.Open(&ctx).ok());
+    EXPECT_TRUE(sort.spilled());
+    ASSERT_TRUE(sort.Open(&ctx).ok());  // the retry
+
+    RecordBatch batch;
+    bool eos = false;
+    std::vector<naive::Row> rows;
+    while (true) {
+      ASSERT_TRUE(sort.Next(&batch, &eos).ok());
+      if (eos) break;
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        naive::Row& row = rows.emplace_back();
+        for (size_t c = 0; c < 4; ++c) row.push_back(batch.GetValue(r, c));
+      }
     }
+    sort.Close();
+    EXPECT_EQ(rows, expected);
+    EXPECT_EQ(ctx.Finish().io_bytes,
+              2 * base.stats.io_bytes + 2u * 10000u * row_width);
   }
-  sort.Close();
-  EXPECT_EQ(rows, base.rows);
-
-  const QueryStats stats = ctx.Finish();
-  EXPECT_EQ(stats.io_bytes,
-            2 * base.stats.io_bytes + 2u * 10000u * row_width);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Edge-case tests for the top-k operators (TopKOp, ParallelTopKOp) and
-// LimitOp: limit 0, limit > n, limits straddling batch boundaries, empty
-// children, all-equal keys (stability), and exactly-once spill accounting
-// across Open retries.
+// Edge-case tests for the top-k operator (TopKOp) and LimitOp: limit 0,
+// limit > n, limits straddling batch boundaries, empty children, all-equal
+// keys (stability), missing sort columns, and exactly-once spill accounting
+// across Open retries. Rows are checked against a naive stable sort, and
+// every edge case runs over both child shapes: the morsel scan, and a
+// FilterOp over it (not a MorselSource, so it streams through one heap).
 
 #include <memory>
 #include <vector>
@@ -10,10 +12,10 @@
 
 #include "exec/filter_project.h"
 #include "exec/operator.h"
-#include "exec/parallel_scan.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "exec/topk.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -79,6 +81,27 @@ class TopKTest : public ::testing::Test {
     return out;
   }
 
+  /// The top-k's input: the morsel scan, or a FilterOp over a scan. Both
+  /// apply `filter` (default: every row passes) and charge it alike.
+  static OperatorPtr Child(
+      const storage::TableStorage* table, bool morsels,
+      ExprPtr filter = Col("payload") >= Lit(int64_t{0})) {
+    if (morsels) {
+      return std::make_unique<TableScanOp>(table, std::vector<std::string>{},
+                                           nullptr, std::move(filter));
+    }
+    return std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table),
+                                      std::move(filter));
+  }
+
+  /// The naive reference: the table's rows, stably sorted, first k kept.
+  std::vector<naive::Row> Expected(const storage::TableStorage* table,
+                                   size_t k) {
+    TableScanOp scan(table);
+    return naive::TopK(naive::Materialize(&scan, platform_.get()),
+                       {{"key", true}}, k);
+  }
+
   std::unique_ptr<power::HardwarePlatform> platform_;
   std::unique_ptr<storage::SsdDevice> ssd_;
 };
@@ -87,12 +110,11 @@ std::vector<SortKey> KeyAsc() { return {{"key", true}}; }
 
 TEST_F(TopKTest, LimitZeroEmitsNothing) {
   auto table = MakeTable(500, 17);
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 0);
-  EXPECT_TRUE(Run(&serial, 1).rows.empty());
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), 0);
-  EXPECT_TRUE(Run(&parallel, 4, 4096, 128).rows.empty());
+  for (const bool morsels : {true, false}) {
+    TopKOp topk(Child(table.get(), morsels), KeyAsc(), 0);
+    EXPECT_TRUE(Run(&topk, 4, 4096, 128).rows.empty())
+        << "morsels=" << morsels;
+  }
 
   LimitOp limit(std::make_unique<TableScanOp>(table.get()), 0);
   EXPECT_TRUE(Run(&limit, 1).rows.empty());
@@ -100,16 +122,16 @@ TEST_F(TopKTest, LimitZeroEmitsNothing) {
 
 TEST_F(TopKTest, LimitGreaterThanInputReturnsFullSortedOutput) {
   auto table = MakeTable(300, 11);
-  SortOp sort(std::make_unique<TableScanOp>(table.get()), KeyAsc());
-  const RunOutcome expected = Run(&sort, 1);
-  ASSERT_EQ(expected.rows.size(), 300u);
+  const std::vector<naive::Row> expected = Expected(table.get(), 5000);
+  ASSERT_EQ(expected.size(), 300u);
 
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 5000);
-  EXPECT_EQ(Run(&serial, 1).rows, expected.rows);
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), 5000);
-  EXPECT_EQ(Run(&parallel, 4, 4096, 64).rows, expected.rows);
+  for (const bool morsels : {true, false}) {
+    for (int dop : {1, 4}) {
+      TopKOp topk(Child(table.get(), morsels), KeyAsc(), 5000);
+      EXPECT_EQ(Run(&topk, dop, 4096, 64).rows, expected)
+          << "morsels=" << morsels << " dop=" << dop;
+    }
+  }
 
   LimitOp limit(std::make_unique<TableScanOp>(table.get()), 5000);
   EXPECT_EQ(Run(&limit, 1).rows.size(), 300u);
@@ -120,41 +142,32 @@ TEST_F(TopKTest, LimitStraddlingBatchBoundaries) {
   // 100-row output batches; limits cutting before, on, and after a batch
   // boundary all truncate exactly.
   for (const size_t k : {99u, 100u, 101u, 250u}) {
-    LimitOp ref(std::make_unique<SortOp>(
-                    std::make_unique<TableScanOp>(table.get()), KeyAsc()),
-                k);
-    const RunOutcome expected = Run(&ref, 1, /*batch_rows=*/100);
-    ASSERT_EQ(expected.rows.size(), k);
+    const std::vector<naive::Row> expected = Expected(table.get(), k);
+    ASSERT_EQ(expected.size(), k);
 
-    TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
-    EXPECT_EQ(Run(&serial, 1, /*batch_rows=*/100).rows, expected.rows)
+    LimitOp sorted(std::make_unique<SortOp>(
+                       std::make_unique<TableScanOp>(table.get()), KeyAsc()),
+                   k);
+    EXPECT_EQ(Run(&sorted, 1, /*batch_rows=*/100).rows, expected)
         << "k=" << k;
-
-    ParallelTopKOp parallel(
-        std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), k);
-    EXPECT_EQ(Run(&parallel, 4, /*batch_rows=*/100, 128).rows, expected.rows)
-        << "k=" << k;
+    for (const bool morsels : {true, false}) {
+      TopKOp topk(Child(table.get(), morsels), KeyAsc(), k);
+      EXPECT_EQ(Run(&topk, 4, /*batch_rows=*/100, 128).rows, expected)
+          << "k=" << k << " morsels=" << morsels;
+    }
   }
 }
 
 TEST_F(TopKTest, EmptyChildYieldsEmptyOutput) {
   auto table = MakeTable(200, 13);
-  const auto none = Col("payload") < Lit(int64_t{-1});
-  TopKOp serial(
-      std::make_unique<FilterOp>(
-          std::make_unique<TableScanOp>(table.get(),
-                                        std::vector<std::string>{}, none),
-          none),
-      KeyAsc(), 10);
-  EXPECT_TRUE(Run(&serial, 1).rows.empty());
-
-  ParallelTopKOp parallel(
-      std::make_unique<ParallelTableScanOp>(
-          table.get(), std::vector<std::string>{}, nullptr, none),
-      KeyAsc(), 10);
-  const RunOutcome got = Run(&parallel, 4, 4096, 64);
-  EXPECT_TRUE(got.rows.empty());
-  EXPECT_EQ(parallel.num_runs(), 0u);
+  for (const bool morsels : {true, false}) {
+    TopKOp topk(
+        Child(table.get(), morsels, Col("payload") < Lit(int64_t{-1})),
+        KeyAsc(), 10);
+    const RunOutcome got = Run(&topk, 4, 4096, 64);
+    EXPECT_TRUE(got.rows.empty()) << "morsels=" << morsels;
+    EXPECT_EQ(topk.num_runs(), 0u);
+  }
 }
 
 TEST_F(TopKTest, AllEqualKeysKeepFirstKInputRows) {
@@ -162,32 +175,28 @@ TEST_F(TopKTest, AllEqualKeysKeepFirstKInputRows) {
   // rows in input order — payload 0..k-1.
   auto table = MakeTable(800, /*key_ndv=*/0);
   const size_t k = 25;
-
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()), KeyAsc(), k);
-  const RunOutcome s = Run(&serial, 1);
-  ASSERT_EQ(s.rows.size(), k);
-  for (size_t r = 0; r < k; ++r) {
-    EXPECT_EQ(s.rows[r][1].i64, static_cast<int64_t>(r));
-  }
-
-  for (int dop : {1, 2, 4, 8}) {
-    ParallelTopKOp parallel(
-        std::make_unique<ParallelTableScanOp>(table.get()), KeyAsc(), k);
-    const RunOutcome p = Run(&parallel, dop, 4096, 128);
-    EXPECT_EQ(p.rows, s.rows) << "dop=" << dop;
+  for (const bool morsels : {true, false}) {
+    for (int dop : {1, 2, 4, 8}) {
+      TopKOp topk(Child(table.get(), morsels), KeyAsc(), k);
+      const RunOutcome got = Run(&topk, dop, 4096, 128);
+      ASSERT_EQ(got.rows.size(), k);
+      for (size_t r = 0; r < k; ++r) {
+        EXPECT_EQ(got.rows[r][1].i64, static_cast<int64_t>(r))
+            << "morsels=" << morsels << " dop=" << dop;
+      }
+    }
   }
 }
 
 TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
   auto table = MakeTable(600, 19);
-  // FilterOp is not a MorselSource, so the parallel operator degenerates to
-  // one candidate run over the whole input.
-  ParallelTopKOp parallel(
-      std::make_unique<FilterOp>(std::make_unique<TableScanOp>(table.get()),
-                                 Col("payload") < Lit(int64_t{400})),
-      KeyAsc(), 30);
-  const RunOutcome got = Run(&parallel, 4);
-  EXPECT_EQ(parallel.num_runs(), 1u);
+  // FilterOp is not a MorselSource, so the operator streams the whole input
+  // through one heap into one candidate run.
+  TopKOp topk(Child(table.get(), /*morsels=*/false,
+                    Col("payload") < Lit(int64_t{400})),
+              KeyAsc(), 30);
+  const RunOutcome got = Run(&topk, 4);
+  EXPECT_EQ(topk.num_runs(), 1u);
   ASSERT_EQ(got.rows.size(), 30u);
   for (size_t r = 1; r < got.rows.size(); ++r) {
     EXPECT_LE(got.rows[r - 1][0].i64, got.rows[r][0].i64);
@@ -196,15 +205,12 @@ TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
 
 TEST_F(TopKTest, MissingSortColumnIsNotFound) {
   auto table = MakeTable(50, 7);
-  TopKOp serial(std::make_unique<TableScanOp>(table.get()),
-                {{"no_such_column", true}}, 5);
-  ExecContext ctx(platform_.get(), ExecOptions{});
-  EXPECT_EQ(serial.Open(&ctx).code(), StatusCode::kNotFound);
-
-  ParallelTopKOp parallel(std::make_unique<ParallelTableScanOp>(table.get()),
-                          {{"no_such_column", true}}, 5);
-  ExecContext ctx2(platform_.get(), ExecOptions{});
-  EXPECT_EQ(parallel.Open(&ctx2).code(), StatusCode::kNotFound);
+  for (const bool morsels : {true, false}) {
+    TopKOp topk(Child(table.get(), morsels), {{"no_such_column", true}}, 5);
+    ExecContext ctx(platform_.get(), ExecOptions{});
+    EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kNotFound)
+        << "morsels=" << morsels;
+  }
 }
 
 // --- Exactly-once accounting across Open retries ------------------------------
@@ -263,16 +269,18 @@ class FlakyRowsOp final : public Operator {
 };
 
 TEST_F(TopKTest, TopKChargesSpillExactlyOnceAcrossOpenRetry) {
-  // k = n, so the kept working set grows to all 1000 rows x 8 B and crosses
-  // the 2 KiB budget mid-drain. The first Open fails at batch 6, after
-  // spill writes began; the retry must not re-bill the written prefix.
+  // k = n, so the kept working set grows to all 1000 rows x 8 B, over the
+  // 2 KiB budget. The streamed child fails mid-drain on the first Open:
+  // runs settle only after the drain, so the failed attempt bills no
+  // spill, and the retry writes and reads the 8000 kept bytes once.
   TopKOp topk(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
               1000, /*memory_budget_bytes=*/2048, ssd_.get());
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kInternal);
-  EXPECT_TRUE(topk.spilled());  // sticky: the spill really happened
+  EXPECT_FALSE(topk.spilled());
 
   ASSERT_TRUE(topk.Open(&ctx).ok());
+  EXPECT_TRUE(topk.spilled());
   RecordBatch batch;
   bool eos = false;
   uint64_t rows = 0;
@@ -288,74 +296,67 @@ TEST_F(TopKTest, TopKChargesSpillExactlyOnceAcrossOpenRetry) {
   }
   topk.Close();
   EXPECT_EQ(rows, 1000u);
-
-  // Exactly-once: all 8000 kept bytes written once and read once.
-  const QueryStats stats = ctx.Finish();
-  EXPECT_EQ(stats.io_bytes, 2u * 8000u);
+  EXPECT_EQ(ctx.Finish().io_bytes, 2u * 8000u);
 }
 
 TEST_F(TopKTest, ParallelTopKChargesSpillExactlyOnceAcrossOpenRetry) {
-  auto table = MakeTable(5000, 101);
-  const uint64_t row_width =
-      static_cast<uint64_t>(table->schema().RowWidthBytes());
-
-  // Scan-only I/O baseline: no budget, so no spill traffic.
-  ParallelTopKOp in_memory(std::make_unique<ParallelTableScanOp>(table.get()),
-                           KeyAsc(), 5000);
-  const RunOutcome base = Run(&in_memory, 4, 4096, 512);
-
   // k = n keeps every candidate row, so the candidate set (5000 x 16 B)
   // crosses the 4 KiB budget and spills. The first Open completes before a
   // downstream failure forces a second Open of the same tree: the table is
   // re-scanned (and re-billed), the candidate runs are not re-billed.
-  ParallelTopKOp topk(std::make_unique<ParallelTableScanOp>(table.get()),
-                      KeyAsc(), 5000, /*memory_budget_bytes=*/4096,
-                      ssd_.get());
-  ExecOptions options;
-  options.dop = 4;
-  options.batch_rows = 4096;
-  options.morsel_rows = 512;
-  ExecContext ctx(platform_.get(), options);
-  ASSERT_TRUE(topk.Open(&ctx).ok());
-  EXPECT_TRUE(topk.spilled());
-  ASSERT_TRUE(topk.Open(&ctx).ok());  // the retry
+  auto table = MakeTable(5000, 101);
+  const uint64_t row_width =
+      static_cast<uint64_t>(table->schema().RowWidthBytes());
+  const std::vector<naive::Row> expected = Expected(table.get(), 5000);
+  for (const bool morsels : {true, false}) {
+    SCOPED_TRACE("morsels=" + std::to_string(morsels));
+    TopKOp in_memory(Child(table.get(), morsels), KeyAsc(), 5000);
+    const RunOutcome base = Run(&in_memory, 4, 4096, 512);  // scan-only I/O
 
-  RecordBatch batch;
-  bool eos = false;
-  std::vector<std::vector<Value>> rows;
-  while (true) {
-    ASSERT_TRUE(topk.Next(&batch, &eos).ok());
-    if (eos) break;
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<Value> row;
-      for (size_t c = 0; c < 2; ++c) row.push_back(batch.GetValue(r, c));
-      rows.push_back(std::move(row));
+    TopKOp topk(Child(table.get(), morsels), KeyAsc(), 5000,
+                /*memory_budget_bytes=*/4096, ssd_.get());
+    ExecOptions options;
+    options.dop = 4;
+    options.batch_rows = 4096;
+    options.morsel_rows = 512;
+    ExecContext ctx(platform_.get(), options);
+    ASSERT_TRUE(topk.Open(&ctx).ok());
+    EXPECT_TRUE(topk.spilled());
+    ASSERT_TRUE(topk.Open(&ctx).ok());  // the retry
+
+    RecordBatch batch;
+    bool eos = false;
+    std::vector<naive::Row> rows;
+    while (true) {
+      ASSERT_TRUE(topk.Next(&batch, &eos).ok());
+      if (eos) break;
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        naive::Row& row = rows.emplace_back();
+        for (size_t c = 0; c < 2; ++c) row.push_back(batch.GetValue(r, c));
+      }
     }
+    topk.Close();
+    EXPECT_EQ(rows, expected);
+    EXPECT_EQ(ctx.Finish().io_bytes,
+              2 * base.stats.io_bytes + 2u * 5000u * row_width);
   }
-  topk.Close();
-  EXPECT_EQ(rows, base.rows);
-
-  const QueryStats stats = ctx.Finish();
-  EXPECT_EQ(stats.io_bytes,
-            2 * base.stats.io_bytes + 2u * 5000u * row_width);
 }
 
 TEST_F(TopKTest, SmallKNeverSpillsUnderTightBudget) {
   // The whole point of the fusion: a k-row working set fits budgets the
-  // full sort cannot. 10 rows x 16 B << 2 KiB.
+  // full sort cannot. The morsel child keeps 5 runs x 10 rows x 16 B and
+  // the streamed child one 10-row run, both << 2 KiB.
   auto table = MakeTable(5000, 101);
-  TopKOp topk(std::make_unique<TableScanOp>(table.get()), KeyAsc(), 10,
-              /*memory_budget_bytes=*/2048, ssd_.get());
-  const RunOutcome got = Run(&topk, 1);
-  EXPECT_EQ(got.rows.size(), 10u);
-  EXPECT_FALSE(topk.spilled());
-
-  ParallelTopKOp parallel(std::make_unique<ParallelTableScanOp>(table.get()),
-                          KeyAsc(), 10, /*memory_budget_bytes=*/4096,
-                          ssd_.get());
-  const RunOutcome p = Run(&parallel, 4, 4096, 1024);
-  EXPECT_EQ(p.rows, got.rows);
-  EXPECT_FALSE(parallel.spilled());
+  const std::vector<naive::Row> expected = Expected(table.get(), 10);
+  for (const bool morsels : {true, false}) {
+    for (int dop : {1, 4}) {
+      TopKOp topk(Child(table.get(), morsels), KeyAsc(), 10,
+                  /*memory_budget_bytes=*/2048, ssd_.get());
+      const RunOutcome got = Run(&topk, dop, 4096, 1024);
+      EXPECT_EQ(got.rows, expected) << "morsels=" << morsels << " dop=" << dop;
+      EXPECT_FALSE(topk.spilled()) << "morsels=" << morsels << " dop=" << dop;
+    }
+  }
 }
 
 TEST_F(TopKTest, LimitOpResetsEmittedCountAcrossOpenRetry) {
