@@ -60,15 +60,16 @@ done
 
 # 4. Sanitizer matrix. tsan filters to the concurrency-sensitive suites;
 #    asan and ubsan run everything. The fault-injection, serving, overload,
-#    and join-differential suites (`-L 'faults|serving|overload|joins'`)
-#    then re-run explicitly under each sanitizer so retry/degraded-mode,
-#    admission, cancellation, and join-order-equivalence regressions are
-#    reported by name even when a full run is noisy.
+#    join-differential and kernel-differential suites
+#    (`-L 'faults|serving|overload|joins|kernels'`) then re-run explicitly
+#    under each sanitizer so retry/degraded-mode, admission, cancellation,
+#    join-order-equivalence, and decode/expression/scan-gather/aggregate-fold
+#    regressions are reported by name even when a full run is noisy.
 for san in tsan asan ubsan; do
   run cmake --preset "$san"
   run cmake --build --preset "$san" -j "$jobs"
   run ctest --preset "$san" -j "$jobs"
-  run ctest --test-dir "build-$san" -L 'faults|serving|overload|joins' \
+  run ctest --test-dir "build-$san" -L 'faults|serving|overload|joins|kernels' \
       --output-on-failure -j "$jobs"
 done
 

@@ -1,12 +1,13 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstring>
 #include <limits>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "exec/scan.h"
+#include "util/flat_key_index.h"
 
 namespace ecodb::exec {
 
@@ -61,6 +62,138 @@ Status BindAggregation(const catalog::Schema& in,
   return Status::OK();
 }
 
+namespace {
+
+/// A string of at most this many bytes is its own key word.
+constexpr size_t kPackedStringBytes = 7;
+/// Low byte of a hashed (longer) string's key word; a packed word's low
+/// byte is its length, at most 7, so the two kinds never compare equal.
+constexpr uint64_t kHashedStringTag = 0xff;
+
+/// A double group key's bits: its own, except -0.0 groups as +0.0.
+uint64_t DoubleKeyBits(double v) {
+  if (v == 0.0) v = 0.0;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// One word per row of a group column, equal for equal keys: int64 and
+/// date as is, a double by DoubleKeyBits, a string of at most 7 bytes
+/// packed with its length, a longer one as its tagged hash (equal words
+/// then still need a full compare).
+void KeyWords(const ColumnData& lane, size_t rows, uint64_t* out) {
+  switch (lane.type) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      for (size_t r = 0; r < rows; ++r) {
+        out[r] = static_cast<uint64_t>(lane.i64[r]);
+      }
+      break;
+    case DataType::kDouble:
+      for (size_t r = 0; r < rows; ++r) out[r] = DoubleKeyBits(lane.f64[r]);
+      break;
+    case DataType::kString:
+      for (size_t r = 0; r < rows; ++r) {
+        const std::string& s = lane.str[r];
+        if (s.size() > kPackedStringBytes) {
+          out[r] = HashBytes(s) | kHashedStringTag;
+          continue;
+        }
+        // A byte loop: a variable-length memcpy into the word stalls
+        // store forwarding.
+        uint64_t word = s.size();
+        for (size_t i = 0; i < s.size(); ++i) {
+          word |= uint64_t{static_cast<unsigned char>(s[i])} << (8 * (i + 1));
+        }
+        out[r] = word;
+      }
+      break;
+  }
+}
+
+/// Folds `n` rows of an input read through `at` into the groups `ids`
+/// names, each group's statistic combined with `op` in row order. One
+/// group folds in a register; more fold into `dense` and are stored back.
+template <typename At, typename Op>
+void FoldColumn(const uint32_t* ids, size_t n, At at, Op op, size_t a,
+                std::span<GroupAccum* const> targets,
+                std::vector<double>* dense) {
+  if (targets.size() == 1) {
+    double acc = targets[0]->stat[a];
+    for (size_t r = 0; r < n; ++r) acc = op(acc, at(r));
+    targets[0]->stat[a] = acc;
+    return;
+  }
+  dense->resize(targets.size());
+  double* d = dense->data();
+  for (size_t g = 0; g < targets.size(); ++g) d[g] = targets[g]->stat[a];
+  for (size_t r = 0; r < n; ++r) d[ids[r]] = op(d[ids[r]], at(r));
+  for (size_t g = 0; g < targets.size(); ++g) targets[g]->stat[a] = d[g];
+}
+
+/// Calls `f(op)` with the op that folds a value into `func`'s statistic
+/// (COUNT has none: it reads the group's row count).
+template <typename F>
+void WithStatOp(AggFunc func, F&& f) {
+  switch (func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      f([](double x, double v) { return x + v; });
+      break;
+    case AggFunc::kMin:
+      f([](double x, double v) { return std::min(x, v); });
+      break;
+    case AggFunc::kMax:
+      f([](double x, double v) { return std::max(x, v); });
+      break;
+    case AggFunc::kCount:
+      break;
+  }
+}
+
+/// Folds `from` into `into` (the same group observed in a later partial).
+void MergeGroupAccum(const std::vector<AggregateItem>& aggregates,
+                     GroupAccum* into, const GroupAccum& from) {
+  into->rows += from.rows;
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    WithStatOp(aggregates[a].func, [&](auto op) {
+      into->stat[a] = op(into->stat[a], from.stat[a]);
+    });
+  }
+}
+
+/// Appends the group's output row (keys then one value per aggregate).
+Status AppendGroupRow(const GroupAccum& gs,
+                      const std::vector<AggregateItem>& aggregates,
+                      RecordBatch* batch) {
+  std::vector<Value> row;
+  row.reserve(gs.keys.size() + aggregates.size());
+  for (const Value& k : gs.keys) row.push_back(k);
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const bool any = gs.rows > 0;
+    switch (aggregates[a].func) {
+      case AggFunc::kSum:
+        row.push_back(Value::Double(gs.stat[a]));
+        break;
+      case AggFunc::kCount:
+        row.push_back(Value::Int64(gs.rows));
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        row.push_back(Value::Double(any ? gs.stat[a] : 0.0));
+        break;
+      case AggFunc::kAvg:
+        row.push_back(Value::Double(
+            any ? gs.stat[a] / static_cast<double>(gs.rows) : 0.0));
+        break;
+    }
+  }
+  return batch->AppendRow(row);
+}
+
+}  // namespace
+
 void EncodeGroupKey(const RecordBatch& batch, const std::vector<int>& group_by,
                     size_t row, std::string* key) {
   key->clear();
@@ -74,8 +207,8 @@ void EncodeGroupKey(const RecordBatch& batch, const std::vector<int>& group_by,
         break;
       }
       case DataType::kDouble: {
-        const double v = lane.f64[row];
-        key->append(reinterpret_cast<const char*>(&v), sizeof(v));
+        const uint64_t bits = DoubleKeyBits(lane.f64[row]);
+        key->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
         break;
       }
       case DataType::kString: {
@@ -88,66 +221,17 @@ void EncodeGroupKey(const RecordBatch& batch, const std::vector<int>& group_by,
   }
 }
 
-void InitGroupAccum(GroupAccum* gs, const RecordBatch& batch,
-                    const std::vector<int>& group_by, size_t row,
-                    size_t num_aggregates) {
-  gs->keys.reserve(group_by.size());
-  for (int g : group_by) {
-    gs->keys.push_back(batch.GetValue(row, static_cast<size_t>(g)));
-  }
-  gs->sum.assign(num_aggregates, 0.0);
-  gs->count.assign(num_aggregates, 0);
-  gs->min.assign(num_aggregates, std::numeric_limits<double>::infinity());
-  gs->max.assign(num_aggregates, -std::numeric_limits<double>::infinity());
-}
-
-GroupAccum ZeroGroupAccum(size_t num_aggregates) {
-  GroupAccum gs;
-  gs.sum.assign(num_aggregates, 0.0);
-  gs.count.assign(num_aggregates, 0);
-  gs.min.assign(num_aggregates, 0.0);
-  gs.max.assign(num_aggregates, 0.0);
-  return gs;
-}
-
-void MergeGroupAccum(GroupAccum* into, const GroupAccum& from) {
-  for (size_t a = 0; a < into->sum.size(); ++a) {
-    into->sum[a] += from.sum[a];
-    into->count[a] += from.count[a];
-    into->min[a] = std::min(into->min[a], from.min[a]);
-    into->max[a] = std::max(into->max[a], from.max[a]);
-  }
-}
-
-Status AppendGroupRow(const GroupAccum& gs,
-                      const std::vector<AggregateItem>& aggregates,
-                      RecordBatch* batch) {
-  std::vector<Value> row;
-  row.reserve(gs.keys.size() + aggregates.size());
-  for (const Value& k : gs.keys) row.push_back(k);
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    switch (aggregates[a].func) {
-      case AggFunc::kSum:
-        row.push_back(Value::Double(gs.sum[a]));
-        break;
-      case AggFunc::kCount:
-        row.push_back(Value::Int64(gs.count[a]));
-        break;
-      case AggFunc::kMin:
-        row.push_back(Value::Double(gs.count[a] ? gs.min[a] : 0.0));
-        break;
-      case AggFunc::kMax:
-        row.push_back(Value::Double(gs.count[a] ? gs.max[a] : 0.0));
-        break;
-      case AggFunc::kAvg:
-        row.push_back(Value::Double(
-            gs.count[a] ? gs.sum[a] / static_cast<double>(gs.count[a])
-                        : 0.0));
-        break;
-    }
-  }
-  return batch->AppendRow(row);
-}
+struct HashAggregateOp::FoldScratch {
+  FlatKeyIndex index;
+  std::vector<uint64_t> words;       // group column c's at [c·rows, ...)
+  std::vector<uint32_t> ids;         // per row: its batch-local group
+  std::vector<uint32_t> first_rows;  // per group: its first row
+  std::vector<GroupAccum*> targets;  // per group: where it folds
+  std::vector<int64_t> counts;       // per group: rows in this batch
+  std::vector<double> dense;         // per group: one statistic
+  std::vector<ColumnData> inputs;    // per aggregate: evaluated input
+  EvalScratch eval;
+};
 
 HashAggregateOp::HashAggregateOp(OperatorPtr child,
                                  std::vector<std::string> group_by,
@@ -162,9 +246,16 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   ECODB_RETURN_IF_ERROR(BindAggregation(child_->output_schema(),
                                         group_by_names_, &aggregates_,
                                         &group_by_, &schema_));
+  input_columns_.clear();
+  for (const AggregateItem& item : aggregates_) {
+    const bool bare =
+        item.input != nullptr && item.input->kind() == ExprKind::kColumn;
+    input_columns_.push_back(
+        bare ? child_->output_schema().FindColumn(item.input->column_name())
+             : -1);
+  }
   groups_.clear();
   computed_ = false;
-  cursor_ = 0;
   return Status::OK();
 }
 
@@ -179,24 +270,138 @@ void HashAggregateOp::ChargeUpdate(uint64_t rows) {
   }
 }
 
+GroupAccum HashAggregateOp::NewGroup(const RecordBatch& batch,
+                                     size_t row) const {
+  GroupAccum gs;
+  gs.keys.reserve(group_by_.size());
+  for (int g : group_by_) {
+    Value key = batch.GetValue(row, static_cast<size_t>(g));
+    if (key.type == DataType::kDouble && key.f64 == 0.0) key.f64 = 0.0;
+    gs.keys.push_back(std::move(key));
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const AggregateItem& item : aggregates_) {
+    gs.stat.push_back(item.func == AggFunc::kMin   ? kInf
+                      : item.func == AggFunc::kMax ? -kInf
+                                                   : 0.0);
+  }
+  return gs;
+}
+
+template <typename ResolveFn>
+Status HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
+                                  ResolveFn&& resolve) const {
+  const size_t n = batch.num_rows();
+  if (n == 0) return Status::OK();
+
+  // Pass 1: batch-local group ids, in order of first appearance.
+  const size_t k = group_by_.size();
+  if (k == 0) {
+    s->first_rows.assign(1, 0);  // one group, so no row needs its id
+  } else {
+    s->words.resize(k * n);
+    const uint64_t* words = s->words.data();
+    for (size_t c = 0; c < k; ++c) {
+      KeyWords(batch.column(static_cast<size_t>(group_by_[c])), n,
+               s->words.data() + c * n);
+    }
+    const auto hash = [&](size_t r) {
+      uint64_t h = 0;
+      for (size_t c = 0; c < k; ++c) h = MixHash64(h ^ words[c * n + r]);
+      return h;
+    };
+    const auto same = [&](size_t x, size_t y) {
+      for (size_t c = 0; c < k; ++c) {
+        const uint64_t* w = words + c * n;
+        if (w[x] != w[y]) return false;
+        if ((w[x] & 0xff) == kHashedStringTag) {
+          const ColumnData& lane =
+              batch.column(static_cast<size_t>(group_by_[c]));
+          if (lane.type == DataType::kString && lane.str[x] != lane.str[y]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+    s->index.AssignKeyIds(n, hash, same, &s->ids, &s->first_rows);
+  }
+  const size_t groups = s->first_rows.size();
+  s->targets.resize(groups);
+  resolve(std::span<const uint32_t>(s->first_rows),
+          std::span<GroupAccum*>(s->targets));
+  const std::span<GroupAccum* const> targets(s->targets);
+  const uint32_t* ids = s->ids.data();
+
+  // Pass 2: one row count per group, then each aggregate a column at a
+  // time, reading a bare input column in place.
+  if (groups == 1) {
+    targets[0]->rows += static_cast<int64_t>(n);
+  } else {
+    s->counts.assign(groups, 0);
+    for (size_t r = 0; r < n; ++r) ++s->counts[ids[r]];
+    for (size_t g = 0; g < groups; ++g) targets[g]->rows += s->counts[g];
+  }
+  s->inputs.resize(aggregates_.size());
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    const AggregateItem& item = aggregates_[a];
+    if (item.func == AggFunc::kCount) continue;
+    const ColumnData* lane = &s->inputs[a];
+    if (input_columns_[a] >= 0) {
+      lane = &batch.column(static_cast<size_t>(input_columns_[a]));
+    } else {
+      ECODB_RETURN_IF_ERROR(
+          item.input->EvaluateInto(batch, &s->eval, &s->inputs[a]));
+    }
+    WithStatOp(item.func, [&](auto op) {
+      if (lane->type == DataType::kDouble) {
+        const double* v = lane->f64.data();
+        FoldColumn(
+            ids, n, [v](size_t r) { return v[r]; }, op, a, targets, &s->dense);
+      } else {
+        const int64_t* v = lane->i64.data();
+        FoldColumn(
+            ids, n, [v](size_t r) { return static_cast<double>(v[r]); }, op,
+            a, targets, &s->dense);
+      }
+    });
+  }
+  return Status::OK();
+}
+
 Status HashAggregateOp::Compute() {
   // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   auto* source = dynamic_cast<MorselSource*>(child_.get());
   if (source != nullptr) {
+    // One partial per morsel: its groups in order of first appearance,
+    // each under its encoded key.
+    using Partial = std::vector<std::pair<std::string, GroupAccum>>;
     const size_t n_morsels = source->morsel_count();
-    std::vector<std::unordered_map<std::string, GroupAccum>> partials(
-        n_morsels);
+    std::vector<Partial> partials(n_morsels);
     WorkerPool* pool = ctx_->worker_pool();
-    std::vector<WorkAccumulator> accs(
-        static_cast<size_t>(pool->parallelism()));
+    const size_t n_slots = static_cast<size_t>(pool->parallelism());
+    std::vector<WorkAccumulator> accs(n_slots);
+    std::vector<FoldScratch> scratch(n_slots);
     ECODB_RETURN_IF_ERROR(
         pool->Run(n_morsels, [&](size_t m, int slot) -> Status {
           // ecodb-lint: worker-context
           RecordBatch batch;
-          WorkAccumulator& acc = accs[static_cast<size_t>(slot)];
-          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch, &acc));
-          return AccumulateBatch(batch, group_by_, aggregates_, &partials[m]);
+          const size_t w = static_cast<size_t>(slot);
+          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch, &accs[w]));
+          Partial& partial = partials[m];
+          return FoldBatch(batch, &scratch[w],
+                           [&](std::span<const uint32_t> first_rows,
+                               std::span<GroupAccum*> targets) {
+                             partial.resize(first_rows.size());
+                             for (size_t g = 0; g < first_rows.size(); ++g) {
+                               const uint32_t row = first_rows[g];
+                               EncodeGroupKey(batch, group_by_, row,
+                                              &partial[g].first);
+                               partial[g].second = NewGroup(batch, row);
+                               targets[g] = &partial[g].second;
+                             }
+                           });
         }));
     uint64_t input_rows = 0;
     for (const WorkAccumulator& acc : accs) {
@@ -206,22 +411,20 @@ Status HashAggregateOp::Compute() {
     ChargeUpdate(input_rows);
     // Merge partials in morsel index order: each key occurs at most once
     // per partial, so every group's accumulator sees its contributions in
-    // a fixed, dop-independent order — iterating the unordered partials
-    // below cannot perturb results or charges (groups_ is an ordered map).
-    // NOLINT-ECODB(EC5)
-    for (std::unordered_map<std::string, GroupAccum>& partial : partials) {
-      // NOLINT-ECODB(EC5)
+    // a fixed, dop-independent order.
+    for (Partial& partial : partials) {
       for (auto& [key, gs] : partial) {
-        auto [it, inserted] = groups_.try_emplace(key);
-        if (inserted) {
-          it->second = std::move(gs);
-        } else {
-          MergeGroupAccum(&it->second, gs);
-        }
+        // try_emplace moves neither argument when the key is present.
+        auto [it, inserted] =
+            groups_.try_emplace(std::move(key), std::move(gs));
+        if (!inserted) MergeGroupAccum(aggregates_, &it->second, gs);
       }
     }
   } else {
-    // Any other child: drain it batch by batch into groups_ directly.
+    // Any other child: drain it batch by batch, folding each batch's rows
+    // straight into groups_.
+    FoldScratch scratch;
+    std::string key;
     bool child_eos = false;
     while (true) {
       ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
@@ -229,18 +432,25 @@ Status HashAggregateOp::Compute() {
       ECODB_RETURN_IF_ERROR(child_->Next(&batch, &child_eos));
       if (child_eos) break;
       ChargeUpdate(batch.num_rows());
-      ECODB_RETURN_IF_ERROR(
-          AccumulateBatch(batch, group_by_, aggregates_, &groups_));
+      ECODB_RETURN_IF_ERROR(FoldBatch(
+          batch, &scratch,
+          [&](std::span<const uint32_t> first_rows,
+              std::span<GroupAccum*> targets) {
+            for (size_t g = 0; g < first_rows.size(); ++g) {
+              EncodeGroupKey(batch, group_by_, first_rows[g], &key);
+              auto [it, inserted] = groups_.try_emplace(key);
+              if (inserted) it->second = NewGroup(batch, first_rows[g]);
+              targets[g] = &it->second;
+            }
+          }));
     }
   }
 
   // A global aggregate over zero rows still emits one row of zeros.
   if (groups_.empty() && group_by_.empty()) {
-    groups_.emplace("", ZeroGroupAccum(aggregates_.size()));
+    groups_[""].stat.assign(aggregates_.size(), 0.0);
   }
-  emit_order_.clear();
-  emit_order_.reserve(groups_.size());
-  for (const auto& [k, gs] : groups_) emit_order_.push_back(k);
+  emit_ = groups_.cbegin();
   // Rough DRAM residency of the final aggregation state (partials are
   // transient).
   ctx_->ChargeDram(groups_.size() *
@@ -254,21 +464,19 @@ Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   if (!computed_) ECODB_RETURN_IF_ERROR(Compute());
 
-  if (cursor_ >= emit_order_.size()) {
+  if (emit_ == groups_.cend()) {
     *eos = true;
     return Status::OK();
   }
   *eos = false;
-  const size_t take =
-      std::min(ctx_->options().batch_rows, emit_order_.size() - cursor_);
   RecordBatch batch(schema_);
-  for (size_t i = 0; i < take; ++i) {
-    const GroupAccum& gs = groups_.at(emit_order_[cursor_ + i]);
-    ECODB_RETURN_IF_ERROR(AppendGroupRow(gs, aggregates_, &batch));
+  size_t take = 0;
+  for (; take < ctx_->options().batch_rows && emit_ != groups_.cend();
+       ++take, ++emit_) {
+    ECODB_RETURN_IF_ERROR(AppendGroupRow(emit_->second, aggregates_, &batch));
   }
   ctx_->ChargeInstructions(ctx_->options().costs.output_per_row *
                            static_cast<double>(take));
-  cursor_ += take;
   *out = std::move(batch);
   return Status::OK();
 }
@@ -276,6 +484,7 @@ Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
 void HashAggregateOp::Close() {
   child_->Close();
   groups_.clear();
+  emit_ = groups_.cend();
 }
 
 }  // namespace ecodb::exec

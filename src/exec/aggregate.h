@@ -1,24 +1,30 @@
 // Hash aggregation: GROUP BY over key columns with SUM/COUNT/MIN/MAX/AVG.
 //
 // When its child is a MorselSource (a table scan), HashAggregateOp
-// aggregates each morsel into a morsel-local partial hash table inside the
-// worker that produced the morsel — no shared state, no locks — then merges
-// the partials into one ordered group table in morsel index order. Any
-// other child (a join, a filter, another aggregate) is drained batch by
-// batch on the coordinator with the same arithmetic; the child's type
-// selects the branch, never the dop.
+// aggregates each morsel into a morsel-local partial inside the worker that
+// produced the morsel — no shared state, no locks — then merges the
+// partials into one ordered group table in morsel index order. Any other
+// child (a join, a filter, another aggregate) is drained batch by batch on
+// the coordinator straight into that table; the child's type selects the
+// branch, never the dop.
 //
-// Determinism contract: a group key appears at most once per morsel
-// partial, and partials merge in morsel order, so the merged accumulators
-// see contributions in a fixed order independent of dop and scheduling.
-// With morsel boundaries themselves dop-invariant, the output and all
-// modeled charges are identical at every dop. Charges are computed by the
-// coordinator from merged row totals.
+// Each batch folds in two passes. First its rows get batch-local group ids
+// from a FlatKeyIndex keyed on one 64-bit word per group column, and each
+// batch-local group's key is encoded and looked up once, in the morsel's
+// partial or in the group table. Then every aggregate folds its input a
+// column at a time into the one statistic its function emits.
+//
+// Determinism contract: each group sees a batch's rows in row order, a
+// group key appears at most once per morsel partial, and partials merge in
+// morsel order, so the merged accumulators see contributions in a fixed
+// order independent of dop and scheduling. With morsel boundaries
+// themselves dop-invariant, the output and all modeled charges are
+// identical at every dop. Charges are computed by the coordinator from
+// merged row totals.
 
 #ifndef ECODB_EXEC_AGGREGATE_H_
 #define ECODB_EXEC_AGGREGATE_H_
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,14 +46,13 @@ struct AggregateItem {
   ExprPtr input;
 };
 
-/// Running accumulator of one group (all aggregate functions at once; the
-/// final value is picked per function at emission).
+/// Running state of one group: its key values, its row count, and per
+/// aggregate the one statistic the function emits (the sum for SUM and
+/// AVG, the minimum for MIN, the maximum for MAX; COUNT reads `rows`).
 struct GroupAccum {
   std::vector<Value> keys;
-  std::vector<double> sum;
-  std::vector<int64_t> count;
-  std::vector<double> min;
-  std::vector<double> max;
+  int64_t rows = 0;
+  std::vector<double> stat;
 };
 
 /// Resolves group-by names and binds aggregate inputs against `in`,
@@ -58,65 +63,13 @@ Status BindAggregation(const catalog::Schema& in,
                        std::vector<int>* group_by,
                        catalog::Schema* out_schema);
 
-/// Encodes row `row`'s group key into `key` (deterministic; strings are
-/// length-prefixed so keys never collide across types).
+/// Encodes row `row`'s group key into `key`. Two rows share a group exactly
+/// when their encodings are equal, and groups are emitted in ascending
+/// encoding. Strings are length-prefixed so keys never collide across
+/// types; a double is encoded by its bits, with -0.0 as +0.0 (so NaNs
+/// group by bit pattern).
 void EncodeGroupKey(const RecordBatch& batch, const std::vector<int>& group_by,
                     size_t row, std::string* key);
-
-/// Prepares a fresh accumulator for the group that row `row` starts.
-void InitGroupAccum(GroupAccum* gs, const RecordBatch& batch,
-                    const std::vector<int>& group_by, size_t row,
-                    size_t num_aggregates);
-
-/// The all-zero accumulator a global aggregate over no rows emits.
-GroupAccum ZeroGroupAccum(size_t num_aggregates);
-
-/// Folds `from` into `into` (same group observed in another partial).
-void MergeGroupAccum(GroupAccum* into, const GroupAccum& from);
-
-/// Appends the group's output row (keys then one value per aggregate).
-Status AppendGroupRow(const GroupAccum& gs,
-                      const std::vector<AggregateItem>& aggregates,
-                      RecordBatch* batch);
-
-/// Aggregates one batch into `groups` — any map keyed by the encoded group
-/// key (the final table is an ordered std::map, morsel partials are
-/// unordered_maps). Pure accumulation; the caller owns the cost charges.
-template <typename GroupMap>
-Status AccumulateBatch(const RecordBatch& batch,
-                       const std::vector<int>& group_by,
-                       const std::vector<AggregateItem>& aggregates,
-                       GroupMap* groups) {
-  std::vector<ColumnData> inputs(aggregates.size());
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    if (aggregates[a].input != nullptr) {
-      ECODB_ASSIGN_OR_RETURN(inputs[a], aggregates[a].input->Evaluate(batch));
-    }
-  }
-  std::string key;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    EncodeGroupKey(batch, group_by, r, &key);
-    auto [it, inserted] = groups->try_emplace(key);
-    GroupAccum& gs = it->second;
-    if (inserted) {
-      InitGroupAccum(&gs, batch, group_by, r, aggregates.size());
-    }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      double v = 0.0;
-      if (aggregates[a].input != nullptr) {
-        const ColumnData& lane = inputs[a];
-        v = lane.type == catalog::DataType::kDouble
-                ? lane.f64[r]
-                : static_cast<double>(lane.i64[r]);
-      }
-      gs.sum[a] += v;
-      gs.count[a] += 1;
-      gs.min[a] = std::min(gs.min[a], v);
-      gs.max[a] = std::max(gs.max[a], v);
-    }
-  }
-  return Status::OK();
-}
 
 class HashAggregateOp final : public Operator {
  public:
@@ -130,21 +83,32 @@ class HashAggregateOp final : public Operator {
   void Close() override;
 
  private:
+  /// Buffers of one batch fold, kept per worker slot across morsels.
+  struct FoldScratch;
+
   /// Builds groups_ (morsel partials, or a batch drain of the child).
   Status Compute();
   /// Charges the aggregation's modeled CPU work for `rows` input rows.
   void ChargeUpdate(uint64_t rows);
+  /// Folds `batch` into the accumulators `resolve(first_rows, targets)`
+  /// hands out: targets[g] is the group whose first row in the batch is
+  /// first_rows[g].
+  template <typename ResolveFn>
+  Status FoldBatch(const RecordBatch& batch, FoldScratch* scratch,
+                   ResolveFn&& resolve) const;
+  /// A new accumulator for the group of `batch`'s row `row`.
+  GroupAccum NewGroup(const RecordBatch& batch, size_t row) const;
 
   OperatorPtr child_;
   std::vector<std::string> group_by_names_;
   std::vector<int> group_by_;
   std::vector<AggregateItem> aggregates_;
+  std::vector<int> input_columns_;  // per aggregate: bare input column or -1
   catalog::Schema schema_;
   // Deterministic output ordering: ordered map on the encoded key.
   std::map<std::string, GroupAccum> groups_;
   bool computed_ = false;
-  std::vector<std::string> emit_order_;
-  size_t cursor_ = 0;
+  std::map<std::string, GroupAccum>::const_iterator emit_;
   ExecContext* ctx_ = nullptr;
 };
 

@@ -8,12 +8,13 @@ namespace ecodb::exec {
 namespace {
 
 template <typename T>
-void GatherLane(const std::vector<T>& src, std::span<const uint32_t> rows,
-                std::vector<T>* dst) {
+void GatherLane(const std::vector<T>& src, size_t offset,
+                std::span<const uint32_t> rows, std::vector<T>* dst) {
   const size_t base = dst->size();
   dst->resize(base + rows.size());
+  const T* in = src.data() + offset;
   T* out = dst->data() + base;
-  for (size_t i = 0; i < rows.size(); ++i) out[i] = src[rows[i]];
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = in[rows[i]];
 }
 
 /// Moves the rows whose mask entry is set to the front of `lane`, in
@@ -30,6 +31,23 @@ void CompactLane(const std::vector<uint8_t>& mask, std::vector<T>* lane) {
 }
 
 }  // namespace
+
+void GatherColumn(const ColumnData& src, size_t offset,
+                  std::span<const uint32_t> rows, ColumnData* dst) {
+  assert(src.type == dst->type);
+  switch (dst->type) {
+    case catalog::DataType::kInt64:
+    case catalog::DataType::kDate:
+      GatherLane(src.i64, offset, rows, &dst->i64);
+      break;
+    case catalog::DataType::kDouble:
+      GatherLane(src.f64, offset, rows, &dst->f64);
+      break;
+    case catalog::DataType::kString:
+      GatherLane(src.str, offset, rows, &dst->str);
+      break;
+  }
+}
 
 RecordBatch::RecordBatch(catalog::Schema schema)
     : schema_(std::move(schema)) {
@@ -123,21 +141,7 @@ void RecordBatch::Gather(const RecordBatch& src,
                          std::span<const uint32_t> rows, size_t first_col) {
   assert(first_col + src.num_columns() <= columns_.size());
   for (size_t c = 0; c < src.num_columns(); ++c) {
-    const ColumnData& from = src.columns_[c];
-    ColumnData& to = columns_[first_col + c];
-    assert(from.type == to.type);
-    switch (to.type) {
-      case catalog::DataType::kInt64:
-      case catalog::DataType::kDate:
-        GatherLane(from.i64, rows, &to.i64);
-        break;
-      case catalog::DataType::kDouble:
-        GatherLane(from.f64, rows, &to.f64);
-        break;
-      case catalog::DataType::kString:
-        GatherLane(from.str, rows, &to.str);
-        break;
-    }
+    GatherColumn(src.columns_[c], 0, rows, &columns_[first_col + c]);
   }
 }
 

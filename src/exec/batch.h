@@ -63,6 +63,11 @@ struct Value {
   bool operator==(const Value&) const = default;
 };
 
+/// Appends `src[offset + rows[i]]` for each i, in that order, to `dst`,
+/// whose type must match.
+void GatherColumn(const ColumnData& src, size_t offset,
+                  std::span<const uint32_t> rows, ColumnData* dst);
+
 /// Batch of rows in columnar form.
 class RecordBatch {
  public:

@@ -631,6 +631,16 @@ Status Expr::EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
   return NumImpl(batch, scratch, 0, out);
 }
 
+void CollectColumns(const ExprPtr& expr, std::set<std::string>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind() == ExprKind::kColumn) {
+    out->insert(expr->column_name());
+    return;
+  }
+  CollectColumns(expr->lhs(), out);
+  CollectColumns(expr->rhs(), out);
+}
+
 double Expr::InstructionsPerRow() const {
   switch (kind_) {
     case ExprKind::kColumn:

@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,9 @@ class Expr {
   catalog::DataType result_type_ = catalog::DataType::kInt64;
   bool bound_ = false;
 };
+
+/// Collects every column name `expr` references into `out`.
+void CollectColumns(const ExprPtr& expr, std::set<std::string>* out);
 
 // Terse builder helpers for call sites:
 //   Col("price") > Lit(100.0), And(a, b) ...

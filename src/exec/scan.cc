@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 #include <span>
 
 #include "exec/exec_context.h"
@@ -50,6 +51,24 @@ Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
 }
 
 namespace {
+
+/// Copies rows [range.begin, range.end) of `src` into `dst`.
+void CopyRange(const ColumnData& src, ScanRowRange range, ColumnData* dst) {
+  const auto first = static_cast<long>(range.begin);
+  const auto last = static_cast<long>(range.end);
+  switch (src.type) {
+    case catalog::DataType::kInt64:
+    case catalog::DataType::kDate:
+      dst->i64.assign(src.i64.begin() + first, src.i64.begin() + last);
+      break;
+    case catalog::DataType::kDouble:
+      dst->f64.assign(src.f64.begin() + first, src.f64.begin() + last);
+      break;
+    case catalog::DataType::kString:
+      dst->str.assign(src.str.begin() + first, src.str.begin() + last);
+      break;
+  }
+}
 
 // Conservative per-block predicate check: may a row in a block with zone
 // entry `z` satisfy `op` against literal `v`? Works on the numeric view.
@@ -283,7 +302,20 @@ Status TableScanOp::Open(ExecContext* ctx) {
   }
   schema_ = table_->schema().ProjectIndexes(column_indexes_);
   if (exact_filter_ != nullptr) {
-    ECODB_RETURN_IF_ERROR(exact_filter_->Bind(schema_));
+    // The exact filter reads only its own lanes: bind it to them in name
+    // order, so scans of one table that share the filter bind it alike.
+    std::set<std::string> names;
+    CollectColumns(exact_filter_, &names);
+    std::vector<int> table_columns;
+    filter_lanes_.clear();
+    for (const std::string& name : names) {
+      const int c = schema_.FindColumn(name);
+      if (c < 0) return Status::NotFound("unbound column '" + name + "'");
+      table_columns.push_back(column_indexes_[c]);
+      filter_lanes_.push_back(static_cast<size_t>(c));
+    }
+    filter_schema_ = table_->schema().ProjectIndexes(table_columns);
+    ECODB_RETURN_IF_ERROR(exact_filter_->Bind(filter_schema_));
   }
 
   // --- Zone-map pruning: selected row ranges + the surviving fraction.
@@ -361,33 +393,38 @@ Status TableScanOp::ProduceRange(ScanRowRange range, RecordBatch* out,
                                  WorkAccumulator* acc) const {
   // ecodb-lint: worker-context
   const size_t take = range.end - range.begin;
-  const auto first = static_cast<long>(range.begin);
-  const auto last = static_cast<long>(range.end);
+  acc->rows_in += take;
   RecordBatch batch(schema_);
-  for (size_t c = 0; c < sources_.size(); ++c) {
-    storage::ColumnData& lane = batch.column(c);
-    const storage::ColumnData& src = *sources_[c];
-    switch (src.type) {
-      case catalog::DataType::kInt64:
-      case catalog::DataType::kDate:
-        lane.i64.assign(src.i64.begin() + first, src.i64.begin() + last);
-        break;
-      case catalog::DataType::kDouble:
-        lane.f64.assign(src.f64.begin() + first, src.f64.begin() + last);
-        break;
-      case catalog::DataType::kString:
-        lane.str.assign(src.str.begin() + first, src.str.begin() + last);
-        break;
+  size_t rows = take;
+  if (exact_filter_ == nullptr) {
+    for (size_t c = 0; c < sources_.size(); ++c) {
+      CopyRange(*sources_[c], range, &batch.column(c));
+    }
+  } else {
+    // Evaluate the filter over the lanes it reads, then gather the
+    // surviving rows of every projected lane straight from its source.
+    RecordBatch probe(filter_schema_);
+    for (size_t f = 0; f < filter_lanes_.size(); ++f) {
+      CopyRange(*sources_[filter_lanes_[f]], range, &probe.column(f));
+    }
+    ECODB_RETURN_IF_ERROR(probe.SealRows(take));
+    EvalScratch scratch;
+    std::vector<uint8_t> mask;
+    ECODB_RETURN_IF_ERROR(
+        exact_filter_->EvaluateMaskInto(probe, &scratch, &mask));
+    std::vector<uint32_t> selected(take);
+    rows = 0;
+    for (size_t r = 0; r < take; ++r) {  // branch-free selection vector
+      selected[rows] = static_cast<uint32_t>(r);
+      rows += mask[r] != 0;
+    }
+    selected.resize(rows);
+    for (size_t c = 0; c < sources_.size(); ++c) {
+      GatherColumn(*sources_[c], range.begin, selected, &batch.column(c));
     }
   }
-  ECODB_RETURN_IF_ERROR(batch.SealRows(take));
-  acc->rows_in += take;
-  if (exact_filter_ != nullptr) {
-    ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                           exact_filter_->EvaluateMask(batch));
-    batch.FilterInPlace(mask);
-  }
-  acc->rows_out += batch.num_rows();
+  ECODB_RETURN_IF_ERROR(batch.SealRows(rows));
+  acc->rows_out += rows;
   *out = std::move(batch);
   return Status::OK();
 }

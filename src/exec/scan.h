@@ -128,7 +128,8 @@ class TableScanOp final : public Operator, public MorselSource {
   size_t blocks_skipped() const { return blocks_skipped_; }
 
  private:
-  /// Materializes rows [range.begin, range.end), exact filter applied.
+  /// Materializes rows [range.begin, range.end): copies each lane, or with
+  /// an exact filter gathers each lane's surviving rows.
   Status ProduceRange(ScanRowRange range, RecordBatch* out,
                       WorkAccumulator* acc) const;
   /// Produces every Next() batch across the pool into slots_.
@@ -140,6 +141,10 @@ class TableScanOp final : public Operator, public MorselSource {
   ExprPtr prune_filter_;
   ExprPtr exact_filter_;
   catalog::Schema schema_;
+  /// The exact filter's input: the projected lanes it reads, in name
+  /// order, and the schema it is bound to.
+  std::vector<size_t> filter_lanes_;
+  catalog::Schema filter_schema_;
 
   /// Per projected column: borrowed uncompressed lane or owned decode.
   std::vector<const storage::ColumnData*> sources_;

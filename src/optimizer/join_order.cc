@@ -92,7 +92,7 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   std::set<std::string> agg_cols;
   for (const std::string& g : spec.group_by) agg_cols.insert(g);
   for (const exec::AggregateItem& item : spec.aggregates) {
-    internal::CollectColumns(item.input, &agg_cols);
+    exec::CollectColumns(item.input, &agg_cols);
   }
   std::set<std::string> seen_everywhere;
   for (int rel = 0; rel < n; ++rel) {
@@ -104,7 +104,7 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
     } else {
       needed.insert(side.columns.begin(), side.columns.end());
     }
-    internal::CollectColumns(side.filter, &needed);
+    exec::CollectColumns(side.filter, &needed);
     for (const JoinEdge& e : spec.edges) {
       if (e.left_rel == rel) needed.insert(e.left_key);
       if (e.right_rel == rel) needed.insert(e.right_key);
@@ -627,7 +627,7 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
     std::set<std::string> agg_cols;
     for (const std::string& g : spec.group_by) agg_cols.insert(g);
     for (const exec::AggregateItem& item : spec.aggregates) {
-      internal::CollectColumns(item.input, &agg_cols);
+      exec::CollectColumns(item.input, &agg_cols);
     }
     std::set<std::string> needed;
     if (side.columns.empty()) {
@@ -637,7 +637,7 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
     } else {
       needed.insert(side.columns.begin(), side.columns.end());
     }
-    internal::CollectColumns(side.filter, &needed);
+    exec::CollectColumns(side.filter, &needed);
     for (const JoinEdge& e : spec.edges) {
       if (e.left_rel == node.relation) needed.insert(e.left_key);
       if (e.right_rel == node.relation) needed.insert(e.right_key);

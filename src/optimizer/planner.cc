@@ -45,16 +45,6 @@ const char* JoinAlgorithmName(JoinAlgorithm algo) {
 
 namespace internal {
 
-void CollectColumns(const ExprPtr& expr, std::set<std::string>* out) {
-  if (expr == nullptr) return;
-  if (expr->kind() == ExprKind::kColumn) {
-    out->insert(expr->column_name());
-    return;
-  }
-  CollectColumns(expr->lhs(), out);
-  CollectColumns(expr->rhs(), out);
-}
-
 std::vector<int> ToIndexes(const catalog::Schema& schema,
                            const std::vector<std::string>& names) {
   std::vector<int> idx;
@@ -181,7 +171,7 @@ exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
 
 namespace {
 
-using internal::CollectColumns;
+using exec::CollectColumns;
 using internal::PrunedScanDemand;
 using internal::RowWidthOf;
 using internal::ToIndexes;

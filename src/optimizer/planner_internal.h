@@ -6,16 +6,12 @@
 #ifndef ECODB_OPTIMIZER_PLANNER_INTERNAL_H_
 #define ECODB_OPTIMIZER_PLANNER_INTERNAL_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "optimizer/planner.h"
 
 namespace ecodb::optimizer::internal {
-
-/// Collects every column name referenced by `expr` into `out`.
-void CollectColumns(const exec::ExprPtr& expr, std::set<std::string>* out);
 
 /// Schema positions of `names` (missing names skipped).
 std::vector<int> ToIndexes(const catalog::Schema& schema,

@@ -1,5 +1,5 @@
 // Flat key index: the rows of a key lane grouped by key, for hash-join
-// build tables and distinct-value counts.
+// build tables, distinct-value counts and aggregate group ids.
 //
 // Open addressing with linear probing over 64-bit hashes the caller
 // supplies. The index stores row ids, never keys: equality is the caller's
@@ -49,9 +49,24 @@ class FlatKeyIndex {
   template <typename HashFn, typename SameFn>
   void Build(size_t rows, HashFn&& hash, SameFn&& same) {
     std::vector<uint32_t> row_key(rows);  // key id of each row
-    const size_t keys =
-        Insert(rows, hash, same, [&](size_t r, uint32_t k) { row_key[r] = k; });
+    std::vector<uint32_t> first_row;
+    const size_t keys = Insert(rows, hash, same, &first_row,
+                               [&](size_t r, uint32_t k) { row_key[r] = k; });
     GroupRows(row_key, keys);
+  }
+
+  /// Gives rows [0, rows) key ids 0, 1, ... in order of first appearance,
+  /// with `hash` and `same` as in Build: `ids[r]` is row r's key id and
+  /// `first_rows[k]` the first row holding key k. Drops the last Build;
+  /// the slot table and both vectors keep their storage across calls.
+  template <typename HashFn, typename SameFn>
+  void AssignKeyIds(size_t rows, HashFn&& hash, SameFn&& same,
+                    std::vector<uint32_t>* ids,
+                    std::vector<uint32_t>* first_rows) {
+    ids->resize(rows);
+    uint32_t* out = ids->data();
+    Insert(rows, hash, same, first_rows,
+           [out](size_t r, uint32_t k) { out[r] = k; });
   }
 
   /// Distinct keys among rows [0, rows), with `hash` and `same` as in
@@ -59,7 +74,9 @@ class FlatKeyIndex {
   template <typename HashFn, typename SameFn>
   static size_t CountDistinct(size_t rows, HashFn&& hash, SameFn&& same) {
     FlatKeyIndex index;
-    return index.Insert(rows, hash, same, [](size_t, uint32_t) {});
+    std::vector<uint32_t> first_row;
+    return index.Insert(rows, hash, same, &first_row,
+                        [](size_t, uint32_t) {});
   }
 
   /// Ids of the rows whose key equals the probe key, ascending; empty when
@@ -97,12 +114,15 @@ class FlatKeyIndex {
   void Reset();
 
   /// Gives each row a key id (0, 1, ... in order of first appearance),
-  /// reports it as `on_row(row, id)` and returns the number of keys.
+  /// reports it as `on_row(row, id)`, lists each key's first row in
+  /// `first_rows` and returns the number of keys.
   template <typename HashFn, typename SameFn, typename OnRow>
-  size_t Insert(size_t rows, HashFn& hash, SameFn& same, OnRow on_row) {
+  size_t Insert(size_t rows, HashFn& hash, SameFn& same,
+                std::vector<uint32_t>* first_rows, OnRow on_row) {
     assert(rows < UINT32_MAX);
     Reset();
-    std::vector<uint32_t> first_row;  // first row of each key
+    std::vector<uint32_t>& first_row = *first_rows;
+    first_row.clear();
     for (size_t r = 0; r < rows; ++r) {
       const uint64_t h = hash(r);
       const uint32_t tag = static_cast<uint32_t>(h >> 32);

@@ -374,5 +374,33 @@ TEST(FlatKeyIndex, RebuildDropsEarlierContents) {
   EXPECT_TRUE(find(first, 2).empty());
 }
 
+TEST(FlatKeyIndex, AssignKeyIdsNumbersKeysByFirstAppearance) {
+  // More keys than the initial slots, so the table grows mid-pass; with a
+  // constant hash only equality tells keys apart. Both passes reuse one
+  // index and one pair of vectors.
+  FlatKeyIndex index;
+  std::vector<uint32_t> ids = {7, 7, 7};
+  std::vector<uint32_t> first_rows = {9};
+  for (uint64_t (*hash)(int64_t) : {MixedHash, ConstantHash}) {
+    Rng rng(9);
+    std::vector<int64_t> keys = {INT64_MIN, 5, INT64_MIN, -1, INT64_MAX};
+    for (int i = 0; i < 300; ++i) keys.push_back(rng.Uniform(-40, 40));
+    index.AssignKeyIds(
+        keys.size(), [&](size_t r) { return hash(keys[r]); },
+        [&](size_t a, size_t b) { return keys[a] == keys[b]; }, &ids,
+        &first_rows);
+    std::map<int64_t, uint32_t> id_of;
+    std::vector<uint32_t> want_first;
+    ASSERT_EQ(ids.size(), keys.size());
+    for (size_t r = 0; r < keys.size(); ++r) {
+      const auto [it, inserted] = id_of.try_emplace(
+          keys[r], static_cast<uint32_t>(want_first.size()));
+      if (inserted) want_first.push_back(static_cast<uint32_t>(r));
+      EXPECT_EQ(ids[r], it->second) << "row " << r;
+    }
+    EXPECT_EQ(first_rows, want_first);
+  }
+}
+
 }  // namespace
 }  // namespace ecodb
