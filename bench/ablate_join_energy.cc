@@ -13,6 +13,7 @@
 // it never budges.
 
 #include <memory>
+#include <string>
 
 #include "bench_util.h"
 #include "optimizer/planner.h"
@@ -27,10 +28,13 @@ using catalog::Column;
 using catalog::DataType;
 using catalog::Schema;
 
+/// Columns `<prefix>k` (i % 400) and `<prefix>v` (i); the prefix keeps the
+/// two tables' column names apart, as the planner requires.
 std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id, int n,
-                                                 storage::StorageDevice* dev) {
-  Schema schema({Column{"k", DataType::kInt64, 8},
-                 Column{"v", DataType::kInt64, 8}});
+                                                 storage::StorageDevice* dev,
+                                                 const std::string& prefix) {
+  Schema schema({Column{prefix + "k", DataType::kInt64, 8},
+                 Column{prefix + "v", DataType::kInt64, 8}});
   auto table = std::make_unique<storage::TableStorage>(
       id, schema, storage::TableLayout::kColumn, dev);
   std::vector<storage::ColumnData> cols(2);
@@ -55,19 +59,21 @@ int Main() {
   power::SsdSpec ssd_spec;
   ssd_spec.read_bw_bytes_per_s = 100e6;
   storage::SsdDevice ssd("ssd", ssd_spec, platform->meter());
-  auto big = MakeTable(1, 20000, &ssd);
-  auto small = MakeTable(2, 400, &ssd);
+  auto big = MakeTable(1, 20000, &ssd, "");
+  auto small = MakeTable(2, 400, &ssd, "s");
 
   optimizer::QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {small.get()};
+  spec.relations[1].columns = {"sk"};
+  spec.edges = {{0, 1, "k", "sk"}};
+  auto root_algo = [](const optimizer::PhysicalPlan& plan) {
+    return JoinAlgorithmName(plan.join_nodes[plan.join_root].algo);
+  };
 
   bench::Table table({"memory premium (x W/GiB)", "energy objective picks",
                       "energy est (J)", "perf objective picks"});
@@ -85,10 +91,10 @@ int Main() {
         planner.ChoosePlan(spec, optimizer::Objective::Performance());
     if (!energy_plan.ok() || !perf_plan.ok()) return 1;
 
-    const std::string ename = JoinAlgorithmName(energy_plan->join_algo);
+    const std::string ename = root_algo(*energy_plan);
     table.AddRow({bench::Fmt("%.0e", premium), ename,
                   bench::Fmt("%.3f", energy_plan->cost.joules),
-                  JoinAlgorithmName(perf_plan->join_algo)});
+                  root_algo(*perf_plan)});
     if (first_algo.empty()) first_algo = ename;
     last_algo = ename;
   }

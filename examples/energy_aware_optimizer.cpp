@@ -75,9 +75,10 @@ int main() {
                    outcome.status().ToString().c_str());
       return 1;
     }
+    const ecodb::optimizer::PhysicalPlan& plan = *outcome->plan;
     std::printf("%-28s %-14s %10s %12s\n", c.label,
-                outcome->plan->left_variant == 0 ? "uncompressed"
-                                                 : "compressed",
+                plan.join_nodes[plan.join_root].variant == 0 ? "uncompressed"
+                                                             : "compressed",
                 ecodb::FormatSeconds(outcome->stats.elapsed_seconds).c_str(),
                 ecodb::FormatJoules(outcome->stats.Joules()).c_str());
   }

@@ -40,8 +40,10 @@ run ./build/bench/serving_sweep --smoke
 
 # 3b. Join-order smoke: the lambda sweep's shape checks enforce the DESIGN
 #     §13 contract (some shape reorders as lambda grows, flips buy Joules
-#     with seconds, replans are deterministic).
+#     with seconds, replans are deterministic). A1 plans a two-relation
+#     join and exits 1 if its hash -> sort-merge flip disappears.
 run ./build/bench/ablate_join_order --smoke
+run ./build/bench/ablate_join_energy
 
 # 3c. Overload smoke: the burst sweep's shape checks enforce the DESIGN §14
 #     contract (deadline kills and sheds keep their Joules on the bill, the

@@ -24,15 +24,22 @@ constexpr size_t kMaxMergePartitions = 8;
 constexpr size_t kSamplesPerRun = 16;
 
 /// Three-way comparison of one value in lane `a` against one in lane `b`
-/// (same type; ascending column order).
+/// (same type; ascending column order). Doubles take a total order: NaN
+/// compares greater than every number and ties with every other NaN, and
+/// -0.0 ties with +0.0 (DESIGN §7).
 int CompareLane(const storage::ColumnData& a, size_t ra,
                 const storage::ColumnData& b, size_t rb) {
   switch (a.type) {
     case DataType::kInt64:
     case DataType::kDate:
       return a.i64[ra] < b.i64[rb] ? -1 : a.i64[ra] > b.i64[rb] ? 1 : 0;
-    case DataType::kDouble:
-      return a.f64[ra] < b.f64[rb] ? -1 : a.f64[ra] > b.f64[rb] ? 1 : 0;
+    case DataType::kDouble: {
+      const double x = a.f64[ra];
+      const double y = b.f64[rb];
+      if (x < y) return -1;
+      if (x > y) return 1;
+      return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+    }
     case DataType::kString: {
       const int cmp = a.str[ra].compare(b.str[rb]);
       return cmp < 0 ? -1 : cmp > 0 ? 1 : 0;

@@ -54,7 +54,9 @@ struct SortKey {
 /// Three-way comparison of row `ra` of `a` against row `rb` of `b` on the
 /// sort keys (`key_idx[i]` is keys[i]'s column index in both schemas).
 /// The sign follows the sort direction; ties return 0 — callers break them
-/// by input position so every sort path is stable the same way. Shared by
+/// by input position so every sort path is stable the same way. Doubles
+/// compare in a total order: NaN after every number (so ASC puts NaNs last
+/// and DESC first), NaNs tied among themselves, -0.0 tied with +0.0. Shared by
 /// SortOp and TopKOp so one comparison semantics backs every ordering
 /// operator.
 int CompareRowsOnKeys(const RecordBatch& a, size_t ra, const RecordBatch& b,

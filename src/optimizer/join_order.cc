@@ -1,18 +1,19 @@
-// N-way join ordering: JoinGraph analysis, bitmask-DP enumeration over
-// connected subgraphs, pricing of arbitrary join trees, operator
-// construction, and the fixed-order differential oracle.
+// The planner's one path: JoinGraph analysis, bitmask-DP enumeration over
+// connected subgraphs with per-leaf alternatives, pricing of arbitrary join
+// trees and their tails, operator construction, and the fixed-order
+// differential oracle.
 //
 // Invariants this file maintains:
-//   - ChooseJoinGraphPlan sets plan.cost by calling the SAME pricing walk
-//     PricePlan dispatches to, so `PricePlan(spec, chosen)` reproduces the
-//     chosen cost bit-for-bit (the self-consistency contract tests assert).
+//   - ChoosePlan sets plan.cost by calling the SAME pricing walk PricePlan
+//     runs, so `PricePlan(spec, chosen)` reproduces the chosen cost
+//     bit-for-bit (the self-consistency contract tests assert).
 //   - The estimator feeds pricing only: every enumerated tree joins on real
 //     equi-join edges and applies the remaining crossing edges as residual
 //     filters, so all orders are row-equivalent regardless of estimates.
-//   - Physical join operators are reused unchanged; every leaf is a morsel
-//     scan, and only a join whose LEFT child is such a leaf probes in
-//     parallel (upper joins consume materialized children serially) — which
-//     rule the serial/parallel instruction split below mirrors.
+//   - Physical join operators are reused unchanged. Only a join whose LEFT
+//     child is a leaf prices its probe as parallel (upper joins consume
+//     materialized children serially), which rule the serial/parallel
+//     instruction split below mirrors.
 
 #include "optimizer/join_order.h"
 
@@ -23,9 +24,10 @@
 #include <utility>
 
 #include "exec/filter_project.h"
+#include "exec/index_scan.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
-#include "optimizer/planner_internal.h"
+#include "exec/topk.h"
 
 namespace ecodb::optimizer {
 
@@ -49,19 +51,84 @@ int PopCount(uint32_t x) {
   return n;
 }
 
+/// Rejects a spec that fills both the one-relation shorthand and the
+/// relation list (QuerySpec::Relations would silently drop `left`).
+Status CheckOneForm(const QuerySpec& spec) {
+  if (!spec.relations.empty() && !spec.left.variants.empty()) {
+    return Status::InvalidArgument(
+        "query spec sets both `left` and `relations`");
+  }
+  return Status::OK();
+}
+
+/// Schema positions of `names` (missing names skipped).
+std::vector<int> ToIndexes(const catalog::Schema& schema,
+                           const std::vector<std::string>& names) {
+  std::vector<int> idx;
+  idx.reserve(names.size());
+  for (const std::string& n : names) {
+    const int i = schema.FindColumn(n);
+    if (i >= 0) idx.push_back(i);
+  }
+  return idx;
+}
+
+/// Materialized byte width of one row projected to `columns`.
+double RowWidthOf(const storage::TableStorage& table,
+                  const std::vector<std::string>& columns) {
+  double width = 0.0;
+  for (const std::string& name : columns) {
+    const int i = table.schema().FindColumn(name);
+    if (i >= 0) {
+      const catalog::Column& c = table.schema().column(i);
+      width += catalog::TypeWidthBytes(c.type, c.avg_width);
+    }
+  }
+  return width;
+}
+
+/// Columns relation `rel`'s scan must produce: requested columns (empty =
+/// all), filter inputs, incident edge keys, and any group-by / aggregate
+/// inputs living in `schema`. std::set keeps the order deterministic. The
+/// one copy of the rule: Analyze prices these columns and BuildJoinNode
+/// scans them.
+std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel,
+                                     const catalog::Schema& schema) {
+  const TableAlternatives& side = spec.Relations()[rel];
+  std::set<std::string> needed;
+  if (side.columns.empty()) {
+    for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
+  } else {
+    needed.insert(side.columns.begin(), side.columns.end());
+  }
+  exec::CollectColumns(side.filter, &needed);
+  for (const JoinEdge& e : spec.edges) {
+    if (e.left_rel == rel) needed.insert(e.left_key);
+    if (e.right_rel == rel) needed.insert(e.right_key);
+  }
+  needed.insert(spec.group_by.begin(), spec.group_by.end());
+  for (const exec::AggregateItem& item : spec.aggregates) {
+    exec::CollectColumns(item.input, &needed);
+  }
+  std::vector<std::string> cols;
+  for (const std::string& name : needed) {
+    if (schema.FindColumn(name) >= 0) cols.push_back(name);
+  }
+  return cols;
+}
+
 }  // namespace
 
 StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
-  const int n = static_cast<int>(spec.relations.size());
-  if (n < 2) {
-    return Status::InvalidArgument(
-        "join graph needs at least two relations");
-  }
+  ECODB_RETURN_IF_ERROR(CheckOneForm(spec));
+  const std::span<const TableAlternatives> rels = spec.Relations();
+  const int n = static_cast<int>(rels.size());
   if (n > kMaxRelations) {
     return Status::InvalidArgument("join graph exceeds relation cap");
   }
-  for (const TableAlternatives& rel : spec.relations) {
-    if (rel.variants.empty() || rel.variants[0] == nullptr) {
+  for (const TableAlternatives& rel : rels) {
+    if (rel.variants.empty() ||
+        std::count(rel.variants.begin(), rel.variants.end(), nullptr) > 0) {
       return Status::InvalidArgument("relation '" + rel.name +
                                      "' has no variants");
     }
@@ -71,10 +138,9 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
         e.right_rel >= n || e.left_rel == e.right_rel) {
       return Status::InvalidArgument("join edge endpoints out of range");
     }
-    if (spec.relations[e.left_rel].variants[0]->schema().FindColumn(
-            e.left_key) < 0 ||
-        spec.relations[e.right_rel].variants[0]->schema().FindColumn(
-            e.right_key) < 0) {
+    if (rels[e.left_rel].variants[0]->schema().FindColumn(e.left_key) < 0 ||
+        rels[e.right_rel].variants[0]->schema().FindColumn(e.right_key) <
+            0) {
       return Status::NotFound("join edge key missing from relation schema");
     }
   }
@@ -86,47 +152,24 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.scan_columns_.resize(n);
   graph.stats_.resize(n);
 
-  // Columns each relation's scan must produce: requested columns (empty =
-  // all), filter inputs, incident edge keys, and any group-by / aggregate
-  // inputs living in this schema. std::set keeps the order deterministic.
-  std::set<std::string> agg_cols;
-  for (const std::string& g : spec.group_by) agg_cols.insert(g);
-  for (const exec::AggregateItem& item : spec.aggregates) {
-    exec::CollectColumns(item.input, &agg_cols);
-  }
   std::set<std::string> seen_everywhere;
   for (int rel = 0; rel < n; ++rel) {
-    const TableAlternatives& side = spec.relations[rel];
+    const TableAlternatives& side = rels[rel];
     const catalog::Schema& schema = side.variants[0]->schema();
-    std::set<std::string> needed;
-    if (side.columns.empty()) {
-      for (const catalog::Column& c : schema.columns()) needed.insert(c.name);
-    } else {
-      needed.insert(side.columns.begin(), side.columns.end());
-    }
-    exec::CollectColumns(side.filter, &needed);
-    for (const JoinEdge& e : spec.edges) {
-      if (e.left_rel == rel) needed.insert(e.left_key);
-      if (e.right_rel == rel) needed.insert(e.right_key);
-    }
-    for (const std::string& name : agg_cols) {
-      if (schema.FindColumn(name) >= 0) needed.insert(name);
-    }
-    std::vector<std::string>& cols = graph.scan_columns_[rel];
-    for (const std::string& name : needed) {
-      if (schema.FindColumn(name) < 0) continue;
-      cols.push_back(name);
+    graph.scan_columns_[rel] = ScanColumns(spec, rel, schema);
+    for (const std::string& name : graph.scan_columns_[rel]) {
       // Join output columns must be nameable without JoinedSchema's "_r"
-      // renames (residual filters and the differential oracle's canonical
-      // projection address columns by name).
+      // renames: residual filters address columns by name, and a renamed
+      // column would mean whichever table the chosen build side holds.
       if (!seen_everywhere.insert(name).second) {
         return Status::InvalidArgument(
             "column '" + name +
-            "' appears in multiple relations; N-way join graphs require "
-            "unique column names");
+            "' appears in multiple relations; join graphs require unique "
+            "column names");
       }
     }
-    graph.widths_[rel] = internal::RowWidthOf(*side.variants[0], cols);
+    graph.widths_[rel] =
+        RowWidthOf(*side.variants[0], graph.scan_columns_[rel]);
 
     if (side.stats != nullptr) {
       graph.stats_[rel] = *side.stats;
@@ -145,11 +188,10 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.edge_sel_.resize(spec.edges.size());
   for (size_t i = 0; i < spec.edges.size(); ++i) {
     const JoinEdge& e = spec.edges[i];
-    const int li = spec.relations[e.left_rel].variants[0]->schema().FindColumn(
+    const int li = rels[e.left_rel].variants[0]->schema().FindColumn(
         e.left_key);
-    const int ri =
-        spec.relations[e.right_rel].variants[0]->schema().FindColumn(
-            e.right_key);
+    const int ri = rels[e.right_rel].variants[0]->schema().FindColumn(
+        e.right_key);
     const double ndv = std::max<double>(
         {1.0,
          static_cast<double>(graph.stats_[e.left_rel].columns[li]
@@ -230,15 +272,86 @@ double MaskWidth(const JoinGraph& graph, uint32_t mask) {
   return width;
 }
 
-/// Scan + pushed-down filter demand of one relation's leaf. Identical
-/// arithmetic to the 2-way path's side_demand (table-scan branch).
-ResourceEstimate LeafDemand(const QuerySpec& spec, const JoinGraph& graph,
-                            int rel, const exec::CostConstants& k) {
-  const TableAlternatives& side = spec.relations[rel];
-  const storage::TableStorage& t = *side.variants[0];
-  ResourceEstimate d = internal::PrunedScanDemand(
-      t, internal::ToIndexes(t.schema(), graph.scan_columns(rel)),
-      side.filter, k.decode_scale);
+/// True when `side` offers the index-scan path: an index, and a filter
+/// that bounds `index_column` to [*lo, *hi].
+bool IndexRange(const TableAlternatives& side, int64_t* lo, int64_t* hi) {
+  return side.index != nullptr && !side.index_column.empty() &&
+         Planner::ExtractKeyRange(side.filter, side.index_column, lo, hi);
+}
+
+/// What a leaf reads: its variant's table and, for an index scan, the key
+/// range.
+struct LeafAccess {
+  const storage::TableStorage* table = nullptr;
+  int64_t lo = INT64_MIN;
+  int64_t hi = INT64_MAX;
+};
+
+/// Resolves a leaf against its relation, or InvalidArgument for a variant
+/// or an index path the relation does not offer.
+StatusOr<LeafAccess> ResolveLeaf(const TableAlternatives& side,
+                                 const PlanJoinNode& leaf) {
+  if (leaf.variant < 0 ||
+      leaf.variant >= static_cast<int>(side.variants.size()) ||
+      side.variants[leaf.variant] == nullptr) {
+    return Status::InvalidArgument("leaf variant out of range for '" +
+                                   side.name + "'");
+  }
+  LeafAccess access;
+  access.table = side.variants[leaf.variant];
+  if (leaf.path == AccessPath::kIndexScan &&
+      !IndexRange(side, &access.lo, &access.hi)) {
+    return Status::InvalidArgument("index-scan leaf over '" + side.name +
+                                   "' without an index range");
+  }
+  return access;
+}
+
+/// Scan + pushed-down filter demand of one leaf, built from the exact
+/// helpers the leaf's operators charge with, so estimator and executor
+/// cannot drift: a zone-pruned table scan with the filter fused in, or an
+/// index range scan followed by the exact filter.
+StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
+                                      const JoinGraph& graph,
+                                      const PlanJoinNode& leaf,
+                                      const exec::CostConstants& k) {
+  const TableAlternatives& side = spec.Relations()[leaf.relation];
+  ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(side, leaf));
+  const storage::TableStorage& t = *access.table;
+  const std::vector<std::string>& cols = graph.scan_columns(leaf.relation);
+  ResourceEstimate d;
+  if (leaf.path == AccessPath::kIndexScan) {
+    // Index page walk plus a coupon-collector estimate of the distinct heap
+    // pages the matching rows touch. Descents are pointer chases on one
+    // core, and the executor runs this path and its exact filter serially.
+    const double matches = graph.filtered_rows(leaf.relation);
+    const double index_pages =
+        static_cast<double>(side.index->PagesForRange(access.lo, access.hi));
+    const double row_width = std::max(1, t.schema().RowWidthBytes());
+    const double total_pages = std::max(
+        1.0, static_cast<double>(t.row_count()) * row_width / 8192.0);
+    const double heap_pages =
+        total_pages * (1.0 - std::exp(-matches / total_pages));
+    if (t.device() != nullptr) {
+      d.random_page_reads[t.device()] +=
+          static_cast<uint64_t>(index_pages + heap_pages + 0.5);
+    }
+    d.serial_cpu_instructions =
+        20.0 * static_cast<double>(side.index->height()) +
+        matches * static_cast<double>(cols.size());
+    if (side.filter != nullptr) {
+      d.serial_cpu_instructions += side.filter->InstructionsPerRow() * matches;
+    }
+    return d;
+  }
+  const exec::ScanPruning pruning = exec::PruneScan(side.filter, t);
+  const std::vector<int> col_indexes = ToIndexes(t.schema(), cols);
+  const uint64_t bytes =
+      exec::ScanTransferBytes(t, col_indexes, pruning.selected_fraction);
+  if (bytes > 0 && t.device() != nullptr) d.device_bytes[t.device()] += bytes;
+  d.cpu_instructions = exec::ScanDecodeInstructions(
+                           t, col_indexes, pruning.selected_fraction) *
+                       k.decode_scale;
   if (side.filter != nullptr) {
     d.cpu_instructions += side.filter->InstructionsPerRow() *
                           static_cast<double>(t.row_count());
@@ -249,19 +362,15 @@ ResourceEstimate LeafDemand(const QuerySpec& spec, const JoinGraph& graph,
 /// Adds one join node's demand on top of its children's. `left_is_leaf`
 /// decides probe attribution: a leaf left child is a morsel source, so its
 /// probe parallelizes; joins above joins probe serially.
-/// Returns the primary crossing edge index via `primary` (first by spec
-/// order — the same rule tree construction uses).
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
                      uint32_t lmask, uint32_t rmask, bool left_is_leaf,
                      const exec::CostConstants& k, const CostModel& model,
-                     ResourceEstimate* demand, double* resident_bytes,
-                     int* primary) {
+                     ResourceEstimate* demand, double* resident_bytes) {
   const std::vector<int> crossing = graph.CrossingEdgeIndexes(lmask, rmask);
   if (crossing.empty()) {
     return Status::InvalidArgument(
         "join node has no crossing equi-join edge (cross product)");
   }
-  *primary = crossing[0];
   const double lrows = graph.EstimateRows(lmask);
   const double rrows = graph.EstimateRows(rmask);
   const double rows_primary =
@@ -282,6 +391,9 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
       break;
     }
     case JoinAlgorithm::kMerge: {
+      // Both inputs sort under the external-sort model (run formation and
+      // merge fan-in parallelize; see CostModel::SortDemand). The merge
+      // walk and output emission stay serial.
       demand->Merge(model.SortDemand(lrows, 1));
       demand->Merge(model.SortDemand(rrows, 1));
       demand->serial_cpu_instructions +=
@@ -294,10 +406,6 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
           k.output_per_row * rows_primary;
       break;
     }
-    case JoinAlgorithm::kHashSwapped:
-      // The enumerator prices both orientations of every split instead.
-      return Status::InvalidArgument(
-          "kHashSwapped is not valid in N-way join trees");
   }
   // Residual crossing edges run as stacked equality filters over the
   // primary join's output (each one thins the stream for the next).
@@ -322,6 +430,90 @@ PlanCost PriceWithResidency(const CostModel& model, ResourceEstimate demand,
   return cost;
 }
 
+/// Prices the tail of `spec` into `demand`: aggregate update + emission,
+/// then sort / fused top-k with spill. `in_rows` is the tail's input
+/// cardinality (the join output), `output_rows` its estimated final
+/// cardinality before the LIMIT clamp, and `input_width` the materialized
+/// byte width of one pre-aggregation row (used for sort sizing when no
+/// aggregate reshapes the rows).
+void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
+               double in_rows, double output_rows, double input_width,
+               ResourceEstimate* demand) {
+  const exec::CostConstants& k = model.params().costs;
+  if (!spec.aggregates.empty()) {
+    // Group updates run in thread-local partials; the merged-table emission
+    // is the coordinator's.
+    demand->cpu_instructions += k.agg_update_per_row * in_rows;
+    demand->serial_cpu_instructions += k.output_per_row * output_rows;
+    demand->dram_traffic_bytes += static_cast<uint64_t>(output_rows * 64.0);
+  }
+
+  if (!spec.order_by.empty()) {
+    const double n = output_rows;
+    // Materialized width of the sorted rows: aggregate outputs are (group
+    // keys + aggregate values); otherwise the projected scan/join width.
+    double width;
+    if (!spec.aggregates.empty()) {
+      width = 8.0 * static_cast<double>(spec.group_by.size() +
+                                        spec.aggregates.size());
+    } else {
+      width = input_width;
+    }
+    const double budget =
+        static_cast<double>(spec.sort_memory_budget_bytes);
+    if (use_topk && spec.limit.has_value()) {
+      // Fused top-k: O(n log k) comparisons, and only the k-row candidate
+      // set is held (and, if even that overflows the budget, spilled) —
+      // zero spill bytes whenever k rows fit the budget.
+      const double limit_rows = static_cast<double>(*spec.limit);
+      demand->Merge(model.SortDemand(n, spec.order_by.size(), limit_rows));
+      const double kept_bytes = std::min(n, limit_rows) * width;
+      demand->dram_traffic_bytes +=
+          static_cast<uint64_t>(std::min(kept_bytes, budget));
+      if (spec.sort_spill_device != nullptr && kept_bytes > budget) {
+        demand->device_bytes[spec.sort_spill_device] +=
+            static_cast<uint64_t>(2.0 * kept_bytes);
+      }
+    } else {
+      demand->Merge(model.SortDemand(n, spec.order_by.size()));
+      const double sort_bytes = n * width;
+      demand->dram_traffic_bytes +=
+          static_cast<uint64_t>(std::min(sort_bytes, budget));
+      if (spec.sort_spill_device != nullptr && sort_bytes > budget) {
+        // External spill: every run is written once and read back once.
+        demand->device_bytes[spec.sort_spill_device] +=
+            static_cast<uint64_t>(2.0 * sort_bytes);
+      }
+    }
+  }
+}
+
+/// Estimated output cardinality of the tail before the LIMIT clamp:
+/// the root's rows, reduced to the group count when aggregating (a crude
+/// NDV product, each group column's NDV taken from the first relation
+/// whose schema holds it).
+double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
+                      double root_rows) {
+  if (spec.aggregates.empty()) return root_rows;
+  const std::span<const TableAlternatives> rels = spec.Relations();
+  double groups = 1.0;
+  for (const std::string& g : spec.group_by) {
+    double ndv = 16.0;
+    for (int rel = 0; rel < graph.num_relations(); ++rel) {
+      const int i = rels[rel].variants[0]->schema().FindColumn(g);
+      if (i >= 0 &&
+          i < static_cast<int>(graph.stats(rel).columns.size())) {
+        ndv = std::max<double>(
+            1.0, static_cast<double>(
+                     graph.stats(rel).columns[i].distinct_values));
+        break;
+      }
+    }
+    groups *= ndv;
+  }
+  return std::min(root_rows, spec.group_by.empty() ? 1.0 : groups);
+}
+
 /// Recursive pricing walk over an explicit join tree. Accumulates demand
 /// and resident bytes bottom-up with the same arithmetic (and the same
 /// merge order: left subtree, then right subtree, then this node's join
@@ -341,7 +533,9 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
     if (node.relation >= graph.num_relations()) {
       return Status::InvalidArgument("join tree leaf relation out of range");
     }
-    demand->Merge(LeafDemand(spec, graph, node.relation, k));
+    ECODB_ASSIGN_OR_RETURN(const ResourceEstimate leaf,
+                           LeafDemand(spec, graph, node, k));
+    demand->Merge(leaf);
     return uint32_t{1} << node.relation;
   }
   ECODB_ASSIGN_OR_RETURN(
@@ -356,47 +550,19 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
     return Status::InvalidArgument("join tree repeats a relation");
   }
   const bool left_is_leaf = nodes[node.left].relation >= 0;
-  int primary = -1;
   ECODB_RETURN_IF_ERROR(AddJoinDemand(graph, node.algo, lmask, rmask,
                                       left_is_leaf, k, model, demand,
-                                      resident_bytes, &primary));
+                                      resident_bytes));
   return lmask | rmask;
 }
 
-/// Estimated output cardinality of the tail before the LIMIT clamp:
-/// the root join's rows, reduced to the group count when aggregating.
-/// Mirrors the 2-way EstimateCardinalities group clamp, searching every
-/// relation's schema for each group column.
-double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
-                      double root_rows) {
-  if (spec.aggregates.empty()) return root_rows;
-  double groups = 1.0;
-  for (const std::string& g : spec.group_by) {
-    double ndv = 16.0;
-    for (int rel = 0; rel < graph.num_relations(); ++rel) {
-      const catalog::Schema& schema =
-          spec.relations[rel].variants[0]->schema();
-      const int i = schema.FindColumn(g);
-      if (i >= 0 &&
-          i < static_cast<int>(graph.stats(rel).columns.size())) {
-        ndv = std::max<double>(
-            1.0, static_cast<double>(
-                     graph.stats(rel).columns[i].distinct_values));
-        break;
-      }
-    }
-    groups *= ndv;
-  }
-  return std::min(root_rows, spec.group_by.empty() ? 1.0 : groups);
-}
-
-/// The one pricing routine for N-way plans: tree walk + tail + residency.
+/// The one pricing routine: tree walk + tail + residency.
 StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
                                   const JoinGraph& graph,
                                   const PhysicalPlan& plan,
                                   const CostModel& model) {
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
-    return Status::InvalidArgument("N-way plan has no join tree");
+    return Status::InvalidArgument("plan has no join tree");
   }
   const exec::CostConstants& k = model.params().costs;
   ResourceEstimate demand;
@@ -409,20 +575,19 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
     return Status::InvalidArgument("join tree does not cover all relations");
   }
   const double root_rows = graph.EstimateRows(mask);
-  internal::PriceTail(spec, plan, model, root_rows,
-                      TailOutputRows(spec, graph, root_rows),
-                      MaskWidth(graph, mask), &demand);
+  PriceTail(spec, plan.use_topk, model, root_rows,
+            TailOutputRows(spec, graph, root_rows), MaskWidth(graph, mask),
+            &demand);
   return PriceWithResidency(model, std::move(demand), resident_bytes,
                             plan.dop, plan.pstate);
 }
 
-/// One DP table entry: the best-priced join tree covering `mask`.
+/// One way to produce a subset's rows: the arena index of its tree's root,
+/// and the demand and resident bytes accumulated below it.
 struct SubPlan {
-  bool valid = false;
-  int node = -1;  // arena index of this subtree's root
+  int node = -1;
   ResourceEstimate demand;
   double resident_bytes = 0.0;
-  double scalar = std::numeric_limits<double>::infinity();
 };
 
 /// Appends a join node for the (lmask, rmask) split to the arena: primary
@@ -476,9 +641,10 @@ double SumIntermediateBytes(const std::vector<PlanJoinNode>& nodes,
 
 }  // namespace
 
-StatusOr<PhysicalPlan> Planner::ChooseJoinGraphPlan(
-    const QuerySpec& spec, const Objective& objective) const {
+StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
+                                           const Objective& objective) const {
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
+  const std::span<const TableAlternatives> rels = spec.Relations();
   const exec::CostConstants& k = model_->params().costs;
   const int n = graph.num_relations();
   const uint32_t full = graph.full_mask();
@@ -493,114 +659,164 @@ StatusOr<PhysicalPlan> Planner::ChooseJoinGraphPlan(
   const int num_pstates =
       options_.enumerate_pstates ? model_->platform()->cpu().num_pstates()
                                  : 1;
+  // ORDER BY + LIMIT adds the fused top-k as a priced alternative: it wins
+  // at small k (bounded heap, no spill) and loses at k ~ n (the candidate
+  // merge covers all rows serially), so the fallback rule is purely
+  // cost-based.
   std::vector<bool> topk_choices = {false};
   if (!spec.order_by.empty() && spec.limit.has_value()) {
     topk_choices.push_back(true);
   }
 
+  // Leaf base case: each relation's alternatives (every variant with a
+  // table scan, each followed by an index scan when the filter bounds the
+  // index column) stay side by side, so whatever consumes the leaf — the
+  // join above it, or the root for one relation — prices every
+  // alternative together with its own terms. They do not depend on
+  // (dop, pstate), so they are priced once, ahead of the arena's join
+  // nodes.
+  std::vector<PlanJoinNode> arena;
+  std::vector<std::vector<SubPlan>> leaves(n);
+  for (int rel = 0; rel < n; ++rel) {
+    int64_t lo, hi;
+    const bool indexed = IndexRange(rels[rel], &lo, &hi);
+    for (size_t v = 0; v < rels[rel].variants.size(); ++v) {
+      for (AccessPath path : {AccessPath::kTableScan, AccessPath::kIndexScan}) {
+        if (path == AccessPath::kIndexScan && !indexed) continue;
+        PlanJoinNode node;
+        node.relation = rel;
+        node.variant = static_cast<int>(v);
+        node.path = path;
+        node.est_rows = graph.filtered_rows(rel);
+        node.est_bytes = node.est_rows * graph.row_width(rel);
+        ECODB_ASSIGN_OR_RETURN(ResourceEstimate demand,
+                               LeafDemand(spec, graph, node, k));
+        arena.push_back(std::move(node));
+        leaves[rel].push_back(SubPlan{static_cast<int>(arena.size()) - 1,
+                                      std::move(demand), 0.0});
+      }
+    }
+  }
+  const size_t num_leaf_nodes = arena.size();
+
+  // The tail's input rows, output rows and input width are the same for
+  // every tree over the full set.
+  const double root_rows = graph.EstimateRows(full);
+  const double tail_rows = TailOutputRows(spec, graph, root_rows);
+  const double root_width = MaskWidth(graph, full);
+  const double output_rows =
+      spec.limit.has_value()
+          ? std::min(tail_rows, static_cast<double>(*spec.limit))
+          : tail_rows;
+
   std::optional<PhysicalPlan> best;
   for (int dop : options_.dops) {
     for (int pstate = 0; pstate < num_pstates; ++pstate) {
+      // A candidate's scalar. A proper subset prices what it has; the full
+      // set also prices its tail under the cheaper top-k choice, so the
+      // root step compares complete plans.
+      auto scalar_of = [&](const SubPlan& s, uint32_t mask) {
+        if (mask != full) {
+          return PriceWithResidency(*model_, s.demand, s.resident_bytes, dop,
+                                    pstate)
+              .Scalarize(objective);
+        }
+        double scalar = std::numeric_limits<double>::infinity();
+        for (bool use_topk : topk_choices) {
+          ResourceEstimate demand = s.demand;
+          PriceTail(spec, use_topk, *model_, root_rows, tail_rows, root_width,
+                    &demand);
+          scalar = std::min(
+              scalar, PriceWithResidency(*model_, std::move(demand),
+                                         s.resident_bytes, dop, pstate)
+                          .Scalarize(objective));
+        }
+        return scalar;
+      };
+
       // ---- DP over connected subgraphs at this (dop, pstate) ----
-      std::vector<PlanJoinNode> arena;
-      std::vector<SubPlan> subs(uint64_t{1} << n);
-      for (int rel = 0; rel < n; ++rel) {
-        SubPlan& leaf = subs[uint32_t{1} << rel];
-        PlanJoinNode node;
-        node.relation = rel;
-        node.est_rows = graph.filtered_rows(rel);
-        node.est_bytes = node.est_rows * graph.row_width(rel);
-        arena.push_back(std::move(node));
-        leaf.node = static_cast<int>(arena.size()) - 1;
-        leaf.demand = LeafDemand(spec, graph, rel, k);
-        leaf.scalar =
-            PriceWithResidency(*model_, leaf.demand, 0.0, dop, pstate)
-                .Scalarize(objective);
-        leaf.valid = true;
-      }
+      arena.resize(num_leaf_nodes);
+      std::vector<std::vector<SubPlan>> subs(uint64_t{1} << n);
+      for (int rel = 0; rel < n; ++rel) subs[uint32_t{1} << rel] = leaves[rel];
       // Ascending mask order is a valid DP order: every proper submask is
       // numerically smaller. The submask loop enumerates ordered (l, r)
       // pairs, so both hash-build orientations and bushy shapes are priced.
       for (uint32_t mask = 1; mask <= full; ++mask) {
         if (PopCount(mask) < 2) continue;
-        SubPlan& entry = subs[mask];
         struct Best {
           uint32_t lmask = 0;
           JoinAlgorithm algo = JoinAlgorithm::kHash;
-          ResourceEstimate demand;
-          double resident_bytes = 0.0;
+          int left_node = -1;
+          int right_node = -1;
+          SubPlan plan;
           double scalar = std::numeric_limits<double>::infinity();
         };
         std::optional<Best> winner;
         for (uint32_t l = (mask - 1) & mask; l != 0; l = (l - 1) & mask) {
           const uint32_t r = mask ^ l;
-          const SubPlan& ls = subs[l];
-          const SubPlan& rs = subs[r];
-          if (!ls.valid || !rs.valid) continue;
+          if (subs[l].empty() || subs[r].empty()) continue;
           if (graph.CrossingEdgeIndexes(l, r).empty()) continue;
           const bool left_is_leaf = PopCount(l) == 1;
           for (JoinAlgorithm algo : algos) {
-            ResourceEstimate demand = ls.demand;
-            demand.Merge(rs.demand);
-            double resident = ls.resident_bytes + rs.resident_bytes;
-            int primary = -1;
-            const Status st =
-                AddJoinDemand(graph, algo, l, r, left_is_leaf, k, *model_,
-                              &demand, &resident, &primary);
-            if (!st.ok()) continue;
-            const double scalar =
-                PriceWithResidency(*model_, demand, resident, dop, pstate)
-                    .Scalarize(objective);
-            if (!winner.has_value() || scalar < winner->scalar) {
-              winner = Best{l, algo, std::move(demand), resident, scalar};
+            for (const SubPlan& ls : subs[l]) {
+              for (const SubPlan& rs : subs[r]) {
+                SubPlan cand{-1, ls.demand,
+                             ls.resident_bytes + rs.resident_bytes};
+                cand.demand.Merge(rs.demand);
+                if (!AddJoinDemand(graph, algo, l, r, left_is_leaf, k,
+                                   *model_, &cand.demand,
+                                   &cand.resident_bytes)
+                         .ok()) {
+                  continue;
+                }
+                const double scalar = scalar_of(cand, mask);
+                if (!winner.has_value() || scalar < winner->scalar) {
+                  winner = Best{l, algo, ls.node, rs.node, std::move(cand),
+                                scalar};
+                }
+              }
             }
           }
         }
         if (!winner.has_value()) continue;
-        entry.node =
-            EmitJoinNode(graph, &arena, subs[winner->lmask].node,
-                         subs[mask ^ winner->lmask].node, winner->algo,
-                         winner->lmask, mask ^ winner->lmask);
-        entry.demand = std::move(winner->demand);
-        entry.resident_bytes = winner->resident_bytes;
-        entry.scalar = winner->scalar;
-        entry.valid = true;
+        winner->plan.node =
+            EmitJoinNode(graph, &arena, winner->left_node, winner->right_node,
+                         winner->algo, winner->lmask, mask ^ winner->lmask);
+        subs[mask].push_back(std::move(winner->plan));
       }
-      if (!subs[full].valid) {
+      if (subs[full].empty()) {
         return Status::Internal("join DP found no plan for a connected graph");
       }
 
-      for (bool use_topk : topk_choices) {
-        PhysicalPlan plan;
-        plan.dop = dop;
-        plan.pstate = pstate;
-        plan.use_topk = use_topk;
-        plan.join_root =
-            CompactTree(arena, subs[full].node, &plan.join_nodes);
-        plan.est_intermediate_bytes =
-            SumIntermediateBytes(plan.join_nodes, plan.join_root);
-        double output_rows =
-            TailOutputRows(spec, graph, graph.EstimateRows(full));
-        if (spec.limit.has_value()) {
-          output_rows =
-              std::min(output_rows, static_cast<double>(*spec.limit));
-        }
-        plan.output_rows = output_rows;
-        ECODB_ASSIGN_OR_RETURN(plan.cost,
-                               PriceGraphPlan(spec, graph, plan, *model_));
-        if (!best.has_value() || plan.cost.Scalarize(objective) <
-                                     best->cost.Scalarize(objective)) {
-          best = std::move(plan);
+      // Root step: each candidate for the full set (the DP's tree, or a
+      // lone relation's alternatives) with each tail choice, costed by the
+      // walk PricePlan runs.
+      for (const SubPlan& root : subs[full]) {
+        for (bool use_topk : topk_choices) {
+          PhysicalPlan plan;
+          plan.dop = dop;
+          plan.pstate = pstate;
+          plan.use_topk = use_topk;
+          plan.join_root = CompactTree(arena, root.node, &plan.join_nodes);
+          plan.est_intermediate_bytes =
+              SumIntermediateBytes(plan.join_nodes, plan.join_root);
+          plan.output_rows = output_rows;
+          ECODB_ASSIGN_OR_RETURN(plan.cost,
+                                 PriceGraphPlan(spec, graph, plan, *model_));
+          if (!best.has_value() || plan.cost.Scalarize(objective) <
+                                       best->cost.Scalarize(objective)) {
+            best = std::move(plan);
+          }
         }
       }
     }
   }
-  if (!best.has_value()) return Status::Internal("no N-way plan enumerated");
+  if (!best.has_value()) return Status::Internal("no plan enumerated");
   return *best;
 }
 
-StatusOr<PlanCost> Planner::PriceJoinGraphPlan(const QuerySpec& spec,
-                                               const PhysicalPlan& plan) const {
+StatusOr<PlanCost> Planner::PricePlan(const QuerySpec& spec,
+                                      const PhysicalPlan& plan) const {
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
   return PriceGraphPlan(spec, graph, plan, *model_);
 }
@@ -617,42 +833,26 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   }
   const PlanJoinNode& node = plan.join_nodes[index];
   if (node.relation >= 0) {
-    if (node.relation >= static_cast<int>(spec.relations.size())) {
+    const std::span<const TableAlternatives> rels = spec.Relations();
+    if (node.relation >= static_cast<int>(rels.size())) {
       return Status::InvalidArgument("join tree leaf relation out of range");
     }
-    const TableAlternatives& side = spec.relations[node.relation];
-    const storage::TableStorage& t = *side.variants[0];
-    // Same columns the estimator assumed (JoinGraph::Analyze enforces they
-    // are computable from the spec alone, so recompute here).
-    std::set<std::string> agg_cols;
-    for (const std::string& g : spec.group_by) agg_cols.insert(g);
-    for (const exec::AggregateItem& item : spec.aggregates) {
-      exec::CollectColumns(item.input, &agg_cols);
-    }
-    std::set<std::string> needed;
-    if (side.columns.empty()) {
-      for (const catalog::Column& c : t.schema().columns()) {
-        needed.insert(c.name);
+    const TableAlternatives& side = rels[node.relation];
+    ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(side, node));
+    std::vector<std::string> cols =
+        ScanColumns(spec, node.relation, access.table->schema());
+    if (node.path == AccessPath::kIndexScan) {
+      OperatorPtr scan = std::make_unique<exec::IndexScanOp>(
+          access.table, side.index, std::move(cols), access.lo, access.hi);
+      if (side.filter != nullptr) {
+        scan = std::make_unique<exec::FilterOp>(std::move(scan), side.filter);
       }
-    } else {
-      needed.insert(side.columns.begin(), side.columns.end());
-    }
-    exec::CollectColumns(side.filter, &needed);
-    for (const JoinEdge& e : spec.edges) {
-      if (e.left_rel == node.relation) needed.insert(e.left_key);
-      if (e.right_rel == node.relation) needed.insert(e.right_key);
-    }
-    for (const std::string& name : agg_cols) {
-      if (t.schema().FindColumn(name) >= 0) needed.insert(name);
-    }
-    std::vector<std::string> cols;
-    for (const std::string& name : needed) {
-      if (t.schema().FindColumn(name) >= 0) cols.push_back(name);
+      return scan;
     }
     // Table scan with the exact filter fused in; also the morsel source
     // that lets a directly-attached hash join probe in parallel.
     return OperatorPtr(std::make_unique<exec::TableScanOp>(
-        &t, cols, side.filter, side.filter));
+        access.table, std::move(cols), side.filter, side.filter));
   }
 
   ECODB_ASSIGN_OR_RETURN(OperatorPtr left,
@@ -676,9 +876,6 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
           std::move(left), std::move(right),
           exec::Col(node.left_key) == exec::Col(node.right_key));
       break;
-    case JoinAlgorithm::kHashSwapped:
-      return Status::InvalidArgument(
-          "kHashSwapped is not valid in N-way join trees");
   }
   for (const JoinEdge& e : node.residual_edges) {
     joined = std::make_unique<exec::FilterOp>(
@@ -687,16 +884,47 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   return joined;
 }
 
+/// Wraps `root` with the operators realizing the tail (aggregate, sort or
+/// fused top-k, limit); the tree is the same at every dop.
+exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
+                                     const PhysicalPlan& plan,
+                                     exec::OperatorPtr root) {
+  if (!spec.aggregates.empty()) {
+    root = std::make_unique<exec::HashAggregateOp>(
+        std::move(root), spec.group_by, spec.aggregates);
+  }
+
+  bool limit_applied = false;
+  if (!spec.order_by.empty()) {
+    if (plan.use_topk && spec.limit.has_value()) {
+      root = std::make_unique<exec::TopKOp>(
+          std::move(root), spec.order_by, static_cast<size_t>(*spec.limit),
+          spec.sort_memory_budget_bytes, spec.sort_spill_device);
+      limit_applied = true;
+    } else {
+      root = std::make_unique<exec::SortOp>(std::move(root), spec.order_by,
+                                            spec.sort_memory_budget_bytes,
+                                            spec.sort_spill_device);
+    }
+  }
+  if (spec.limit.has_value() && !limit_applied) {
+    root = std::make_unique<exec::LimitOp>(
+        std::move(root), static_cast<size_t>(*spec.limit));
+  }
+  return root;
+}
+
 }  // namespace
 
-StatusOr<exec::OperatorPtr> Planner::BuildJoinGraphOperator(
+StatusOr<exec::OperatorPtr> Planner::BuildOperator(
     const QuerySpec& spec, const PhysicalPlan& plan) const {
+  ECODB_RETURN_IF_ERROR(CheckOneForm(spec));
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
-    return Status::InvalidArgument("N-way plan has no join tree");
+    return Status::InvalidArgument("plan has no join tree");
   }
   ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
                          BuildJoinNode(spec, plan, plan.join_root));
-  return internal::FinishOperatorTree(spec, plan, std::move(root));
+  return FinishOperatorTree(spec, plan, std::move(root));
 }
 
 StatusOr<PhysicalPlan> CanonicalJoinPlan(const QuerySpec& spec) {

@@ -1,4 +1,5 @@
-// Cost-based join ordering over an N-relation join graph.
+// The planner's one path: cost-based planning of a 1-12 relation join
+// graph.
 //
 // The paper's Section 4.1 argues the time-optimal plan and the energy-
 // optimal plan diverge once operators are priced in Joules. One level up
@@ -11,6 +12,14 @@
 // partition of every connected subset, both orientations, so left-deep,
 // right-deep and bushy trees are all reachable), each subplan priced with
 // the two-term `seconds + lambda * joules` CostModel.
+//
+// A leaf (a subset of one relation) carries all of the relation's
+// alternatives: every variant with a table scan, plus an index scan when
+// the filter bounds the index column. They are priced where the leaf is
+// consumed — by the join above it, or by the root when there is one
+// relation. The root step prices each complete candidate together with its
+// aggregate / sort / top-k tail, so for one or two relations the DP is a
+// joint enumeration of every combination.
 //
 // The cardinality estimator feeds PRICING ONLY, never correctness: every
 // enumerated order is row-equivalent by construction (equi-join edges are
@@ -36,15 +45,16 @@
 
 namespace ecodb::optimizer {
 
-/// Resolved, validated view of QuerySpec::relations/edges with memoized
+/// Resolved, validated view of QuerySpec::Relations()/edges with memoized
 /// per-subset cardinality estimates. Exposed so tests can compare subgraph
 /// estimates against true cardinalities (the q-error property suite).
 class JoinGraph {
  public:
-  /// Validates the graph (>= 2 relations, every edge endpoint and key
-  /// resolves, column names unique across relations, graph connected) and
-  /// resolves statistics: TableAlternatives::stats when provided, else a
-  /// fresh analyze of variant 0.
+  /// Validates the graph (1 to 12 relations, `left` and `relations` not
+  /// both set, every edge endpoint and key resolves, scanned column names
+  /// unique across relations, graph connected) and resolves statistics:
+  /// TableAlternatives::stats when provided, else a fresh analyze of
+  /// variant 0. Estimates come from variant 0; variants hold the same rows.
   static StatusOr<JoinGraph> Analyze(const QuerySpec& spec);
 
   int num_relations() const { return static_cast<int>(filtered_rows_.size()); }

@@ -1,11 +1,13 @@
 // Energy-aware physical planner.
 //
-// Given a logical query (scan [+ filter] [+ join] [+ aggregate]) and the
-// physical alternatives available — table variants with different layouts /
-// compression / devices, three join algorithms, DVFS states, degrees of
-// parallelism — the planner enumerates the combinations, prices each with
-// the two-objective CostModel, and returns the plan minimizing
-// `seconds + lambda * joules`.
+// Given a logical query (1 to 12 relations joined by equi-join edges, each
+// with an optional pushed-down filter, [+ aggregate] [+ ORDER BY / LIMIT])
+// and the physical alternatives available — table variants with different
+// layouts / compression / devices, table or index scans, three join
+// algorithms, join orders, DVFS states, degrees of parallelism — the
+// planner enumerates the combinations with one bitmask DP over connected
+// subgraphs (join_order.h), prices each with the two-objective CostModel,
+// and returns the plan minimizing `seconds + lambda * joules`.
 //
 // With lambda = 0 this is a classical performance optimizer. Raising lambda
 // reproduces the paper's headline behaviours: compressed scans lose to
@@ -17,6 +19,7 @@
 #define ECODB_OPTIMIZER_PLANNER_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,20 +68,16 @@ struct JoinEdge {
   std::string right_key;
 };
 
-/// Logical query: left [JOIN right ON lk = rk] [WHERE ...] [GROUP BY ...]
-/// [ORDER BY ...] — or, when `relations` is non-empty, an N-relation join
-/// graph whose join ORDER the planner chooses by bitmask DP (join_order.h).
+/// Logical query: relations joined on `edges` [WHERE per-relation filters]
+/// [GROUP BY ...] [ORDER BY ...] [LIMIT ...]. The planner chooses the join
+/// order, each relation's variant and access path, and the join algorithms.
 struct QuerySpec {
+  /// One-relation shorthand: a query over `left` alone, used when
+  /// `relations` is empty. A spec that sets both is rejected.
   TableAlternatives left;
-  std::optional<TableAlternatives> right;
-  std::string left_key;   // join keys; used when right is present
-  std::string right_key;
-  /// N-way form: when non-empty, `relations` + `edges` supersede
-  /// left/right/left_key/right_key entirely. Requirements: the edge set
-  /// connects all relations (no cross products), every column name is
-  /// unique across relations, and each relation is planned on variant 0
-  /// with the table-scan access path (the N-way enumerator's scope; the
-  /// 2-way form keeps variant/index enumeration).
+  /// 1 to 12 relations, and the equi-join edges connecting them (no cross
+  /// products). A column name may appear in only one relation's scan, so
+  /// every name in the join output means one table's column.
   std::vector<TableAlternatives> relations;
   std::vector<JoinEdge> edges;
   std::vector<std::string> group_by;
@@ -99,18 +98,27 @@ struct QuerySpec {
   /// falling back to Sort + Limit otherwise (k ≈ n). Both paths emit
   /// byte-identical rows.
   std::optional<uint64_t> limit;
+
+  /// The relations every planner function reads: `relations`, or a
+  /// one-element span over `left` when `relations` is empty.
+  std::span<const TableAlternatives> Relations() const {
+    if (!relations.empty()) return relations;
+    return {&left, 1};
+  }
 };
 
-enum class JoinAlgorithm { kHash, kHashSwapped, kMerge, kNestedLoop };
+enum class JoinAlgorithm { kHash, kMerge, kNestedLoop };
 
 const char* JoinAlgorithmName(JoinAlgorithm algo);
 
-/// One node of an N-way join tree (leaf = one relation, internal = one
-/// join). Stored flat in PhysicalPlan::join_nodes; children by index.
-/// Hash joins build on the `right` child (the N-way enumerator prices both
-/// orientations of every split, so kHashSwapped never appears in trees).
+/// One node of a join tree (leaf = one relation read through one variant
+/// and access path, internal = one join). Stored flat in
+/// PhysicalPlan::join_nodes; children by index. Hash joins build on the
+/// `right` child, so the child order says which side builds.
 struct PlanJoinNode {
-  int relation = -1;  // leaf: index into spec.relations; -1 for joins
+  int relation = -1;  // leaf: index into spec.Relations(); -1 for joins
+  int variant = 0;    // leaf: index into the relation's variants
+  AccessPath path = AccessPath::kTableScan;  // leaf
   int left = -1;      // internal: child node indexes
   int right = -1;
   JoinAlgorithm algo = JoinAlgorithm::kHash;
@@ -125,18 +133,13 @@ struct PlanJoinNode {
 
 /// A fully specified physical plan plus its estimated cost.
 struct PhysicalPlan {
-  int left_variant = 0;
-  int right_variant = 0;
-  AccessPath left_path = AccessPath::kTableScan;
-  AccessPath right_path = AccessPath::kTableScan;
-  JoinAlgorithm join_algo = JoinAlgorithm::kHash;
   int dop = 1;
   int pstate = 0;
   /// True when ORDER BY + LIMIT is fused into the bounded-heap top-k path
   /// (requires spec.order_by non-empty and spec.limit set).
   bool use_topk = false;
-  /// N-way join tree (set when spec.relations is non-empty): nodes plus the
-  /// root index, from the DP enumerator or CanonicalJoinPlan.
+  /// The join tree (a single leaf for one relation): nodes plus the root
+  /// index, from the DP enumerator or CanonicalJoinPlan.
   std::vector<PlanJoinNode> join_nodes;
   int join_root = -1;
   /// Estimated bytes of all non-root intermediate join results (the bench's
@@ -149,8 +152,8 @@ struct PhysicalPlan {
   std::string Describe(const QuerySpec& spec) const;
 
   /// Leaf relations of the join tree in left-to-right order — the chosen
-  /// join order (empty for 2-way plans). Two plans over the same spec
-  /// joined in different orders differ here.
+  /// join order. Two plans over the same spec joined in different orders
+  /// differ here.
   std::vector<int> LeafOrder() const;
 };
 
@@ -181,7 +184,8 @@ class Planner {
   const PlannerOptions& options() const { return options_; }
 
   /// Returns the best plan under `objective`, or an error if the spec is
-  /// malformed (no variants, missing join keys, ...).
+  /// malformed (no variants, missing join keys, ...). ChoosePlan, PricePlan
+  /// and BuildOperator live in join_order.cc, beside the DP they share.
   StatusOr<PhysicalPlan> ChoosePlan(const QuerySpec& spec,
                                     const Objective& objective) const;
 
@@ -206,29 +210,6 @@ class Planner {
                               int64_t* hi);
 
  private:
-  struct Cardinalities {
-    double left_rows = 0.0;
-    double right_rows = 0.0;
-    double join_rows = 0.0;
-    double output_rows = 0.0;
-  };
-
-  StatusOr<Cardinalities> EstimateCardinalities(const QuerySpec& spec) const;
-
-  StatusOr<PlanCost> PriceInternal(const QuerySpec& spec,
-                                   const PhysicalPlan& plan,
-                                   const Cardinalities& cards) const;
-
-  // N-way join-graph path (join_order.cc): bitmask-DP enumeration over
-  // connected subgraphs, pricing with the same model, building trees of the
-  // unchanged join operators.
-  StatusOr<PhysicalPlan> ChooseJoinGraphPlan(const QuerySpec& spec,
-                                             const Objective& objective) const;
-  StatusOr<PlanCost> PriceJoinGraphPlan(const QuerySpec& spec,
-                                        const PhysicalPlan& plan) const;
-  StatusOr<exec::OperatorPtr> BuildJoinGraphOperator(
-      const QuerySpec& spec, const PhysicalPlan& plan) const;
-
   CostModel* model_;
   PlannerOptions options_;
 };

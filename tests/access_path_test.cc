@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/scan.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "storage/btree.h"
@@ -141,14 +142,14 @@ TEST_F(AccessPathTest, NarrowRangePicksIndex) {
   auto plan = planner_->ChoosePlan(SpecWithRange(20),
                                    Objective::Performance());
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->left_path, AccessPath::kIndexScan);
+  EXPECT_EQ(plan->join_nodes[plan->join_root].path, AccessPath::kIndexScan);
 }
 
 TEST_F(AccessPathTest, WideRangePicksSequentialScan) {
   auto plan = planner_->ChoosePlan(SpecWithRange(80000),
                                    Objective::Performance());
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->left_path, AccessPath::kTableScan);
+  EXPECT_EQ(plan->join_nodes[plan->join_root].path, AccessPath::kTableScan);
 }
 
 TEST_F(AccessPathTest, EnergyObjectiveAlsoCrossesOver) {
@@ -158,8 +159,9 @@ TEST_F(AccessPathTest, EnergyObjectiveAlsoCrossesOver) {
       planner_->ChoosePlan(SpecWithRange(80000), Objective::Energy());
   ASSERT_TRUE(narrow.ok());
   ASSERT_TRUE(wide.ok());
-  EXPECT_EQ(narrow->left_path, AccessPath::kIndexScan);
-  EXPECT_EQ(wide->left_path, AccessPath::kTableScan);
+  EXPECT_EQ(narrow->join_nodes[narrow->join_root].path,
+            AccessPath::kIndexScan);
+  EXPECT_EQ(wide->join_nodes[wide->join_root].path, AccessPath::kTableScan);
 }
 
 TEST_F(AccessPathTest, NoIndexMeansNoIndexPath) {
@@ -167,15 +169,17 @@ TEST_F(AccessPathTest, NoIndexMeansNoIndexPath) {
   spec.left.index = nullptr;
   auto plan = planner_->ChoosePlan(spec, Objective::Performance());
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->left_path, AccessPath::kTableScan);
+  EXPECT_EQ(plan->join_nodes[plan->join_root].path, AccessPath::kTableScan);
 }
 
 TEST_F(AccessPathTest, BothPathsReturnIdenticalRows) {
   const QuerySpec spec = SpecWithRange(500);
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
   for (AccessPath path :
        {AccessPath::kTableScan, AccessPath::kIndexScan}) {
-    PhysicalPlan plan;
-    plan.left_path = path;
+    PhysicalPlan plan = *canonical;
+    plan.join_nodes[plan.join_root].path = path;
     auto op = planner_->BuildOperator(spec, plan);
     ASSERT_TRUE(op.ok());
     exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
@@ -218,11 +222,12 @@ TEST_F(AccessPathTest, ZoneMapsLowerEstimatedScanCost) {
   spec.left.columns = {"id", "v"};
   spec.left.filter = Col("id") < Lit(int64_t{1000});
 
-  PhysicalPlan scan_plan;  // defaults: seq scan
-  auto before = planner_->PricePlan(spec, scan_plan);
+  auto scan_plan = CanonicalJoinPlan(spec);  // variant 0, table scan
+  ASSERT_TRUE(scan_plan.ok()) << scan_plan.status().message();
+  auto before = planner_->PricePlan(spec, *scan_plan);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(clustered.BuildZoneMaps(1000).ok());
-  auto after = planner_->PricePlan(spec, scan_plan);
+  auto after = planner_->PricePlan(spec, *scan_plan);
   ASSERT_TRUE(after.ok());
   EXPECT_LT(after->seconds, before->seconds / 5);
   EXPECT_LT(after->joules, before->joules);

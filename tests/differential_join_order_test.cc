@@ -3,10 +3,12 @@
 // canonical oracle, executed at dop 1/2/4/8.
 //
 // The oracle (CanonicalJoinPlan) is deliberately estimate-free — left-deep
-// hash joins in BFS edge order — so a cardinality-estimation bug in the DP
-// cannot cancel out in the comparison. For every generated case (varying
-// relation count, sizes, key-duplication domains, spanning-tree shape,
-// extra cyclic edges, pushed-down filters, optional grouped aggregation,
+// hash joins in BFS edge order over variant 0 with table scans — so a
+// cardinality-estimation bug in the DP cannot cancel out in the
+// comparison. For every generated case (varying relation count, sizes,
+// key-duplication domains, spanning-tree shape, extra cyclic edges,
+// pushed-down filters, a second compressed variant and a B+tree index on
+// the filtered payload for some relations, optional grouped aggregation,
 // lambda, and the memory-power premium) the harness asserts:
 //   1. both plans' rows are byte-identical after projecting columns to a
 //      canonical name order and sorting rows (join output order is
@@ -19,6 +21,7 @@
 // double accumulator is exact under any accumulation order.
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,6 +36,7 @@
 #include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
+#include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 #include "util/random.h"
@@ -60,6 +64,8 @@ struct CaseSpec {
   std::vector<int> rows;        // per relation
   std::vector<CaseEdge> edges;  // first num_rels-1 form a spanning tree
   std::vector<bool> filtered;   // payload filter pushed into this relation
+  std::vector<bool> compressed;  // adds a compressed second variant
+  std::vector<bool> indexed;     // adds a B+tree on the filtered payload
   bool aggregate = false;
   double lambda = 0.0;
   double premium = 1.0;
@@ -129,11 +135,17 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     c.lambda = lambdas[rng.Uniform(0, 2)];
     const double premiums[] = {1.0, 1e4, 1e7};
     c.premium = premiums[rng.Uniform(0, 2)];
+    // Leaf alternatives, drawn last so the fields above match the draws of
+    // the variant-0, table-scan-only harness.
+    for (int i = 0; i < c.num_rels; ++i) {
+      c.compressed.push_back(rng.Bernoulli(0.3));
+      c.indexed.push_back(c.filtered[i] && rng.Bernoulli(0.5));
+    }
     return c;
   }
 
   /// Key column name of edge `e` on relation `rel` (unique per relation
-  /// AND across relations, as the N-way contract requires).
+  /// AND across relations, as the planner requires).
   static std::string KeyCol(int e, int rel) {
     return "e" + std::to_string(e) + "_" + std::to_string(rel);
   }
@@ -141,8 +153,17 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     return "p" + std::to_string(rel);
   }
 
+  /// Tables and indexes a case's spec points at (they outlive the spec).
+  struct CaseData {
+    std::vector<std::unique_ptr<storage::TableStorage>> tables;
+    std::vector<std::unique_ptr<storage::BTreeIndex>> indexes;
+  };
+
+  /// Relation `rel`'s rows; `compressed` stores the same rows with the
+  /// payload delta-coded and every key frame-of-reference coded.
   std::unique_ptr<storage::TableStorage> MakeRelation(const CaseSpec& c,
-                                                      int rel) {
+                                                      int rel,
+                                                      bool compressed) {
     std::vector<Column> schema_cols{
         Column{PayloadCol(rel), DataType::kInt64, 8}};
     std::vector<int> incident;
@@ -154,8 +175,8 @@ class DifferentialJoinOrderTest : public ::testing::Test {
       }
     }
     auto table = std::make_unique<storage::TableStorage>(
-        static_cast<catalog::TableId>(rel + 1), Schema(schema_cols),
-        storage::TableLayout::kColumn, ssd_.get());
+        static_cast<catalog::TableId>(rel + (compressed ? 101 : 1)),
+        Schema(schema_cols), storage::TableLayout::kColumn, ssd_.get());
     std::vector<storage::ColumnData> cols(schema_cols.size());
     for (auto& col : cols) col.type = DataType::kInt64;
     Rng rng(c.seed ^ (0xD1FF00ULL + static_cast<uint64_t>(rel)));
@@ -167,22 +188,45 @@ class DifferentialJoinOrderTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(table->Append(cols).ok());
+    if (compressed) {
+      EXPECT_TRUE(table->SetCompression(PayloadCol(rel),
+                                        storage::CompressionKind::kDelta)
+                      .ok());
+      for (size_t k = 1; k < schema_cols.size(); ++k) {
+        EXPECT_TRUE(table->SetCompression(schema_cols[k].name,
+                                          storage::CompressionKind::kFor)
+                        .ok());
+      }
+    }
     return table;
   }
 
-  /// Builds the N-way QuerySpec over freshly generated tables (kept in
-  /// `tables` so they outlive the returned spec).
-  QuerySpec MakeSpec(const CaseSpec& c,
-                     std::vector<std::unique_ptr<storage::TableStorage>>*
-                         tables) {
+  /// Builds the QuerySpec over freshly generated tables (kept in `data` so
+  /// they outlive the returned spec).
+  QuerySpec MakeSpec(const CaseSpec& c, CaseData* data) {
     QuerySpec spec;
     for (int rel = 0; rel < c.num_rels; ++rel) {
-      tables->push_back(MakeRelation(c, rel));
       TableAlternatives side;
       side.name = "rel" + std::to_string(rel);
-      side.variants = {tables->back().get()};
+      data->tables.push_back(MakeRelation(c, rel, /*compressed=*/false));
+      side.variants = {data->tables.back().get()};
+      if (!c.compressed.empty() && c.compressed[rel]) {
+        data->tables.push_back(MakeRelation(c, rel, /*compressed=*/true));
+        side.variants.push_back(data->tables.back().get());
+      }
       if (c.filtered[rel]) {
         side.filter = Col(PayloadCol(rel)) < Lit(int64_t{c.rows[rel] / 2});
+      }
+      if (!c.indexed.empty() && c.indexed[rel]) {
+        // The payload is the row position, so the index maps it to itself
+        // in every variant.
+        auto index = std::make_unique<storage::BTreeIndex>();
+        for (int i = 0; i < c.rows[rel]; ++i) {
+          index->Insert(i, static_cast<uint64_t>(i));
+        }
+        side.index = index.get();
+        side.index_column = PayloadCol(rel);
+        data->indexes.push_back(std::move(index));
       }
       spec.relations.push_back(std::move(side));
     }
@@ -256,9 +300,13 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     EXPECT_EQ(got.cpu_serial_seconds, base.cpu_serial_seconds);
   }
 
-  void RunCase(const CaseSpec& c) {
-    std::vector<std::unique_ptr<storage::TableStorage>> tables;
-    const QuerySpec spec = MakeSpec(c, &tables);
+  /// Plans `c`, then runs the DP's plan, the canonical oracle and any
+  /// `extra` plans (hand edits of the oracle) at every dop. Returns the
+  /// DP's plan so callers can tally which leaf alternatives it chose.
+  PhysicalPlan RunCase(const CaseSpec& c,
+                       const std::function<void(PhysicalPlan*)>& extra = {}) {
+    CaseData data;
+    const QuerySpec spec = MakeSpec(c, &data);
 
     CostModelParams params;
     params.memory_power_premium = c.premium;
@@ -269,34 +317,38 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     Planner planner(&model, options);
 
     auto chosen = planner.ChoosePlan(spec, Objective::Balanced(c.lambda));
-    ASSERT_TRUE(chosen.ok()) << chosen.status().message();
-    ASSERT_EQ(chosen->LeafOrder().size(),
-              static_cast<size_t>(c.num_rels));
+    EXPECT_TRUE(chosen.ok()) << chosen.status().message();
+    if (!chosen.ok()) return {};
+    EXPECT_EQ(chosen->LeafOrder().size(), static_cast<size_t>(c.num_rels));
     auto oracle = CanonicalJoinPlan(spec);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().message();
+    EXPECT_TRUE(oracle.ok()) << oracle.status().message();
+    if (!oracle.ok()) return {};
 
-    std::optional<RunOutcome> expected;  // oracle at dop 1
-    std::optional<QueryStats> chosen_base, oracle_base;
+    // The oracle first: its dop-1 rows are the expectation.
+    std::vector<PhysicalPlan> plans = {*oracle, *chosen};
+    if (extra) {
+      plans.push_back(*oracle);
+      extra(&plans.back());
+      EXPECT_TRUE(planner.PricePlan(spec, plans.back()).ok());
+    }
+    std::optional<RunOutcome> expected;
+    std::vector<std::optional<QueryStats>> base(plans.size());
     for (int dop : {1, 2, 4, 8}) {
       SCOPED_TRACE("dop=" + std::to_string(dop));
-      const RunOutcome o = Run(planner, spec, *oracle, dop);
-      const RunOutcome d = Run(planner, spec, *chosen, dop);
-      if (!expected.has_value()) expected = o;
-      EXPECT_EQ(o.rows, expected->rows) << "oracle plan drifted across dop";
-      EXPECT_EQ(d.rows, expected->rows)
-          << "DP plan rows differ from canonical oracle; DP order: " +
-                 chosen->Describe(spec);
-      if (!oracle_base.has_value()) {
-        oracle_base = o.stats;
-      } else {
-        ExpectChargesIdentical(o.stats, *oracle_base);
-      }
-      if (!chosen_base.has_value()) {
-        chosen_base = d.stats;
-      } else {
-        ExpectChargesIdentical(d.stats, *chosen_base);
+      for (size_t p = 0; p < plans.size(); ++p) {
+        SCOPED_TRACE(plans[p].Describe(spec));
+        const RunOutcome run = Run(planner, spec, plans[p], dop);
+        if (!expected.has_value()) expected = run;
+        EXPECT_EQ(run.rows, expected->rows)
+            << "plan rows differ from the canonical oracle at dop 1";
+        if (!base[p].has_value()) {
+          base[p] = run.stats;
+        } else {
+          ExpectChargesIdentical(run.stats, *base[p]);
+        }
       }
     }
+    return *chosen;
   }
 
   std::unique_ptr<power::HardwarePlatform> platform_;
@@ -305,6 +357,7 @@ class DifferentialJoinOrderTest : public ::testing::Test {
 
 TEST_F(DifferentialJoinOrderTest, RandomizedGraphsMatchOracleAtEveryDop) {
   int cases = 0;
+  int alternative_leaves = 0;  // DP leaves off variant 0 or a table scan
   for (uint64_t seed = 1; seed <= 56; ++seed) {
     const CaseSpec c = DrawCase(0xC0FFEE00ULL + seed);
     std::string edges;
@@ -317,10 +370,16 @@ TEST_F(DifferentialJoinOrderTest, RandomizedGraphsMatchOracleAtEveryDop) {
                  (c.aggregate ? " agg" : "") +
                  " lambda=" + std::to_string(c.lambda) +
                  " premium=" + std::to_string(c.premium));
-    RunCase(c);
+    for (const PlanJoinNode& node : RunCase(c).join_nodes) {
+      if (node.relation >= 0 &&
+          (node.variant != 0 || node.path != AccessPath::kTableScan)) {
+        ++alternative_leaves;
+      }
+    }
     ++cases;
   }
   EXPECT_GE(cases, 50);  // the acceptance floor for randomized coverage
+  EXPECT_GT(alternative_leaves, 0) << "no case exercised a leaf alternative";
 }
 
 // Pinned regressions the random draw might miss.
@@ -353,6 +412,30 @@ TEST_F(DifferentialJoinOrderTest, HighLambdaTreeStillMatchesOracle) {
   c.lambda = 10.0;
   c.premium = 1e7;
   RunCase(c);
+}
+
+TEST_F(DifferentialJoinOrderTest, IndexScanLeafOnProbeSideMatchesOracle) {
+  // The oracle joins left-deep from relation 0, so relation 0's leaf is the
+  // probe side of the first hash join. Read it through its index and
+  // relation 1 through its compressed variant: rows still match, and the
+  // charges stay bit-identical across dop.
+  CaseSpec c;
+  c.seed = 303;
+  c.num_rels = 3;
+  c.rows = {240, 120, 90};
+  c.filtered = {true, false, true};
+  c.compressed = {true, true, false};
+  c.indexed = {true, false, true};
+  c.edges = {{0, 1, 120}, {1, 2, 90}};
+  c.aggregate = true;
+  c.lambda = 0.01;
+  c.premium = 1e4;
+  RunCase(c, [](PhysicalPlan* plan) {
+    for (PlanJoinNode& node : plan->join_nodes) {
+      if (node.relation == 0) node.path = AccessPath::kIndexScan;
+      if (node.relation == 1) node.variant = 1;
+    }
+  });
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 //      busy core-seconds, serial core-seconds) are bit-identical across
 //      dop — DESIGN.md §7's determinism contract.
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -271,6 +274,97 @@ TEST_F(DifferentialTopKTest, SpillingTopKStillMatchesOracle) {
   c.spill = true;
   c.budget = 1024;
   RunCase(c);
+}
+
+TEST_F(DifferentialTopKTest, NaNDoubleKeysSortInOneTotalOrder) {
+  // ORDER BY a double key holding NaN, ±0.0 and ±inf: NaN sorts after
+  // every number (ASC puts NaNs last, DESC first), NaNs tie among
+  // themselves and -0.0 ties +0.0, ties keeping input order. SortOp and
+  // TopKOp over a morsel scan at dop 1 and 8 and over a FilterOp child
+  // must all emit the oracle's rows.
+  constexpr int kRows = 6000;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Schema schema({Column{"d", DataType::kDouble, 8},
+                 Column{"payload", DataType::kInt64, 8}});
+  storage::TableStorage table(1, schema, storage::TableLayout::kColumn,
+                              device());
+  std::vector<storage::ColumnData> cols(2);
+  cols[0].type = DataType::kDouble;
+  cols[1].type = DataType::kInt64;
+  Rng rng(0x7A11);
+  for (int i = 0; i < kRows; ++i) {
+    double d;
+    if (i % 7 == 0) {
+      d = nan;
+    } else if (i % 53 == 0) {
+      const double edges[] = {0.0, -0.0, inf, -inf};
+      d = edges[rng.Uniform(0, 3)];
+    } else {
+      d = static_cast<double>(rng.Uniform(-40, 40)) * 0.25;
+    }
+    cols[0].f64.push_back(d);
+    cols[1].i64.push_back(i);  // unique: names each row
+  }
+  ASSERT_TRUE(table.Append(cols).ok());
+
+  // Rows are compared by their unique payloads: NaN != NaN under Value's
+  // operator==.
+  auto payloads = [](const std::vector<std::vector<Value>>& rows) {
+    std::vector<int64_t> out;
+    for (const std::vector<Value>& row : rows) out.push_back(row[1].i64);
+    return out;
+  };
+  TableScanOp input(&table);
+  const naive::Rows all = naive::Materialize(&input, platform_.get());
+
+  for (bool ascending : {true, false}) {
+    SCOPED_TRACE(ascending ? "ASC" : "DESC");
+    const std::vector<SortKey> keys = {{"d", ascending}};
+    const std::vector<int64_t> expected = payloads(naive::Sort(all, keys));
+    ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
+    // The oracle itself: NaNs form one block at the end (ASC) or the start
+    // (DESC), and the numbers around them are in order.
+    const std::vector<naive::Row> sorted = naive::Sort(all, keys);
+    const size_t nans = static_cast<size_t>((kRows + 6) / 7);
+    for (size_t r = 0; r < sorted.size(); ++r) {
+      const bool in_nan_block =
+          ascending ? r >= sorted.size() - nans : r < nans;
+      ASSERT_EQ(std::isnan(sorted[r][0].f64), in_nan_block) << "row " << r;
+      if (r > 0 && !in_nan_block && !std::isnan(sorted[r - 1][0].f64)) {
+        ASSERT_TRUE(ascending ? sorted[r - 1][0].f64 <= sorted[r][0].f64
+                              : sorted[r - 1][0].f64 >= sorted[r][0].f64);
+      }
+    }
+
+    struct Child {
+      const char* name;
+      bool filtered;
+      int dop;
+    };
+    for (const Child& child : {Child{"morsel dop 1", false, 1},
+                               Child{"morsel dop 8", false, 8},
+                               Child{"FilterOp", true, 1}}) {
+      SCOPED_TRACE(child.name);
+      auto make_child = [&]() -> OperatorPtr {
+        OperatorPtr scan = std::make_unique<TableScanOp>(&table);
+        if (!child.filtered) return scan;
+        return std::make_unique<FilterOp>(std::move(scan),
+                                          Col("payload") >= Lit(int64_t{0}));
+      };
+      SortOp sort(make_child(), keys);
+      EXPECT_EQ(payloads(Run(&sort, child.dop).rows), expected) << "SortOp";
+      for (size_t k : {size_t{100}, size_t{kRows + 10}}) {
+        TopKOp topk(make_child(), keys, k);
+        const std::vector<int64_t> want(
+            expected.begin(),
+            expected.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min<size_t>(k, expected.size())));
+        EXPECT_EQ(payloads(Run(&topk, child.dop).rows), want)
+            << "TopKOp k=" << k;
+      }
+    }
+  }
 }
 
 TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {

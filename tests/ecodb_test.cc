@@ -172,7 +172,7 @@ TEST(EcoDb, PlannerChoosesAmongVariants) {
   ASSERT_TRUE(outcome.ok());
   // Proportional platform has a modest CPU: compressed scan (5x less I/O)
   // should win on time.
-  EXPECT_EQ(outcome->plan->left_variant, 1);
+  EXPECT_EQ(outcome->plan->join_nodes[outcome->plan->join_root].variant, 1);
   EXPECT_EQ(outcome->rows.TotalRows(), 20000u);
 }
 
@@ -187,15 +187,14 @@ TEST(EcoDb, JoinWithAggregateThroughFacade) {
   ASSERT_TRUE((*db)->Load("lineitem", tpch::GenerateLineitem(tconfig)).ok());
 
   optimizer::QuerySpec spec;
-  spec.left.name = "lineitem";
-  spec.left.variants = {*(*db)->table("lineitem")};
-  spec.left.columns = {"l_orderkey", "l_extendedprice"};
-  spec.right.emplace();
-  spec.right->name = "orders";
-  spec.right->variants = {*(*db)->table("orders")};
-  spec.right->columns = {"o_orderkey"};
-  spec.left_key = "l_orderkey";
-  spec.right_key = "o_orderkey";
+  spec.relations.resize(2);
+  spec.relations[0].name = "lineitem";
+  spec.relations[0].variants = {*(*db)->table("lineitem")};
+  spec.relations[0].columns = {"l_orderkey", "l_extendedprice"};
+  spec.relations[1].name = "orders";
+  spec.relations[1].variants = {*(*db)->table("orders")};
+  spec.relations[1].columns = {"o_orderkey"};
+  spec.edges = {{0, 1, "l_orderkey", "o_orderkey"}};
   exec::AggregateItem item;
   item.name = "revenue";
   item.func = exec::AggFunc::kSum;
@@ -281,7 +280,8 @@ TEST(EcoDb, CreateIndexEnablesIndexScanPath) {
   auto outcome = (*db)->Execute(spec, optimizer::Objective::Performance());
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->rows.TotalRows(), 1u);
-  EXPECT_EQ(outcome->plan->left_path, optimizer::AccessPath::kIndexScan);
+  EXPECT_EQ(outcome->plan->join_nodes[outcome->plan->join_root].path,
+            optimizer::AccessPath::kIndexScan);
 }
 
 TEST(EcoDb, CreateIndexRejectsNonIntegerColumns) {

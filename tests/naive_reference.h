@@ -8,9 +8,9 @@
 #define ECODB_TESTS_NAIVE_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,9 +50,16 @@ inline Rows Materialize(Operator* child, power::HardwarePlatform* platform) {
 }
 
 /// Orders two values of one column (the fields a type leaves unset are
-/// zero, so comparing all of them compares the one that is set).
+/// zero, so comparing all of them compares the one that is set). Doubles
+/// take ORDER BY's total order (DESIGN §7): NaN after every number and tied
+/// with every other NaN, -0.0 tied with +0.0.
 inline bool Less(const Value& a, const Value& b) {
-  return std::tie(a.i64, a.f64, a.str) < std::tie(b.i64, b.f64, b.str);
+  if (a.i64 != b.i64) return a.i64 < b.i64;
+  const bool a_nan = std::isnan(a.f64);
+  const bool b_nan = std::isnan(b.f64);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a.f64 != b.f64) return a.f64 < b.f64;
+  return a.str < b.str;
 }
 
 struct RowLess {

@@ -4,13 +4,18 @@
 // memory-power pricing (Section 4.1).
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/scan.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
+#include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 
@@ -21,6 +26,7 @@ using catalog::Column;
 using catalog::DataType;
 using catalog::Schema;
 using exec::Col;
+using exec::ExprPtr;
 using exec::Lit;
 
 class OptimizerTest : public ::testing::Test {
@@ -33,11 +39,13 @@ class OptimizerTest : public ::testing::Test {
                                                 platform_->meter());
   }
 
-  std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id,
-                                                   int n, int ndv) {
-    Schema schema({Column{"k", DataType::kInt64, 8},
-                   Column{"v", DataType::kInt64, 8},
-                   Column{"w", DataType::kDouble, 8}});
+  /// Columns `k` (i % ndv), `v` (i) and `w` (i / 2), each name prefixed
+  /// by `prefix` so two tables in one join can keep their names apart.
+  std::unique_ptr<storage::TableStorage> MakeTable(
+      catalog::TableId id, int n, int ndv, const std::string& prefix = "") {
+    Schema schema({Column{prefix + "k", DataType::kInt64, 8},
+                   Column{prefix + "v", DataType::kInt64, 8},
+                   Column{prefix + "w", DataType::kDouble, 8}});
     auto table = std::make_unique<storage::TableStorage>(
         id, schema, storage::TableLayout::kColumn, ssd_.get());
     std::vector<storage::ColumnData> cols(3);
@@ -129,11 +137,32 @@ TEST_F(OptimizerTest, SelectivityLiteralOnLeftNormalized) {
   auto table = MakeTable(1, 1000, 1000);
   catalog::TableStats stats;
   ASSERT_TRUE(table->AnalyzeInto(&stats).ok());
-  const double a = Planner::EstimateSelectivity(
-      Lit(int64_t{250}) > Col("v"), table->schema(), stats);
-  const double b = Planner::EstimateSelectivity(
-      Col("v") < Lit(int64_t{250}), table->schema(), stats);
-  EXPECT_NEAR(a, b, 1e-9);
+  // `lit op col` estimates exactly as the flipped `col op' lit`, for every
+  // comparison and inside a same-column band.
+  const ExprPtr lit = Lit(int64_t{250});
+  const ExprPtr hi = Lit(int64_t{600});
+  const std::vector<std::pair<ExprPtr, ExprPtr>> pairs = {
+      {lit > Col("v"), Col("v") < lit},
+      {lit >= Col("v"), Col("v") <= lit},
+      {lit < Col("v"), Col("v") > lit},
+      {lit <= Col("v"), Col("v") >= lit},
+      {lit == Col("v"), Col("v") == lit},
+      {lit != Col("v"), Col("v") != lit},
+      {exec::And(lit <= Col("v"), hi > Col("v")),
+       exec::And(Col("v") >= lit, Col("v") < hi)},
+  };
+  for (const auto& [left_literal, right_literal] : pairs) {
+    SCOPED_TRACE(left_literal->ToString());
+    EXPECT_EQ(Planner::EstimateSelectivity(left_literal, table->schema(),
+                                           stats),
+              Planner::EstimateSelectivity(right_literal, table->schema(),
+                                           stats));
+    int64_t lo_a = 0, hi_a = 0, lo_b = 0, hi_b = 0;
+    EXPECT_EQ(Planner::ExtractKeyRange(left_literal, "v", &lo_a, &hi_a),
+              Planner::ExtractKeyRange(right_literal, "v", &lo_b, &hi_b));
+    EXPECT_EQ(lo_a, lo_b);
+    EXPECT_EQ(hi_a, hi_b);
+  }
 }
 
 // --- Pricing -------------------------------------------------------------------
@@ -207,34 +236,37 @@ TEST_F(OptimizerTest, CompressionVariantFlipsWithObjective) {
   auto energy_plan = planner.ChoosePlan(spec, Objective::Energy());
   ASSERT_TRUE(energy_plan.ok());
 
-  EXPECT_EQ(perf_plan->left_variant, 1) << "performance picks compressed";
-  EXPECT_EQ(energy_plan->left_variant, 0) << "energy picks uncompressed";
+  EXPECT_EQ(perf_plan->join_nodes[perf_plan->join_root].variant, 1)
+      << "performance picks compressed";
+  EXPECT_EQ(energy_plan->join_nodes[energy_plan->join_root].variant, 0)
+      << "energy picks uncompressed";
 }
 
 // --- Plan choice: the Section 4.1 join flip --------------------------------------
 
 TEST_F(OptimizerTest, MemoryPowerPremiumFlipsHashJoinToAlternative) {
   auto big = MakeTable(1, 20000, 500);
-  auto small = MakeTable(2, 400, 400);
+  auto small = MakeTable(2, 400, 400, "s");
 
   QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {small.get()};
+  spec.relations[1].columns = {"sk"};
+  spec.edges = {{0, 1, "k", "sk"}};
+  auto root_algo = [](const PhysicalPlan& plan) {
+    return plan.join_nodes[plan.join_root].algo;
+  };
 
   // Cheap memory: hash join wins on both objectives.
   CostModel cheap = MakeModel(/*memory_premium=*/1.0);
   Planner planner_cheap(&cheap);
   auto plan_cheap = planner_cheap.ChoosePlan(spec, Objective::Energy());
   ASSERT_TRUE(plan_cheap.ok());
-  EXPECT_TRUE(plan_cheap->join_algo == JoinAlgorithm::kHash ||
-              plan_cheap->join_algo == JoinAlgorithm::kHashSwapped);
+  EXPECT_EQ(root_algo(*plan_cheap), JoinAlgorithm::kHash);
 
   // Price memory residency like a scarce, power-hungry resource: the
   // energy objective should abandon the hash table.
@@ -242,57 +274,156 @@ TEST_F(OptimizerTest, MemoryPowerPremiumFlipsHashJoinToAlternative) {
   Planner planner_dear(&dear);
   auto plan_dear = planner_dear.ChoosePlan(spec, Objective::Energy());
   ASSERT_TRUE(plan_dear.ok());
-  EXPECT_TRUE(plan_dear->join_algo == JoinAlgorithm::kMerge ||
-              plan_dear->join_algo == JoinAlgorithm::kNestedLoop)
-      << JoinAlgorithmName(plan_dear->join_algo);
+  EXPECT_TRUE(root_algo(*plan_dear) == JoinAlgorithm::kMerge ||
+              root_algo(*plan_dear) == JoinAlgorithm::kNestedLoop)
+      << JoinAlgorithmName(root_algo(*plan_dear));
 
   // Performance objective is indifferent to the premium.
   auto plan_perf = planner_dear.ChoosePlan(spec, Objective::Performance());
   ASSERT_TRUE(plan_perf.ok());
-  EXPECT_TRUE(plan_perf->join_algo == JoinAlgorithm::kHash ||
-              plan_perf->join_algo == JoinAlgorithm::kHashSwapped);
+  EXPECT_EQ(root_algo(*plan_perf), JoinAlgorithm::kHash);
 }
 
 // --- Built plans actually execute ------------------------------------------------
 
 TEST_F(OptimizerTest, AllJoinAlgorithmsBuildAndAgree) {
   auto big = MakeTable(1, 2000, 100);
-  auto small = MakeTable(2, 100, 100);
+  auto small = MakeTable(2, 100, 100, "s");
 
   QuerySpec spec;
-  spec.left.name = "big";
-  spec.left.variants = {big.get()};
-  spec.left.columns = {"k", "v"};
-  spec.right.emplace();
-  spec.right->name = "small";
-  spec.right->variants = {small.get()};
-  spec.right->columns = {"k"};
-  spec.left_key = "k";
-  spec.right_key = "k";
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {small.get()};
+  spec.relations[1].columns = {"sk"};
+  spec.edges = {{0, 1, "k", "sk"}};
 
   CostModel model = MakeModel();
   Planner planner(&model);
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
 
+  // Every algorithm, plus the hash join with its children swapped (build
+  // on big instead of small).
   size_t expected_rows = 0;
-  for (JoinAlgorithm algo :
-       {JoinAlgorithm::kHash, JoinAlgorithm::kHashSwapped,
-        JoinAlgorithm::kMerge, JoinAlgorithm::kNestedLoop}) {
-    PhysicalPlan plan;
-    plan.join_algo = algo;
+  for (int shape = 0; shape < 4; ++shape) {
+    PhysicalPlan plan = *canonical;
+    PlanJoinNode& join = plan.join_nodes[plan.join_root];
+    if (shape == 1) {
+      std::swap(join.left, join.right);
+      std::swap(join.left_key, join.right_key);
+    } else if (shape > 1) {
+      join.algo = shape == 2 ? JoinAlgorithm::kMerge
+                             : JoinAlgorithm::kNestedLoop;
+    }
+    const std::string desc = plan.Describe(spec);
     auto op = planner.BuildOperator(spec, plan);
-    ASSERT_TRUE(op.ok()) << JoinAlgorithmName(algo);
+    ASSERT_TRUE(op.ok()) << desc;
     exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
     auto rows = exec::CollectAll(op->get(), &ctx);
     ctx.Finish();
-    ASSERT_TRUE(rows.ok()) << JoinAlgorithmName(algo);
+    ASSERT_TRUE(rows.ok()) << desc;
     if (expected_rows == 0) {
       expected_rows = rows->TotalRows();
       EXPECT_GT(expected_rows, 0u);
     } else {
-      EXPECT_EQ(rows->TotalRows(), expected_rows)
-          << JoinAlgorithmName(algo);
+      EXPECT_EQ(rows->TotalRows(), expected_rows) << desc;
     }
   }
+}
+
+TEST_F(OptimizerTest, SharedColumnNameAcrossRelationsRejected) {
+  // big JOIN small ON k = sk, where both tables also hold a column `v`.
+  // Renaming one `v` would leave the name meaning whichever table the
+  // chosen plan put first, so the planner rejects the spec instead.
+  auto big = MakeTable(1, 200, 50);
+  Schema small_schema({Column{"sk", DataType::kInt64, 8},
+                       Column{"v", DataType::kInt64, 8}});
+  storage::TableStorage small(2, small_schema, storage::TableLayout::kColumn,
+                              ssd_.get());
+  std::vector<storage::ColumnData> cols(2);
+  cols[0].type = DataType::kInt64;
+  cols[1].type = DataType::kInt64;
+  for (int i = 0; i < 40; ++i) {
+    cols[0].i64.push_back(i);
+    cols[1].i64.push_back(-i);
+  }
+  ASSERT_TRUE(small.Append(cols).ok());
+
+  QuerySpec spec;
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {&small};
+  spec.relations[1].columns = {"sk", "v"};
+  spec.edges = {{0, 1, "k", "sk"}};
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  auto plan = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("'v'"), std::string::npos)
+      << plan.status().message();
+}
+
+TEST_F(OptimizerTest, ChosenCostSelfConsistentForLeafAlternatives) {
+  // PricePlan(spec, ChoosePlan(spec)) reproduces the chosen cost bit for
+  // bit when leaves carry variants and index paths: one relation with two
+  // variants, the same with an index, and that relation joined to another.
+  auto plain = MakeTable(1, 20000, 500);
+  auto packed = MakeTable(2, 20000, 500);
+  ASSERT_TRUE(
+      packed->SetCompression("v", storage::CompressionKind::kDelta).ok());
+  auto small = MakeTable(3, 400, 400, "s");
+  storage::BTreeIndex index;
+  for (int i = 0; i < 20000; ++i) index.Insert(i, static_cast<uint64_t>(i));
+
+  QuerySpec variants;
+  variants.left.name = "t";
+  variants.left.variants = {plain.get(), packed.get()};
+  variants.left.columns = {"k", "v"};
+
+  QuerySpec indexed = variants;
+  indexed.left.filter = exec::And(Col("v") >= Lit(int64_t{100}),
+                                  Col("v") < Lit(int64_t{140}));
+  indexed.left.index = &index;
+  indexed.left.index_column = "v";
+
+  QuerySpec joined;
+  joined.relations = {indexed.left, TableAlternatives{}};
+  joined.relations[1].name = "small";
+  joined.relations[1].variants = {small.get()};
+  joined.relations[1].columns = {"sk"};
+  joined.edges = {{0, 1, "k", "sk"}};
+  joined.group_by = {"sk"};
+  joined.aggregates.push_back({"n", exec::AggFunc::kCount, nullptr});
+
+  CostModel model = MakeModel(/*memory_premium=*/1e4);
+  PlannerOptions options;
+  options.dops = {1, 2, 4};
+  Planner planner(&model, options);
+  bool index_leaf_chosen = false;
+  for (const QuerySpec* spec : {&variants, &indexed, &joined}) {
+    for (const Objective& objective :
+         {Objective::Performance(), Objective::Balanced(1.0),
+          Objective::Energy()}) {
+      auto plan = planner.ChoosePlan(*spec, objective);
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      SCOPED_TRACE(plan->Describe(*spec));
+      auto repriced = planner.PricePlan(*spec, *plan);
+      ASSERT_TRUE(repriced.ok()) << repriced.status().message();
+      EXPECT_EQ(plan->cost.seconds, repriced->seconds);
+      EXPECT_EQ(plan->cost.joules, repriced->joules);
+      for (const PlanJoinNode& node : plan->join_nodes) {
+        if (node.path == AccessPath::kIndexScan) index_leaf_chosen = true;
+      }
+    }
+  }
+  EXPECT_TRUE(index_leaf_chosen) << "the narrow range should use the index";
 }
 
 TEST_F(OptimizerTest, FilteredPlanBuildsAndFilters) {
@@ -494,7 +625,9 @@ TEST_F(OptimizerTest, TopKPricingHasZeroSpillWhenKFitsBudget) {
 
   CostModel model = MakeModel();
   Planner planner(&model);
-  PhysicalPlan fused;
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
+  PhysicalPlan fused = *canonical;
   fused.use_topk = true;
   auto fused_cost = planner.PricePlan(spec, fused);
   ASSERT_TRUE(fused_cost.ok());
@@ -509,7 +642,7 @@ TEST_F(OptimizerTest, TopKPricingHasZeroSpillWhenKFitsBudget) {
   EXPECT_DOUBLE_EQ(fused_cost->joules, fused_no_device->joules);
 
   // The unfused plan spills all 50k rows; pricing must show it.
-  PhysicalPlan unfused;
+  PhysicalPlan unfused = *canonical;
   unfused.use_topk = false;
   auto unfused_cost = planner.PricePlan(spec, unfused);
   auto unfused_no_device = planner.PricePlan(no_spill, unfused);
@@ -582,15 +715,23 @@ TEST_F(OptimizerTest, MalformedSpecsRejected) {
   EXPECT_FALSE(planner.ChoosePlan(empty, Objective::Performance()).ok());
 
   auto table = MakeTable(1, 10, 10);
+  auto other = MakeTable(2, 10, 10, "o");
   QuerySpec bad_key;
-  bad_key.left.name = "t";
-  bad_key.left.variants = {table.get()};
-  bad_key.right.emplace();
-  bad_key.right->name = "t2";
-  bad_key.right->variants = {table.get()};
-  bad_key.left_key = "no_such";
-  bad_key.right_key = "k";
+  bad_key.relations.resize(2);
+  bad_key.relations[0].name = "t";
+  bad_key.relations[0].variants = {table.get()};
+  bad_key.relations[1].name = "t2";
+  bad_key.relations[1].variants = {other.get()};
+  bad_key.edges = {{0, 1, "no_such", "ok"}};
   EXPECT_FALSE(planner.ChoosePlan(bad_key, Objective::Performance()).ok());
+
+  // The one-relation shorthand and the relation list are exclusive.
+  QuerySpec both;
+  both.left.name = "t";
+  both.left.variants = {table.get()};
+  both.relations = {both.left};
+  EXPECT_EQ(planner.ChoosePlan(both, Objective::Performance()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(OptimizerTest, DescribeMentionsChoices) {
@@ -609,8 +750,8 @@ TEST_F(OptimizerTest, DescribeMentionsChoices) {
 
 // --- N-way join ordering -------------------------------------------------------
 
-/// Fixture addition: tables with per-relation column names (the N-way join
-/// graph requires unique names across relations).
+/// Fixture addition: tables with per-relation column names (the planner
+/// requires unique names across relations).
 class JoinOrderFlipTest : public OptimizerTest {
  protected:
   /// `big` (40k narrow rows) -- `mid` (10k narrow rows) -- `fat` (2k rows,
@@ -733,9 +874,9 @@ TEST_F(JoinOrderFlipTest, DescribeRendersFullJoinTree) {
   ASSERT_TRUE(plan.ok());
   const std::string desc = plan->Describe(spec);
   // All three scans and two join operators appear in one parenthesized tree.
-  EXPECT_NE(desc.find("seq-scan(big)"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("seq-scan(mid)"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("seq-scan(fat)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(big v0)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(mid v0)"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("seq-scan(fat v0)"), std::string::npos) << desc;
   EXPECT_NE(desc.find("("), std::string::npos) << desc;
 }
 

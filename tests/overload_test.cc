@@ -24,6 +24,7 @@
 #include "exec/sort_limit.h"
 #include "gtest/gtest.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "power/power_cap.h"
@@ -217,7 +218,9 @@ TEST(CancelExecTest, SharedScanFollowerAtDopTwoBillsNoTransfer) {
   spec.left.variants = {table.get()};
   optimizer::CostModel model(rig.platform.get(), {});
   optimizer::Planner planner(&model);
-  optimizer::PhysicalPlan plan;
+  auto canonical = optimizer::CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
+  optimizer::PhysicalPlan plan = *canonical;
   plan.dop = 2;
   auto follower_scan = planner.BuildOperator(spec, plan);
   ASSERT_TRUE(follower_scan.ok()) << follower_scan.status().message();

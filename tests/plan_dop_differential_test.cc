@@ -8,8 +8,8 @@
 //
 // Shapes: a filtered group-by aggregate; ORDER BY with and without spill;
 // ORDER BY + LIMIT through the fused top-k and through Sort + Limit; a
-// 2-way join in the legacy form; and the four TPC-H join graphs planned at
-// lambda 0 and 10.
+// two-relation join; and the four TPC-H join graphs planned at lambda 0 and
+// 10.
 
 #include <memory>
 #include <optional>
@@ -198,14 +198,13 @@ TEST_F(PlanDopDifferentialTest, LegacyTwoWayJoin) {
   auto lineitem = MakeLineitem(20000);
   auto parts = MakeParts();
   QuerySpec spec;
-  spec.left.name = "lineitem";
-  spec.left.variants = {lineitem.get()};
-  spec.left.filter = Col("id") < Lit(int64_t{15000});
-  spec.right = TableAlternatives{};
-  spec.right->name = "parts";
-  spec.right->variants = {parts.get()};
-  spec.left_key = "part";
-  spec.right_key = "pid";
+  spec.relations.resize(2);
+  spec.relations[0].name = "lineitem";
+  spec.relations[0].variants = {lineitem.get()};
+  spec.relations[0].filter = Col("id") < Lit(int64_t{15000});
+  spec.relations[1].name = "parts";
+  spec.relations[1].variants = {parts.get()};
+  spec.edges = {{0, 1, "part", "pid"}};
   spec.group_by = {"flag"};
   spec.aggregates.push_back({"w", exec::AggFunc::kSum, Col("weight")});
   ExpectDopInvariant(spec, Objective::Performance());
