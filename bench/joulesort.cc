@@ -1,7 +1,7 @@
 // JouleSort-style benchmark (Section 2.3 cites JouleSort [RSR+07]: "a
 // balanced energy-efficiency benchmark" measuring records sorted per Joule).
 //
-// The harness sorts a fixed record set through the engine's sort operators
+// The harness sorts a fixed record set through the engine's sort operator
 // and reports records/Joule across two sweeps:
 //
 //  1. Configuration sweep (SortOp at dop 1): in-memory vs external sorts
@@ -21,7 +21,6 @@
 #include "bench_util.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
-#include "exec/topk.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "storage/hdd.h"
@@ -127,8 +126,8 @@ struct TopKOutcome {
   bool sorted = true;
 };
 
-/// ORDER BY key LIMIT k through either the fused TopKOp or the unfused
-/// SortOp + LimitOp pair.
+/// ORDER BY key LIMIT k through either the fused top-k (SortOp with a
+/// limit) or the unfused SortOp + LimitOp pair.
 /// Both emit byte-identical rows; the fused path does O(n log k) work and
 /// only spills its k-row candidate set.
 TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
@@ -146,9 +145,9 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
   const std::vector<exec::SortKey> keys = {{"key", true}};
   exec::OperatorPtr root;
   if (fused) {
-    root = std::make_unique<exec::TopKOp>(
-        std::make_unique<exec::TableScanOp>(&table), keys, k, memory_budget,
-        &ssd);
+    root = std::make_unique<exec::SortOp>(
+        std::make_unique<exec::TableScanOp>(&table), keys, memory_budget,
+        &ssd, k);
   } else {
     root = std::make_unique<exec::LimitOp>(
         std::make_unique<exec::SortOp>(

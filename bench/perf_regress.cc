@@ -9,7 +9,7 @@
 //   - filter-scan rows/sec (the scan's fused exact filter over a seeded
 //     table);
 //   - Q1-style grouped aggregate (sum/sum-expression/count by key);
-//   - top-k (ORDER BY ... LIMIT via the bounded-heap operator).
+//   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit).
 //
 // Wall-clock portability: absolute seconds are machine-specific, so every
 // item's wall time is normalized by a calibration lane (reference scalar
@@ -45,7 +45,7 @@
 #include "bench_util.h"
 #include "exec/aggregate.h"
 #include "exec/scan.h"
-#include "exec/topk.h"
+#include "exec/sort_limit.h"
 #include "power/platform.h"
 #include "storage/compression.h"
 #include "storage/ssd.h"
@@ -324,10 +324,10 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
        }},
       {"topk",
        [&]() -> std::unique_ptr<exec::Operator> {
-         return std::make_unique<exec::TopKOp>(
+         return std::make_unique<exec::SortOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<exec::SortKey>{{"x", /*ascending=*/false}},
-             /*k=*/100);
+             UINT64_MAX, nullptr, /*limit=*/100);
        }},
   };
   for (const auto& q : query_cases) {

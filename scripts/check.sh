@@ -50,7 +50,14 @@ run ./build/bench/ablate_join_energy
 #     power-cap ladder engages, books balance at every load point).
 run ./build/bench/overload_sweep --smoke
 
-# 3d. The benchmark harness: its own tests, then a short run of each
+# 3d. JouleSort: the sort, dop and top-k sweeps exit 1 when their shape
+#     checks fail — among them, the fused top-k returns the Sort + Limit
+#     rows with dop-invariant charges, and at k <= 100 spills nothing and
+#     bills fewer Joules. The only harness running both ORDER BY paths at
+#     JouleSort scale (~3 s).
+run ./build/bench/joulesort
+
+# 3e. The benchmark harness: its own tests, then a short run of each
 #     workload. A run exits non-zero when an output check fails: both
 #     lambda plans return the same rows (join_graph), bills conserve and
 #     replay (serve_tpch), the sort output is sorted and complete

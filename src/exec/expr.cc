@@ -659,6 +659,38 @@ double Expr::InstructionsPerRow() const {
   return 1.0;
 }
 
+std::optional<ColumnCompare> NormalizeColumnCompare(const ExprPtr& e) {
+  if (e == nullptr || e->kind() != ExprKind::kCompare) return std::nullopt;
+  const ExprPtr& l = e->lhs();
+  const ExprPtr& r = e->rhs();
+  const bool col_lit =
+      l->kind() == ExprKind::kColumn && r->kind() == ExprKind::kLiteral;
+  const bool lit_col =
+      l->kind() == ExprKind::kLiteral && r->kind() == ExprKind::kColumn;
+  if (!col_lit && !lit_col) return std::nullopt;
+  ColumnCompare c{col_lit ? l->column_name() : r->column_name(),
+                  e->compare_op(), col_lit ? r->literal() : l->literal()};
+  if (lit_col) {
+    switch (c.op) {
+      case CompareOp::kLt:
+        c.op = CompareOp::kGt;
+        break;
+      case CompareOp::kLe:
+        c.op = CompareOp::kGe;
+        break;
+      case CompareOp::kGt:
+        c.op = CompareOp::kLt;
+        break;
+      case CompareOp::kGe:
+        c.op = CompareOp::kLe;
+        break;
+      default:
+        break;
+    }
+  }
+  return c;
+}
+
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kColumn:

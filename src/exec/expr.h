@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -145,6 +146,19 @@ class Expr {
 
 /// Collects every column name `expr` references into `out`.
 void CollectColumns(const ExprPtr& expr, std::set<std::string>* out);
+
+/// A comparison of one column against one literal, normalized so the column
+/// is on the left ("lit < col" becomes "col > lit").
+struct ColumnCompare {
+  std::string column;
+  CompareOp op = CompareOp::kEq;
+  Value literal;
+};
+
+/// The one column-vs-literal normalizer, shared by zone-map pruning and the
+/// planner's key-range, band and selectivity estimates; nothing for any
+/// other expression.
+std::optional<ColumnCompare> NormalizeColumnCompare(const ExprPtr& e);
 
 // Terse builder helpers for call sites:
 //   Col("price") > Lit(100.0), And(a, b) ...

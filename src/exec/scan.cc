@@ -112,38 +112,12 @@ std::vector<bool> ZoneBlocksMayMatch(const ExprPtr& e,
       return l;
     }
     case ExprKind::kCompare: {
-      const ExprPtr& lhs = e->lhs();
-      const ExprPtr& rhs = e->rhs();
-      const bool col_lit = lhs->kind() == ExprKind::kColumn &&
-                           rhs->kind() == ExprKind::kLiteral;
-      const bool lit_col = lhs->kind() == ExprKind::kLiteral &&
-                           rhs->kind() == ExprKind::kColumn;
-      if (!col_lit && !lit_col) return all;
-      const std::string& name =
-          col_lit ? lhs->column_name() : rhs->column_name();
-      const Value& lit = col_lit ? rhs->literal() : lhs->literal();
-      const int col = table.schema().FindColumn(name);
+      const std::optional<ColumnCompare> c = NormalizeColumnCompare(e);
+      if (!c.has_value()) return all;
+      const int col = table.schema().FindColumn(c->column);
       if (col < 0) return all;
-
-      CompareOp op = e->compare_op();
-      if (lit_col) {  // normalize "lit OP col" to "col OP' lit"
-        switch (op) {
-          case CompareOp::kLt:
-            op = CompareOp::kGt;
-            break;
-          case CompareOp::kLe:
-            op = CompareOp::kGe;
-            break;
-          case CompareOp::kGt:
-            op = CompareOp::kLt;
-            break;
-          case CompareOp::kGe:
-            op = CompareOp::kLe;
-            break;
-          default:
-            break;
-        }
-      }
+      const CompareOp op = c->op;
+      const Value& lit = c->literal;
 
       const catalog::DataType type = table.schema().column(col).type;
       std::vector<bool> out(n, true);

@@ -1,4 +1,5 @@
-// Morsel-driven external sort, and the Limit operator.
+// Morsel-driven external sort with an optional limit, and the Limit
+// operator.
 //
 // SortOp implements the two classical external-sort phases morsel-parallel,
 // after the run-formation/merge structure of Leis et al. (SIGMOD 2014) and
@@ -7,18 +8,26 @@
 //
 //  1. Run formation — when the child is a MorselSource, workers claim
 //     zone-block-aligned morsels from the query's WorkerPool ticket and
-//     sort each morsel into an independent sorted run (stable within the
+//     turn each morsel into an independent sorted run (stable within the
 //     run). Runs are indexed by morsel, so the set of runs is a pure
 //     function of the table, the filter, and ExecOptions::morsel_rows —
 //     never of dop or scheduling. Any other child (a join, a filter, an
-//     aggregate) is drained into one run; the child's type selects the
-//     branch, never the dop.
+//     aggregate) streams batch by batch into one run; the child's type
+//     selects the branch, never the dop.
 //  2. Parallel multiway merge — the coordinator picks key splitters from a
 //     deterministic sample of the sorted runs, range-partitions every run
 //     by those splitters, and workers merge one partition each. Ties are
 //     broken by (run index, position in run), which equals the input's
 //     global order, so the concatenated partitions are byte-identical to a
 //     stable sort of the input.
+//
+// ORDER BY + LIMIT fusion (DESIGN.md §8): with a limit k, each run streams
+// its rows through a bounded heap and keeps only its first k (O(n log k)
+// modeled comparisons, an O(k) working set per heap), and the merge stops
+// after the first k rows. The paper's thesis is doing the same work with
+// fewer Joules; a full external sort that spills every row only to discard
+// all but k is exactly the waste it targets. The limited sort emits rows
+// byte-identical to the unlimited one followed by LimitOp(k).
 //
 // Determinism contract (DESIGN.md §7): results, run boundaries, splitters,
 // and all modeled charges are dop-invariant. Workers never touch the
@@ -28,7 +37,7 @@
 // partition merges divide across cores; splitter selection and partition
 // stitching are charged serial per Amdahl) and thereby the energy window.
 //
-// Spill accounting: when the materialized input exceeds
+// Spill accounting: when the rows the runs keep exceed
 // `memory_budget_bytes` and a spill device is configured, every run is
 // billed a sequential write when it forms and a sequential read when the
 // merge consumes it — per-run charges on the device's own timeline, settled
@@ -37,7 +46,10 @@
 #ifndef ECODB_EXEC_SORT_LIMIT_H_
 #define ECODB_EXEC_SORT_LIMIT_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,29 +63,36 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Three-way comparison of row `ra` of `a` against row `rb` of `b` on the
-/// sort keys (`key_idx[i]` is keys[i]'s column index in both schemas).
-/// The sign follows the sort direction; ties return 0 — callers break them
-/// by input position so every sort path is stable the same way. Doubles
-/// compare in a total order: NaN after every number (so ASC puts NaNs last
-/// and DESC first), NaNs tied among themselves, -0.0 tied with +0.0. Shared by
-/// SortOp and TopKOp so one comparison semantics backs every ordering
-/// operator.
-int CompareRowsOnKeys(const RecordBatch& a, size_t ra, const RecordBatch& b,
-                      size_t rb, const std::vector<SortKey>& keys,
-                      const std::vector<int>& key_idx);
+/// Modeled comparison instructions for `rows` rows each climbing a
+/// log2(`fan_in`) ladder: run formation (fan_in = run rows) and the merge
+/// (fan_in = run count). Shared with CostModel::SortDemand so the planner
+/// prices exactly what SortOp charges.
+inline double SortLadderInstructions(const CostConstants& c, double rows,
+                                     double fan_in, double num_keys) {
+  return c.sort_per_row_log_row * rows * std::log2(fan_in) * num_keys;
+}
 
-/// Resolves `keys` against `schema` into column indexes, or NotFound for a
-/// missing sort column.
-Status ResolveSortKeys(const catalog::Schema& schema,
-                       const std::vector<SortKey>& keys,
-                       std::vector<int>* key_idx);
+/// Modeled comparison instructions for streaming `rows` rows through a
+/// bounded heap of `k` rows: every row pays one compare against the heap
+/// root plus a log2(k) sift ladder. At k = n this approaches the full
+/// sort's n·log2(n); at k = 1 it degenerates to a linear min-scan. Shared
+/// with CostModel::SortDemand like SortLadderInstructions.
+inline double TopKCompareInstructions(const CostConstants& c, double rows,
+                                      double k, double num_keys) {
+  if (rows <= 0.0 || k <= 0.0) return 0.0;
+  const double k_eff = std::min(rows, k);
+  return c.sort_per_row_log_row * rows *
+         (1.0 + std::log2(std::max(1.0, k_eff))) * num_keys;
+}
 
+/// The child's rows in stable order on `keys`; with `limit`, only the first
+/// `*limit` of them.
 class SortOp final : public Operator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys,
          uint64_t memory_budget_bytes = UINT64_MAX,
-         storage::StorageDevice* spill_device = nullptr);
+         storage::StorageDevice* spill_device = nullptr,
+         std::optional<size_t> limit = std::nullopt);
 
   const catalog::Schema& output_schema() const override {
     return child_->output_schema();
@@ -82,28 +101,41 @@ class SortOp final : public Operator {
   Status Next(RecordBatch* out, bool* eos) override;
   void Close() override;
 
-  /// True when the last Open's input exceeded the memory budget and its
+  /// True when the last Open's kept rows exceeded the memory budget and its
   /// runs were billed to the spill device.
   bool spilled() const { return spilled_; }
-  /// Sorted runs formed (valid after Open; dop-invariant).
+  /// Non-empty sorted runs formed (valid after Open; dop-invariant).
   size_t num_runs() const { return num_runs_; }
   /// Merge partitions produced by splitter range-partitioning (valid after
   /// Open; dop-invariant).
   size_t merge_partitions() const { return num_partitions_; }
 
  private:
-  /// Sorts `batch`'s rows stably by keys_ into `run`.
-  Status SortRun(const RecordBatch& batch, RecordBatch* run) const;
-  /// Forms runs_ (one per morsel, or one for a drained child).
+  /// One sorted run: its kept rows in output order (under a limit, at most
+  /// k), and the input rows it was formed from (for charging).
+  struct Run {
+    RecordBatch rows;
+    uint64_t rows_in = 0;
+  };
+  /// Turns the rows offered to it, in input order, into one Run.
+  class RunBuilder;
+
+  /// Forms runs_ (one per morsel, or one streamed from the child).
   Status FormRuns();
-  /// Settles DRAM + per-run spill charges (coordinator, run order).
+  /// Settles formation instructions + DRAM + per-run spill writes
+  /// (coordinator, run order).
   Status SettleRunCharges();
-  /// Range-partitions runs_ by sampled splitters and merges partitions
-  /// across the pool into partitions_.
+  /// Reads spilled runs back, then range-partitions runs_ by sampled
+  /// splitters and merges the partitions across the pool into partitions_,
+  /// keeping the first k rows under a limit.
   Status MergeRuns();
 
-  /// Three-way row comparison on the sort keys (sign follows sort order;
-  /// ties return 0 — callers break them by (run, position)).
+  /// Three-way comparison of row `ra` of `a` against row `rb` of `b` on the
+  /// sort keys. The sign follows the sort direction; ties return 0 —
+  /// callers break them by input position, so every path is stable the same
+  /// way. Doubles compare in a total order: NaN after every number (so ASC
+  /// puts NaNs last and DESC first), NaNs tied among themselves, -0.0 tied
+  /// with +0.0.
   int CompareRows(const RecordBatch& a, size_t ra, const RecordBatch& b,
                   size_t rb) const;
 
@@ -111,13 +143,13 @@ class SortOp final : public Operator {
   std::vector<SortKey> keys_;
   uint64_t memory_budget_bytes_;
   storage::StorageDevice* spill_device_;
+  std::optional<size_t> limit_;
 
   std::vector<int> key_idx_;
-  std::vector<RecordBatch> runs_;        // sorted, in morsel order
+  std::vector<Run> runs_;                // non-empty, in morsel order
   std::vector<RecordBatch> partitions_;  // merged output, in key order
   size_t num_runs_ = 0;
   size_t num_partitions_ = 0;
-  uint64_t total_bytes_ = 0;
   bool spilled_ = false;
   // Spill-billing watermarks (DESIGN.md §8): runs re-form identically when
   // Open is retried after a mid-query error, so these survive the retry and

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/topk.h"
+#include "exec/sort_limit.h"
 
 namespace ecodb::optimizer {
 
@@ -47,35 +47,34 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
   const double runs = std::max(1.0, std::ceil(rows / run_rows));
   const double per_run = std::min(rows, run_rows);
   if (limit_rows >= 0.0) {
-    // Fused top-k (mirrors TopKOp's charges). Formation:
-    // every row pays the bounded heap's 1 + log2(min(run, k)) ladder,
-    // divided across workers. Merge: the coordinator's comparison ladder
-    // over the ≤ runs·k candidates plus the k-row emission are serial. At
-    // k ≈ n the merge ladder covers all n rows serially — strictly worse
-    // than the full sort's parallel merge — so the planner's fallback to
-    // Sort + Limit holds by construction.
+    // SortOp under a limit, through the charge formulas it bills.
+    // Formation: every row pays the bounded heap's 1 + log2(min(run, k))
+    // ladder, divided across workers. Merge: the comparison ladder over the
+    // ≤ runs·k candidates plus the k-row emission are serial. At k ≈ n the
+    // merge ladder covers all n rows serially — strictly worse than the full
+    // sort's parallel merge — so the planner's fallback to Sort + Limit
+    // holds by construction.
     const double k_eff = std::min(rows, std::max(0.0, limit_rows));
     const double k_run = std::min(per_run, k_eff);
     demand.cpu_instructions +=
         exec::TopKCompareInstructions(k, rows, k_run, keys);
     if (runs > 1.0) {
-      const double candidates = runs * k_run;
       demand.serial_cpu_instructions +=
-          k.sort_per_row_log_row * candidates * std::log2(runs) * keys +
+          exec::SortLadderInstructions(k, runs * k_run, runs, keys) +
           k.output_per_row * k_eff;
     }
     return demand;
   }
   // Run formation: each run's n·log2(n) ladder, divided across workers.
   demand.cpu_instructions +=
-      k.sort_per_row_log_row * rows * std::log2(per_run) * keys;
+      exec::SortLadderInstructions(k, rows, per_run, keys);
   if (runs > 1.0) {
     // Merge fan-in: the log2(R) comparison ladder parallelizes across range
     // partitions; splitter selection and stitching stay on the coordinator.
     // Note log2(per_run) + log2(runs) ~= log2(rows): total comparison work
     // matches the classic serial n·log2(n) — only its Amdahl split changes.
     demand.cpu_instructions +=
-        k.sort_per_row_log_row * rows * std::log2(runs) * keys;
+        exec::SortLadderInstructions(k, rows, runs, keys);
     demand.serial_cpu_instructions += k.output_per_row * rows;
   }
   return demand;

@@ -27,7 +27,7 @@
 #include "exec/index_scan.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
-#include "exec/topk.h"
+#include "exec/sort_limit.h"
 
 namespace ecodb::optimizer {
 
@@ -461,29 +461,18 @@ void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
     }
     const double budget =
         static_cast<double>(spec.sort_memory_budget_bytes);
-    if (use_topk && spec.limit.has_value()) {
-      // Fused top-k: O(n log k) comparisons, and only the k-row candidate
-      // set is held (and, if even that overflows the budget, spilled) —
-      // zero spill bytes whenever k rows fit the budget.
-      const double limit_rows = static_cast<double>(*spec.limit);
-      demand->Merge(model.SortDemand(n, spec.order_by.size(), limit_rows));
-      const double kept_bytes = std::min(n, limit_rows) * width;
-      demand->dram_traffic_bytes +=
-          static_cast<uint64_t>(std::min(kept_bytes, budget));
-      if (spec.sort_spill_device != nullptr && kept_bytes > budget) {
-        demand->device_bytes[spec.sort_spill_device] +=
-            static_cast<uint64_t>(2.0 * kept_bytes);
-      }
-    } else {
-      demand->Merge(model.SortDemand(n, spec.order_by.size()));
-      const double sort_bytes = n * width;
-      demand->dram_traffic_bytes +=
-          static_cast<uint64_t>(std::min(sort_bytes, budget));
-      if (spec.sort_spill_device != nullptr && sort_bytes > budget) {
-        // External spill: every run is written once and read back once.
-        demand->device_bytes[spec.sort_spill_device] +=
-            static_cast<uint64_t>(2.0 * sort_bytes);
-      }
+    // A fused top-k does O(n log k) comparisons and holds only its k kept
+    // rows, so it spills none whenever they fit the budget.
+    const bool fused = use_topk && spec.limit.has_value();
+    const double limit_rows = fused ? static_cast<double>(*spec.limit) : -1.0;
+    demand->Merge(model.SortDemand(n, spec.order_by.size(), limit_rows));
+    const double kept_bytes = (fused ? std::min(n, limit_rows) : n) * width;
+    demand->dram_traffic_bytes +=
+        static_cast<uint64_t>(std::min(kept_bytes, budget));
+    if (spec.sort_spill_device != nullptr && kept_bytes > budget) {
+      // External spill: every kept row is written once and read back once.
+      demand->device_bytes[spec.sort_spill_device] +=
+          static_cast<uint64_t>(2.0 * kept_bytes);
     }
   }
 }
@@ -894,20 +883,17 @@ exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
         std::move(root), spec.group_by, spec.aggregates);
   }
 
-  bool limit_applied = false;
+  // A fused top-k is the sort's own limit; otherwise LimitOp cuts the
+  // output.
+  const bool fused =
+      !spec.order_by.empty() && plan.use_topk && spec.limit.has_value();
   if (!spec.order_by.empty()) {
-    if (plan.use_topk && spec.limit.has_value()) {
-      root = std::make_unique<exec::TopKOp>(
-          std::move(root), spec.order_by, static_cast<size_t>(*spec.limit),
-          spec.sort_memory_budget_bytes, spec.sort_spill_device);
-      limit_applied = true;
-    } else {
-      root = std::make_unique<exec::SortOp>(std::move(root), spec.order_by,
-                                            spec.sort_memory_budget_bytes,
-                                            spec.sort_spill_device);
-    }
+    root = std::make_unique<exec::SortOp>(
+        std::move(root), spec.order_by, spec.sort_memory_budget_bytes,
+        spec.sort_spill_device,
+        fused ? std::optional<size_t>(*spec.limit) : std::nullopt);
   }
-  if (spec.limit.has_value() && !limit_applied) {
+  if (spec.limit.has_value() && !fused) {
     root = std::make_unique<exec::LimitOp>(
         std::move(root), static_cast<size_t>(*spec.limit));
   }

@@ -6,8 +6,10 @@
 
 namespace ecodb::optimizer {
 
+using exec::ColumnCompare;
 using exec::ExprKind;
 using exec::ExprPtr;
+using exec::NormalizeColumnCompare;
 
 const char* AccessPathName(AccessPath path) {
   switch (path) {
@@ -32,48 +34,6 @@ const char* JoinAlgorithmName(JoinAlgorithm algo) {
 }
 
 namespace {
-
-/// A comparison of one column against one literal, normalized so the column
-/// is on the left ("lit < col" becomes "col > lit").
-struct ColumnCompare {
-  std::string column;
-  exec::CompareOp op = exec::CompareOp::kEq;
-  exec::Value literal;
-};
-
-/// The one column-vs-literal normalizer the key-range, band and selectivity
-/// estimates share; nothing for any other expression.
-std::optional<ColumnCompare> NormalizeColumnCompare(const ExprPtr& e) {
-  if (e == nullptr || e->kind() != ExprKind::kCompare) return std::nullopt;
-  const ExprPtr& l = e->lhs();
-  const ExprPtr& r = e->rhs();
-  const bool col_lit =
-      l->kind() == ExprKind::kColumn && r->kind() == ExprKind::kLiteral;
-  const bool lit_col =
-      l->kind() == ExprKind::kLiteral && r->kind() == ExprKind::kColumn;
-  if (!col_lit && !lit_col) return std::nullopt;
-  ColumnCompare c{col_lit ? l->column_name() : r->column_name(),
-                  e->compare_op(), col_lit ? r->literal() : l->literal()};
-  if (lit_col) {
-    switch (c.op) {
-      case exec::CompareOp::kLt:
-        c.op = exec::CompareOp::kGt;
-        break;
-      case exec::CompareOp::kLe:
-        c.op = exec::CompareOp::kGe;
-        break;
-      case exec::CompareOp::kGt:
-        c.op = exec::CompareOp::kLt;
-        break;
-      case exec::CompareOp::kGe:
-        c.op = exec::CompareOp::kLe;
-        break;
-      default:
-        break;
-    }
-  }
-  return c;
-}
 
 bool IsRangeOp(exec::CompareOp op) {
   return op == exec::CompareOp::kLt || op == exec::CompareOp::kLe ||

@@ -93,7 +93,7 @@ struct QuerySpec {
   storage::StorageDevice* sort_spill_device = nullptr;
   /// Optional LIMIT on the final output. With order_by present the planner
   /// also enumerates fusing ORDER BY + LIMIT into a bounded-heap top-k
-  /// (TopKOp) and picks it when priced cheaper — typically
+  /// (SortOp's limit) and picks it when priced cheaper — typically
   /// small k, where it saves O(n log n) comparisons and all spill I/O —
   /// falling back to Sort + Limit otherwise (k ≈ n). Both paths emit
   /// byte-identical rows.

@@ -1,6 +1,6 @@
 // Differential test harness for plan equivalence: randomized ORDER BY +
-// LIMIT specs executed through the fused top-k operator AND through
-// Sort + Limit, at dop 1/2/4/8.
+// LIMIT specs executed through the fused top-k (SortOp with a limit) AND
+// through Sort + Limit, at dop 1/2/4/8.
 //
 // The oracle is a naive stable sort of the table's rows followed by the
 // first k — the semantics the planner's fusion must preserve. For every
@@ -26,7 +26,6 @@
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
-#include "exec/topk.h"
 #include "power/platform.h"
 #include "storage/fault_injector.h"
 #include "storage/ssd.h"
@@ -197,18 +196,18 @@ class DifferentialTopKTest : public ::testing::Test {
               std::min<size_t>(c.k, static_cast<size_t>(c.n)));
 
     // The streamed branch: a FilterOp child is not a MorselSource.
-    TopKOp streamed(std::make_unique<FilterOp>(
+    SortOp streamed(std::make_unique<FilterOp>(
                         std::make_unique<TableScanOp>(table.get()),
                         Col("payload") >= Lit(int64_t{0})),
-                    c.keys, c.k, c.budget, spill);
-    EXPECT_EQ(Run(&streamed, 1).rows, expected) << "streamed TopKOp";
+                    c.keys, c.budget, spill, c.k);
+    EXPECT_EQ(Run(&streamed, 1).rows, expected) << "streamed limited sort";
 
     // Both operators over the morsel scan across the dop ladder.
     std::optional<QueryStats> topk_base, sort_base;
     for (int dop : {1, 2, 4, 8}) {
       SCOPED_TRACE("dop=" + std::to_string(dop));
-      TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
-                  c.budget, spill);
+      SortOp topk(std::make_unique<TableScanOp>(table.get()), c.keys,
+                  c.budget, spill, c.k);
       const RunOutcome t = Run(&topk, dop);
       EXPECT_EQ(t.rows, expected);
       if (!topk_base.has_value()) {
@@ -279,9 +278,9 @@ TEST_F(DifferentialTopKTest, SpillingTopKStillMatchesOracle) {
 TEST_F(DifferentialTopKTest, NaNDoubleKeysSortInOneTotalOrder) {
   // ORDER BY a double key holding NaN, ±0.0 and ±inf: NaN sorts after
   // every number (ASC puts NaNs last, DESC first), NaNs tie among
-  // themselves and -0.0 ties +0.0, ties keeping input order. SortOp and
-  // TopKOp over a morsel scan at dop 1 and 8 and over a FilterOp child
-  // must all emit the oracle's rows.
+  // themselves and -0.0 ties +0.0, ties keeping input order. SortOp with
+  // and without a limit, over a morsel scan at dop 1 and 8 and over a
+  // FilterOp child, must emit the oracle's rows.
   constexpr int kRows = 6000;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -355,13 +354,13 @@ TEST_F(DifferentialTopKTest, NaNDoubleKeysSortInOneTotalOrder) {
       SortOp sort(make_child(), keys);
       EXPECT_EQ(payloads(Run(&sort, child.dop).rows), expected) << "SortOp";
       for (size_t k : {size_t{100}, size_t{kRows + 10}}) {
-        TopKOp topk(make_child(), keys, k);
+        SortOp topk(make_child(), keys, UINT64_MAX, nullptr, k);
         const std::vector<int64_t> want(
             expected.begin(),
             expected.begin() + static_cast<std::ptrdiff_t>(
                                    std::min<size_t>(k, expected.size())));
         EXPECT_EQ(payloads(Run(&topk, child.dop).rows), want)
-            << "TopKOp k=" << k;
+            << "limited SortOp k=" << k;
       }
     }
   }
@@ -399,8 +398,8 @@ TEST_F(DifferentialTopKTest, FaultPlanCaseMatchesOracleWithIdenticalRetries) {
     plan.devices.push_back(spec);
     ArmFaultPlan(plan);
     auto table = MakeTable(c);
-    TopKOp topk(std::make_unique<TableScanOp>(table.get()), c.keys, c.k,
-                c.budget, device());
+    SortOp topk(std::make_unique<TableScanOp>(table.get()), c.keys,
+                c.budget, device(), c.k);
     return Run(&topk, dop);
   };
 

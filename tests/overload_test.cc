@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,30 +114,19 @@ TEST(CancelExecTest, DeadlineAtStartKillsBeforeAnyCharge) {
 }
 
 TEST(CancelExecTest, KillMidSpillBillsSpillBytesExactlyOnce) {
-  // Three identically-constructed rigs: a clean external sort, a bare scan
-  // (to price the table read alone), and a sort killed mid-flight then
-  // retried. The spill watermarks guarantee the retry never re-bills bytes
-  // the device already moved, so the killed run's total I/O must exceed the
-  // clean run's by exactly one extra table read — nothing more.
-  exec::QueryStats clean;
-  {
-    ExecRig rig;
-    auto table = rig.MakeOrders(10000);
-    exec::SortOp sort(std::make_unique<exec::TableScanOp>(table.get()),
-                      {{"id", true}}, /*memory_budget_bytes=*/1024,
-                      rig.ssd.get());
-    exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
-    auto result = exec::CollectAll(&sort, &ctx);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(sort.spilled());
-    clean = ctx.Finish();
-    ASSERT_GT(clean.io_bytes, 0u);
-  }
-
+  // Identically-constructed rigs: a bare scan (to price the table read
+  // alone), and per input a clean external sort and sorts killed mid-flight
+  // then retried. The spill watermarks guarantee the retry never re-bills
+  // bytes the device already moved, so a killed run's total I/O must exceed
+  // the clean run's by exactly one extra table read — nothing more. The
+  // inputs are the full sort and a sort limited to k = n rows, whose
+  // candidate runs spill over the same 1 KiB budget; each is killed at
+  // several points of its clean run.
+  constexpr int kRows = 10000;
   uint64_t scan_only_bytes = 0;
   {
     ExecRig rig;
-    auto table = rig.MakeOrders(10000);
+    auto table = rig.MakeOrders(kRows);
     exec::TableScanOp scan(table.get());
     exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
     ASSERT_TRUE(exec::CollectAll(&scan, &ctx).ok());
@@ -144,30 +134,53 @@ TEST(CancelExecTest, KillMidSpillBillsSpillBytesExactlyOnce) {
     ASSERT_GT(scan_only_bytes, 0u);
   }
 
-  ExecRig rig;
-  auto table = rig.MakeOrders(10000);
-  exec::SortOp sort(std::make_unique<exec::TableScanOp>(table.get()),
-                    {{"id", true}}, /*memory_budget_bytes=*/1024,
-                    rig.ssd.get());
-  exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
-  exec::CancelToken token;
-  token.deadline_s =
-      clean.start_time + 0.9 * (clean.end_time - clean.start_time);
-  ctx.set_cancel_token(token);
+  for (const std::optional<size_t> limit :
+       {std::optional<size_t>(), std::optional<size_t>(kRows)}) {
+    SCOPED_TRACE(limit.has_value() ? "limited sort" : "full sort");
+    exec::QueryStats clean;
+    {
+      ExecRig rig;
+      auto table = rig.MakeOrders(kRows);
+      exec::SortOp sort(std::make_unique<exec::TableScanOp>(table.get()),
+                        {{"id", true}}, /*memory_budget_bytes=*/1024,
+                        rig.ssd.get(), limit);
+      exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
+      auto result = exec::CollectAll(&sort, &ctx);
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(sort.spilled());
+      clean = ctx.Finish();
+      ASSERT_GT(clean.io_bytes, 0u);
+    }
 
-  auto killed = exec::CollectAll(&sort, &ctx);
-  ASSERT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(sort.spilled());
+    for (const double at : {0.5, 0.7, 0.9, 0.99}) {
+      SCOPED_TRACE("deadline at " + std::to_string(at) + " of the clean run");
+      ExecRig rig;
+      auto table = rig.MakeOrders(kRows);
+      exec::SortOp sort(std::make_unique<exec::TableScanOp>(table.get()),
+                        {{"id", true}}, /*memory_budget_bytes=*/1024,
+                        rig.ssd.get(), limit);
+      exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
+      exec::CancelToken token;
+      token.deadline_s =
+          clean.start_time + at * (clean.end_time - clean.start_time);
+      ctx.set_cancel_token(token);
 
-  // Lift the deadline and retry the same operator on the same context.
-  ctx.set_cancel_token(exec::CancelToken{});
-  auto retried = exec::CollectAll(&sort, &ctx);
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(retried->TotalRows(), 10000u);
+      auto killed = exec::CollectAll(&sort, &ctx);
+      ASSERT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_TRUE(sort.spilled());
 
-  // One extra table read; every spill byte written and merged exactly once.
-  const exec::QueryStats stats = ctx.Finish();
-  EXPECT_EQ(stats.io_bytes, clean.io_bytes + scan_only_bytes);
+      // Lift the deadline and retry the same operator on the same context.
+      ctx.set_cancel_token(exec::CancelToken{});
+      auto retried = exec::CollectAll(&sort, &ctx);
+      ASSERT_TRUE(retried.ok());
+      EXPECT_EQ(retried->TotalRows(), static_cast<size_t>(kRows));
+
+      // One extra table read; every spill byte written and merged exactly
+      // once.
+      const exec::QueryStats stats = ctx.Finish();
+      EXPECT_EQ(stats.io_bytes, clean.io_bytes + scan_only_bytes);
+    }
+  }
 }
 
 TEST(CancelExecTest, SharedScanFollowerKillLeavesLeaderTransferBilledOnce) {

@@ -1,4 +1,4 @@
-// Edge-case tests for the top-k operator (TopKOp) and LimitOp: limit 0,
+// Edge-case tests for the top-k (SortOp with a limit) and LimitOp: limit 0,
 // limit > n, limits straddling batch boundaries, empty children, all-equal
 // keys (stability), missing sort columns, and exactly-once spill accounting
 // across Open retries. Rows are checked against a naive stable sort, and
@@ -14,7 +14,6 @@
 #include "exec/operator.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
-#include "exec/topk.h"
 #include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -111,7 +110,7 @@ std::vector<SortKey> KeyAsc() { return {{"key", true}}; }
 TEST_F(TopKTest, LimitZeroEmitsNothing) {
   auto table = MakeTable(500, 17);
   for (const bool morsels : {true, false}) {
-    TopKOp topk(Child(table.get(), morsels), KeyAsc(), 0);
+    SortOp topk(Child(table.get(), morsels), KeyAsc(), UINT64_MAX, nullptr, 0);
     EXPECT_TRUE(Run(&topk, 4, 4096, 128).rows.empty())
         << "morsels=" << morsels;
   }
@@ -127,7 +126,8 @@ TEST_F(TopKTest, LimitGreaterThanInputReturnsFullSortedOutput) {
 
   for (const bool morsels : {true, false}) {
     for (int dop : {1, 4}) {
-      TopKOp topk(Child(table.get(), morsels), KeyAsc(), 5000);
+      SortOp topk(Child(table.get(), morsels), KeyAsc(), UINT64_MAX, nullptr,
+                  5000);
       EXPECT_EQ(Run(&topk, dop, 4096, 64).rows, expected)
           << "morsels=" << morsels << " dop=" << dop;
     }
@@ -151,7 +151,8 @@ TEST_F(TopKTest, LimitStraddlingBatchBoundaries) {
     EXPECT_EQ(Run(&sorted, 1, /*batch_rows=*/100).rows, expected)
         << "k=" << k;
     for (const bool morsels : {true, false}) {
-      TopKOp topk(Child(table.get(), morsels), KeyAsc(), k);
+      SortOp topk(Child(table.get(), morsels), KeyAsc(), UINT64_MAX, nullptr,
+                  k);
       EXPECT_EQ(Run(&topk, 4, /*batch_rows=*/100, 128).rows, expected)
           << "k=" << k << " morsels=" << morsels;
     }
@@ -161,9 +162,9 @@ TEST_F(TopKTest, LimitStraddlingBatchBoundaries) {
 TEST_F(TopKTest, EmptyChildYieldsEmptyOutput) {
   auto table = MakeTable(200, 13);
   for (const bool morsels : {true, false}) {
-    TopKOp topk(
+    SortOp topk(
         Child(table.get(), morsels, Col("payload") < Lit(int64_t{-1})),
-        KeyAsc(), 10);
+        KeyAsc(), UINT64_MAX, nullptr, 10);
     const RunOutcome got = Run(&topk, 4, 4096, 64);
     EXPECT_TRUE(got.rows.empty()) << "morsels=" << morsels;
     EXPECT_EQ(topk.num_runs(), 0u);
@@ -177,7 +178,8 @@ TEST_F(TopKTest, AllEqualKeysKeepFirstKInputRows) {
   const size_t k = 25;
   for (const bool morsels : {true, false}) {
     for (int dop : {1, 2, 4, 8}) {
-      TopKOp topk(Child(table.get(), morsels), KeyAsc(), k);
+      SortOp topk(Child(table.get(), morsels), KeyAsc(), UINT64_MAX, nullptr,
+                  k);
       const RunOutcome got = Run(&topk, dop, 4096, 128);
       ASSERT_EQ(got.rows.size(), k);
       for (size_t r = 0; r < k; ++r) {
@@ -192,9 +194,9 @@ TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
   auto table = MakeTable(600, 19);
   // FilterOp is not a MorselSource, so the operator streams the whole input
   // through one heap into one candidate run.
-  TopKOp topk(Child(table.get(), /*morsels=*/false,
+  SortOp topk(Child(table.get(), /*morsels=*/false,
                     Col("payload") < Lit(int64_t{400})),
-              KeyAsc(), 30);
+              KeyAsc(), UINT64_MAX, nullptr, 30);
   const RunOutcome got = Run(&topk, 4);
   EXPECT_EQ(topk.num_runs(), 1u);
   ASSERT_EQ(got.rows.size(), 30u);
@@ -203,10 +205,31 @@ TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
   }
 }
 
+TEST_F(TopKTest, LimitedMergeBillsItsLadderAndEmissionSerially) {
+  // Under a limit the merge bills its log2(runs) ladder over every
+  // candidate row plus the k-row emission serially, where the full sort
+  // bills its ladder parallel. The scan bills no serial work, so the serial
+  // core-seconds are the merge's alone: runs·k candidates, k emitted.
+  auto table = MakeTable(5000, 101);
+  const size_t k = 10;
+  SortOp topk(Child(table.get(), /*morsels=*/true), KeyAsc(), UINT64_MAX,
+              nullptr, k);
+  const RunOutcome got = Run(&topk, 4, 4096, 1024);
+  ASSERT_GT(topk.num_runs(), 1u);
+  const CostConstants c;
+  const double runs = static_cast<double>(topk.num_runs());
+  const double serial =
+      SortLadderInstructions(c, runs * static_cast<double>(k), runs, 1.0) +
+      c.output_per_row * static_cast<double>(k);
+  EXPECT_EQ(got.stats.cpu_serial_seconds,
+            platform_->cpu().SecondsForInstructions(serial, 0));
+}
+
 TEST_F(TopKTest, MissingSortColumnIsNotFound) {
   auto table = MakeTable(50, 7);
   for (const bool morsels : {true, false}) {
-    TopKOp topk(Child(table.get(), morsels), {{"no_such_column", true}}, 5);
+    SortOp topk(Child(table.get(), morsels), {{"no_such_column", true}},
+                UINT64_MAX, nullptr, 5);
     ExecContext ctx(platform_.get(), ExecOptions{});
     EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kNotFound)
         << "morsels=" << morsels;
@@ -273,8 +296,8 @@ TEST_F(TopKTest, TopKChargesSpillExactlyOnceAcrossOpenRetry) {
   // 2 KiB budget. The streamed child fails mid-drain on the first Open:
   // runs settle only after the drain, so the failed attempt bills no
   // spill, and the retry writes and reads the 8000 kept bytes once.
-  TopKOp topk(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
-              1000, /*memory_budget_bytes=*/2048, ssd_.get());
+  SortOp topk(std::make_unique<FlakyRowsOp>(1000, 100, 6), {{"k", true}},
+              /*memory_budget_bytes=*/2048, ssd_.get(), /*limit=*/1000);
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kInternal);
   EXPECT_FALSE(topk.spilled());
@@ -310,11 +333,12 @@ TEST_F(TopKTest, ParallelTopKChargesSpillExactlyOnceAcrossOpenRetry) {
   const std::vector<naive::Row> expected = Expected(table.get(), 5000);
   for (const bool morsels : {true, false}) {
     SCOPED_TRACE("morsels=" + std::to_string(morsels));
-    TopKOp in_memory(Child(table.get(), morsels), KeyAsc(), 5000);
+    SortOp in_memory(Child(table.get(), morsels), KeyAsc(), UINT64_MAX,
+                     nullptr, 5000);
     const RunOutcome base = Run(&in_memory, 4, 4096, 512);  // scan-only I/O
 
-    TopKOp topk(Child(table.get(), morsels), KeyAsc(), 5000,
-                /*memory_budget_bytes=*/4096, ssd_.get());
+    SortOp topk(Child(table.get(), morsels), KeyAsc(),
+                /*memory_budget_bytes=*/4096, ssd_.get(), /*limit=*/5000);
     ExecOptions options;
     options.dop = 4;
     options.batch_rows = 4096;
@@ -350,8 +374,8 @@ TEST_F(TopKTest, SmallKNeverSpillsUnderTightBudget) {
   const std::vector<naive::Row> expected = Expected(table.get(), 10);
   for (const bool morsels : {true, false}) {
     for (int dop : {1, 4}) {
-      TopKOp topk(Child(table.get(), morsels), KeyAsc(), 10,
-                  /*memory_budget_bytes=*/2048, ssd_.get());
+      SortOp topk(Child(table.get(), morsels), KeyAsc(),
+                  /*memory_budget_bytes=*/2048, ssd_.get(), /*limit=*/10);
       const RunOutcome got = Run(&topk, dop, 4096, 1024);
       EXPECT_EQ(got.rows, expected) << "morsels=" << morsels << " dop=" << dop;
       EXPECT_FALSE(topk.spilled()) << "morsels=" << morsels << " dop=" << dop;

@@ -2,6 +2,7 @@
 // rows), effectiveness on clustered data, and I/O-volume accounting.
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,32 @@ TEST_F(ZoneMapTest, StringRangePredicatesAreConservative) {
   RunScan(*table, Col("tag") == Lit("zz"), &rows, &skipped);
   EXPECT_EQ(rows, 1000u);
   EXPECT_GT(skipped, 0u);   // equality does prune
+}
+
+TEST_F(ZoneMapTest, LiteralOnLeftPrunesLikeFlippedComparison) {
+  // "lit op col" prunes through the same normalizer as "col op' lit": for
+  // each of the six comparisons both spellings skip the same blocks and
+  // return the same rows. 20 blocks of 10 days each; the literal is day 50.
+  auto table = MakeTable(2000, 100);
+  using exec::CompareOp;
+  const std::pair<CompareOp, CompareOp> ops[] = {
+      {CompareOp::kEq, CompareOp::kEq}, {CompareOp::kNe, CompareOp::kNe},
+      {CompareOp::kLt, CompareOp::kGt}, {CompareOp::kLe, CompareOp::kGe},
+      {CompareOp::kGt, CompareOp::kLt}, {CompareOp::kGe, CompareOp::kLe}};
+  for (const auto& [op, flipped] : ops) {
+    const exec::ExprPtr lit_col =
+        exec::Expr::Compare(op, LitDate(50), Col("day"));
+    const exec::ExprPtr col_lit =
+        exec::Expr::Compare(flipped, Col("day"), LitDate(50));
+    size_t lit_rows = 0, lit_skipped = 0, col_rows = 0, col_skipped = 0;
+    RunScan(*table, lit_col, &lit_rows, &lit_skipped);
+    RunScan(*table, col_lit, &col_rows, &col_skipped);
+    EXPECT_EQ(lit_skipped, col_skipped) << lit_col->ToString();
+    EXPECT_EQ(lit_rows, col_rows) << lit_col->ToString();
+    if (op != CompareOp::kNe) {
+      EXPECT_GT(lit_skipped, 0u) << lit_col->ToString();
+    }
+  }
 }
 
 TEST_F(ZoneMapTest, RandomizedPruningEquivalence) {
