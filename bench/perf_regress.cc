@@ -9,6 +9,8 @@
 //   - filter-scan rows/sec (the scan's fused exact filter over a seeded
 //     table);
 //   - Q1-style grouped aggregate (sum/sum-expression/count by key);
+//   - full sort (ORDER BY without a limit: radix-sorted runs and the word
+//     merge over every row);
 //   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit).
 //
 // Wall-clock portability: absolute seconds are machine-specific, so every
@@ -321,6 +323,12 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
          return std::make_unique<exec::HashAggregateOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<std::string>{"k"}, std::move(aggs));
+       }},
+      {"sort",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         return std::make_unique<exec::SortOp>(
+             std::make_unique<exec::TableScanOp>(fixture.table.get()),
+             std::vector<exec::SortKey>{{"x", /*ascending=*/false}});
        }},
       {"topk",
        [&]() -> std::unique_ptr<exec::Operator> {

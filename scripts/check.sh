@@ -72,8 +72,9 @@ done
 #    join-differential and kernel-differential suites
 #    (`-L 'faults|serving|overload|joins|kernels'`) then re-run explicitly
 #    under each sanitizer so retry/degraded-mode, admission, cancellation,
-#    join-order-equivalence, and decode/expression/scan-gather/aggregate-fold
-#    regressions are reported by name even when a full run is noisy.
+#    join-order-equivalence, and decode/expression/scan-gather/aggregate-fold/
+#    sort-word/radix-run/word-merge regressions are reported by name even
+#    when a full run is noisy.
 for san in tsan asan ubsan; do
   run cmake --preset "$san"
   run cmake --build --preset "$san" -j "$jobs"

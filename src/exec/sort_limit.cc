@@ -1,10 +1,14 @@
 #include "exec/sort_limit.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <numeric>
 #include <queue>
 #include <span>
+#include <utility>
 
 #include "exec/exec_context.h"
 #include "exec/scan.h"
@@ -48,15 +52,129 @@ int CompareLane(const storage::ColumnData& a, size_t ra,
   return 0;
 }
 
+/// Writes one word per value of `lane` whose unsigned order is the lane's
+/// ascending order wherever two words differ (DESIGN §7): int64 and date
+/// with the sign bit flipped; a double as its total-order bits, with -0.0
+/// as +0.0 and every NaN as ~0; a string as its first 7 bytes, unsigned
+/// and big-endian, above min(length, 8) in the low byte. Equal values get
+/// equal words, and so do strings of 8 or more bytes that share their
+/// first 7. DESC inverts every word.
+void SortWords(const storage::ColumnData& lane, bool ascending,
+               uint64_t* out) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  const uint64_t flip = ascending ? 0 : ~uint64_t{0};
+  switch (lane.type) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      for (size_t r = 0; r < lane.i64.size(); ++r) {
+        out[r] = (static_cast<uint64_t>(lane.i64[r]) ^ kSign) ^ flip;
+      }
+      break;
+    case DataType::kDouble:
+      for (size_t r = 0; r < lane.f64.size(); ++r) {
+        const double v = lane.f64[r] == 0.0 ? 0.0 : lane.f64[r];
+        uint64_t bits = ~uint64_t{0};
+        if (!std::isnan(v)) {
+          std::memcpy(&bits, &v, sizeof(bits));
+          bits = (bits & kSign) != 0 ? ~bits : bits | kSign;
+        }
+        out[r] = bits ^ flip;
+      }
+      break;
+    case DataType::kString:
+      for (size_t r = 0; r < lane.str.size(); ++r) {
+        const std::string& s = lane.str[r];
+        uint64_t word = std::min<size_t>(s.size(), 8);
+        for (size_t i = 0; i < std::min<size_t>(s.size(), 7); ++i) {
+          word |= uint64_t{static_cast<unsigned char>(s[i])} << (56 - 8 * i);
+        }
+        out[r] = word ^ flip;
+      }
+      break;
+  }
+}
+
+/// Stably sorts `words` ascending and permutes `rows` alongside: an LSD
+/// radix sort on 8-bit digits that skips every digit all the words share.
+void RadixSort(std::vector<uint64_t>* words, std::vector<uint32_t>* rows) {
+  const size_t n = words->size();
+  std::array<std::array<uint32_t, 256>, 8> counts{};
+  for (uint64_t w : *words) {
+    for (size_t d = 0; d < 8; ++d) ++counts[d][(w >> (8 * d)) & 0xff];
+  }
+  std::vector<uint64_t> words_out(n);
+  std::vector<uint32_t> rows_out(n);
+  for (size_t d = 0; d < 8 && n > 1; ++d) {
+    const size_t shift = 8 * d;
+    std::array<uint32_t, 256>& next = counts[d];
+    if (next[((*words)[0] >> shift) & 0xff] == n) continue;
+    uint32_t start = 0;
+    for (uint32_t& c : next) start += std::exchange(c, start);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t to = next[((*words)[i] >> shift) & 0xff]++;
+      words_out[to] = (*words)[i];
+      rows_out[to] = (*rows)[i];
+    }
+    words->swap(words_out);
+    rows->swap(rows_out);
+  }
+}
+
+/// A row of a sorted run: its first-key word, the run and its position.
+struct RunRow {
+  uint64_t word;
+  uint32_t run;
+  uint32_t pos;
+};
+
+/// Appends row `p.pos` of `runs[p.run]` for each pick, in order, to `out`
+/// in batches of at most `batch_rows` rows, one column at a time.
+Status EmitPicks(std::span<const RunRow> picks,
+                 std::span<const RecordBatch* const> runs,
+                 const catalog::Schema& schema, size_t batch_rows,
+                 std::vector<RecordBatch>* out) {
+  std::vector<const ColumnData*> lanes(runs.size());
+  for (size_t s = 0; s < picks.size(); s += batch_rows) {
+    const std::span<const RunRow> slice =
+        picks.subspan(s, std::min(batch_rows, picks.size() - s));
+    RecordBatch& batch = out->emplace_back(schema);
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      for (size_t r = 0; r < runs.size(); ++r) lanes[r] = &runs[r]->column(c);
+      const auto gather = [&](auto lane, auto& dst) {
+        dst.reserve(slice.size());
+        for (const RunRow& p : slice) {
+          dst.push_back((lanes[p.run]->*lane)[p.pos]);
+        }
+      };
+      ColumnData& dst = batch.column(c);
+      switch (dst.type) {
+        case DataType::kInt64:
+        case DataType::kDate:
+          gather(&ColumnData::i64, dst.i64);
+          break;
+        case DataType::kDouble:
+          gather(&ColumnData::f64, dst.f64);
+          break;
+        case DataType::kString:
+          gather(&ColumnData::str, dst.str);
+          break;
+      }
+    }
+    ECODB_RETURN_IF_ERROR(batch.SealRows(slice.size()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // Without a limit every offered row is kept: a morsel is moved in whole (a
-// streamed child's later batches are appended to it), and TakeRun stably
-// sorts a row index and gathers the rows once. Under a limit k the rows
-// stream through a bounded max-heap whose top is the worst kept row in
+// streamed child's later batches are appended to it). Under a limit k the
+// rows stream through a bounded max-heap whose top is the worst kept row in
 // (key, input position) order; evicted rows stay in the pool until as many
 // have piled up as are kept, then the pool is compacted, so the working set
-// stays O(k).
+// stays O(k). Either way TakeRun radix-sorts the kept rows' (word, row)
+// pairs, orders each range of equal words on the keys when the word is not
+// the whole key, and copies the rows once in that order, column by column.
 class SortOp::RunBuilder {
  public:
   explicit RunBuilder(const SortOp& op) : op_(op) {}
@@ -66,13 +184,15 @@ class SortOp::RunBuilder {
     if (!op_.limit_.has_value()) return Keep(std::move(batch));
     const size_t k = *op_.limit_;
     if (pos_ == 0) pool_ = RecordBatch(batch.schema());
+    op_.EncodeWords(batch, &words_);
     const auto worse = [this](const Entry& a, const Entry& b) {
       return Before(a, b);
     };
     for (size_t r = 0; r < batch.num_rows(); ++r, ++pos_) {
       if (heap_.size() < k) {
         pool_.AppendRowFrom(batch, r);
-        heap_.push_back({static_cast<uint32_t>(pool_.num_rows() - 1), pos_});
+        heap_.push_back(
+            {words_[r], static_cast<uint32_t>(pool_.num_rows() - 1), pos_});
         std::push_heap(heap_.begin(), heap_.end(), worse);
         continue;
       }
@@ -80,44 +200,52 @@ class SortOp::RunBuilder {
       // before it on the keys: on a tie the kept row's input position is
       // smaller, so stability keeps it — exactly what the unlimited sort
       // followed by LimitOp(k) would retain.
-      if (k == 0 || op_.CompareRows(batch, r, pool_, heap_.front().row) >= 0) {
+      if (k == 0 || op_.CompareRows(words_[r], batch, r, heap_.front().word,
+                                    pool_, heap_.front().row) >= 0) {
         continue;
       }
       std::pop_heap(heap_.begin(), heap_.end(), worse);
       pool_.AppendRowFrom(batch, r);
-      heap_.back() = {static_cast<uint32_t>(pool_.num_rows() - 1), pos_};
+      heap_.back() = {words_[r], static_cast<uint32_t>(pool_.num_rows() - 1),
+                      pos_};
       std::push_heap(heap_.begin(), heap_.end(), worse);
-      if (pool_.num_rows() - heap_.size() >= k) {
-        ECODB_RETURN_IF_ERROR(GatherPool(KeptRows(), &pool_));
-      }
+      if (pool_.num_rows() - heap_.size() >= k) CompactPool();
     }
     return Status::OK();
   }
 
-  /// Moves the kept rows, in output order, into `run`.
+  /// Moves the kept rows, in output order, and their words into `run`.
   Status TakeRun(Run* run) {
-    std::vector<uint32_t> order;
-    if (op_.limit_.has_value()) {
-      std::sort(heap_.begin(), heap_.end(),
-                [this](const Entry& a, const Entry& b) {
-                  return Before(a, b);
-                });
-      order = KeptRows();
-    } else {
-      order.resize(pool_.num_rows());
-      std::iota(order.begin(), order.end(), uint32_t{0});
-      std::stable_sort(order.begin(), order.end(),
-                       [this](uint32_t a, uint32_t b) {
-                         return op_.CompareRows(pool_, a, pool_, b) < 0;
+    if (op_.limit_.has_value()) CompactPool();
+    run->rows_in = pos_;
+    op_.EncodeWords(pool_, &run->words);
+    std::vector<uint32_t> order(run->words.size());
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    RadixSort(&run->words, &order);
+    // Rows with equal words are in input order; where the word is not the
+    // whole key, each such range is stably sorted on the keys.
+    const std::vector<uint64_t>& w = run->words;
+    for (size_t i = 0, j = 0; op_.tie_key_ < op_.keys_.size() && i < w.size();
+         i = j) {
+      while (++j < w.size() && w[j] == w[i]) {
+      }
+      if (j - i < 2) continue;
+      std::stable_sort(order.begin() + i, order.begin() + j,
+                       [&](uint32_t a, uint32_t b) {
+                         return op_.CompareRows(w[i], pool_, a, w[i], pool_,
+                                                b) < 0;
                        });
     }
-    run->rows_in = pos_;
-    return GatherPool(order, &run->rows);
+    run->rows = RecordBatch(pool_.schema());
+    run->rows.Gather(pool_, order);
+    return run->rows.SealRows(order.size());
   }
 
  private:
-  /// A kept candidate: a row in pool_ plus its input position.
+  /// A kept candidate: its first-key word, a row in pool_ and its input
+  /// position.
   struct Entry {
+    uint64_t word;
     uint32_t row;
     uint64_t pos;
   };
@@ -141,35 +269,27 @@ class SortOp::RunBuilder {
   /// True when `a` precedes `b` in the output order (keys, then input
   /// position). A strict total order: no two entries share pos.
   bool Before(const Entry& a, const Entry& b) const {
-    const int cmp = op_.CompareRows(pool_, a.row, pool_, b.row);
+    const int cmp = op_.CompareRows(a.word, pool_, a.row, b.word, pool_, b.row);
     if (cmp != 0) return cmp < 0;
     return a.pos < b.pos;
   }
 
-  /// The kept rows' pool indexes in heap_ order; renumbers heap_ to the
-  /// rows they become once gathered in that order.
-  std::vector<uint32_t> KeptRows() {
-    std::vector<uint32_t> rows(heap_.size());
-    for (size_t i = 0; i < heap_.size(); ++i) {
-      rows[i] = heap_[i].row;
-      heap_[i].row = static_cast<uint32_t>(i);
-    }
-    return rows;
-  }
-
-  /// Copies the pool's rows `order`, in that order, into `out` (which may
-  /// be the pool itself).
-  Status GatherPool(std::span<const uint32_t> order, RecordBatch* out) {
-    RecordBatch gathered(pool_.schema());
-    gathered.Gather(pool_, order);
-    ECODB_RETURN_IF_ERROR(gathered.SealRows(order.size()));
-    *out = std::move(gathered);
-    return Status::OK();
+  /// Drops the evicted rows from the pool, keeping the rest in input
+  /// order, and renumbers heap_ to the rows they become.
+  void CompactPool() {
+    std::vector<uint8_t> keep(pool_.num_rows(), 0);
+    for (const Entry& e : heap_) keep[e.row] = 1;
+    std::vector<uint32_t> renumber(pool_.num_rows());
+    std::exclusive_scan(keep.begin(), keep.end(), renumber.begin(),
+                        uint32_t{0});
+    for (Entry& e : heap_) e.row = renumber[e.row];
+    pool_.FilterInPlace(keep);
   }
 
   const SortOp& op_;
   RecordBatch pool_;
   std::vector<Entry> heap_;  // max-heap on Before: front = worst kept
+  std::vector<uint64_t> words_;     // first-key words of the offered batch
   std::vector<uint32_t> all_rows_;  // 0, 1, 2, ...: selects a whole batch
   uint64_t pos_ = 0;
 };
@@ -184,9 +304,17 @@ SortOp::SortOp(OperatorPtr child, std::vector<SortKey> keys,
       spill_device_(spill_device),
       limit_(limit) {}
 
-int SortOp::CompareRows(const RecordBatch& a, size_t ra, const RecordBatch& b,
-                        size_t rb) const {
-  for (size_t k = 0; k < keys_.size(); ++k) {
+void SortOp::EncodeWords(const RecordBatch& batch,
+                         std::vector<uint64_t>* words) const {
+  words->assign(batch.num_rows(), 0);
+  if (keys_.empty() || words->empty()) return;  // an empty pool has no lanes
+  SortWords(batch.column(key_idx_[0]), keys_[0].ascending, words->data());
+}
+
+int SortOp::CompareRows(uint64_t wa, const RecordBatch& a, size_t ra,
+                        uint64_t wb, const RecordBatch& b, size_t rb) const {
+  if (wa != wb) return wa < wb ? -1 : 1;
+  for (size_t k = tie_key_; k < keys_.size(); ++k) {
     const int idx = key_idx_[k];
     const int cmp = CompareLane(a.column(idx), ra, b.column(idx), rb);
     if (cmp != 0) return keys_[k].ascending ? cmp : -cmp;
@@ -291,7 +419,7 @@ Status SortOp::SettleRunCharges() {
 Status SortOp::MergeRuns() {
   // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  partitions_.clear();
+  batches_.clear();
   num_partitions_ = 0;
   const CostConstants& c = ctx_->options().costs;
   const double n_keys = static_cast<double>(keys_.size());
@@ -313,20 +441,17 @@ Status SortOp::MergeRuns() {
     spill_read_charged_ = true;
   }
 
-  if (n_runs <= 1) {
-    // One run is already the output: under a limit it kept at most k rows.
-    if (n_runs == 1) partitions_.push_back(std::move(runs_[0].rows));
-    num_partitions_ = n_runs;
-    runs_.clear();
-    return Status::OK();
-  }
+  const size_t batch_rows = std::max<size_t>(1, ctx_->options().batch_rows);
+  std::vector<const RecordBatch*> run_rows;
+  for (const Run& run : runs_) run_rows.push_back(&run.rows);
 
   // Rows the output keeps: all of them, or the first k under a limit.
   const uint64_t take =
       limit_.has_value() ? std::min<uint64_t>(*limit_, total_rows)
                          : total_rows;
 
-  if (limit_.has_value()) {
+  // One run is already in output order, so its merge costs nothing.
+  if (n_runs > 1 && limit_.has_value()) {
     // A limited merge is billed as the coordinator's: its log2(R) ladder
     // over every candidate row and the k-row emission are serial Amdahl
     // terms (the cost model's top-k SortDemand prices the same split).
@@ -334,7 +459,7 @@ Status SortOp::MergeRuns() {
         SortLadderInstructions(c, static_cast<double>(total_rows),
                                static_cast<double>(n_runs), n_keys) +
         c.output_per_row * static_cast<double>(take));
-  } else {
+  } else if (n_runs > 1) {
     // Merge fan-in: every row climbs a log2(R) comparison ladder inside its
     // partition (parallel), while splitter selection and partition
     // stitching stay on the coordinator (serial Amdahl term; the cost model
@@ -346,27 +471,34 @@ Status SortOp::MergeRuns() {
                                    static_cast<double>(total_rows));
   }
 
+  // Output order on run rows: (key, run, position). A comparison reads the
+  // rows only when their words tie.
+  const auto at = [&](size_t r, size_t pos) {
+    return RunRow{runs_[r].words[pos], static_cast<uint32_t>(r),
+                  static_cast<uint32_t>(pos)};
+  };
+  const auto compare = [&](const RunRow& x, const RunRow& y) {
+    return CompareRows(x.word, runs_[x.run].rows, x.pos, y.word,
+                       runs_[y.run].rows, y.pos);
+  };
+  const auto before = [&](const RunRow& x, const RunRow& y) {
+    const int cmp = compare(x, y);
+    if (cmp != 0) return cmp < 0;
+    if (x.run != y.run) return x.run < y.run;
+    return x.pos < y.pos;
+  };
+
   // Splitter selection: a fixed, evenly spaced sample from each sorted run,
   // ordered by (key, run, position) — deterministic for a given input.
-  struct Ref {
-    size_t run;
-    size_t pos;
-  };
-  std::vector<Ref> samples;
+  std::vector<RunRow> samples;
   for (size_t r = 0; r < n_runs; ++r) {
     const size_t n = runs_[r].rows.num_rows();
     const size_t take_samples = std::min(n, kSamplesPerRun);
     for (size_t k = 0; k < take_samples; ++k) {
-      samples.push_back({r, k * n / take_samples});
+      samples.push_back(at(r, k * n / take_samples));
     }
   }
-  std::sort(samples.begin(), samples.end(), [&](const Ref& x, const Ref& y) {
-    const int cmp =
-        CompareRows(runs_[x.run].rows, x.pos, runs_[y.run].rows, y.pos);
-    if (cmp != 0) return cmp < 0;
-    if (x.run != y.run) return x.run < y.run;
-    return x.pos < y.pos;
-  });
+  std::sort(samples.begin(), samples.end(), before);
 
   const size_t n_parts = std::min(kMaxMergePartitions, n_runs);
 
@@ -379,13 +511,12 @@ Status SortOp::MergeRuns() {
     bounds[r][n_parts] = runs_[r].rows.num_rows();
   }
   for (size_t p = 1; p < n_parts; ++p) {
-    const Ref split = samples[p * samples.size() / n_parts];
+    const RunRow split = samples[p * samples.size() / n_parts];
     for (size_t r = 0; r < n_runs; ++r) {
       size_t lo = bounds[r][p - 1], hi = runs_[r].rows.num_rows();
       while (lo < hi) {
         const size_t mid = lo + (hi - lo) / 2;
-        if (CompareRows(runs_[r].rows, mid, runs_[split.run].rows,
-                        split.pos) < 0) {
+        if (compare(at(r, mid), split) < 0) {
           lo = mid + 1;
         } else {
           hi = mid;
@@ -398,45 +529,47 @@ Status SortOp::MergeRuns() {
   // Partition p emits its rows that fall among the first `take`: all of
   // them without a limit; under one, what the partitions before it left.
   std::vector<uint64_t> quota(n_parts);
-  uint64_t before = 0;
+  uint64_t before_rows = 0;
   for (size_t p = 0; p < n_parts; ++p) {
     uint64_t size = 0;
     for (size_t r = 0; r < n_runs; ++r) {
       size += bounds[r][p + 1] - bounds[r][p];
     }
-    quota[p] = std::min(size, take - std::min(take, before));
-    before += size;
+    quota[p] = std::min(size, take - std::min(take, before_rows));
+    before_rows += size;
   }
 
   // Cooperative merge: one worker task per partition, k-way heap merge of
   // the runs' segments with ties broken by (run, position) — equal to the
-  // input's global order, so output matches a stable sort exactly.
-  partitions_.assign(n_parts, RecordBatch{});
+  // input's global order, so output matches a stable sort exactly. Each
+  // partition picks its rows, then gathers them a column at a time.
+  std::vector<std::vector<RecordBatch>> parts(n_parts);
   WorkerPool* pool = ctx_->worker_pool();
   ECODB_RETURN_IF_ERROR(pool->Run(n_parts, [&](size_t p, int) -> Status {
     // ecodb-lint: worker-context
-    const auto after = [&](const Ref& x, const Ref& y) {
-      const int cmp =
-          CompareRows(runs_[x.run].rows, x.pos, runs_[y.run].rows, y.pos);
-      if (cmp != 0) return cmp > 0;
-      if (x.run != y.run) return x.run > y.run;
-      return x.pos > y.pos;
+    const auto after = [&](const RunRow& x, const RunRow& y) {
+      return before(y, x);
     };
-    std::priority_queue<Ref, std::vector<Ref>, decltype(after)> heap(after);
+    std::priority_queue<RunRow, std::vector<RunRow>, decltype(after)> heap(
+        after);
     for (size_t r = 0; r < n_runs; ++r) {
-      if (bounds[r][p] < bounds[r][p + 1]) heap.push({r, bounds[r][p]});
+      if (bounds[r][p] < bounds[r][p + 1]) heap.push(at(r, bounds[r][p]));
     }
-    RecordBatch out(child_->output_schema());
-    while (out.num_rows() < quota[p]) {
-      Ref top = heap.top();
+    std::vector<RunRow> picks(quota[p]);
+    for (RunRow& top : picks) {
+      top = heap.top();
       heap.pop();
-      out.AppendRowFrom(runs_[top.run].rows, top.pos);
-      if (++top.pos < bounds[top.run][p + 1]) heap.push(top);
+      if (top.pos + 1 < bounds[top.run][p + 1]) {
+        heap.push(at(top.run, top.pos + 1));
+      }
     }
-    partitions_[p] = std::move(out);
-    return Status::OK();
+    return EmitPicks(picks, run_rows, child_->output_schema(), batch_rows,
+                     &parts[p]);
   }));
-  num_partitions_ = partitions_.size();
+  for (std::vector<RecordBatch>& part : parts) {
+    std::move(part.begin(), part.end(), std::back_inserter(batches_));
+  }
+  num_partitions_ = n_parts;
   runs_.clear();
   return Status::OK();
 }
@@ -450,8 +583,12 @@ Status SortOp::Open(ExecContext* ctx) {
     if (idx < 0) return Status::NotFound("sort column '" + k.column + "'");
     key_idx_.push_back(idx);
   }
+  const bool word_is_key =
+      !keys_.empty() &&
+      output_schema().column(key_idx_[0]).type != DataType::kString;
+  tie_key_ = word_is_key ? 1 : 0;
   runs_.clear();
-  partitions_.clear();
+  batches_.clear();
   num_runs_ = 0;
   num_partitions_ = 0;
   spilled_ = false;
@@ -463,23 +600,14 @@ Status SortOp::Open(ExecContext* ctx) {
 
 Status SortOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-  while (cursor_ < partitions_.size() &&
-         partitions_[cursor_].num_rows() == 0) {
-    ++cursor_;
-  }
-  if (cursor_ >= partitions_.size()) {
-    *eos = true;
-    return Status::OK();
-  }
-  *eos = false;
-  *out = std::move(partitions_[cursor_]);
-  ++cursor_;
+  *eos = cursor_ >= batches_.size();
+  if (!*eos) *out = std::move(batches_[cursor_++]);
   return Status::OK();
 }
 
 void SortOp::Close() {
   runs_.clear();
-  partitions_.clear();
+  batches_.clear();
   child_->Close();
 }
 

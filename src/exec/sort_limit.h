@@ -13,13 +13,17 @@
 //     function of the table, the filter, and ExecOptions::morsel_rows —
 //     never of dop or scheduling. Any other child (a join, a filter, an
 //     aggregate) streams batch by batch into one run; the child's type
-//     selects the branch, never the dop.
+//     selects the branch, never the dop. Each row's first sort key is
+//     encoded once into an order-preserving 64-bit word; a run is a stable
+//     LSD radix sort of (word, row), with equal words ordered on the keys
+//     only where the word is not the whole key.
 //  2. Parallel multiway merge — the coordinator picks key splitters from a
 //     deterministic sample of the sorted runs, range-partitions every run
-//     by those splitters, and workers merge one partition each. Ties are
-//     broken by (run index, position in run), which equals the input's
-//     global order, so the concatenated partitions are byte-identical to a
-//     stable sort of the input.
+//     by those splitters, and workers merge one partition each, comparing
+//     words first. Ties are broken by (run index, position in run), which
+//     equals the input's global order, so the concatenated partitions are
+//     byte-identical to a stable sort of the input. Each partition is
+//     gathered a column at a time into batches of ExecOptions::batch_rows.
 //
 // ORDER BY + LIMIT fusion (DESIGN.md §8): with a limit k, each run streams
 // its rows through a bounded heap and keeps only its first k (O(n log k)
@@ -112,9 +116,11 @@ class SortOp final : public Operator {
 
  private:
   /// One sorted run: its kept rows in output order (under a limit, at most
-  /// k), and the input rows it was formed from (for charging).
+  /// k) with their first-key words, and the input rows it was formed from
+  /// (for charging).
   struct Run {
     RecordBatch rows;
+    std::vector<uint64_t> words;
     uint64_t rows_in = 0;
   };
   /// Turns the rows offered to it, in input order, into one Run.
@@ -126,18 +132,24 @@ class SortOp final : public Operator {
   /// (coordinator, run order).
   Status SettleRunCharges();
   /// Reads spilled runs back, then range-partitions runs_ by sampled
-  /// splitters and merges the partitions across the pool into partitions_,
+  /// splitters and merges the partitions across the pool into batches_,
   /// keeping the first k rows under a limit.
   Status MergeRuns();
 
-  /// Three-way comparison of row `ra` of `a` against row `rb` of `b` on the
-  /// sort keys. The sign follows the sort direction; ties return 0 —
-  /// callers break them by input position, so every path is stable the same
-  /// way. Doubles compare in a total order: NaN after every number (so ASC
-  /// puts NaNs last and DESC first), NaNs tied among themselves, -0.0 tied
-  /// with +0.0.
-  int CompareRows(const RecordBatch& a, size_t ra, const RecordBatch& b,
-                  size_t rb) const;
+  /// Writes the first sort key's order-preserving word (DESIGN.md §7) for
+  /// each row of `batch` into `words`.
+  void EncodeWords(const RecordBatch& batch,
+                   std::vector<uint64_t>* words) const;
+
+  /// Three-way comparison, in output order, of row `ra` of `a` (first-key
+  /// word `wa`) against row `rb` of `b` (word `wb`): the words decide
+  /// unless they tie, and then the keys the word leaves open do. Ties
+  /// return 0 — callers break them by input position, so every path is
+  /// stable the same way. Doubles compare in a total order: NaN after
+  /// every number (so ASC puts NaNs last and DESC first), NaNs tied among
+  /// themselves, -0.0 tied with +0.0.
+  int CompareRows(uint64_t wa, const RecordBatch& a, size_t ra, uint64_t wb,
+                  const RecordBatch& b, size_t rb) const;
 
   OperatorPtr child_;
   std::vector<SortKey> keys_;
@@ -146,8 +158,11 @@ class SortOp final : public Operator {
   std::optional<size_t> limit_;
 
   std::vector<int> key_idx_;
-  std::vector<Run> runs_;                // non-empty, in morsel order
-  std::vector<RecordBatch> partitions_;  // merged output, in key order
+  // The first key a word tie leaves undecided: 1 when the first key's word
+  // is the whole key, 0 for a string key (its longer values share words).
+  size_t tie_key_ = 0;
+  std::vector<Run> runs_;             // non-empty, in morsel order
+  std::vector<RecordBatch> batches_;  // merged output, in key order
   size_t num_runs_ = 0;
   size_t num_partitions_ = 0;
   bool spilled_ = false;

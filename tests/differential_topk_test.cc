@@ -5,19 +5,23 @@
 // The oracle is a naive stable sort of the table's rows followed by the
 // first k — the semantics the planner's fusion must preserve. For every
 // generated case (varying n, k, key count, duplicate density, ASC/DESC,
-// spill pressure) the harness asserts:
+// spill pressure, or keys drawn from the edges of each type) the harness
+// asserts:
 //   1. rows are byte-identical to the oracle on every path and every dop,
-//      including a top-k over a FilterOp (the streamed, non-morsel branch),
-//      and
+//      including a sort with and without a limit over a FilterOp (the
+//      streamed, non-morsel branch), and
 //   2. within each operator the modeled charges (instructions, I/O bytes,
 //      busy core-seconds, serial core-seconds) are bit-identical across
 //      dop — DESIGN.md §7's determinism contract.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,7 +52,55 @@ struct CaseSpec {
   int64_t dup_domain = 1;  // small domain -> heavy key duplication
   uint64_t budget = UINT64_MAX;
   bool spill = false;
+  bool edge_keys = false;  // draw keys from EdgeInt/EdgeDouble/EdgeString
 };
+
+/// An int64 at the edges of the range and of its sort word's bytes:
+/// INT64_MIN, -1, 0, INT64_MAX and their neighbours, or a random value
+/// (negative half the time).
+int64_t EdgeInt(Rng& rng) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t edges[] = {kMin, kMin + 1, -256, -1, 0, 1, 255, kMax - 1, kMax};
+  if (rng.Bernoulli(0.5)) return edges[rng.Uniform(0, 8)];
+  return static_cast<int64_t>(rng.Next());
+}
+
+/// A double from ORDER BY's edge cases: NaNs (with other payloads and sign
+/// bits too), ±0.0, ±inf, ±denorm_min, ±DBL_MAX, or a small multiple of
+/// 0.25 of either sign.
+double EdgeDouble(Rng& rng) {
+  using limits = std::numeric_limits<double>;
+  const double edges[] = {limits::quiet_NaN(),
+                          -limits::quiet_NaN(),
+                          std::bit_cast<double>(uint64_t{0x7ff8000000000123}),
+                          0.0,
+                          -0.0,
+                          limits::infinity(),
+                          -limits::infinity(),
+                          limits::denorm_min(),
+                          -limits::denorm_min(),
+                          limits::max(),
+                          -limits::max()};
+  if (rng.Bernoulli(0.5)) return edges[rng.Uniform(0, 10)];
+  return static_cast<double>(rng.Uniform(-40, 40)) * 0.25;
+}
+
+/// A string of 0-12 bytes over {0x00, 0x01, 'a', 0x7f, 0x80, 0xff}: mostly
+/// one of three shared 7-byte prefixes (cut short, or extended), so sort
+/// words tie and the full compare decides; otherwise random bytes.
+std::string EdgeString(Rng& rng) {
+  const char alphabet[] = {'\x00', '\x01', 'a', '\x7f', '\x80', '\xff'};
+  const std::string prefixes[] = {
+      std::string("a\x80\x00\xff\x01" "a\x7f", 7),
+      std::string("a\x80\x00\xff\x01" "a\x80", 7),
+      std::string("\xff\xff\xff\xff\xff\xff\xff", 7)};
+  const size_t len = static_cast<size_t>(rng.Uniform(0, 12));
+  std::string s;
+  if (rng.Bernoulli(0.75)) s = prefixes[rng.Uniform(0, 2)].substr(0, len);
+  while (s.size() < len) s.push_back(alphabet[rng.Uniform(0, 5)]);
+  return s;
+}
 
 class DifferentialTopKTest : public ::testing::Test {
  protected:
@@ -129,6 +181,13 @@ class DifferentialTopKTest : public ::testing::Test {
     cols[3].type = DataType::kInt64;
     Rng rng(c.seed ^ 0xD1FFUL);
     for (int i = 0; i < c.n; ++i) {
+      if (c.edge_keys) {
+        cols[0].i64.push_back(EdgeInt(rng));
+        cols[1].f64.push_back(EdgeDouble(rng));
+        cols[2].str.push_back(EdgeString(rng));
+        cols[3].i64.push_back(i);
+        continue;
+      }
       cols[0].i64.push_back(rng.Uniform(0, c.dup_domain - 1));
       // Multiples of 0.25: exact in binary floating point.
       cols[1].f64.push_back(
@@ -171,6 +230,21 @@ class DifferentialTopKTest : public ::testing::Test {
     return out;
   }
 
+  /// Rows equal value for value, doubles bit for bit: NaN rows compare
+  /// equal, and -0.0 stays apart from +0.0.
+  static bool SameRows(const std::vector<naive::Row>& a,
+                       const std::vector<naive::Row>& b) {
+    const auto same = [](const Value& x, const Value& y) {
+      return x.type == y.type && x.i64 == y.i64 && x.str == y.str &&
+             std::bit_cast<uint64_t>(x.f64) == std::bit_cast<uint64_t>(y.f64);
+    };
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [&](const naive::Row& x, const naive::Row& y) {
+                        return std::equal(x.begin(), x.end(), y.begin(),
+                                          y.end(), same);
+                      });
+  }
+
   /// Asserts the §7 contract for one operator: charges bit-identical to
   /// its dop-1 baseline.
   static void ExpectChargesIdentical(const QueryStats& got,
@@ -196,11 +270,18 @@ class DifferentialTopKTest : public ::testing::Test {
               std::min<size_t>(c.k, static_cast<size_t>(c.n)));
 
     // The streamed branch: a FilterOp child is not a MorselSource.
-    SortOp streamed(std::make_unique<FilterOp>(
-                        std::make_unique<TableScanOp>(table.get()),
-                        Col("payload") >= Lit(int64_t{0})),
-                    c.keys, c.budget, spill, c.k);
-    EXPECT_EQ(Run(&streamed, 1).rows, expected) << "streamed limited sort";
+    const auto filtered = [&]() -> OperatorPtr {
+      return std::make_unique<FilterOp>(
+          std::make_unique<TableScanOp>(table.get()),
+          Col("payload") >= Lit(int64_t{0}));
+    };
+    SortOp streamed(filtered(), c.keys, c.budget, spill, c.k);
+    EXPECT_TRUE(SameRows(Run(&streamed, 1).rows, expected))
+        << "streamed limited sort";
+    LimitOp streamed_sl(
+        std::make_unique<SortOp>(filtered(), c.keys, c.budget, spill), c.k);
+    EXPECT_TRUE(SameRows(Run(&streamed_sl, 1).rows, expected))
+        << "streamed sort + limit";
 
     // Both operators over the morsel scan across the dop ladder.
     std::optional<QueryStats> topk_base, sort_base;
@@ -209,7 +290,7 @@ class DifferentialTopKTest : public ::testing::Test {
       SortOp topk(std::make_unique<TableScanOp>(table.get()), c.keys,
                   c.budget, spill, c.k);
       const RunOutcome t = Run(&topk, dop);
-      EXPECT_EQ(t.rows, expected);
+      EXPECT_TRUE(SameRows(t.rows, expected)) << "limited sort";
       if (!topk_base.has_value()) {
         topk_base = t.stats;
       } else {
@@ -221,7 +302,7 @@ class DifferentialTopKTest : public ::testing::Test {
                      c.budget, spill),
                  c.k);
       const RunOutcome s = Run(&sl, dop);
-      EXPECT_EQ(s.rows, expected);
+      EXPECT_TRUE(SameRows(s.rows, expected)) << "sort + limit";
       if (!sort_base.has_value()) {
         sort_base = s.stats;
       } else {
@@ -361,6 +442,44 @@ TEST_F(DifferentialTopKTest, NaNDoubleKeysSortInOneTotalOrder) {
                                    std::min<size_t>(k, expected.size())));
         EXPECT_EQ(payloads(Run(&topk, child.dop).rows), want)
             << "limited SortOp k=" << k;
+      }
+    }
+  }
+}
+
+TEST_F(DifferentialTopKTest, EdgeKeysMatchOracle) {
+  // Keys from the edges of every type, so the sort's order-preserving
+  // words are tested where they are easiest to get wrong: int64 sign
+  // flips, double total-order bits (NaN, ±0.0, ±inf, denormals), unsigned
+  // string bytes, and strings whose words tie on a shared 7-byte prefix.
+  // Each first key runs ASC and DESC, alone and with a second key, at
+  // k = 1, 100 and n (where the unlimited sort emits every row), in memory
+  // and over a 1 KiB spill budget.
+  const char* columns[] = {"a", "b", "c"};
+  uint64_t seed = 0xED6E0000ULL;
+  for (int first = 0; first < 3; ++first) {
+    for (const bool ascending : {true, false}) {
+      for (const bool two_keys : {false, true}) {
+        for (const size_t k : {size_t{1}, size_t{100}, size_t{1200}}) {
+          for (const bool spill : {false, true}) {
+            CaseSpec c;
+            c.seed = ++seed;
+            c.n = 1200;
+            c.k = k;
+            c.keys = {{columns[first], ascending}};
+            if (two_keys) {
+              c.keys.push_back({columns[(first + 1) % 3], !ascending});
+            }
+            c.edge_keys = true;
+            c.spill = spill;
+            c.budget = spill ? 1024 : UINT64_MAX;
+            SCOPED_TRACE(std::string("key=") + columns[first] +
+                         (ascending ? " ASC" : " DESC") +
+                         (two_keys ? " +key" : "") +
+                         " k=" + std::to_string(k) + (spill ? " spill" : ""));
+            RunCase(c);
+          }
+        }
       }
     }
   }

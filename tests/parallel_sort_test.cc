@@ -9,7 +9,11 @@
 // child shapes: the morsel scan, and a FilterOp over it (not a
 // MorselSource, so the sort drains it into one run).
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +224,81 @@ TEST_F(ParallelSortTest, EmptyInputYieldsEmptyOutput) {
     EXPECT_TRUE(got.rows.empty()) << "morsels=" << morsels;
     EXPECT_EQ(sort.num_runs(), 0u);
     EXPECT_EQ(sort.merge_partitions(), 0u);
+  }
+}
+
+TEST_F(ParallelSortTest, NextHonorsBatchRows) {
+  // Like every other operator, SortOp hands out batches of at most
+  // ExecOptions::batch_rows rows — with and without a limit, over both
+  // child shapes. Batch size is host scheduling only: over the morsel
+  // child (whose runs do not depend on it) the whole QueryStats is
+  // bit-identical across sizes. Each run gets a fresh platform, device and
+  // table, so every query starts at the same simulated instant.
+  const std::vector<naive::Row> sorted =
+      Expected(MakeLineitem(3000, 512).get(), Keys());
+  for (const bool morsels : {true, false}) {
+    for (const std::optional<size_t> limit :
+         {std::optional<size_t>{}, std::optional<size_t>{100}}) {
+      std::optional<QueryStats> base;
+      for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+        SCOPED_TRACE("morsels=" + std::to_string(morsels) + " limit=" +
+                     std::to_string(limit.value_or(0)) +
+                     " batch_rows=" + std::to_string(batch_rows));
+        ssd_.reset();
+        platform_ = power::MakeProportionalPlatform();
+        ssd_ = std::make_unique<storage::SsdDevice>("s0", power::SsdSpec{},
+                                                    platform_->meter());
+        auto table = MakeLineitem(3000, 512);
+        SortOp sort(Child(table.get(), morsels), Keys(), UINT64_MAX, nullptr,
+                    limit);
+        ExecOptions options;
+        options.dop = 4;
+        options.morsel_rows = 1024;
+        options.batch_rows = batch_rows;
+        ExecContext ctx(platform_.get(), options);
+        auto result = CollectAll(&sort, &ctx);
+        ASSERT_TRUE(result.ok()) << result.status().message();
+        const QueryStats stats = ctx.Finish();
+        std::vector<naive::Row> rows;
+        for (const RecordBatch& batch : result->batches) {
+          EXPECT_GT(batch.num_rows(), 0u);
+          EXPECT_LE(batch.num_rows(), batch_rows);
+          for (size_t r = 0; r < batch.num_rows(); ++r) {
+            naive::Row& row = rows.emplace_back();
+            for (size_t c = 0; c < batch.num_columns(); ++c) {
+              row.push_back(batch.GetValue(r, c));
+            }
+          }
+        }
+        const size_t want = std::min(limit.value_or(sorted.size()),
+                                     sorted.size());
+        EXPECT_EQ(rows, std::vector<naive::Row>(
+                            sorted.begin(),
+                            sorted.begin() +
+                                static_cast<std::ptrdiff_t>(want)));
+        if (!morsels) continue;
+        if (!base.has_value()) {
+          base = stats;
+          continue;
+        }
+        EXPECT_EQ(stats.start_time, base->start_time);
+        EXPECT_EQ(stats.end_time, base->end_time);
+        EXPECT_EQ(stats.elapsed_seconds, base->elapsed_seconds);
+        EXPECT_EQ(stats.cpu_seconds, base->cpu_seconds);
+        EXPECT_EQ(stats.cpu_elapsed_seconds, base->cpu_elapsed_seconds);
+        EXPECT_EQ(stats.cpu_instructions, base->cpu_instructions);
+        EXPECT_EQ(stats.cpu_serial_seconds, base->cpu_serial_seconds);
+        EXPECT_EQ(stats.active_cores, base->active_cores);
+        EXPECT_EQ(stats.io_seconds, base->io_seconds);
+        EXPECT_EQ(stats.io_bytes, base->io_bytes);
+        EXPECT_EQ(stats.rows_emitted, base->rows_emitted);
+        EXPECT_EQ(stats.energy.it_joules, base->energy.it_joules);
+        EXPECT_EQ(stats.energy.wall_joules, base->energy.wall_joules);
+        EXPECT_EQ(stats.cpu_active_joules, base->cpu_active_joules);
+        EXPECT_EQ(stats.dram_joules, base->dram_joules);
+        EXPECT_EQ(stats.io_active_joules, base->io_active_joules);
+      }
+    }
   }
 }
 
