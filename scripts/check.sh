@@ -69,12 +69,14 @@ done
 
 # 4. Sanitizer matrix. tsan filters to the concurrency-sensitive suites;
 #    asan and ubsan run everything. The fault-injection, serving, overload,
-#    join-differential and kernel-differential suites
+#    join/planner and kernel-differential suites
 #    (`-L 'faults|serving|overload|joins|kernels'`) then re-run explicitly
 #    under each sanitizer so retry/degraded-mode, admission, cancellation,
-#    join-order-equivalence, and decode/expression/scan-gather/aggregate-fold/
-#    sort-word/radix-run/word-merge regressions are reported by name even
-#    when a full run is noisy.
+#    join-order-equivalence, planner pricing (optimizer_test,
+#    access_path_test, and the price-equals-bill gate in
+#    plan_dop_differential_test), and decode/expression/scan-gather/
+#    aggregate-fold/sort-word/radix-run/word-merge regressions are reported
+#    by name even when a full run is noisy.
 for san in tsan asan ubsan; do
   run cmake --preset "$san"
   run cmake --build --preset "$san" -j "$jobs"

@@ -73,7 +73,6 @@ CandidateEval EvaluateCandidate(const storage::TableStorage& table, int col,
     raw_bytes = rows * 8.0;
   }
 
-  double decode_per_value = 1.0;
   if (kind == CompressionKind::kNone) {
     eval.ratio = 1.0;
   } else if (kind == CompressionKind::kDictionary) {
@@ -84,16 +83,14 @@ CandidateEval EvaluateCandidate(const storage::TableStorage& table, int col,
     } else {
       eval.ratio = 1.0;
     }
-    decode_per_value = codec.cost_profile().decode_instructions_per_value;
   } else {
     auto codec = storage::MakeInt64Codec(kind);
     assert(codec != nullptr);
     eval.ratio = storage::MeasureInt64Ratio(*codec, data.i64);
-    decode_per_value = codec->cost_profile().decode_instructions_per_value;
   }
 
-  eval.demand.cpu_instructions =
-      decode_per_value * rows * model->params().costs.decode_scale;
+  eval.demand.cpu_instructions = storage::DecodeInstructionsPerValue(kind) *
+                                 rows * model->params().costs.decode_scale;
   const uint64_t bytes =
       static_cast<uint64_t>(raw_bytes * eval.ratio + 0.5);
   if (table.device() != nullptr && bytes > 0) {

@@ -261,12 +261,9 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
 
 void HashAggregateOp::ChargeUpdate(uint64_t rows) {
   // ecodb-lint: coordinator-only
-  const double n = static_cast<double>(rows);
-  ctx_->ChargeInstructions(ctx_->options().costs.agg_update_per_row * n);
-  for (const AggregateItem& item : aggregates_) {
-    if (item.input != nullptr) {
-      ctx_->ChargeInstructions(item.input->InstructionsPerRow() * n);
-    }
+  for (double term : AggregateUpdateInstructions(
+           ctx_->options().costs, aggregates_, static_cast<double>(rows))) {
+    ctx_->ChargeInstructions(term);
   }
 }
 
@@ -453,8 +450,9 @@ Status HashAggregateOp::Compute() {
   emit_ = groups_.cbegin();
   // Rough DRAM residency of the final aggregation state (partials are
   // transient).
-  ctx_->ChargeDram(groups_.size() *
-                   (32 + 32 * (aggregates_.size() + group_by_.size())));
+  ctx_->ChargeDram(static_cast<uint64_t>(
+      AggregateStateBytes(static_cast<double>(groups_.size()),
+                          group_by_.size(), aggregates_.size())));
   computed_ = true;
   return Status::OK();
 }
@@ -475,8 +473,8 @@ Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
        ++take, ++emit_) {
     ECODB_RETURN_IF_ERROR(AppendGroupRow(emit_->second, aggregates_, &batch));
   }
-  ctx_->ChargeInstructions(ctx_->options().costs.output_per_row *
-                           static_cast<double>(take));
+  ctx_->ChargeInstructions(
+      OutputInstructions(ctx_->options().costs, static_cast<double>(take)));
   *out = std::move(batch);
   return Status::OK();
 }

@@ -63,6 +63,28 @@ Status BindAggregation(const catalog::Schema& in,
                        std::vector<int>* group_by,
                        catalog::Schema* out_schema);
 
+/// The instruction terms HashAggregateOp bills for folding `rows` input
+/// rows, one per charge and in charge order: the group lookup and
+/// accumulate, then each aggregate's input expression (COUNT(*) has none).
+inline std::vector<double> AggregateUpdateInstructions(
+    const CostConstants& c, const std::vector<AggregateItem>& aggregates,
+    double rows) {
+  std::vector<double> terms = {c.agg_update_per_row * rows};
+  for (const AggregateItem& item : aggregates) {
+    if (item.input != nullptr) {
+      terms.push_back(item.input->InstructionsPerRow() * rows);
+    }
+  }
+  return terms;
+}
+
+/// Bytes of final aggregation state HashAggregateOp bills as DRAM traffic
+/// for `groups` groups: 32 per group plus 32 per key and aggregate value.
+inline double AggregateStateBytes(double groups, size_t num_keys,
+                                  size_t num_aggregates) {
+  return groups * static_cast<double>(32 + 32 * (num_aggregates + num_keys));
+}
+
 /// Encodes row `row`'s group key into `key`. Two rows share a group exactly
 /// when their encodings are equal, and groups are emitted in ascending
 /// encoding. Strings are length-prefixed so keys never collide across

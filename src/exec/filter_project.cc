@@ -19,8 +19,8 @@ Status FilterOp::Next(RecordBatch* out, bool* eos) {
     if (*eos) return Status::OK();
     // Charged from the static per-row cost *before* evaluation, so the
     // fused/short-circuit strategy below cannot perturb the accounting.
-    ctx_->ChargeInstructions(predicate_->InstructionsPerRow() *
-                             static_cast<double>(batch.num_rows()));
+    ctx_->ChargeInstructions(FilterInstructions(
+        *predicate_, static_cast<double>(batch.num_rows())));
     ECODB_RETURN_IF_ERROR(
         predicate_->EvaluateMaskInto(batch, &scratch_, &mask_));
     batch.FilterInPlace(mask_);

@@ -11,6 +11,12 @@
 
 namespace ecodb::exec {
 
+/// Instructions FilterOp bills for evaluating `predicate` on `rows` rows,
+/// from its static per-row cost. The scan's fused filter bills the same.
+inline double FilterInstructions(const Expr& predicate, double rows) {
+  return predicate.InstructionsPerRow() * rows;
+}
+
 /// Keeps rows for which `predicate` evaluates non-zero.
 class FilterOp final : public Operator {
  public:

@@ -70,11 +70,10 @@ Status IndexScanOp::Open(ExecContext* ctx) {
   }
 
   // --- CPU: descent comparisons + per-match touch.
-  const double descent = 20.0 * static_cast<double>(index_->height());
-  ctx->ChargeInstructions(descent +
-                          ctx->options().costs.tuple_touch *
-                              static_cast<double>(row_ids_.size()) *
-                              static_cast<double>(column_indexes_.size()));
+  ctx->ChargeInstructions(IndexScanInstructions(
+      ctx->options().costs, static_cast<double>(index_->height()),
+      static_cast<double>(row_ids_.size()),
+      static_cast<double>(column_indexes_.size())));
   cursor_ = 0;
   open_ = true;
   return Status::OK();

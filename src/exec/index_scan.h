@@ -19,6 +19,13 @@
 
 namespace ecodb::exec {
 
+/// Instructions IndexScanOp bills: 20 per level of a `height` descent, and
+/// a tuple touch of each of `columns` in each of the `matches` rows.
+inline double IndexScanInstructions(const CostConstants& c, double height,
+                                    double matches, double columns) {
+  return 20.0 * height + c.tuple_touch * matches * columns;
+}
+
 class IndexScanOp final : public Operator {
  public:
   /// Emits rows of `table` whose `index` key lies in [lo, hi] (inclusive),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 #include <span>
 
@@ -122,10 +121,11 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   } else {
     BuildIndex(key_lane.i64, kHashInt64, &index_);
   }
-  build_bytes_ = BatchBytes(build_rows_) +
-                 build_rows_.num_rows() * 32;  // bucket + entry overhead
-  ctx->ChargeInstructions(ctx->options().costs.hash_build_per_row *
-                          static_cast<double>(build_rows_.num_rows()));
+  const double build_rows = static_cast<double>(build_rows_.num_rows());
+  build_bytes_ = static_cast<uint64_t>(HashBuildBytes(
+      static_cast<double>(BatchBytes(build_rows_)), build_rows));
+  ctx->ChargeInstructions(
+      HashBuildInstructions(ctx->options().costs, build_rows));
   ctx->ChargeDram(build_bytes_);
 
   probe_source_ = dynamic_cast<MorselSource*>(left_.get());
@@ -177,12 +177,11 @@ Status HashJoinOp::ParallelProbe() {
   }
   uint64_t total_matches = 0;
   for (size_t m : match_counts) total_matches += m;
-  // Same constants as the serial probe, applied to dop-invariant totals.
+  // Same formulas as the serial probe, applied to dop-invariant totals.
+  const CostConstants& c = ctx_->options().costs;
   ctx_->ChargeInstructions(
-      ctx_->options().costs.hash_probe_per_row *
-          static_cast<double>(probe_rows) +
-      ctx_->options().costs.output_per_row *
-          static_cast<double>(total_matches));
+      HashProbeInstructions(c, static_cast<double>(probe_rows)) +
+      OutputInstructions(c, static_cast<double>(total_matches)));
   probed_ = true;
   probe_cursor_ = 0;
   return Status::OK();
@@ -207,13 +206,13 @@ Status HashJoinOp::Next(RecordBatch* out, bool* eos) {
     RecordBatch probe;
     ECODB_RETURN_IF_ERROR(left_->Next(&probe, eos));
     if (*eos) return Status::OK();
-    ctx_->ChargeInstructions(ctx_->options().costs.hash_probe_per_row *
-                             static_cast<double>(probe.num_rows()));
+    ctx_->ChargeInstructions(HashProbeInstructions(
+        ctx_->options().costs, static_cast<double>(probe.num_rows())));
     RecordBatch joined;
     size_t matches = 0;
     ECODB_RETURN_IF_ERROR(ProbeBatch(probe, &joined, &matches));
-    ctx_->ChargeInstructions(ctx_->options().costs.output_per_row *
-                             static_cast<double>(matches));
+    ctx_->ChargeInstructions(OutputInstructions(
+        ctx_->options().costs, static_cast<double>(matches)));
     *out = std::move(joined);
     return Status::OK();
   }
@@ -254,9 +253,9 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
 
   // Cross product of this outer batch with the inner side, then filter.
   // The quadratic pair cost is the point: NLJ trades memory for cycles.
-  ctx_->ChargeInstructions(ctx_->options().costs.nl_join_inner_per_pair *
-                           static_cast<double>(outer.num_rows()) *
-                           static_cast<double>(inner_.num_rows()));
+  ctx_->ChargeInstructions(NestedLoopPairInstructions(
+      ctx_->options().costs, static_cast<double>(outer.num_rows()),
+      static_cast<double>(inner_.num_rows())));
   std::vector<uint32_t> inner_rows(inner_.num_rows());
   std::iota(inner_rows.begin(), inner_rows.end(), uint32_t{0});
   std::vector<uint32_t> outer_sel;
@@ -274,8 +273,8 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
   ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                          predicate_->EvaluateMask(joined));
   joined.FilterInPlace(mask);
-  ctx_->ChargeInstructions(ctx_->options().costs.output_per_row *
-                           static_cast<double>(joined.num_rows()));
+  ctx_->ChargeInstructions(OutputInstructions(
+      ctx_->options().costs, static_cast<double>(joined.num_rows())));
   *out = std::move(joined);
   return Status::OK();
 }
@@ -325,14 +324,10 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   };
   const std::vector<uint32_t> lorder = sorted_order(left_rows_, lk);
   const std::vector<uint32_t> rorder = sorted_order(right_rows_, rk);
-  const auto nlogn = [](size_t n) {
-    return n > 1 ? static_cast<double>(n) *
-                       std::log2(static_cast<double>(n))
-                 : 0.0;
-  };
+  const double left_rows = static_cast<double>(left_rows_.num_rows());
+  const double right_rows = static_cast<double>(right_rows_.num_rows());
   ctx->ChargeInstructions(
-      ctx->options().costs.sort_per_row_log_row *
-      (nlogn(left_rows_.num_rows()) + nlogn(right_rows_.num_rows())));
+      MergeJoinSortInstructions(ctx->options().costs, left_rows, right_rows));
 
   // Merge equal-key runs into the output's row pairs.
   left_sel_.clear();
@@ -363,9 +358,8 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
     }
   }
   ctx->ChargeInstructions(
-      ctx->options().costs.output_per_row *
-          static_cast<double>(left_sel_.size()) +
-      2.0 * static_cast<double>(lorder.size() + rorder.size()));
+      MergeJoinWalkInstructions(ctx->options().costs, left_rows, right_rows,
+                                static_cast<double>(left_sel_.size())));
   cursor_ = 0;
   return Status::OK();
 }

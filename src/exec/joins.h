@@ -14,6 +14,7 @@
 #ifndef ECODB_EXEC_JOINS_H_
 #define ECODB_EXEC_JOINS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,6 +29,36 @@ namespace ecodb::exec {
 /// Builds the joined schema per the collision convention above.
 catalog::Schema JoinedSchema(const catalog::Schema& left,
                              const catalog::Schema& right);
+
+// Charge formulas: the joins bill through these and the planner prices
+// with them on estimated counts. All are parallel instructions except
+// HashBuildBytes, the build table's DRAM traffic (the rows' payload plus
+// 32 bytes of bucket and entry overhead per row). A merge join sorts each
+// input in n·log2(n) steps; a matched row costs OutputInstructions.
+inline double HashBuildInstructions(const CostConstants& c, double rows) {
+  return c.hash_build_per_row * rows;
+}
+inline double HashBuildBytes(double payload_bytes, double rows) {
+  return payload_bytes + 32.0 * rows;
+}
+inline double HashProbeInstructions(const CostConstants& c, double rows) {
+  return c.hash_probe_per_row * rows;
+}
+inline double NestedLoopPairInstructions(const CostConstants& c,
+                                         double outer_rows,
+                                         double inner_rows) {
+  return c.nl_join_inner_per_pair * outer_rows * inner_rows;
+}
+inline double MergeJoinSortInstructions(const CostConstants& c,
+                                        double left_rows, double right_rows) {
+  const auto nlogn = [](double n) { return n > 1 ? n * std::log2(n) : 0.0; };
+  return c.sort_per_row_log_row * (nlogn(left_rows) + nlogn(right_rows));
+}
+inline double MergeJoinWalkInstructions(const CostConstants& c,
+                                        double left_rows, double right_rows,
+                                        double pairs) {
+  return OutputInstructions(c, pairs) + 2.0 * (left_rows + right_rows);
+}
 
 /// Equi-join on one key column per side. The right (build) side must fit
 /// in memory; its size is charged as DRAM traffic. Rows come out in probe

@@ -37,6 +37,12 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
+/// Instructions an operator bills, and the planner prices, for emitting
+/// `rows` rows: join matches, aggregate groups, a merged sort's rows.
+inline double OutputInstructions(const CostConstants& c, double rows) {
+  return c.output_per_row * rows;
+}
+
 /// Drains `root` into a materialized result set, counting emitted rows into
 /// the context. The operator must not yet be open.
 StatusOr<QueryResultSet> CollectAll(Operator* root, ExecContext* ctx);

@@ -6,6 +6,7 @@
 #include <span>
 
 #include "exec/exec_context.h"
+#include "exec/filter_project.h"
 #include "exec/operator.h"
 #include "storage/zone_map.h"
 
@@ -90,8 +91,6 @@ bool ZoneMayMatch(CompareOp op, double zmin, double zmax, double v) {
   return true;
 }
 
-}  // namespace
-
 // Recursively evaluates the prune filter over zone maps into a per-block
 // "may match" bitmap. Unknown shapes prune nothing (all true).
 std::vector<bool> ZoneBlocksMayMatch(const ExprPtr& e,
@@ -150,6 +149,8 @@ std::vector<bool> ZoneBlocksMayMatch(const ExprPtr& e,
   }
 }
 
+}  // namespace
+
 ScanPruning PruneScan(const ExprPtr& filter,
                       const storage::TableStorage& table) {
   ScanPruning out;
@@ -184,52 +185,10 @@ ScanPruning PruneScan(const ExprPtr& filter,
   return out;
 }
 
-uint64_t ScanTransferBytes(const storage::TableStorage& table,
-                           const std::vector<int>& column_indexes,
-                           double selected_fraction) {
-  // Skipped blocks skip their bytes for prunable storage (uncompressed
-  // columns / row layout); whole-column codecs must still stream fully.
-  if (table.layout() == storage::TableLayout::kRow) {
-    return static_cast<uint64_t>(
-        static_cast<double>(table.ScanBytes(column_indexes)) *
-        selected_fraction);
-  }
-  uint64_t bytes = 0;
-  for (int idx : column_indexes) {
-    const storage::ColumnLayout& layout = table.column_layout(idx);
-    if (layout.compression == storage::CompressionKind::kNone) {
-      bytes += static_cast<uint64_t>(
-          static_cast<double>(layout.encoded_bytes) * selected_fraction);
-    } else {
-      bytes += layout.encoded_bytes;
-    }
-  }
-  return bytes;
-}
-
-double ScanDecodeInstructions(const storage::TableStorage& table,
-                              const std::vector<int>& column_indexes,
-                              double selected_fraction) {
-  const double total_rows = static_cast<double>(table.row_count());
-  double decode_instr = 0.0;
-  for (int idx : column_indexes) {
-    const storage::ColumnLayout& layout = table.column_layout(idx);
-    double per_value = 1.0;
-    double rows = total_rows * selected_fraction;
-    if (layout.compression == storage::CompressionKind::kDictionary) {
-      per_value = storage::StringDictionaryCodec()
-                      .cost_profile()
-                      .decode_instructions_per_value;
-      rows = total_rows;  // whole-column decode
-    } else if (layout.compression != storage::CompressionKind::kNone) {
-      per_value = storage::MakeInt64Codec(layout.compression)
-                      ->cost_profile()
-                      .decode_instructions_per_value;
-      rows = total_rows;
-    }
-    decode_instr += per_value * rows;
-  }
-  return decode_instr;
+double ScanFilterInstructions(const Expr& filter, const ScanPruning& pruning) {
+  uint64_t selected = 0;
+  for (const ScanRowRange& r : pruning.ranges) selected += r.end - r.begin;
+  return FilterInstructions(filter, static_cast<double>(selected));
 }
 
 std::vector<ScanRowRange> MorselizeRanges(
@@ -299,7 +258,7 @@ Status TableScanOp::Open(ExecContext* ctx) {
   // --- Device transfer (skipped blocks skip their bytes where the storage
   // format allows it).
   const uint64_t bytes =
-      ScanTransferBytes(*table_, column_indexes_, pruning.selected_fraction);
+      table_->ScanBytes(column_indexes_, pruning.selected_fraction);
   double shared_ready = 0.0;
   if (ctx->ConsumeSharedScan(table_, &shared_ready)) {
     // This scan rides another session's in-window transfer of the same
@@ -310,10 +269,9 @@ Status TableScanOp::Open(ExecContext* ctx) {
     ECODB_RETURN_IF_ERROR(
         ctx->ChargeRead(table_->device(), bytes, /*sequential=*/true));
   }
-  ctx->ChargeInstructions(
-      ScanDecodeInstructions(*table_, column_indexes_,
-                             pruning.selected_fraction) *
-      ctx->options().costs.decode_scale);
+  ctx->ChargeInstructions(ScanDecodeInstructions(ctx->options().costs,
+                                                 *table_, column_indexes_,
+                                                 pruning.selected_fraction));
 
   // Column sources: borrow uncompressed lanes in place; decode compressed
   // columns across the pool (one task per compressed column).
@@ -350,10 +308,7 @@ Status TableScanOp::Open(ExecContext* ctx) {
   // row total (dop-invariant; what a downstream FilterOp would charge on
   // the scan's output).
   if (exact_filter_ != nullptr) {
-    uint64_t selected = 0;
-    for (const ScanRowRange& m : morsels_) selected += m.end - m.begin;
-    ctx->ChargeInstructions(exact_filter_->InstructionsPerRow() *
-                            static_cast<double>(selected));
+    ctx->ChargeInstructions(ScanFilterInstructions(*exact_filter_, pruning));
   }
 
   slots_.clear();

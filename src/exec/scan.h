@@ -40,12 +40,6 @@
 
 namespace ecodb::exec {
 
-/// Per-block "may match" bitmap of `filter` against `table`'s zone maps
-/// (conservative: unknown shapes prune nothing). Exposed for the planner's
-/// scan-cost estimation; empty when the table has no zone maps.
-std::vector<bool> ZoneBlocksMayMatch(const ExprPtr& filter,
-                                     const storage::TableStorage& table);
-
 /// A half-open run of selected row positions.
 struct ScanRowRange {
   size_t begin;
@@ -67,19 +61,21 @@ struct ScanPruning {
 ScanPruning PruneScan(const ExprPtr& filter,
                       const storage::TableStorage& table);
 
-/// Device bytes a scan of `column_indexes` must transfer when only
-/// `selected_fraction` of blocks survive pruning (whole-column codecs and
-/// row-layout pages cannot skip partial transfers the same way).
-uint64_t ScanTransferBytes(const storage::TableStorage& table,
-                           const std::vector<int>& column_indexes,
-                           double selected_fraction);
+/// Decode instructions a scan of `column_indexes` bills when
+/// `selected_fraction` of the blocks survive pruning: the table's
+/// DecodeInstructions, scaled by `c.decode_scale`. The scan transfers
+/// `table.ScanBytes(column_indexes, selected_fraction)`.
+inline double ScanDecodeInstructions(const CostConstants& c,
+                                     const storage::TableStorage& table,
+                                     const std::vector<int>& column_indexes,
+                                     double selected_fraction) {
+  return table.DecodeInstructions(column_indexes, selected_fraction) *
+         c.decode_scale;
+}
 
-/// Modeled decode instructions for the same scan (per-value touch for
-/// uncompressed lanes, codec decode cost for compressed ones, which always
-/// decode the whole column).
-double ScanDecodeInstructions(const storage::TableStorage& table,
-                              const std::vector<int>& column_indexes,
-                              double selected_fraction);
+/// Instructions the scan's fused exact `filter` bills: FilterInstructions
+/// on every row `pruning` keeps. Rows in skipped blocks cost nothing.
+double ScanFilterInstructions(const Expr& filter, const ScanPruning& pruning);
 
 /// A pipeline source that can hand out independent morsels. ProduceMorsel
 /// must be safe to call concurrently for distinct indexes once Open() has

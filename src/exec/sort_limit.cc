@@ -450,25 +450,21 @@ Status SortOp::MergeRuns() {
       limit_.has_value() ? std::min<uint64_t>(*limit_, total_rows)
                          : total_rows;
 
-  // One run is already in output order, so its merge costs nothing.
-  if (n_runs > 1 && limit_.has_value()) {
-    // A limited merge is billed as the coordinator's: its log2(R) ladder
-    // over every candidate row and the k-row emission are serial Amdahl
-    // terms (the cost model's top-k SortDemand prices the same split).
+  // One run is already in output order, so its merge costs nothing. An
+  // unlimited merge climbs its log2(R) ladder inside each partition
+  // (parallel); the rest is the coordinator's serial Amdahl term (the cost
+  // model's SortDemand prices the same split).
+  if (n_runs > 1) {
+    const double rows = static_cast<double>(total_rows);
+    const double runs = static_cast<double>(n_runs);
+    std::optional<double> limited_take;
+    if (limit_.has_value()) {
+      limited_take = static_cast<double>(take);
+    } else {
+      ctx_->ChargeInstructions(SortLadderInstructions(c, rows, runs, n_keys));
+    }
     ctx_->ChargeSerialInstructions(
-        SortLadderInstructions(c, static_cast<double>(total_rows),
-                               static_cast<double>(n_runs), n_keys) +
-        c.output_per_row * static_cast<double>(take));
-  } else if (n_runs > 1) {
-    // Merge fan-in: every row climbs a log2(R) comparison ladder inside its
-    // partition (parallel), while splitter selection and partition
-    // stitching stay on the coordinator (serial Amdahl term; the cost model
-    // prices the same split).
-    ctx_->ChargeInstructions(
-        SortLadderInstructions(c, static_cast<double>(total_rows),
-                               static_cast<double>(n_runs), n_keys));
-    ctx_->ChargeSerialInstructions(c.output_per_row *
-                                   static_cast<double>(total_rows));
+        SortMergeSerialInstructions(c, rows, runs, n_keys, limited_take));
   }
 
   // Output order on run rows: (key, run, position). A comparison reads the

@@ -89,6 +89,23 @@ inline double TopKCompareInstructions(const CostConstants& c, double rows,
          (1.0 + std::log2(std::max(1.0, k_eff))) * num_keys;
 }
 
+/// Serial instructions the coordinator bills for merging `runs` sorted runs
+/// keeping `rows` rows in all (none for one run): the stitching of every
+/// row, the log2(runs) ladder being parallel; or, under a limit, that
+/// ladder over every candidate plus emitting the `limited_take` rows kept.
+/// Shared with CostModel::SortDemand.
+inline double SortMergeSerialInstructions(const CostConstants& c,
+                                          double rows, double runs,
+                                          double num_keys,
+                                          std::optional<double> limited_take) {
+  if (runs <= 1.0) return 0.0;
+  if (limited_take.has_value()) {
+    return SortLadderInstructions(c, rows, runs, num_keys) +
+           OutputInstructions(c, *limited_take);
+  }
+  return OutputInstructions(c, rows);
+}
+
 /// The child's rows in stable order on `keys`; with `limit`, only the first
 /// `*limit` of them.
 class SortOp final : public Operator {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/scan.h"
 #include "exec/sort_limit.h"
 
 namespace ecodb::optimizer {
@@ -25,15 +26,20 @@ CostModel::CostModel(power::HardwarePlatform* platform,
     : platform_(platform), params_(params) {}
 
 ResourceEstimate CostModel::ScanDemand(
-    const storage::TableStorage& table,
-    const std::vector<int>& column_indexes) const {
+    const storage::TableStorage& table, const std::vector<int>& column_indexes,
+    const exec::ExprPtr& filter) const {
   ResourceEstimate demand;
-  const uint64_t bytes = table.ScanBytes(column_indexes);
+  const exec::ScanPruning pruning = exec::PruneScan(filter, table);
+  const uint64_t bytes =
+      table.ScanBytes(column_indexes, pruning.selected_fraction);
   if (bytes > 0 && table.device() != nullptr) {
     demand.device_bytes[table.device()] += bytes;
   }
-  demand.cpu_instructions =
-      table.DecodeInstructions(column_indexes) * params_.costs.decode_scale;
+  demand.cpu_instructions = exec::ScanDecodeInstructions(
+      params_.costs, table, column_indexes, pruning.selected_fraction);
+  if (filter != nullptr) {
+    demand.cpu_instructions += exec::ScanFilterInstructions(*filter, pruning);
+  }
   return demand;
 }
 
@@ -58,11 +64,8 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
     const double k_run = std::min(per_run, k_eff);
     demand.cpu_instructions +=
         exec::TopKCompareInstructions(k, rows, k_run, keys);
-    if (runs > 1.0) {
-      demand.serial_cpu_instructions +=
-          exec::SortLadderInstructions(k, runs * k_run, runs, keys) +
-          k.output_per_row * k_eff;
-    }
+    demand.serial_cpu_instructions +=
+        exec::SortMergeSerialInstructions(k, runs * k_run, runs, keys, k_eff);
     return demand;
   }
   // Run formation: each run's n·log2(n) ladder, divided across workers.
@@ -75,8 +78,9 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
     // matches the classic serial n·log2(n) — only its Amdahl split changes.
     demand.cpu_instructions +=
         exec::SortLadderInstructions(k, rows, runs, keys);
-    demand.serial_cpu_instructions += k.output_per_row * rows;
   }
+  demand.serial_cpu_instructions +=
+      exec::SortMergeSerialInstructions(k, rows, runs, keys, std::nullopt);
   return demand;
 }
 
@@ -130,10 +134,8 @@ PlanCost CostModel::Price(const ResourceEstimate& demand, int dop,
                                   (demand.resident_byte_seconds / gib);
   cost.joules =
       cpu_joules + io_joules + dram_traffic_joules + residency_joules;
-
-  if (params_.include_background_power) {
-    cost.joules += platform_->meter()->TotalWatts() * cost.seconds;
-  }
+  // The platform's standing power, as a wall meter sees it.
+  cost.joules += platform_->meter()->TotalWatts() * cost.seconds;
   return cost;
 }
 

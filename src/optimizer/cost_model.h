@@ -6,14 +6,20 @@
 // simple models for device access times work well in practice." This model
 // is exactly that kind of simple model:
 //
-//   time   = max(cpu_work / (cores x ips), per-device I/O service time)
+//   time   = max(serial_cpu + parallel_cpu / cores, per-device I/O time)
 //   energy = cpu_active + device_active + dram_traffic
 //            + memory_residency (W/GiB x resident-byte-seconds)
 //            + platform_background x time
 //
+// Demand has no instruction formulas of its own: each CPU term, like each
+// join and aggregate DRAM term, is the charge function its operator bills
+// with (exec/*.h), fed estimated counts, in the bill's serial or parallel
+// bucket.
+//
 // The memory-residency term is what makes hash join "expensive ... from a
 // power perspective" relative to nested-loop join, per the paper. Its
-// coefficient is a knob the A1 ablation sweeps.
+// coefficient is a knob the A1 ablation sweeps; the ledger does not bill
+// it.
 
 #ifndef ECODB_OPTIMIZER_COST_MODEL_H_
 #define ECODB_OPTIMIZER_COST_MODEL_H_
@@ -23,6 +29,7 @@
 #include <string>
 
 #include "exec/exec_context.h"
+#include "exec/expr.h"
 #include "power/platform.h"
 #include "storage/device.h"
 #include "storage/table_storage.h"
@@ -53,13 +60,14 @@ struct PlanCost {
 /// converted to PlanCost at the end (so overlap across phases is priced the
 /// same way the executor measures it).
 struct ResourceEstimate {
-  /// CPU work that parallelizes across the plan's dop (scans, filters,
-  /// probes, aggregate updates).
+  /// CPU work that parallelizes across the plan's dop: everything an
+  /// operator bills through ExecContext::ChargeInstructions.
   double cpu_instructions = 0.0;
-  /// Additional CPU work confined to one core regardless of dop (hash
-  /// builds, sorts, final merges, index descents). Amdahl's law: elapsed =
-  /// serial_seconds + parallel_seconds / cores, while busy core-seconds —
-  /// and so active CPU energy — always cover both terms in full.
+  /// Additional CPU work confined to one core regardless of dop: what is
+  /// billed through ChargeSerialInstructions, which is only the sort
+  /// merge's stitching and the limited (top-k) merge. Amdahl's law:
+  /// elapsed = serial_seconds + parallel_seconds / cores, while busy
+  /// core-seconds — and so active CPU energy — always cover both terms.
   double serial_cpu_instructions = 0.0;
   /// I/O demand per device (keyed by device pointer; stable during a plan).
   std::map<const storage::StorageDevice*, uint64_t> device_bytes;
@@ -84,9 +92,6 @@ struct CostModelParams {
   /// were energy-proportional (the paper's Section 4.3 assumption) even on
   /// platforms whose DRAM model excludes background power.
   double dram_watts_per_gib_override = -1.0;
-  /// Include the platform's standing (idle background) power in energy
-  /// estimates. True matches what a wall meter sees.
-  bool include_background_power = true;
 };
 
 class CostModel {
@@ -97,17 +102,19 @@ class CostModel {
   const CostModelParams& params() const { return params_; }
   power::HardwarePlatform* platform() const { return platform_; }
 
-  /// Demand of scanning `columns` of `table` (I/O bytes + decode CPU).
+  /// Demand of a table scan of `column_indexes` of `table` with `filter`
+  /// (may be null) fused in: zone pruning, then the scan's transfer bytes
+  /// and its decode and filter instructions (exec/scan.h).
   ResourceEstimate ScanDemand(const storage::TableStorage& table,
-                              const std::vector<int>& column_indexes) const;
+                              const std::vector<int>& column_indexes,
+                              const exec::ExprPtr& filter = nullptr) const;
 
-  /// Demand of sorting `rows` rows on `num_keys` keys, priced the way the
-  /// morsel-parallel external sort executes: run formation
+  /// Demand of sorting `rows` rows on `num_keys` keys, priced through
+  /// SortOp's charge functions (exec/sort_limit.h): run formation
   /// (rows · log2(run size)) and the merge comparison ladder
   /// (rows · log2(fan-in)) parallelize across cores, while the merge's
-  /// splitter selection and partition stitching stay serial (Amdahl).
-  /// `costs.sort_run_rows` models the run size; at one run this reduces
-  /// exactly to the classic serial n·log2(n).
+  /// partition stitching stays serial (Amdahl). `costs.sort_run_rows`
+  /// models the run size; at one run this reduces exactly to n·log2(n).
   ///
   /// `limit_rows >= 0` prices the fused top-k path instead: each run streams
   /// through a bounded heap of min(run, k) rows — O(n log k) comparisons,

@@ -10,10 +10,12 @@
 //   - The estimator feeds pricing only: every enumerated tree joins on real
 //     equi-join edges and applies the remaining crossing edges as residual
 //     filters, so all orders are row-equivalent regardless of estimates.
-//   - Physical join operators are reused unchanged. Only a join whose LEFT
-//     child is a leaf prices its probe as parallel (upper joins consume
-//     materialized children serially), which rule the serial/parallel
-//     instruction split below mirrors.
+//   - Pricing has no instruction formulas of its own: every node's CPU
+//     terms, and the join and aggregate DRAM bytes, come from the charge
+//     functions its operators bill with, fed estimated counts, into the
+//     bucket the bill uses (only the sort's merge terms are serial). On
+//     exact counts PricePlan's seconds are the billed CPU critical path at
+//     every dop.
 
 #include "optimizer/join_order.h"
 
@@ -23,6 +25,7 @@
 #include <set>
 #include <utility>
 
+#include "exec/aggregate.h"
 #include "exec/filter_project.h"
 #include "exec/index_scan.h"
 #include "exec/joins.h"
@@ -34,9 +37,6 @@ namespace ecodb::optimizer {
 namespace {
 
 using exec::ExprPtr;
-
-/// Instructions charged per row by one residual-edge equality filter.
-constexpr double kResidualFilterInstrPerRow = 4.0;
 
 /// DP width cap: 3^12 split enumerations stay well under a millisecond
 /// budget; beyond that the spec should be broken up.
@@ -61,6 +61,11 @@ Status CheckOneForm(const QuerySpec& spec) {
   return Status::OK();
 }
 
+/// The equality a residual edge filters on.
+ExprPtr EdgePredicate(const JoinEdge& e) {
+  return exec::Col(e.left_key) == exec::Col(e.right_key);
+}
+
 /// Schema positions of `names` (missing names skipped).
 std::vector<int> ToIndexes(const catalog::Schema& schema,
                            const std::vector<std::string>& names) {
@@ -71,20 +76,6 @@ std::vector<int> ToIndexes(const catalog::Schema& schema,
     if (i >= 0) idx.push_back(i);
   }
   return idx;
-}
-
-/// Materialized byte width of one row projected to `columns`.
-double RowWidthOf(const storage::TableStorage& table,
-                  const std::vector<std::string>& columns) {
-  double width = 0.0;
-  for (const std::string& name : columns) {
-    const int i = table.schema().FindColumn(name);
-    if (i >= 0) {
-      const catalog::Column& c = table.schema().column(i);
-      width += catalog::TypeWidthBytes(c.type, c.avg_width);
-    }
-  }
-  return width;
 }
 
 /// Columns relation `rel`'s scan must produce: requested columns (empty =
@@ -169,7 +160,8 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
       }
     }
     graph.widths_[rel] =
-        RowWidthOf(*side.variants[0], graph.scan_columns_[rel]);
+        schema.ProjectIndexes(ToIndexes(schema, graph.scan_columns_[rel]))
+            .RowWidthBytes();
 
     if (side.stats != nullptr) {
       graph.stats_[rel] = *side.stats;
@@ -199,6 +191,7 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
          static_cast<double>(graph.stats_[e.right_rel].columns[ri]
                                  .distinct_values)});
     graph.edge_sel_[i] = 1.0 / ndv;
+    graph.edge_predicates_.push_back(EdgePredicate(e));
   }
 
   if (!graph.Connected(graph.full_mask())) {
@@ -307,14 +300,14 @@ StatusOr<LeafAccess> ResolveLeaf(const TableAlternatives& side,
   return access;
 }
 
-/// Scan + pushed-down filter demand of one leaf, built from the exact
-/// helpers the leaf's operators charge with, so estimator and executor
-/// cannot drift: a zone-pruned table scan with the filter fused in, or an
-/// index range scan followed by the exact filter.
+/// Scan + pushed-down filter demand of one leaf, priced through the charge
+/// functions the leaf's operators bill with: a zone-pruned table scan with
+/// the filter fused in (CostModel::ScanDemand), or an index range scan
+/// followed by a FilterOp.
 StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
                                       const JoinGraph& graph,
                                       const PlanJoinNode& leaf,
-                                      const exec::CostConstants& k) {
+                                      const CostModel& model) {
   const TableAlternatives& side = spec.Relations()[leaf.relation];
   ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(side, leaf));
   const storage::TableStorage& t = *access.table;
@@ -322,8 +315,7 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
   ResourceEstimate d;
   if (leaf.path == AccessPath::kIndexScan) {
     // Index page walk plus a coupon-collector estimate of the distinct heap
-    // pages the matching rows touch. Descents are pointer chases on one
-    // core, and the executor runs this path and its exact filter serially.
+    // pages the matching rows touch.
     const double matches = graph.filtered_rows(leaf.relation);
     const double index_pages =
         static_cast<double>(side.index->PagesForRange(access.lo, access.hi));
@@ -336,36 +328,25 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
       d.random_page_reads[t.device()] +=
           static_cast<uint64_t>(index_pages + heap_pages + 0.5);
     }
-    d.serial_cpu_instructions =
-        20.0 * static_cast<double>(side.index->height()) +
-        matches * static_cast<double>(cols.size());
+    d.cpu_instructions = exec::IndexScanInstructions(
+        model.params().costs, static_cast<double>(side.index->height()),
+        matches, static_cast<double>(cols.size()));
     if (side.filter != nullptr) {
-      d.serial_cpu_instructions += side.filter->InstructionsPerRow() * matches;
+      d.cpu_instructions += exec::FilterInstructions(*side.filter, matches);
     }
     return d;
   }
-  const exec::ScanPruning pruning = exec::PruneScan(side.filter, t);
-  const std::vector<int> col_indexes = ToIndexes(t.schema(), cols);
-  const uint64_t bytes =
-      exec::ScanTransferBytes(t, col_indexes, pruning.selected_fraction);
-  if (bytes > 0 && t.device() != nullptr) d.device_bytes[t.device()] += bytes;
-  d.cpu_instructions = exec::ScanDecodeInstructions(
-                           t, col_indexes, pruning.selected_fraction) *
-                       k.decode_scale;
-  if (side.filter != nullptr) {
-    d.cpu_instructions += side.filter->InstructionsPerRow() *
-                          static_cast<double>(t.row_count());
-  }
-  return d;
+  return model.ScanDemand(t, ToIndexes(t.schema(), cols), side.filter);
 }
 
-/// Adds one join node's demand on top of its children's. `left_is_leaf`
-/// decides probe attribution: a leaf left child is a morsel source, so its
-/// probe parallelizes; joins above joins probe serially.
+/// Adds one join node's demand on top of its children's, priced through
+/// the charge functions the join operator and its residual-edge FilterOps
+/// bill with. Each of them bills parallel instructions, whatever the join's
+/// children are.
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
-                     uint32_t lmask, uint32_t rmask, bool left_is_leaf,
-                     const exec::CostConstants& k, const CostModel& model,
-                     ResourceEstimate* demand, double* resident_bytes) {
+                     uint32_t lmask, uint32_t rmask,
+                     const exec::CostConstants& k, ResourceEstimate* demand,
+                     double* resident_bytes) {
   const std::vector<int> crossing = graph.CrossingEdgeIndexes(lmask, rmask);
   if (crossing.empty()) {
     return Status::InvalidArgument(
@@ -377,41 +358,33 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
       lrows * rrows * graph.edge_selectivity(crossing[0]);
   switch (algo) {
     case JoinAlgorithm::kHash: {
-      const double build_bytes = rrows * (MaskWidth(graph, rmask) + 32.0);
-      demand->serial_cpu_instructions += k.hash_build_per_row * rrows;
-      const double probe = k.hash_probe_per_row * lrows +
-                           k.output_per_row * rows_primary;
-      if (left_is_leaf) {
-        demand->cpu_instructions += probe;
-      } else {
-        demand->serial_cpu_instructions += probe;
-      }
+      const double build_bytes =
+          exec::HashBuildBytes(rrows * MaskWidth(graph, rmask), rrows);
+      demand->cpu_instructions += exec::HashBuildInstructions(k, rrows);
+      demand->cpu_instructions += exec::HashProbeInstructions(k, lrows) +
+                                  exec::OutputInstructions(k, rows_primary);
       demand->dram_traffic_bytes += static_cast<uint64_t>(build_bytes);
       *resident_bytes += build_bytes;
       break;
     }
-    case JoinAlgorithm::kMerge: {
-      // Both inputs sort under the external-sort model (run formation and
-      // merge fan-in parallelize; see CostModel::SortDemand). The merge
-      // walk and output emission stay serial.
-      demand->Merge(model.SortDemand(lrows, 1));
-      demand->Merge(model.SortDemand(rrows, 1));
-      demand->serial_cpu_instructions +=
-          2.0 * (lrows + rrows) + k.output_per_row * rows_primary;
+    case JoinAlgorithm::kMerge:
+      demand->cpu_instructions +=
+          exec::MergeJoinSortInstructions(k, lrows, rrows);
+      demand->cpu_instructions +=
+          exec::MergeJoinWalkInstructions(k, lrows, rrows, rows_primary);
       break;
-    }
-    case JoinAlgorithm::kNestedLoop: {
-      demand->serial_cpu_instructions +=
-          k.nl_join_inner_per_pair * lrows * rrows +
-          k.output_per_row * rows_primary;
+    case JoinAlgorithm::kNestedLoop:
+      demand->cpu_instructions +=
+          exec::NestedLoopPairInstructions(k, lrows, rrows);
+      demand->cpu_instructions += exec::OutputInstructions(k, rows_primary);
       break;
-    }
   }
   // Residual crossing edges run as stacked equality filters over the
   // primary join's output (each one thins the stream for the next).
   double rows = rows_primary;
   for (size_t j = 1; j < crossing.size(); ++j) {
-    demand->serial_cpu_instructions += kResidualFilterInstrPerRow * rows;
+    demand->cpu_instructions +=
+        exec::FilterInstructions(graph.edge_predicate(crossing[j]), rows);
     rows *= graph.edge_selectivity(crossing[j]);
   }
   return Status::OK();
@@ -430,7 +403,8 @@ PlanCost PriceWithResidency(const CostModel& model, ResourceEstimate demand,
   return cost;
 }
 
-/// Prices the tail of `spec` into `demand`: aggregate update + emission,
+/// Prices the tail of `spec` into `demand`: the aggregate's update,
+/// input expressions, emission and state, as HashAggregateOp bills them,
 /// then sort / fused top-k with spill. `in_rows` is the tail's input
 /// cardinality (the join output), `output_rows` its estimated final
 /// cardinality before the LIMIT clamp, and `input_width` the materialized
@@ -441,11 +415,14 @@ void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
                ResourceEstimate* demand) {
   const exec::CostConstants& k = model.params().costs;
   if (!spec.aggregates.empty()) {
-    // Group updates run in thread-local partials; the merged-table emission
-    // is the coordinator's.
-    demand->cpu_instructions += k.agg_update_per_row * in_rows;
-    demand->serial_cpu_instructions += k.output_per_row * output_rows;
-    demand->dram_traffic_bytes += static_cast<uint64_t>(output_rows * 64.0);
+    for (double term :
+         exec::AggregateUpdateInstructions(k, spec.aggregates, in_rows)) {
+      demand->cpu_instructions += term;
+    }
+    demand->cpu_instructions += exec::OutputInstructions(k, output_rows);
+    demand->dram_traffic_bytes +=
+        static_cast<uint64_t>(exec::AggregateStateBytes(
+            output_rows, spec.group_by.size(), spec.aggregates.size()));
   }
 
   if (!spec.order_by.empty()) {
@@ -510,8 +487,7 @@ double TailOutputRows(const QuerySpec& spec, const JoinGraph& graph,
 /// through one code path.
 StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
                                 const std::vector<PlanJoinNode>& nodes,
-                                int index, const exec::CostConstants& k,
-                                const CostModel& model,
+                                int index, const CostModel& model,
                                 ResourceEstimate* demand,
                                 double* resident_bytes) {
   if (index < 0 || index >= static_cast<int>(nodes.size())) {
@@ -523,24 +499,23 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
       return Status::InvalidArgument("join tree leaf relation out of range");
     }
     ECODB_ASSIGN_OR_RETURN(const ResourceEstimate leaf,
-                           LeafDemand(spec, graph, node, k));
+                           LeafDemand(spec, graph, node, model));
     demand->Merge(leaf);
     return uint32_t{1} << node.relation;
   }
   ECODB_ASSIGN_OR_RETURN(
       const uint32_t lmask,
-      WalkJoinTree(spec, graph, nodes, node.left, k, model, demand,
+      WalkJoinTree(spec, graph, nodes, node.left, model, demand,
                    resident_bytes));
   ECODB_ASSIGN_OR_RETURN(
       const uint32_t rmask,
-      WalkJoinTree(spec, graph, nodes, node.right, k, model, demand,
+      WalkJoinTree(spec, graph, nodes, node.right, model, demand,
                    resident_bytes));
   if ((lmask & rmask) != 0) {
     return Status::InvalidArgument("join tree repeats a relation");
   }
-  const bool left_is_leaf = nodes[node.left].relation >= 0;
   ECODB_RETURN_IF_ERROR(AddJoinDemand(graph, node.algo, lmask, rmask,
-                                      left_is_leaf, k, model, demand,
+                                      model.params().costs, demand,
                                       resident_bytes));
   return lmask | rmask;
 }
@@ -553,12 +528,11 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
     return Status::InvalidArgument("plan has no join tree");
   }
-  const exec::CostConstants& k = model.params().costs;
   ResourceEstimate demand;
   double resident_bytes = 0.0;
   ECODB_ASSIGN_OR_RETURN(
       const uint32_t mask,
-      WalkJoinTree(spec, graph, plan.join_nodes, plan.join_root, k, model,
+      WalkJoinTree(spec, graph, plan.join_nodes, plan.join_root, model,
                    &demand, &resident_bytes));
   if (mask != graph.full_mask()) {
     return Status::InvalidArgument("join tree does not cover all relations");
@@ -679,7 +653,7 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
         node.est_rows = graph.filtered_rows(rel);
         node.est_bytes = node.est_rows * graph.row_width(rel);
         ECODB_ASSIGN_OR_RETURN(ResourceEstimate demand,
-                               LeafDemand(spec, graph, node, k));
+                               LeafDemand(spec, graph, node, *model_));
         arena.push_back(std::move(node));
         leaves[rel].push_back(SubPlan{static_cast<int>(arena.size()) - 1,
                                       std::move(demand), 0.0});
@@ -745,15 +719,13 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
           const uint32_t r = mask ^ l;
           if (subs[l].empty() || subs[r].empty()) continue;
           if (graph.CrossingEdgeIndexes(l, r).empty()) continue;
-          const bool left_is_leaf = PopCount(l) == 1;
           for (JoinAlgorithm algo : algos) {
             for (const SubPlan& ls : subs[l]) {
               for (const SubPlan& rs : subs[r]) {
                 SubPlan cand{-1, ls.demand,
                              ls.resident_bytes + rs.resident_bytes};
                 cand.demand.Merge(rs.demand);
-                if (!AddJoinDemand(graph, algo, l, r, left_is_leaf, k,
-                                   *model_, &cand.demand,
+                if (!AddJoinDemand(graph, algo, l, r, k, &cand.demand,
                                    &cand.resident_bytes)
                          .ok()) {
                   continue;
@@ -867,8 +839,8 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
       break;
   }
   for (const JoinEdge& e : node.residual_edges) {
-    joined = std::make_unique<exec::FilterOp>(
-        std::move(joined), exec::Col(e.left_key) == exec::Col(e.right_key));
+    joined = std::make_unique<exec::FilterOp>(std::move(joined),
+                                              EdgePredicate(e));
   }
   return joined;
 }

@@ -75,6 +75,8 @@ class JoinGraph {
 
   const JoinEdge& edge(int i) const { return edges_[i]; }
   double edge_selectivity(int i) const { return edge_sel_[i]; }
+  /// Edge `i`'s equality, as the FilterOp of a residual edge evaluates it.
+  const exec::Expr& edge_predicate(int i) const { return *edge_predicates_[i]; }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 
   double filtered_rows(int rel) const { return filtered_rows_[rel]; }
@@ -89,6 +91,7 @@ class JoinGraph {
  private:
   std::vector<JoinEdge> edges_;
   std::vector<double> edge_sel_;
+  std::vector<exec::ExprPtr> edge_predicates_;
   std::vector<double> filtered_rows_;
   std::vector<double> widths_;
   std::vector<std::vector<std::string>> scan_columns_;

@@ -7,7 +7,8 @@
 // algorithms, join orders, DVFS states, degrees of parallelism — the
 // planner enumerates the combinations with one bitmask DP over connected
 // subgraphs (join_order.h), prices each with the two-objective CostModel,
-// and returns the plan minimizing `seconds + lambda * joules`.
+// and returns the plan minimizing `seconds + lambda * joules`. Nodes are
+// priced through their operators' charge functions (join_order.cc).
 //
 // With lambda = 0 this is a classical performance optimizer. Raising lambda
 // reproduces the paper's headline behaviours: compressed scans lose to

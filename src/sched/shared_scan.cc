@@ -42,7 +42,6 @@ StatusOr<ScanTicket> SharedScanManager::AdmitScan(
   Transfer t;
   t.start_time = now;
   t.columns = needed;
-  t.bytes = bytes;
   t.completion_time = now;
   last_transfer_[&table] = std::move(t);
   ++stats_.device_transfers;
@@ -60,30 +59,6 @@ void SharedScanManager::CompleteTransfer(const storage::TableStorage& table,
   if (it == last_transfer_.end()) return;
   it->second.completion_time =
       std::max(it->second.completion_time, completion_time);
-}
-
-StatusOr<ScanTicket> SharedScanManager::RequestScan(
-    const storage::TableStorage& table, std::vector<int> column_indexes) {
-  ECODB_ASSIGN_OR_RETURN(ScanTicket ticket,
-                         AdmitScan(table, std::move(column_indexes)));
-  if (ticket.shared) return ticket;
-
-  // Legacy self-contained path: the manager itself issues the transfer on
-  // behalf of all attached readers; it runs outside any single query's
-  // ExecContext.
-  auto it = last_transfer_.find(&table);
-  const uint64_t bytes = it->second.bytes;
-  double completion = clock_->now();
-  if (table.device() != nullptr && bytes > 0) {
-    ECODB_ASSIGN_OR_RETURN(
-        const storage::IoResult io,
-        table.device()->SubmitRead(completion, bytes,  // NOLINT-ECODB(EC1)
-                                   /*sequential=*/true));
-    completion = io.completion_time;
-  }
-  it->second.completion_time = completion;
-  ticket.ready_time = completion;
-  return ticket;
 }
 
 }  // namespace ecodb::sched

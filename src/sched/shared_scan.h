@@ -50,17 +50,13 @@ class SharedScanManager {
   /// outlive the manager.
   SharedScanManager(sim::SimClock* clock, double share_window_s);
 
-  /// Requests a scan of `table` projecting `column_indexes` (empty = all).
-  /// Charges the device only when no compatible transfer is reusable.
-  StatusOr<ScanTicket> RequestScan(const storage::TableStorage& table,
-                                   std::vector<int> column_indexes);
-
-  /// Decision-only variant for the serving core: decides whether this scan
-  /// piggybacks on the last in-window transfer of `table`, but does NOT
-  /// submit any device I/O itself. A non-shared ticket means the caller is
-  /// the payer — it must bill the transfer through its own session context
-  /// and then report the transfer's completion via CompleteTransfer(), so
-  /// followers within the window wait for the real data-ready instant.
+  /// Decides whether a scan of `table` projecting `column_indexes` (empty =
+  /// all) piggybacks on the last in-window transfer of `table` that covers
+  /// its columns. The manager submits no device I/O itself. A non-shared
+  /// ticket means the caller is the payer — it must bill the transfer
+  /// through its own session context and then report the transfer's
+  /// completion via CompleteTransfer(), so followers within the window
+  /// wait for the real data-ready instant.
   StatusOr<ScanTicket> AdmitScan(const storage::TableStorage& table,
                                  std::vector<int> column_indexes);
 
@@ -76,7 +72,6 @@ class SharedScanManager {
     double start_time = 0.0;
     double completion_time = 0.0;
     std::set<int> columns;
-    uint64_t bytes = 0;
   };
 
   sim::SimClock* clock_;

@@ -342,7 +342,7 @@ class RleCodec final : public Int64Codec {
         if (!GetVarint(buffer, &pos, &zz) || !GetVarint(buffer, &pos, &run)) {
           return Status::DataLoss("rle buffer truncated");
         }
-        if (run == 0 || values->size() + run > count) {
+        if (run == 0 || run > count - values->size()) {
           return Status::DataLoss("rle run overflows declared count");
         }
         values->insert(values->end(), run, ZigzagDecode(zz));
@@ -591,6 +591,14 @@ std::unique_ptr<Int64Codec> MakeInt64Codec(CompressionKind kind) {
 
 std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind) {
   return MakeCodec(kind, /*reference=*/true);
+}
+
+double DecodeInstructionsPerValue(CompressionKind kind) {
+  if (kind == CompressionKind::kNone) return 1.0;  // touch cost
+  if (kind == CompressionKind::kDictionary) {
+    return StringDictionaryCodec().cost_profile().decode_instructions_per_value;
+  }
+  return MakeInt64Codec(kind)->cost_profile().decode_instructions_per_value;
 }
 
 CpuCostProfile StringDictionaryCodec::cost_profile() const {

@@ -96,6 +96,10 @@ class StringDictionaryCodec {
                 std::vector<std::string>* values) const;
 };
 
+/// Modeled instructions to decode one value stored as `kind`: the fast
+/// codec's decode profile, or a touch of 1 for an uncompressed lane.
+double DecodeInstructionsPerValue(CompressionKind kind);
+
 /// Measures the codec's ratio on a sample: encoded_bytes / raw_bytes
 /// (lower is better; > 1 means the codec inflates this data).
 double MeasureInt64Ratio(const Int64Codec& codec,

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/flat_key_index.h"
 
@@ -166,24 +165,31 @@ StatusOr<ColumnData> TableStorage::ReadColumn(int i) const {
   return out;
 }
 
-uint64_t TableStorage::ScanBytes(
-    const std::vector<int>& column_indexes) const {
+uint64_t TableStorage::ScanBytes(const std::vector<int>& column_indexes,
+                                 double selected_fraction) const {
+  // Skipped blocks skip their bytes for prunable storage (row pages and
+  // uncompressed columns); whole-column codecs must still stream fully.
+  const auto selected = [&](uint64_t bytes) {
+    return static_cast<uint64_t>(static_cast<double>(bytes) *
+                                 selected_fraction);
+  };
+  uint64_t total = 0;
   if (layout_ == TableLayout::kRow) {
     // NSM reads whole rows no matter the projection. Row pages hold the
     // uncompressed row image (row stores rarely compress in place).
-    uint64_t total = 0;
     for (int i = 0; i < schema_.num_columns(); ++i) {
       total += layouts_[i].raw_bytes;
     }
-    return total;
+    return selected(total);
   }
-  uint64_t total = 0;
-  std::unordered_set<int> seen;
+  std::vector<bool> seen(schema_.num_columns());
   for (int i : column_indexes) {
-    if (i < 0 || i >= schema_.num_columns() || !seen.insert(i).second) {
-      continue;
-    }
-    total += layouts_[i].encoded_bytes;
+    if (i < 0 || i >= schema_.num_columns() || seen[i]) continue;
+    seen[i] = true;
+    const ColumnLayout& layout = layouts_[i];
+    total += layout.compression == CompressionKind::kNone
+                 ? selected(layout.encoded_bytes)
+                 : layout.encoded_bytes;
   }
   return total;
 }
@@ -195,24 +201,18 @@ uint64_t TableStorage::TotalBytes() const {
 }
 
 double TableStorage::DecodeInstructions(
-    const std::vector<int>& column_indexes) const {
+    const std::vector<int>& column_indexes, double selected_fraction) const {
+  const double total_rows = static_cast<double>(row_count_);
   double instructions = 0.0;
-  std::unordered_set<int> seen;
+  std::vector<bool> seen(schema_.num_columns());
   for (int i : column_indexes) {
-    if (i < 0 || i >= schema_.num_columns() || !seen.insert(i).second) {
-      continue;
-    }
-    const ColumnLayout& layout = layouts_[i];
-    double per_value = 1.0;  // touch cost
-    if (layout.compression == CompressionKind::kDictionary) {
-      per_value = StringDictionaryCodec().cost_profile()
-                      .decode_instructions_per_value;
-    } else if (layout.compression != CompressionKind::kNone) {
-      per_value = MakeInt64Codec(layout.compression)
-                      ->cost_profile()
-                      .decode_instructions_per_value;
-    }
-    instructions += per_value * static_cast<double>(row_count_);
+    if (i < 0 || i >= schema_.num_columns() || seen[i]) continue;
+    seen[i] = true;
+    const CompressionKind kind = layouts_[i].compression;
+    const double rows = kind == CompressionKind::kNone
+                            ? total_rows * selected_fraction
+                            : total_rows;  // whole-column decode
+    instructions += DecodeInstructionsPerValue(kind) * rows;
   }
   return instructions;
 }

@@ -87,16 +87,21 @@ class TableStorage {
   const ColumnLayout& column_layout(int i) const { return layouts_[i]; }
 
   /// Bytes a scan projecting `column_indexes` must transfer from the
-  /// device, honoring the layout (row layout always reads full rows).
-  uint64_t ScanBytes(const std::vector<int>& column_indexes) const;
+  /// device, honoring the layout (row layout always reads full rows), when
+  /// `selected_fraction` of the zone blocks survive pruning: row pages and
+  /// uncompressed columns skip pruned blocks, compressed columns do not.
+  uint64_t ScanBytes(const std::vector<int>& column_indexes,
+                     double selected_fraction = 1.0) const;
 
   /// Total device-resident footprint.
   uint64_t TotalBytes() const;
 
-  /// Abstract CPU instructions to decode `column_indexes` during a scan
-  /// (codec decode costs x rows; uncompressed columns charge their touch
-  /// cost of 1 instruction/value).
-  double DecodeInstructions(const std::vector<int>& column_indexes) const;
+  /// Abstract CPU instructions to decode `column_indexes` during the same
+  /// scan: DecodeInstructionsPerValue for each selected value of an
+  /// uncompressed column, and for every value of a compressed one (codecs
+  /// decode the whole column).
+  double DecodeInstructions(const std::vector<int>& column_indexes,
+                            double selected_fraction = 1.0) const;
 
   /// Computes fresh statistics into `stats` (row count, min/max, NDV).
   Status AnalyzeInto(catalog::TableStats* stats) const;

@@ -158,6 +158,25 @@ TEST(DecodeKernelsDifferential, HostileDeclaredCountRejected) {
   }
 }
 
+TEST(DecodeKernelsDifferential, RleRunPastDeclaredCountRejected) {
+  // 10 values declared, in runs of 3 and 2^64 - 2. The second run's end
+  // wraps past 2^64, so a bounds check written as `size + run > count`
+  // passes it; both kernels must reject the buffer as corrupt instead.
+  std::vector<uint8_t> buf;
+  buf.push_back(static_cast<uint8_t>(CompressionKind::kRle));
+  PutVarint(10, &buf);
+  PutVarint(ZigzagEncode(7), &buf);
+  PutVarint(3, &buf);
+  PutVarint(ZigzagEncode(8), &buf);
+  PutVarint(std::numeric_limits<uint64_t>::max() - 1, &buf);
+  std::vector<int64_t> out;
+  EXPECT_EQ(MakeInt64Codec(CompressionKind::kRle)->Decode(buf, &out).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(
+      MakeReferenceInt64Codec(CompressionKind::kRle)->Decode(buf, &out).code(),
+      StatusCode::kDataLoss);
+}
+
 TEST(BitunpackDifferential, AllWidthsAndCounts) {
   Rng rng(7);
   for (int bits = 0; bits <= 64; ++bits) {

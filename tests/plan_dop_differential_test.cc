@@ -10,6 +10,10 @@
 // ORDER BY + LIMIT through the fused top-k and through Sort + Limit; a
 // two-relation join; and the four TPC-H join graphs planned at lambda 0 and
 // 10.
+//
+// The same harness gates the planner's price against the bill: on inputs
+// whose estimates are exact, PricePlan's seconds must be the billed CPU
+// critical path at every dop, for each join algorithm and tail.
 
 #include <memory>
 #include <optional>
@@ -22,6 +26,7 @@
 #include "exec/operator.h"
 #include "naive_reference.h"
 #include "optimizer/cost_model.h"
+#include "optimizer/join_order.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -208,6 +213,110 @@ TEST_F(PlanDopDifferentialTest, LegacyTwoWayJoin) {
   spec.group_by = {"flag"};
   spec.aggregates.push_back({"w", exec::AggFunc::kSum, Col("weight")});
   ExpectDopInvariant(spec, Objective::Performance());
+}
+
+TEST_F(PlanDopDifferentialTest, PricedSecondsEqualBilledCriticalPath) {
+  // Device-less relations whose estimates are exact: no filters, FK joins
+  // onto dense keys (every fact `dim` key and every dim `sub` key occurs),
+  // and a group-by column whose every value occurs.
+  constexpr int kFacts = 20000, kDims = 20, kSubs = 4, kGroups = 16;
+  const auto memory_table = [](catalog::TableId id, Schema schema,
+                               std::vector<storage::ColumnData> cols) {
+    auto table = std::make_unique<storage::TableStorage>(
+        id, std::move(schema), storage::TableLayout::kColumn, nullptr);
+    EXPECT_TRUE(table->Append(cols).ok());
+    return table;
+  };
+  std::vector<storage::ColumnData> f(4), d(3), s(2);
+  f[0].type = f[1].type = f[2].type = d[0].type = d[1].type = s[0].type =
+      DataType::kInt64;
+  f[3].type = d[2].type = s[1].type = DataType::kDouble;
+  for (int i = 0; i < kFacts; ++i) {
+    f[0].i64.push_back(i);
+    f[1].i64.push_back(i % kDims);
+    f[2].i64.push_back(i % kGroups);
+    f[3].f64.push_back((i % 37) * 0.25);
+  }
+  for (int i = 0; i < kDims; ++i) {
+    d[0].i64.push_back(i);
+    d[1].i64.push_back(i % kSubs);
+    d[2].f64.push_back(i * 0.5);
+  }
+  for (int i = 0; i < kSubs; ++i) {
+    s[0].i64.push_back(i);
+    s[1].f64.push_back(i * 1.5);
+  }
+  auto fact = memory_table(
+      1,
+      Schema({Column{"fid", DataType::kInt64, 8},
+              Column{"dim", DataType::kInt64, 8},
+              Column{"grp", DataType::kInt64, 8},
+              Column{"val", DataType::kDouble, 8}}),
+      std::move(f));
+  auto dim = memory_table(2,
+                          Schema({Column{"did", DataType::kInt64, 8},
+                                  Column{"sub", DataType::kInt64, 8},
+                                  Column{"w", DataType::kDouble, 8}}),
+                          std::move(d));
+  auto sub = memory_table(3,
+                          Schema({Column{"sid", DataType::kInt64, 8},
+                                  Column{"x", DataType::kDouble, 8}}),
+                          std::move(s));
+
+  QuerySpec pair;
+  pair.relations.resize(2);
+  pair.relations[0].name = "fact";
+  pair.relations[0].variants = {fact.get()};
+  pair.relations[1].name = "dim";
+  pair.relations[1].variants = {dim.get()};
+  pair.edges = {{0, 1, "dim", "did"}};
+  QuerySpec chain = pair;
+  chain.relations.resize(3);
+  chain.relations[2].name = "sub";
+  chain.relations[2].variants = {sub.get()};
+  chain.edges.push_back({1, 2, "sub", "sid"});
+
+  const auto expect_priced_as_billed = [&](const QuerySpec& spec,
+                                           const PhysicalPlan& plan) {
+    for (int dop : {1, 2, 4, 8}) {
+      SCOPED_TRACE("dop=" + std::to_string(dop));
+      PhysicalPlan at_dop = plan;
+      at_dop.dop = dop;
+      auto priced = planner_->PricePlan(spec, at_dop);
+      ASSERT_TRUE(priced.ok()) << priced.status().message();
+      const double billed = RunAtDop(spec, plan, dop).stats.cpu_elapsed_seconds;
+      ASSERT_GT(billed, 0.0);
+      EXPECT_NEAR(priced->seconds, billed, 1e-12 * billed);
+    }
+  };
+
+  // Two relations under each join algorithm, with no tail, an aggregate,
+  // and an aggregate + ORDER BY.
+  for (JoinAlgorithm algo : {JoinAlgorithm::kHash, JoinAlgorithm::kMerge,
+                             JoinAlgorithm::kNestedLoop}) {
+    for (int tail = 0; tail < 3; ++tail) {
+      SCOPED_TRACE(std::string(JoinAlgorithmName(algo)) +
+                   " tail=" + std::to_string(tail));
+      QuerySpec spec = pair;
+      if (tail >= 1) {
+        spec.group_by = {"grp"};
+        spec.aggregates.push_back({"total", exec::AggFunc::kSum, Col("val")});
+        spec.aggregates.push_back({"n", exec::AggFunc::kCount, nullptr});
+        spec.aggregates.push_back({"weight", exec::AggFunc::kSum, Col("w")});
+      }
+      if (tail == 2) spec.order_by = {{"grp", true}};
+      auto plan = CanonicalJoinPlan(spec);
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      plan->join_nodes[plan->join_root].algo = algo;
+      expect_priced_as_billed(spec, *plan);
+    }
+  }
+
+  // A chain whose upper hash join probes the lower join's output.
+  SCOPED_TRACE("chain");
+  auto plan = CanonicalJoinPlan(chain);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  expect_priced_as_billed(chain, *plan);
 }
 
 TEST_F(PlanDopDifferentialTest, TpchJoinGraphsAtLambdaZeroAndTen) {
