@@ -1,6 +1,5 @@
 #include "catalog/catalog.h"
 
-#include <algorithm>
 #include <mutex>
 
 namespace ecodb::catalog {
@@ -82,15 +81,6 @@ Status Catalog::AddForeignKey(TableId id, ForeignKey fk) {
   }
   it->second.foreign_keys.push_back(std::move(fk));
   return Status::OK();
-}
-
-std::vector<std::string> Catalog::TableNames() const {
-  std::shared_lock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(by_name_.size());
-  for (const auto& [name, id] : by_name_) names.push_back(name);  // NOLINT-ECODB(EC8): sorted before return
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace ecodb::catalog

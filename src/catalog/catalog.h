@@ -75,7 +75,6 @@ class Catalog {
   /// parent table by name, both columns in their schemas).
   Status AddForeignKey(TableId id, ForeignKey fk);
 
-  std::vector<std::string> TableNames() const;
   size_t size() const {
     std::shared_lock lock(mu_);
     return by_id_.size();

@@ -21,6 +21,8 @@ StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
       db->platform_ = power::MakeProportionalPlatform();
       break;
   }
+  ECODB_RETURN_IF_ERROR(
+      exec::ValidateExecOptions(config.exec_options, db->platform_->cpu()));
   power::EnergyMeter* meter = db->platform_->meter();
 
   if (config.fault_plan.active()) {

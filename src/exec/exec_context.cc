@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 // This file IS the accounting layer the EC1 lint rule protects: the Charge*
 // entry points below are the only places allowed to talk to devices, the
@@ -9,6 +10,20 @@
 // carries a NOLINT-ECODB(EC1).
 
 namespace ecodb::exec {
+
+Status ValidateExecOptions(const ExecOptions& options,
+                           const power::CpuPowerModel& cpu) {
+  if (options.dop < 1) return Status::InvalidArgument("dop must be >= 1");
+  if (options.batch_rows < 1) {
+    return Status::InvalidArgument("batch_rows must be >= 1");
+  }
+  if (options.pstate < 0 || options.pstate >= cpu.num_pstates()) {
+    return Status::InvalidArgument(
+        "pstate " + std::to_string(options.pstate) + " outside [0, " +
+        std::to_string(cpu.num_pstates()) + ")");
+  }
+  return Status::OK();
+}
 
 ExecContext::ExecContext(power::HardwarePlatform* platform,
                          ExecOptions options)

@@ -60,6 +60,14 @@ struct ExecOptions {
   CostConstants costs;
 };
 
+/// InvalidArgument unless `options` can run on `cpu`: dop >= 1, batch_rows
+/// >= 1 (a zero-row batch never advances a pull loop) and a P-state in
+/// [0, cpu.num_pstates()). EcoDb::Open, the serving ValidateConfig,
+/// tpch::RunThroughputTest and Planner::PricePlan (for a plan's dop and
+/// P-state) check what their callers pass here; ExecContext only asserts.
+Status ValidateExecOptions(const ExecOptions& options,
+                           const power::CpuPowerModel& cpu);
+
 /// Fault-path accounting surfaced per query: what the retries and degraded
 /// reconstruction cost on top of the healthy plan. Populated from the
 /// IoResult fields the device stack accumulates (coordinator-only, in

@@ -606,6 +606,11 @@ double SumIntermediateBytes(const std::vector<PlanJoinNode>& nodes,
 
 StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
                                            const Objective& objective) const {
+  for (int dop : options_.dops) {
+    if (dop < 1) {
+      return Status::InvalidArgument("planner dop candidates must be >= 1");
+    }
+  }
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
   const std::span<const TableAlternatives> rels = spec.Relations();
   const exec::CostConstants& k = model_->params().costs;
@@ -778,6 +783,13 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
 
 StatusOr<PlanCost> Planner::PricePlan(const QuerySpec& spec,
                                       const PhysicalPlan& plan) const {
+  // A hand-set plan's dop and P-state index the CPU model's tables; check
+  // them as ExecContext would take them.
+  exec::ExecOptions options;
+  options.dop = plan.dop;
+  options.pstate = plan.pstate;
+  ECODB_RETURN_IF_ERROR(
+      exec::ValidateExecOptions(options, model_->platform()->cpu()));
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
   return PriceGraphPlan(spec, graph, plan, *model_);
 }

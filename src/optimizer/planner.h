@@ -190,7 +190,8 @@ class Planner {
   StatusOr<PhysicalPlan> ChoosePlan(const QuerySpec& spec,
                                     const Objective& objective) const;
 
-  /// Prices one fully specified plan (exposed for ablation sweeps).
+  /// Prices one fully specified plan (exposed for ablation sweeps), or
+  /// InvalidArgument for a dop below 1 or a P-state the CPU lacks.
   StatusOr<PlanCost> PricePlan(const QuerySpec& spec,
                                const PhysicalPlan& plan) const;
 

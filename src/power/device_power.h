@@ -1,4 +1,4 @@
-// Power models for storage-hierarchy devices: HDD, SSD, DRAM, NIC.
+// Power models for storage-hierarchy devices: HDD, SSD, DRAM.
 //
 // These are pure parameter-plus-math models; the behavioural simulators in
 // src/storage consume them to decide latencies and to charge the meter.
@@ -74,13 +74,6 @@ struct DramSpec {
     return background_watts_per_gib * capacity_bytes /
            (1024.0 * 1024 * 1024);
   }
-};
-
-/// Parameters of a network interface (used by remote-storage experiments).
-struct NicSpec {
-  double bw_bytes_per_s = 125.0 * 1e6;  // 1 GbE
-  double active_watts = 4.0;
-  double idle_watts = 1.0;
 };
 
 /// Validation helpers shared by the behavioural simulators.

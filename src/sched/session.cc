@@ -41,7 +41,8 @@ struct ReadyKey {
   }
 };
 
-Status ValidateConfig(const ServingConfig& config) {
+Status ValidateConfig(const ServingConfig& config,
+                      const power::CpuPowerModel& cpu) {
   if (config.worker_fleet < 1) {
     return Status::InvalidArgument("worker_fleet must be >= 1");
   }
@@ -51,9 +52,7 @@ Status ValidateConfig(const ServingConfig& config) {
   if (!(config.share_window_s >= 0.0)) {
     return Status::InvalidArgument("share window must be >= 0 s");
   }
-  if (config.exec_options.dop < 1) {
-    return Status::InvalidArgument("serving dop must be >= 1");
-  }
+  ECODB_RETURN_IF_ERROR(exec::ValidateExecOptions(config.exec_options, cpu));
   const OverloadConfig& ol = config.overload;
   if (!(ol.relative_deadline_s > 0.0)) {
     return Status::InvalidArgument("relative deadline must be > 0 s");
@@ -109,7 +108,7 @@ SessionManager::SessionManager(power::HardwarePlatform* platform,
 
 StatusOr<ServingReport> SessionManager::Serve(const sim::ArrivalTrace& trace,
                                               const QueryFactory& factory) {
-  ECODB_RETURN_IF_ERROR(ValidateConfig(config_));
+  ECODB_RETURN_IF_ERROR(ValidateConfig(config_, platform_->cpu()));
 
   sim::SimClock* clock = platform_->clock();
   const double t0 = clock->now();

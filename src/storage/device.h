@@ -29,10 +29,10 @@ struct IoResult {
   double completion_time = 0.0;  // when the data was fully transferred
   double service_seconds = 0.0;  // completion - start
   /// Active-energy pulses this request booked on the meter, summed across
-  /// every layer and every attempt (leaf transfers, NIC streaming, failed
-  /// retries that really occupied the device). Lets the serving core bill
-  /// device energy to the session that submitted the I/O; background/idle
-  /// levels and spin-up pulses are intentionally excluded (they belong to
+  /// every layer and every attempt (leaf transfers, failed retries that
+  /// really occupied the device). Lets the serving core bill device
+  /// energy to the session that submitted the I/O; background/idle levels
+  /// and spin-up pulses are intentionally excluded (they belong to
   /// the shared window, not to one request).
   double active_joules = 0.0;
 

@@ -156,6 +156,8 @@ StatusOr<ThroughputResult> RunThroughputTest(
     power::HardwarePlatform* platform, const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int streams,
     const exec::ExecOptions& exec_options) {
+  ECODB_RETURN_IF_ERROR(
+      exec::ValidateExecOptions(exec_options, platform->cpu()));
   ThroughputResult result;
   const power::MeterSnapshot start = platform->meter()->Snapshot();
   const double t0 = platform->clock()->now();

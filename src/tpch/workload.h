@@ -77,7 +77,8 @@ struct ThroughputResult {
 
 /// Runs `streams` full streams sequentially on `platform` (the simulated
 /// clock advances through each query; concurrency across clients shows up
-/// as sustained device utilization).
+/// as sustained device utilization). InvalidArgument for `exec_options`
+/// that ValidateExecOptions rejects.
 StatusOr<ThroughputResult> RunThroughputTest(
     power::HardwarePlatform* platform, const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int streams,

@@ -96,23 +96,4 @@ std::string Histogram::Summary() const {
   return buf;
 }
 
-void RunningStat::Add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStat::Reset() {
-  n_ = 0;
-  mean_ = 0;
-  m2_ = 0;
-}
-
-double RunningStat::Variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::Stddev() const { return std::sqrt(Variance()); }
-
 }  // namespace ecodb

@@ -1,7 +1,7 @@
 // Streaming summary statistics and percentile estimation.
 //
-// Used by the benchmark harnesses and the scheduler to report latency
-// distributions (mean / p50 / p95 / p99 / max) without storing every sample.
+// Used by the batching scheduler to report latency distributions (mean /
+// p50 / p95 / p99 / max) without storing every sample.
 
 #ifndef ECODB_UTIL_HISTOGRAM_H_
 #define ECODB_UTIL_HISTOGRAM_H_
@@ -49,23 +49,6 @@ class Histogram {
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// Welford-style running mean/variance accumulator.
-class RunningStat {
- public:
-  void Add(double x);
-  void Reset();
-
-  size_t count() const { return n_; }
-  double Mean() const { return n_ ? mean_ : 0.0; }
-  double Variance() const;
-  double Stddev() const;
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
 };
 
 }  // namespace ecodb

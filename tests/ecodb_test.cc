@@ -3,6 +3,7 @@
 // downstream user programs against.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,42 @@ TEST(EcoDb, OpenRequiresStorage) {
   config.hdd_count = 0;
   config.ssd_count = 0;
   EXPECT_FALSE(EcoDb::Open(config).ok());
+}
+
+TEST(EcoDb, OpenRejectsMalformedExecOptions) {
+  const int num_pstates =
+      power::MakeProportionalPlatform()->cpu().num_pstates();
+  std::vector<exec::ExecOptions> bad(4);
+  bad[0].dop = 0;
+  bad[1].batch_rows = 0;  // a zero-row batch never advances a pull loop
+  bad[2].pstate = -1;
+  bad[3].pstate = num_pstates;
+  for (const exec::ExecOptions& options : bad) {
+    DbConfig config = SsdConfig();
+    config.exec_options = options;
+    EXPECT_EQ(EcoDb::Open(config).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  DbConfig slowest = SsdConfig();
+  slowest.exec_options.pstate = num_pstates - 1;
+  EXPECT_TRUE(EcoDb::Open(slowest).ok());
+}
+
+TEST(EcoDb, ExecuteRejectsDopCandidateBelowOne) {
+  DbConfig config = SsdConfig();
+  config.derive_dop_ladder = false;
+  config.planner_options.dops = {0};
+  auto db = EcoDb::Open(config);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->CreateTable("sales", SalesSchema()).ok());
+  ASSERT_TRUE((*db)->Load("sales", SalesRows(30)).ok());
+  optimizer::QuerySpec spec;
+  spec.relations.resize(1);
+  spec.relations[0].name = "sales";
+  spec.relations[0].variants = {*(*db)->table("sales")};
+  EXPECT_EQ(
+      (*db)->Execute(spec, optimizer::Objective::Performance()).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(EcoDb, OpenWithHddArrayConfiguresTrays) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ecodb.h"
 #include "exec/scan.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/join_order.h"
@@ -426,6 +427,32 @@ TEST_F(OptimizerTest, ChosenCostSelfConsistentForLeafAlternatives) {
   EXPECT_TRUE(index_leaf_chosen) << "the narrow range should use the index";
 }
 
+TEST_F(OptimizerTest, PricePlanRejectsOutOfRangeDopAndPState) {
+  // A hand-set plan's dop and P-state index the cost model's CPU tables;
+  // out of range they must be rejected, not priced.
+  auto table = MakeTable(1, 1000, 100);
+  QuerySpec spec;
+  spec.left.name = "t";
+  spec.left.variants = {table.get()};
+  spec.left.columns = {"k", "v"};
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  auto plan = planner.ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  ASSERT_TRUE(planner.PricePlan(spec, *plan).ok());
+  const int num_pstates = platform_->cpu().num_pstates();
+  const std::pair<int, int> bad_dop_pstate[] = {
+      {0, 0}, {1, -1}, {1, num_pstates}};
+  for (const auto& [dop, pstate] : bad_dop_pstate) {
+    PhysicalPlan bad = *plan;
+    bad.dop = dop;
+    bad.pstate = pstate;
+    EXPECT_EQ(planner.PricePlan(spec, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "dop=" << dop << " pstate=" << pstate;
+  }
+}
+
 TEST_F(OptimizerTest, FilteredPlanBuildsAndFilters) {
   auto table = MakeTable(1, 1000, 1000);
   QuerySpec spec;
@@ -684,6 +711,64 @@ TEST_F(OptimizerTest, PlatformDopLadderPinsToCoreCount) {
   EXPECT_EQ(PlatformDopLadder(*platform_), (std::vector<int>{1}));
   // Non-power-of-two core counts keep the top rung.
   EXPECT_EQ(DopLadder(6), (std::vector<int>{1, 2, 4, 6}));
+}
+
+TEST(PlannerPStateTest, EnumeratedPStateIsPricedAndRun) {
+  // An aggregate + ORDER BY over a 200k-row SSD table is I/O-bound on the
+  // Proportional platform, so under an energy-weighted objective a slower
+  // P-state buys CPU Joules at no cost in seconds.
+  core::DbConfig config;
+  config.preset = core::PlatformPreset::kProportional;
+  config.planner_options.enumerate_pstates = true;
+  auto opened = core::EcoDb::Open(config);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  core::EcoDb& db = **opened;
+  ASSERT_TRUE(db.CreateTable("t", Schema({Column{"grp", DataType::kInt64, 8},
+                                          Column{"val", DataType::kDouble, 8}}))
+                  .ok());
+  std::vector<storage::ColumnData> cols(2);
+  cols[0].type = DataType::kInt64;
+  cols[1].type = DataType::kDouble;
+  for (int i = 0; i < 200000; ++i) {
+    cols[0].i64.push_back(i % 64);
+    cols[1].f64.push_back((i % 37) * 0.25);
+  }
+  ASSERT_TRUE(db.Load("t", cols).ok());
+  QuerySpec spec;
+  spec.relations.resize(1);
+  spec.relations[0].name = "t";
+  spec.relations[0].variants = {*db.table("t")};
+  spec.group_by = {"grp"};
+  spec.aggregates.push_back({"total", exec::AggFunc::kSum, Col("val")});
+  spec.order_by = {{"grp", true}};
+  const Objective objective = Objective::Balanced(1.0);
+
+  auto plan = db.planner()->ChoosePlan(spec, objective);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  SCOPED_TRACE(plan->Describe(spec));
+  EXPECT_GT(plan->pstate, 0);
+  auto repriced = db.planner()->PricePlan(spec, *plan);
+  ASSERT_TRUE(repriced.ok()) << repriced.status().message();
+  EXPECT_EQ(plan->cost.seconds, repriced->seconds);
+  EXPECT_EQ(plan->cost.joules, repriced->joules);
+  const power::CpuPowerModel& cpu = db.platform()->cpu();
+  for (int pstate = 0; pstate < cpu.num_pstates(); ++pstate) {
+    PhysicalPlan other = *plan;
+    other.pstate = pstate;
+    auto cost = db.planner()->PricePlan(spec, other);
+    ASSERT_TRUE(cost.ok()) << cost.status().message();
+    EXPECT_LE(plan->cost.Scalarize(objective), cost->Scalarize(objective))
+        << "pstate=" << pstate;
+  }
+
+  auto outcome = db.Execute(spec, objective);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  ASSERT_TRUE(outcome->plan.has_value());
+  EXPECT_EQ(outcome->plan->pstate, plan->pstate);
+  const exec::QueryStats& stats = outcome->stats;
+  EXPECT_NEAR(stats.cpu_seconds,
+              cpu.SecondsForInstructions(stats.cpu_instructions, plan->pstate),
+              1e-12 * stats.cpu_seconds);
 }
 
 TEST_F(OptimizerTest, EstimatedTimeTracksMeasuredTime) {

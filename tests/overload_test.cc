@@ -452,6 +452,17 @@ TEST(OverloadServeTest, ValidationRejectsEachMalformedKnob) {
   expect_bad(config);
 
   config = {};
+  config.exec_options.batch_rows = 0;
+  expect_bad(config);
+
+  config = {};
+  config.exec_options.pstate = -1;
+  expect_bad(config);
+  config.exec_options.pstate =
+      power::MakeProportionalPlatform()->cpu().num_pstates();
+  expect_bad(config);
+
+  config = {};
   config.overload.relative_deadline_s = 0.0;
   expect_bad(config);
   config.overload.relative_deadline_s = -5.0;

@@ -421,23 +421,30 @@ TEST_F(ParallelExecTest, WallClockSpeedupOnMultiCoreHosts) {
   }
   auto table = MakeLineitem(1000000, 4096);
 
-  const auto time_at_dop = [&](int dop) {
-    double best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      HashAggregateOp agg(
-          std::make_unique<TableScanOp>(
-              table.get(), std::vector<std::string>{"part", "qty"}),
-          {"part"}, LineitemAggregates());
-      const auto t0 = std::chrono::steady_clock::now();
-      Run(&agg, dop, /*morsel_rows=*/16384);
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
+  const auto time_once = [&](int dop) {
+    HashAggregateOp agg(
+        std::make_unique<TableScanOp>(
+            table.get(), std::vector<std::string>{"part", "qty"}),
+        {"part"}, LineitemAggregates());
+    const auto t0 = std::chrono::steady_clock::now();
+    Run(&agg, dop, /*morsel_rows=*/16384);
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
   };
 
-  const double t1 = time_at_dop(1);
-  const double t4 = time_at_dop(4);
+  // The two dops alternate rep by rep, and each leads every other rep, so
+  // a burst of host load lands on both sides instead of deciding one.
+  constexpr int kReps = 10;
+  double t1 = 1e100, t4 = 1e100;
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) {
+      t1 = std::min(t1, time_once(1));
+      t4 = std::min(t4, time_once(4));
+    } else {
+      t4 = std::min(t4, time_once(4));
+      t1 = std::min(t1, time_once(1));
+    }
+  }
   // Conservative bound (acceptance target is 2.5x on a quiet 4-core host;
   // CI neighbours steal cycles).
   EXPECT_GT(t1 / t4, 1.5) << "dop1=" << t1 << "s dop4=" << t4 << "s";

@@ -13,7 +13,7 @@
 //
 // The same harness gates the planner's price against the bill: on inputs
 // whose estimates are exact, PricePlan's seconds must be the billed CPU
-// critical path at every dop, for each join algorithm and tail.
+// critical path at every dop and P-state, for each join algorithm and tail.
 
 #include <memory>
 #include <optional>
@@ -276,17 +276,23 @@ TEST_F(PlanDopDifferentialTest, PricedSecondsEqualBilledCriticalPath) {
   chain.relations[2].variants = {sub.get()};
   chain.edges.push_back({1, 2, "sub", "sid"});
 
+  const int num_pstates = platform_->cpu().num_pstates();
+  ASSERT_EQ(num_pstates, 3);
   const auto expect_priced_as_billed = [&](const QuerySpec& spec,
                                            const PhysicalPlan& plan) {
-    for (int dop : {1, 2, 4, 8}) {
-      SCOPED_TRACE("dop=" + std::to_string(dop));
-      PhysicalPlan at_dop = plan;
-      at_dop.dop = dop;
-      auto priced = planner_->PricePlan(spec, at_dop);
-      ASSERT_TRUE(priced.ok()) << priced.status().message();
-      const double billed = RunAtDop(spec, plan, dop).stats.cpu_elapsed_seconds;
-      ASSERT_GT(billed, 0.0);
-      EXPECT_NEAR(priced->seconds, billed, 1e-12 * billed);
+    for (int pstate = 0; pstate < num_pstates; ++pstate) {
+      for (int dop : {1, 2, 4, 8}) {
+        SCOPED_TRACE("pstate=" + std::to_string(pstate) +
+                     " dop=" + std::to_string(dop));
+        PhysicalPlan at = plan;
+        at.pstate = pstate;
+        at.dop = dop;
+        auto priced = planner_->PricePlan(spec, at);
+        ASSERT_TRUE(priced.ok()) << priced.status().message();
+        const double billed = RunAtDop(spec, at, dop).stats.cpu_elapsed_seconds;
+        ASSERT_GT(billed, 0.0);
+        EXPECT_NEAR(priced->seconds, billed, 1e-12 * billed);
+      }
     }
   };
 

@@ -1,4 +1,4 @@
-// Tests for the power substrate: meter, CPU/device models, platform, RAPL,
+// Tests for the power substrate: meter, CPU/device models, platform,
 // proportionality metrics. The meter's conservation properties (energy =
 // integral of power over time, exactly) anchor everything the benches report.
 
@@ -11,7 +11,6 @@
 #include "power/energy_meter.h"
 #include "power/platform.h"
 #include "power/proportionality.h"
-#include "power/rapl.h"
 #include "sim/clock.h"
 
 namespace ecodb::power {
@@ -261,45 +260,6 @@ TEST(HardwarePlatform, FlashScanPresetMatchesPaperConstants) {
 TEST(HardwarePlatform, Dl785HasThirtyTwoCores) {
   auto platform = MakeDl785Platform();
   EXPECT_EQ(platform->cpu().total_cores(), 32);
-}
-
-// --- Rapl -------------------------------------------------------------------
-
-TEST(Rapl, DomainsReadTheirChannels) {
-  sim::SimClock clock;
-  EnergyMeter meter(&clock);
-  const ChannelId pkg = meter.RegisterChannel("cpu", 10.0);
-  const ChannelId dram = meter.RegisterChannel("dram", 5.0);
-  meter.RegisterChannel("disk", 1.0);
-  Rapl rapl(&meter, {pkg}, {dram});
-  clock.Advance(2.0);
-  EXPECT_EQ(rapl.EnergyUjUnwrapped(RaplDomain::kPackage), 20000000u);
-  EXPECT_EQ(rapl.EnergyUjUnwrapped(RaplDomain::kDram), 10000000u);
-  EXPECT_EQ(rapl.EnergyUjUnwrapped(RaplDomain::kPsys), 32000000u);
-}
-
-TEST(Rapl, CounterWrapsAt32Bits) {
-  sim::SimClock clock;
-  EnergyMeter meter(&clock);
-  const ChannelId pkg = meter.RegisterChannel("cpu", 1000.0);
-  Rapl rapl(&meter, {pkg}, {});
-  // 1000 W for 5000 s = 5e9 J = 5e15 uJ >> 2^32.
-  clock.Advance(5000.0);
-  const uint64_t wrapped = rapl.EnergyUj(RaplDomain::kPackage);
-  EXPECT_LT(wrapped, Rapl::kCounterWrap);
-  EXPECT_EQ(wrapped,
-            rapl.EnergyUjUnwrapped(RaplDomain::kPackage) % Rapl::kCounterWrap);
-}
-
-TEST(Rapl, CounterDeltaHandlesWrap) {
-  EXPECT_EQ(Rapl::CounterDelta(100, 150), 50u);
-  EXPECT_EQ(Rapl::CounterDelta(Rapl::kCounterWrap - 10, 20), 30u);
-}
-
-TEST(Rapl, DomainNames) {
-  EXPECT_STREQ(RaplDomainName(RaplDomain::kPackage), "package-0");
-  EXPECT_STREQ(RaplDomainName(RaplDomain::kDram), "dram");
-  EXPECT_STREQ(RaplDomainName(RaplDomain::kPsys), "psys");
 }
 
 // --- Proportionality --------------------------------------------------------

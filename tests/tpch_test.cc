@@ -314,6 +314,26 @@ TEST_F(WorkloadTest, ThroughputTestAccountsTimeAndEnergy) {
   EXPECT_GT(result->EnergyEfficiency(), 0.0);
 }
 
+TEST_F(WorkloadTest, ThroughputTestRejectsMalformedExecOptions) {
+  // The options reach ExecContext, which only asserts: a dop below 1 or a
+  // P-state the CPU lacks must be rejected before any query runs.
+  exec::ExecOptions zero_dop;
+  zero_dop.dop = 0;
+  exec::ExecOptions negative_pstate;
+  negative_pstate.pstate = -1;
+  exec::ExecOptions past_last_pstate;
+  past_last_pstate.pstate = platform_->cpu().num_pstates();
+  for (const exec::ExecOptions& options :
+       {zero_dop, negative_pstate, past_last_pstate}) {
+    const double t0 = platform_->clock()->now();
+    auto result = RunThroughputTest(platform_.get(), orders_.get(),
+                                    lineitem_.get(), 1, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "dop=" << options.dop << " pstate=" << options.pstate;
+    EXPECT_EQ(platform_->clock()->now(), t0);
+  }
+}
+
 TEST_F(WorkloadTest, StreamsVaryParameters) {
   // Different stream indexes must produce different revenue answers
   // (the TPC-H substitution-parameter idea).

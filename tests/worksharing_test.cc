@@ -1,15 +1,13 @@
-// Tests for the work-sharing mechanisms: shared scans and the bursty
-// prefetcher (Sections 4.2 and 5.2 of the paper).
+// Tests for the work-sharing mechanism: shared scans (Section 5.2 of the
+// paper).
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "power/energy_meter.h"
-#include "sched/prefetcher.h"
 #include "sched/shared_scan.h"
 #include "sim/clock.h"
-#include "storage/hdd.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
 
@@ -111,66 +109,6 @@ TEST_F(SharedScanTest, EmptyColumnListMeansAllColumns) {
   EXPECT_FALSE(Scan(&mgr, {}).shared);
   const ScanTicket b = Scan(&mgr, {0});
   EXPECT_TRUE(b.shared);  // full-table transfer covers any projection
-}
-
-// --- BurstyPrefetcher ---------------------------------------------------------
-
-class PrefetcherTest : public ::testing::Test {
- protected:
-  PrefetcherTest() : meter_(&clock_), hdd_("h", power::HddSpec{}, &meter_) {}
-
-  sim::SimClock clock_;
-  power::EnergyMeter meter_;
-  storage::HddDevice hdd_;
-};
-
-TEST_F(PrefetcherTest, BurstSizeOneFetchesEveryPage) {
-  BurstyPrefetcher pf(&clock_, &hdd_, 64 << 10, 1);
-  for (int i = 0; i < 10; ++i) {
-    clock_.AdvanceTo(pf.NextPage().value());
-    clock_.Advance(1.0);  // consumer think time
-  }
-  EXPECT_EQ(pf.stats().device_bursts, 10u);
-  EXPECT_EQ(pf.stats().pages_served, 10u);
-}
-
-TEST_F(PrefetcherTest, LargerBurstsFewerDeviceVisits) {
-  BurstyPrefetcher pf(&clock_, &hdd_, 64 << 10, 8);
-  for (int i = 0; i < 32; ++i) {
-    clock_.AdvanceTo(pf.NextPage().value());
-    clock_.Advance(1.0);
-  }
-  EXPECT_EQ(pf.stats().device_bursts, 4u);
-  EXPECT_EQ(pf.buffered(), 0);
-}
-
-TEST_F(PrefetcherTest, BurstsLengthenIdleGaps) {
-  // Identical consumer pace; idle gaps between device visits grow with the
-  // burst size — the property spin-down needs.
-  auto run = [&](int burst) {
-    sim::SimClock clock;
-    power::EnergyMeter meter(&clock);
-    storage::HddDevice hdd("h", power::HddSpec{}, &meter);
-    BurstyPrefetcher pf(&clock, &hdd, 64 << 10, burst);
-    for (int i = 0; i < 64; ++i) {
-      clock.AdvanceTo(pf.NextPage().value());
-      clock.Advance(2.0);
-    }
-    return pf.stats().longest_idle_gap_s;
-  };
-  const double gap1 = run(1);
-  const double gap16 = run(16);
-  EXPECT_GT(gap16, gap1 * 8);
-}
-
-TEST_F(PrefetcherTest, BufferedPagesServeInstantly) {
-  BurstyPrefetcher pf(&clock_, &hdd_, 64 << 10, 4);
-  clock_.AdvanceTo(pf.NextPage().value());  // miss: fetches 4
-  EXPECT_EQ(pf.buffered(), 3);
-  const double now = clock_.now();
-  EXPECT_DOUBLE_EQ(pf.NextPage().value(), now);  // hit
-  EXPECT_DOUBLE_EQ(pf.NextPage().value(), now);  // hit
-  EXPECT_EQ(pf.buffered(), 1);
 }
 
 }  // namespace
