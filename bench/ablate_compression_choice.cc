@@ -72,9 +72,9 @@ int Main() {
     for (int i = 0; i < 100000; ++i) cols[0].i64.push_back(i);
     if (!tbl.Append(cols).ok()) return 1;
 
-    optimizer::CostModelParams params;
-    params.costs.decode_scale = 50.0;  // [HLA+06]-style decode weight
-    optimizer::CostModel model(platform.get(), params);
+    exec::ExecOptions exec;
+    exec.decode_scale = 50.0;  // [HLA+06]-style decode weight
+    optimizer::CostModel model(platform.get(), {}, exec);
 
     auto perf = advisor::RecommendCompression(
         tbl, {storage::CompressionKind::kDelta}, &model,

@@ -140,13 +140,12 @@ int Main() {
                          (204.0 * bw);
   exec::ExecOptions exec_options;
   exec_options.dop = 32;
-  exec_options.costs.decode_scale =
-      0.85 * t204_io * 32.0 / probe_cpu_core_s;
+  exec_options.decode_scale = 0.85 * t204_io * 32.0 / probe_cpu_core_s;
 
   std::printf("calibration: mix volume %.1f MB, per-disk bw %.1f B/s "
               "(an 80 MB/s 15K drive scaled by our volume / 300 GB), "
               "cpu scale %.2g\n\n",
-              probe_bytes / 1e6, bw, exec_options.costs.decode_scale);
+              probe_bytes / 1e6, bw, exec_options.decode_scale);
 
   // --- Sweep.
   std::vector<Fig1Point> points;

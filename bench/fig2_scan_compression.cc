@@ -64,7 +64,7 @@ RunResult RunScan(const storage::TableStorage& table,
   const double instr = table.DecodeInstructions(idx);
   const double ips = platform->cpu().spec().pstates[0].frequency_ghz * 1e9 *
                      platform->cpu().spec().instructions_per_cycle;
-  options.costs.decode_scale = target_cpu_s * ips / instr;
+  options.decode_scale = target_cpu_s * ips / instr;
 
   exec::ExecContext ctx(platform, options);
   exec::TableScanOp scan(&table, kProjection);

@@ -23,9 +23,9 @@ int main() {
   // ladder entry here: the FlashScan preset models one core).
   config.ssd_spec.read_bw_bytes_per_s = 30e6;  // modest flash, scan-bound
   // Decode weight calibrated the way the Figure 2 bench is (see
-  // EXPERIMENTS.md); makes the compressed scan clearly CPU-bound.
-  config.cost_params.costs.decode_scale = 60.0;
-  config.exec_options.costs.decode_scale = 60.0;
+  // EXPERIMENTS.md); makes the compressed scan clearly CPU-bound. The
+  // planner prices with the same options the queries bill with.
+  config.exec_options.decode_scale = 60.0;
 
   auto db_or = ecodb::core::EcoDb::Open(config);
   if (!db_or.ok()) return 1;

@@ -90,7 +90,7 @@ CandidateEval EvaluateCandidate(const storage::TableStorage& table, int col,
   }
 
   eval.demand.cpu_instructions = storage::DecodeInstructionsPerValue(kind) *
-                                 rows * model->params().costs.decode_scale;
+                                 rows * model->exec_options().decode_scale;
   const uint64_t bytes =
       static_cast<uint64_t>(raw_bytes * eval.ratio + 0.5);
   if (table.device() != nullptr && bytes > 0) {

@@ -46,12 +46,10 @@ StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
       members.push_back(with_faults(std::make_unique<storage::HddDevice>(
           "hdd" + std::to_string(i), config.hdd_spec, meter)));
     }
-    storage::ArraySpec array_spec = config.array_spec;
-    array_spec.level = config.raid_level;
     ECODB_ASSIGN_OR_RETURN(
         std::unique_ptr<storage::DiskArray> array,
-        storage::DiskArray::Create("array0", array_spec, std::move(members),
-                                   meter));
+        storage::DiskArray::Create("array0", config.array_spec,
+                                   std::move(members), meter));
     db->raid_array_ = array.get();
     db->primary_device_ = array.get();
     db->devices_.push_back(std::move(array));
@@ -71,7 +69,7 @@ StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
   }
 
   db->cost_model_ = std::make_unique<optimizer::CostModel>(
-      db->platform_.get(), config.cost_params);
+      db->platform_.get(), config.cost_params, config.exec_options);
   optimizer::PlannerOptions planner_options = config.planner_options;
   if (config.derive_dop_ladder) {
     planner_options.dops = optimizer::PlatformDopLadder(*db->platform_);
@@ -82,7 +80,7 @@ StatusOr<std::unique_ptr<EcoDb>> EcoDb::Open(const DbConfig& config) {
 }
 
 Status EcoDb::CreateTable(const std::string& name, catalog::Schema schema) {
-  return CreateTable(name, std::move(schema), config_.default_layout,
+  return CreateTable(name, std::move(schema), storage::TableLayout::kColumn,
                      primary_device_);
 }
 

@@ -45,14 +45,14 @@ struct DbConfig {
   PlatformPreset preset = PlatformPreset::kProportional;
   /// > 0: build a RAID array of this many HDDs as the primary device.
   int hdd_count = 0;
-  storage::RaidLevel raid_level = storage::RaidLevel::kRaid5;
   power::HddSpec hdd_spec;
+  /// The array's RAID level, stripe and controller (RAID-5 by default).
   storage::ArraySpec array_spec;
   /// > 0: build this many SSDs (used when hdd_count == 0, or as a second
   /// tier when both are set).
   int ssd_count = 1;
   power::SsdSpec ssd_spec;
-  storage::TableLayout default_layout = storage::TableLayout::kColumn;
+  /// What every query bills with; the cost model prices with it too.
   exec::ExecOptions exec_options;
   optimizer::CostModelParams cost_params;
   optimizer::PlannerOptions planner_options;
@@ -83,6 +83,7 @@ class EcoDb {
 
   // --- Schema & data -----------------------------------------------------
 
+  /// A column-layout table on the primary device.
   Status CreateTable(const std::string& name, catalog::Schema schema);
   Status CreateTable(const std::string& name, catalog::Schema schema,
                      storage::TableLayout layout,

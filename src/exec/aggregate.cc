@@ -261,8 +261,8 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
 
 void HashAggregateOp::ChargeUpdate(uint64_t rows) {
   // ecodb-lint: coordinator-only
-  for (double term : AggregateUpdateInstructions(
-           ctx_->options().costs, aggregates_, static_cast<double>(rows))) {
+  for (double term :
+       AggregateUpdateInstructions(aggregates_, static_cast<double>(rows))) {
     ctx_->ChargeInstructions(term);
   }
 }
@@ -473,8 +473,7 @@ Status HashAggregateOp::Next(RecordBatch* out, bool* eos) {
        ++take, ++emit_) {
     ECODB_RETURN_IF_ERROR(AppendGroupRow(emit_->second, aggregates_, &batch));
   }
-  ctx_->ChargeInstructions(
-      OutputInstructions(ctx_->options().costs, static_cast<double>(take)));
+  ctx_->ChargeInstructions(OutputInstructions(static_cast<double>(take)));
   *out = std::move(batch);
   return Status::OK();
 }

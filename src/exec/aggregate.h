@@ -63,13 +63,15 @@ Status BindAggregation(const catalog::Schema& in,
                        std::vector<int>* group_by,
                        catalog::Schema* out_schema);
 
+/// Instructions of one row's group lookup and accumulate.
+constexpr double kAggUpdatePerRow = 8.0;
+
 /// The instruction terms HashAggregateOp bills for folding `rows` input
 /// rows, one per charge and in charge order: the group lookup and
 /// accumulate, then each aggregate's input expression (COUNT(*) has none).
 inline std::vector<double> AggregateUpdateInstructions(
-    const CostConstants& c, const std::vector<AggregateItem>& aggregates,
-    double rows) {
-  std::vector<double> terms = {c.agg_update_per_row * rows};
+    const std::vector<AggregateItem>& aggregates, double rows) {
+  std::vector<double> terms = {kAggUpdatePerRow * rows};
   for (const AggregateItem& item : aggregates) {
     if (item.input != nullptr) {
       terms.push_back(item.input->InstructionsPerRow() * rows);

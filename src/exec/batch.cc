@@ -116,27 +116,6 @@ Status RecordBatch::SealRows(size_t rows) {
   return Status::OK();
 }
 
-void RecordBatch::AppendRowFrom(const RecordBatch& src, size_t row) {
-  assert(src.num_columns() == num_columns());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    ColumnData& dst = columns_[i];
-    const ColumnData& s = src.columns_[i];
-    switch (dst.type) {
-      case catalog::DataType::kInt64:
-      case catalog::DataType::kDate:
-        dst.i64.push_back(s.i64[row]);
-        break;
-      case catalog::DataType::kDouble:
-        dst.f64.push_back(s.f64[row]);
-        break;
-      case catalog::DataType::kString:
-        dst.str.push_back(s.str[row]);
-        break;
-    }
-  }
-  ++num_rows_;
-}
-
 void RecordBatch::Gather(const RecordBatch& src,
                          std::span<const uint32_t> rows, size_t first_col) {
   assert(first_col + src.num_columns() <= columns_.size());

@@ -90,10 +90,6 @@ class RecordBatch {
   /// Sets the row count after bulk-filling the lanes directly.
   Status SealRows(size_t rows);
 
-  /// Copies row `row` of `src` onto the end of this batch (schemas must
-  /// be column-compatible by position).
-  void AppendRowFrom(const RecordBatch& src, size_t row);
-
   /// Appends rows `rows` of `src`, in that order, to this batch's columns
   /// [first_col, first_col + src.num_columns()), copying one column at a
   /// time; column types must match. Seal the row count with SealRows once

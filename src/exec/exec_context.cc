@@ -205,8 +205,7 @@ void ExecContext::SettleCpu(QueryStats* stats) {
   // sessions in end-time order so the CPU channel's pulses stay monotonic.
   stats->cpu_active_joules =
       platform_->ChargeCpuCoresAt(stats->end_time,  // NOLINT-ECODB(EC1)
-                                  stats->cpu_seconds, stats->active_cores,
-                                  options_.pstate);
+                                  stats->cpu_seconds, options_.pstate);
 }
 
 QueryStats ExecContext::Finish() {

@@ -28,36 +28,20 @@ class TableStorage;  // shared-scan waivers key on the table identity only
 
 namespace ecodb::exec {
 
-/// Abstract instruction costs of operator inner loops. Shared with the
-/// optimizer so estimated and executed CPU work use the same constants.
-struct CostConstants {
-  double tuple_touch = 1.0;          // reading a value out of a lane
-  double hash_build_per_row = 16.0;  // insert into hash table
-  double hash_probe_per_row = 10.0;  // probe + compare
-  double sort_per_row_log_row = 3.0; // comparison-swap cost factor
-  double agg_update_per_row = 8.0;   // group lookup + accumulate
-  double nl_join_inner_per_pair = 3.0;
-  double output_per_row = 2.0;
-  /// Modeled rows per sorted run for external/parallel sort pricing. The
-  /// executor's real run size is one morsel (ExecOptions::morsel_rows);
-  /// this constant keeps the optimizer's estimate aligned with that
-  /// default without coupling it to per-query scheduling knobs.
-  double sort_run_rows = 16384.0;
-  /// Multiplier applied to codec decode instruction counts (calibration
-  /// hook for matching measured decode rates).
-  double decode_scale = 1.0;
-};
-
-/// Per-query execution knobs (the optimizer sets these on the plan).
+/// Per-query execution knobs (the optimizer sets dop and P-state on the
+/// plan). optimizer::CostModel prices with the same options the engine
+/// bills with, so morsel_rows and decode_scale reach price and bill alike.
 struct ExecOptions {
   int dop = 1;      // degree of parallelism for CPU work
   int pstate = 0;   // CPU DVFS state to run at
   size_t batch_rows = 4096;
   /// Target rows per parallel-scan morsel; rounded up to whole zone-map
-  /// blocks so morsel boundaries never split a block. Must not affect
-  /// results or accounting — only scheduling granularity.
+  /// blocks so morsel boundaries never split a block. A sort forms one run
+  /// per morsel, so this sets its run count; it never changes results.
   size_t morsel_rows = 16384;
-  CostConstants costs;
+  /// Multiplier applied to codec decode instruction counts (calibration
+  /// hook for matching measured decode rates).
+  double decode_scale = 1.0;
 };
 
 /// InvalidArgument unless `options` can run on `cpu`: dop >= 1, batch_rows

@@ -70,10 +70,10 @@ Status IndexScanOp::Open(ExecContext* ctx) {
   }
 
   // --- CPU: descent comparisons + per-match touch.
-  ctx->ChargeInstructions(IndexScanInstructions(
-      ctx->options().costs, static_cast<double>(index_->height()),
-      static_cast<double>(row_ids_.size()),
-      static_cast<double>(column_indexes_.size())));
+  ctx->ChargeInstructions(
+      IndexScanInstructions(static_cast<double>(index_->height()),
+                            static_cast<double>(row_ids_.size()),
+                            static_cast<double>(column_indexes_.size())));
   cursor_ = 0;
   open_ = true;
   return Status::OK();

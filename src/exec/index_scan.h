@@ -19,11 +19,14 @@
 
 namespace ecodb::exec {
 
+/// Instructions to read one value out of a lane.
+constexpr double kTupleTouch = 1.0;
+
 /// Instructions IndexScanOp bills: 20 per level of a `height` descent, and
 /// a tuple touch of each of `columns` in each of the `matches` rows.
-inline double IndexScanInstructions(const CostConstants& c, double height,
-                                    double matches, double columns) {
-  return 20.0 * height + c.tuple_touch * matches * columns;
+inline double IndexScanInstructions(double height, double matches,
+                                    double columns) {
+  return 20.0 * height + kTupleTouch * matches * columns;
 }
 
 class IndexScanOp final : public Operator {

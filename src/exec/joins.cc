@@ -124,8 +124,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   const double build_rows = static_cast<double>(build_rows_.num_rows());
   build_bytes_ = static_cast<uint64_t>(HashBuildBytes(
       static_cast<double>(BatchBytes(build_rows_)), build_rows));
-  ctx->ChargeInstructions(
-      HashBuildInstructions(ctx->options().costs, build_rows));
+  ctx->ChargeInstructions(HashBuildInstructions(build_rows));
   ctx->ChargeDram(build_bytes_);
 
   probe_source_ = dynamic_cast<MorselSource*>(left_.get());
@@ -178,10 +177,9 @@ Status HashJoinOp::ParallelProbe() {
   uint64_t total_matches = 0;
   for (size_t m : match_counts) total_matches += m;
   // Same formulas as the serial probe, applied to dop-invariant totals.
-  const CostConstants& c = ctx_->options().costs;
   ctx_->ChargeInstructions(
-      HashProbeInstructions(c, static_cast<double>(probe_rows)) +
-      OutputInstructions(c, static_cast<double>(total_matches)));
+      HashProbeInstructions(static_cast<double>(probe_rows)) +
+      OutputInstructions(static_cast<double>(total_matches)));
   probed_ = true;
   probe_cursor_ = 0;
   return Status::OK();
@@ -206,13 +204,13 @@ Status HashJoinOp::Next(RecordBatch* out, bool* eos) {
     RecordBatch probe;
     ECODB_RETURN_IF_ERROR(left_->Next(&probe, eos));
     if (*eos) return Status::OK();
-    ctx_->ChargeInstructions(HashProbeInstructions(
-        ctx_->options().costs, static_cast<double>(probe.num_rows())));
+    ctx_->ChargeInstructions(
+        HashProbeInstructions(static_cast<double>(probe.num_rows())));
     RecordBatch joined;
     size_t matches = 0;
     ECODB_RETURN_IF_ERROR(ProbeBatch(probe, &joined, &matches));
-    ctx_->ChargeInstructions(OutputInstructions(
-        ctx_->options().costs, static_cast<double>(matches)));
+    ctx_->ChargeInstructions(
+        OutputInstructions(static_cast<double>(matches)));
     *out = std::move(joined);
     return Status::OK();
   }
@@ -253,9 +251,9 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
 
   // Cross product of this outer batch with the inner side, then filter.
   // The quadratic pair cost is the point: NLJ trades memory for cycles.
-  ctx_->ChargeInstructions(NestedLoopPairInstructions(
-      ctx_->options().costs, static_cast<double>(outer.num_rows()),
-      static_cast<double>(inner_.num_rows())));
+  ctx_->ChargeInstructions(
+      NestedLoopPairInstructions(static_cast<double>(outer.num_rows()),
+                                 static_cast<double>(inner_.num_rows())));
   std::vector<uint32_t> inner_rows(inner_.num_rows());
   std::iota(inner_rows.begin(), inner_rows.end(), uint32_t{0});
   std::vector<uint32_t> outer_sel;
@@ -273,8 +271,8 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
   ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
                          predicate_->EvaluateMask(joined));
   joined.FilterInPlace(mask);
-  ctx_->ChargeInstructions(OutputInstructions(
-      ctx_->options().costs, static_cast<double>(joined.num_rows())));
+  ctx_->ChargeInstructions(
+      OutputInstructions(static_cast<double>(joined.num_rows())));
   *out = std::move(joined);
   return Status::OK();
 }
@@ -326,8 +324,7 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   const std::vector<uint32_t> rorder = sorted_order(right_rows_, rk);
   const double left_rows = static_cast<double>(left_rows_.num_rows());
   const double right_rows = static_cast<double>(right_rows_.num_rows());
-  ctx->ChargeInstructions(
-      MergeJoinSortInstructions(ctx->options().costs, left_rows, right_rows));
+  ctx->ChargeInstructions(MergeJoinSortInstructions(left_rows, right_rows));
 
   // Merge equal-key runs into the output's row pairs.
   left_sel_.clear();
@@ -357,9 +354,8 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
       j = jend;
     }
   }
-  ctx->ChargeInstructions(
-      MergeJoinWalkInstructions(ctx->options().costs, left_rows, right_rows,
-                                static_cast<double>(left_sel_.size())));
+  ctx->ChargeInstructions(MergeJoinWalkInstructions(
+      left_rows, right_rows, static_cast<double>(left_sel_.size())));
   cursor_ = 0;
   return Status::OK();
 }

@@ -35,29 +35,30 @@ catalog::Schema JoinedSchema(const catalog::Schema& left,
 // HashBuildBytes, the build table's DRAM traffic (the rows' payload plus
 // 32 bytes of bucket and entry overhead per row). A merge join sorts each
 // input in n·log2(n) steps; a matched row costs OutputInstructions.
-inline double HashBuildInstructions(const CostConstants& c, double rows) {
-  return c.hash_build_per_row * rows;
+constexpr double kHashBuildPerRow = 16.0;   // insert into the hash table
+constexpr double kHashProbePerRow = 10.0;   // probe + compare
+constexpr double kNestedLoopPerPair = 3.0;  // one inner-loop compare
+
+inline double HashBuildInstructions(double rows) {
+  return kHashBuildPerRow * rows;
 }
 inline double HashBuildBytes(double payload_bytes, double rows) {
   return payload_bytes + 32.0 * rows;
 }
-inline double HashProbeInstructions(const CostConstants& c, double rows) {
-  return c.hash_probe_per_row * rows;
+inline double HashProbeInstructions(double rows) {
+  return kHashProbePerRow * rows;
 }
-inline double NestedLoopPairInstructions(const CostConstants& c,
-                                         double outer_rows,
+inline double NestedLoopPairInstructions(double outer_rows,
                                          double inner_rows) {
-  return c.nl_join_inner_per_pair * outer_rows * inner_rows;
+  return kNestedLoopPerPair * outer_rows * inner_rows;
 }
-inline double MergeJoinSortInstructions(const CostConstants& c,
-                                        double left_rows, double right_rows) {
+inline double MergeJoinSortInstructions(double left_rows, double right_rows) {
   const auto nlogn = [](double n) { return n > 1 ? n * std::log2(n) : 0.0; };
-  return c.sort_per_row_log_row * (nlogn(left_rows) + nlogn(right_rows));
+  return kSortPerRowLogRow * (nlogn(left_rows) + nlogn(right_rows));
 }
-inline double MergeJoinWalkInstructions(const CostConstants& c,
-                                        double left_rows, double right_rows,
+inline double MergeJoinWalkInstructions(double left_rows, double right_rows,
                                         double pairs) {
-  return OutputInstructions(c, pairs) + 2.0 * (left_rows + right_rows);
+  return OutputInstructions(pairs) + 2.0 * (left_rows + right_rows);
 }
 
 /// Equi-join on one key column per side. The right (build) side must fit

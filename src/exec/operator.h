@@ -37,11 +37,15 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
+/// Instructions to emit one output row.
+constexpr double kOutputPerRow = 2.0;
+/// Instructions of one sort comparison-swap on one key: SortOp's ladders
+/// and the merge join's input sorts.
+constexpr double kSortPerRowLogRow = 3.0;
+
 /// Instructions an operator bills, and the planner prices, for emitting
 /// `rows` rows: join matches, aggregate groups, a merged sort's rows.
-inline double OutputInstructions(const CostConstants& c, double rows) {
-  return c.output_per_row * rows;
-}
+inline double OutputInstructions(double rows) { return kOutputPerRow * rows; }
 
 /// Drains `root` into a materialized result set, counting emitted rows into
 /// the context. The operator must not yet be open.

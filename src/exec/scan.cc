@@ -269,7 +269,7 @@ Status TableScanOp::Open(ExecContext* ctx) {
     ECODB_RETURN_IF_ERROR(
         ctx->ChargeRead(table_->device(), bytes, /*sequential=*/true));
   }
-  ctx->ChargeInstructions(ScanDecodeInstructions(ctx->options().costs,
+  ctx->ChargeInstructions(ScanDecodeInstructions(ctx->options().decode_scale,
                                                  *table_, column_indexes_,
                                                  pruning.selected_fraction));
 

@@ -63,14 +63,14 @@ ScanPruning PruneScan(const ExprPtr& filter,
 
 /// Decode instructions a scan of `column_indexes` bills when
 /// `selected_fraction` of the blocks survive pruning: the table's
-/// DecodeInstructions, scaled by `c.decode_scale`. The scan transfers
-/// `table.ScanBytes(column_indexes, selected_fraction)`.
-inline double ScanDecodeInstructions(const CostConstants& c,
+/// DecodeInstructions, scaled by ExecOptions::decode_scale. The scan
+/// transfers `table.ScanBytes(column_indexes, selected_fraction)`.
+inline double ScanDecodeInstructions(double decode_scale,
                                      const storage::TableStorage& table,
                                      const std::vector<int>& column_indexes,
                                      double selected_fraction) {
   return table.DecodeInstructions(column_indexes, selected_fraction) *
-         c.decode_scale;
+         decode_scale;
 }
 
 /// Instructions the scan's fused exact `filter` bills: FilterInstructions

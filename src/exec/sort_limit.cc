@@ -170,11 +170,13 @@ Status EmitPicks(std::span<const RunRow> picks,
 // Without a limit every offered row is kept: a morsel is moved in whole (a
 // streamed child's later batches are appended to it). Under a limit k the
 // rows stream through a bounded max-heap whose top is the worst kept row in
-// (key, input position) order; evicted rows stay in the pool until as many
-// have piled up as are kept, then the pool is compacted, so the working set
-// stays O(k). Either way TakeRun radix-sorts the kept rows' (word, row)
-// pairs, orders each range of equal words on the keys when the word is not
-// the whole key, and copies the rows once in that order, column by column.
+// (key, input position) order. The rows of a batch that enter the heap are
+// gathered into the pool once, column by column, when the batch is done;
+// evicted rows stay in the pool until as many have piled up as are kept,
+// then the pool is compacted, so the working set stays O(k + batch).
+// Either way TakeRun radix-sorts the kept rows' (word, row) pairs, orders
+// each range of equal words on the keys when the word is not the whole
+// key, and copies the rows once in that order, column by column.
 class SortOp::RunBuilder {
  public:
   explicit RunBuilder(const SortOp& op) : op_(op) {}
@@ -185,14 +187,18 @@ class SortOp::RunBuilder {
     const size_t k = *op_.limit_;
     if (pos_ == 0) pool_ = RecordBatch(batch.schema());
     op_.EncodeWords(batch, &words_);
-    const auto worse = [this](const Entry& a, const Entry& b) {
-      return Before(a, b);
+    entering_.clear();
+    const auto worse = [&](const Entry& a, const Entry& b) {
+      return Before(a, b, batch);
     };
     for (size_t r = 0; r < batch.num_rows(); ++r, ++pos_) {
+      entering_.push_back(static_cast<uint32_t>(r));
+      const Entry entry{
+          words_[r],
+          static_cast<uint32_t>(pool_.num_rows() + entering_.size() - 1),
+          pos_};
       if (heap_.size() < k) {
-        pool_.AppendRowFrom(batch, r);
-        heap_.push_back(
-            {words_[r], static_cast<uint32_t>(pool_.num_rows() - 1), pos_});
+        heap_.push_back(entry);
         std::push_heap(heap_.begin(), heap_.end(), worse);
         continue;
       }
@@ -200,17 +206,17 @@ class SortOp::RunBuilder {
       // before it on the keys: on a tie the kept row's input position is
       // smaller, so stability keeps it — exactly what the unlimited sort
       // followed by LimitOp(k) would retain.
-      if (k == 0 || op_.CompareRows(words_[r], batch, r, heap_.front().word,
-                                    pool_, heap_.front().row) >= 0) {
+      if (k == 0 || !worse(entry, heap_.front())) {
+        entering_.pop_back();
         continue;
       }
       std::pop_heap(heap_.begin(), heap_.end(), worse);
-      pool_.AppendRowFrom(batch, r);
-      heap_.back() = {words_[r], static_cast<uint32_t>(pool_.num_rows() - 1),
-                      pos_};
+      heap_.back() = entry;
       std::push_heap(heap_.begin(), heap_.end(), worse);
-      if (pool_.num_rows() - heap_.size() >= k) CompactPool();
     }
+    pool_.Gather(batch, entering_);
+    ECODB_RETURN_IF_ERROR(pool_.SealRows(pool_.num_rows() + entering_.size()));
+    if (pool_.num_rows() - heap_.size() >= k) CompactPool();
     return Status::OK();
   }
 
@@ -242,8 +248,9 @@ class SortOp::RunBuilder {
   }
 
  private:
-  /// A kept candidate: its first-key word, a row in pool_ and its input
-  /// position.
+  /// A kept candidate: its first-key word, its row in pool_ (for a row of
+  /// the batch being offered, the row it becomes once gathered) and its
+  /// input position.
   struct Entry {
     uint64_t word;
     uint32_t row;
@@ -268,10 +275,22 @@ class SortOp::RunBuilder {
 
   /// True when `a` precedes `b` in the output order (keys, then input
   /// position). A strict total order: no two entries share pos.
-  bool Before(const Entry& a, const Entry& b) const {
-    const int cmp = op_.CompareRows(a.word, pool_, a.row, b.word, pool_, b.row);
+  bool Before(const Entry& a, const Entry& b, const RecordBatch& batch) const {
+    const auto [rows_a, row_a] = Locate(a.row, batch);
+    const auto [rows_b, row_b] = Locate(b.row, batch);
+    const int cmp =
+        op_.CompareRows(a.word, *rows_a, row_a, b.word, *rows_b, row_b);
     if (cmp != 0) return cmp < 0;
     return a.pos < b.pos;
+  }
+
+  /// Where the row an entry names lives: in the pool, or in `batch` while
+  /// it is one of the entering rows not yet gathered.
+  std::pair<const RecordBatch*, size_t> Locate(
+      uint32_t row, const RecordBatch& batch) const {
+    const size_t pooled = pool_.num_rows();
+    if (row < pooled) return {&pool_, row};
+    return {&batch, entering_[row - pooled]};
   }
 
   /// Drops the evicted rows from the pool, keeping the rest in input
@@ -290,6 +309,7 @@ class SortOp::RunBuilder {
   RecordBatch pool_;
   std::vector<Entry> heap_;  // max-heap on Before: front = worst kept
   std::vector<uint64_t> words_;     // first-key words of the offered batch
+  std::vector<uint32_t> entering_;  // its rows that entered the heap
   std::vector<uint32_t> all_rows_;  // 0, 1, 2, ...: selects a whole batch
   uint64_t pos_ = 0;
 };
@@ -368,7 +388,6 @@ Status SortOp::FormRuns() {
 
 Status SortOp::SettleRunCharges() {
   // ecodb-lint: coordinator-only
-  const CostConstants& c = ctx_->options().costs;
   const double n_keys = static_cast<double>(keys_.size());
   const uint64_t row_width =
       static_cast<uint64_t>(child_->output_schema().RowWidthBytes());
@@ -382,10 +401,10 @@ Status SortOp::SettleRunCharges() {
   for (const Run& run : runs_) {
     const double n = static_cast<double>(run.rows_in);
     if (limit_.has_value()) {
-      formation += TopKCompareInstructions(
-          c, n, static_cast<double>(*limit_), n_keys);
+      formation +=
+          TopKCompareInstructions(n, static_cast<double>(*limit_), n_keys);
     } else if (n > 1) {
-      formation += SortLadderInstructions(c, n, n, n_keys);
+      formation += SortLadderInstructions(n, n, n_keys);
     }
     kept_bytes += run.rows.num_rows() * row_width;
   }
@@ -421,7 +440,6 @@ Status SortOp::MergeRuns() {
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   batches_.clear();
   num_partitions_ = 0;
-  const CostConstants& c = ctx_->options().costs;
   const double n_keys = static_cast<double>(keys_.size());
   const uint64_t row_width =
       static_cast<uint64_t>(child_->output_schema().RowWidthBytes());
@@ -461,10 +479,10 @@ Status SortOp::MergeRuns() {
     if (limit_.has_value()) {
       limited_take = static_cast<double>(take);
     } else {
-      ctx_->ChargeInstructions(SortLadderInstructions(c, rows, runs, n_keys));
+      ctx_->ChargeInstructions(SortLadderInstructions(rows, runs, n_keys));
     }
     ctx_->ChargeSerialInstructions(
-        SortMergeSerialInstructions(c, rows, runs, n_keys, limited_take));
+        SortMergeSerialInstructions(rows, runs, n_keys, limited_take));
   }
 
   // Output order on run rows: (key, run, position). A comparison reads the

@@ -71,9 +71,9 @@ struct SortKey {
 /// log2(`fan_in`) ladder: run formation (fan_in = run rows) and the merge
 /// (fan_in = run count). Shared with CostModel::SortDemand so the planner
 /// prices exactly what SortOp charges.
-inline double SortLadderInstructions(const CostConstants& c, double rows,
-                                     double fan_in, double num_keys) {
-  return c.sort_per_row_log_row * rows * std::log2(fan_in) * num_keys;
+inline double SortLadderInstructions(double rows, double fan_in,
+                                     double num_keys) {
+  return kSortPerRowLogRow * rows * std::log2(fan_in) * num_keys;
 }
 
 /// Modeled comparison instructions for streaming `rows` rows through a
@@ -81,11 +81,11 @@ inline double SortLadderInstructions(const CostConstants& c, double rows,
 /// root plus a log2(k) sift ladder. At k = n this approaches the full
 /// sort's n·log2(n); at k = 1 it degenerates to a linear min-scan. Shared
 /// with CostModel::SortDemand like SortLadderInstructions.
-inline double TopKCompareInstructions(const CostConstants& c, double rows,
-                                      double k, double num_keys) {
+inline double TopKCompareInstructions(double rows, double k,
+                                      double num_keys) {
   if (rows <= 0.0 || k <= 0.0) return 0.0;
   const double k_eff = std::min(rows, k);
-  return c.sort_per_row_log_row * rows *
+  return kSortPerRowLogRow * rows *
          (1.0 + std::log2(std::max(1.0, k_eff))) * num_keys;
 }
 
@@ -94,16 +94,15 @@ inline double TopKCompareInstructions(const CostConstants& c, double rows,
 /// row, the log2(runs) ladder being parallel; or, under a limit, that
 /// ladder over every candidate plus emitting the `limited_take` rows kept.
 /// Shared with CostModel::SortDemand.
-inline double SortMergeSerialInstructions(const CostConstants& c,
-                                          double rows, double runs,
+inline double SortMergeSerialInstructions(double rows, double runs,
                                           double num_keys,
                                           std::optional<double> limited_take) {
   if (runs <= 1.0) return 0.0;
   if (limited_take.has_value()) {
-    return SortLadderInstructions(c, rows, runs, num_keys) +
-           OutputInstructions(c, *limited_take);
+    return SortLadderInstructions(rows, runs, num_keys) +
+           OutputInstructions(*limited_take);
   }
-  return OutputInstructions(c, rows);
+  return OutputInstructions(rows);
 }
 
 /// The child's rows in stable order on `keys`; with `limit`, only the first

@@ -5,6 +5,7 @@
 
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
+#include "storage/page.h"
 
 namespace ecodb::optimizer {
 
@@ -22,8 +23,8 @@ void ResourceEstimate::Merge(const ResourceEstimate& other) {
 }
 
 CostModel::CostModel(power::HardwarePlatform* platform,
-                     CostModelParams params)
-    : platform_(platform), params_(params) {}
+                     CostModelParams params, exec::ExecOptions exec)
+    : platform_(platform), params_(params), exec_(exec) {}
 
 ResourceEstimate CostModel::ScanDemand(
     const storage::TableStorage& table, const std::vector<int>& column_indexes,
@@ -36,7 +37,7 @@ ResourceEstimate CostModel::ScanDemand(
     demand.device_bytes[table.device()] += bytes;
   }
   demand.cpu_instructions = exec::ScanDecodeInstructions(
-      params_.costs, table, column_indexes, pruning.selected_fraction);
+      exec_.decode_scale, table, column_indexes, pruning.selected_fraction);
   if (filter != nullptr) {
     demand.cpu_instructions += exec::ScanFilterInstructions(*filter, pruning);
   }
@@ -47,9 +48,9 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
                                        double limit_rows) const {
   ResourceEstimate demand;
   if (rows <= 1.0) return demand;
-  const exec::CostConstants& k = params_.costs;
   const double keys = static_cast<double>(std::max<size_t>(1, num_keys));
-  const double run_rows = std::max(2.0, k.sort_run_rows);
+  const double run_rows =
+      std::max(2.0, static_cast<double>(exec_.morsel_rows));
   const double runs = std::max(1.0, std::ceil(rows / run_rows));
   const double per_run = std::min(rows, run_rows);
   if (limit_rows >= 0.0) {
@@ -62,25 +63,22 @@ ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
     // holds by construction.
     const double k_eff = std::min(rows, std::max(0.0, limit_rows));
     const double k_run = std::min(per_run, k_eff);
-    demand.cpu_instructions +=
-        exec::TopKCompareInstructions(k, rows, k_run, keys);
+    demand.cpu_instructions += exec::TopKCompareInstructions(rows, k_run, keys);
     demand.serial_cpu_instructions +=
-        exec::SortMergeSerialInstructions(k, runs * k_run, runs, keys, k_eff);
+        exec::SortMergeSerialInstructions(runs * k_run, runs, keys, k_eff);
     return demand;
   }
   // Run formation: each run's n·log2(n) ladder, divided across workers.
-  demand.cpu_instructions +=
-      exec::SortLadderInstructions(k, rows, per_run, keys);
+  demand.cpu_instructions += exec::SortLadderInstructions(rows, per_run, keys);
   if (runs > 1.0) {
     // Merge fan-in: the log2(R) comparison ladder parallelizes across range
     // partitions; splitter selection and stitching stay on the coordinator.
     // Note log2(per_run) + log2(runs) ~= log2(rows): total comparison work
     // matches the classic serial n·log2(n) — only its Amdahl split changes.
-    demand.cpu_instructions +=
-        exec::SortLadderInstructions(k, rows, runs, keys);
+    demand.cpu_instructions += exec::SortLadderInstructions(rows, runs, keys);
   }
   demand.serial_cpu_instructions +=
-      exec::SortMergeSerialInstructions(k, rows, runs, keys, std::nullopt);
+      exec::SortMergeSerialInstructions(rows, runs, keys, std::nullopt);
   return demand;
 }
 
@@ -106,13 +104,13 @@ PlanCost CostModel::Price(const ResourceEstimate& demand, int dop,
     per_device_seconds[dev] += dev->EstimateReadSeconds(bytes);
     io_joules += dev->EstimateReadJoules(bytes);
   }
-  constexpr uint64_t kPageBytes = 8192;
   for (const auto& [dev, pages] : demand.random_page_reads) {
     // Each random page pays the device's full positioning + transfer cost.
     per_device_seconds[dev] +=
-        static_cast<double>(pages) * dev->EstimateReadSeconds(kPageBytes);
-    io_joules +=
-        static_cast<double>(pages) * dev->EstimateReadJoules(kPageBytes);
+        static_cast<double>(pages) *
+        dev->EstimateReadSeconds(storage::Page::kPageSize);
+    io_joules += static_cast<double>(pages) *
+                 dev->EstimateReadJoules(storage::Page::kPageSize);
   }
   for (const auto& [dev, seconds] : per_device_seconds) {
     io_elapsed = std::max(io_elapsed, seconds);

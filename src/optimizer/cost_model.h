@@ -83,7 +83,6 @@ struct ResourceEstimate {
 };
 
 struct CostModelParams {
-  exec::CostConstants costs;
   /// Multiplier on the DRAM residency price (1.0 = the platform's real
   /// W/GiB). The A1 ablation sweeps this to move the hash/NLJ crossover.
   double memory_power_premium = 1.0;
@@ -96,10 +95,14 @@ struct CostModelParams {
 
 class CostModel {
  public:
-  /// `platform` must outlive the model.
-  CostModel(power::HardwarePlatform* platform, CostModelParams params);
+  /// `platform` must outlive the model. `exec` is what the engine bills
+  /// with: scans are priced at its decode_scale and sorts at its
+  /// morsel_rows.
+  CostModel(power::HardwarePlatform* platform, CostModelParams params,
+            exec::ExecOptions exec = {});
 
   const CostModelParams& params() const { return params_; }
+  const exec::ExecOptions& exec_options() const { return exec_; }
   power::HardwarePlatform* platform() const { return platform_; }
 
   /// Demand of a table scan of `column_indexes` of `table` with `filter`
@@ -113,8 +116,9 @@ class CostModel {
   /// SortOp's charge functions (exec/sort_limit.h): run formation
   /// (rows · log2(run size)) and the merge comparison ladder
   /// (rows · log2(fan-in)) parallelize across cores, while the merge's
-  /// partition stitching stays serial (Amdahl). `costs.sort_run_rows`
-  /// models the run size; at one run this reduces exactly to n·log2(n).
+  /// partition stitching stays serial (Amdahl). Runs are priced at
+  /// morsel_rows rows, SortOp's run size over a table scan; at one run this
+  /// reduces exactly to n·log2(n).
   ///
   /// `limit_rows >= 0` prices the fused top-k path instead: each run streams
   /// through a bounded heap of min(run, k) rows — O(n log k) comparisons,
@@ -131,6 +135,7 @@ class CostModel {
  private:
   power::HardwarePlatform* platform_;
   CostModelParams params_;
+  exec::ExecOptions exec_;
 };
 
 }  // namespace ecodb::optimizer

@@ -31,6 +31,7 @@
 #include "exec/joins.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
+#include "storage/page.h"
 
 namespace ecodb::optimizer {
 
@@ -320,8 +321,9 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
     const double index_pages =
         static_cast<double>(side.index->PagesForRange(access.lo, access.hi));
     const double row_width = std::max(1, t.schema().RowWidthBytes());
-    const double total_pages = std::max(
-        1.0, static_cast<double>(t.row_count()) * row_width / 8192.0);
+    const double total_pages =
+        std::max(1.0, static_cast<double>(t.row_count()) * row_width /
+                          static_cast<double>(storage::Page::kPageSize));
     const double heap_pages =
         total_pages * (1.0 - std::exp(-matches / total_pages));
     if (t.device() != nullptr) {
@@ -329,8 +331,8 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
           static_cast<uint64_t>(index_pages + heap_pages + 0.5);
     }
     d.cpu_instructions = exec::IndexScanInstructions(
-        model.params().costs, static_cast<double>(side.index->height()),
-        matches, static_cast<double>(cols.size()));
+        static_cast<double>(side.index->height()), matches,
+        static_cast<double>(cols.size()));
     if (side.filter != nullptr) {
       d.cpu_instructions += exec::FilterInstructions(*side.filter, matches);
     }
@@ -344,8 +346,7 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
 /// bill with. Each of them bills parallel instructions, whatever the join's
 /// children are.
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
-                     uint32_t lmask, uint32_t rmask,
-                     const exec::CostConstants& k, ResourceEstimate* demand,
+                     uint32_t lmask, uint32_t rmask, ResourceEstimate* demand,
                      double* resident_bytes) {
   const std::vector<int> crossing = graph.CrossingEdgeIndexes(lmask, rmask);
   if (crossing.empty()) {
@@ -360,23 +361,22 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
     case JoinAlgorithm::kHash: {
       const double build_bytes =
           exec::HashBuildBytes(rrows * MaskWidth(graph, rmask), rrows);
-      demand->cpu_instructions += exec::HashBuildInstructions(k, rrows);
-      demand->cpu_instructions += exec::HashProbeInstructions(k, lrows) +
-                                  exec::OutputInstructions(k, rows_primary);
+      demand->cpu_instructions += exec::HashBuildInstructions(rrows);
+      demand->cpu_instructions += exec::HashProbeInstructions(lrows) +
+                                  exec::OutputInstructions(rows_primary);
       demand->dram_traffic_bytes += static_cast<uint64_t>(build_bytes);
       *resident_bytes += build_bytes;
       break;
     }
     case JoinAlgorithm::kMerge:
+      demand->cpu_instructions += exec::MergeJoinSortInstructions(lrows, rrows);
       demand->cpu_instructions +=
-          exec::MergeJoinSortInstructions(k, lrows, rrows);
-      demand->cpu_instructions +=
-          exec::MergeJoinWalkInstructions(k, lrows, rrows, rows_primary);
+          exec::MergeJoinWalkInstructions(lrows, rrows, rows_primary);
       break;
     case JoinAlgorithm::kNestedLoop:
       demand->cpu_instructions +=
-          exec::NestedLoopPairInstructions(k, lrows, rrows);
-      demand->cpu_instructions += exec::OutputInstructions(k, rows_primary);
+          exec::NestedLoopPairInstructions(lrows, rrows);
+      demand->cpu_instructions += exec::OutputInstructions(rows_primary);
       break;
   }
   // Residual crossing edges run as stacked equality filters over the
@@ -413,13 +413,12 @@ PlanCost PriceWithResidency(const CostModel& model, ResourceEstimate demand,
 void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
                double in_rows, double output_rows, double input_width,
                ResourceEstimate* demand) {
-  const exec::CostConstants& k = model.params().costs;
   if (!spec.aggregates.empty()) {
     for (double term :
-         exec::AggregateUpdateInstructions(k, spec.aggregates, in_rows)) {
+         exec::AggregateUpdateInstructions(spec.aggregates, in_rows)) {
       demand->cpu_instructions += term;
     }
-    demand->cpu_instructions += exec::OutputInstructions(k, output_rows);
+    demand->cpu_instructions += exec::OutputInstructions(output_rows);
     demand->dram_traffic_bytes +=
         static_cast<uint64_t>(exec::AggregateStateBytes(
             output_rows, spec.group_by.size(), spec.aggregates.size()));
@@ -514,9 +513,8 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
   if ((lmask & rmask) != 0) {
     return Status::InvalidArgument("join tree repeats a relation");
   }
-  ECODB_RETURN_IF_ERROR(AddJoinDemand(graph, node.algo, lmask, rmask,
-                                      model.params().costs, demand,
-                                      resident_bytes));
+  ECODB_RETURN_IF_ERROR(
+      AddJoinDemand(graph, node.algo, lmask, rmask, demand, resident_bytes));
   return lmask | rmask;
 }
 
@@ -613,7 +611,6 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
   }
   ECODB_ASSIGN_OR_RETURN(const JoinGraph graph, JoinGraph::Analyze(spec));
   const std::span<const TableAlternatives> rels = spec.Relations();
-  const exec::CostConstants& k = model_->params().costs;
   const int n = graph.num_relations();
   const uint32_t full = graph.full_mask();
 
@@ -730,7 +727,7 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
                 SubPlan cand{-1, ls.demand,
                              ls.resident_bytes + rs.resident_bytes};
                 cand.demand.Merge(rs.demand);
-                if (!AddJoinDemand(graph, algo, l, r, k, &cand.demand,
+                if (!AddJoinDemand(graph, algo, l, r, &cand.demand,
                                    &cand.resident_bytes)
                          .ok()) {
                   continue;

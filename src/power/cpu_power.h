@@ -40,9 +40,6 @@ struct CpuSpec {
   /// Exponent of the utilization->power curve; 1.0 = linear (energy
   /// proportional between idle and peak).
   double utilization_exponent = 1.0;
-  /// One-time Joules to bring an additional core out of its idle state for
-  /// a parallel query (0 = waking cores is free, the classic assumption).
-  double core_wake_joules = 0.0;
 };
 
 /// Pure-math power model over a CpuSpec; holds no meter state.

@@ -1,6 +1,6 @@
 #include "power/platform.h"
 
-#include <algorithm>
+#include <utility>
 #include <cassert>
 
 namespace ecodb::power {
@@ -18,19 +18,11 @@ HardwarePlatform::HardwarePlatform(CpuSpec cpu, DramSpec dram,
   chassis_channel_ = meter_.RegisterChannel("chassis", chassis_.base_watts);
 }
 
-double HardwarePlatform::ChargeCpuAt(double t_end, double core_seconds,
-                                     int pstate) {
-  return ChargeCpuCoresAt(t_end, core_seconds, /*active_cores=*/1, pstate);
-}
-
 double HardwarePlatform::ChargeCpuCoresAt(double t_end, double core_seconds,
-                                          int active_cores, int pstate) {
+                                          int pstate) {
   assert(core_seconds >= 0);
-  assert(active_cores >= 1);
-  const int cores = std::min(active_cores, cpu_.total_cores());
   const double joules =
-      cpu_.spec().pstates[pstate].core_active_watts * core_seconds +
-      cpu_.spec().core_wake_joules * static_cast<double>(cores - 1);
+      cpu_.spec().pstates[pstate].core_active_watts * core_seconds;
   meter_.AddEnergyAt(cpu_channel_, t_end, joules, core_seconds);
   return joules;
 }

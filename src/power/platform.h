@@ -78,22 +78,15 @@ class HardwarePlatform {
     return meter_.RegisterChannel(std::move(name), initial_watts);
   }
 
-  /// Charges `core_seconds` of fully-busy core time ending at time `t_end`
-  /// at P-state `pstate`; energy above the idle floor is attributed as a
-  /// pulse (the floor runs continuously on the channel). Equivalent to
-  /// ChargeCpuCoresAt with one active core. Returns the Joules booked so
-  /// callers (the serving core's tenant bills) can attribute the charge.
-  double ChargeCpuAt(double t_end, double core_seconds, int pstate = 0);
-
-  /// Multi-core settlement: the same `core_seconds` of busy core time split
-  /// across `active_cores` concurrently-running cores (clamped to the
-  /// complex's total). Active Joules and busy core-seconds are identical to
-  /// the single-core charge — parallelism shortens the wall-clock window,
-  /// it does not discount work — plus a per-extra-core wake pulse when the
-  /// spec prices one. Race-to-idle stays observable because the shorter
-  /// window accrues less background/idle energy. Returns the Joules booked.
-  double ChargeCpuCoresAt(double t_end, double core_seconds, int active_cores,
-                          int pstate = 0);
+  /// Charges `core_seconds` of fully-busy core time, on however many
+  /// cores, ending at time `t_end` at P-state `pstate`; energy above the
+  /// idle floor is attributed as a pulse (the floor runs continuously on
+  /// the channel). Parallelism shortens the wall-clock window, it does not
+  /// discount work, so the Joules are the same at any core count;
+  /// race-to-idle stays observable because the shorter window accrues less
+  /// background/idle energy. Returns the Joules booked so callers (the
+  /// serving core's tenant bills) can attribute the charge.
+  double ChargeCpuCoresAt(double t_end, double core_seconds, int pstate = 0);
 
   /// Charges a DRAM traffic pulse of `bytes` at the current time. Returns
   /// the Joules booked.

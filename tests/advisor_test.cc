@@ -136,9 +136,9 @@ TEST_F(CompressionAdvisorTest, EnergyObjectiveCanRejectCompression) {
   // objective should keep the sequential column uncompressed even though
   // compression would make the scan faster.
   auto table = MakeTable();
-  optimizer::CostModelParams params;
-  params.costs.decode_scale = 50.0;
-  optimizer::CostModel model(platform_.get(), params);
+  exec::ExecOptions exec;
+  exec.decode_scale = 50.0;
+  optimizer::CostModel model(platform_.get(), {}, exec);
 
   auto perf = RecommendCompression(*table, {CompressionKind::kDelta}, &model,
                                    optimizer::Objective::Performance());

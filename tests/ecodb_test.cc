@@ -107,6 +107,19 @@ TEST(EcoDb, OpenWithHddArrayConfiguresTrays) {
   EXPECT_NEAR(chassis_joules, 80.0 + 3 * 45.0, 1e-6);
 }
 
+TEST(EcoDb, OpenHonorsArraySpecLevel) {
+  // Two drives cannot hold RAID-5, so this opens only if the array is
+  // built at the level the spec asks for.
+  DbConfig config;
+  config.hdd_count = 2;
+  config.ssd_count = 0;
+  config.array_spec.level = storage::RaidLevel::kRaid0;
+  auto db = EcoDb::Open(config);
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ASSERT_NE((*db)->raid_array(), nullptr);
+  EXPECT_EQ((*db)->raid_array()->spec().level, storage::RaidLevel::kRaid0);
+}
+
 TEST(EcoDb, DeriveDopLadderFollowsPlatformCores) {
   // Deriving the ladder from the platform is the default.
   auto db = EcoDb::Open(SsdConfig());

@@ -72,7 +72,7 @@ double RunCanonicalQuery(const PhysicalKnobs& knobs,
   options.batch_rows = knobs.batch_rows;
   options.dop = knobs.dop;
   options.pstate = knobs.pstate;
-  options.costs.decode_scale = knobs.decode_scale;
+  options.decode_scale = knobs.decode_scale;
   exec::ExecContext ctx(platform.get(), options);
 
   std::vector<exec::AggregateItem> aggs;

@@ -251,15 +251,6 @@ TEST(RecordBatch, SealRowsValidatesLaneLengths) {
   EXPECT_FALSE(batch.SealRows(2).ok());
 }
 
-TEST(RecordBatch, AppendRowFromCopiesAllTypes) {
-  const RecordBatch src = TestBatch();
-  RecordBatch dst(TestSchema());
-  dst.AppendRowFrom(src, 3);
-  EXPECT_EQ(dst.num_rows(), 1u);
-  EXPECT_EQ(dst.GetValue(0, 0).i64, 4);
-  EXPECT_EQ(dst.GetValue(0, 2).str, "z");
-}
-
 TEST(Value, AsDoublePromotes) {
   EXPECT_DOUBLE_EQ(Value::Int64(3).AsDouble(), 3.0);
   EXPECT_DOUBLE_EQ(Value::Double(2.5).AsDouble(), 2.5);

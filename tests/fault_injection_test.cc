@@ -314,7 +314,7 @@ TEST(DiskArrayCreate, EmptyAndNullMembersRejected) {
 TEST(DiskArrayCreate, InvalidRaid5SurfacesThroughEcoDbOpen) {
   core::DbConfig config;
   config.hdd_count = 2;  // two drives cannot hold RAID-5 rotated parity
-  config.raid_level = RaidLevel::kRaid5;
+  config.array_spec.level = RaidLevel::kRaid5;
   config.ssd_count = 0;
   const auto db = core::EcoDb::Open(config);
   ASSERT_FALSE(db.ok());

@@ -220,11 +220,11 @@ TEST_F(OptimizerTest, CompressionVariantFlipsWithObjective) {
   ASSERT_TRUE(
       packed->SetCompression("k", storage::CompressionKind::kRle).ok());
 
-  CostModelParams params;
+  exec::ExecOptions exec;
   // Make decode genuinely expensive relative to I/O so CPU time dominates
   // the compressed plan (calibration stands in for [HLA+06] decode rates).
-  params.costs.decode_scale = 40.0;
-  CostModel model(platform_.get(), params);
+  exec.decode_scale = 40.0;
+  CostModel model(platform_.get(), {}, exec);
   Planner planner(&model);
 
   QuerySpec spec;

@@ -6,8 +6,10 @@
 // (instructions, I/O bytes, busy core-seconds) at every dop — parallelism is
 // only allowed to shorten the simulated critical path and the energy window.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -419,6 +421,42 @@ TEST_F(ParallelExecTest, WallClockSpeedupOnMultiCoreHosts) {
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads";
   }
+  // Calibration that runs no engine code: the same fixed spin loop on 1
+  // thread and on 4, alternating, best of 5. A host whose 4 threads do
+  // less than twice the work of one (busy neighbours) cannot show the
+  // engine's speedup, so the test skips instead of measuring the host.
+  const auto spin_iterations_per_s = [](int threads) {
+    constexpr uint64_t kIterations = 20'000'000;
+    std::atomic<uint64_t> sink{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> spinners;
+    for (int t = 0; t < threads; ++t) {
+      spinners.emplace_back([&sink, t] {
+        uint64_t x = 88172645463325252ULL + static_cast<uint64_t>(t);
+        for (uint64_t i = 0; i < kIterations; ++i) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink += x;
+      });
+    }
+    for (std::thread& spinner : spinners) spinner.join();
+    const auto t1 = std::chrono::steady_clock::now();
+    return static_cast<double>(threads) * kIterations /
+           std::chrono::duration<double>(t1 - t0).count();
+  };
+  double rate1 = 0.0, rate4 = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    rate1 = std::max(rate1, spin_iterations_per_s(1));
+    rate4 = std::max(rate4, spin_iterations_per_s(4));
+  }
+  if (rate4 < 2.0 * rate1) {
+    GTEST_SKIP() << "host too busy: a spin loop did " << rate1
+                 << " iterations/s on 1 thread and " << rate4
+                 << " on 4 (needs >= 2x)";
+  }
+
   auto table = MakeLineitem(1000000, 4096);
 
   const auto time_once = [&](int dop) {

@@ -13,7 +13,8 @@
 //
 // The same harness gates the planner's price against the bill: on inputs
 // whose estimates are exact, PricePlan's seconds must be the billed CPU
-// critical path at every dop and P-state, for each join algorithm and tail.
+// critical path at every dop and P-state, for each join algorithm and tail,
+// with the planner's CostModel and the run sharing one ExecOptions.
 
 #include <memory>
 #include <optional>
@@ -101,16 +102,24 @@ class PlanDopDifferentialTest : public ::testing::Test {
     exec::QueryStats stats;
   };
 
-  Outcome RunAtDop(const QuerySpec& spec, PhysicalPlan plan, int dop) {
+  /// The options a run uses unless it passes its own: several morsels even
+  /// on small tables.
+  static exec::ExecOptions SmallMorsels() {
+    exec::ExecOptions options;
+    options.morsel_rows = 2048;
+    return options;
+  }
+
+  /// Runs `plan` at `dop` with `options`, whose dop and P-state it sets.
+  Outcome RunAtDop(const QuerySpec& spec, PhysicalPlan plan, int dop,
+                   exec::ExecOptions options = SmallMorsels()) {
     plan.dop = dop;
     Outcome out;
     auto root = planner_->BuildOperator(spec, plan);
     EXPECT_TRUE(root.ok()) << root.status().message();
     if (!root.ok()) return out;
-    exec::ExecOptions options;
     options.dop = plan.dop;
     options.pstate = plan.pstate;
-    options.morsel_rows = 2048;  // several morsels even on small tables
     exec::ExecContext ctx(platform_.get(), options);
     auto result = exec::CollectAll(root->get(), &ctx);
     out.stats = ctx.Finish();
@@ -278,8 +287,12 @@ TEST_F(PlanDopDifferentialTest, PricedSecondsEqualBilledCriticalPath) {
 
   const int num_pstates = platform_->cpu().num_pstates();
   ASSERT_EQ(num_pstates, 3);
-  const auto expect_priced_as_billed = [&](const QuerySpec& spec,
-                                           const PhysicalPlan& plan) {
+  // The planner prices with the ExecOptions the run bills with.
+  const auto expect_priced_as_billed =
+      [&](const QuerySpec& spec, const PhysicalPlan& plan,
+          const exec::ExecOptions& options = SmallMorsels()) {
+    CostModel model(platform_.get(), CostModelParams{}, options);
+    const Planner planner(&model);
     for (int pstate = 0; pstate < num_pstates; ++pstate) {
       for (int dop : {1, 2, 4, 8}) {
         SCOPED_TRACE("pstate=" + std::to_string(pstate) +
@@ -287,9 +300,10 @@ TEST_F(PlanDopDifferentialTest, PricedSecondsEqualBilledCriticalPath) {
         PhysicalPlan at = plan;
         at.pstate = pstate;
         at.dop = dop;
-        auto priced = planner_->PricePlan(spec, at);
+        auto priced = planner.PricePlan(spec, at);
         ASSERT_TRUE(priced.ok()) << priced.status().message();
-        const double billed = RunAtDop(spec, at, dop).stats.cpu_elapsed_seconds;
+        const double billed =
+            RunAtDop(spec, at, dop, options).stats.cpu_elapsed_seconds;
         ASSERT_GT(billed, 0.0);
         EXPECT_NEAR(priced->seconds, billed, 1e-12 * billed);
       }
@@ -319,10 +333,36 @@ TEST_F(PlanDopDifferentialTest, PricedSecondsEqualBilledCriticalPath) {
   }
 
   // A chain whose upper hash join probes the lower join's output.
-  SCOPED_TRACE("chain");
-  auto plan = CanonicalJoinPlan(chain);
+  {
+    SCOPED_TRACE("chain");
+    auto plan = CanonicalJoinPlan(chain);
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    expect_priced_as_billed(chain, *plan);
+  }
+
+  // Non-default shared options. A decode scale, which every scan bills:
+  exec::ExecOptions decode;
+  decode.decode_scale = 8.0;
+  for (const QuerySpec* spec : {&pair, &chain}) {
+    SCOPED_TRACE(std::to_string(spec->relations.size()) +
+                 " relations, decode_scale 8");
+    auto plan = CanonicalJoinPlan(*spec);
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    expect_priced_as_billed(*spec, *plan, decode);
+  }
+  // And a morsel size under which ORDER BY over the fact scan (no zone
+  // maps) forms four equal runs, which the sort bills and merges.
+  SCOPED_TRACE("ORDER BY over four 5,000-row runs");
+  QuerySpec sorted;
+  sorted.relations.resize(1);
+  sorted.relations[0].name = "fact";
+  sorted.relations[0].variants = {fact.get()};
+  sorted.order_by = {{"grp", true}, {"val", false}};
+  exec::ExecOptions morsels;
+  morsels.morsel_rows = 5000;
+  auto plan = CanonicalJoinPlan(sorted);
   ASSERT_TRUE(plan.ok()) << plan.status().message();
-  expect_priced_as_billed(chain, *plan);
+  expect_priced_as_billed(sorted, *plan, morsels);
 }
 
 TEST_F(PlanDopDifferentialTest, TpchJoinGraphsAtLambdaZeroAndTen) {

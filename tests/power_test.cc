@@ -225,7 +225,7 @@ TEST(HardwarePlatform, IdleBackgroundAccrues) {
 
 TEST(HardwarePlatform, ChargeCpuAddsActiveEnergy) {
   auto platform = MakeFlashScanPlatform();  // idle CPU = 0 W
-  platform->ChargeCpuAt(3.2, 3.2);          // 3.2 core-seconds at 90 W
+  platform->ChargeCpuCoresAt(3.2, 3.2);     // 3.2 core-seconds at 90 W
   platform->clock()->AdvanceTo(3.2);
   const EnergyBreakdown bd = platform->BreakdownSinceStart();
   EXPECT_NEAR(bd.entries[platform->cpu_channel().index].joules, 288.0, 1e-6);

@@ -216,11 +216,10 @@ TEST_F(TopKTest, LimitedMergeBillsItsLadderAndEmissionSerially) {
               nullptr, k);
   const RunOutcome got = Run(&topk, 4, 4096, 1024);
   ASSERT_GT(topk.num_runs(), 1u);
-  const CostConstants c;
   const double runs = static_cast<double>(topk.num_runs());
   const double serial =
-      SortLadderInstructions(c, runs * static_cast<double>(k), runs, 1.0) +
-      c.output_per_row * static_cast<double>(k);
+      SortLadderInstructions(runs * static_cast<double>(k), runs, 1.0) +
+      kOutputPerRow * static_cast<double>(k);
   EXPECT_EQ(got.stats.cpu_serial_seconds,
             platform_->cpu().SecondsForInstructions(serial, 0));
 }
