@@ -11,7 +11,12 @@
 //   - Q1-style grouped aggregate (sum/sum-expression/count by key);
 //   - full sort (ORDER BY without a limit: radix-sorted runs and the word
 //     merge over every row);
-//   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit).
+//   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit);
+//   - hash join of a fact table against a dense unique dimension (the
+//     shape of every foreign-key join: the build is addressed by key
+//     offset and each probe row finds at most one match);
+//   - hash join on one edge with a second, residual edge, against a build
+//     that repeats its keys (the residual drops pairs before the gather).
 //
 // Wall-clock portability: absolute seconds are machine-specific, so every
 // item's wall time is normalized by a calibration lane (reference scalar
@@ -46,6 +51,7 @@
 
 #include "bench_util.h"
 #include "exec/aggregate.h"
+#include "exec/joins.h"
 #include "exec/scan.h"
 #include "exec/sort_limit.h"
 #include "power/platform.h"
@@ -75,6 +81,7 @@ constexpr const char* kDefaultBaseline = "BENCH_engine.json";
 constexpr size_t kCodecValues = 64 * 1024;
 constexpr size_t kTableRows = 120000;
 constexpr uint64_t kSeed = 20260808;
+constexpr int64_t kJoinKeys = 4096;  // dimension rows; fact keys' domain
 
 // One measured (or baseline) suite entry. `wall_norm` is the median
 // same-window ratio of the item's wall time to the scalar-decode
@@ -218,6 +225,57 @@ struct QueryFixture {
   std::unique_ptr<storage::TableStorage> table;
 };
 
+// The join items' tables, on a platform of their own so the items above
+// bill exactly as before: a fact table (fk, fm, fv) of kTableRows rows, a
+// dimension (dk, dv) holding each key in [0, kJoinKeys) once, and a build
+// (bk, bm, bv) holding each about four times. fm and bm are drawn from
+// [0, 8), so the residual edge fm = bm keeps about one pair in eight.
+struct JoinFixture {
+  JoinFixture() : platform(power::MakeProportionalPlatform()) {
+    ssd = std::make_unique<storage::SsdDevice>("s", power::SsdSpec{},
+                                               platform->meter());
+    Rng rng(kSeed + 1);
+    std::vector<int64_t> dim_keys(kJoinKeys);
+    for (int64_t k = 0; k < kJoinKeys; ++k) dim_keys[k] = k;
+    rng.Shuffle(&dim_keys);
+    fact = MakeTable(1, "f", kTableRows, [&](size_t) {
+      return rng.Uniform(0, kJoinKeys - 1);
+    });
+    dim = MakeTable(2, "d", kJoinKeys, [&](size_t i) { return dim_keys[i]; });
+    dup = MakeTable(3, "b", 4 * kJoinKeys, [&](size_t) {
+      return rng.Uniform(0, kJoinKeys - 1);
+    });
+  }
+
+  /// Table (<p>k, <p>m, <p>v): `key(i)`, a draw from [0, 8), then i.
+  template <typename KeyFn>
+  std::unique_ptr<storage::TableStorage> MakeTable(catalog::TableId id,
+                                                   const std::string& p,
+                                                   size_t rows, KeyFn key) {
+    Schema schema({Column{p + "k", DataType::kInt64, 8},
+                   Column{p + "m", DataType::kInt64, 8},
+                   Column{p + "v", DataType::kInt64, 8}});
+    Rng rng(kSeed + id);
+    std::vector<storage::ColumnData> cols(3);
+    for (storage::ColumnData& c : cols) c.type = DataType::kInt64;
+    for (size_t i = 0; i < rows; ++i) {
+      cols[0].i64.push_back(key(i));
+      cols[1].i64.push_back(rng.Uniform(0, 7));
+      cols[2].i64.push_back(static_cast<int64_t>(i));
+    }
+    auto table = std::make_unique<storage::TableStorage>(
+        id, schema, storage::TableLayout::kColumn, ssd.get());
+    if (!table->Append(cols).ok()) std::abort();
+    return table;
+  }
+
+  std::unique_ptr<power::HardwarePlatform> platform;
+  std::unique_ptr<storage::SsdDevice> ssd;
+  std::unique_ptr<storage::TableStorage> fact;
+  std::unique_ptr<storage::TableStorage> dim;
+  std::unique_ptr<storage::TableStorage> dup;
+};
+
 SuiteResult RunSuite(int codec_reps, int query_reps) {
   SuiteResult res;
 
@@ -278,8 +336,10 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
   // cheap to serve as a normalization lane for the operators above it: its
   // own timer noise would dominate their ratios.
   QueryFixture fixture;
-  auto run_plan = [&](std::unique_ptr<exec::Operator> plan, double* joules) {
-    ExecContext ctx(fixture.platform.get(), ExecOptions{});
+  JoinFixture joins;
+  auto run_on = [&](power::HardwarePlatform* platform,
+                    std::unique_ptr<exec::Operator> plan, double* joules) {
+    ExecContext ctx(platform, ExecOptions{});
     auto result = exec::CollectAll(plan.get(), &ctx);
     if (!result.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
@@ -288,6 +348,9 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
     }
     const QueryStats stats = ctx.Finish();
     *joules = stats.Joules();
+  };
+  auto run_plan = [&](std::unique_ptr<exec::Operator> plan, double* joules) {
+    run_on(fixture.platform.get(), std::move(plan), joules);
   };
   {
     double scan_joules = 0.0;
@@ -307,13 +370,15 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
   const struct {
     const char* name;
     std::function<std::unique_ptr<exec::Operator>()> make;
+    power::HardwarePlatform* platform;
   } query_cases[] = {
       {"filter_scan",
        [&]() -> std::unique_ptr<exec::Operator> {
          return std::make_unique<exec::TableScanOp>(
              fixture.table.get(), std::vector<std::string>{}, nullptr,
              And(Col("v") < Lit(int64_t{60000}), Col("x") >= Lit(256.0)));
-       }},
+       },
+       fixture.platform.get()},
       {"q1_aggregate",
        [&]() -> std::unique_ptr<exec::Operator> {
          std::vector<AggregateItem> aggs;
@@ -323,26 +388,46 @@ SuiteResult RunSuite(int codec_reps, int query_reps) {
          return std::make_unique<exec::HashAggregateOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<std::string>{"k"}, std::move(aggs));
-       }},
+       },
+       fixture.platform.get()},
       {"sort",
        [&]() -> std::unique_ptr<exec::Operator> {
          return std::make_unique<exec::SortOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<exec::SortKey>{{"x", /*ascending=*/false}});
-       }},
+       },
+       fixture.platform.get()},
       {"topk",
        [&]() -> std::unique_ptr<exec::Operator> {
          return std::make_unique<exec::SortOp>(
              std::make_unique<exec::TableScanOp>(fixture.table.get()),
              std::vector<exec::SortKey>{{"x", /*ascending=*/false}},
              UINT64_MAX, nullptr, /*limit=*/100);
-       }},
+       },
+       fixture.platform.get()},
+      {"hash_join_fk",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         return std::make_unique<exec::HashJoinOp>(
+             std::make_unique<exec::TableScanOp>(joins.fact.get()),
+             std::make_unique<exec::TableScanOp>(joins.dim.get()), "fk",
+             "dk");
+       },
+       joins.platform.get()},
+      {"hash_join_residual",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         std::vector<exec::ExprPtr> residual = {Col("fm") == Col("bm")};
+         return std::make_unique<exec::HashJoinOp>(
+             std::make_unique<exec::TableScanOp>(joins.fact.get()),
+             std::make_unique<exec::TableScanOp>(joins.dup.get()), "fk",
+             "bk", std::move(residual));
+       },
+       joins.platform.get()},
   };
   for (const auto& q : query_cases) {
     double joules = 0.0;
     std::vector<Lane> lanes;
     lanes.emplace_back(calib_fn);
-    lanes.emplace_back([&] { run_plan(q.make(), &joules); });
+    lanes.emplace_back([&] { run_on(q.platform, q.make(), &joules); });
     MeasureInterleaved(query_reps, &lanes);
     Item item;
     item.name = q.name;

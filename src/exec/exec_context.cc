@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <string>
 
 // This file IS the accounting layer the EC1 lint rule protects: the Charge*
@@ -21,6 +22,9 @@ Status ValidateExecOptions(const ExecOptions& options,
     return Status::InvalidArgument(
         "pstate " + std::to_string(options.pstate) + " outside [0, " +
         std::to_string(cpu.num_pstates()) + ")");
+  }
+  if (!std::isfinite(options.decode_scale) || options.decode_scale < 0) {
+    return Status::InvalidArgument("decode_scale must be finite and >= 0");
   }
   return Status::OK();
 }

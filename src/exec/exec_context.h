@@ -45,8 +45,9 @@ struct ExecOptions {
 };
 
 /// InvalidArgument unless `options` can run on `cpu`: dop >= 1, batch_rows
-/// >= 1 (a zero-row batch never advances a pull loop) and a P-state in
-/// [0, cpu.num_pstates()). EcoDb::Open, the serving ValidateConfig,
+/// >= 1 (a zero-row batch never advances a pull loop), a P-state in
+/// [0, cpu.num_pstates()) and a finite decode_scale >= 0 (a negative one
+/// would bill negative instructions). EcoDb::Open, the serving ValidateConfig,
 /// tpch::RunThroughputTest and Planner::PricePlan (for a plan's dop and
 /// P-state) check what their callers pass here; ExecContext only asserts.
 Status ValidateExecOptions(const ExecOptions& options,

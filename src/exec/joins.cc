@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <set>
 #include <span>
+
+#include "exec/filter_project.h"
 
 namespace ecodb::exec {
 
@@ -45,49 +48,138 @@ Status GatherJoined(const catalog::Schema& schema, const RecordBatch& left,
   return out->SealRows(left_sel.size());
 }
 
-constexpr auto kHashInt64 = [](int64_t key) {
-  return MixHash64(static_cast<uint64_t>(key));
-};
-constexpr auto kHashString = [](const std::string& key) {
-  return HashBytes(key);
-};
-
-/// Groups the build key lane's rows by key; keys compare with ==.
-template <typename Key, typename Hash>
-void BuildIndex(const std::vector<Key>& keys, Hash hash, FlatKeyIndex* index) {
-  index->Build(
-      keys.size(), [&](size_t r) { return hash(keys[r]); },
-      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+/// Keeps the entries of `sel` whose mask byte is set, in order.
+void KeepSelected(const std::vector<uint8_t>& mask,
+                  std::vector<uint32_t>* sel) {
+  size_t kept = 0;
+  uint32_t* rows = sel->data();
+  for (size_t i = 0; i < mask.size(); ++i) {
+    rows[kept] = rows[i];
+    kept += mask[i] != 0;
+  }
+  sel->resize(kept);
 }
 
-/// Selects, for each probe row in order, the pairs (probe row, build row)
-/// of its matches in ascending build-row order.
-template <typename Key, typename Hash>
-void ProbeIndex(const FlatKeyIndex& index, const std::vector<Key>& build_keys,
-                const std::vector<Key>& probe_keys, Hash hash,
-                std::vector<uint32_t>* probe_sel,
-                std::vector<uint32_t>* build_sel) {
-  for (size_t r = 0; r < probe_keys.size(); ++r) {
-    const Key& key = probe_keys[r];
-    const std::span<const uint32_t> run = index.Find(
-        hash(key), [&](uint32_t b) { return build_keys[b] == key; });
-    probe_sel->insert(probe_sel->end(), run.size(), static_cast<uint32_t>(r));
-    build_sel->insert(build_sel->end(), run.begin(), run.end());
+/// The probe loop: pairs each probe row p in [0, rows), in order, with the
+/// build rows of key id `key_id(p)` (none for kNoKey), ascending. The
+/// selections are sized from the batch once: a unique-key build gives a
+/// probe row at most one build row, key id k being row k, and otherwise a
+/// first pass counts the pairs.
+template <typename KeyIdFn>
+void SelectPairs(const FlatKeyIndex& index, size_t rows, KeyIdFn key_id,
+                 std::vector<uint32_t>* probe_sel,
+                 std::vector<uint32_t>* build_sel) {
+  constexpr uint32_t kNoKey = FlatKeyIndex::kNoKey;
+  if (index.unique_keys()) {
+    probe_sel->resize(rows);
+    build_sel->resize(rows);
+    uint32_t* ps = probe_sel->data();
+    uint32_t* bs = build_sel->data();
+    size_t n = 0;
+    for (size_t p = 0; p < rows; ++p) {
+      const uint32_t k = key_id(p);
+      ps[n] = static_cast<uint32_t>(p);
+      bs[n] = k;
+      n += k != kNoKey;
+    }
+    probe_sel->resize(n);
+    build_sel->resize(n);
+    return;
+  }
+  std::vector<uint32_t> keys(rows);
+  size_t pairs = 0;
+  for (size_t p = 0; p < rows; ++p) {
+    keys[p] = key_id(p);
+    if (keys[p] != kNoKey) pairs += index.Rows(keys[p]).size();
+  }
+  probe_sel->resize(pairs);
+  build_sel->resize(pairs);
+  size_t n = 0;
+  for (size_t p = 0; p < rows; ++p) {
+    if (keys[p] == kNoKey) continue;
+    const std::span<const uint32_t> run = index.Rows(keys[p]);
+    std::fill_n(probe_sel->data() + n, run.size(), static_cast<uint32_t>(p));
+    std::copy(run.begin(), run.end(), build_sel->data() + n);
+    n += run.size();
   }
 }
 
 }  // namespace
 
 // --------------------------------------------------------------------------
+// PairFilter
+// --------------------------------------------------------------------------
+
+PairFilter::PairFilter(std::vector<ExprPtr> predicates)
+    : predicates_(std::move(predicates)) {}
+
+Status PairFilter::Bind(const catalog::Schema& joined, size_t left_columns) {
+  schemas_.clear();
+  sources_.clear();
+  for (const ExprPtr& predicate : predicates_) {
+    std::set<std::string> names;
+    CollectColumns(predicate, &names);
+    std::vector<catalog::Column> lanes;
+    std::vector<Source> sources;
+    for (const std::string& name : names) {
+      const int c = joined.FindColumn(name);
+      if (c < 0) continue;  // Bind below reports the unknown column
+      lanes.push_back(joined.column(c));
+      const size_t col = static_cast<size_t>(c);
+      sources.push_back(col < left_columns ? Source{true, col}
+                                           : Source{false, col - left_columns});
+    }
+    schemas_.emplace_back(std::move(lanes));
+    sources_.push_back(std::move(sources));
+    ECODB_RETURN_IF_ERROR(predicate->Bind(schemas_.back()));
+  }
+  return Status::OK();
+}
+
+Status PairFilter::Apply(const RecordBatch& left, const RecordBatch& right,
+                         std::vector<uint32_t>* left_sel,
+                         std::vector<uint32_t>* right_sel,
+                         size_t* reaching) const {
+  if (predicates_.empty()) return Status::OK();
+  EvalScratch scratch;
+  std::vector<uint8_t> mask;
+  for (size_t j = 0; j < predicates_.size(); ++j) {
+    reaching[j] = left_sel->size();
+    RecordBatch lanes(schemas_[j]);
+    for (size_t c = 0; c < sources_[j].size(); ++c) {
+      const Source& s = sources_[j][c];
+      GatherColumn(s.left ? left.column(s.column) : right.column(s.column),
+                   0, s.left ? *left_sel : *right_sel, &lanes.column(c));
+    }
+    ECODB_RETURN_IF_ERROR(lanes.SealRows(left_sel->size()));
+    ECODB_RETURN_IF_ERROR(
+        predicates_[j]->EvaluateMaskInto(lanes, &scratch, &mask));
+    KeepSelected(mask, left_sel);
+    KeepSelected(mask, right_sel);
+  }
+  return Status::OK();
+}
+
+void PairFilter::Charge(ExecContext* ctx, const size_t* reaching) const {
+  // ecodb-lint: coordinator-only
+  for (size_t j = 0; j < predicates_.size(); ++j) {
+    ctx->ChargeInstructions(FilterInstructions(
+        *predicates_[j], static_cast<double>(reaching[j])));
+  }
+}
+
+// --------------------------------------------------------------------------
 // HashJoinOp
 // --------------------------------------------------------------------------
 
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
-                       std::string left_key, std::string right_key)
+                       std::string left_key, std::string right_key,
+                       std::vector<ExprPtr> residual)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_key_name_(std::move(left_key)),
-      right_key_name_(std::move(right_key)) {}
+      right_key_name_(std::move(right_key)),
+      residual_(std::move(residual)) {}
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   // ecodb-lint: coordinator-only
@@ -117,9 +209,12 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &build_rows_));
   const ColumnData& key_lane = build_rows_.column(right_key_);
   if (string_key_) {
-    BuildIndex(key_lane.str, kHashString, &index_);
+    const std::vector<std::string>& keys = key_lane.str;
+    index_.Build(
+        keys.size(), [&](size_t r) { return HashBytes(keys[r]); },
+        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
   } else {
-    BuildIndex(key_lane.i64, kHashInt64, &index_);
+    index_.Build(key_lane.i64);
   }
   const double build_rows = static_cast<double>(build_rows_.num_rows());
   build_bytes_ = static_cast<uint64_t>(HashBuildBytes(
@@ -129,26 +224,49 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 
   probe_source_ = dynamic_cast<MorselSource*>(left_.get());
   probe_slots_.clear();
+  slot_reaching_.clear();
   probed_ = false;
   probe_cursor_ = 0;
-  return Status::OK();
+  return residual_.Bind(schema_, left_->output_schema().num_columns());
 }
 
 Status HashJoinOp::ProbeBatch(const RecordBatch& probe, RecordBatch* joined,
-                              size_t* matches) const {
+                              size_t* matches, size_t* reaching) const {
   const ColumnData& keys = probe.column(static_cast<size_t>(left_key_));
   const ColumnData& build_keys =
       build_rows_.column(static_cast<size_t>(right_key_));
+  const size_t rows = probe.num_rows();
   std::vector<uint32_t> probe_sel;
   std::vector<uint32_t> build_sel;
   if (string_key_) {
-    ProbeIndex(index_, build_keys.str, keys.str, kHashString, &probe_sel,
-               &build_sel);
+    SelectPairs(
+        index_, rows,
+        [&](size_t p) {
+          const std::string& key = keys.str[p];
+          return index_.FindHashed(HashBytes(key), [&](uint32_t b) {
+            return build_keys.str[b] == key;
+          });
+        },
+        &probe_sel, &build_sel);
+  } else if (index_.direct()) {
+    const int64_t* key = keys.i64.data();
+    SelectPairs(
+        index_, rows, [&](size_t p) { return index_.FindDirect(key[p]); },
+        &probe_sel, &build_sel);
   } else {
-    ProbeIndex(index_, build_keys.i64, keys.i64, kHashInt64, &probe_sel,
-               &build_sel);
+    SelectPairs(
+        index_, rows,
+        [&](size_t p) {
+          const int64_t key = keys.i64[p];
+          return index_.FindHashed(
+              MixHash64(static_cast<uint64_t>(key)),
+              [&](uint32_t b) { return build_keys.i64[b] == key; });
+        },
+        &probe_sel, &build_sel);
   }
   *matches = build_sel.size();
+  ECODB_RETURN_IF_ERROR(
+      residual_.Apply(probe, build_rows_, &probe_sel, &build_sel, reaching));
   return GatherJoined(schema_, probe, probe_sel, build_rows_, build_sel,
                       joined);
 }
@@ -157,7 +275,9 @@ Status HashJoinOp::ParallelProbe() {
   // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   const size_t n_morsels = probe_source_->morsel_count();
+  const size_t n_residual = residual_.size();
   probe_slots_.assign(n_morsels, RecordBatch{});
+  slot_reaching_.assign(n_morsels * n_residual, 0);
   std::vector<size_t> match_counts(n_morsels, 0);
   WorkerPool* pool = ctx_->worker_pool();
   std::vector<WorkAccumulator> accs(static_cast<size_t>(pool->parallelism()));
@@ -167,7 +287,8 @@ Status HashJoinOp::ParallelProbe() {
         RecordBatch probe;
         ECODB_RETURN_IF_ERROR(probe_source_->ProduceMorsel(
             m, &probe, &accs[static_cast<size_t>(slot)]));
-        return ProbeBatch(probe, &probe_slots_[m], &match_counts[m]);
+        return ProbeBatch(probe, &probe_slots_[m], &match_counts[m],
+                          slot_reaching_.data() + m * n_residual);
       }));
   uint64_t probe_rows = 0;
   for (const WorkAccumulator& acc : accs) {
@@ -195,25 +316,23 @@ Status HashJoinOp::Next(RecordBatch* out, bool* eos) {
       return Status::OK();
     }
     *eos = false;
+    residual_.Charge(ctx_,
+                     slot_reaching_.data() + probe_cursor_ * residual_.size());
     *out = std::move(probe_slots_[probe_cursor_]);
     ++probe_cursor_;
     return Status::OK();
   }
-  while (true) {
-    ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
-    RecordBatch probe;
-    ECODB_RETURN_IF_ERROR(left_->Next(&probe, eos));
-    if (*eos) return Status::OK();
-    ctx_->ChargeInstructions(
-        HashProbeInstructions(static_cast<double>(probe.num_rows())));
-    RecordBatch joined;
-    size_t matches = 0;
-    ECODB_RETURN_IF_ERROR(ProbeBatch(probe, &joined, &matches));
-    ctx_->ChargeInstructions(
-        OutputInstructions(static_cast<double>(matches)));
-    *out = std::move(joined);
-    return Status::OK();
-  }
+  RecordBatch probe;
+  ECODB_RETURN_IF_ERROR(left_->Next(&probe, eos));
+  if (*eos) return Status::OK();
+  ctx_->ChargeInstructions(
+      HashProbeInstructions(static_cast<double>(probe.num_rows())));
+  size_t matches = 0;
+  std::vector<size_t> reaching(residual_.size());
+  ECODB_RETURN_IF_ERROR(ProbeBatch(probe, out, &matches, reaching.data()));
+  ctx_->ChargeInstructions(OutputInstructions(static_cast<double>(matches)));
+  residual_.Charge(ctx_, reaching.data());
+  return Status::OK();
 }
 
 void HashJoinOp::Close() {
@@ -228,10 +347,12 @@ void HashJoinOp::Close() {
 // --------------------------------------------------------------------------
 
 NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                                   ExprPtr predicate)
+                                   ExprPtr predicate,
+                                   std::vector<ExprPtr> residual)
     : left_(std::move(left)),
       right_(std::move(right)),
-      predicate_(std::move(predicate)) {}
+      predicate_(std::vector<ExprPtr>{std::move(predicate)}),
+      residual_(std::move(residual)) {}
 
 Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -239,7 +360,9 @@ Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   ECODB_RETURN_IF_ERROR(right_->Open(ctx));
   schema_ = JoinedSchema(left_->output_schema(), right_->output_schema());
   ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &inner_));
-  return predicate_->Bind(schema_);
+  const size_t left_columns = left_->output_schema().num_columns();
+  ECODB_RETURN_IF_ERROR(predicate_.Bind(schema_, left_columns));
+  return residual_.Bind(schema_, left_columns);
 }
 
 Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
@@ -249,32 +372,31 @@ Status NestedLoopJoinOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(left_->Next(&outer, eos));
   if (*eos) return Status::OK();
 
-  // Cross product of this outer batch with the inner side, then filter.
-  // The quadratic pair cost is the point: NLJ trades memory for cycles.
+  // Cross product of this outer batch with the inner side, outer-major,
+  // then filter. The quadratic pair cost is the point: NLJ trades memory
+  // for cycles.
   ctx_->ChargeInstructions(
       NestedLoopPairInstructions(static_cast<double>(outer.num_rows()),
                                  static_cast<double>(inner_.num_rows())));
-  std::vector<uint32_t> inner_rows(inner_.num_rows());
-  std::iota(inner_rows.begin(), inner_rows.end(), uint32_t{0});
-  std::vector<uint32_t> outer_sel;
-  std::vector<uint32_t> inner_sel;
-  outer_sel.reserve(outer.num_rows() * inner_rows.size());
-  inner_sel.reserve(outer.num_rows() * inner_rows.size());
-  for (size_t lr = 0; lr < outer.num_rows(); ++lr) {
-    outer_sel.insert(outer_sel.end(), inner_rows.size(),
-                     static_cast<uint32_t>(lr));
-    inner_sel.insert(inner_sel.end(), inner_rows.begin(), inner_rows.end());
+  const size_t inner_rows = inner_.num_rows();
+  std::vector<uint32_t> outer_sel(outer.num_rows() * inner_rows);
+  std::vector<uint32_t> inner_sel(outer_sel.size());
+  for (size_t lr = 0, i = 0; lr < outer.num_rows(); ++lr) {
+    for (size_t rr = 0; rr < inner_rows; ++rr, ++i) {
+      outer_sel[i] = static_cast<uint32_t>(lr);
+      inner_sel[i] = static_cast<uint32_t>(rr);
+    }
   }
-  RecordBatch joined;
+  size_t unbilled = 0;
   ECODB_RETURN_IF_ERROR(
-      GatherJoined(schema_, outer, outer_sel, inner_, inner_sel, &joined));
-  ECODB_ASSIGN_OR_RETURN(std::vector<uint8_t> mask,
-                         predicate_->EvaluateMask(joined));
-  joined.FilterInPlace(mask);
+      predicate_.Apply(outer, inner_, &outer_sel, &inner_sel, &unbilled));
   ctx_->ChargeInstructions(
-      OutputInstructions(static_cast<double>(joined.num_rows())));
-  *out = std::move(joined);
-  return Status::OK();
+      OutputInstructions(static_cast<double>(outer_sel.size())));
+  std::vector<size_t> reaching(residual_.size());
+  ECODB_RETURN_IF_ERROR(residual_.Apply(outer, inner_, &outer_sel,
+                                        &inner_sel, reaching.data()));
+  residual_.Charge(ctx_, reaching.data());
+  return GatherJoined(schema_, outer, outer_sel, inner_, inner_sel, out);
 }
 
 void NestedLoopJoinOp::Close() {
@@ -287,11 +409,13 @@ void NestedLoopJoinOp::Close() {
 // --------------------------------------------------------------------------
 
 MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
-                         std::string left_key, std::string right_key)
+                         std::string left_key, std::string right_key,
+                         std::vector<ExprPtr> residual)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_key_name_(std::move(left_key)),
-      right_key_name_(std::move(right_key)) {}
+      right_key_name_(std::move(right_key)),
+      residual_(std::move(residual)) {}
 
 Status MergeJoinOp::Open(ExecContext* ctx) {
   // ecodb-lint: coordinator-only
@@ -357,10 +481,11 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   ctx->ChargeInstructions(MergeJoinWalkInstructions(
       left_rows, right_rows, static_cast<double>(left_sel_.size())));
   cursor_ = 0;
-  return Status::OK();
+  return residual_.Bind(schema_, left_->output_schema().num_columns());
 }
 
 Status MergeJoinOp::Next(RecordBatch* out, bool* eos) {
+  // ecodb-lint: coordinator-only
   ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
   const size_t batch_rows = ctx_->options().batch_rows;
   if (cursor_ >= left_sel_.size()) {
@@ -369,9 +494,18 @@ Status MergeJoinOp::Next(RecordBatch* out, bool* eos) {
   }
   *eos = false;
   const size_t take = std::min(batch_rows, left_sel_.size() - cursor_);
-  ECODB_RETURN_IF_ERROR(GatherJoined(
-      schema_, left_rows_, std::span(left_sel_).subspan(cursor_, take),
-      right_rows_, std::span(right_sel_).subspan(cursor_, take), out));
+  const auto slice = [&](const std::vector<uint32_t>& sel) {
+    return std::vector<uint32_t>(sel.begin() + cursor_,
+                                 sel.begin() + cursor_ + take);
+  };
+  std::vector<uint32_t> left_sel = slice(left_sel_);
+  std::vector<uint32_t> right_sel = slice(right_sel_);
+  std::vector<size_t> reaching(residual_.size());
+  ECODB_RETURN_IF_ERROR(residual_.Apply(left_rows_, right_rows_, &left_sel,
+                                        &right_sel, reaching.data()));
+  residual_.Charge(ctx_, reaching.data());
+  ECODB_RETURN_IF_ERROR(GatherJoined(schema_, left_rows_, left_sel,
+                                     right_rows_, right_sel, out));
   cursor_ += take;
   return Status::OK();
 }

@@ -61,21 +61,66 @@ inline double MergeJoinWalkInstructions(double left_rows, double right_rows,
   return OutputInstructions(pairs) + 2.0 * (left_rows + right_rows);
 }
 
+/// Predicates a join checks on its candidate pairs before it gathers them:
+/// the optimizer's residual equi-join edges, or a nested-loop join's own
+/// predicate. Each reads only the columns it names, gathered for the pairs
+/// still standing, and drops the pairs it fails in order, so the join
+/// gathers only what survives. A predicate bills
+/// FilterInstructions(predicate, pairs reaching it), which is what a
+/// FilterOp stacked on the join billed for the same batch.
+class PairFilter {
+ public:
+  PairFilter() = default;
+  explicit PairFilter(std::vector<ExprPtr> predicates);
+
+  size_t size() const { return predicates_.size(); }
+
+  /// Binds each predicate to the columns it names in `joined`, whose first
+  /// `left_columns` columns come from the left input, the rest from the
+  /// right.
+  Status Bind(const catalog::Schema& joined, size_t left_columns);
+
+  /// Keeps, in order, the pairs (left row `left_sel[i]`, right row
+  /// `right_sel[i]`) that pass every predicate; `reaching[j]` is the
+  /// number of pairs predicate j saw. Read-only, so concurrent calls are
+  /// safe.
+  Status Apply(const RecordBatch& left, const RecordBatch& right,
+               std::vector<uint32_t>* left_sel,
+               std::vector<uint32_t>* right_sel, size_t* reaching) const;
+
+  /// Bills each predicate on the pairs that reached it, in order.
+  void Charge(ExecContext* ctx, const size_t* reaching) const;
+
+ private:
+  /// One column a predicate reads: which input holds it, and where.
+  struct Source {
+    bool left = true;
+    size_t column = 0;
+  };
+  std::vector<ExprPtr> predicates_;
+  std::vector<catalog::Schema> schemas_;       // per predicate: its lanes
+  std::vector<std::vector<Source>> sources_;  // per predicate, per lane
+};
+
 /// Equi-join on one key column per side. The right (build) side must fit
 /// in memory; its size is charged as DRAM traffic. Rows come out in probe
 /// order, each probe row's matches in ascending build-row order, so no
-/// output depends on the hash function.
+/// output depends on the hash function or on how the build is addressed
+/// (by key offset for dense int64/date keys, hashed otherwise). `residual`
+/// predicates are checked on the matched pairs before any column is
+/// gathered (see PairFilter); a batch they empty still comes out, empty.
 ///
 /// When the left (probe) child is a MorselSource (a table scan), the probe
 /// phase runs morsel-parallel: each worker pulls probe morsels and probes
 /// the read-only build table into a per-morsel output slot; slots are
 /// emitted in morsel order and all modeled charges come from dop-invariant
-/// row/match totals, so results and accounting match the batch-at-a-time
-/// probe of any other child exactly.
+/// row/match totals (the residual predicates bill per slot as it is
+/// emitted), so results and accounting match the batch-at-a-time probe of
+/// any other child exactly.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key,
-             std::string right_key);
+             std::string right_key, std::vector<ExprPtr> residual = {});
 
   const catalog::Schema& output_schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
@@ -87,10 +132,12 @@ class HashJoinOp final : public Operator {
   uint64_t build_bytes() const { return build_bytes_; }
 
  private:
-  /// Probes one batch against the build table (read-only; safe to call
-  /// concurrently on distinct batches).
+  /// Probes one batch against the build table and gathers the pairs that
+  /// pass the residual predicates into `joined`; `matches` counts the
+  /// pairs before them and `reaching` is as in PairFilter::Apply.
+  /// Read-only, so safe to call concurrently on distinct batches.
   Status ProbeBatch(const RecordBatch& probe, RecordBatch* joined,
-                    size_t* matches) const;
+                    size_t* matches, size_t* reaching) const;
   /// Runs the morsel-parallel probe into probe_slots_.
   Status ParallelProbe();
 
@@ -98,11 +145,12 @@ class HashJoinOp final : public Operator {
   OperatorPtr right_;
   std::string left_key_name_;
   std::string right_key_name_;
+  PairFilter residual_;
   int left_key_ = -1;
   int right_key_ = -1;
   catalog::Schema schema_;
-  // Build side, materialized and grouped by key; int64 and string keys
-  // supported.
+  // Build side, materialized and grouped by key; int64, date and string
+  // keys supported.
   RecordBatch build_rows_;
   FlatKeyIndex index_;
   bool string_key_ = false;
@@ -110,16 +158,20 @@ class HashJoinOp final : public Operator {
   // Parallel probe state (set when the left child is a MorselSource).
   MorselSource* probe_source_ = nullptr;
   std::vector<RecordBatch> probe_slots_;  // per-morsel, emitted in order
+  std::vector<size_t> slot_reaching_;     // per morsel, per residual
   bool probed_ = false;
   size_t probe_cursor_ = 0;
   ExecContext* ctx_ = nullptr;
 };
 
 /// Block nested-loop join with an arbitrary predicate over the joined
-/// schema. Inner (right) side is materialized once.
+/// schema. Inner (right) side is materialized once. The predicate and then
+/// the `residual` predicates are checked on each outer batch's pairs
+/// before any column is gathered (see PairFilter).
 class NestedLoopJoinOp final : public Operator {
  public:
-  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate);
+  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr predicate,
+                   std::vector<ExprPtr> residual = {});
 
   const catalog::Schema& output_schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
@@ -129,18 +181,21 @@ class NestedLoopJoinOp final : public Operator {
  private:
   OperatorPtr left_;
   OperatorPtr right_;
-  ExprPtr predicate_;
+  PairFilter predicate_;  // unbilled: the pair charge covers it
+  PairFilter residual_;
   catalog::Schema schema_;
   RecordBatch inner_;
   ExecContext* ctx_ = nullptr;
 };
 
 /// Sort-merge equi-join: materializes and sorts both sides by key, then
-/// merges. CPU-heavier but needs no resident hash table.
+/// merges. CPU-heavier but needs no resident hash table. `residual`
+/// predicates are checked on each emitted slice of `batch_rows` pairs
+/// before it is gathered (see PairFilter).
 class MergeJoinOp final : public Operator {
  public:
   MergeJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key,
-              std::string right_key);
+              std::string right_key, std::vector<ExprPtr> residual = {});
 
   const catalog::Schema& output_schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
@@ -152,6 +207,7 @@ class MergeJoinOp final : public Operator {
   OperatorPtr right_;
   std::string left_key_name_;
   std::string right_key_name_;
+  PairFilter residual_;
   catalog::Schema schema_;
   // Both sides, materialized and merged on Open: output row i pairs left
   // row left_sel_[i] with right row right_sel_[i]; Next streams them out.

@@ -35,20 +35,44 @@ StatusOr<QueryResultSet> CollectAll(Operator* root, ExecContext* ctx) {
 
 Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
   *out = RecordBatch(child->output_schema());
-  std::vector<uint32_t> all_rows;  // 0, 1, 2, ...: selects a whole batch
+  std::vector<RecordBatch> batches;
   size_t rows = 0;
   bool eos = false;
   while (true) {
     ECODB_RETURN_IF_ERROR(ctx->PollCancel());
     RecordBatch batch;
     ECODB_RETURN_IF_ERROR(child->Next(&batch, &eos));
-    if (eos) return out->SealRows(rows);
-    while (all_rows.size() < batch.num_rows()) {
-      all_rows.push_back(static_cast<uint32_t>(all_rows.size()));
-    }
-    out->Gather(batch, std::span(all_rows).first(batch.num_rows()));
+    if (eos) break;
     rows += batch.num_rows();
+    batches.push_back(std::move(batch));
   }
+  // One contiguous insert per lane and batch, into lanes sized once. The
+  // values are copied, not moved: moving the first batch and the strings
+  // in measured slower on join_graph's q3 and q9.
+  for (size_t c = 0; c < out->num_columns(); ++c) {
+    ColumnData& lane = out->column(c);
+    const auto append = [&](auto member) {
+      auto& dst = lane.*member;
+      dst.reserve(rows);
+      for (const RecordBatch& batch : batches) {
+        const auto& src = batch.column(c).*member;
+        dst.insert(dst.end(), src.begin(), src.end());
+      }
+    };
+    switch (lane.type) {
+      case catalog::DataType::kInt64:
+      case catalog::DataType::kDate:
+        append(&ColumnData::i64);
+        break;
+      case catalog::DataType::kDouble:
+        append(&ColumnData::f64);
+        break;
+      case catalog::DataType::kString:
+        append(&ColumnData::str);
+        break;
+    }
+  }
+  return out->SealRows(rows);
 }
 
 namespace {

@@ -8,8 +8,8 @@
 //     runs, so `PricePlan(spec, chosen)` reproduces the chosen cost
 //     bit-for-bit (the self-consistency contract tests assert).
 //   - The estimator feeds pricing only: every enumerated tree joins on real
-//     equi-join edges and applies the remaining crossing edges as residual
-//     filters, so all orders are row-equivalent regardless of estimates.
+//     equi-join edges and checks the remaining crossing edges inside the
+//     join, so all orders are row-equivalent regardless of estimates.
 //   - Pricing has no instruction formulas of its own: every node's CPU
 //     terms, and the join and aggregate DRAM bytes, come from the charge
 //     functions its operators bill with, fed estimated counts, into the
@@ -62,7 +62,7 @@ Status CheckOneForm(const QuerySpec& spec) {
   return Status::OK();
 }
 
-/// The equality a residual edge filters on.
+/// The equality a join checks a residual edge by.
 ExprPtr EdgePredicate(const JoinEdge& e) {
   return exec::Col(e.left_key) == exec::Col(e.right_key);
 }
@@ -151,7 +151,7 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
     graph.scan_columns_[rel] = ScanColumns(spec, rel, schema);
     for (const std::string& name : graph.scan_columns_[rel]) {
       // Join output columns must be nameable without JoinedSchema's "_r"
-      // renames: residual filters address columns by name, and a renamed
+      // renames: residual edges address columns by name, and a renamed
       // column would mean whichever table the chosen build side holds.
       if (!seen_everywhere.insert(name).second) {
         return Status::InvalidArgument(
@@ -342,8 +342,8 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
 }
 
 /// Adds one join node's demand on top of its children's, priced through
-/// the charge functions the join operator and its residual-edge FilterOps
-/// bill with. Each of them bills parallel instructions, whatever the join's
+/// the charge functions the join operator bills with, its residual edges'
+/// included. Each of them bills parallel instructions, whatever the join's
 /// children are.
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
                      uint32_t lmask, uint32_t rmask, ResourceEstimate* demand,
@@ -379,8 +379,9 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
       demand->cpu_instructions += exec::OutputInstructions(rows_primary);
       break;
   }
-  // Residual crossing edges run as stacked equality filters over the
-  // primary join's output (each one thins the stream for the next).
+  // The join checks the residual crossing edges on its matched pairs, in
+  // order, each billing FilterInstructions on the pairs that reach it (so
+  // each one thins the pairs for the next).
   double rows = rows_primary;
   for (size_t j = 1; j < crossing.size(); ++j) {
     demand->cpu_instructions +=
@@ -553,7 +554,7 @@ struct SubPlan {
 
 /// Appends a join node for the (lmask, rmask) split to the arena: primary
 /// edge = first crossing edge by spec order, oriented so left_key names a
-/// left-subtree column; the rest become residual filter edges.
+/// left-subtree column; the rest become residual edges.
 int EmitJoinNode(const JoinGraph& graph, std::vector<PlanJoinNode>* arena,
                  int left_node, int right_node, JoinAlgorithm algo,
                  uint32_t lmask, uint32_t rmask) {
@@ -829,27 +830,32 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
                          BuildJoinNode(spec, plan, node.left));
   ECODB_ASSIGN_OR_RETURN(OperatorPtr right,
                          BuildJoinNode(spec, plan, node.right));
+  // The join checks its residual edges on its candidate pairs, in order,
+  // before it gathers them.
+  std::vector<ExprPtr> residual;
+  for (const JoinEdge& e : node.residual_edges) {
+    residual.push_back(EdgePredicate(e));
+  }
   OperatorPtr joined;
   switch (node.algo) {
     case JoinAlgorithm::kHash:
       joined = std::make_unique<exec::HashJoinOp>(
-          std::move(left), std::move(right), node.left_key, node.right_key);
+          std::move(left), std::move(right), node.left_key, node.right_key,
+          std::move(residual));
       break;
     case JoinAlgorithm::kMerge:
       joined = std::make_unique<exec::MergeJoinOp>(
-          std::move(left), std::move(right), node.left_key, node.right_key);
+          std::move(left), std::move(right), node.left_key, node.right_key,
+          std::move(residual));
       break;
     case JoinAlgorithm::kNestedLoop:
       // Column names are unique across relations (Analyze enforces it), so
       // the joined schema never renames and Col(right_key) resolves.
       joined = std::make_unique<exec::NestedLoopJoinOp>(
           std::move(left), std::move(right),
-          exec::Col(node.left_key) == exec::Col(node.right_key));
+          exec::Col(node.left_key) == exec::Col(node.right_key),
+          std::move(residual));
       break;
-  }
-  for (const JoinEdge& e : node.residual_edges) {
-    joined = std::make_unique<exec::FilterOp>(std::move(joined),
-                                              EdgePredicate(e));
   }
   return joined;
 }

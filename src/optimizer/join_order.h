@@ -23,9 +23,9 @@
 //
 // The cardinality estimator feeds PRICING ONLY, never correctness: every
 // enumerated order is row-equivalent by construction (equi-join edges are
-// symmetric; extra edges inside a merged subset become residual filters),
-// which tests/differential_join_order_test.cc proves differentially against
-// the fixed-order oracle below.
+// symmetric; extra edges inside a merged subset become residual edges the
+// join checks), which tests/differential_join_order_test.cc proves
+// differentially against the fixed-order oracle below.
 //
 // Estimates: rows(S) = prod(filtered rows of relations in S)
 //                    * prod(1 / max(ndv_l, ndv_r) over edges inside S).
@@ -75,7 +75,7 @@ class JoinGraph {
 
   const JoinEdge& edge(int i) const { return edges_[i]; }
   double edge_selectivity(int i) const { return edge_sel_[i]; }
-  /// Edge `i`'s equality, as the FilterOp of a residual edge evaluates it.
+  /// Edge `i`'s equality, as a join checks it on a residual edge.
   const exec::Expr& edge_predicate(int i) const { return *edge_predicates_[i]; }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 

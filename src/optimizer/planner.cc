@@ -131,8 +131,7 @@ namespace {
 
 /// Renders the join tree: every leaf as `<access path>(<relation> v<variant>)`,
 /// joins as parenthesized `(left <algo> right)` with a `*` marking
-/// residual-edge filters — the full tree, so bench output shows the chosen
-/// order.
+/// residual edges — the full tree, so bench output shows the chosen order.
 std::string DescribeJoinNode(const QuerySpec& spec,
                              const std::vector<PlanJoinNode>& nodes,
                              int index) {

@@ -125,8 +125,9 @@ struct PlanJoinNode {
   JoinAlgorithm algo = JoinAlgorithm::kHash;
   std::string left_key;   // primary equi-join edge
   std::string right_key;
-  /// Further edges between the two subtrees, applied as a residual filter
-  /// over the join output (multi-key joins, cyclic graphs).
+  /// Further edges between the two subtrees, which the join checks on its
+  /// candidate pairs before gathering them (multi-key joins, cyclic
+  /// graphs).
   std::vector<JoinEdge> residual_edges;
   double est_rows = 0.0;   // estimated output cardinality of this subtree
   double est_bytes = 0.0;  // est_rows x projected row width

@@ -71,7 +71,8 @@ TEST_F(BenchBaselineTest, CoversTheFullSuite) {
        {"codec_decode_bitpack_sequential", "codec_decode_bitpack_runs",
         "codec_decode_for_sequential", "codec_decode_for_runs",
         "codec_decode_rle_runs", "codec_decode_delta_sequential", "scan",
-        "filter_scan", "q1_aggregate", "sort", "topk"}) {
+        "filter_scan", "q1_aggregate", "sort", "topk", "hash_join_fk",
+        "hash_join_residual"}) {
     EXPECT_TRUE(items_.count(name)) << "baseline lost item " << name;
   }
 }
@@ -94,8 +95,8 @@ TEST_F(BenchBaselineTest, VectorizedDecodeSpeedupsHold) {
 }
 
 TEST_F(BenchBaselineTest, QueryItemsCarryDeterministicJoules) {
-  for (const char* name :
-       {"scan", "filter_scan", "q1_aggregate", "sort", "topk"}) {
+  for (const char* name : {"scan", "filter_scan", "q1_aggregate", "sort",
+                           "topk", "hash_join_fk", "hash_join_residual"}) {
     ASSERT_TRUE(items_.count(name)) << name;
     EXPECT_GT(items_[name].joules, 0.0) << name;
   }

@@ -2,6 +2,7 @@
 // physical variants, and read energy reports — the integration surface a
 // downstream user programs against.
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -58,11 +59,14 @@ TEST(EcoDb, OpenRequiresStorage) {
 TEST(EcoDb, OpenRejectsMalformedExecOptions) {
   const int num_pstates =
       power::MakeProportionalPlatform()->cpu().num_pstates();
-  std::vector<exec::ExecOptions> bad(4);
+  std::vector<exec::ExecOptions> bad(7);
   bad[0].dop = 0;
   bad[1].batch_rows = 0;  // a zero-row batch never advances a pull loop
   bad[2].pstate = -1;
   bad[3].pstate = num_pstates;
+  bad[4].decode_scale = -1.0;  // would bill negative instructions
+  bad[5].decode_scale = std::numeric_limits<double>::quiet_NaN();
+  bad[6].decode_scale = std::numeric_limits<double>::infinity();
   for (const exec::ExecOptions& options : bad) {
     DbConfig config = SsdConfig();
     config.exec_options = options;
@@ -72,6 +76,9 @@ TEST(EcoDb, OpenRejectsMalformedExecOptions) {
   DbConfig slowest = SsdConfig();
   slowest.exec_options.pstate = num_pstates - 1;
   EXPECT_TRUE(EcoDb::Open(slowest).ok());
+  DbConfig free_decode = SsdConfig();
+  free_decode.exec_options.decode_scale = 0.0;
+  EXPECT_TRUE(EcoDb::Open(free_decode).ok());
 }
 
 TEST(EcoDb, ExecuteRejectsDopCandidateBelowOne) {

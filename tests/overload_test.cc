@@ -463,6 +463,14 @@ TEST(OverloadServeTest, ValidationRejectsEachMalformedKnob) {
   expect_bad(config);
 
   config = {};
+  config.exec_options.decode_scale = -1.0;
+  expect_bad(config);
+  config.exec_options.decode_scale = std::numeric_limits<double>::quiet_NaN();
+  expect_bad(config);
+  config.exec_options.decode_scale = std::numeric_limits<double>::infinity();
+  expect_bad(config);
+
+  config = {};
   config.overload.relative_deadline_s = 0.0;
   expect_bad(config);
   config.overload.relative_deadline_s = -5.0;

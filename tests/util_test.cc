@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -303,27 +304,48 @@ TEST(Units, FormatJoules) {
 uint64_t MixedHash(int64_t key) { return MixHash64(static_cast<uint64_t>(key)); }
 uint64_t ConstantHash(int64_t) { return 42; }
 
+/// Key id of `key` in `index`, looked up as the index is addressed (a
+/// hashed index by `hash`, which its Build used).
+uint32_t KeyIdOf(const FlatKeyIndex& index, const std::vector<int64_t>& keys,
+                 uint64_t (*hash)(int64_t), int64_t key) {
+  if (index.direct()) return index.FindDirect(key);
+  return index.FindHashed(hash(key),
+                          [&](uint32_t r) { return keys[r] == key; });
+}
+
+/// Rows holding `key`, ascending; empty when none does.
+std::vector<uint32_t> RowsOf(const FlatKeyIndex& index,
+                             const std::vector<int64_t>& keys,
+                             uint64_t (*hash)(int64_t), int64_t key) {
+  const uint32_t k = KeyIdOf(index, keys, hash, key);
+  if (k == FlatKeyIndex::kNoKey) return {};
+  const auto run = index.Rows(k);
+  return std::vector<uint32_t>(run.begin(), run.end());
+}
+
+/// Indexes `keys` through the hashed slots with `hash`.
+void BuildHashed(const std::vector<int64_t>& keys, uint64_t (*hash)(int64_t),
+                 FlatKeyIndex* index) {
+  index->Build(
+      keys.size(), [&](size_t r) { return hash(keys[r]); },
+      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+}
+
 /// Checks every key's run against a std::map of the rows holding it.
 void ExpectRunsGroupRowsByKey(const std::vector<int64_t>& keys,
                               uint64_t (*hash)(int64_t)) {
   FlatKeyIndex index;
-  index.Build(
-      keys.size(), [&](size_t r) { return hash(keys[r]); },
-      [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+  BuildHashed(keys, hash, &index);
   std::map<int64_t, std::vector<uint32_t>> expected;
   for (size_t r = 0; r < keys.size(); ++r) {
     expected[keys[r]].push_back(static_cast<uint32_t>(r));
   }
   EXPECT_EQ(index.distinct_keys(), expected.size());
   for (const auto& [key, rows] : expected) {
-    const auto run =
-        index.Find(hash(key), [&](uint32_t r) { return keys[r] == key; });
-    EXPECT_EQ(std::vector<uint32_t>(run.begin(), run.end()), rows) << key;
+    EXPECT_EQ(RowsOf(index, keys, hash, key), rows) << key;
   }
   const int64_t absent = 1'000'003;  // outside every caller's key range
-  EXPECT_TRUE(
-      index.Find(hash(absent), [&](uint32_t r) { return keys[r] == absent; })
-          .empty());
+  EXPECT_TRUE(RowsOf(index, keys, hash, absent).empty());
 }
 
 TEST(FlatKeyIndex, GroupsRowsByKeyInAscendingRowOrder) {
@@ -346,14 +368,10 @@ TEST(FlatKeyIndex, RebuildDropsEarlierContents) {
   const std::vector<int64_t> second = {2};
   FlatKeyIndex index;
   const auto build = [&](const std::vector<int64_t>& keys) {
-    index.Build(
-        keys.size(), [&](size_t r) { return MixedHash(keys[r]); },
-        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+    BuildHashed(keys, MixedHash, &index);
   };
   const auto find = [&](const std::vector<int64_t>& keys, int64_t key) {
-    const auto run = index.Find(
-        MixedHash(key), [&](uint32_t r) { return keys[r] == key; });
-    return std::vector<uint32_t>(run.begin(), run.end());
+    return RowsOf(index, keys, MixedHash, key);
   };
   build(first);
   build(second);
@@ -362,10 +380,101 @@ TEST(FlatKeyIndex, RebuildDropsEarlierContents) {
   build({});
   EXPECT_EQ(index.distinct_keys(), 0u);
   EXPECT_TRUE(find(second, 2).empty());
-  build(first);
+  // A directory build and a hashed one replace each other.
+  index.Build(std::span<const int64_t>(first));
+  ASSERT_TRUE(index.direct());
+  EXPECT_EQ(find(first, 2), (std::vector<uint32_t>{1, 2}));
+  build(second);
+  EXPECT_FALSE(index.direct());
+  EXPECT_EQ(find(second, 2), std::vector<uint32_t>{0});
+  index.Build(std::span<const int64_t>(first));
   index = FlatKeyIndex();
+  EXPECT_FALSE(index.direct());
   EXPECT_EQ(index.distinct_keys(), 0u);
   EXPECT_TRUE(find(first, 2).empty());
+}
+
+/// Builds `keys` once through Build(span), which must address it as
+/// `direct` says, and once through the hashed slots, and checks that both
+/// give every row the same key id and every key the same run, and agree
+/// on the `absent` keys.
+void ExpectSameIdsAndRuns(const std::vector<int64_t>& keys, bool direct,
+                          const std::vector<int64_t>& absent) {
+  FlatKeyIndex lane;
+  lane.Build(std::span<const int64_t>(keys));
+  ASSERT_EQ(lane.direct(), direct);
+  FlatKeyIndex hashed;
+  BuildHashed(keys, MixedHash, &hashed);
+  ASSERT_FALSE(hashed.direct());
+  ASSERT_EQ(lane.distinct_keys(), hashed.distinct_keys());
+  EXPECT_EQ(lane.unique_keys(), hashed.unique_keys());
+  EXPECT_EQ(lane.unique_keys(), lane.distinct_keys() == keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    const uint32_t id = KeyIdOf(lane, keys, MixedHash, keys[r]);
+    ASSERT_EQ(id, KeyIdOf(hashed, keys, MixedHash, keys[r])) << "row " << r;
+    ASSERT_LT(id, lane.distinct_keys());
+  }
+  for (uint32_t k = 0; k < lane.distinct_keys(); ++k) {
+    const auto a = lane.Rows(k);
+    const auto b = hashed.Rows(k);
+    EXPECT_EQ(std::vector<uint32_t>(a.begin(), a.end()),
+              std::vector<uint32_t>(b.begin(), b.end()))
+        << "key id " << k;
+  }
+  for (int64_t key : absent) {
+    EXPECT_EQ(KeyIdOf(lane, keys, MixedHash, key), FlatKeyIndex::kNoKey)
+        << key;
+    EXPECT_EQ(KeyIdOf(hashed, keys, MixedHash, key), FlatKeyIndex::kNoKey)
+        << key;
+  }
+}
+
+TEST(FlatKeyIndex, DirectoryAndHashedSlotsGiveIdenticalKeyIdsAndRuns) {
+  Rng rng(10);
+  // Dense with duplicates: 3000 rows over 1000 keys, and gaps.
+  std::vector<int64_t> dups;
+  for (int i = 0; i < 3000; ++i) dups.push_back(rng.Uniform(-500, 500) * 2);
+  ExpectSameIdsAndRuns(dups, true, {-1001, -999, 3, 1001, 1002, INT64_MIN});
+  // Unique and shuffled: every row its own key.
+  std::vector<int64_t> unique(2000);
+  for (size_t i = 0; i < unique.size(); ++i) {
+    unique[i] = static_cast<int64_t>(i) + 7;
+  }
+  rng.Shuffle(&unique);
+  ExpectSameIdsAndRuns(unique, true, {6, 2007, INT64_MAX, INT64_MIN});
+  // Dense ranges touching either end of int64.
+  std::vector<int64_t> low;
+  std::vector<int64_t> high;
+  for (int i = 0; i < 500; ++i) {
+    low.push_back(INT64_MIN + rng.Uniform(0, 999));
+    high.push_back(INT64_MAX - rng.Uniform(0, 999));
+  }
+  ExpectSameIdsAndRuns(low, true, {INT64_MAX, INT64_MIN + 1000, 0});
+  ExpectSameIdsAndRuns(high, true, {INT64_MIN, INT64_MAX - 1000, 0});
+  // Sparse: hashed either way.
+  std::vector<int64_t> sparse = {INT64_MIN, INT64_MAX, 0, -1, INT64_MIN};
+  for (int i = 0; i < 300; ++i) {
+    sparse.push_back(rng.Uniform(-1, 1) * (int64_t{1} << 40));
+  }
+  ExpectSameIdsAndRuns(sparse, false, {1, 2, INT64_MAX - 1});
+}
+
+TEST(FlatKeyIndex, DirectoryOnlyWithinTheDensityBound) {
+  constexpr int64_t kSlots = FlatKeyIndex::kMaxDirectorySlotsPerRow;
+  const auto direct = [](const std::vector<int64_t>& keys) {
+    FlatKeyIndex index;
+    index.Build(std::span<const int64_t>(keys));
+    return index.direct();
+  };
+  // Four rows may span 4 * kSlots keys, and not one more.
+  EXPECT_TRUE(direct({0, 1, 2, 4 * kSlots - 1}));
+  EXPECT_FALSE(direct({0, 1, 2, 4 * kSlots}));
+  EXPECT_TRUE(direct({-5, -5, -5, -5}));
+  EXPECT_TRUE(direct({INT64_MAX}));
+  EXPECT_FALSE(direct({}));
+  // The full int64 range is 2^64 keys, not 0.
+  EXPECT_FALSE(direct({INT64_MIN, INT64_MAX}));
+  EXPECT_FALSE(direct({INT64_MAX, 0, INT64_MIN, INT64_MIN}));
 }
 
 TEST(FlatKeyIndex, AssignKeyIdsNumbersKeysByFirstAppearance) {
