@@ -32,7 +32,6 @@ std::unique_ptr<power::HardwarePlatform> MakePlatform(double cpu_watts) {
   cpu.cores_per_socket = 1;
   cpu.pstates = {{"P0", 3.0, cpu_watts}};
   cpu.socket_idle_watts = 0.0;
-  cpu.socket_sleep_watts = 0.0;
   power::DramSpec dram;
   dram.background_watts_per_gib = 0.0;
   dram.access_joules_per_byte = 0.0;

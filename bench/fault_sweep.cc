@@ -13,7 +13,7 @@
 // Shape checks (exit code):
 //   - the degraded scan costs strictly more Joules and XOR instructions
 //     than the healthy scan, and the XOR work matches the analytic model
-//     (xor_instructions_per_byte x (n-1) x dead-member share);
+//     (kXorInstructionsPerByte x (n-1) x dead-member share);
 //   - transient errors are retried, and the retries carry nonzero charged
 //     energy (free retries would falsify the availability/energy tradeoff);
 //   - after the rebuild completes the array is healthy again and the scan
@@ -243,10 +243,9 @@ int Main() {
   // --- Shape checks ------------------------------------------------------
   // Degraded reads fold (n-1) survivor shares per reconstructed request;
   // the dead member's share of the scan is kScanBytes / n.
-  const storage::ArraySpec spec = SweepArraySpec();
   const double share = static_cast<double>(kScanBytes) / kDisks;
   const double expect_instr =
-      spec.xor_instructions_per_byte * (kDisks - 1) * share;
+      storage::kXorInstructionsPerByte * (kDisks - 1) * share;
   const bool xor_matches =
       std::abs(res.degraded.faults.reconstruct_instructions - expect_instr) <
       1e-6 * expect_instr;

@@ -43,7 +43,6 @@ std::unique_ptr<power::HardwarePlatform> MakeFig1Platform() {
   cpu.cores_per_socket = 4;
   cpu.pstates = {{"P0", 2.3, 16.0}, {"P1", 1.9, 11.0}, {"P2", 1.4, 7.5}};
   cpu.socket_idle_watts = 10.0;
-  cpu.socket_sleep_watts = 2.0;
   cpu.instructions_per_cycle = 1.2;
 
   power::DramSpec dram;

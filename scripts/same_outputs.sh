@@ -28,9 +28,23 @@ runs=(
   "bench/joulesort"
   "bench/fig1_diminishing_returns"
   "bench/fig2_scan_compression"
+  "bench/ablate_buffer_policy"
+  "bench/ablate_group_commit"
+  "bench/ablate_consolidation"
+  "bench/ablate_cluster"
+  "bench/ablate_coordination"
+  "bench/ablate_migration"
+  "bench/ablate_proportionality"
+  "bench/ablate_tco"
+  "bench/ablate_layout"
+  "bench/fault_sweep"
+  "bench/serving_sweep --smoke"
+  "bench/overload_sweep --smoke"
   "examples/energy_aware_optimizer"
   "examples/design_advisor"
   "examples/quickstart"
+  "examples/crash_recovery"
+  "examples/consolidation_demo"
 )
 
 usage() {

@@ -26,7 +26,6 @@ struct ColumnStats {
   double min_f64 = 0.0;
   double max_f64 = 0.0;
   uint64_t distinct_values = 0;
-  uint64_t null_count = 0;
 };
 
 struct TableStats {
@@ -36,44 +35,27 @@ struct TableStats {
 
 using TableId = uint32_t;
 
-/// A declared referential link: `column` of this table references
-/// `parent_column` of `parent_table` (by name; tables are registered in
-/// dependency order). The join-order estimator uses these to treat key/
-/// foreign-key joins as non-expanding: |child >< parent| = |child|.
-struct ForeignKey {
-  std::string column;
-  std::string parent_table;
-  std::string parent_column;
-};
-
 struct TableEntry {
   TableId id = 0;
   std::string name;
   Schema schema;
   TableStats stats;
-  std::vector<ForeignKey> foreign_keys;
 };
 
 /// Name -> table registry. Thread-safe: lookups take a shared lock, DDL and
 /// stats updates take an exclusive lock. TableEntry pointers returned by
-/// GetTable stay valid until that table is dropped; callers must not hold
-/// them across a concurrent DropTable of the same table.
+/// GetTable stay valid for the catalog's lifetime (tables are never
+/// dropped); callers must not read an entry's stats across a concurrent
+/// UpdateStats of the same table.
 class Catalog {
  public:
   /// Registers a table; AlreadyExists if the name is taken.
   StatusOr<TableId> CreateTable(const std::string& name, Schema schema);
 
   StatusOr<const TableEntry*> GetTable(const std::string& name) const;
-  StatusOr<const TableEntry*> GetTable(TableId id) const;
-
-  Status DropTable(const std::string& name);
 
   /// Replaces a table's statistics (set by TableStorage::AnalyzeInto).
   Status UpdateStats(TableId id, TableStats stats);
-
-  /// Declares a foreign key on table `id`. Both endpoints must exist (the
-  /// parent table by name, both columns in their schemas).
-  Status AddForeignKey(TableId id, ForeignKey fk);
 
   size_t size() const {
     std::shared_lock lock(mu_);
@@ -81,8 +63,6 @@ class Catalog {
   }
 
  private:
-  StatusOr<const TableEntry*> GetTableLocked(TableId id) const;
-
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, TableId> by_name_;
   std::unordered_map<TableId, TableEntry> by_id_;

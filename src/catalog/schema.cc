@@ -2,20 +2,6 @@
 
 namespace ecodb::catalog {
 
-const char* DataTypeName(DataType type) {
-  switch (type) {
-    case DataType::kInt64:
-      return "int64";
-    case DataType::kDouble:
-      return "double";
-    case DataType::kString:
-      return "string";
-    case DataType::kDate:
-      return "date";
-  }
-  return "unknown";
-}
-
 int TypeWidthBytes(DataType type, int avg_string_len) {
   switch (type) {
     case DataType::kInt64:
@@ -43,17 +29,6 @@ int Schema::RowWidthBytes() const {
     width += TypeWidthBytes(c.type, c.avg_width);
   }
   return width;
-}
-
-StatusOr<Schema> Schema::Project(const std::vector<std::string>& names) const {
-  std::vector<Column> cols;
-  cols.reserve(names.size());
-  for (const std::string& n : names) {
-    const int idx = FindColumn(n);
-    if (idx < 0) return Status::NotFound("no column named '" + n + "'");
-    cols.push_back(columns_[idx]);
-  }
-  return Schema(std::move(cols));
 }
 
 Schema Schema::ProjectIndexes(const std::vector<int>& indexes) const {

@@ -19,8 +19,6 @@ enum class DataType {
   kDate,
 };
 
-const char* DataTypeName(DataType type);
-
 /// Whether the type's values are stored in the int64 lane of a column.
 inline bool IsIntegerLike(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDate;
@@ -53,9 +51,6 @@ class Schema {
 
   /// Sum of column widths: bytes per row in an uncompressed row layout.
   int RowWidthBytes() const;
-
-  /// Projection of the named columns; NotFound if any is missing.
-  StatusOr<Schema> Project(const std::vector<std::string>& names) const;
 
   /// Projection by index.
   Schema ProjectIndexes(const std::vector<int>& indexes) const;

@@ -13,22 +13,6 @@ namespace ecodb::exec {
 
 using catalog::DataType;
 
-const char* AggFuncName(AggFunc func) {
-  switch (func) {
-    case AggFunc::kSum:
-      return "sum";
-    case AggFunc::kCount:
-      return "count";
-    case AggFunc::kMin:
-      return "min";
-    case AggFunc::kMax:
-      return "max";
-    case AggFunc::kAvg:
-      return "avg";
-  }
-  return "unknown";
-}
-
 Status BindAggregation(const catalog::Schema& in,
                        const std::vector<std::string>& group_by_names,
                        std::vector<AggregateItem>* aggregates,
@@ -378,14 +362,15 @@ Status HashAggregateOp::Compute() {
     std::vector<Partial> partials(n_morsels);
     WorkerPool* pool = ctx_->worker_pool();
     const size_t n_slots = static_cast<size_t>(pool->parallelism());
-    std::vector<WorkAccumulator> accs(n_slots);
+    std::vector<uint64_t> slot_rows(n_slots, 0);
     std::vector<FoldScratch> scratch(n_slots);
     ECODB_RETURN_IF_ERROR(
         pool->Run(n_morsels, [&](size_t m, int slot) -> Status {
           // ecodb-lint: worker-context
           RecordBatch batch;
           const size_t w = static_cast<size_t>(slot);
-          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch, &accs[w]));
+          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch));
+          slot_rows[w] += batch.num_rows();
           Partial& partial = partials[m];
           return FoldBatch(batch, &scratch[w],
                            [&](std::span<const uint32_t> first_rows,
@@ -400,11 +385,8 @@ Status HashAggregateOp::Compute() {
                              }
                            });
         }));
-    uint64_t input_rows = 0;
-    for (const WorkAccumulator& acc : accs) {
-      input_rows += acc.rows_out;  // rows surviving the source's filter
-      ctx_->MergeWork(acc);
-    }
+    uint64_t input_rows = 0;  // rows surviving the source's filter
+    for (uint64_t rows : slot_rows) input_rows += rows;
     ChargeUpdate(input_rows);
     // Merge partials in morsel index order: each key occurs at most once
     // per partial, so every group's accumulator sees its contributions in

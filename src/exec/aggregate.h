@@ -36,8 +36,6 @@ namespace ecodb::exec {
 
 enum class AggFunc { kSum, kCount, kMin, kMax, kAvg };
 
-const char* AggFuncName(AggFunc func);
-
 /// One aggregate output: func over an input expression.
 struct AggregateItem {
   std::string name;  // output column name

@@ -1,16 +1,12 @@
 // CancelToken: cooperative cancellation for operator pull loops.
 //
 // Overload protection (DESIGN.md §14) needs a way to stop a session that
-// has blown its deadline or been shed by the serving core — without
-// forgetting the Joules it already burned. The token carries two things:
-//
-//   * a deadline on the simulated timeline, checked by
-//     ExecContext::PollCancel() against the query's *projected* critical
-//     path (charged work so far), so the kill lands at the same batch
-//     boundary at every dop;
-//   * an explicit kill reason, set by the serving core before (or instead
-//     of) running the plan, so `kShed` / `kDeadlineExceeded` propagates as
-//     an ordinary Status through the operator tree.
+// has blown its deadline — without forgetting the Joules it already burned.
+// The token is that deadline, on the simulated timeline, checked by
+// ExecContext::PollCancel() against the query's *projected* critical path
+// (charged work so far), so the kill lands at the same batch boundary at
+// every dop and propagates as an ordinary kDeadlineExceeded Status through
+// the operator tree.
 //
 // Operators never read the token directly: they call ctx->PollCancel() at
 // batch/morsel boundaries (lint rule EC11 enforces this for every Next
@@ -25,32 +21,13 @@
 
 namespace ecodb::exec {
 
-/// Why a query was told to stop. kNone means "keep running".
-enum class CancelReason {
-  kNone = 0,
-  kDeadline,  // projected completion passed the deadline
-  kShed,      // serving core refused/aborted the work (load or power cap)
-};
-
 /// Cooperative cancellation state carried by ExecContext. Plain value type:
-/// the serving core configures it at admission; PollCancel latches the
-/// deadline reason the first time the projection crosses the line.
+/// the serving core sets it at admission.
 struct CancelToken {
   /// Deadline on the simulated timeline (absolute seconds). A query whose
   /// projected critical-path completion reaches this instant is killed at
   /// its next poll. Infinity = no deadline.
   double deadline_s = std::numeric_limits<double>::infinity();
-
-  /// Explicit kill switch: set before execution (or between pool rounds by
-  /// the coordinator) to stop the plan at its next poll.
-  CancelReason reason = CancelReason::kNone;
-
-  bool cancelled() const { return reason != CancelReason::kNone; }
-
-  /// Latches `r` as the kill reason (first reason wins).
-  void Cancel(CancelReason r) {
-    if (reason == CancelReason::kNone) reason = r;
-  }
 };
 
 }  // namespace ecodb::exec

@@ -108,12 +108,6 @@ void ExecContext::JoinIoCompletion(double completion_time) {
   io_completion_ = std::max(io_completion_, completion_time);
 }
 
-void ExecContext::MergeWork(const WorkAccumulator& acc) {
-  if (acc.instructions > 0) ChargeInstructions(acc.instructions);
-  if (acc.dram_bytes > 0) ChargeDram(acc.dram_bytes);
-  io_bytes_ += acc.io_bytes;
-}
-
 WorkerPool* ExecContext::worker_pool() {
   if (shared_pool_ != nullptr) return shared_pool_;
   if (pool_ == nullptr) {
@@ -143,15 +137,8 @@ double ExecContext::VirtualCpuSeconds() const {
       cpu_instructions_ + serial_cpu_instructions_, options_.pstate);
 }
 
-Status ExecContext::PollCancel() {
-  if (cancel_.cancelled()) {
-    if (cancel_.reason == CancelReason::kDeadline) {
-      return Status::DeadlineExceeded("session deadline exceeded");
-    }
-    return Status::Shed("session killed by the serving core");
-  }
-  if (cancel_.deadline_s ==
-      std::numeric_limits<double>::infinity()) {
+Status ExecContext::PollCancel() const {
+  if (cancel_.deadline_s == std::numeric_limits<double>::infinity()) {
     return Status::OK();
   }
   // Projected completion if the query stopped charging now: the virtual
@@ -159,7 +146,6 @@ Status ExecContext::PollCancel() {
   const double projected =
       std::max(start_time_ + VirtualCpuSeconds(), io_completion_);
   if (projected >= cancel_.deadline_s) {
-    cancel_.Cancel(CancelReason::kDeadline);
     return Status::DeadlineExceeded("session deadline exceeded");
   }
   return Status::OK();
@@ -198,7 +184,6 @@ QueryStats ExecContext::Complete() {
   stats.io_bytes = io_bytes_;
   stats.rows_emitted = rows_emitted_;
   stats.faults = faults_;
-  stats.session = session_;
   stats.dram_joules = dram_joules_;
   stats.io_active_joules = io_active_joules_;
   return stats;

@@ -102,7 +102,6 @@ struct QueryStats {
   uint64_t rows_emitted = 0;
   power::EnergyBreakdown energy;  // per-channel Joules over the query window
   FaultSummary faults;            // retry/degraded-mode cost of this query
-  SessionTag session;             // serving attribution (invalid outside it)
 
   // --- Directly attributable Joules (meter pulses this query caused) ---
   double cpu_active_joules = 0.0;  // CPU settlement pulse (0 until settled)
@@ -143,25 +142,24 @@ class ExecContext {
 
   const ExecOptions& options() const { return options_; }
   power::HardwarePlatform* platform() { return platform_; }
-  const SessionTag& session() const { return session_; }
 
   // --- Cooperative cancellation (overload protection, DESIGN §14) -------
 
-  /// Installs the session's cancellation state (deadline and/or explicit
-  /// kill reason). The serving core sets this at admission.
+  /// Installs the session's deadline. The serving core sets this at
+  /// admission.
   void set_cancel_token(const CancelToken& token) { cancel_ = token; }
-  const CancelToken& cancel_token() const { return cancel_; }
 
   /// Cooperative cancellation check, called by every operator pull loop at
-  /// batch/morsel boundaries (lint rule EC11). Returns kShed when the token
-  /// carries an explicit kill, kDeadlineExceeded when the query's projected
-  /// critical path — start + virtual CPU seconds vs. I/O completion, both
-  /// pure functions of the charged work — has reached the deadline. The
-  /// projection deliberately ignores the dop (VirtualCpuSeconds), so the
-  /// kill lands at the same batch boundary at every dop and killed sessions
-  /// stay bit-identical under the §7 contract. Charges already booked stay
-  /// booked: partial work is billed work.
-  Status PollCancel();
+  /// batch/morsel boundaries (lint rule EC11). Returns kDeadlineExceeded
+  /// when the query's projected critical path — start + virtual CPU seconds
+  /// vs. I/O completion, both pure functions of the charged work — has
+  /// reached the deadline. Charges only add to the projection, so once a
+  /// poll fails every later poll fails too. The projection deliberately
+  /// ignores the dop (VirtualCpuSeconds), so the kill lands at the same
+  /// batch boundary at every dop and killed sessions stay bit-identical
+  /// under the §7 contract. Charges already booked stay booked: partial
+  /// work is billed work.
+  Status PollCancel() const;
 
   /// The dop-invariant CPU leg of the critical path: all charged
   /// instructions priced on one core (serial + parallel, undivided). This
@@ -194,11 +192,6 @@ class ExecContext {
   void ChargeDram(uint64_t bytes);
 
   void CountRows(uint64_t rows) { rows_emitted_ += rows; }
-
-  /// Folds a worker's tally into the query's totals (coordinator only, after
-  /// the pool round completes). Only the modeled-work counters are merged;
-  /// rows_out is the producer's local selectivity, not query output.
-  void MergeWork(const WorkAccumulator& acc);
 
   /// The query's worker pool, sized to min(dop, total cores). Created
   /// lazily on first use; dop 1 never spawns a thread.

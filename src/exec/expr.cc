@@ -291,16 +291,6 @@ StatusOr<ColumnData> Expr::Evaluate(const RecordBatch& batch) const {
   return Status::Internal("unreachable expression kind");
 }
 
-StatusOr<std::vector<uint8_t>> Expr::EvaluateMask(
-    const RecordBatch& batch) const {
-  // Local scratch keeps this callable from parallel worker contexts; the
-  // fused path still avoids the old Evaluate-then-convert double pass.
-  EvalScratch scratch;
-  std::vector<uint8_t> mask;
-  ECODB_RETURN_IF_ERROR(EvaluateMaskInto(batch, &scratch, &mask));
-  return mask;
-}
-
 // --- Fused batch-at-a-time evaluation --------------------------------------
 //
 // The tree-walk Evaluate above materializes a ColumnData per node; it is

@@ -88,15 +88,11 @@ class Expr {
   /// int64 lane with values 0/1.
   StatusOr<ColumnData> Evaluate(const RecordBatch& batch) const;
 
-  /// Evaluates as a selection mask (expression must be boolean-typed).
-  /// Wraps EvaluateMaskInto with a local scratch, so it stays safe to call
-  /// concurrently from worker contexts.
-  StatusOr<std::vector<uint8_t>> EvaluateMask(const RecordBatch& batch) const;
-
-  /// Fused mask evaluation: compare nodes emit selection bytes directly and
-  /// AND/OR combine masks (short-circuiting the batch when the cheaper side
-  /// already decides it) — no per-node ColumnData temporaries. Output is
-  /// byte-identical to EvaluateMask; `mask` is resized to the batch.
+  /// Evaluates as a selection mask (expression must be boolean-typed):
+  /// compare nodes emit selection bytes directly and AND/OR combine masks
+  /// (short-circuiting the batch when the cheaper side already decides it)
+  /// — no per-node ColumnData temporaries. `mask[i]` is 1 exactly where
+  /// Evaluate yields a non-zero value; `mask` is resized to the batch.
   Status EvaluateMaskInto(const RecordBatch& batch, EvalScratch* scratch,
                           std::vector<uint8_t>* mask) const;
 

@@ -1,9 +1,8 @@
-// Filter and projection operators.
+// The filter operator.
 
 #ifndef ECODB_EXEC_FILTER_PROJECT_H_
 #define ECODB_EXEC_FILTER_PROJECT_H_
 
-#include <string>
 #include <vector>
 
 #include "exec/expr.h"
@@ -37,30 +36,6 @@ class FilterOp final : public Operator {
   // single-threaded, so sharing is safe).
   EvalScratch scratch_;
   std::vector<uint8_t> mask_;
-};
-
-/// One output column: an expression plus its name.
-struct ProjectionItem {
-  std::string name;
-  ExprPtr expr;
-};
-
-/// Computes expressions over the child's rows.
-class ProjectOp final : public Operator {
- public:
-  ProjectOp(OperatorPtr child, std::vector<ProjectionItem> items);
-
-  const catalog::Schema& output_schema() const override { return schema_; }
-  Status Open(ExecContext* ctx) override;
-  Status Next(RecordBatch* out, bool* eos) override;
-  void Close() override;
-
- private:
-  OperatorPtr child_;
-  std::vector<ProjectionItem> items_;
-  catalog::Schema schema_;
-  ExecContext* ctx_ = nullptr;
-  EvalScratch scratch_;
 };
 
 }  // namespace ecodb::exec

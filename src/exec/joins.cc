@@ -194,13 +194,8 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     return Status::NotFound("join key column not found");
   }
   const DataType lt = left_->output_schema().column(left_key_).type;
-  const DataType rt = right_->output_schema().column(right_key_).type;
-  if ((lt == DataType::kString) != (rt == DataType::kString)) {
-    return Status::InvalidArgument("join key type mismatch");
-  }
-  if (lt == DataType::kDouble || rt == DataType::kDouble) {
-    return Status::InvalidArgument("hash join keys must be int64 or string");
-  }
+  ECODB_RETURN_IF_ERROR(CheckHashJoinKeys(
+      lt, right_->output_schema().column(right_key_).type));
   string_key_ = lt == DataType::kString;
 
   // Build phase: materialize the right side and index it. Both replace
@@ -278,25 +273,24 @@ Status HashJoinOp::ParallelProbe() {
   const size_t n_residual = residual_.size();
   probe_slots_.assign(n_morsels, RecordBatch{});
   slot_reaching_.assign(n_morsels * n_residual, 0);
+  std::vector<size_t> probe_counts(n_morsels, 0);
   std::vector<size_t> match_counts(n_morsels, 0);
   WorkerPool* pool = ctx_->worker_pool();
-  std::vector<WorkAccumulator> accs(static_cast<size_t>(pool->parallelism()));
   ECODB_RETURN_IF_ERROR(
-      pool->Run(n_morsels, [&](size_t m, int slot) -> Status {
+      pool->Run(n_morsels, [&](size_t m, int /*slot*/) -> Status {
         // ecodb-lint: worker-context
         RecordBatch probe;
-        ECODB_RETURN_IF_ERROR(probe_source_->ProduceMorsel(
-            m, &probe, &accs[static_cast<size_t>(slot)]));
+        ECODB_RETURN_IF_ERROR(probe_source_->ProduceMorsel(m, &probe));
+        probe_counts[m] = probe.num_rows();
         return ProbeBatch(probe, &probe_slots_[m], &match_counts[m],
                           slot_reaching_.data() + m * n_residual);
       }));
   uint64_t probe_rows = 0;
-  for (const WorkAccumulator& acc : accs) {
-    probe_rows += acc.rows_out;
-    ctx_->MergeWork(acc);
-  }
   uint64_t total_matches = 0;
-  for (size_t m : match_counts) total_matches += m;
+  for (size_t m = 0; m < n_morsels; ++m) {
+    probe_rows += probe_counts[m];
+    total_matches += match_counts[m];
+  }
   // Same formulas as the serial probe, applied to dop-invariant totals.
   ctx_->ChargeInstructions(
       HashProbeInstructions(static_cast<double>(probe_rows)) +
@@ -427,10 +421,9 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   const int lk = left_->output_schema().FindColumn(left_key_name_);
   const int rk = right_->output_schema().FindColumn(right_key_name_);
   if (lk < 0 || rk < 0) return Status::NotFound("join key column not found");
-  if (left_->output_schema().column(lk).type != DataType::kInt64 ||
-      right_->output_schema().column(rk).type != DataType::kInt64) {
-    return Status::InvalidArgument("merge join requires int64 keys");
-  }
+  ECODB_RETURN_IF_ERROR(
+      CheckMergeJoinKeys(left_->output_schema().column(lk).type,
+                         right_->output_schema().column(rk).type));
 
   ECODB_RETURN_IF_ERROR(Drain(left_.get(), ctx, &left_rows_));
   ECODB_RETURN_IF_ERROR(Drain(right_.get(), ctx, &right_rows_));

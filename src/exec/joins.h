@@ -61,6 +61,40 @@ inline double MergeJoinWalkInstructions(double left_rows, double right_rows,
   return OutputInstructions(pairs) + 2.0 * (left_rows + right_rows);
 }
 
+// Key-type rules, one per join operator: each operator's Open applies its
+// own, and the planner prices a join algorithm on an edge only when the
+// rule accepts the edge's key types.
+
+/// Nested-loop join (and any equality a join checks as a predicate): keys
+/// compare unless exactly one is a string; numbers compare through double.
+inline Status CheckComparableKeys(catalog::DataType left,
+                                  catalog::DataType right) {
+  if ((left == catalog::DataType::kString) !=
+      (right == catalog::DataType::kString)) {
+    return Status::InvalidArgument("join key type mismatch");
+  }
+  return Status::OK();
+}
+/// Hash join: comparable keys that hash as int64 lanes or as strings.
+inline Status CheckHashJoinKeys(catalog::DataType left,
+                                catalog::DataType right) {
+  ECODB_RETURN_IF_ERROR(CheckComparableKeys(left, right));
+  if (left == catalog::DataType::kDouble ||
+      right == catalog::DataType::kDouble) {
+    return Status::InvalidArgument(
+        "hash join keys must be int64, date or string");
+  }
+  return Status::OK();
+}
+/// Merge join: int64 lanes on both sides (int64 or date keys).
+inline Status CheckMergeJoinKeys(catalog::DataType left,
+                                 catalog::DataType right) {
+  if (!catalog::IsIntegerLike(left) || !catalog::IsIntegerLike(right)) {
+    return Status::InvalidArgument("merge join requires int64 or date keys");
+  }
+  return Status::OK();
+}
+
 /// Predicates a join checks on its candidate pairs before it gathers them:
 /// the optimizer's residual equi-join edges, or a nested-loop join's own
 /// predicate. Each reads only the columns it names, gathered for the pairs

@@ -342,11 +342,10 @@ Status TableScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status TableScanOp::ProduceRange(ScanRowRange range, RecordBatch* out,
-                                 WorkAccumulator* acc) const {
+Status TableScanOp::ProduceRange(ScanRowRange range,
+                                 RecordBatch* out) const {
   // ecodb-lint: worker-context
   const size_t take = range.end - range.begin;
-  acc->rows_in += take;
   RecordBatch batch(schema_);
   size_t rows = take;
   if (exact_filter_ == nullptr) {
@@ -377,16 +376,14 @@ Status TableScanOp::ProduceRange(ScanRowRange range, RecordBatch* out,
     }
   }
   ECODB_RETURN_IF_ERROR(batch.SealRows(rows));
-  acc->rows_out += rows;
   *out = std::move(batch);
   return Status::OK();
 }
 
-Status TableScanOp::ProduceMorsel(size_t index, RecordBatch* out,
-                                  WorkAccumulator* acc) const {
+Status TableScanOp::ProduceMorsel(size_t index, RecordBatch* out) const {
   // ecodb-lint: worker-context
   assert(index < morsels_.size());
-  return ProduceRange(morsels_[index], out, acc);
+  return ProduceRange(morsels_[index], out);
 }
 
 Status TableScanOp::Materialize() {
@@ -398,15 +395,11 @@ Status TableScanOp::Materialize() {
       MorselizeRanges(morsels_, 1, ctx_->options().batch_rows);
   WorkerPool* pool = ctx_->worker_pool();
   slots_.assign(batches.size(), RecordBatch{});
-  std::vector<WorkAccumulator> accs(
-      static_cast<size_t>(pool->parallelism()));
   ECODB_RETURN_IF_ERROR(
-      pool->Run(batches.size(), [&](size_t b, int slot) -> Status {
+      pool->Run(batches.size(), [&](size_t b, int /*slot*/) -> Status {
         // ecodb-lint: worker-context
-        return ProduceRange(batches[b], &slots_[b],
-                            &accs[static_cast<size_t>(slot)]);
+        return ProduceRange(batches[b], &slots_[b]);
       }));
-  for (const WorkAccumulator& acc : accs) ctx_->MergeWork(acc);
   materialized_ = true;
   cursor_ = 0;
   return Status::OK();

@@ -35,7 +35,6 @@
 
 #include "exec/expr.h"
 #include "exec/operator.h"
-#include "exec/worker_pool.h"
 #include "storage/table_storage.h"
 
 namespace ecodb::exec {
@@ -87,10 +86,9 @@ class MorselSource {
   /// Number of morsels (valid after Open).
   virtual size_t morsel_count() const = 0;
 
-  /// Materializes morsel `index` into `out`, tallying the work into `acc`
-  /// (rows_in = rows scanned, rows_out = rows surviving local filtering).
-  virtual Status ProduceMorsel(size_t index, RecordBatch* out,
-                               WorkAccumulator* acc) const = 0;
+  /// Materializes morsel `index` into `out` (the rows surviving any local
+  /// filtering). Charges nothing: the consumer bills from its own totals.
+  virtual Status ProduceMorsel(size_t index, RecordBatch* out) const = 0;
 };
 
 /// Splits selected row ranges into morsels of ~`target_rows`, aligned to
@@ -116,8 +114,7 @@ class TableScanOp final : public Operator, public MorselSource {
 
   // MorselSource:
   size_t morsel_count() const override { return morsels_.size(); }
-  Status ProduceMorsel(size_t index, RecordBatch* out,
-                       WorkAccumulator* acc) const override;
+  Status ProduceMorsel(size_t index, RecordBatch* out) const override;
 
   /// Blocks skipped by zone-map pruning during the last Open (0 when
   /// pruning was off).
@@ -126,8 +123,7 @@ class TableScanOp final : public Operator, public MorselSource {
  private:
   /// Materializes rows [range.begin, range.end): copies each lane, or with
   /// an exact filter gathers each lane's surviving rows.
-  Status ProduceRange(ScanRowRange range, RecordBatch* out,
-                      WorkAccumulator* acc) const;
+  Status ProduceRange(ScanRowRange range, RecordBatch* out) const;
   /// Produces every Next() batch across the pool into slots_.
   Status Materialize();
 

@@ -350,19 +350,15 @@ Status SortOp::FormRuns() {
     const size_t n_morsels = source->morsel_count();
     runs_.assign(n_morsels, Run{});
     WorkerPool* pool = ctx_->worker_pool();
-    std::vector<WorkAccumulator> accs(
-        static_cast<size_t>(pool->parallelism()));
     ECODB_RETURN_IF_ERROR(
-        pool->Run(n_morsels, [&](size_t m, int slot) -> Status {
+        pool->Run(n_morsels, [&](size_t m, int /*slot*/) -> Status {
           // ecodb-lint: worker-context
           RecordBatch batch;
-          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(
-              m, &batch, &accs[static_cast<size_t>(slot)]));
+          ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch));
           RunBuilder builder(*this);
           ECODB_RETURN_IF_ERROR(builder.Offer(std::move(batch)));
           return builder.TakeRun(&runs_[m]);
         }));
-    for (const WorkAccumulator& acc : accs) ctx_->MergeWork(acc);
   } else {
     // Any other child streams batch by batch into one run; under a limit
     // at most 2k of its rows are ever held.

@@ -7,12 +7,13 @@
 // task index from a shared atomic ticket, so skew in per-morsel work
 // self-balances without any static partitioning.
 //
-// Accounting discipline: workers never touch the ExecContext. Each worker
-// slot owns a WorkAccumulator; the coordinator merges them after Run()
-// returns. There are no hot-path atomics besides the task ticket and no
-// data races — the pool is the only cross-thread rendezvous, and its
-// mutex/condition-variable handshake publishes all task effects to the
-// coordinator (TSan-clean by construction).
+// Accounting discipline: workers never touch the ExecContext. They only
+// produce batches (and count their rows) into per-task or per-slot state;
+// the coordinator charges from those after Run() returns. There are no
+// hot-path atomics besides the task ticket and no data races — the pool is
+// the only cross-thread rendezvous, and its mutex/condition-variable
+// handshake publishes all task effects to the coordinator (TSan-clean by
+// construction).
 
 #ifndef ECODB_EXEC_WORKER_POOL_H_
 #define ECODB_EXEC_WORKER_POOL_H_
@@ -29,29 +30,6 @@
 
 namespace ecodb::exec {
 
-/// Per-worker tally of the work a slot performed during one Run(). Counts
-/// are integers so merged totals are exact and independent of how morsels
-/// were distributed across workers (accounting must be dop-invariant).
-// ecodb-lint: worker-partial
-struct WorkAccumulator {
-  // `instructions` is a double by exception: every contribution is a dyadic
-  // cost constant times an integer count, so sums are exact in binary
-  // floating point and merge grouping cannot perturb the total.
-  double instructions = 0.0;  // NOLINT-ECODB(EC3)
-  uint64_t io_bytes = 0;
-  uint64_t dram_bytes = 0;
-  uint64_t rows_in = 0;   // rows consumed from the source
-  uint64_t rows_out = 0;  // rows surviving local filtering
-
-  void Merge(const WorkAccumulator& other) {
-    instructions += other.instructions;
-    io_bytes += other.io_bytes;
-    dram_bytes += other.dram_bytes;
-    rows_in += other.rows_in;
-    rows_out += other.rows_out;
-  }
-};
-
 class WorkerPool {
  public:
   /// A pool executing up to `parallelism` tasks concurrently (the caller's
@@ -66,7 +44,7 @@ class WorkerPool {
 
   /// fn(task_index, worker_slot): worker_slot is in [0, parallelism) and is
   /// stable for the duration of one Run, so fn may use it to index
-  /// per-worker state (accumulators, partial tables) without locking.
+  /// per-worker state (row counts, partial tables) without locking.
   using Task = std::function<Status(size_t task_index, int worker_slot)>;
 
   /// Runs tasks 0..num_tasks-1 across the pool and the calling thread;

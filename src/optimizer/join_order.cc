@@ -67,6 +67,28 @@ ExprPtr EdgePredicate(const JoinEdge& e) {
   return exec::Col(e.left_key) == exec::Col(e.right_key);
 }
 
+/// `status` with the edge it concerns named ("join edge k = sk: ..."); an
+/// edge's keys name their columns uniquely, as Analyze requires.
+Status NameEdge(const Status& status, const JoinEdge& e) {
+  if (status.ok()) return status;
+  return Status(status.code(), "join edge " + e.left_key + " = " +
+                                   e.right_key + ": " + status.message());
+}
+
+/// The key-type rule of the operator that runs `algo` (exec/joins.h).
+Status JoinKeyRule(JoinAlgorithm algo,
+                   std::pair<catalog::DataType, catalog::DataType> keys) {
+  switch (algo) {
+    case JoinAlgorithm::kHash:
+      return exec::CheckHashJoinKeys(keys.first, keys.second);
+    case JoinAlgorithm::kMerge:
+      return exec::CheckMergeJoinKeys(keys.first, keys.second);
+    case JoinAlgorithm::kNestedLoop:
+      return exec::CheckComparableKeys(keys.first, keys.second);
+  }
+  return Status::Internal("unknown join algorithm");
+}
+
 /// Schema positions of `names` (missing names skipped).
 std::vector<int> ToIndexes(const catalog::Schema& schema,
                            const std::vector<std::string>& names) {
@@ -181,10 +203,14 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.edge_sel_.resize(spec.edges.size());
   for (size_t i = 0; i < spec.edges.size(); ++i) {
     const JoinEdge& e = spec.edges[i];
-    const int li = rels[e.left_rel].variants[0]->schema().FindColumn(
-        e.left_key);
-    const int ri = rels[e.right_rel].variants[0]->schema().FindColumn(
-        e.right_key);
+    const catalog::Schema& ls = rels[e.left_rel].variants[0]->schema();
+    const catalog::Schema& rs = rels[e.right_rel].variants[0]->schema();
+    const int li = ls.FindColumn(e.left_key);
+    const int ri = rs.FindColumn(e.right_key);
+    const catalog::DataType lt = ls.column(li).type;
+    const catalog::DataType rt = rs.column(ri).type;
+    ECODB_RETURN_IF_ERROR(NameEdge(exec::CheckComparableKeys(lt, rt), e));
+    graph.edge_key_types_.emplace_back(lt, rt);
     const double ndv = std::max<double>(
         {1.0,
          static_cast<double>(graph.stats_[e.left_rel].columns[li]
@@ -344,7 +370,9 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
 /// Adds one join node's demand on top of its children's, priced through
 /// the charge functions the join operator bills with, its residual edges'
 /// included. Each of them bills parallel instructions, whatever the join's
-/// children are.
+/// children are. InvalidArgument when the operator cannot run the primary
+/// edge's key types: the DP then skips `algo`, and PricePlan rejects a
+/// hand-set plan that uses it.
 Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
                      uint32_t lmask, uint32_t rmask, ResourceEstimate* demand,
                      double* resident_bytes) {
@@ -353,6 +381,11 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
     return Status::InvalidArgument(
         "join node has no crossing equi-join edge (cross product)");
   }
+  // The operator joins on the primary edge's keys; the residual edges
+  // need only comparable keys, which Analyze checked.
+  ECODB_RETURN_IF_ERROR(
+      NameEdge(JoinKeyRule(algo, graph.edge_key_types(crossing[0])),
+               graph.edge(crossing[0])));
   const double lrows = graph.EstimateRows(lmask);
   const double rrows = graph.EstimateRows(rmask);
   const double rows_primary =
@@ -389,6 +422,21 @@ Status AddJoinDemand(const JoinGraph& graph, JoinAlgorithm algo,
     rows *= graph.edge_selectivity(crossing[j]);
   }
   return Status::OK();
+}
+
+/// The DP's error when the enumerated algorithms joined no plan: the rule
+/// verdict on the first edge none of `algos` can run as a primary edge.
+Status NoAlgorithmJoins(const JoinGraph& graph,
+                        const std::vector<JoinAlgorithm>& algos) {
+  for (int i = 0; i < graph.num_edges(); ++i) {
+    Status verdict;
+    for (JoinAlgorithm algo : algos) {
+      verdict = JoinKeyRule(algo, graph.edge_key_types(i));
+      if (verdict.ok()) break;
+    }
+    if (!verdict.ok()) return NameEdge(verdict, graph.edge(i));
+  }
+  return Status::Internal("join DP found no plan for a connected graph");
 }
 
 /// Two-phase pricing: residency energy needs the plan duration, so price
@@ -748,9 +796,7 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
                          winner->algo, winner->lmask, mask ^ winner->lmask);
         subs[mask].push_back(std::move(winner->plan));
       }
-      if (subs[full].empty()) {
-        return Status::Internal("join DP found no plan for a connected graph");
-      }
+      if (subs[full].empty()) return NoAlgorithmJoins(graph, algos);
 
       // Root step: each candidate for the full set (the DP's tree, or a
       // lone relation's alternatives) with each tail choice, costed by the

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "optimizer/planner.h"
@@ -51,8 +52,9 @@ namespace ecodb::optimizer {
 class JoinGraph {
  public:
   /// Validates the graph (1 to 12 relations, `left` and `relations` not
-  /// both set, every edge endpoint and key resolves, scanned column names
-  /// unique across relations, graph connected) and resolves statistics:
+  /// both set, every edge endpoint and key resolves, every edge's keys
+  /// comparable, scanned column names unique across relations, graph
+  /// connected) and resolves statistics:
   /// TableAlternatives::stats when provided, else a fresh analyze of
   /// variant 0. Estimates come from variant 0; variants hold the same rows.
   static StatusOr<JoinGraph> Analyze(const QuerySpec& spec);
@@ -77,6 +79,10 @@ class JoinGraph {
   double edge_selectivity(int i) const { return edge_sel_[i]; }
   /// Edge `i`'s equality, as a join checks it on a residual edge.
   const exec::Expr& edge_predicate(int i) const { return *edge_predicates_[i]; }
+  /// Edge `i`'s key column types: its left key's, then its right key's.
+  std::pair<catalog::DataType, catalog::DataType> edge_key_types(int i) const {
+    return edge_key_types_[i];
+  }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 
   double filtered_rows(int rel) const { return filtered_rows_[rel]; }
@@ -92,6 +98,7 @@ class JoinGraph {
   std::vector<JoinEdge> edges_;
   std::vector<double> edge_sel_;
   std::vector<exec::ExprPtr> edge_predicates_;
+  std::vector<std::pair<catalog::DataType, catalog::DataType>> edge_key_types_;
   std::vector<double> filtered_rows_;
   std::vector<double> widths_;
   std::vector<std::vector<std::string>> scan_columns_;

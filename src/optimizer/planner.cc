@@ -111,13 +111,23 @@ bool Planner::ExtractKeyRange(const ExprPtr& filter,
       *lo = *hi = lit;
       return true;
     case exec::CompareOp::kLt:
-      *hi = lit - 1;
+      if (lit == INT64_MIN) {  // no key lies below it: the empty range
+        *lo = INT64_MAX;
+        *hi = INT64_MIN;
+      } else {
+        *hi = lit - 1;
+      }
       return true;
     case exec::CompareOp::kLe:
       *hi = lit;
       return true;
     case exec::CompareOp::kGt:
-      *lo = lit + 1;
+      if (lit == INT64_MAX) {  // no key lies above it: the empty range
+        *lo = INT64_MAX;
+        *hi = INT64_MIN;
+      } else {
+        *lo = lit + 1;
+      }
       return true;
     case exec::CompareOp::kGe:
       *lo = lit;

@@ -207,7 +207,9 @@ class Planner {
                                     const catalog::TableStats& stats);
 
   /// Extracts the [lo, hi] key range the AND-conjuncts of `filter` impose
-  /// on `column` (integer/date types). Returns false when unconstrained.
+  /// on `column` (integer/date types). Returns false when unconstrained. A
+  /// range no key satisfies (`< INT64_MIN`, `> INT64_MAX`, or disjoint
+  /// conjuncts) comes back with lo > hi.
   static bool ExtractKeyRange(const exec::ExprPtr& filter,
                               const std::string& column, int64_t* lo,
                               int64_t* hi);

@@ -24,8 +24,8 @@ Status CpuPowerModel::Validate() const {
                                      "negative power");
     }
   }
-  if (spec_.socket_idle_watts < 0 || spec_.socket_sleep_watts < 0) {
-    return Status::InvalidArgument("negative idle/sleep watts");
+  if (spec_.socket_idle_watts < 0) {
+    return Status::InvalidArgument("negative idle watts");
   }
   if (spec_.utilization_exponent <= 0) {
     return Status::InvalidArgument("utilization exponent must be positive");
@@ -41,10 +41,6 @@ double CpuPowerModel::PeakWatts(int pstate) const {
 
 double CpuPowerModel::IdleWatts() const {
   return spec_.socket_idle_watts * spec_.sockets;
-}
-
-double CpuPowerModel::SleepWatts() const {
-  return spec_.socket_sleep_watts * spec_.sockets;
 }
 
 double CpuPowerModel::WattsAtUtilization(double u, int pstate) const {

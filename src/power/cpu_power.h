@@ -33,8 +33,6 @@ struct CpuSpec {
   std::vector<PState> pstates = {{"P0", 3.0, 22.5}};
   /// Per-socket power with all cores idle (C1-ish) — the "uncore" floor.
   double socket_idle_watts = 15.0;
-  /// Per-socket power in the deepest C-state (package sleep).
-  double socket_sleep_watts = 3.0;
   /// Nominal instructions retired per core-cycle for time estimation.
   double instructions_per_cycle = 1.0;
   /// Exponent of the utilization->power curve; 1.0 = linear (energy
@@ -58,9 +56,6 @@ class CpuPowerModel {
 
   /// Whole-complex power with all cores idle (no package sleep).
   double IdleWatts() const;
-
-  /// Whole-complex power with packages in deepest sleep.
-  double SleepWatts() const;
 
   /// Power at fractional utilization u in [0,1] at P-state `p`:
   ///   idle + (peak - idle) * u^exponent.

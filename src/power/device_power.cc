@@ -47,14 +47,4 @@ Status ValidateSsdSpec(const SsdSpec& spec) {
   return Status::OK();
 }
 
-Status ValidateDramSpec(const DramSpec& spec) {
-  if (spec.capacity_bytes <= 0) {
-    return Status::InvalidArgument("DRAM capacity must be > 0");
-  }
-  if (spec.background_watts_per_gib < 0 || spec.access_joules_per_byte < 0) {
-    return Status::InvalidArgument("DRAM power parameters must be >= 0");
-  }
-  return Status::OK();
-}
-
 }  // namespace ecodb::power

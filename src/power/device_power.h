@@ -79,7 +79,6 @@ struct DramSpec {
 /// Validation helpers shared by the behavioural simulators.
 Status ValidateHddSpec(const HddSpec& spec);
 Status ValidateSsdSpec(const SsdSpec& spec);
-Status ValidateDramSpec(const DramSpec& spec);
 
 }  // namespace ecodb::power
 

@@ -5,8 +5,20 @@
 
 namespace ecodb::power {
 
+namespace {
+
+// Upshift (toward P0) when utilization exceeds this.
+constexpr double kUpThreshold = 0.80;
+// Downshift when utilization falls below this.
+constexpr double kDownThreshold = 0.30;
+// Consecutive below-threshold samples required before downshifting
+// (hysteresis; upshifts are immediate, as in ondemand).
+constexpr int kDownHysteresisSamples = 2;
+
+}  // namespace
+
 DvfsGovernor::DvfsGovernor(const CpuPowerModel* cpu, GovernorConfig config)
-    : cpu_(cpu), config_(config), pstate_(config.initial_pstate) {
+    : cpu_(cpu), pstate_(config.initial_pstate) {
   assert(pstate_ >= 0 && pstate_ < cpu_->num_pstates());
 }
 
@@ -14,16 +26,16 @@ int DvfsGovernor::Observe(double utilization) {
   utilization = std::clamp(utilization, 0.0, 1.0);
   if (pinned_) return pinned_pstate_;
 
-  if (utilization > config_.up_threshold) {
+  if (utilization > kUpThreshold) {
     // Ondemand jumps straight to the fastest state under pressure.
     low_streak_ = 0;
     if (pstate_ != 0) {
       pstate_ = 0;
       ++transitions_;
     }
-  } else if (utilization < config_.down_threshold) {
+  } else if (utilization < kDownThreshold) {
     ++low_streak_;
-    if (low_streak_ >= config_.down_hysteresis_samples &&
+    if (low_streak_ >= kDownHysteresisSamples &&
         pstate_ + 1 < cpu_->num_pstates()) {
       ++pstate_;
       ++transitions_;

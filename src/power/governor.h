@@ -22,13 +22,6 @@
 namespace ecodb::power {
 
 struct GovernorConfig {
-  /// Upshift (toward P0) when utilization exceeds this.
-  double up_threshold = 0.80;
-  /// Downshift when utilization falls below this.
-  double down_threshold = 0.30;
-  /// Consecutive below-threshold samples required before downshifting
-  /// (hysteresis; upshifts are immediate, as in ondemand).
-  int down_hysteresis_samples = 2;
   /// Initial P-state index.
   int initial_pstate = 0;
 };
@@ -55,7 +48,6 @@ class DvfsGovernor {
 
  private:
   const CpuPowerModel* cpu_;
-  GovernorConfig config_;
   int pstate_;
   int low_streak_ = 0;
   bool pinned_ = false;

@@ -74,7 +74,6 @@ std::unique_ptr<HardwarePlatform> MakeDl785Platform() {
   // Quad-core Opteron class: ~75 W socket at full tilt, ~10 W idle floor.
   cpu.pstates = {{"P0", 2.3, 16.0}, {"P1", 1.9, 11.0}, {"P2", 1.4, 7.5}};
   cpu.socket_idle_watts = 10.0;
-  cpu.socket_sleep_watts = 2.0;
   cpu.instructions_per_cycle = 1.2;
 
   DramSpec dram;
@@ -102,7 +101,6 @@ std::unique_ptr<HardwarePlatform> MakeFlashScanPlatform() {
   cpu.cores_per_socket = 1;
   cpu.pstates = {{"P0", 3.0, 90.0}};
   cpu.socket_idle_watts = 0.0;
-  cpu.socket_sleep_watts = 0.0;
 
   DramSpec dram;
   dram.capacity_bytes = 4.0 * 1024 * 1024 * 1024;
@@ -126,7 +124,6 @@ std::unique_ptr<HardwarePlatform> MakeProportionalPlatform() {
   cpu.cores_per_socket = 8;
   cpu.pstates = {{"P0", 2.6, 8.0}, {"P1", 2.0, 5.0}, {"P2", 1.2, 2.5}};
   cpu.socket_idle_watts = 4.0;
-  cpu.socket_sleep_watts = 0.5;
   cpu.utilization_exponent = 1.0;
 
   DramSpec dram;

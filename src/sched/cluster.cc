@@ -6,16 +6,6 @@
 
 namespace ecodb::sched {
 
-const char* DispatchPolicyName(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kSpread:
-      return "spread";
-    case DispatchPolicy::kPack:
-      return "pack";
-  }
-  return "unknown";
-}
-
 Cluster::Cluster(int nodes, ClusterNodeSpec spec)
     : nodes_(nodes), spec_(spec) {
   assert(nodes_ >= 1);

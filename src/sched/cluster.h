@@ -30,15 +30,11 @@ struct ClusterNodeSpec {
   double sleep_watts = 10.0;
   /// Work units the node serves at full utilization.
   double capacity = 100.0;
-  /// Seconds to bring a sleeping node back.
-  double wake_seconds = 30.0;
   /// Extra Joules burned per wake transition.
   double wake_joules = 5000.0;
 };
 
 enum class DispatchPolicy { kSpread, kPack };
-
-const char* DispatchPolicyName(DispatchPolicy policy);
 
 class Cluster {
  public:

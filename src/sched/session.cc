@@ -72,36 +72,6 @@ Status ValidateConfig(const ServingConfig& config,
 
 }  // namespace
 
-const char* SessionTerminalName(SessionTerminal terminal) {
-  switch (terminal) {
-    case SessionTerminal::kCompleted:
-      return "completed";
-    case SessionTerminal::kDeadline:
-      return "deadline";
-    case SessionTerminal::kShed:
-      return "shed";
-    case SessionTerminal::kEvicted:
-      return "evicted";
-  }
-  return "unknown";
-}
-
-const char* ShedCauseName(ShedCause cause) {
-  switch (cause) {
-    case ShedCause::kNone:
-      return "none";
-    case ShedCause::kQueueFull:
-      return "queue_full";
-    case ShedCause::kQueueSlo:
-      return "queue_slo";
-    case ShedCause::kTenantCap:
-      return "tenant_cap";
-    case ShedCause::kPowerCap:
-      return "power_cap";
-  }
-  return "unknown";
-}
-
 SessionManager::SessionManager(power::HardwarePlatform* platform,
                                ServingConfig config)
     : platform_(platform), config_(config) {}
@@ -355,9 +325,6 @@ StatusOr<ServingReport> SessionManager::Serve(const sim::ArrivalTrace& trace,
       // Cooperative kill: the operators stopped at a poll boundary; the
       // work already charged stays on this session's bill.
       dec.terminal = SessionTerminal::kDeadline;
-    } else if (rows.status().code() == StatusCode::kShed) {
-      dec.terminal = SessionTerminal::kShed;
-      dec.cause = ShedCause::kPowerCap;
     } else {
       return rows.status();
     }

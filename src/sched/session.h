@@ -62,9 +62,6 @@ enum class ShedCause {
   kPowerCap = 4,   // governor at the top of the degradation ladder
 };
 
-const char* SessionTerminalName(SessionTerminal terminal);
-const char* ShedCauseName(ShedCause cause);
-
 /// Overload-protection knobs. The defaults disable every mechanism, so a
 /// default OverloadConfig reproduces the unprotected serving core
 /// byte-identically.

@@ -4,18 +4,6 @@
 
 namespace ecodb::sched {
 
-const char* SpinDownPolicyName(SpinDownPolicy policy) {
-  switch (policy) {
-    case SpinDownPolicy::kNever:
-      return "never";
-    case SpinDownPolicy::kFixedTimeout:
-      return "fixed-timeout";
-    case SpinDownPolicy::kBreakEven:
-      return "break-even";
-  }
-  return "unknown";
-}
-
 DiskPowerManager::DiskPowerManager(sim::EventQueue* events,
                                    storage::StorageDevice* device,
                                    SpinDownPolicy policy,

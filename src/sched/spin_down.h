@@ -24,8 +24,6 @@ enum class SpinDownPolicy {
   kBreakEven,
 };
 
-const char* SpinDownPolicyName(SpinDownPolicy policy);
-
 class DiskPowerManager {
  public:
   /// `events` and `device` must outlive the manager.

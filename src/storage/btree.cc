@@ -129,22 +129,6 @@ void BTreeIndex::InsertIntoParent(Node* node, int64_t separator,
   InsertIntoParent(parent, promote, right);
 }
 
-std::vector<uint64_t> BTreeIndex::Lookup(int64_t key) const {
-  std::vector<uint64_t> out;
-  const Node* leaf = FindLeaf(key);
-  while (leaf != nullptr) {
-    const size_t begin = static_cast<size_t>(
-        std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key) -
-        leaf->keys.begin());
-    for (size_t i = begin; i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] != key) return out;
-      out.push_back(leaf->values[i]);
-    }
-    leaf = leaf->next;  // duplicates may continue in the next leaf
-  }
-  return out;
-}
-
 std::vector<uint64_t> BTreeIndex::RangeScan(int64_t lo, int64_t hi) const {
   std::vector<uint64_t> out;
   if (lo > hi) return out;
@@ -160,26 +144,6 @@ std::vector<uint64_t> BTreeIndex::RangeScan(int64_t lo, int64_t hi) const {
     leaf = leaf->next;
   }
   return out;
-}
-
-bool BTreeIndex::Erase(int64_t key, uint64_t row_id) {
-  Node* leaf = FindLeaf(key);
-  while (leaf != nullptr) {
-    const size_t begin = static_cast<size_t>(
-        std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key) -
-        leaf->keys.begin());
-    for (size_t i = begin; i < leaf->keys.size(); ++i) {
-      if (leaf->keys[i] != key) return false;
-      if (leaf->values[i] == row_id) {
-        leaf->keys.erase(leaf->keys.begin() + static_cast<long>(i));
-        leaf->values.erase(leaf->values.begin() + static_cast<long>(i));
-        --size_;
-        return true;  // under-full leaves are tolerated by design
-      }
-    }
-    leaf = leaf->next;  // matching row id may sit in a later duplicate run
-  }
-  return false;
 }
 
 size_t BTreeIndex::PagesForRange(int64_t lo, int64_t hi) const {

@@ -7,7 +7,7 @@
 // old latency-based access-path rules gain an energy twin (Section 5.1 of
 // the paper: re-evaluating access paths under the energy lens).
 //
-// Deletes tolerate under-full nodes (no rebalancing); Validate() checks the
+// The index is insert-only (tables are append-only); Validate() checks the
 // ordering, uniform-depth, and leaf-chain invariants and is exercised by
 // randomized property tests.
 
@@ -34,15 +34,9 @@ class BTreeIndex {
 
   void Insert(int64_t key, uint64_t row_id);
 
-  /// Row ids whose key equals `key` (ascending row-id order of insertion
-  /// within the leaf chain).
-  std::vector<uint64_t> Lookup(int64_t key) const;
-
-  /// Row ids with lo <= key <= hi, in key order.
+  /// Row ids with lo <= key <= hi, in key order (an equal key's row ids in
+  /// insertion order). Empty when lo > hi.
   std::vector<uint64_t> RangeScan(int64_t lo, int64_t hi) const;
-
-  /// Removes one (key, row_id) entry. Returns false if absent.
-  bool Erase(int64_t key, uint64_t row_id);
 
   size_t size() const { return size_; }
   int height() const;

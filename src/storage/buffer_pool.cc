@@ -126,7 +126,7 @@ StatusOr<PageAccess> BufferPool::Access(PageId page, StorageDevice* source,
     if (vit->second.dirty && vit->second.source != nullptr) {
       ECODB_ASSIGN_OR_RETURN(
           const IoResult wb,
-          vit->second.source->SubmitWrite(clock_->now(), config_.page_bytes,
+          vit->second.source->SubmitWrite(clock_->now(), Page::kPageSize,
                                           /*sequential=*/false));
       ready = std::max(ready, wb.completion_time);
       ++stats_.dirty_writebacks;
@@ -137,7 +137,7 @@ StatusOr<PageAccess> BufferPool::Access(PageId page, StorageDevice* source,
 
   ECODB_ASSIGN_OR_RETURN(
       const IoResult rd,
-      source->SubmitRead(ready, config_.page_bytes, /*sequential=*/false));
+      source->SubmitRead(ready, Page::kPageSize, /*sequential=*/false));
   ready = rd.completion_time;
 
   Frame f;
@@ -145,7 +145,7 @@ StatusOr<PageAccess> BufferPool::Access(PageId page, StorageDevice* source,
   f.last_used_tick = tick_;
   f.referenced = true;
   f.dirty = mark_dirty;
-  f.reload_joules = source->EstimateReadJoules(config_.page_bytes);
+  f.reload_joules = source->EstimateReadJoules(Page::kPageSize);
   frames_.emplace(page, f);
   clock_order_.push_back(page);
   // Bound the CLOCK ring against stale growth.
@@ -175,7 +175,7 @@ StatusOr<double> BufferPool::FlushAll() {
     Frame& f = frames_.at(id);
     ECODB_ASSIGN_OR_RETURN(
         const IoResult wb,
-        f.source->SubmitWrite(clock_->now(), config_.page_bytes,
+        f.source->SubmitWrite(clock_->now(), Page::kPageSize,
                               /*sequential=*/false));
     last = std::max(last, wb.completion_time);
     f.dirty = false;
@@ -183,7 +183,5 @@ StatusOr<double> BufferPool::FlushAll() {
   }
   return last;
 }
-
-void BufferPool::Invalidate(PageId page) { frames_.erase(page); }
 
 }  // namespace ecodb::storage

@@ -40,7 +40,6 @@ const char* ReplacementPolicyName(ReplacementPolicy policy);
 struct BufferPoolConfig {
   size_t num_frames = 1024;
   ReplacementPolicy policy = ReplacementPolicy::kLru;
-  uint64_t page_bytes = Page::kPageSize;
   /// DRAM energy charged per buffer hit (row of reads from the resident
   /// page). 0 disables hit accounting.
   double dram_joules_per_hit = 0.0;
@@ -87,9 +86,6 @@ class BufferPool {
   /// Writes back every dirty page. Returns the completion time of the last
   /// write-back (clock time if none).
   StatusOr<double> FlushAll();
-
-  /// Drops a page from the pool without write-back (table drop / migration).
-  void Invalidate(PageId page);
 
   bool IsResident(PageId page) const { return frames_.count(page) > 0; }
   size_t resident_pages() const { return frames_.size(); }

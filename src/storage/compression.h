@@ -17,13 +17,14 @@
 // instructions per value to encode/decode, from which the CPU power model
 // derives seconds and Joules.
 //
-// Decode is the scan hot path, so every codec ships two decoders with
-// byte-identical output: a *reference* scalar kernel (value-at-a-time,
-// bit-at-a-time — the differential-testing oracle and the calibration
-// baseline for `bench/micro_codecs`) and a *fast* kernel (word-at-a-time
-// bit unpacking with an AVX2 variant when compiled in, run-at-a-time RLE
-// materialization, group-style varint delta decode). MakeInt64Codec
-// returns the fast decoders; MakeReferenceInt64Codec the scalar ones.
+// Decode is the scan hot path, so the bit-packing and delta codecs ship
+// two decoders with byte-identical output: a *reference* scalar kernel
+// (value-at-a-time, bit-at-a-time — the differential-testing oracle and the
+// calibration baseline for `bench/micro_codecs`) and a *fast* kernel
+// (word-at-a-time bit unpacking with an AVX2 variant when compiled in,
+// group-style varint delta decode). MakeInt64Codec returns the fast
+// decoders; MakeReferenceInt64Codec the scalar ones. RLE has one decoder,
+// which both factories return: a run-at-a-time fill measured no faster.
 
 #ifndef ECODB_STORAGE_COMPRESSION_H_
 #define ECODB_STORAGE_COMPRESSION_H_
@@ -73,8 +74,8 @@ class Int64Codec {
 };
 
 /// Factory. kDictionary is string-only and not valid here. Returns codecs
-/// with the fast decode kernels (word-at-a-time / run-at-a-time / grouped
-/// varint); this is what the engine uses.
+/// with the fast decode kernels (word-at-a-time / grouped varint); this is
+/// what the engine uses.
 std::unique_ptr<Int64Codec> MakeInt64Codec(CompressionKind kind);
 
 /// Same encoded format, but decoding uses the reference scalar kernels

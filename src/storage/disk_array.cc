@@ -31,15 +31,8 @@ StatusOr<std::unique_ptr<DiskArray>> DiskArray::Create(
         "RAID 5 array '" + name + "' needs >= 3 members, got " +
         std::to_string(members.size()));
   }
-  if (spec.stripe_unit_bytes == 0) {
-    return Status::InvalidArgument("stripe_unit_bytes must be > 0");
-  }
   if (spec.controller_bw_bytes_per_s <= 0.0) {
     return Status::InvalidArgument("controller_bw_bytes_per_s must be > 0");
-  }
-  if (spec.xor_instructions_per_byte < 0.0 ||
-      spec.xor_joules_per_instruction < 0.0) {
-    return Status::InvalidArgument("XOR cost parameters must be >= 0");
   }
   for (const auto& m : members) {
     if (m == nullptr) {
@@ -48,14 +41,6 @@ StatusOr<std::unique_ptr<DiskArray>> DiskArray::Create(
   }
   return std::unique_ptr<DiskArray>(
       new DiskArray(std::move(name), spec, std::move(members), meter));
-}
-
-double DiskArray::DataFraction() const {
-  if (spec_.level == RaidLevel::kRaid5) {
-    const double n = static_cast<double>(members_.size());
-    return (n - 1.0) / n;
-  }
-  return 1.0;
 }
 
 int DiskArray::failed_member() const {
@@ -67,10 +52,10 @@ int DiskArray::failed_member() const {
 
 double DiskArray::ChargeXorAt(double t, uint64_t xored_bytes) {
   const double instructions =
-      spec_.xor_instructions_per_byte * static_cast<double>(xored_bytes);
+      kXorInstructionsPerByte * static_cast<double>(xored_bytes);
   if (meter_ != nullptr && xor_channel_.valid()) {
     meter_->AddEnergyAt(xor_channel_, t,
-                        instructions * spec_.xor_joules_per_instruction);
+                        instructions * kXorJoulesPerInstruction);
   }
   return instructions;
 }
@@ -181,8 +166,7 @@ StatusOr<IoResult> DiskArray::Submit(double earliest_start, uint64_t bytes,
     const double instructions = ChargeXorAt(member_completion, xored_bytes);
     faults.degraded_reads += 1;
     faults.reconstruct_instructions += instructions;
-    faults.reconstruct_joules +=
-        instructions * spec_.xor_joules_per_instruction;
+    faults.reconstruct_joules += instructions * kXorJoulesPerInstruction;
   }
 
   // The controller/SAS fabric moves the full request serially; the array is
@@ -291,7 +275,6 @@ StatusOr<RebuildReport> RebuildScheduler::Run(
   }
   const int dead = array_->failed_member();
   const int n = array_->num_members();
-  const double xor_jpi = array_->spec().xor_joules_per_instruction;
 
   RebuildReport report;
   report.start_time = start_time;
@@ -321,7 +304,7 @@ StatusOr<RebuildReport> RebuildScheduler::Run(
     const uint64_t xored = static_cast<uint64_t>(n - 1) * chunk;
     const double instructions = array_->ChargeXorAt(read_done, xored);
     report.xor_instructions += instructions;
-    report.xor_joules += instructions * xor_jpi;
+    report.xor_joules += instructions * kXorJoulesPerInstruction;
     // ...and stream it onto the spare.
     ECODB_ASSIGN_OR_RETURN(
         const IoResult w,

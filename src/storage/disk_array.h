@@ -37,10 +37,15 @@ enum class RaidLevel {
   kRaid5,  // striping + rotated parity
 };
 
+/// XOR reconstruction cost: instructions per byte of survivor data folded
+/// together, and Joules per instruction on the array controller. Charged to
+/// the "<name>.xor" meter channel in degraded mode / rebuild.
+inline constexpr double kXorInstructionsPerByte = 0.05;
+inline constexpr double kXorJoulesPerInstruction = 1e-9;
+
 /// Array-level behaviour parameters.
 struct ArraySpec {
   RaidLevel level = RaidLevel::kRaid5;
-  uint64_t stripe_unit_bytes = 256 * 1024;
   /// Aggregate ceiling of the controller / SAS fabric.
   double controller_bw_bytes_per_s = 3.0 * 1e9;
   /// Fixed per-request array overhead (dispatch, interrupt coalescing).
@@ -49,11 +54,6 @@ struct ArraySpec {
   /// ~ (1 + alpha * (n - 1)) times the fair share. Models load imbalance
   /// that worsens with width; drives the diminishing returns of Figure 1.
   double stripe_skew_alpha = 0.0015;
-  /// XOR reconstruction cost: instructions per byte of survivor data
-  /// folded together, and Joules per instruction on the array controller.
-  /// Charged to the "<name>.xor" meter channel in degraded mode / rebuild.
-  double xor_instructions_per_byte = 0.05;
-  double xor_joules_per_instruction = 1e-9;
 };
 
 /// A striped array presenting the StorageDevice interface over its members.
@@ -96,9 +96,6 @@ class DiskArray final : public StorageDevice {
   int num_members() const { return static_cast<int>(members_.size()); }
   StorageDevice* member(int i) { return members_[i].get(); }
   const ArraySpec& spec() const { return spec_; }
-
-  /// Data capacity fraction: RAID5 loses one disk's worth to parity.
-  double DataFraction() const;
 
   // --- Degraded mode -----------------------------------------------------
 

@@ -9,16 +9,6 @@
 
 namespace ecodb::storage {
 
-const char* TableLayoutName(TableLayout layout) {
-  switch (layout) {
-    case TableLayout::kRow:
-      return "row";
-    case TableLayout::kColumn:
-      return "column";
-  }
-  return "unknown";
-}
-
 size_t ColumnData::size() const {
   switch (type) {
     case catalog::DataType::kInt64:

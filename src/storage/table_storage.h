@@ -31,8 +31,6 @@ enum class TableLayout {
   kColumn,  // DSM: scans read only projected columns
 };
 
-const char* TableLayoutName(TableLayout layout);
-
 /// One column's values. Exactly one lane is populated, per the type.
 struct ColumnData {
   catalog::DataType type = catalog::DataType::kInt64;

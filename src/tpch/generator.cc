@@ -30,9 +30,15 @@ constexpr uint64_t kPartSalt = 0x165667b19e3779f9ULL;
 constexpr uint64_t kSupplierSalt = 0x27d4eb2f165667c5ULL;
 constexpr uint64_t kPartsuppSalt = 0x85ebca6b27d4eb4fULL;
 
+// ORDERS rows per unit of scale factor: 1/100 of TPC-H's 1.5M.
+constexpr uint64_t kOrdersPerSf = 15000;
+
+// Each order draws 1..kMaxLineitemsPerOrder lineitems (mean 4).
+constexpr int64_t kMaxLineitemsPerOrder = 7;
+
 uint64_t OrderCount(const TpchConfig& config) {
   return static_cast<uint64_t>(config.scale_factor *
-                               static_cast<double>(config.orders_per_sf));
+                               static_cast<double>(kOrdersPerSf));
 }
 
 }  // namespace
@@ -180,10 +186,7 @@ std::vector<ColumnData> GenerateLineitem(const TpchConfig& config) {
   const uint64_t parts = RowCountsFor(config).parts;
   const uint64_t supps = RowCountsFor(config).suppliers;
   for (uint64_t o = 1; o <= orders; ++o) {
-    // 1..7 lineitems per order, mean ~ lineitems_per_order.
-    const int64_t max_items = std::max<int64_t>(
-        1, static_cast<int64_t>(2.0 * config.lineitems_per_order) - 1);
-    const int64_t items = rng.Uniform(1, max_items);
+    const int64_t items = rng.Uniform(1, kMaxLineitemsPerOrder);
     for (int64_t l = 0; l < items; ++l) {
       okey.i64.push_back(static_cast<int64_t>(o));
       pkey.i64.push_back(rng.Uniform(1, static_cast<int64_t>(parts)));
@@ -387,7 +390,6 @@ StatusOr<TpchDatabase> LoadDatabase(const TpchConfig& config,
     ECODB_RETURN_IF_ERROR(out->storage->AnalyzeInto(&out->stats));
     return catalog->UpdateStats(id, out->stats);
   };
-  // Dimensions first so fact-table FKs can resolve their parents.
   ECODB_RETURN_IF_ERROR(
       load_one("customer", CustomerSchema(), LoadCustomer, &db.customer));
   ECODB_RETURN_IF_ERROR(load_one("part", PartSchema(), LoadPart, &db.part));
@@ -399,19 +401,6 @@ StatusOr<TpchDatabase> LoadDatabase(const TpchConfig& config,
       load_one("orders", OrdersSchema(), LoadOrders, &db.orders));
   ECODB_RETURN_IF_ERROR(
       load_one("lineitem", LineitemSchema(), LoadLineitem, &db.lineitem));
-
-  auto fk = [&](const TpchTable& child, const char* column,
-                const char* parent, const char* parent_column) {
-    return catalog->AddForeignKey(
-        child.storage->id(), {column, parent, parent_column});
-  };
-  ECODB_RETURN_IF_ERROR(fk(db.orders, "o_custkey", "customer", "c_custkey"));
-  ECODB_RETURN_IF_ERROR(fk(db.lineitem, "l_orderkey", "orders", "o_orderkey"));
-  ECODB_RETURN_IF_ERROR(fk(db.lineitem, "l_partkey", "part", "p_partkey"));
-  ECODB_RETURN_IF_ERROR(fk(db.lineitem, "l_suppkey", "supplier", "s_suppkey"));
-  ECODB_RETURN_IF_ERROR(fk(db.partsupp, "ps_partkey", "part", "p_partkey"));
-  ECODB_RETURN_IF_ERROR(
-      fk(db.partsupp, "ps_suppkey", "supplier", "s_suppkey"));
   return db;
 }
 

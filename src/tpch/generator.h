@@ -16,9 +16,9 @@
 // and each table consumes its own seeded RNG stream, so adding tables never
 // perturbs the bytes of an existing one.
 //
-// Row counts scale volumetrically: `orders_per_sf` rows of ORDERS per unit
-// of scale factor, so tests run in milliseconds while benchmark configs can
-// scale up.
+// Row counts scale volumetrically: 15,000 rows of ORDERS (1/100 of
+// TPC-H's 1.5M) per unit of scale factor, so tests run in milliseconds
+// while benchmark configs can scale up.
 
 #ifndef ECODB_TPCH_GENERATOR_H_
 #define ECODB_TPCH_GENERATOR_H_
@@ -36,8 +36,6 @@ namespace ecodb::tpch {
 
 struct TpchConfig {
   double scale_factor = 1.0;
-  uint64_t orders_per_sf = 15000;  // 1/100 of TPC-H's 1.5M, volumetric
-  double lineitems_per_order = 4.0;
   uint64_t seed = 20090104;  // CIDR 2009 opening day
 };
 
@@ -132,10 +130,9 @@ struct TpchTable {
 };
 
 /// The full widened database: all six tables loaded on `device`, analyzed,
-/// and registered in `catalog` (names "orders", "lineitem", "customer",
-/// "part", "supplier", "partsupp") together with the declared foreign keys
-/// (o_custkey -> customer, l_orderkey -> orders, l_partkey -> part,
-/// l_suppkey -> supplier, ps_partkey -> part, ps_suppkey -> supplier).
+/// and registered in `catalog` under the names "customer", "part",
+/// "supplier", "partsupp", "orders" and "lineitem" (in that order, which
+/// fixes their table ids).
 struct TpchDatabase {
   TpchTable orders;
   TpchTable lineitem;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace ecodb {
 
@@ -42,28 +41,6 @@ void Histogram::Add(double value) {
   ++buckets_[BucketFor(value)];
 }
 
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 double Histogram::min() const { return count_ ? min_ : 0.0; }
 double Histogram::max() const { return count_ ? max_ : 0.0; }
 double Histogram::Mean() const {
@@ -85,15 +62,6 @@ double Histogram::Percentile(double q) const {
     }
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g", count_,
-                Mean(), Percentile(0.5), Percentile(0.95), Percentile(0.99),
-                max());
-  return buf;
 }
 
 }  // namespace ecodb

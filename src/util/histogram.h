@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ecodb {
@@ -23,11 +22,6 @@ class Histogram {
   /// Records one sample. Negative samples are clamped to zero.
   void Add(double value);
 
-  /// Merges another histogram's samples into this one.
-  void Merge(const Histogram& other);
-
-  void Reset();
-
   size_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const;
@@ -36,9 +30,6 @@ class Histogram {
 
   /// Estimated value at quantile q in [0, 1]. Returns 0 for empty histograms.
   double Percentile(double q) const;
-
-  /// One-line summary, e.g. "n=100 mean=1.2 p50=1.1 p95=2.3 p99=4.0 max=5".
-  std::string Summary() const;
 
  private:
   size_t BucketFor(double value) const;

@@ -28,8 +28,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kShed:
-      return "Shed";
   }
   return "Unknown";
 }

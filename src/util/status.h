@@ -28,7 +28,6 @@ enum class StatusCode {
   kDataLoss,
   kUnavailable,
   kDeadlineExceeded,
-  kShed,
 };
 
 /// Returns a stable human-readable name for `code` (e.g. "InvalidArgument").
@@ -77,11 +76,6 @@ class [[nodiscard]] Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  /// The serving core refused or aborted the work under overload or a
-  /// power cap (DESIGN.md §14). Partial charges stay on the session bill.
-  static Status Shed(std::string msg) {
-    return Status(StatusCode::kShed, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

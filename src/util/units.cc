@@ -4,24 +4,6 @@
 
 namespace ecodb {
 
-std::string FormatBytes(uint64_t bytes) {
-  char buf[64];
-  if (bytes >= kGiB) {
-    std::snprintf(buf, sizeof(buf), "%.2f GiB",
-                  static_cast<double>(bytes) / static_cast<double>(kGiB));
-  } else if (bytes >= kMiB) {
-    std::snprintf(buf, sizeof(buf), "%.2f MiB",
-                  static_cast<double>(bytes) / static_cast<double>(kMiB));
-  } else if (bytes >= kKiB) {
-    std::snprintf(buf, sizeof(buf), "%.2f KiB",
-                  static_cast<double>(bytes) / static_cast<double>(kKiB));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  }
-  return buf;
-}
-
 std::string FormatSeconds(double seconds) {
   char buf[64];
   if (seconds >= 1.0) {

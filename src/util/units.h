@@ -19,9 +19,6 @@ constexpr double kMilli = 1e-3;
 constexpr double kMicro = 1e-6;
 constexpr double kNano = 1e-9;
 
-/// Formats a byte count with a binary suffix, e.g. "1.5 GiB".
-std::string FormatBytes(uint64_t bytes);
-
 /// Formats seconds adaptively, e.g. "12.3 ms", "4.56 s".
 std::string FormatSeconds(double seconds);
 

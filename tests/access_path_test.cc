@@ -12,6 +12,7 @@
 #include "power/platform.h"
 #include "storage/btree.h"
 #include "storage/hdd.h"
+#include "storage/page.h"
 #include "storage/table_storage.h"
 #include "util/random.h"
 
@@ -23,6 +24,7 @@ using catalog::DataType;
 using catalog::Schema;
 using exec::And;
 using exec::Col;
+using exec::ExprPtr;
 using exec::Lit;
 
 // --- ExtractKeyRange -----------------------------------------------------------
@@ -65,6 +67,32 @@ TEST(ExtractKeyRange, LiteralOnLeftNormalized) {
   ASSERT_TRUE(Planner::ExtractKeyRange(Lit(int64_t{50}) > Col("k"), "k",
                                        &lo, &hi));
   EXPECT_EQ(hi, 49);
+}
+
+TEST(ExtractKeyRange, BoundsBeyondInt64AreEmpty) {
+  // `< INT64_MIN` and `> INT64_MAX` admit no key: the range comes back
+  // empty (lo > hi), alone and intersected with an ordinary bound, instead
+  // of wrapping around to the whole key domain.
+  const ExprPtr below = Col("k") < Lit(int64_t{INT64_MIN});
+  const ExprPtr above = Col("k") > Lit(int64_t{INT64_MAX});
+  for (const ExprPtr& f :
+       {below, above, And(below, Col("k") >= Lit(int64_t{5})),
+        And(Col("k") <= Lit(int64_t{5}), above), And(below, above),
+        Lit(int64_t{INT64_MIN}) > Col("k")}) {
+    int64_t lo = 0, hi = 0;
+    ASSERT_TRUE(Planner::ExtractKeyRange(f, "k", &lo, &hi)) << f->ToString();
+    EXPECT_GT(lo, hi) << f->ToString();
+  }
+  // The extremes themselves stay reachable.
+  int64_t lo = 0, hi = 0;
+  ASSERT_TRUE(Planner::ExtractKeyRange(Col("k") <= Lit(int64_t{INT64_MIN}),
+                                       "k", &lo, &hi));
+  EXPECT_EQ(lo, INT64_MIN);
+  EXPECT_EQ(hi, INT64_MIN);
+  ASSERT_TRUE(Planner::ExtractKeyRange(Col("k") >= Lit(int64_t{INT64_MAX}),
+                                       "k", &lo, &hi));
+  EXPECT_EQ(lo, INT64_MAX);
+  EXPECT_EQ(hi, INT64_MAX);
 }
 
 TEST(ExtractKeyRange, UnconstrainedReturnsFalse) {
@@ -188,6 +216,25 @@ TEST_F(AccessPathTest, BothPathsReturnIdenticalRows) {
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->TotalRows(), 501u) << AccessPathName(path);
   }
+}
+
+TEST_F(AccessPathTest, KeyBelowInt64MinPlansAndRunsToNoRows) {
+  // No key lies below INT64_MIN, so the index range is empty: the plan
+  // reads at most the index's root-to-leaf path and returns no rows.
+  QuerySpec spec = SpecWithRange(20);
+  spec.left.filter = Col("id") < Lit(int64_t{INT64_MIN});
+  auto plan = planner_->ChoosePlan(spec, Objective::Performance());
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  EXPECT_EQ(plan->join_nodes[plan->join_root].path, AccessPath::kIndexScan);
+  auto op = planner_->BuildOperator(spec, *plan);
+  ASSERT_TRUE(op.ok()) << op.status().message();
+  exec::ExecContext ctx(platform_.get(), exec::ExecOptions{});
+  auto rows = exec::CollectAll(op->get(), &ctx);
+  const exec::QueryStats stats = ctx.Finish();
+  ASSERT_TRUE(rows.ok()) << rows.status().message();
+  EXPECT_EQ(rows->TotalRows(), 0u);
+  EXPECT_LE(stats.io_bytes, static_cast<uint64_t>(index_->height()) *
+                                storage::Page::kPageSize);
 }
 
 TEST_F(AccessPathTest, DescribeNamesTheAccessPath) {

@@ -298,8 +298,7 @@ class AggregateDifferentialTest : public ::testing::TestWithParam<Case> {
     if (auto* source = dynamic_cast<MorselSource*>(child.get())) {
       for (size_t m = 0; m < source->morsel_count(); ++m) {
         RecordBatch batch;
-        WorkAccumulator acc;
-        EXPECT_TRUE(source->ProduceMorsel(m, &batch, &acc).ok());
+        EXPECT_TRUE(source->ProduceMorsel(m, &batch).ok());
         OracleMap partial;
         OracleFold(batch, group_by, aggs, &partial);
         OracleMerge(partial, &groups);

@@ -24,7 +24,7 @@ TEST(BTree, EmptyTree) {
   BTreeIndex tree;
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.height(), 1);
-  EXPECT_TRUE(tree.Lookup(5).empty());
+  EXPECT_TRUE(tree.RangeScan(5, 5).empty());
   EXPECT_TRUE(tree.RangeScan(0, 100).empty());
   EXPECT_TRUE(tree.Validate().ok());
 }
@@ -38,12 +38,12 @@ TEST(BTree, InsertAndLookup) {
   EXPECT_GT(tree.height(), 2);  // fanout 4 must have split repeatedly
   EXPECT_TRUE(tree.Validate().ok());
   for (int64_t k = 0; k < 100; ++k) {
-    const auto hits = tree.Lookup(k);
+    const auto hits = tree.RangeScan(k, k);
     ASSERT_EQ(hits.size(), 1u) << k;
     EXPECT_EQ(hits[0], static_cast<uint64_t>(k * 10));
   }
-  EXPECT_TRUE(tree.Lookup(-1).empty());
-  EXPECT_TRUE(tree.Lookup(100).empty());
+  EXPECT_TRUE(tree.RangeScan(-1, -1).empty());
+  EXPECT_TRUE(tree.RangeScan(100, 100).empty());
 }
 
 TEST(BTree, ReverseAndShuffledInsertionOrders) {
@@ -69,9 +69,9 @@ TEST(BTree, DuplicatesAcrossSplits) {
   for (uint64_t r = 0; r < 50; ++r) tree.Insert(7, r);
   for (uint64_t r = 0; r < 10; ++r) tree.Insert(3, 100 + r);
   ASSERT_TRUE(tree.Validate().ok());
-  EXPECT_EQ(tree.Lookup(7).size(), 50u);
-  EXPECT_EQ(tree.Lookup(3).size(), 10u);
-  EXPECT_TRUE(tree.Lookup(5).empty());
+  EXPECT_EQ(tree.RangeScan(7, 7).size(), 50u);
+  EXPECT_EQ(tree.RangeScan(3, 3).size(), 10u);
+  EXPECT_TRUE(tree.RangeScan(5, 5).empty());
   EXPECT_EQ(tree.RangeScan(3, 7).size(), 60u);
 }
 
@@ -88,19 +88,6 @@ TEST(BTree, RangeScanBoundaries) {
   EXPECT_EQ(tree.RangeScan(INT64_MIN, INT64_MAX).size(), 50u);
 }
 
-TEST(BTree, EraseRemovesSpecificEntry) {
-  BTreeIndex tree(4);
-  tree.Insert(1, 10);
-  tree.Insert(1, 11);
-  tree.Insert(2, 20);
-  EXPECT_TRUE(tree.Erase(1, 11));
-  EXPECT_FALSE(tree.Erase(1, 11));  // already gone
-  EXPECT_FALSE(tree.Erase(9, 0));   // never existed
-  EXPECT_EQ(tree.Lookup(1), (std::vector<uint64_t>{10}));
-  EXPECT_EQ(tree.size(), 2u);
-  EXPECT_TRUE(tree.Validate().ok());
-}
-
 TEST(BTree, RandomizedShadowModel) {
   BTreeIndex tree(8);
   std::multimap<int64_t, uint64_t> model;
@@ -113,11 +100,13 @@ TEST(BTree, RandomizedShadowModel) {
       tree.Insert(key, next_row);
       model.emplace(key, next_row);
       ++next_row;
-    } else if (op <= 7 && !model.empty()) {  // erase random entry
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(0, static_cast<int64_t>(model.size()) - 1));
-      EXPECT_TRUE(tree.Erase(it->first, it->second));
-      model.erase(it);
+    } else if (op <= 7) {  // point lookup: row ids in insertion order
+      const int64_t key = rng.Uniform(0, 200);
+      std::vector<uint64_t> expect;
+      for (auto [it, end] = model.equal_range(key); it != end; ++it) {
+        expect.push_back(it->second);
+      }
+      ASSERT_EQ(tree.RangeScan(key, key), expect) << key;
     } else {  // range check
       const int64_t lo = rng.Uniform(0, 200);
       const int64_t hi = lo + rng.Uniform(0, 50);

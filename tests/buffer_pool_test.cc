@@ -140,15 +140,6 @@ TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyPage) {
   EXPECT_EQ(pool.stats().dirty_writebacks, 2u);
 }
 
-TEST_F(BufferPoolTest, InvalidateDropsWithoutWriteback) {
-  BufferPool pool = MakePool(4, ReplacementPolicy::kLru);
-  ASSERT_TRUE(pool.Access(PageId{1, 0}, &ssd_, true).ok());
-  pool.Invalidate(PageId{1, 0});
-  EXPECT_FALSE(pool.IsResident(PageId{1, 0}));
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.stats().dirty_writebacks, 0u);
-}
-
 TEST_F(BufferPoolTest, DramHitAccountingCharges) {
   BufferPoolConfig config;
   config.num_frames = 4;

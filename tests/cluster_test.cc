@@ -97,10 +97,5 @@ TEST(Cluster, OverloadClampsToCapacity) {
               4 * 300.0, 1e-9);
 }
 
-TEST(Cluster, PolicyNames) {
-  EXPECT_STREQ(DispatchPolicyName(DispatchPolicy::kSpread), "spread");
-  EXPECT_STREQ(DispatchPolicyName(DispatchPolicy::kPack), "pack");
-}
-
 }  // namespace
 }  // namespace ecodb::sched

@@ -1,8 +1,9 @@
 // Differential tests for the raw-speed decode kernels: every fast decoder
-// (word-at-a-time bit unpack, run-at-a-time RLE, grouped-varint delta) must
-// produce byte-identical output to its reference scalar twin on adversarial
-// inputs — and must accept/reject exactly the same buffers. The reference
-// decoders are the oracle; any divergence is a kernel bug by definition.
+// (word-at-a-time bit unpack, grouped-varint delta) must produce
+// byte-identical output to its reference scalar twin on adversarial inputs
+// — and must accept/reject exactly the same buffers. The reference decoders
+// are the oracle; any divergence is a kernel bug by definition. RLE has one
+// decoder behind both factories, which these cases still run.
 
 #include <cstdint>
 #include <limits>

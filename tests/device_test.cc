@@ -259,15 +259,6 @@ TEST(DiskArray, Raid5WritesAmplify) {
   EXPECT_GT(t5, t0 * 1.2);
 }
 
-TEST(DiskArray, Raid5LosesOneDiskOfCapacity) {
-  sim::SimClock clock;
-  power::EnergyMeter meter(&clock);
-  auto r5 = MakeArray(4, &meter, RaidLevel::kRaid5);
-  EXPECT_DOUBLE_EQ(r5->DataFraction(), 0.75);
-  auto r0 = MakeArray(4, &meter, RaidLevel::kRaid0);
-  EXPECT_DOUBLE_EQ(r0->DataFraction(), 1.0);
-}
-
 TEST(DiskArray, PowerDownAllMembers) {
   sim::SimClock clock;
   power::EnergyMeter meter(&clock);

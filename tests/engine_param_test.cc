@@ -126,7 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PhysicalKnobs>& info) {
       const PhysicalKnobs& k = info.param;
       return "batch" + std::to_string(k.batch_rows) + "_" +
-             std::string(storage::TableLayoutName(k.layout)) + "_" +
+             (k.layout == storage::TableLayout::kRow ? "row" : "column") +
+             "_" +
              storage::CompressionKindName(k.key_codec) + "_dop" +
              std::to_string(k.dop) + "_p" + std::to_string(k.pstate);
     });

@@ -176,15 +176,18 @@ TEST(Expr, DateComparesAsInteger) {
 TEST(Expr, EvaluateMaskRequiresBoolean) {
   auto e = Col("b");  // double-typed
   ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_FALSE(e->EvaluateMask(TestBatch()).ok());
+  EvalScratch scratch;
+  std::vector<uint8_t> mask;
+  EXPECT_FALSE(e->EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
 }
 
 TEST(Expr, EvaluateMaskFromComparison) {
   auto e = Col("a") != Lit(int64_t{3});
   ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto mask = e->EvaluateMask(TestBatch());
-  ASSERT_TRUE(mask.ok());
-  EXPECT_EQ(*mask, (std::vector<uint8_t>{1, 1, 0, 1}));
+  EvalScratch scratch;
+  std::vector<uint8_t> mask;
+  ASSERT_TRUE(e->EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{1, 1, 0, 1}));
 }
 
 TEST(Expr, InstructionCostGrowsWithTreeSize) {

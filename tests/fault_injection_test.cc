@@ -369,13 +369,12 @@ TEST(DiskArrayDegraded, ReadCostsMoreThanHealthyAndMatchesXorModel) {
 
   // Instructions: the controller folds the (n-1) survivor shares.
   const double share = static_cast<double>(bytes) / n;
-  const ArraySpec& spec = degraded.array->spec();
   const double expected_instr =
-      spec.xor_instructions_per_byte * (n - 1) * share;
+      storage::kXorInstructionsPerByte * (n - 1) * share;
   EXPECT_NEAR(d.reconstruct_instructions, expected_instr,
               expected_instr * 1e-6 + 1.0);
   EXPECT_NEAR(d.reconstruct_joules,
-              expected_instr * spec.xor_joules_per_instruction,
+              expected_instr * storage::kXorJoulesPerInstruction,
               d.reconstruct_joules * 1e-6 + 1e-12);
   EXPECT_EQ(h.reconstruct_instructions, 0.0);
 

@@ -148,7 +148,7 @@ TEST_F(OperatorTest, ScanChargesDeviceIo) {
   EXPECT_GT(delta.busy_seconds[ssd_->channel().index], 0.0);
 }
 
-// --- Filter / Project -----------------------------------------------------------
+// --- Filter ---------------------------------------------------------------------
 
 TEST_F(OperatorTest, FilterKeepsMatchingRows) {
   auto table = MakeOrders(100);
@@ -176,19 +176,6 @@ TEST_F(OperatorTest, FilterUnboundColumnFailsOpen) {
       Col("price") > Lit(1.0));
   ExecContext ctx(platform_.get(), ExecOptions{});
   EXPECT_FALSE(plan->Open(&ctx).ok());
-}
-
-TEST_F(OperatorTest, ProjectComputesExpressions) {
-  auto table = MakeOrders(10);
-  std::vector<ProjectionItem> items;
-  items.push_back({"double_price", Col("price") * Lit(2.0)});
-  items.push_back({"id", Col("id")});
-  auto plan = std::make_unique<ProjectOp>(
-      std::make_unique<TableScanOp>(table.get()), std::move(items));
-  auto result = RunPlan(plan.get());
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->schema.column(0).name, "double_price");
-  EXPECT_DOUBLE_EQ(result->batches[0].GetValue(2, 0).f64, 60.0);
 }
 
 // --- Joins ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 // choice under an energy objective (Figure 2) and hash-vs-nested-loop under
 // memory-power pricing (Section 4.1).
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "storage/btree.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
+#include "naive_reference.h"
 
 namespace ecodb::optimizer {
 namespace {
@@ -41,25 +44,59 @@ class OptimizerTest : public ::testing::Test {
   }
 
   /// Columns `k` (i % ndv), `v` (i) and `w` (i / 2), each name prefixed
-  /// by `prefix` so two tables in one join can keep their names apart.
+  /// by `prefix` so two tables in one join can keep their names apart. `k`
+  /// is stored as `key_type`: i % ndv as an int64 or date, i % ndv + 0.5
+  /// as a double, "key<i % ndv>" as a string.
   std::unique_ptr<storage::TableStorage> MakeTable(
-      catalog::TableId id, int n, int ndv, const std::string& prefix = "") {
-    Schema schema({Column{prefix + "k", DataType::kInt64, 8},
+      catalog::TableId id, int n, int ndv, const std::string& prefix = "",
+      DataType key_type = DataType::kInt64) {
+    Schema schema({Column{prefix + "k", key_type, 8},
                    Column{prefix + "v", DataType::kInt64, 8},
                    Column{prefix + "w", DataType::kDouble, 8}});
     auto table = std::make_unique<storage::TableStorage>(
         id, schema, storage::TableLayout::kColumn, ssd_.get());
     std::vector<storage::ColumnData> cols(3);
-    cols[0].type = DataType::kInt64;
+    cols[0].type = key_type;
     cols[1].type = DataType::kInt64;
     cols[2].type = DataType::kDouble;
     for (int i = 0; i < n; ++i) {
-      cols[0].i64.push_back(i % ndv);
+      const int key = i % ndv;
+      if (key_type == DataType::kDouble) {
+        cols[0].f64.push_back(key + 0.5);
+      } else if (key_type == DataType::kString) {
+        cols[0].str.push_back("key" + std::to_string(key));
+      } else {
+        cols[0].i64.push_back(key);
+      }
       cols[1].i64.push_back(i);
       cols[2].f64.push_back(i * 0.5);
     }
     EXPECT_TRUE(table->Append(cols).ok());
     return table;
+  }
+
+  /// `plan`'s rows with the columns in name order, sorted, so plans that
+  /// orient or run the join differently compare equal.
+  std::vector<exec::naive::Row> CanonicalRows(const Planner& planner,
+                                              const QuerySpec& spec,
+                                              const PhysicalPlan& plan) {
+    auto op = planner.BuildOperator(spec, plan);
+    EXPECT_TRUE(op.ok()) << op.status().message();
+    if (!op.ok()) return {};
+    const exec::naive::Rows rows =
+        exec::naive::Materialize(op->get(), platform_.get());
+    std::vector<size_t> order(static_cast<size_t>(rows.schema.num_columns()));
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return rows.schema.column(static_cast<int>(a)).name <
+             rows.schema.column(static_cast<int>(b)).name;
+    });
+    std::vector<exec::naive::Row> out;
+    for (const exec::naive::Row& row : rows.rows) {
+      exec::naive::Row& named = out.emplace_back();
+      for (size_t c : order) named.push_back(row[c]);
+    }
+    return exec::naive::Canonical(std::move(out));
   }
 
   CostModel MakeModel(double memory_premium = 1.0) {
@@ -333,6 +370,104 @@ TEST_F(OptimizerTest, AllJoinAlgorithmsBuildAndAgree) {
       EXPECT_EQ(rows->TotalRows(), expected_rows) << desc;
     }
   }
+}
+
+TEST_F(OptimizerTest, ChosenJoinRunsItsKeyType) {
+  // A1's rig (bench/ablate_join_energy: 20,000 rows joined to 400 on
+  // i % 400) with the key columns retyped. Whatever the memory premium and
+  // however many algorithms the planner enumerates, the join it picks must
+  // run the keys it joins on: a hash join cannot hash doubles, a merge join
+  // walks int64 lanes only. Hash-only planning of double keys has no
+  // runnable plan and says which edge.
+  const std::pair<DataType, const char*> kKeyTypes[] = {
+      {DataType::kInt64, "int64"},
+      {DataType::kDate, "date"},
+      {DataType::kString, "string"},
+      {DataType::kDouble, "double"}};
+  for (const auto& [type, type_name] : kKeyTypes) {
+    SCOPED_TRACE(std::string(type_name) + " keys");
+    auto big = MakeTable(1, 20000, 400, "", type);
+    auto small = MakeTable(2, 400, 400, "s", type);
+    QuerySpec spec;
+    spec.relations.resize(2);
+    spec.relations[0].name = "big";
+    spec.relations[0].variants = {big.get()};
+    spec.relations[0].columns = {"k", "v"};
+    spec.relations[1].name = "small";
+    spec.relations[1].variants = {small.get()};
+    spec.relations[1].columns = {"sk"};
+    spec.edges = {{0, 1, "k", "sk"}};
+
+    // The reference: a nested-loop join runs any comparable key types.
+    CostModel reference_model = MakeModel();
+    Planner reference_planner(&reference_model);
+    auto canonical = CanonicalJoinPlan(spec);
+    ASSERT_TRUE(canonical.ok()) << canonical.status().message();
+    PhysicalPlan nested = *canonical;
+    nested.join_nodes[nested.join_root].algo = JoinAlgorithm::kNestedLoop;
+    const std::vector<exec::naive::Row> expected =
+        CanonicalRows(reference_planner, spec, nested);
+    ASSERT_EQ(expected.size(), 20000u);
+
+    for (double premium : {1.0, 1e8}) {
+      for (bool enumerate : {true, false}) {
+        SCOPED_TRACE("premium " + std::to_string(premium) +
+                     (enumerate ? ", all algorithms" : ", hash only"));
+        CostModel model = MakeModel(premium);
+        PlannerOptions options;
+        options.enumerate_join_algorithms = enumerate;
+        Planner planner(&model, options);
+        auto plan = planner.ChoosePlan(spec, Objective::Energy());
+        if (type == DataType::kDouble && !enumerate) {
+          ASSERT_FALSE(plan.ok());
+          EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+          EXPECT_NE(plan.status().message().find("join edge k = sk"),
+                    std::string::npos)
+              << plan.status().message();
+          continue;
+        }
+        ASSERT_TRUE(plan.ok()) << plan.status().message();
+        EXPECT_TRUE(CanonicalRows(planner, spec, *plan) == expected)
+            << plan->Describe(spec);
+      }
+    }
+  }
+}
+
+TEST_F(OptimizerTest, HandSetPlanWithUnrunnableKeysRejected) {
+  // PricePlan applies the same rule the DP does: a merge join on double
+  // keys, or a hash join on them, is no plan at all. String keys cannot
+  // meet numeric ones under any algorithm, so Analyze rejects that edge.
+  auto big = MakeTable(1, 200, 40, "", DataType::kDouble);
+  auto small = MakeTable(2, 40, 40, "s", DataType::kDouble);
+  QuerySpec spec;
+  spec.relations.resize(2);
+  spec.relations[0].name = "big";
+  spec.relations[0].variants = {big.get()};
+  spec.relations[1].name = "small";
+  spec.relations[1].variants = {small.get()};
+  spec.edges = {{0, 1, "k", "sk"}};
+  CostModel model = MakeModel();
+  Planner planner(&model);
+  auto canonical = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
+  for (JoinAlgorithm algo : {JoinAlgorithm::kHash, JoinAlgorithm::kMerge,
+                             JoinAlgorithm::kNestedLoop}) {
+    PhysicalPlan plan = *canonical;
+    plan.join_nodes[plan.join_root].algo = algo;
+    EXPECT_EQ(planner.PricePlan(spec, plan).ok(),
+              algo == JoinAlgorithm::kNestedLoop)
+        << JoinAlgorithmName(algo);
+  }
+
+  auto strings = MakeTable(3, 40, 40, "s", DataType::kString);
+  spec.relations[1].variants = {strings.get()};
+  auto mixed = planner.ChoosePlan(spec, Objective::Energy());
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mixed.status().message().find("join edge k = sk"),
+            std::string::npos)
+      << mixed.status().message();
 }
 
 TEST_F(OptimizerTest, SharedColumnNameAcrossRelationsRejected) {

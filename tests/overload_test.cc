@@ -80,20 +80,29 @@ struct ExecRig {
   std::unique_ptr<storage::SsdDevice> ssd;
 };
 
-TEST(CancelExecTest, ExplicitKillSurfacesAsShedAndKeepsCharges) {
+TEST(CancelExecTest, DeadlineKillHoldsAtEveryLaterPollAndKeepsCharges) {
   ExecRig rig;
   exec::ExecContext ctx(rig.platform.get(), exec::ExecOptions{});
   EXPECT_TRUE(ctx.PollCancel().ok());
 
-  ctx.ChargeInstructions(1000.0);
+  // A deadline where 2,000 charged instructions project to: the poll passes
+  // until the charged work reaches it, then fails at every later poll
+  // (charges only move the projection forward).
+  const double start = rig.platform->clock()->now();
   exec::CancelToken token;
-  token.Cancel(exec::CancelReason::kShed);
+  token.deadline_s = start + rig.platform->cpu().SecondsForInstructions(
+                                 2000.0, /*pstate=*/0);
   ctx.set_cancel_token(token);
-  EXPECT_EQ(ctx.PollCancel().code(), StatusCode::kShed);
+  ctx.ChargeInstructions(1000.0);
+  EXPECT_TRUE(ctx.PollCancel().ok());
+  ctx.ChargeInstructions(1000.0);
+  EXPECT_EQ(ctx.PollCancel().code(), StatusCode::kDeadlineExceeded);
+  ctx.ChargeInstructions(1000.0);
+  EXPECT_EQ(ctx.PollCancel().code(), StatusCode::kDeadlineExceeded);
 
   // Partial work is real work: the kill does not un-charge anything.
   const exec::QueryStats stats = ctx.Finish();
-  EXPECT_DOUBLE_EQ(stats.cpu_instructions, 1000.0);
+  EXPECT_DOUBLE_EQ(stats.cpu_instructions, 3000.0);
 }
 
 TEST(CancelExecTest, DeadlineAtStartKillsBeforeAnyCharge) {
@@ -202,12 +211,13 @@ TEST(CancelExecTest, SharedScanFollowerKillLeavesLeaderTransferBilledOnce) {
   exec::TableScanOp follower_scan(table.get());
   ASSERT_TRUE(follower_scan.Open(&follower).ok());
   exec::CancelToken token;
-  token.Cancel(exec::CancelReason::kShed);
+  token.deadline_s = rig.platform->clock()->now();  // already passed
   follower.set_cancel_token(token);
 
   exec::RecordBatch batch;
   bool eos = false;
-  EXPECT_EQ(follower_scan.Next(&batch, &eos).code(), StatusCode::kShed);
+  EXPECT_EQ(follower_scan.Next(&batch, &eos).code(),
+            StatusCode::kDeadlineExceeded);
   const exec::QueryStats follower_stats = follower.Finish();
   EXPECT_EQ(follower_stats.io_bytes, 0u);
   EXPECT_EQ(follower_stats.rows_emitted, 0u);
@@ -246,12 +256,13 @@ TEST(CancelExecTest, SharedScanFollowerAtDopTwoBillsNoTransfer) {
   double staged = 0.0;
   EXPECT_FALSE(follower.ConsumeSharedScan(table.get(), &staged));
   exec::CancelToken token;
-  token.Cancel(exec::CancelReason::kShed);
+  token.deadline_s = rig.platform->clock()->now();  // already passed
   follower.set_cancel_token(token);
 
   exec::RecordBatch batch;
   bool eos = false;
-  EXPECT_EQ((*follower_scan)->Next(&batch, &eos).code(), StatusCode::kShed);
+  EXPECT_EQ((*follower_scan)->Next(&batch, &eos).code(),
+            StatusCode::kDeadlineExceeded);
   const exec::QueryStats follower_stats = follower.Finish();
   EXPECT_EQ(follower_stats.io_bytes, 0u);
   EXPECT_EQ(follower_stats.rows_emitted, 0u);

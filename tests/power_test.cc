@@ -110,7 +110,6 @@ CpuSpec TwoStateCpu() {
   spec.cores_per_socket = 4;
   spec.pstates = {{"P0", 2.0, 10.0}, {"P1", 1.0, 4.0}};
   spec.socket_idle_watts = 5.0;
-  spec.socket_sleep_watts = 1.0;
   spec.instructions_per_cycle = 1.0;
   return spec;
 }
@@ -119,7 +118,6 @@ TEST(CpuPowerModel, PeakIdleSleep) {
   CpuPowerModel cpu(TwoStateCpu());
   EXPECT_EQ(cpu.total_cores(), 8);
   EXPECT_DOUBLE_EQ(cpu.IdleWatts(), 10.0);
-  EXPECT_DOUBLE_EQ(cpu.SleepWatts(), 2.0);
   EXPECT_DOUBLE_EQ(cpu.PeakWatts(0), 10.0 + 8 * 10.0);
   EXPECT_DOUBLE_EQ(cpu.PeakWatts(1), 10.0 + 8 * 4.0);
 }
@@ -191,16 +189,11 @@ TEST(DeviceSpecs, ValidationCatchesOrderingErrors) {
   SsdSpec ssd;
   ssd.idle_watts = ssd.active_watts + 1.0;
   EXPECT_FALSE(ValidateSsdSpec(ssd).ok());
-
-  DramSpec dram;
-  dram.capacity_bytes = 0;
-  EXPECT_FALSE(ValidateDramSpec(dram).ok());
 }
 
 TEST(DeviceSpecs, DefaultsValidate) {
   EXPECT_TRUE(ValidateHddSpec(HddSpec{}).ok());
   EXPECT_TRUE(ValidateSsdSpec(SsdSpec{}).ok());
-  EXPECT_TRUE(ValidateDramSpec(DramSpec{}).ok());
 }
 
 TEST(DramSpec, BackgroundWattsScalesWithCapacity) {

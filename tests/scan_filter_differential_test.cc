@@ -143,14 +143,10 @@ class ScanFilterDifferentialTest : public ::testing::TestWithParam<Case> {
     EXPECT_TRUE(scan->Open(&ctx).ok());
     std::vector<RecordBatch> morsels(scan->morsel_count());
     WorkerPool* pool = ctx.worker_pool();
-    std::vector<WorkAccumulator> accs(
-        static_cast<size_t>(pool->parallelism()));
-    EXPECT_TRUE(pool->Run(morsels.size(), [&](size_t m, int slot) -> Status {
-                      return scan->ProduceMorsel(
-                          m, &morsels[m], &accs[static_cast<size_t>(slot)]);
+    EXPECT_TRUE(pool->Run(morsels.size(), [&](size_t m, int /*slot*/) -> Status {
+                      return scan->ProduceMorsel(m, &morsels[m]);
                     })
                     .ok());
-    for (const WorkAccumulator& acc : accs) ctx.MergeWork(acc);
     Outcome out;
     out.rows = RowsOf(morsels);
     scan->Close();

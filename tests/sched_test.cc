@@ -80,13 +80,6 @@ TEST_F(SpinDownTest, SsdHasNoUsefulSpinDown) {
   EXPECT_EQ(mgr.spin_downs(), 0);
 }
 
-TEST_F(SpinDownTest, PolicyNames) {
-  EXPECT_STREQ(SpinDownPolicyName(SpinDownPolicy::kNever), "never");
-  EXPECT_STREQ(SpinDownPolicyName(SpinDownPolicy::kFixedTimeout),
-               "fixed-timeout");
-  EXPECT_STREQ(SpinDownPolicyName(SpinDownPolicy::kBreakEven), "break-even");
-}
-
 // --- Batching -----------------------------------------------------------------
 
 class BatchingTest : public ::testing::Test {

@@ -67,7 +67,7 @@ TEST(TpchGenerator, LineitemReferencesOrders) {
     EXPECT_GE(key, 1);
     EXPECT_LE(key, static_cast<int64_t>(orders));
   }
-  // Roughly lineitems_per_order lines per order.
+  // Roughly four lines per order.
   const double ratio =
       static_cast<double>(lines[0].i64.size()) / static_cast<double>(orders);
   EXPECT_GT(ratio, 2.0);
@@ -213,22 +213,37 @@ TEST(TpchGenerator, LoadDatabaseRegistersTablesAndForeignKeys) {
             static_cast<size_t>(LineitemSchema().num_columns()));
   EXPECT_GT(db->customer.stats.columns[0].distinct_values, 0u);
 
-  // All six names registered; FKs declared on the child tables.
+  // All six names registered with their statistics; by those statistics
+  // every foreign key's values lie inside its parent's key range.
   for (const char* name : {"orders", "lineitem", "customer", "part",
                            "supplier", "partsupp"}) {
-    EXPECT_TRUE(catalog.GetTable(name).ok()) << name;
+    ASSERT_TRUE(catalog.GetTable(name).ok()) << name;
   }
-  auto orders_entry = catalog.GetTable("orders");
-  ASSERT_TRUE(orders_entry.ok());
-  ASSERT_EQ((*orders_entry)->foreign_keys.size(), 1u);
-  EXPECT_EQ((*orders_entry)->foreign_keys[0].column, "o_custkey");
-  EXPECT_EQ((*orders_entry)->foreign_keys[0].parent_table, "customer");
-  auto lineitem_entry = catalog.GetTable("lineitem");
-  ASSERT_TRUE(lineitem_entry.ok());
-  EXPECT_EQ((*lineitem_entry)->foreign_keys.size(), 3u);
-  auto partsupp_entry = catalog.GetTable("partsupp");
-  ASSERT_TRUE(partsupp_entry.ok());
-  EXPECT_EQ((*partsupp_entry)->foreign_keys.size(), 2u);
+  const auto stats_of = [&](const char* table, const char* column) {
+    const catalog::TableEntry* entry = *catalog.GetTable(table);
+    const int c = entry->schema.FindColumn(column);
+    EXPECT_GE(c, 0) << column;
+    return entry->stats.columns.at(static_cast<size_t>(c));
+  };
+  const struct {
+    const char* table;
+    const char* column;
+    const char* parent;
+    const char* key;
+  } kForeignKeys[] = {
+      {"orders", "o_custkey", "customer", "c_custkey"},
+      {"lineitem", "l_orderkey", "orders", "o_orderkey"},
+      {"lineitem", "l_partkey", "part", "p_partkey"},
+      {"lineitem", "l_suppkey", "supplier", "s_suppkey"},
+      {"partsupp", "ps_partkey", "part", "p_partkey"},
+      {"partsupp", "ps_suppkey", "supplier", "s_suppkey"},
+  };
+  for (const auto& fk : kForeignKeys) {
+    const catalog::ColumnStats child = stats_of(fk.table, fk.column);
+    const catalog::ColumnStats parent = stats_of(fk.parent, fk.key);
+    EXPECT_GE(child.min_i64, parent.min_i64) << fk.column;
+    EXPECT_LE(child.max_i64, parent.max_i64) << fk.column;
+  }
 }
 
 class WorkloadTest : public ::testing::Test {

@@ -252,38 +252,7 @@ TEST(Histogram, NegativeClampedToZero) {
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST(Histogram, MergeCombines) {
-  Histogram a, b;
-  a.Add(1.0);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.Add(1.0);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-}
-
-TEST(Histogram, SummaryMentionsCount) {
-  Histogram h;
-  h.Add(2.0);
-  EXPECT_NE(h.Summary().find("n=1"), std::string::npos);
-}
-
 // --- Units ------------------------------------------------------------------
-
-TEST(Units, FormatBytes) {
-  EXPECT_EQ(FormatBytes(512), "512 B");
-  EXPECT_EQ(FormatBytes(2048), "2.00 KiB");
-  EXPECT_EQ(FormatBytes(3 * kMiB), "3.00 MiB");
-  EXPECT_EQ(FormatBytes(5 * kGiB), "5.00 GiB");
-}
 
 TEST(Units, FormatSeconds) {
   EXPECT_EQ(FormatSeconds(2.5), "2.500 s");
