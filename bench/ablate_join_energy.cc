@@ -1,5 +1,7 @@
-// Ablation A1 (Section 4.1): hash join vs nested-loop join under an energy
-// objective, sweeping the price of DRAM residency.
+// Ablation A1 (Section 4.1): which join algorithm an energy objective
+// picks as the price of DRAM residency rises. The paper expects nested-loop
+// join to gain; on this platform the energy objective flips from hash join
+// to sort-merge join from a 1e6 premium on (EXPERIMENTS.md, A1).
 //
 // "Consider the hash-join operator which has been known to outperform
 // nested-loop join in many occasions, but it relies on using a large chunk

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): real wall-clock encode/decode
 // throughput of the column codecs. These are the rates the energy model's
 // abstract instruction counts stand in for; useful when recalibrating
-// CpuCostProfile numbers against a concrete machine.
+// DecodeInstructionsPerValue's rates against a concrete machine.
 
 #include <benchmark/benchmark.h>
 
@@ -95,8 +95,8 @@ BENCHMARK_CAPTURE(BM_Encode, delta_sequential, CompressionKind::kDelta,
                   "sequential");
 BENCHMARK_CAPTURE(BM_Encode, for_random20bit, CompressionKind::kFor,
                   "random");
-// The uncompressed "touch" rate anchors CpuCostProfile's decode column:
-// profiles express decode cost as a multiple of this memcpy lane.
+// The uncompressed "touch" rate anchors DecodeInstructionsPerValue: its
+// rates express decode cost as a multiple of this memcpy lane.
 BENCHMARK_CAPTURE(BM_Decode, none_sequential, CompressionKind::kNone,
                   "sequential");
 BENCHMARK_CAPTURE(BM_Decode, rle_runs, CompressionKind::kRle, "runs");

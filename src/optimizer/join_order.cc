@@ -307,10 +307,15 @@ struct LeafAccess {
   int64_t hi = INT64_MAX;
 };
 
-/// Resolves a leaf against its relation, or InvalidArgument for a variant
-/// or an index path the relation does not offer.
-StatusOr<LeafAccess> ResolveLeaf(const TableAlternatives& side,
+/// Resolves a leaf against its relation, or InvalidArgument for a
+/// relation, variant or index path the spec does not offer.
+StatusOr<LeafAccess> ResolveLeaf(const QuerySpec& spec,
                                  const PlanJoinNode& leaf) {
+  const std::span<const TableAlternatives> rels = spec.Relations();
+  if (leaf.relation >= static_cast<int>(rels.size())) {
+    return Status::InvalidArgument("join tree leaf relation out of range");
+  }
+  const TableAlternatives& side = rels[leaf.relation];
   if (leaf.variant < 0 ||
       leaf.variant >= static_cast<int>(side.variants.size()) ||
       side.variants[leaf.variant] == nullptr) {
@@ -335,8 +340,8 @@ StatusOr<ResourceEstimate> LeafDemand(const QuerySpec& spec,
                                       const JoinGraph& graph,
                                       const PlanJoinNode& leaf,
                                       const CostModel& model) {
+  ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(spec, leaf));
   const TableAlternatives& side = spec.Relations()[leaf.relation];
-  ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(side, leaf));
   const storage::TableStorage& t = *access.table;
   const std::vector<std::string>& cols = graph.scan_columns(leaf.relation);
   ResourceEstimate d;
@@ -543,9 +548,6 @@ StatusOr<uint32_t> WalkJoinTree(const QuerySpec& spec, const JoinGraph& graph,
   }
   const PlanJoinNode& node = nodes[index];
   if (node.relation >= 0) {
-    if (node.relation >= graph.num_relations()) {
-      return Status::InvalidArgument("join tree leaf relation out of range");
-    }
     ECODB_ASSIGN_OR_RETURN(const ResourceEstimate leaf,
                            LeafDemand(spec, graph, node, model));
     demand->Merge(leaf);
@@ -850,12 +852,8 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   }
   const PlanJoinNode& node = plan.join_nodes[index];
   if (node.relation >= 0) {
-    const std::span<const TableAlternatives> rels = spec.Relations();
-    if (node.relation >= static_cast<int>(rels.size())) {
-      return Status::InvalidArgument("join tree leaf relation out of range");
-    }
-    const TableAlternatives& side = rels[node.relation];
-    ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(side, node));
+    ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(spec, node));
+    const TableAlternatives& side = spec.Relations()[node.relation];
     std::vector<std::string> cols =
         ScanColumns(spec, node.relation, access.table->schema());
     if (node.path == AccessPath::kIndexScan) {
@@ -906,6 +904,28 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   return joined;
 }
 
+/// Appends the table-scan leaves of the subtree at `index`, left to right,
+/// as BuildJoinNode builds them.
+Status CollectTableScans(const QuerySpec& spec, const PhysicalPlan& plan,
+                         int index, std::vector<TableScanLeaf>* out) {
+  if (index < 0 || index >= static_cast<int>(plan.join_nodes.size())) {
+    return Status::InvalidArgument("join tree node index out of range");
+  }
+  const PlanJoinNode& node = plan.join_nodes[index];
+  if (node.relation < 0) {
+    ECODB_RETURN_IF_ERROR(CollectTableScans(spec, plan, node.left, out));
+    return CollectTableScans(spec, plan, node.right, out);
+  }
+  ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(spec, node));
+  if (node.path == AccessPath::kTableScan) {
+    const catalog::Schema& schema = access.table->schema();
+    out->push_back(
+        {access.table,
+         ToIndexes(schema, ScanColumns(spec, node.relation, schema))});
+  }
+  return Status::OK();
+}
+
 /// Wraps `root` with the operators realizing the tail (aggregate, sort or
 /// fused top-k, limit); the tree is the same at every dop.
 exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
@@ -935,8 +955,8 @@ exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
 
 }  // namespace
 
-StatusOr<exec::OperatorPtr> Planner::BuildOperator(
-    const QuerySpec& spec, const PhysicalPlan& plan) const {
+StatusOr<exec::OperatorPtr> Planner::BuildOperator(const QuerySpec& spec,
+                                                   const PhysicalPlan& plan) {
   ECODB_RETURN_IF_ERROR(CheckOneForm(spec));
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
     return Status::InvalidArgument("plan has no join tree");
@@ -944,6 +964,15 @@ StatusOr<exec::OperatorPtr> Planner::BuildOperator(
   ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
                          BuildJoinNode(spec, plan, plan.join_root));
   return FinishOperatorTree(spec, plan, std::move(root));
+}
+
+StatusOr<std::vector<TableScanLeaf>> Planner::TableScanLeaves(
+    const QuerySpec& spec, const PhysicalPlan& plan) {
+  ECODB_RETURN_IF_ERROR(CheckOneForm(spec));
+  std::vector<TableScanLeaf> scans;
+  ECODB_RETURN_IF_ERROR(
+      CollectTableScans(spec, plan, plan.join_root, &scans));
+  return scans;
 }
 
 StatusOr<PhysicalPlan> CanonicalJoinPlan(const QuerySpec& spec) {
@@ -979,7 +1008,12 @@ StatusOr<PhysicalPlan> CanonicalJoinPlan(const QuerySpec& spec) {
     PlanJoinNode join;
     join.left = root;
     join.right = leaf_index;
-    join.algo = JoinAlgorithm::kHash;
+    // Hash where the primary edge's keys hash; nested-loop, which runs any
+    // comparable keys, where they do not (double keys).
+    const Status hashable =
+        JoinKeyRule(JoinAlgorithm::kHash, graph.edge_key_types(crossing[0]));
+    join.algo =
+        hashable.ok() ? JoinAlgorithm::kHash : JoinAlgorithm::kNestedLoop;
     const JoinEdge& p = graph.edge(crossing[0]);
     const bool p_left_in_mask = mask >> p.left_rel & 1;
     join.left_key = p_left_in_mask ? p.left_key : p.right_key;

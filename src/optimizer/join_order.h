@@ -106,11 +106,12 @@ class JoinGraph {
   mutable std::unordered_map<uint32_t, double> rows_memo_;
 };
 
-/// The differential oracle's fixed join order: left-deep hash joins,
-/// relations appended in BFS order from relation 0 following spec edge
-/// order — deliberately estimate-free, so it cannot share a cardinality
-/// bug with the DP enumerator. Fills join_nodes/join_root (dop, pstate and
-/// cost are left for the caller).
+/// The differential oracle's fixed join order: left-deep hash joins (a
+/// nested-loop join where the primary edge's keys cannot be hashed, as
+/// double keys cannot), relations appended in BFS order from relation 0
+/// following spec edge order — deliberately estimate-free, so it cannot
+/// share a cardinality bug with the DP enumerator. Fills
+/// join_nodes/join_root (dop, pstate and cost are left for the caller).
 StatusOr<PhysicalPlan> CanonicalJoinPlan(const QuerySpec& spec);
 
 }  // namespace ecodb::optimizer

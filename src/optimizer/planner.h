@@ -13,8 +13,8 @@
 // With lambda = 0 this is a classical performance optimizer. Raising lambda
 // reproduces the paper's headline behaviours: compressed scans lose to
 // uncompressed ones when CPU power dwarfs storage power (Figure 2), and
-// memory-hungry hash joins lose to nested-loop joins when DRAM residency is
-// priced (Section 4.1).
+// memory-hungry hash joins lose to sort-merge joins when DRAM residency is
+// priced (Section 4.1; bench/ablate_join_energy).
 
 #ifndef ECODB_OPTIMIZER_PLANNER_H_
 #define ECODB_OPTIMIZER_PLANNER_H_
@@ -159,6 +159,13 @@ struct PhysicalPlan {
   std::vector<int> LeafOrder() const;
 };
 
+/// One table-scan leaf of a plan: the table it reads and the schema indexes
+/// of the columns BuildOperator scans from it.
+struct TableScanLeaf {
+  const storage::TableStorage* table = nullptr;
+  std::vector<int> columns;
+};
+
 /// Planner knobs: which dimensions to enumerate.
 struct PlannerOptions {
   std::vector<int> dops = {1};
@@ -197,8 +204,13 @@ class Planner {
                                const PhysicalPlan& plan) const;
 
   /// Constructs the executable operator tree realizing `plan`.
-  StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
-                                            const PhysicalPlan& plan) const;
+  static StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
+                                                   const PhysicalPlan& plan);
+
+  /// The table-scan leaves of the tree BuildOperator builds for `plan`,
+  /// left to right, or the error BuildOperator would return for them.
+  static StatusOr<std::vector<TableScanLeaf>> TableScanLeaves(
+      const QuerySpec& spec, const PhysicalPlan& plan);
 
   /// Estimated selectivity of `filter` against a table's stats (exposed
   /// for tests). Bind() need not have been called.

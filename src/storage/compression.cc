@@ -7,10 +7,6 @@
 #include <limits>
 #include <unordered_map>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace ecodb::storage {
 
 namespace {
@@ -128,28 +124,6 @@ void BitunpackWords(const uint8_t* base, size_t size, int bits, size_t count,
   const uint64_t mask =
       bits == 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
   size_t i = 0;
-#if defined(__AVX2__)
-  if (bits <= 14) {
-    // Four consecutive values span at most 7 + 4*14 = 63 bits, so a single
-    // unaligned 64-bit load feeds a 4-lane variable shift.
-    const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-    const __m256i lane = _mm256_set_epi64x(3LL * bits, 2LL * bits, bits, 0);
-    while (i + 4 <= count) {
-      const size_t bitpos = i * static_cast<size_t>(bits);
-      const size_t byte = bitpos >> 3;
-      if (byte + 8 > size) break;  // finish on the scalar tail below
-      uint64_t w;
-      std::memcpy(&w, base + byte, 8);
-      const __m256i shifted = _mm256_srlv_epi64(
-          _mm256_set1_epi64x(static_cast<long long>(w)),
-          _mm256_add_epi64(
-              lane, _mm256_set1_epi64x(static_cast<long long>(bitpos & 7))));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                          _mm256_and_si256(shifted, vmask));
-      i += 4;
-    }
-  }
-#endif
   if (bits <= 57) {
     // A value starting anywhere inside a byte spans at most 7 + 57 = 64
     // bits: one unaligned load per value.
@@ -186,6 +160,23 @@ void BitunpackWords(const uint8_t* base, size_t size, int bits, size_t count,
   }
 }
 
+// The reference kernel: one bit at a time into a lane the caller has
+// sized. Bounds were validated by the caller.
+void BitunpackBits(const std::vector<uint8_t>& buf, size_t offset, int bits,
+                   size_t count, uint64_t* out) {
+  size_t bitpos = 0;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    for (int b = 0; b < bits; ++b) {
+      if ((buf[offset + bitpos / 8] >> (bitpos % 8)) & 1) {
+        v |= 1ULL << b;
+      }
+      ++bitpos;
+    }
+    out[i] = v;
+  }
+}
+
 // Unpacks into a raw output lane the caller has already sized. Used by the
 // codec fast paths to decode straight into the destination vector.
 void BitunpackRawUnchecked(const std::vector<uint8_t>& buf, size_t offset,
@@ -194,17 +185,7 @@ void BitunpackRawUnchecked(const std::vector<uint8_t>& buf, size_t offset,
   if constexpr (kLittleEndian) {
     BitunpackWords(buf.data() + offset, buf.size() - offset, bits, count, out);
   } else {
-    size_t bitpos = 0;
-    for (size_t i = 0; i < count; ++i) {
-      uint64_t v = 0;
-      for (int b = 0; b < bits; ++b) {
-        if ((buf[offset + bitpos / 8] >> (bitpos % 8)) & 1) {
-          v |= 1ULL << b;
-        }
-        ++bitpos;
-      }
-      out[i] = v;
-    }
+    BitunpackBits(buf, offset, bits, count, out);
   }
 }
 
@@ -223,19 +204,8 @@ Status BitunpackValuesScalar(const std::vector<uint8_t>& buf, size_t offset,
                              int bits, size_t count,
                              std::vector<uint64_t>* values) {
   ECODB_RETURN_IF_ERROR(CheckBitpackBounds(buf, offset, bits, count));
-  values->clear();
-  values->reserve(count);
-  size_t bitpos = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    for (int b = 0; b < bits; ++b) {
-      if ((buf[offset + bitpos / 8] >> (bitpos % 8)) & 1) {
-        v |= 1ULL << b;
-      }
-      ++bitpos;
-    }
-    values->push_back(v);
-  }
+  values->resize(count);
+  BitunpackBits(buf, offset, bits, count, values->data());
   return Status::OK();
 }
 
@@ -266,7 +236,6 @@ Status GetHeader(const std::vector<uint8_t>& buf, CompressionKind expect,
 class NoneCodec final : public Int64Codec {
  public:
   CompressionKind kind() const override { return CompressionKind::kNone; }
-  CpuCostProfile cost_profile() const override { return {1.0, 1.0}; }
 
   Status Encode(const std::vector<int64_t>& values,
                 std::vector<uint8_t>* out) const override {
@@ -297,20 +266,10 @@ class NoneCodec final : public Int64Codec {
 };
 
 // One decoder serves both factories: a run-at-a-time fill measured no
-// faster than this loop in bench/perf_regress. `reference` selects only
-// the cost profile.
+// faster than this loop in bench/perf_regress.
 class RleCodec final : public Int64Codec {
  public:
-  explicit RleCodec(bool reference) : reference_(reference) {}
-
   CompressionKind kind() const override { return CompressionKind::kRle; }
-  CpuCostProfile cost_profile() const override {
-    // The engine bills 2.3 decode instructions per value, the rate
-    // calibrated from bench/micro_codecs against the uncompressed touch
-    // lane (kNone's memcpy); the reference profile keeps the historical
-    // model constant. Both stay so that bills do not move.
-    return reference_ ? CpuCostProfile{6.0, 3.0} : CpuCostProfile{6.0, 2.3};
-  }
 
   Status Encode(const std::vector<int64_t>& values,
                 std::vector<uint8_t>* out) const override {
@@ -349,9 +308,6 @@ class RleCodec final : public Int64Codec {
     }
     return Status::OK();
   }
-
- private:
-  bool reference_;
 };
 
 class DeltaCodec final : public Int64Codec {
@@ -359,12 +315,6 @@ class DeltaCodec final : public Int64Codec {
   explicit DeltaCodec(bool reference) : reference_(reference) {}
 
   CompressionKind kind() const override { return CompressionKind::kDelta; }
-  CpuCostProfile cost_profile() const override {
-    // Calibrated from bench/micro_codecs: group-of-8 varint decode runs at
-    // ~4.6x the uncompressed touch lane (sequential data, one byte per
-    // delta). Reference keeps the historical constant.
-    return reference_ ? CpuCostProfile{5.0, 4.0} : CpuCostProfile{5.0, 4.6};
-  }
 
   Status Encode(const std::vector<int64_t>& values,
                 std::vector<uint8_t>* out) const override {
@@ -458,15 +408,6 @@ class BitpackCodecImpl : public Int64Codec {
     return frame_of_reference_ ? CompressionKind::kFor
                                : CompressionKind::kBitpack;
   }
-  CpuCostProfile cost_profile() const override {
-    // Calibrated from bench/micro_codecs: the word-at-a-time unpack runs at
-    // ~4.6-7.2x the uncompressed touch lane depending on bit width (narrow
-    // widths amortize better); 4.8 is the sequential/runs midpoint.
-    // Reference keeps the historical constant.
-    return reference_impl_ ? CpuCostProfile{4.0, 3.5}
-                           : CpuCostProfile{4.0, 4.8};
-  }
-
   Status Encode(const std::vector<int64_t>& values,
                 std::vector<uint8_t>* out) const override {
     PutHeader(kind(), values.size(), out);
@@ -529,17 +470,7 @@ class BitpackCodecImpl : public Int64Codec {
     BitunpackRawUnchecked(buffer, pos, bits, count, raw);
     if (reference != 0) {
       const uint64_t ref = static_cast<uint64_t>(reference);
-      size_t i = 0;
-#if defined(__AVX2__)
-      const __m256i vref = _mm256_set1_epi64x(static_cast<long long>(ref));
-      for (; i + 4 <= count; i += 4) {
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(raw + i),
-                            _mm256_add_epi64(v, vref));
-      }
-#endif
-      for (; i < count; ++i) raw[i] += ref;
+      for (size_t i = 0; i < count; ++i) raw[i] += ref;
     }
     return Status::OK();
   }
@@ -554,7 +485,7 @@ std::unique_ptr<Int64Codec> MakeCodec(CompressionKind kind, bool reference) {
     case CompressionKind::kNone:
       return std::make_unique<NoneCodec>();
     case CompressionKind::kRle:
-      return std::make_unique<RleCodec>(reference);
+      return std::make_unique<RleCodec>();
     case CompressionKind::kDelta:
       return std::make_unique<DeltaCodec>(reference);
     case CompressionKind::kBitpack:
@@ -578,18 +509,28 @@ std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind) {
 }
 
 double DecodeInstructionsPerValue(CompressionKind kind) {
-  if (kind == CompressionKind::kNone) return 1.0;  // touch cost
-  if (kind == CompressionKind::kDictionary) {
-    return StringDictionaryCodec().cost_profile().decode_instructions_per_value;
+  // Rates are multiples of the uncompressed touch lane (kNone's memcpy),
+  // calibrated from bench/micro_codecs.
+  switch (kind) {
+    case CompressionKind::kNone:
+      return 1.0;  // the touch itself
+    case CompressionKind::kRle:
+      return 2.3;
+    case CompressionKind::kDelta:
+      // Group-of-8 varint decode (sequential data, one byte per delta).
+      return 4.6;
+    case CompressionKind::kBitpack:
+    case CompressionKind::kFor:
+      // The word-at-a-time unpack runs at ~4.6-7.2x the touch lane
+      // depending on bit width (narrow widths amortize better); 4.8 is the
+      // sequential/runs midpoint.
+      return 4.8;
+    case CompressionKind::kDictionary:
+      // Code unpack plus per-value string materialization; the strings
+      // dominate.
+      return 3.5;
   }
-  return MakeInt64Codec(kind)->cost_profile().decode_instructions_per_value;
-}
-
-CpuCostProfile StringDictionaryCodec::cost_profile() const {
-  // Decode = fast code unpack + per-value string materialization; the
-  // strings dominate, so the vectorized code unpack only trims the old
-  // constant slightly.
-  return {12.0, 3.5};
+  return 1.0;
 }
 
 Status StringDictionaryCodec::Encode(const std::vector<std::string>& values,

@@ -13,16 +13,16 @@
 //   * FOR                — frame-of-reference (min-offset) + bitpack
 //   * Dictionary         — string columns with few distinct values
 //
-// Each codec reports a CpuCostProfile used by the optimizer's energy model:
-// instructions per value to encode/decode, from which the CPU power model
-// derives seconds and Joules.
+// One table, DecodeInstructionsPerValue, holds the decode rate the engine
+// bills per value of each kind; the CPU power model derives seconds and
+// Joules from it. Scans and the planner both read it.
 //
-// Decode is the scan hot path, so the bit-packing and delta codecs ship
-// two decoders with byte-identical output: a *reference* scalar kernel
-// (value-at-a-time, bit-at-a-time — the differential-testing oracle and the
-// calibration baseline for `bench/micro_codecs`) and a *fast* kernel
-// (word-at-a-time bit unpacking with an AVX2 variant when compiled in,
-// group-style varint delta decode). MakeInt64Codec returns the fast
+// Decode is the scan hot path, so each codec has one fast kernel, and the
+// bit-packing and delta codecs keep a *reference* scalar kernel beside it
+// with byte-identical output (value-at-a-time, bit-at-a-time — the
+// differential-testing oracle and the calibration baseline for
+// `bench/micro_codecs`). The fast kernels unpack bits a word at a time and
+// decode varint deltas in groups of eight. MakeInt64Codec returns the fast
 // decoders; MakeReferenceInt64Codec the scalar ones. RLE has one decoder,
 // which both factories return: a run-at-a-time fill measured no faster.
 
@@ -49,20 +49,12 @@ enum class CompressionKind {
 
 const char* CompressionKindName(CompressionKind kind);
 
-/// CPU cost of a codec, in abstract instructions per value. The optimizer
-/// multiplies by the platform CPU model's seconds-per-instruction.
-struct CpuCostProfile {
-  double encode_instructions_per_value = 0.0;
-  double decode_instructions_per_value = 0.0;
-};
-
 /// Abstract codec for int64 columns. Implementations are stateless.
 class Int64Codec {
  public:
   virtual ~Int64Codec() = default;
 
   virtual CompressionKind kind() const = 0;
-  virtual CpuCostProfile cost_profile() const = 0;
 
   /// Encodes `values` into `out` (replacing its contents).
   virtual Status Encode(const std::vector<int64_t>& values,
@@ -80,15 +72,12 @@ std::unique_ptr<Int64Codec> MakeInt64Codec(CompressionKind kind);
 
 /// Same encoded format, but decoding uses the reference scalar kernels
 /// (value-at-a-time, bit-at-a-time). Kept as the differential-testing
-/// oracle and the `bench/micro_codecs` calibration baseline; its
-/// cost_profile() reports the pre-vectorization instruction rates.
+/// oracle and the `bench/micro_codecs` calibration baseline.
 std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind);
 
 /// Dictionary codec for string columns.
 class StringDictionaryCodec {
  public:
-  CpuCostProfile cost_profile() const;
-
   /// Encodes: dictionary of distinct strings + bitpacked codes.
   Status Encode(const std::vector<std::string>& values,
                 std::vector<uint8_t>* out) const;
@@ -97,8 +86,9 @@ class StringDictionaryCodec {
                 std::vector<std::string>* values) const;
 };
 
-/// Modeled instructions to decode one value stored as `kind`: the fast
-/// codec's decode profile, or a touch of 1 for an uncompressed lane.
+/// Modeled instructions to decode one value stored as `kind` with its fast
+/// kernel: the one rate table scans bill and the planner prices with, in
+/// multiples of an uncompressed lane's touch (1).
 double DecodeInstructionsPerValue(CompressionKind kind);
 
 /// Measures the codec's ratio on a sample: encoded_bytes / raw_bytes
@@ -130,8 +120,8 @@ void BitpackValues(const std::vector<uint64_t>& values, int bits,
                    std::vector<uint8_t>* out);
 
 /// Inverse of BitpackValues for `count` values. Word-at-a-time fast kernel
-/// (64-bit unaligned loads + shift/mask, AVX2 variant when compiled in);
-/// falls back to the scalar kernel on big-endian targets.
+/// (64-bit unaligned loads + shift/mask); falls back to the scalar kernel
+/// on big-endian targets.
 Status BitunpackValues(const std::vector<uint8_t>& buf, size_t offset,
                        int bits, size_t count, std::vector<uint64_t>* values);
 

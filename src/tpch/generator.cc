@@ -319,88 +319,34 @@ std::vector<ColumnData> GeneratePartsupp(const TpchConfig& config) {
   return cols;
 }
 
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadOrders(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, OrdersSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GenerateOrders(config)));
-  return table;
-}
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadLineitem(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, LineitemSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GenerateLineitem(config)));
-  return table;
-}
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadCustomer(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, CustomerSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GenerateCustomer(config)));
-  return table;
-}
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadPart(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, PartSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GeneratePart(config)));
-  return table;
-}
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadSupplier(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, SupplierSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GenerateSupplier(config)));
-  return table;
-}
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadPartsupp(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device) {
-  auto table = std::make_unique<storage::TableStorage>(id, PartsuppSchema(),
-                                                       layout, device);
-  ECODB_RETURN_IF_ERROR(table->Append(GeneratePartsupp(config)));
-  return table;
-}
-
 StatusOr<TpchDatabase> LoadDatabase(const TpchConfig& config,
                                     storage::TableLayout layout,
                                     storage::StorageDevice* device,
                                     catalog::Catalog* catalog) {
   TpchDatabase db;
-  auto load_one =
-      [&](const char* name, catalog::Schema schema,
-          StatusOr<std::unique_ptr<storage::TableStorage>> (*loader)(
-              const TpchConfig&, catalog::TableId, storage::TableLayout,
-              storage::StorageDevice*),
-          TpchTable* out) -> Status {
+  auto load_one = [&](const char* name, catalog::Schema schema,
+                      std::vector<ColumnData> (*generate)(const TpchConfig&),
+                      TpchTable* out) -> Status {
     ECODB_ASSIGN_OR_RETURN(const catalog::TableId id,
-                           catalog->CreateTable(name, std::move(schema)));
-    ECODB_ASSIGN_OR_RETURN(out->storage, loader(config, id, layout, device));
+                           catalog->CreateTable(name, schema));
+    out->storage = std::make_unique<storage::TableStorage>(
+        id, std::move(schema), layout, device);
+    ECODB_RETURN_IF_ERROR(out->storage->Append(generate(config)));
     ECODB_RETURN_IF_ERROR(out->storage->AnalyzeInto(&out->stats));
     return catalog->UpdateStats(id, out->stats);
   };
   ECODB_RETURN_IF_ERROR(
-      load_one("customer", CustomerSchema(), LoadCustomer, &db.customer));
-  ECODB_RETURN_IF_ERROR(load_one("part", PartSchema(), LoadPart, &db.part));
+      load_one("customer", CustomerSchema(), GenerateCustomer, &db.customer));
   ECODB_RETURN_IF_ERROR(
-      load_one("supplier", SupplierSchema(), LoadSupplier, &db.supplier));
+      load_one("part", PartSchema(), GeneratePart, &db.part));
   ECODB_RETURN_IF_ERROR(
-      load_one("partsupp", PartsuppSchema(), LoadPartsupp, &db.partsupp));
+      load_one("supplier", SupplierSchema(), GenerateSupplier, &db.supplier));
   ECODB_RETURN_IF_ERROR(
-      load_one("orders", OrdersSchema(), LoadOrders, &db.orders));
+      load_one("partsupp", PartsuppSchema(), GeneratePartsupp, &db.partsupp));
   ECODB_RETURN_IF_ERROR(
-      load_one("lineitem", LineitemSchema(), LoadLineitem, &db.lineitem));
+      load_one("orders", OrdersSchema(), GenerateOrders, &db.orders));
+  ECODB_RETURN_IF_ERROR(
+      load_one("lineitem", LineitemSchema(), GenerateLineitem, &db.lineitem));
   return db;
 }
 

@@ -97,32 +97,6 @@ std::vector<storage::ColumnData> GenerateSupplier(const TpchConfig& config);
 /// TPC-H data only the declared single-column FKs are normative here).
 std::vector<storage::ColumnData> GeneratePartsupp(const TpchConfig& config);
 
-/// Convenience: builds and loads a TableStorage for ORDERS / LINEITEM on
-/// `device` with the given layout.
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadOrders(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadLineitem(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadCustomer(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadPart(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadSupplier(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
-StatusOr<std::unique_ptr<storage::TableStorage>> LoadPartsupp(
-    const TpchConfig& config, catalog::TableId id,
-    storage::TableLayout layout, storage::StorageDevice* device);
-
 /// One loaded table plus the load-time statistics the planner prices with.
 struct TpchTable {
   std::unique_ptr<storage::TableStorage> storage;

@@ -1,154 +1,164 @@
 #include "tpch/workload.h"
 
+#include <string>
+#include <utility>
+
 #include "exec/aggregate.h"
-#include "exec/joins.h"
-#include "exec/scan.h"
 #include "tpch/generator.h"
 
 namespace ecodb::tpch {
 
+namespace {
+
 using exec::AggFunc;
-using exec::AggregateItem;
 using exec::And;
 using exec::Col;
 using exec::Lit;
 using exec::LitDate;
-using exec::OperatorPtr;
+using optimizer::PlanJoinNode;
+using optimizer::TableAlternatives;
+using ScanRequest = sched::SessionManager::ScanRequest;
 
-OperatorPtr MakePricingSummaryQuery(const storage::TableStorage* lineitem,
-                                    int64_t ship_date_cutoff) {
-  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_returnflag", "l_quantity",
-                               "l_extendedprice", "l_discount",
-                               "l_shipdate"},
-      /*prune_filter=*/nullptr,
-      Col("l_shipdate") <= LitDate(ship_date_cutoff));
-  std::vector<AggregateItem> aggs;
-  aggs.push_back({"sum_qty", AggFunc::kSum, Col("l_quantity")});
-  aggs.push_back({"sum_base_price", AggFunc::kSum, Col("l_extendedprice")});
-  aggs.push_back({"sum_disc_price", AggFunc::kSum,
-                  Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))});
-  aggs.push_back({"avg_qty", AggFunc::kAvg, Col("l_quantity")});
-  aggs.push_back({"count_order", AggFunc::kCount, nullptr});
-  return std::make_unique<exec::HashAggregateOp>(
-      std::move(scan), std::vector<std::string>{"l_returnflag"},
-      std::move(aggs));
+TableAlternatives Rel(const char* name, const storage::TableStorage* table,
+                      std::vector<std::string> columns,
+                      exec::ExprPtr filter = nullptr) {
+  TableAlternatives rel;
+  rel.name = name;
+  rel.variants = {table};
+  rel.columns = std::move(columns);
+  rel.filter = std::move(filter);
+  return rel;
 }
 
-OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
-                             int64_t date_lo, int64_t date_hi,
-                             double discount_lo, double discount_hi,
-                             double quantity_cap) {
-  exec::ExprPtr pred =
-      And(And(Col("l_shipdate") >= LitDate(date_lo),
-              Col("l_shipdate") < LitDate(date_hi)),
-          And(And(Col("l_discount") >= Lit(discount_lo),
-                  Col("l_discount") <= Lit(discount_hi)),
-              Col("l_quantity") < Lit(quantity_cap)));
-  OperatorPtr scan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_quantity", "l_extendedprice", "l_discount",
-                               "l_shipdate"},
-      /*prune_filter=*/nullptr, std::move(pred));
-  std::vector<AggregateItem> aggs;
-  aggs.push_back({"revenue", AggFunc::kSum,
-                  Col("l_extendedprice") * Col("l_discount")});
-  return std::make_unique<exec::HashAggregateOp>(
-      std::move(scan), std::vector<std::string>{}, std::move(aggs));
+/// The requests for the shared-scan manager: one per table-scan leaf of
+/// `q`'s plan, with the columns the leaf scans.
+StatusOr<std::vector<ScanRequest>> ScanRequestsOf(const ServingQuery& q) {
+  ECODB_ASSIGN_OR_RETURN(std::vector<optimizer::TableScanLeaf> leaves,
+                         optimizer::Planner::TableScanLeaves(q.spec, q.plan));
+  std::vector<ScanRequest> scans;
+  for (optimizer::TableScanLeaf& leaf : leaves) {
+    scans.push_back({leaf.table, std::move(leaf.columns)});
+  }
+  return scans;
 }
 
-OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
-                                  const storage::TableStorage* lineitem,
-                                  int64_t order_date_cutoff) {
-  OperatorPtr oscan = std::make_unique<exec::TableScanOp>(
-      orders,
-      std::vector<std::string>{"o_orderkey", "o_orderdate",
-                               "o_shippriority"},
-      /*prune_filter=*/nullptr,
-      Col("o_orderdate") < LitDate(order_date_cutoff));
-  OperatorPtr lscan = std::make_unique<exec::TableScanOp>(
-      lineitem,
-      std::vector<std::string>{"l_orderkey", "l_extendedprice",
-                               "l_discount"});
-  // Probe with lineitem (large side), build on filtered orders.
-  OperatorPtr join = std::make_unique<exec::HashJoinOp>(
-      std::move(lscan), std::move(oscan), "l_orderkey", "o_orderkey");
-  std::vector<AggregateItem> aggs;
-  aggs.push_back({"revenue", AggFunc::kSum,
-                  Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))});
-  aggs.push_back({"count_items", AggFunc::kCount, nullptr});
-  return std::make_unique<exec::HashAggregateOp>(
-      std::move(join), std::vector<std::string>{"o_shippriority"},
-      std::move(aggs));
+/// A table scan of relation `rel`'s only variant.
+PlanJoinNode ScanLeaf(int rel) {
+  PlanJoinNode leaf;
+  leaf.relation = rel;
+  return leaf;
+}
+
+}  // namespace
+
+ServingQuery MakeServingQuery(const storage::TableStorage* orders,
+                              const storage::TableStorage* lineitem,
+                              int query_class, int64_t param) {
+  const int stream = static_cast<int>(((param % 8) + 8) % 8);
+  constexpr int64_t kYear = 365;
+
+  ServingQuery q;
+  q.shape = ((query_class % 3) + 3) % 3;
+  optimizer::QuerySpec& spec = q.spec;
+  switch (q.shape) {
+    case 0:
+      spec.relations = {Rel("lineitem", lineitem,
+                            {"l_returnflag", "l_quantity", "l_extendedprice",
+                             "l_discount"},
+                            Col("l_shipdate") <=
+                                LitDate(kDateEpochStart + kDateRangeDays -
+                                        90 - 30 * stream))};
+      spec.group_by = {"l_returnflag"};
+      spec.aggregates = {
+          {"sum_qty", AggFunc::kSum, Col("l_quantity")},
+          {"sum_base_price", AggFunc::kSum, Col("l_extendedprice")},
+          {"sum_disc_price", AggFunc::kSum,
+           Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))},
+          {"avg_qty", AggFunc::kAvg, Col("l_quantity")},
+          {"count_order", AggFunc::kCount, nullptr},
+      };
+      break;
+    case 1: {
+      const int64_t lo = kDateEpochStart + (stream % 5) * kYear;
+      spec.relations = {Rel(
+          "lineitem", lineitem, {"l_extendedprice", "l_discount"},
+          And(And(Col("l_shipdate") >= LitDate(lo),
+                  Col("l_shipdate") < LitDate(lo + kYear)),
+              And(And(Col("l_discount") >= Lit(0.02),
+                      Col("l_discount") <= Lit(0.09)),
+                  Col("l_quantity") < Lit(25.0 + stream))))};
+      spec.aggregates = {{"revenue", AggFunc::kSum,
+                          Col("l_extendedprice") * Col("l_discount")}};
+      break;
+    }
+    default:
+      spec.relations = {
+          Rel("lineitem", lineitem,
+              {"l_orderkey", "l_extendedprice", "l_discount"}),
+          Rel("orders", orders, {"o_orderkey", "o_shippriority"},
+              Col("o_orderdate") < LitDate(kDateEpochStart +
+                                           kDateRangeDays / 2 + 60 * stream)),
+      };
+      spec.edges = {{0, 1, "l_orderkey", "o_orderkey"}};
+      spec.group_by = {"o_shippriority"};
+      spec.aggregates = {
+          {"revenue", AggFunc::kSum,
+           Col("l_extendedprice") * (Lit(1.0) - Col("l_discount"))},
+          {"count_items", AggFunc::kCount, nullptr},
+      };
+      break;
+  }
+
+  q.plan.join_nodes = {ScanLeaf(0)};
+  if (!spec.edges.empty()) {
+    // A hash join that probes with lineitem (the large side) and builds on
+    // the filtered orders.
+    PlanJoinNode join;
+    join.left = 0;
+    join.right = 1;
+    join.left_key = spec.edges[0].left_key;
+    join.right_key = spec.edges[0].right_key;
+    q.plan.join_nodes.push_back(ScanLeaf(1));
+    q.plan.join_nodes.push_back(std::move(join));
+  }
+  q.plan.join_root = static_cast<int>(q.plan.join_nodes.size()) - 1;
+  return q;
 }
 
 sched::SessionManager::QueryFactory MakeServingFactory(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem) {
-  return [orders, lineitem](const sim::TraceRequest& req)
+  // A shape scans the same columns whatever its substitution parameters,
+  // so each shape's scan requests are read off its plan once.
+  std::vector<StatusOr<std::vector<ScanRequest>>> scans;
+  for (int shape = 0; shape < 3; ++shape) {
+    scans.push_back(
+        ScanRequestsOf(MakeServingQuery(orders, lineitem, shape, 0)));
+  }
+  return [orders, lineitem, scans = std::move(scans)](
+             const sim::TraceRequest& req)
              -> StatusOr<sched::SessionManager::PlannedQuery> {
-    const int shape = static_cast<int>(((req.query_class % 3) + 3) % 3);
-    const int stream = static_cast<int>(((req.param % 8) + 8) % 8);
-    const int64_t base = kDateEpochStart;
-    const int64_t year = 365;
-
-    auto columns = [](const storage::TableStorage* table,
-                      std::initializer_list<const char*> names) {
-      std::vector<int> idx;
-      for (const char* name : names) {
-        idx.push_back(table->schema().FindColumn(name));
-      }
-      return idx;
-    };
-
+    const ServingQuery q =
+        MakeServingQuery(orders, lineitem, req.query_class, req.param);
     sched::SessionManager::PlannedQuery pq;
-    switch (shape) {
-      case 0:
-        pq.root = MakePricingSummaryQuery(
-            lineitem, kDateEpochStart + kDateRangeDays - 90 - 30 * stream);
-        pq.scans.push_back(
-            {lineitem,
-             columns(lineitem, {"l_returnflag", "l_quantity", "l_extendedprice",
-                                "l_discount", "l_shipdate"})});
-        break;
-      case 1: {
-        const int64_t lo = base + (stream % 5) * year;
-        pq.root = MakeRevenueQuery(lineitem, lo, lo + year, 0.02, 0.09,
-                                   25.0 + stream);
-        pq.scans.push_back(
-            {lineitem, columns(lineitem, {"l_quantity", "l_extendedprice",
-                                          "l_discount", "l_shipdate"})});
-        break;
-      }
-      default:
-        pq.root = MakeOrderRevenueQuery(
-            orders, lineitem, base + kDateRangeDays / 2 + 60 * stream);
-        pq.scans.push_back(
-            {orders,
-             columns(orders, {"o_orderkey", "o_orderdate", "o_shippriority"})});
-        pq.scans.push_back(
-            {lineitem, columns(lineitem, {"l_orderkey", "l_extendedprice",
-                                          "l_discount"})});
-        break;
-    }
+    ECODB_ASSIGN_OR_RETURN(pq.root,
+                           optimizer::Planner::BuildOperator(q.spec, q.plan));
+    ECODB_ASSIGN_OR_RETURN(pq.scans, scans[q.shape]);
     return pq;
   };
 }
 
-std::vector<OperatorPtr> MakeThroughputStream(
+StatusOr<std::vector<exec::OperatorPtr>> MakeThroughputStream(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int stream_index) {
-  std::vector<OperatorPtr> queries;
-  const int64_t base = kDateEpochStart;
-  const int64_t year = 365;
-  const int64_t cutoff = base + kDateRangeDays - 90 - 30 * stream_index;
-  queries.push_back(MakePricingSummaryQuery(lineitem, cutoff));
-  const int64_t lo = base + (stream_index % 5) * year;
-  queries.push_back(MakeRevenueQuery(lineitem, lo, lo + year, 0.02, 0.09,
-                                     25.0 + stream_index));
-  queries.push_back(MakeOrderRevenueQuery(
-      orders, lineitem, base + kDateRangeDays / 2 + 60 * stream_index));
+  std::vector<exec::OperatorPtr> queries;
+  for (int query_class = 0; query_class < 3; ++query_class) {
+    const ServingQuery q =
+        MakeServingQuery(orders, lineitem, query_class, stream_index);
+    ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
+                           optimizer::Planner::BuildOperator(q.spec, q.plan));
+    queries.push_back(std::move(root));
+  }
   return queries;
 }
 
@@ -163,9 +173,9 @@ StatusOr<ThroughputResult> RunThroughputTest(
   const double t0 = platform->clock()->now();
 
   for (int s = 0; s < streams; ++s) {
-    std::vector<OperatorPtr> queries =
-        MakeThroughputStream(orders, lineitem, s);
-    for (OperatorPtr& q : queries) {
+    ECODB_ASSIGN_OR_RETURN(std::vector<exec::OperatorPtr> queries,
+                           MakeThroughputStream(orders, lineitem, s));
+    for (exec::OperatorPtr& q : queries) {
       exec::ExecContext ctx(platform, exec_options);
       ECODB_ASSIGN_OR_RETURN(exec::QueryResultSet rs,
                              exec::CollectAll(q.get(), &ctx));

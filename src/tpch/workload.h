@@ -8,49 +8,52 @@
 //   * a customer-order join (Q3-flavored): ORDERS >< LINEITEM + aggregate
 // All three are scan-dominated, so at low disk counts the array is the
 // bottleneck; at high counts the CPU is — the crossover drives Figure 1.
+//
+// The shapes are planner specs, each with the one plan it runs; the
+// planner builds their operator trees and lists the tables they scan.
 
 #ifndef ECODB_TPCH_WORKLOAD_H_
 #define ECODB_TPCH_WORKLOAD_H_
 
-#include <functional>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "exec/operator.h"
+#include "optimizer/planner.h"
 #include "sched/session.h"
 #include "storage/table_storage.h"
 #include "util/status.h"
 
 namespace ecodb::tpch {
 
-/// Builds the Q1-flavored pricing-summary plan over `lineitem`.
-exec::OperatorPtr MakePricingSummaryQuery(
-    const storage::TableStorage* lineitem, int64_t ship_date_cutoff);
+/// One query of the mixture: its shape (0 Q1, 1 Q6, 2 Q3), its spec and
+/// the plan it runs.
+struct ServingQuery {
+  int shape = 0;
+  optimizer::QuerySpec spec;
+  optimizer::PhysicalPlan plan;
+};
 
-/// Builds the Q6-flavored revenue plan over `lineitem`.
-exec::OperatorPtr MakeRevenueQuery(const storage::TableStorage* lineitem,
-                                   int64_t date_lo, int64_t date_hi,
-                                   double discount_lo, double discount_hi,
-                                   double quantity_cap);
+/// The mixture's query for `query_class` (taken mod 3: Q1, Q6, Q3) with
+/// the substitution parameters of `param` (taken mod 8, like TPC-H's
+/// stream-dependent substitution rules). The plan is a table scan of
+/// LINEITEM, or a hash join that probes LINEITEM and builds on the
+/// filtered ORDERS.
+ServingQuery MakeServingQuery(const storage::TableStorage* orders,
+                              const storage::TableStorage* lineitem,
+                              int query_class, int64_t param);
 
-/// Builds the Q3-flavored join plan over `orders` >< `lineitem`.
-exec::OperatorPtr MakeOrderRevenueQuery(const storage::TableStorage* orders,
-                                        const storage::TableStorage* lineitem,
-                                        int64_t order_date_cutoff);
-
-/// A serving-core query factory over the throughput-test mixture: maps a
-/// trace request's query_class onto the three shapes and its param onto the
-/// stream-style substitution parameters, and declares the tables each plan
+/// A serving-core query factory over the mixture: plans each trace request
+/// as MakeServingQuery(query_class, param) and declares the tables its plan
 /// scans so the SessionManager can route them through the shared-scan
 /// manager. Deterministic in the request, as the replay contract requires.
 sched::SessionManager::QueryFactory MakeServingFactory(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem);
 
-/// One complete throughput-test stream: the three shapes with rotating
-/// parameters. `stream_index` varies the parameters like TPC-H's
-/// substitution rules.
-std::vector<exec::OperatorPtr> MakeThroughputStream(
+/// One complete throughput-test stream: the three shapes with the
+/// substitution parameters of `stream_index`.
+StatusOr<std::vector<exec::OperatorPtr>> MakeThroughputStream(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem, int stream_index);
 

@@ -17,8 +17,9 @@
 //      across dop — DESIGN.md's determinism contract extended to N-way
 //      join trees.
 //
-// Payloads and keys are int64-only; aggregate sums stay below 2^53 so SUM's
-// double accumulator is exact under any accumulation order.
+// Payloads and keys are int64 (one pinned case stores an edge's keys as
+// doubles, which no hash join can run); aggregate sums stay below 2^53 so
+// SUM's double accumulator is exact under any accumulation order.
 
 #include <algorithm>
 #include <functional>
@@ -56,6 +57,7 @@ struct CaseEdge {
   int a = 0;
   int b = 0;
   int64_t domain = 1;  // key values drawn from [1, domain]
+  bool double_keys = false;  // both key columns stored as kDouble
 };
 
 struct CaseSpec {
@@ -170,21 +172,27 @@ class DifferentialJoinOrderTest : public ::testing::Test {
     for (size_t e = 0; e < c.edges.size(); ++e) {
       if (c.edges[e].a == rel || c.edges[e].b == rel) {
         incident.push_back(static_cast<int>(e));
-        schema_cols.push_back(
-            Column{KeyCol(static_cast<int>(e), rel), DataType::kInt64, 8});
+        schema_cols.push_back(Column{
+            KeyCol(static_cast<int>(e), rel),
+            c.edges[e].double_keys ? DataType::kDouble : DataType::kInt64,
+            8});
       }
     }
     auto table = std::make_unique<storage::TableStorage>(
         static_cast<catalog::TableId>(rel + (compressed ? 101 : 1)),
         Schema(schema_cols), storage::TableLayout::kColumn, ssd_.get());
     std::vector<storage::ColumnData> cols(schema_cols.size());
-    for (auto& col : cols) col.type = DataType::kInt64;
+    for (size_t k = 0; k < cols.size(); ++k) cols[k].type = schema_cols[k].type;
     Rng rng(c.seed ^ (0xD1FF00ULL + static_cast<uint64_t>(rel)));
     for (int i = 0; i < c.rows[rel]; ++i) {
       cols[0].i64.push_back(i);
       for (size_t k = 0; k < incident.size(); ++k) {
-        cols[k + 1].i64.push_back(
-            rng.Uniform(1, c.edges[incident[k]].domain));
+        const int64_t key = rng.Uniform(1, c.edges[incident[k]].domain);
+        if (cols[k + 1].type == DataType::kDouble) {
+          cols[k + 1].f64.push_back(static_cast<double>(key));
+        } else {
+          cols[k + 1].i64.push_back(key);
+        }
       }
     }
     EXPECT_TRUE(table->Append(cols).ok());
@@ -393,6 +401,22 @@ TEST_F(DifferentialJoinOrderTest, ParallelEdgesBecomeResidualFilters) {
   c.rows = {120, 200, 150};
   c.filtered = {false, false, false};
   c.edges = {{0, 1, 16}, {1, 2, 200}, {0, 1, 16}};
+  c.lambda = 0.0;
+  c.premium = 1.0;
+  RunCase(c);
+}
+
+TEST_F(DifferentialJoinOrderTest, DoubleKeyEdgeMatchesOracle) {
+  // Edge 1's keys are doubles, which no hash join can run
+  // (exec::CheckHashJoinKeys): the oracle joins that edge by nested loop,
+  // and the DP's plan, whatever algorithms it picks, returns the same rows.
+  CaseSpec c;
+  c.seed = 404;
+  c.num_rels = 3;
+  c.rows = {120, 200, 150};
+  c.filtered = {false, true, false};
+  c.edges = {{0, 1, 120}, {1, 2, 16, /*double_keys=*/true}};
+  c.aggregate = true;
   c.lambda = 0.0;
   c.premium = 1.0;
   RunCase(c);
