@@ -15,10 +15,12 @@ using catalog::DataType;
 
 Status BindAggregation(const catalog::Schema& in,
                        const std::vector<std::string>& group_by_names,
-                       std::vector<AggregateItem>* aggregates,
+                       const std::vector<AggregateItem>& aggregates,
                        std::vector<int>* group_by,
+                       std::vector<BoundExpr>* inputs,
                        catalog::Schema* out_schema) {
   group_by->clear();
+  inputs->clear();
   std::vector<catalog::Column> out_cols;
   for (const std::string& name : group_by_names) {
     const int idx = in.FindColumn(name);
@@ -26,11 +28,12 @@ Status BindAggregation(const catalog::Schema& in,
     group_by->push_back(idx);
     out_cols.push_back(in.column(idx));
   }
-  for (AggregateItem& item : *aggregates) {
+  for (const AggregateItem& item : aggregates) {
     DataType out_type = DataType::kDouble;
+    BoundExpr& input = inputs->emplace_back();
     if (item.input != nullptr) {
-      ECODB_RETURN_IF_ERROR(item.input->Bind(in));
-      if (item.input->result_type() == DataType::kString) {
+      ECODB_ASSIGN_OR_RETURN(input, item.input->Bind(in));
+      if (input.result_type() == DataType::kString) {
         return Status::InvalidArgument("aggregates need numeric inputs");
       }
     } else if (item.func != AggFunc::kCount) {
@@ -228,16 +231,8 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ECODB_RETURN_IF_ERROR(child_->Open(ctx));
   ECODB_RETURN_IF_ERROR(BindAggregation(child_->output_schema(),
-                                        group_by_names_, &aggregates_,
-                                        &group_by_, &schema_));
-  input_columns_.clear();
-  for (const AggregateItem& item : aggregates_) {
-    const bool bare =
-        item.input != nullptr && item.input->kind() == ExprKind::kColumn;
-    input_columns_.push_back(
-        bare ? child_->output_schema().FindColumn(item.input->column_name())
-             : -1);
-  }
+                                        group_by_names_, aggregates_,
+                                        &group_by_, &inputs_, &schema_));
   groups_.clear();
   computed_ = false;
   return Status::OK();
@@ -270,10 +265,10 @@ GroupAccum HashAggregateOp::NewGroup(const RecordBatch& batch,
 }
 
 template <typename ResolveFn>
-Status HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
-                                  ResolveFn&& resolve) const {
+void HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
+                                ResolveFn&& resolve) const {
   const size_t n = batch.num_rows();
-  if (n == 0) return Status::OK();
+  if (n == 0) return;
 
   // Pass 1: batch-local group ids, in order of first appearance.
   const size_t k = group_by_.size();
@@ -328,11 +323,10 @@ Status HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
     const AggregateItem& item = aggregates_[a];
     if (item.func == AggFunc::kCount) continue;
     const ColumnData* lane = &s->inputs[a];
-    if (input_columns_[a] >= 0) {
-      lane = &batch.column(static_cast<size_t>(input_columns_[a]));
+    if (item.input->kind() == ExprKind::kColumn) {
+      lane = &batch.column(static_cast<size_t>(inputs_[a].inputs()[0]));
     } else {
-      ECODB_RETURN_IF_ERROR(
-          item.input->EvaluateInto(batch, &s->eval, &s->inputs[a]));
+      inputs_[a].EvaluateInto(batch, &s->eval, &s->inputs[a]);
     }
     WithStatOp(item.func, [&](auto op) {
       if (lane->type == DataType::kDouble) {
@@ -347,7 +341,6 @@ Status HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
       }
     });
   }
-  return Status::OK();
 }
 
 Status HashAggregateOp::Compute() {
@@ -372,18 +365,19 @@ Status HashAggregateOp::Compute() {
           ECODB_RETURN_IF_ERROR(source->ProduceMorsel(m, &batch));
           slot_rows[w] += batch.num_rows();
           Partial& partial = partials[m];
-          return FoldBatch(batch, &scratch[w],
-                           [&](std::span<const uint32_t> first_rows,
-                               std::span<GroupAccum*> targets) {
-                             partial.resize(first_rows.size());
-                             for (size_t g = 0; g < first_rows.size(); ++g) {
-                               const uint32_t row = first_rows[g];
-                               EncodeGroupKey(batch, group_by_, row,
-                                              &partial[g].first);
-                               partial[g].second = NewGroup(batch, row);
-                               targets[g] = &partial[g].second;
-                             }
-                           });
+          FoldBatch(batch, &scratch[w],
+                    [&](std::span<const uint32_t> first_rows,
+                        std::span<GroupAccum*> targets) {
+                      partial.resize(first_rows.size());
+                      for (size_t g = 0; g < first_rows.size(); ++g) {
+                        const uint32_t row = first_rows[g];
+                        EncodeGroupKey(batch, group_by_, row,
+                                       &partial[g].first);
+                        partial[g].second = NewGroup(batch, row);
+                        targets[g] = &partial[g].second;
+                      }
+                    });
+          return Status::OK();
         }));
     uint64_t input_rows = 0;  // rows surviving the source's filter
     for (uint64_t rows : slot_rows) input_rows += rows;
@@ -411,17 +405,16 @@ Status HashAggregateOp::Compute() {
       ECODB_RETURN_IF_ERROR(child_->Next(&batch, &child_eos));
       if (child_eos) break;
       ChargeUpdate(batch.num_rows());
-      ECODB_RETURN_IF_ERROR(FoldBatch(
-          batch, &scratch,
-          [&](std::span<const uint32_t> first_rows,
-              std::span<GroupAccum*> targets) {
-            for (size_t g = 0; g < first_rows.size(); ++g) {
-              EncodeGroupKey(batch, group_by_, first_rows[g], &key);
-              auto [it, inserted] = groups_.try_emplace(key);
-              if (inserted) it->second = NewGroup(batch, first_rows[g]);
-              targets[g] = &it->second;
-            }
-          }));
+      FoldBatch(batch, &scratch,
+                [&](std::span<const uint32_t> first_rows,
+                    std::span<GroupAccum*> targets) {
+                  for (size_t g = 0; g < first_rows.size(); ++g) {
+                    EncodeGroupKey(batch, group_by_, first_rows[g], &key);
+                    auto [it, inserted] = groups_.try_emplace(key);
+                    if (inserted) it->second = NewGroup(batch, first_rows[g]);
+                    targets[g] = &it->second;
+                  }
+                });
     }
   }
 

@@ -54,11 +54,13 @@ struct GroupAccum {
 };
 
 /// Resolves group-by names and binds aggregate inputs against `in`,
-/// producing the key column indexes and the output schema.
+/// producing the key column indexes, each aggregate's bound input (none for
+/// COUNT(*)) and the output schema.
 Status BindAggregation(const catalog::Schema& in,
                        const std::vector<std::string>& group_by_names,
-                       std::vector<AggregateItem>* aggregates,
+                       const std::vector<AggregateItem>& aggregates,
                        std::vector<int>* group_by,
+                       std::vector<BoundExpr>* inputs,
                        catalog::Schema* out_schema);
 
 /// Instructions of one row's group lookup and accumulate.
@@ -116,8 +118,8 @@ class HashAggregateOp final : public Operator {
   /// hands out: targets[g] is the group whose first row in the batch is
   /// first_rows[g].
   template <typename ResolveFn>
-  Status FoldBatch(const RecordBatch& batch, FoldScratch* scratch,
-                   ResolveFn&& resolve) const;
+  void FoldBatch(const RecordBatch& batch, FoldScratch* scratch,
+                 ResolveFn&& resolve) const;
   /// A new accumulator for the group of `batch`'s row `row`.
   GroupAccum NewGroup(const RecordBatch& batch, size_t row) const;
 
@@ -125,7 +127,7 @@ class HashAggregateOp final : public Operator {
   std::vector<std::string> group_by_names_;
   std::vector<int> group_by_;
   std::vector<AggregateItem> aggregates_;
-  std::vector<int> input_columns_;  // per aggregate: bare input column or -1
+  std::vector<BoundExpr> inputs_;  // per aggregate: its input, bound at Open
   catalog::Schema schema_;
   // Deterministic output ordering: ordered map on the encoded key.
   std::map<std::string, GroupAccum> groups_;

@@ -80,6 +80,7 @@ class RecordBatch {
 
   ColumnData& column(size_t i) { return columns_[i]; }
   const ColumnData& column(size_t i) const { return columns_[i]; }
+  std::span<const ColumnData> columns() const { return columns_; }
 
   /// Row cell as a Value (convenience for tests and result rendering).
   Value GetValue(size_t row, size_t col) const;

@@ -58,66 +58,11 @@ ExprPtr Expr::Not(ExprPtr inner) {
 }
 
 namespace {
+
 bool IsNumeric(DataType t) {
   return t == DataType::kInt64 || t == DataType::kDouble ||
          t == DataType::kDate;
 }
-}  // namespace
-
-Status Expr::Bind(const catalog::Schema& schema) {
-  switch (kind_) {
-    case ExprKind::kColumn: {
-      column_index_ = schema.FindColumn(column_name_);
-      if (column_index_ < 0) {
-        return Status::NotFound("unbound column '" + column_name_ + "'");
-      }
-      result_type_ = schema.column(column_index_).type;
-      break;
-    }
-    case ExprKind::kLiteral:
-      result_type_ = literal_.type;
-      break;
-    case ExprKind::kCompare: {
-      ECODB_RETURN_IF_ERROR(lhs_->Bind(schema));
-      ECODB_RETURN_IF_ERROR(rhs_->Bind(schema));
-      const DataType lt = lhs_->result_type_;
-      const DataType rt = rhs_->result_type_;
-      const bool both_numeric = IsNumeric(lt) && IsNumeric(rt);
-      const bool both_string =
-          lt == DataType::kString && rt == DataType::kString;
-      if (!both_numeric && !both_string) {
-        return Status::InvalidArgument("comparison type mismatch");
-      }
-      result_type_ = DataType::kInt64;
-      break;
-    }
-    case ExprKind::kArith: {
-      ECODB_RETURN_IF_ERROR(lhs_->Bind(schema));
-      ECODB_RETURN_IF_ERROR(rhs_->Bind(schema));
-      if (!IsNumeric(lhs_->result_type_) || !IsNumeric(rhs_->result_type_)) {
-        return Status::InvalidArgument("arithmetic on non-numeric operand");
-      }
-      const bool any_double = lhs_->result_type_ == DataType::kDouble ||
-                              rhs_->result_type_ == DataType::kDouble ||
-                              arith_op_ == ArithOp::kDiv;
-      result_type_ = any_double ? DataType::kDouble : DataType::kInt64;
-      break;
-    }
-    case ExprKind::kLogical:
-      ECODB_RETURN_IF_ERROR(lhs_->Bind(schema));
-      ECODB_RETURN_IF_ERROR(rhs_->Bind(schema));
-      result_type_ = DataType::kInt64;
-      break;
-    case ExprKind::kNot:
-      ECODB_RETURN_IF_ERROR(lhs_->Bind(schema));
-      result_type_ = DataType::kInt64;
-      break;
-  }
-  bound_ = true;
-  return Status::OK();
-}
-
-namespace {
 
 // Integer arithmetic is defined as two's-complement wrapping (via the
 // unsigned domain, where overflow is well-defined) so full-range operands
@@ -179,144 +124,227 @@ bool CompareStrings(CompareOp op, const std::string& a,
   return false;
 }
 
+// The tree walk's arithmetic, one row at a time (integer division
+// promotes to double when bound, so it never reaches ArithInt64).
+int64_t ArithInt64(ArithOp op, int64_t a, int64_t b) {
+  return op == ArithOp::kAdd   ? WrapAdd(a, b)
+         : op == ArithOp::kSub ? WrapSub(a, b)
+                               : WrapMul(a, b);
+}
+
+double ArithDouble(ArithOp op, double a, double b) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return a + b;
+    case ArithOp::kSub:
+      return a - b;
+    case ArithOp::kMul:
+      return a * b;
+    case ArithOp::kDiv:
+      return b == 0.0 ? 0.0 : a / b;
+  }
+  return 0.0;
+}
+
+/// `n` copies of literal `v` into `out`'s lane of v's type.
+void Broadcast(const Value& v, size_t n, ColumnData* out) {
+  switch (v.type) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      out->i64.assign(n, v.i64);
+      break;
+    case DataType::kDouble:
+      out->f64.assign(n, v.f64);
+      break;
+    case DataType::kString:
+      out->str.assign(n, v.str);
+      break;
+  }
+}
+
 }  // namespace
 
-StatusOr<ColumnData> Expr::Evaluate(const RecordBatch& batch) const {
-  if (!bound_) return Status::FailedPrecondition("expression not bound");
-  const size_t n = batch.num_rows();
+StatusOr<BoundExpr> Expr::Bind(const catalog::Schema& schema) const {
+  BoundExpr b;
+  b.root_ = shared_from_this();
+  ECODB_RETURN_IF_ERROR(b.Add(*this, schema));
+  return b;
+}
+
+StatusOr<BoundExpr> Expr::BindPredicate(const catalog::Schema& schema) const {
+  ECODB_ASSIGN_OR_RETURN(BoundExpr b, Bind(schema));
+  if (b.result_type() != DataType::kInt64) {
+    return Status::InvalidArgument("predicate must be boolean (int64)");
+  }
+  return b;
+}
+
+Status BoundExpr::Add(const Expr& e, const catalog::Schema& schema) {
+  const size_t self = nodes_.size();
+  nodes_.push_back({&e});
+  if (e.lhs() != nullptr) {
+    nodes_[self].lhs = static_cast<int>(nodes_.size());
+    ECODB_RETURN_IF_ERROR(Add(*e.lhs(), schema));
+  }
+  if (e.rhs() != nullptr) {
+    nodes_[self].rhs = static_cast<int>(nodes_.size());
+    ECODB_RETURN_IF_ERROR(Add(*e.rhs(), schema));
+  }
+  Node& n = nodes_[self];
+  const DataType lt = n.lhs >= 0 ? nodes_[n.lhs].type : DataType::kInt64;
+  const DataType rt = n.rhs >= 0 ? nodes_[n.rhs].type : DataType::kInt64;
+  switch (e.kind()) {
+    case ExprKind::kColumn: {
+      const int c = schema.FindColumn(e.column_name());
+      if (c < 0) {
+        return Status::NotFound("unbound column '" + e.column_name() + "'");
+      }
+      n.type = schema.column(c).type;
+      const auto it = std::find(inputs_.begin(), inputs_.end(), c);
+      n.input = static_cast<int>(it - inputs_.begin());
+      if (it == inputs_.end()) inputs_.push_back(c);
+      break;
+    }
+    case ExprKind::kLiteral:
+      n.type = e.literal().type;
+      break;
+    case ExprKind::kCompare:
+      if (!(IsNumeric(lt) && IsNumeric(rt)) &&
+          !(lt == DataType::kString && rt == DataType::kString)) {
+        return Status::InvalidArgument("comparison type mismatch");
+      }
+      n.type = DataType::kInt64;
+      break;
+    case ExprKind::kArith:
+      if (!IsNumeric(lt) || !IsNumeric(rt)) {
+        return Status::InvalidArgument("arithmetic on non-numeric operand");
+      }
+      n.type = lt == DataType::kDouble || rt == DataType::kDouble ||
+                       e.arith_op() == ArithOp::kDiv
+                   ? DataType::kDouble
+                   : DataType::kInt64;
+      break;
+    case ExprKind::kLogical:
+    case ExprKind::kNot:
+      // AND/OR/NOT read their operands' int64 lanes and masks.
+      if (lt != DataType::kInt64 || rt != DataType::kInt64) {
+        return Status::InvalidArgument(
+            "logical operand must be boolean (int64)");
+      }
+      n.type = DataType::kInt64;
+      break;
+  }
+  return Status::OK();
+}
+
+/// One evaluation of a bound program: its input lanes, their row count,
+/// and the scratch the fused paths reuse.
+struct BoundExpr::Eval {
+  const BoundExpr& program;
+  std::span<const ColumnData> columns;  // a batch's, or the input lanes
+  const int* map = nullptr;  // input i is columns[map[i]]; null: columns[i]
+  size_t rows = 0;
+  EvalScratch* scratch = nullptr;
+
+  const ColumnData& Input(int i) const {
+    return columns[static_cast<size_t>(map != nullptr ? map[i] : i)];
+  }
+  ColumnData Walk(int node) const;
+  Status RootMask(std::vector<uint8_t>* mask) const;
+  void Mask(int node, size_t depth, std::vector<uint8_t>* mask) const;
+  void LaneInto(int node, size_t depth, ColumnData* out) const;
+  /// Operand `node` of a fused loop: a column's own lane, null for a
+  /// literal (read its value), else the node computed into scratch.
+  const ColumnData* Operand(int node, size_t depth, int slot) const;
+};
+
+ColumnData BoundExpr::Evaluate(const RecordBatch& batch) const {
+  const Eval eval{*this, batch.columns(), inputs_.data(), batch.num_rows(),
+                  nullptr};
+  return eval.Walk(0);
+}
+
+ColumnData BoundExpr::Eval::Walk(int node) const {
+  const Node& nd = program.nodes_[node];
+  const Expr& e = *nd.expr;
   ColumnData out;
-  out.type = result_type_;
-  switch (kind_) {
-    case ExprKind::kColumn:
-      return batch.column(column_index_);
-    case ExprKind::kLiteral: {
-      switch (result_type_) {
-        case DataType::kInt64:
-        case DataType::kDate:
-          out.i64.assign(n, literal_.i64);
-          break;
-        case DataType::kDouble:
-          out.f64.assign(n, literal_.f64);
-          break;
-        case DataType::kString:
-          out.str.assign(n, literal_.str);
-          break;
-      }
-      return out;
-    }
-    case ExprKind::kCompare: {
-      ECODB_ASSIGN_OR_RETURN(ColumnData l, lhs_->Evaluate(batch));
-      ECODB_ASSIGN_OR_RETURN(ColumnData r, rhs_->Evaluate(batch));
-      out.i64.resize(n);
-      if (l.type == DataType::kString) {
-        for (size_t i = 0; i < n; ++i) {
-          out.i64[i] = CompareStrings(compare_op_, l.str[i], r.str[i]);
+  out.type = nd.type;
+  if (e.kind() == ExprKind::kColumn) return Input(nd.input);
+  if (e.kind() == ExprKind::kLiteral) {
+    Broadcast(e.literal(), rows, &out);
+    return out;
+  }
+  const ColumnData l = Walk(nd.lhs);
+  const ColumnData r = nd.rhs >= 0 ? Walk(nd.rhs) : ColumnData{};
+  for (size_t i = 0; i < rows; ++i) {
+    switch (e.kind()) {
+      case ExprKind::kCompare:
+        out.i64.push_back(
+            l.type == DataType::kString
+                ? CompareStrings(e.compare_op(), l.str[i], r.str[i])
+                : CompareDoubles(e.compare_op(), NumericAt(l, i),
+                                 NumericAt(r, i)));
+        break;
+      case ExprKind::kArith:
+        if (nd.type == DataType::kInt64) {
+          out.i64.push_back(ArithInt64(e.arith_op(), l.i64[i], r.i64[i]));
+        } else {
+          out.f64.push_back(
+              ArithDouble(e.arith_op(), NumericAt(l, i), NumericAt(r, i)));
         }
-      } else if (l.type != DataType::kDouble && r.type != DataType::kDouble) {
-        for (size_t i = 0; i < n; ++i) {
-          out.i64[i] =
-              CompareDoubles(compare_op_, static_cast<double>(l.i64[i]),
-                             static_cast<double>(r.i64[i]));
-        }
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          out.i64[i] = CompareDoubles(compare_op_, NumericAt(l, i),
-                                      NumericAt(r, i));
-        }
-      }
-      return out;
-    }
-    case ExprKind::kArith: {
-      ECODB_ASSIGN_OR_RETURN(ColumnData l, lhs_->Evaluate(batch));
-      ECODB_ASSIGN_OR_RETURN(ColumnData r, rhs_->Evaluate(batch));
-      if (result_type_ == DataType::kInt64) {
-        out.i64.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          switch (arith_op_) {
-            case ArithOp::kAdd:
-              out.i64[i] = WrapAdd(l.i64[i], r.i64[i]);
-              break;
-            case ArithOp::kSub:
-              out.i64[i] = WrapSub(l.i64[i], r.i64[i]);
-              break;
-            case ArithOp::kMul:
-              out.i64[i] = WrapMul(l.i64[i], r.i64[i]);
-              break;
-            case ArithOp::kDiv:
-              assert(false && "integer division promotes to double");
-              break;
-          }
-        }
-      } else {
-        out.f64.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          const double a = NumericAt(l, i);
-          const double b = NumericAt(r, i);
-          switch (arith_op_) {
-            case ArithOp::kAdd:
-              out.f64[i] = a + b;
-              break;
-            case ArithOp::kSub:
-              out.f64[i] = a - b;
-              break;
-            case ArithOp::kMul:
-              out.f64[i] = a * b;
-              break;
-            case ArithOp::kDiv:
-              out.f64[i] = b == 0.0 ? 0.0 : a / b;
-              break;
-          }
-        }
-      }
-      return out;
-    }
-    case ExprKind::kLogical: {
-      ECODB_ASSIGN_OR_RETURN(ColumnData l, lhs_->Evaluate(batch));
-      ECODB_ASSIGN_OR_RETURN(ColumnData r, rhs_->Evaluate(batch));
-      out.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        out.i64[i] = logical_op_ == LogicalOp::kAnd
-                         ? (l.i64[i] != 0 && r.i64[i] != 0)
-                         : (l.i64[i] != 0 || r.i64[i] != 0);
-      }
-      return out;
-    }
-    case ExprKind::kNot: {
-      ECODB_ASSIGN_OR_RETURN(ColumnData l, lhs_->Evaluate(batch));
-      out.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) out.i64[i] = l.i64[i] == 0;
-      return out;
+        break;
+      case ExprKind::kLogical:
+        out.i64.push_back(e.logical_op() == LogicalOp::kAnd
+                              ? (l.i64[i] != 0 && r.i64[i] != 0)
+                              : (l.i64[i] != 0 || r.i64[i] != 0));
+        break;
+      default:  // kNot
+        out.i64.push_back(l.i64[i] == 0);
+        break;
     }
   }
-  return Status::Internal("unreachable expression kind");
+  return out;
 }
 
 // --- Fused batch-at-a-time evaluation --------------------------------------
 //
-// The tree-walk Evaluate above materializes a ColumnData per node; it is
-// kept unchanged as the reference semantics (and differential oracle). The
+// The tree walk above materializes a ColumnData per node; it is kept as
+// the reference semantics (and differential oracle). The
 // fused path below emits selection masks directly and reads leaf operands
-// (columns, literals) in place. It must stay byte-identical to Evaluate:
+// (columns, literals) in place. It must stay byte-identical to the walk:
 // in particular, numeric comparisons always go through double — including
 // int64 vs int64 — matching the reference exactly.
 
-struct Expr::NumView {
+namespace {
+
+struct NumView {
   const double* f64 = nullptr;
   const int64_t* i64 = nullptr;
   double constant = 0.0;
 };
 
-struct Expr::I64View {
+struct I64View {
   const int64_t* ptr = nullptr;
   int64_t constant = 0;
 };
 
-namespace {
+/// The view of a fused operand's lane, or of `literal` when it has none.
+NumView NumOf(const ColumnData* lane, const Value& literal) {
+  NumView v;
+  if (lane == nullptr) {
+    v.constant = literal.AsDouble();
+  } else if (lane->type == DataType::kDouble) {
+    v.f64 = lane->f64.data();
+  } else {
+    v.i64 = lane->i64.data();
+  }
+  return v;
+}
 
-// Binds a view to a row-indexed getter lambda so the op loops below
-// specialize into tight branch-free code per operand shape.
-template <typename F>
-void WithNum(const Expr::NumView& v, F&& f);
+I64View I64Of(const ColumnData* lane, const Value& literal) {
+  return lane == nullptr ? I64View{nullptr, literal.i64}
+                         : I64View{lane->i64.data(), 0};
+}
 
 template <typename L, typename R>
 void CompareLoop(CompareOp op, size_t n, const L& l, const R& r,
@@ -384,7 +412,7 @@ void ArithI64Loop(ArithOp op, size_t n, const L& l, const R& r,
 }
 
 template <typename F>
-void WithNum(const Expr::NumView& v, F&& f) {
+void WithNum(const NumView& v, F&& f) {
   if (v.f64 != nullptr) {
     f([p = v.f64](size_t i) { return p[i]; });
   } else if (v.i64 != nullptr) {
@@ -395,7 +423,7 @@ void WithNum(const Expr::NumView& v, F&& f) {
 }
 
 template <typename F>
-void WithI64(const Expr::I64View& v, F&& f) {
+void WithI64(const I64View& v, F&& f) {
   if (v.ptr != nullptr) {
     f([p = v.ptr](size_t i) { return p[i]; });
   } else {
@@ -405,116 +433,88 @@ void WithI64(const Expr::I64View& v, F&& f) {
 
 }  // namespace
 
-Status Expr::MakeNumView(const RecordBatch& batch, EvalScratch* scratch,
-                         size_t depth, int slot, NumView* view) const {
-  switch (kind_) {
-    case ExprKind::kColumn: {
-      const ColumnData& c = batch.column(column_index_);
-      if (c.type == DataType::kDouble) {
-        view->f64 = c.f64.data();
-      } else {
-        view->i64 = c.i64.data();
-      }
-      return Status::OK();
-    }
-    case ExprKind::kLiteral:
-      view->constant = literal_.AsDouble();
-      return Status::OK();
-    default: {
-      ColumnData* tmp = scratch->Lane(2 * depth + static_cast<size_t>(slot));
-      ECODB_RETURN_IF_ERROR(NumImpl(batch, scratch, depth + 1, tmp));
-      if (result_type_ == DataType::kDouble) {
-        view->f64 = tmp->f64.data();
-      } else {
-        view->i64 = tmp->i64.data();
-      }
-      return Status::OK();
-    }
-  }
-}
-
-Status Expr::MakeI64View(const RecordBatch& batch, EvalScratch* scratch,
-                         size_t depth, int slot, I64View* view) const {
-  switch (kind_) {
+const ColumnData* BoundExpr::Eval::Operand(int node, size_t depth,
+                                           int slot) const {
+  const Node& nd = program.nodes_[node];
+  switch (nd.expr->kind()) {
     case ExprKind::kColumn:
-      view->ptr = batch.column(column_index_).i64.data();
-      return Status::OK();
+      return &Input(nd.input);
     case ExprKind::kLiteral:
-      view->constant = literal_.i64;
-      return Status::OK();
+      return nullptr;
     default: {
       ColumnData* tmp = scratch->Lane(2 * depth + static_cast<size_t>(slot));
-      ECODB_RETURN_IF_ERROR(NumImpl(batch, scratch, depth + 1, tmp));
-      view->ptr = tmp->i64.data();
-      return Status::OK();
+      LaneInto(node, depth + 1, tmp);
+      return tmp;
     }
   }
 }
 
-Status Expr::MaskImpl(const RecordBatch& batch, EvalScratch* scratch,
-                      size_t depth, std::vector<uint8_t>* mask) const {
-  if (result_type_ != DataType::kInt64) {
+Status BoundExpr::Eval::RootMask(std::vector<uint8_t>* mask) const {
+  if (program.result_type() != DataType::kInt64) {
     return Status::InvalidArgument("mask expression must be boolean/int64");
   }
-  const size_t n = batch.num_rows();
+  Mask(0, 0, mask);
+  return Status::OK();
+}
+
+void BoundExpr::Eval::Mask(int node, size_t depth,
+                           std::vector<uint8_t>* mask) const {
+  const Node& nd = program.nodes_[node];
+  const Expr& e = *nd.expr;
+  const size_t n = rows;
   mask->resize(n);
-  switch (kind_) {
+  switch (e.kind()) {
     case ExprKind::kColumn: {
-      const int64_t* lane = batch.column(column_index_).i64.data();
+      const int64_t* lane = Input(nd.input).i64.data();
       for (size_t i = 0; i < n; ++i) (*mask)[i] = lane[i] != 0;
-      return Status::OK();
+      return;
     }
-    case ExprKind::kLiteral: {
+    case ExprKind::kLiteral:
       std::fill(mask->begin(), mask->end(),
-                static_cast<uint8_t>(literal_.i64 != 0));
-      return Status::OK();
-    }
+                static_cast<uint8_t>(e.literal().i64 != 0));
+      return;
     case ExprKind::kCompare: {
-      if (lhs_->result_type_ == DataType::kString) {
+      const ColumnData* lp = Operand(nd.lhs, depth, 0);
+      const ColumnData* rp = Operand(nd.rhs, depth, 1);
+      const Value& lc = program.nodes_[nd.lhs].expr->literal();
+      const Value& rc = program.nodes_[nd.rhs].expr->literal();
+      if (program.nodes_[nd.lhs].type == DataType::kString) {
         // String operands are columns or literals by construction (every
         // other node kind produces a numeric type).
-        auto lane_of = [&](const Expr& e) {
-          return e.kind_ == ExprKind::kColumn
-                     ? batch.column(e.column_index_).str.data()
-                     : nullptr;
-        };
-        const std::string* lp = lane_of(*lhs_);
-        const std::string* rp = lane_of(*rhs_);
-        const std::string& lc = lhs_->literal_.str;
-        const std::string& rc = rhs_->literal_.str;
         for (size_t i = 0; i < n; ++i) {
-          (*mask)[i] = CompareStrings(compare_op_, lp ? lp[i] : lc,
-                                      rp ? rp[i] : rc);
+          (*mask)[i] = CompareStrings(e.compare_op(), lp ? lp->str[i] : lc.str,
+                                      rp ? rp->str[i] : rc.str);
         }
-        return Status::OK();
+        return;
       }
-      NumView l, r;
-      ECODB_RETURN_IF_ERROR(lhs_->MakeNumView(batch, scratch, depth, 0, &l));
-      ECODB_RETURN_IF_ERROR(rhs_->MakeNumView(batch, scratch, depth, 1, &r));
       uint8_t* out = mask->data();
-      WithNum(l, [&](auto lg) {
-        WithNum(r, [&](auto rg) { CompareLoop(compare_op_, n, lg, rg, out); });
+      WithNum(NumOf(lp, lc), [&](auto lg) {
+        WithNum(NumOf(rp, rc),
+                [&](auto rg) { CompareLoop(e.compare_op(), n, lg, rg, out); });
       });
-      return Status::OK();
+      return;
     }
     case ExprKind::kLogical: {
       // Evaluate the cheaper side first; when it already decides the whole
       // batch (all-zero AND / all-one OR) the expensive side is skipped.
       // AND/OR are commutative over total masks, so output is unchanged.
-      const Expr* a = lhs_.get();
-      const Expr* b = rhs_.get();
-      if (b->InstructionsPerRow() < a->InstructionsPerRow()) std::swap(a, b);
-      ECODB_RETURN_IF_ERROR(a->MaskImpl(batch, scratch, depth + 1, mask));
+      int a = nd.lhs;
+      int b = nd.rhs;
+      if (program.nodes_[b].expr->InstructionsPerRow() <
+          program.nodes_[a].expr->InstructionsPerRow()) {
+        std::swap(a, b);
+      }
+      Mask(a, depth + 1, mask);
       uint8_t all_one = 1, any_one = 0;
       for (size_t i = 0; i < n; ++i) {
         all_one &= (*mask)[i];
         any_one |= (*mask)[i];
       }
-      const bool is_and = logical_op_ == LogicalOp::kAnd;
-      if (is_and && any_one == 0) return Status::OK();
-      if (!is_and && all_one == 1) return Status::OK();
+      const bool is_and = e.logical_op() == LogicalOp::kAnd;
+      if (is_and && any_one == 0) return;
+      if (!is_and && all_one == 1) return;
       std::vector<uint8_t>* tmp = scratch->Mask(depth);
-      ECODB_RETURN_IF_ERROR(b->MaskImpl(batch, scratch, depth + 1, tmp));
+      Mask(b, depth + 1, tmp);
       uint8_t* m = mask->data();
       const uint8_t* t = tmp->data();
       if (is_and) {
@@ -522,113 +522,98 @@ Status Expr::MaskImpl(const RecordBatch& batch, EvalScratch* scratch,
       } else {
         for (size_t i = 0; i < n; ++i) m[i] |= t[i];
       }
-      return Status::OK();
+      return;
     }
     case ExprKind::kNot: {
-      ECODB_RETURN_IF_ERROR(lhs_->MaskImpl(batch, scratch, depth + 1, mask));
+      Mask(nd.lhs, depth + 1, mask);
       uint8_t* m = mask->data();
       for (size_t i = 0; i < n; ++i) m[i] ^= 1;
-      return Status::OK();
+      return;
     }
     case ExprKind::kArith: {
       ColumnData* tmp = scratch->Lane(2 * depth);
-      ECODB_RETURN_IF_ERROR(NumImpl(batch, scratch, depth + 1, tmp));
+      LaneInto(node, depth + 1, tmp);
       const int64_t* lane = tmp->i64.data();
       for (size_t i = 0; i < n; ++i) (*mask)[i] = lane[i] != 0;
-      return Status::OK();
+      return;
     }
   }
-  return Status::Internal("unreachable expression kind");
 }
 
-Status Expr::NumImpl(const RecordBatch& batch, EvalScratch* scratch,
-                     size_t depth, ColumnData* out) const {
-  const size_t n = batch.num_rows();
-  out->type = result_type_;
-  switch (kind_) {
+void BoundExpr::Eval::LaneInto(int node, size_t depth, ColumnData* out) const {
+  const Node& nd = program.nodes_[node];
+  const Expr& e = *nd.expr;
+  const size_t n = rows;
+  out->type = nd.type;
+  switch (e.kind()) {
     case ExprKind::kColumn:
-      *out = batch.column(column_index_);
-      return Status::OK();
+      *out = Input(nd.input);
+      return;
     case ExprKind::kLiteral:
-      switch (result_type_) {
-        case DataType::kInt64:
-        case DataType::kDate:
-          out->i64.assign(n, literal_.i64);
-          break;
-        case DataType::kDouble:
-          out->f64.assign(n, literal_.f64);
-          break;
-        case DataType::kString:
-          out->str.assign(n, literal_.str);
-          break;
-      }
-      return Status::OK();
+      Broadcast(e.literal(), n, out);
+      return;
     case ExprKind::kCompare:
     case ExprKind::kLogical:
     case ExprKind::kNot: {
       // Boolean nodes produce 0/1 int64 lanes; reuse the mask machinery
       // and widen (masks are exactly 0/1 bytes).
       std::vector<uint8_t>* m = scratch->Mask(depth);
-      ECODB_RETURN_IF_ERROR(MaskImpl(batch, scratch, depth + 1, m));
+      Mask(node, depth + 1, m);
       out->i64.resize(n);
       const uint8_t* src = m->data();
       for (size_t i = 0; i < n; ++i) out->i64[i] = src[i];
-      return Status::OK();
+      return;
     }
     case ExprKind::kArith: {
-      if (result_type_ == DataType::kInt64) {
-        I64View l, r;
-        ECODB_RETURN_IF_ERROR(
-            lhs_->MakeI64View(batch, scratch, depth, 0, &l));
-        ECODB_RETURN_IF_ERROR(
-            rhs_->MakeI64View(batch, scratch, depth, 1, &r));
+      const ColumnData* lp = Operand(nd.lhs, depth, 0);
+      const ColumnData* rp = Operand(nd.rhs, depth, 1);
+      const Value& lc = program.nodes_[nd.lhs].expr->literal();
+      const Value& rc = program.nodes_[nd.rhs].expr->literal();
+      if (nd.type == DataType::kInt64) {
         out->i64.resize(n);
         int64_t* dst = out->i64.data();
-        WithI64(l, [&](auto lg) {
-          WithI64(r, [&](auto rg) { ArithI64Loop(arith_op_, n, lg, rg, dst); });
+        WithI64(I64Of(lp, lc), [&](auto lg) {
+          WithI64(I64Of(rp, rc), [&](auto rg) {
+            ArithI64Loop(e.arith_op(), n, lg, rg, dst);
+          });
         });
       } else {
-        NumView l, r;
-        ECODB_RETURN_IF_ERROR(lhs_->MakeNumView(batch, scratch, depth, 0, &l));
-        ECODB_RETURN_IF_ERROR(rhs_->MakeNumView(batch, scratch, depth, 1, &r));
         out->f64.resize(n);
         double* dst = out->f64.data();
-        WithNum(l, [&](auto lg) {
-          WithNum(r, [&](auto rg) { ArithF64Loop(arith_op_, n, lg, rg, dst); });
+        WithNum(NumOf(lp, lc), [&](auto lg) {
+          WithNum(NumOf(rp, rc), [&](auto rg) {
+            ArithF64Loop(e.arith_op(), n, lg, rg, dst);
+          });
         });
       }
-      return Status::OK();
+      return;
     }
   }
-  return Status::Internal("unreachable expression kind");
 }
 
-Status Expr::EvaluateMaskInto(const RecordBatch& batch, EvalScratch* scratch,
-                              std::vector<uint8_t>* mask) const {
-  if (result_type_ != DataType::kInt64) {
-    return Status::InvalidArgument("mask expression must be boolean/int64");
-  }
-  if (!bound_) return Status::FailedPrecondition("expression not bound");
-  return MaskImpl(batch, scratch, 0, mask);
+Status BoundExpr::EvaluateMaskInto(const RecordBatch& batch,
+                                   EvalScratch* scratch,
+                                   std::vector<uint8_t>* mask) const {
+  const Eval eval{*this, batch.columns(), inputs_.data(), batch.num_rows(),
+                  scratch};
+  return eval.RootMask(mask);
 }
 
-Status Expr::EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
-                          ColumnData* out) const {
-  if (!bound_) return Status::FailedPrecondition("expression not bound");
+Status BoundExpr::EvaluateMaskInto(std::span<const ColumnData> lanes,
+                                   size_t rows, EvalScratch* scratch,
+                                   std::vector<uint8_t>* mask) const {
+  const Eval eval{*this, lanes, nullptr, rows, scratch};
+  return eval.RootMask(mask);
+}
+
+void BoundExpr::EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
+                             ColumnData* out) const {
   out->i64.clear();
   out->f64.clear();
   out->str.clear();
-  return NumImpl(batch, scratch, 0, out);
-}
-
-void CollectColumns(const ExprPtr& expr, std::set<std::string>* out) {
-  if (expr == nullptr) return;
-  if (expr->kind() == ExprKind::kColumn) {
-    out->insert(expr->column_name());
-    return;
-  }
-  CollectColumns(expr->lhs(), out);
-  CollectColumns(expr->rhs(), out);
+  const Eval eval{*this, batch.columns(), inputs_.data(), batch.num_rows(),
+                  scratch};
+  eval.LaneInto(0, 0, out);
 }
 
 double Expr::InstructionsPerRow() const {

@@ -2,8 +2,9 @@
 // and boolean connectives, evaluated columnwise over RecordBatches.
 //
 // Expressions are built programmatically (EcoDB's API is an embedded query
-// builder, not a SQL parser), bound against an input schema, and evaluated
-// to produce either a value lane or a selection mask.
+// builder, not a SQL parser) and never change. Binding one against an input
+// schema returns a BoundExpr, the program the binding operator owns and
+// evaluates into a value lane or a selection mask.
 
 #ifndef ECODB_EXEC_EXPR_H_
 #define ECODB_EXEC_EXPR_H_
@@ -11,7 +12,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,8 +58,11 @@ class EvalScratch {
   std::deque<ColumnData> lanes_;
 };
 
-/// Immutable expression node.
-class Expr {
+class BoundExpr;
+
+/// Immutable expression node: it holds only what its factory set, so any
+/// number of specs, operator trees and threads may share one.
+class Expr : public std::enable_shared_from_this<Expr> {
  public:
   // Factories.
   static ExprPtr Column(std::string name);
@@ -77,29 +81,15 @@ class Expr {
   const ExprPtr& lhs() const { return lhs_; }
   const ExprPtr& rhs() const { return rhs_; }
 
-  /// Resolves column names to indexes and checks types against `schema`.
-  /// Must be called (again) before Evaluate when the input schema changes.
-  Status Bind(const catalog::Schema& schema);
+  /// The program that evaluates this expression over batches of `schema`.
+  /// NotFound for an unknown column; InvalidArgument for a comparison of a
+  /// string with a number, arithmetic on a string, or an AND/OR/NOT operand
+  /// that is not boolean (int64).
+  StatusOr<BoundExpr> Bind(const catalog::Schema& schema) const;
 
-  /// Output type after a successful Bind.
-  catalog::DataType result_type() const { return result_type_; }
-
-  /// Evaluates over the batch into a column lane. Boolean results use the
-  /// int64 lane with values 0/1.
-  StatusOr<ColumnData> Evaluate(const RecordBatch& batch) const;
-
-  /// Evaluates as a selection mask (expression must be boolean-typed):
-  /// compare nodes emit selection bytes directly and AND/OR combine masks
-  /// (short-circuiting the batch when the cheaper side already decides it)
-  /// — no per-node ColumnData temporaries. `mask[i]` is 1 exactly where
-  /// Evaluate yields a non-zero value; `mask` is resized to the batch.
-  Status EvaluateMaskInto(const RecordBatch& batch, EvalScratch* scratch,
-                          std::vector<uint8_t>* mask) const;
-
-  /// Fused lane evaluation into `out` (replacing its contents), reusing
-  /// `scratch` across batches. Byte-identical to Evaluate.
-  Status EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
-                      ColumnData* out) const;
+  /// Bind for a predicate, which must also be boolean (int64), so an
+  /// operator that filters by it fails at Open, not on its first batch.
+  StatusOr<BoundExpr> BindPredicate(const catalog::Schema& schema) const;
 
   /// Abstract per-row instruction cost of evaluating this tree (drives the
   /// CPU energy charge; shared with the optimizer's estimates).
@@ -111,37 +101,72 @@ class Expr {
  private:
   Expr() = default;
 
- public:
-  // Operand views for the fused loops (defined in expr.cc; implementation
-  // detail, public only so file-local helpers can name them).
-  struct NumView;
-  struct I64View;
-
- private:
-  Status MaskImpl(const RecordBatch& batch, EvalScratch* scratch,
-                  size_t depth, std::vector<uint8_t>* mask) const;
-  Status NumImpl(const RecordBatch& batch, EvalScratch* scratch, size_t depth,
-                 ColumnData* out) const;
-  Status MakeNumView(const RecordBatch& batch, EvalScratch* scratch,
-                     size_t depth, int slot, NumView* view) const;
-  Status MakeI64View(const RecordBatch& batch, EvalScratch* scratch,
-                     size_t depth, int slot, I64View* view) const;
-
   ExprKind kind_ = ExprKind::kLiteral;
   std::string column_name_;
-  int column_index_ = -1;
   Value literal_;
   CompareOp compare_op_ = CompareOp::kEq;
   ArithOp arith_op_ = ArithOp::kAdd;
   LogicalOp logical_op_ = LogicalOp::kAnd;
   ExprPtr lhs_;
   ExprPtr rhs_;
-  catalog::DataType result_type_ = catalog::DataType::kInt64;
-  bool bound_ = false;
 };
 
-/// Collects every column name `expr` references into `out`.
-void CollectColumns(const ExprPtr& expr, std::set<std::string>* out);
+/// An expression bound to one input schema, which the binding operator owns:
+/// each node's result type and resolved column, the columns it reads, and
+/// the expression. Immutable, so evaluations may run concurrently (each
+/// with its own EvalScratch).
+class BoundExpr {
+ public:
+  /// The bound schema's columns the expression reads, each once, in order
+  /// of first use: an evaluation's input lane i holds column inputs()[i].
+  const std::vector<int>& inputs() const { return inputs_; }
+
+  /// The expression's output type.
+  catalog::DataType result_type() const { return nodes_.front().type; }
+
+  /// Evaluates over `batch`, a batch of the bound schema, into a column
+  /// lane (0/1 int64 for booleans) by a tree walk, one lane per node: the
+  /// reference semantics of the fused evaluators below.
+  ColumnData Evaluate(const RecordBatch& batch) const;
+
+  /// Fused evaluation into a selection mask, resized to the batch: `mask[i]`
+  /// is 1 exactly where Evaluate is non-zero. InvalidArgument unless the
+  /// expression is boolean (int64). Compare nodes emit selection bytes and
+  /// AND/OR combine masks, skipping a side the cheaper side decided.
+  Status EvaluateMaskInto(const RecordBatch& batch, EvalScratch* scratch,
+                          std::vector<uint8_t>* mask) const;
+  /// The same over the input lanes alone: `lanes[i]` holds `rows` values
+  /// of input i.
+  Status EvaluateMaskInto(std::span<const ColumnData> lanes, size_t rows,
+                          EvalScratch* scratch,
+                          std::vector<uint8_t>* mask) const;
+
+  /// Fused lane evaluation into `out` (replacing its contents), reusing
+  /// `scratch` across batches. Byte-identical to Evaluate.
+  void EvaluateInto(const RecordBatch& batch, EvalScratch* scratch,
+                    ColumnData* out) const;
+
+ private:
+  friend class Expr;
+
+  /// One expression node, in pre-order (the root first).
+  struct Node {
+    const Expr* expr = nullptr;  // kind, operator and literal
+    catalog::DataType type = catalog::DataType::kInt64;
+    int input = -1;  // a column: its input lane
+    int lhs = -1;    // operands: node indexes
+    int rhs = -1;
+  };
+  /// One evaluation: the walk and the fused evaluators.
+  struct Eval;
+
+  /// Appends `e`'s subtree, typed against `schema`, in pre-order.
+  Status Add(const Expr& e, const catalog::Schema& schema);
+
+  std::shared_ptr<const Expr> root_;
+  std::vector<Node> nodes_;
+  std::vector<int> inputs_;
+};
 
 /// A comparison of one column against one literal, normalized so the column
 /// is on the left ("lit < col" becomes "col > lit").

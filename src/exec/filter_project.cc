@@ -8,7 +8,9 @@ FilterOp::FilterOp(OperatorPtr child, ExprPtr predicate)
 Status FilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ECODB_RETURN_IF_ERROR(child_->Open(ctx));
-  return predicate_->Bind(child_->output_schema());
+  ECODB_ASSIGN_OR_RETURN(program_,
+                         predicate_->BindPredicate(child_->output_schema()));
+  return Status::OK();
 }
 
 Status FilterOp::Next(RecordBatch* out, bool* eos) {
@@ -21,8 +23,7 @@ Status FilterOp::Next(RecordBatch* out, bool* eos) {
     // fused/short-circuit strategy below cannot perturb the accounting.
     ctx_->ChargeInstructions(FilterInstructions(
         *predicate_, static_cast<double>(batch.num_rows())));
-    ECODB_RETURN_IF_ERROR(
-        predicate_->EvaluateMaskInto(batch, &scratch_, &mask_));
+    ECODB_RETURN_IF_ERROR(program_.EvaluateMaskInto(batch, &scratch_, &mask_));
     batch.FilterInPlace(mask_);
     if (batch.num_rows() > 0 || batch.empty()) {
       *out = std::move(batch);

@@ -31,6 +31,7 @@ class FilterOp final : public Operator {
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
+  BoundExpr program_;  // predicate_, bound at Open
   ExecContext* ctx_ = nullptr;
   // Reused across batches by the fused evaluator (operator runs
   // single-threaded, so sharing is safe).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <set>
 #include <span>
 
 #include "exec/filter_project.h"
@@ -114,24 +113,11 @@ PairFilter::PairFilter(std::vector<ExprPtr> predicates)
     : predicates_(std::move(predicates)) {}
 
 Status PairFilter::Bind(const catalog::Schema& joined, size_t left_columns) {
-  schemas_.clear();
-  sources_.clear();
+  programs_.clear();
+  left_columns_ = left_columns;
   for (const ExprPtr& predicate : predicates_) {
-    std::set<std::string> names;
-    CollectColumns(predicate, &names);
-    std::vector<catalog::Column> lanes;
-    std::vector<Source> sources;
-    for (const std::string& name : names) {
-      const int c = joined.FindColumn(name);
-      if (c < 0) continue;  // Bind below reports the unknown column
-      lanes.push_back(joined.column(c));
-      const size_t col = static_cast<size_t>(c);
-      sources.push_back(col < left_columns ? Source{true, col}
-                                           : Source{false, col - left_columns});
-    }
-    schemas_.emplace_back(std::move(lanes));
-    sources_.push_back(std::move(sources));
-    ECODB_RETURN_IF_ERROR(predicate->Bind(schemas_.back()));
+    ECODB_ASSIGN_OR_RETURN(programs_.emplace_back(),
+                           predicate->BindPredicate(joined));
   }
   return Status::OK();
 }
@@ -140,20 +126,23 @@ Status PairFilter::Apply(const RecordBatch& left, const RecordBatch& right,
                          std::vector<uint32_t>* left_sel,
                          std::vector<uint32_t>* right_sel,
                          size_t* reaching) const {
-  if (predicates_.empty()) return Status::OK();
+  if (programs_.empty()) return Status::OK();
   EvalScratch scratch;
   std::vector<uint8_t> mask;
-  for (size_t j = 0; j < predicates_.size(); ++j) {
+  for (size_t j = 0; j < programs_.size(); ++j) {
     reaching[j] = left_sel->size();
-    RecordBatch lanes(schemas_[j]);
-    for (size_t c = 0; c < sources_[j].size(); ++c) {
-      const Source& s = sources_[j][c];
-      GatherColumn(s.left ? left.column(s.column) : right.column(s.column),
-                   0, s.left ? *left_sel : *right_sel, &lanes.column(c));
+    const std::vector<int>& inputs = programs_[j].inputs();
+    std::vector<ColumnData> lanes(inputs.size());
+    for (size_t c = 0; c < inputs.size(); ++c) {
+      const size_t col = static_cast<size_t>(inputs[c]);
+      const bool is_left = col < left_columns_;
+      const ColumnData& src =
+          is_left ? left.column(col) : right.column(col - left_columns_);
+      lanes[c].type = src.type;
+      GatherColumn(src, 0, is_left ? *left_sel : *right_sel, &lanes[c]);
     }
-    ECODB_RETURN_IF_ERROR(lanes.SealRows(left_sel->size()));
-    ECODB_RETURN_IF_ERROR(
-        predicates_[j]->EvaluateMaskInto(lanes, &scratch, &mask));
+    ECODB_RETURN_IF_ERROR(programs_[j].EvaluateMaskInto(
+        lanes, left_sel->size(), &scratch, &mask));
     KeepSelected(mask, left_sel);
     KeepSelected(mask, right_sel);
   }

@@ -109,9 +109,8 @@ class PairFilter {
 
   size_t size() const { return predicates_.size(); }
 
-  /// Binds each predicate to the columns it names in `joined`, whose first
-  /// `left_columns` columns come from the left input, the rest from the
-  /// right.
+  /// Binds each predicate to `joined`, whose first `left_columns` columns
+  /// come from the left input, the rest from the right.
   Status Bind(const catalog::Schema& joined, size_t left_columns);
 
   /// Keeps, in order, the pairs (left row `left_sel[i]`, right row
@@ -126,14 +125,9 @@ class PairFilter {
   void Charge(ExecContext* ctx, const size_t* reaching) const;
 
  private:
-  /// One column a predicate reads: which input holds it, and where.
-  struct Source {
-    bool left = true;
-    size_t column = 0;
-  };
   std::vector<ExprPtr> predicates_;
-  std::vector<catalog::Schema> schemas_;       // per predicate: its lanes
-  std::vector<std::vector<Source>> sources_;  // per predicate, per lane
+  std::vector<BoundExpr> programs_;  // per predicate, bound to `joined`
+  size_t left_columns_ = 0;
 };
 
 /// Equi-join on one key column per side. The right (build) side must fit

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <span>
 
 #include "exec/exec_context.h"
@@ -81,6 +80,7 @@ namespace {
 void CopyRange(const ColumnData& src, ScanRowRange range, ColumnData* dst) {
   const auto first = static_cast<long>(range.begin);
   const auto last = static_cast<long>(range.end);
+  dst->type = src.type;
   switch (src.type) {
     case catalog::DataType::kInt64:
     case catalog::DataType::kDate:
@@ -259,20 +259,8 @@ Status TableScanOp::Open(ExecContext* ctx) {
   }
   schema_ = table_->schema().ProjectIndexes(column_indexes_);
   if (exact_filter_ != nullptr) {
-    // The exact filter reads only its own lanes: bind it to them in name
-    // order, so scans of one table that share the filter bind it alike.
-    std::set<std::string> names;
-    CollectColumns(exact_filter_, &names);
-    std::vector<int> table_columns;
-    filter_lanes_.clear();
-    for (const std::string& name : names) {
-      const int c = schema_.FindColumn(name);
-      if (c < 0) return Status::NotFound("unbound column '" + name + "'");
-      table_columns.push_back(column_indexes_[c]);
-      filter_lanes_.push_back(static_cast<size_t>(c));
-    }
-    filter_schema_ = table_->schema().ProjectIndexes(table_columns);
-    ECODB_RETURN_IF_ERROR(exact_filter_->Bind(filter_schema_));
+    ECODB_ASSIGN_OR_RETURN(filter_program_,
+                           exact_filter_->BindPredicate(schema_));
   }
 
   // --- Zone-map pruning: selected row ranges + the surviving fraction.
@@ -355,15 +343,15 @@ Status TableScanOp::ProduceRange(ScanRowRange range,
   } else {
     // Evaluate the filter over the lanes it reads, then gather the
     // surviving rows of every projected lane straight from its source.
-    RecordBatch probe(filter_schema_);
-    for (size_t f = 0; f < filter_lanes_.size(); ++f) {
-      CopyRange(*sources_[filter_lanes_[f]], range, &probe.column(f));
+    const std::vector<int>& inputs = filter_program_.inputs();
+    std::vector<ColumnData> probe(inputs.size());
+    for (size_t f = 0; f < inputs.size(); ++f) {
+      CopyRange(*sources_[static_cast<size_t>(inputs[f])], range, &probe[f]);
     }
-    ECODB_RETURN_IF_ERROR(probe.SealRows(take));
     EvalScratch scratch;
     std::vector<uint8_t> mask;
     ECODB_RETURN_IF_ERROR(
-        exact_filter_->EvaluateMaskInto(probe, &scratch, &mask));
+        filter_program_.EvaluateMaskInto(probe, take, &scratch, &mask));
     std::vector<uint32_t> selected(take);
     rows = 0;
     for (size_t r = 0; r < take; ++r) {  // branch-free selection vector

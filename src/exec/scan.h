@@ -133,10 +133,9 @@ class TableScanOp final : public Operator, public MorselSource {
   ExprPtr prune_filter_;
   ExprPtr exact_filter_;
   catalog::Schema schema_;
-  /// The exact filter's input: the projected lanes it reads, in name
-  /// order, and the schema it is bound to.
-  std::vector<size_t> filter_lanes_;
-  catalog::Schema filter_schema_;
+  /// The exact filter bound to schema_: its inputs are the projected lanes
+  /// it reads.
+  BoundExpr filter_program_;
 
   /// Per projected column: borrowed uncompressed lane or owned decode.
   std::vector<const storage::ColumnData*> sources_;

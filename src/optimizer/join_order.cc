@@ -101,6 +101,17 @@ std::vector<int> ToIndexes(const catalog::Schema& schema,
   return idx;
 }
 
+/// Adds every column name `expr` references to `out`.
+void CollectColumns(const ExprPtr& expr, std::set<std::string>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind() == exec::ExprKind::kColumn) {
+    out->insert(expr->column_name());
+    return;
+  }
+  CollectColumns(expr->lhs(), out);
+  CollectColumns(expr->rhs(), out);
+}
+
 /// Columns relation `rel`'s scan must produce: requested columns (empty =
 /// all), filter inputs, incident edge keys, and any group-by / aggregate
 /// inputs living in `schema`. std::set keeps the order deterministic. The
@@ -115,14 +126,14 @@ std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel,
   } else {
     needed.insert(side.columns.begin(), side.columns.end());
   }
-  exec::CollectColumns(side.filter, &needed);
+  CollectColumns(side.filter, &needed);
   for (const JoinEdge& e : spec.edges) {
     if (e.left_rel == rel) needed.insert(e.left_key);
     if (e.right_rel == rel) needed.insert(e.right_key);
   }
   needed.insert(spec.group_by.begin(), spec.group_by.end());
   for (const exec::AggregateItem& item : spec.aggregates) {
-    exec::CollectColumns(item.input, &needed);
+    CollectColumns(item.input, &needed);
   }
   std::vector<std::string> cols;
   for (const std::string& name : needed) {

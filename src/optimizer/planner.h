@@ -213,7 +213,7 @@ class Planner {
       const QuerySpec& spec, const PhysicalPlan& plan);
 
   /// Estimated selectivity of `filter` against a table's stats (exposed
-  /// for tests). Bind() need not have been called.
+  /// for tests).
   static double EstimateSelectivity(const exec::ExprPtr& filter,
                                     const catalog::Schema& schema,
                                     const catalog::TableStats& stats);

@@ -49,16 +49,25 @@ PlanJoinNode ScanLeaf(int rel) {
   return leaf;
 }
 
+/// The substitution rule: `query_class` picks one of three shapes, `param`
+/// one of kStreams streams; the pair's index is shape · kStreams + stream.
+constexpr int kStreams = 8;
+int QueryIndex(int query_class, int64_t param) {
+  return (((query_class % 3) + 3) % 3) * kStreams +
+         static_cast<int>(((param % kStreams) + kStreams) % kStreams);
+}
+
 }  // namespace
 
 ServingQuery MakeServingQuery(const storage::TableStorage* orders,
                               const storage::TableStorage* lineitem,
                               int query_class, int64_t param) {
-  const int stream = static_cast<int>(((param % 8) + 8) % 8);
+  const int index = QueryIndex(query_class, param);
+  const int stream = index % kStreams;
   constexpr int64_t kYear = 365;
 
   ServingQuery q;
-  q.shape = ((query_class % 3) + 3) % 3;
+  q.shape = index / kStreams;
   optimizer::QuerySpec& spec = q.spec;
   switch (q.shape) {
     case 0:
@@ -128,22 +137,23 @@ ServingQuery MakeServingQuery(const storage::TableStorage* orders,
 sched::SessionManager::QueryFactory MakeServingFactory(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem) {
-  // A shape scans the same columns whatever its substitution parameters,
-  // so each shape's scan requests are read off its plan once.
+  // Each query, and the scan requests read off its plan, is built once;
+  // a request builds only its tree, which shares the query's spec.
+  std::vector<ServingQuery> queries;  // by QueryIndex
   std::vector<StatusOr<std::vector<ScanRequest>>> scans;
-  for (int shape = 0; shape < 3; ++shape) {
-    scans.push_back(
-        ScanRequestsOf(MakeServingQuery(orders, lineitem, shape, 0)));
+  for (int i = 0; i < 3 * kStreams; ++i) {
+    queries.push_back(
+        MakeServingQuery(orders, lineitem, i / kStreams, i % kStreams));
+    scans.push_back(ScanRequestsOf(queries.back()));
   }
-  return [orders, lineitem, scans = std::move(scans)](
+  return [queries = std::move(queries), scans = std::move(scans)](
              const sim::TraceRequest& req)
              -> StatusOr<sched::SessionManager::PlannedQuery> {
-    const ServingQuery q =
-        MakeServingQuery(orders, lineitem, req.query_class, req.param);
+    const int i = QueryIndex(req.query_class, req.param);
     sched::SessionManager::PlannedQuery pq;
-    ECODB_ASSIGN_OR_RETURN(pq.root,
-                           optimizer::Planner::BuildOperator(q.spec, q.plan));
-    ECODB_ASSIGN_OR_RETURN(pq.scans, scans[q.shape]);
+    ECODB_ASSIGN_OR_RETURN(pq.root, optimizer::Planner::BuildOperator(
+                                        queries[i].spec, queries[i].plan));
+    ECODB_ASSIGN_OR_RETURN(pq.scans, scans[i]);
     return pq;
   };
 }

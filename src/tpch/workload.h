@@ -43,10 +43,10 @@ ServingQuery MakeServingQuery(const storage::TableStorage* orders,
                               const storage::TableStorage* lineitem,
                               int query_class, int64_t param);
 
-/// A serving-core query factory over the mixture: plans each trace request
-/// as MakeServingQuery(query_class, param) and declares the tables its plan
-/// scans so the SessionManager can route them through the shared-scan
-/// manager. Deterministic in the request, as the replay contract requires.
+/// A serving-core query factory over the mixture. It builds the 24 queries
+/// once; a trace request gets a tree of its (query_class, param) query and
+/// the tables that tree scans, which the SessionManager routes through the
+/// shared-scan manager. Deterministic, as the replay contract requires.
 sched::SessionManager::QueryFactory MakeServingFactory(
     const storage::TableStorage* orders,
     const storage::TableStorage* lineitem);

@@ -49,10 +49,11 @@ struct OracleGroup {
 using OracleMap = std::map<std::string, OracleGroup>;
 
 void OracleFold(const RecordBatch& batch, const std::vector<int>& group_by,
-                const std::vector<AggregateItem>& aggs, OracleMap* groups) {
+                const std::vector<AggregateItem>& aggs,
+                const std::vector<BoundExpr>& bound, OracleMap* groups) {
   std::vector<ColumnData> inputs(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].input != nullptr) inputs[a] = *aggs[a].input->Evaluate(batch);
+    if (aggs[a].input != nullptr) inputs[a] = bound[a].Evaluate(batch);
   }
   std::string key;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
@@ -288,11 +289,12 @@ class AggregateDifferentialTest : public ::testing::TestWithParam<Case> {
   std::vector<Row> RunOracle(OperatorPtr child) {
     ExecContext ctx(platform_.get(), Options(1));
     EXPECT_TRUE(child->Open(&ctx).ok());
-    std::vector<AggregateItem> aggs = Aggregates();
+    const std::vector<AggregateItem> aggs = Aggregates();
     std::vector<int> group_by;
+    std::vector<BoundExpr> inputs;
     Schema out;
     EXPECT_TRUE(BindAggregation(child->output_schema(), GetParam().group_by,
-                                &aggs, &group_by, &out)
+                                aggs, &group_by, &inputs, &out)
                     .ok());
     OracleMap groups;
     if (auto* source = dynamic_cast<MorselSource*>(child.get())) {
@@ -300,7 +302,7 @@ class AggregateDifferentialTest : public ::testing::TestWithParam<Case> {
         RecordBatch batch;
         EXPECT_TRUE(source->ProduceMorsel(m, &batch).ok());
         OracleMap partial;
-        OracleFold(batch, group_by, aggs, &partial);
+        OracleFold(batch, group_by, aggs, inputs, &partial);
         OracleMerge(partial, &groups);
       }
     } else {
@@ -309,7 +311,7 @@ class AggregateDifferentialTest : public ::testing::TestWithParam<Case> {
         RecordBatch batch;
         EXPECT_TRUE(child->Next(&batch, &eos).ok());
         if (eos) break;
-        OracleFold(batch, group_by, aggs, &groups);
+        OracleFold(batch, group_by, aggs, inputs, &groups);
       }
     }
     child->Close();

@@ -1,8 +1,8 @@
 // Differential tests for the fused batch-at-a-time expression evaluators.
 //
-// The tree-walk Expr::Evaluate is the semantic oracle; EvaluateMaskInto /
-// EvaluateInto are the fused kernels FilterOp, the scan's fused filter and
-// the aggregate actually run.
+// The tree-walk BoundExpr::Evaluate is the semantic oracle;
+// EvaluateMaskInto / EvaluateInto are the fused kernels FilterOp, the scan's
+// fused filter, the joins' pair filters and the aggregate actually run.
 // Seeded random expression trees over adversarial batches must agree
 // byte-for-byte (masks) and bit-for-bit (double lanes), and whole plans
 // must keep DESIGN §7's contract: byte-identical rows and bit-identical
@@ -110,20 +110,31 @@ TEST(FusedMaskDifferential, SeededRandomTreesMatchTreeWalk) {
   for (int trial = 0; trial < 300; ++trial) {
     const RecordBatch batch = MakeBatch(&rng, 1 + rng.Uniform(0, 192));
     ExprPtr e = RandomBool(&rng, 4);
-    ASSERT_TRUE(e->Bind(schema).ok()) << e->ToString();
+    auto bound = e->Bind(schema);
+    ASSERT_TRUE(bound.ok()) << e->ToString();
 
-    auto oracle_lane = e->Evaluate(batch);
-    ASSERT_TRUE(oracle_lane.ok()) << e->ToString();
+    const ColumnData oracle_lane = bound->Evaluate(batch);
     std::vector<uint8_t> oracle(batch.num_rows());
     for (size_t i = 0; i < batch.num_rows(); ++i) {
-      oracle[i] = oracle_lane->i64[i] != 0 ? 1 : 0;
+      oracle[i] = oracle_lane.i64[i] != 0 ? 1 : 0;
     }
 
     EvalScratch scratch;
     std::vector<uint8_t> fused;
-    ASSERT_TRUE(e->EvaluateMaskInto(batch, &scratch, &fused).ok())
+    ASSERT_TRUE(bound->EvaluateMaskInto(batch, &scratch, &fused).ok())
         << e->ToString();
     ASSERT_EQ(fused, oracle) << e->ToString();
+
+    // The same program over its input lanes alone, as a scan or a join
+    // evaluates it.
+    std::vector<ColumnData> lanes;
+    for (int c : bound->inputs()) lanes.push_back(batch.column(c));
+    std::vector<uint8_t> over_inputs;
+    ASSERT_TRUE(bound
+                    ->EvaluateMaskInto(lanes, batch.num_rows(), &scratch,
+                                       &over_inputs)
+                    .ok());
+    ASSERT_EQ(over_inputs, oracle) << e->ToString();
     ++evaluated;
   }
   EXPECT_EQ(evaluated, 300);
@@ -137,23 +148,22 @@ TEST(FusedLaneDifferential, SeededRandomTreesBitIdentical) {
     // Half the trials evaluate a boolean tree through the lane API (the
     // 0/1-widening path), half a numeric tree.
     ExprPtr e = trial % 2 ? RandomNumeric(&rng, 4) : RandomBool(&rng, 3);
-    ASSERT_TRUE(e->Bind(schema).ok()) << e->ToString();
+    auto bound = e->Bind(schema);
+    ASSERT_TRUE(bound.ok()) << e->ToString();
 
-    auto oracle = e->Evaluate(batch);
-    ASSERT_TRUE(oracle.ok()) << e->ToString();
+    const ColumnData oracle = bound->Evaluate(batch);
 
     EvalScratch scratch;
     ColumnData fused;
-    ASSERT_TRUE(e->EvaluateInto(batch, &scratch, &fused).ok())
-        << e->ToString();
+    bound->EvaluateInto(batch, &scratch, &fused);
 
-    EXPECT_EQ(fused.i64, oracle->i64) << e->ToString();
-    EXPECT_EQ(fused.str, oracle->str) << e->ToString();
+    EXPECT_EQ(fused.i64, oracle.i64) << e->ToString();
+    EXPECT_EQ(fused.str, oracle.str) << e->ToString();
     // Doubles must match *bitwise* (not approximately): the fused loops
     // must perform the same operations in the same order as the oracle.
-    ASSERT_EQ(fused.f64.size(), oracle->f64.size()) << e->ToString();
+    ASSERT_EQ(fused.f64.size(), oracle.f64.size()) << e->ToString();
     if (!fused.f64.empty()) {
-      EXPECT_EQ(std::memcmp(fused.f64.data(), oracle->f64.data(),
+      EXPECT_EQ(std::memcmp(fused.f64.data(), oracle.f64.data(),
                             fused.f64.size() * sizeof(double)),
                 0)
           << e->ToString();
@@ -171,13 +181,13 @@ TEST(FusedMaskDifferential, ScratchReuseAcrossShapes) {
   for (int trial = 0; trial < 60; ++trial) {
     const RecordBatch batch = MakeBatch(&rng, 1 + rng.Uniform(0, 400));
     ExprPtr e = RandomBool(&rng, 1 + static_cast<int>(rng.Uniform(0, 4)));
-    ASSERT_TRUE(e->Bind(schema).ok());
-    auto oracle_lane = e->Evaluate(batch);
-    ASSERT_TRUE(oracle_lane.ok());
-    ASSERT_TRUE(e->EvaluateMaskInto(batch, &scratch, &fused).ok());
+    auto bound = e->Bind(schema);
+    ASSERT_TRUE(bound.ok());
+    const ColumnData oracle_lane = bound->Evaluate(batch);
+    ASSERT_TRUE(bound->EvaluateMaskInto(batch, &scratch, &fused).ok());
     ASSERT_EQ(fused.size(), batch.num_rows());
     for (size_t i = 0; i < batch.num_rows(); ++i) {
-      EXPECT_EQ(fused[i], oracle_lane->i64[i] != 0 ? 1 : 0)
+      EXPECT_EQ(fused[i], oracle_lane.i64[i] != 0 ? 1 : 0)
           << e->ToString() << " row " << i;
     }
   }

@@ -292,8 +292,9 @@ TEST(ExprSugar, BetweenMatchesManualConjunction) {
   batch.column(0).i64 = {1, 5, 10, 15, 20};
   ASSERT_TRUE(batch.SealRows(5).ok());
   auto e = exec::Between(Col("x"), Lit(int64_t{5}), Lit(int64_t{15}));
-  ASSERT_TRUE(e->Bind(schema).ok());
-  EXPECT_EQ(e->Evaluate(batch)->i64, (std::vector<int64_t>{0, 1, 1, 1, 0}));
+  auto bound = e->Bind(schema);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(bound->Evaluate(batch).i64, (std::vector<int64_t>{0, 1, 1, 1, 0}));
 }
 
 TEST(ExprSugar, InOverIntegers) {
@@ -302,8 +303,9 @@ TEST(ExprSugar, InOverIntegers) {
   batch.column(0).i64 = {1, 2, 3, 4, 5};
   ASSERT_TRUE(batch.SealRows(5).ok());
   auto e = exec::In(Col("x"), std::vector<int64_t>{2, 5});
-  ASSERT_TRUE(e->Bind(schema).ok());
-  EXPECT_EQ(e->Evaluate(batch)->i64, (std::vector<int64_t>{0, 1, 0, 0, 1}));
+  auto bound = e->Bind(schema);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(bound->Evaluate(batch).i64, (std::vector<int64_t>{0, 1, 0, 0, 1}));
 }
 
 TEST(ExprSugar, InOverStrings) {
@@ -312,8 +314,9 @@ TEST(ExprSugar, InOverStrings) {
   batch.column(0).str = {"a", "b", "c"};
   ASSERT_TRUE(batch.SealRows(3).ok());
   auto e = exec::In(Col("s"), std::vector<const char*>{"a", "c"});
-  ASSERT_TRUE(e->Bind(schema).ok());
-  EXPECT_EQ(e->Evaluate(batch)->i64, (std::vector<int64_t>{1, 0, 1}));
+  auto bound = e->Bind(schema);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_EQ(bound->Evaluate(batch).i64, (std::vector<int64_t>{1, 0, 1}));
 }
 
 }  // namespace

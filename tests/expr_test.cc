@@ -31,67 +31,71 @@ RecordBatch TestBatch() {
   return batch;
 }
 
+/// `e` bound to TestSchema(); after a failed bind (a test failure), a
+/// program of zeros, so the test's checks fail instead of crashing.
+BoundExpr BindTest(const ExprPtr& e) {
+  auto bound = e->Bind(TestSchema());
+  EXPECT_TRUE(bound.ok()) << e->ToString() << ": "
+                          << bound.status().message();
+  return bound.ok() ? *std::move(bound)
+                    : *Lit(int64_t{0})->Bind(TestSchema());
+}
+
 TEST(Expr, ColumnEvaluatesToLane) {
-  auto e = Col("a");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{1, 2, 3, 4}));
+  const BoundExpr e = BindTest(Col("a"));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(e.inputs(), (std::vector<int>{0}));
 }
 
 TEST(Expr, UnknownColumnFailsBind) {
   auto e = Col("missing");
-  EXPECT_EQ(e->Bind(TestSchema()).code(), StatusCode::kNotFound);
+  EXPECT_EQ(e->Bind(TestSchema()).status().code(), StatusCode::kNotFound);
 }
 
+template <typename T>
+constexpr bool kEvaluates =
+    requires(const T& e, const RecordBatch& batch) { e.Evaluate(batch); };
+
 TEST(Expr, EvaluateBeforeBindFails) {
-  auto e = Col("a");
-  EXPECT_EQ(e->Evaluate(TestBatch()).status().code(),
-            StatusCode::kFailedPrecondition);
+  // Only the program Bind returns evaluates: an unbound Expr has no
+  // Evaluate to call, and a failed Bind returns no program.
+  static_assert(!kEvaluates<Expr>);
+  static_assert(kEvaluates<BoundExpr>);
+  EXPECT_FALSE(Col("missing")->Bind(TestSchema()).ok());
 }
 
 TEST(Expr, LiteralBroadcasts) {
-  auto e = Lit(7.5);
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->f64, (std::vector<double>{7.5, 7.5, 7.5, 7.5}));
+  const BoundExpr e = BindTest(Lit(7.5));
+  EXPECT_EQ(e.Evaluate(TestBatch()).f64,
+            (std::vector<double>{7.5, 7.5, 7.5, 7.5}));
+  EXPECT_TRUE(e.inputs().empty());
 }
 
 TEST(Expr, IntCompare) {
-  auto e = Col("a") > Lit(int64_t{2});
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{0, 0, 1, 1}));
+  const BoundExpr e = BindTest(Col("a") > Lit(int64_t{2}));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{0, 0, 1, 1}));
 }
 
 TEST(Expr, MixedIntDoubleCompare) {
-  auto e = Col("b") >= Col("a");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{1, 0, 0, 1}));
+  const BoundExpr e = BindTest(Col("b") >= Col("a"));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 0, 0, 1}));
+  EXPECT_EQ(e.inputs(), (std::vector<int>{1, 0}));  // in order of first use
 }
 
 TEST(Expr, StringCompare) {
-  auto e = Col("s") == Lit("x");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{1, 0, 1, 0}));
+  const BoundExpr e = BindTest(Col("s") == Lit("x"));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 0, 1, 0}));
 }
 
 TEST(Expr, StringOrdering) {
-  auto e = Col("s") < Lit("y");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{1, 0, 1, 0}));
+  const BoundExpr e = BindTest(Col("s") < Lit("y"));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 0, 1, 0}));
 }
 
 TEST(Expr, StringVsNumericRejectedAtBind) {
   auto e = Col("s") == Lit(int64_t{1});
-  EXPECT_EQ(e->Bind(TestSchema()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(e->Bind(TestSchema()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Expr, AllSixComparators) {
@@ -106,87 +110,121 @@ TEST(Expr, AllSixComparators) {
       {CompareOp::kGt, {0, 0, 1, 1}}, {CompareOp::kGe, {0, 1, 1, 1}},
   };
   for (const Case& c : cases) {
-    auto e = Expr::Compare(c.op, Col("a"), Lit(int64_t{2}));
-    ASSERT_TRUE(e->Bind(TestSchema()).ok());
-    EXPECT_EQ(e->Evaluate(batch)->i64, c.expect)
-        << static_cast<int>(c.op);
+    const BoundExpr e =
+        BindTest(Expr::Compare(c.op, Col("a"), Lit(int64_t{2})));
+    EXPECT_EQ(e.Evaluate(batch).i64, c.expect) << static_cast<int>(c.op);
   }
 }
 
 TEST(Expr, IntegerArithmeticStaysInt) {
-  auto e = Col("a") + Col("a") * Lit(int64_t{10});
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_EQ(e->result_type(), DataType::kInt64);
-  auto out = e->Evaluate(TestBatch());
-  EXPECT_EQ(out->i64, (std::vector<int64_t>{11, 22, 33, 44}));
+  const BoundExpr e = BindTest(Col("a") + Col("a") * Lit(int64_t{10}));
+  EXPECT_EQ(e.result_type(), DataType::kInt64);
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64,
+            (std::vector<int64_t>{11, 22, 33, 44}));
 }
 
 TEST(Expr, DivisionPromotesToDouble) {
-  auto e = Col("a") / Lit(int64_t{2});
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_EQ(e->result_type(), DataType::kDouble);
-  auto out = e->Evaluate(TestBatch());
-  EXPECT_EQ(out->f64, (std::vector<double>{0.5, 1.0, 1.5, 2.0}));
+  const BoundExpr e = BindTest(Col("a") / Lit(int64_t{2}));
+  EXPECT_EQ(e.result_type(), DataType::kDouble);
+  EXPECT_EQ(e.Evaluate(TestBatch()).f64,
+            (std::vector<double>{0.5, 1.0, 1.5, 2.0}));
 }
 
 TEST(Expr, DivisionByZeroYieldsZero) {
-  auto e = Lit(1.0) / Col("b");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  auto out = e->Evaluate(TestBatch());
-  EXPECT_DOUBLE_EQ(out->f64[2], 0.0);  // b[2] == 0.0
+  const BoundExpr e = BindTest(Lit(1.0) / Col("b"));
+  EXPECT_DOUBLE_EQ(e.Evaluate(TestBatch()).f64[2], 0.0);  // b[2] == 0.0
 }
 
 TEST(Expr, MixedArithmeticPromotes) {
-  auto e = Col("a") + Col("b");
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_EQ(e->result_type(), DataType::kDouble);
-  auto out = e->Evaluate(TestBatch());
-  EXPECT_EQ(out->f64, (std::vector<double>{2.5, 0.0, 3.0, 14.0}));
+  const BoundExpr e = BindTest(Col("a") + Col("b"));
+  EXPECT_EQ(e.result_type(), DataType::kDouble);
+  EXPECT_EQ(e.Evaluate(TestBatch()).f64,
+            (std::vector<double>{2.5, 0.0, 3.0, 14.0}));
 }
 
 TEST(Expr, ArithmeticOnStringsRejected) {
   auto e = Col("s") + Lit(int64_t{1});
-  EXPECT_EQ(e->Bind(TestSchema()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(e->Bind(TestSchema()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Expr, LogicalAndOrNot) {
-  auto e = And(Col("a") > Lit(int64_t{1}), Col("a") < Lit(int64_t{4}));
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_EQ(e->Evaluate(TestBatch())->i64,
-            (std::vector<int64_t>{0, 1, 1, 0}));
+  const BoundExpr e =
+      BindTest(And(Col("a") > Lit(int64_t{1}), Col("a") < Lit(int64_t{4})));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{0, 1, 1, 0}));
 
-  auto o = Or(Col("a") == Lit(int64_t{1}), Col("a") == Lit(int64_t{4}));
-  ASSERT_TRUE(o->Bind(TestSchema()).ok());
-  EXPECT_EQ(o->Evaluate(TestBatch())->i64,
-            (std::vector<int64_t>{1, 0, 0, 1}));
+  const BoundExpr o = BindTest(
+      Or(Col("a") == Lit(int64_t{1}), Col("a") == Lit(int64_t{4})));
+  EXPECT_EQ(o.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 0, 0, 1}));
 
-  auto n = Expr::Not(Col("a") > Lit(int64_t{2}));
-  ASSERT_TRUE(n->Bind(TestSchema()).ok());
-  EXPECT_EQ(n->Evaluate(TestBatch())->i64,
-            (std::vector<int64_t>{1, 1, 0, 0}));
+  const BoundExpr n = BindTest(Expr::Not(Col("a") > Lit(int64_t{2})));
+  EXPECT_EQ(n.Evaluate(TestBatch()).i64, (std::vector<int64_t>{1, 1, 0, 0}));
+}
+
+// AND, OR and NOT read their operands as int64 masks, so binding rejects a
+// double ("b"), date ("d") or string ("s") operand, on either side.
+const char* const kNonBooleanColumns[] = {"b", "d", "s"};
+
+TEST(Expr, AndRejectsNonBooleanOperand) {
+  for (const char* column : kNonBooleanColumns) {
+    for (const ExprPtr& e : {And(Col(column), Col("a") > Lit(int64_t{1})),
+                             And(Col("a") > Lit(int64_t{1}), Col(column))}) {
+      EXPECT_EQ(e->Bind(TestSchema()).status().code(),
+                StatusCode::kInvalidArgument)
+          << e->ToString();
+    }
+  }
+  // An int64 operand is a boolean: non-zero is true.
+  const BoundExpr e = BindTest(And(Col("a"), Col("a") > Lit(int64_t{1})));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{0, 1, 1, 1}));
+}
+
+TEST(Expr, OrRejectsNonBooleanOperand) {
+  for (const char* column : kNonBooleanColumns) {
+    for (const ExprPtr& e : {Or(Col(column), Col("a") > Lit(int64_t{1})),
+                             Or(Col("a") > Lit(int64_t{1}), Col(column))}) {
+      EXPECT_EQ(e->Bind(TestSchema()).status().code(),
+                StatusCode::kInvalidArgument)
+          << e->ToString();
+    }
+  }
+}
+
+TEST(Expr, NotRejectsNonBooleanOperand) {
+  for (const char* column : kNonBooleanColumns) {
+    EXPECT_EQ(Expr::Not(Col(column))->Bind(TestSchema()).status().code(),
+              StatusCode::kInvalidArgument)
+        << column;
+  }
+}
+
+TEST(Expr, PredicateMustBeBoolean) {
+  for (const char* column : kNonBooleanColumns) {
+    EXPECT_EQ(Col(column)->BindPredicate(TestSchema()).status().code(),
+              StatusCode::kInvalidArgument)
+        << column;
+  }
+  EXPECT_TRUE(Col("a")->BindPredicate(TestSchema()).ok());
+  EXPECT_TRUE((Col("d") >= LitDate(250))->BindPredicate(TestSchema()).ok());
 }
 
 TEST(Expr, DateComparesAsInteger) {
-  auto e = Col("d") >= LitDate(250);
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  EXPECT_EQ(e->Evaluate(TestBatch())->i64,
-            (std::vector<int64_t>{0, 0, 1, 1}));
+  const BoundExpr e = BindTest(Col("d") >= LitDate(250));
+  EXPECT_EQ(e.Evaluate(TestBatch()).i64, (std::vector<int64_t>{0, 0, 1, 1}));
 }
 
 TEST(Expr, EvaluateMaskRequiresBoolean) {
-  auto e = Col("b");  // double-typed
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
+  const BoundExpr e = BindTest(Col("b"));  // double-typed
   EvalScratch scratch;
   std::vector<uint8_t> mask;
-  EXPECT_FALSE(e->EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
+  EXPECT_FALSE(e.EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
 }
 
 TEST(Expr, EvaluateMaskFromComparison) {
-  auto e = Col("a") != Lit(int64_t{3});
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
+  const BoundExpr e = BindTest(Col("a") != Lit(int64_t{3}));
   EvalScratch scratch;
   std::vector<uint8_t> mask;
-  ASSERT_TRUE(e->EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
+  ASSERT_TRUE(e.EvaluateMaskInto(TestBatch(), &scratch, &mask).ok());
   EXPECT_EQ(mask, (std::vector<uint8_t>{1, 1, 0, 1}));
 }
 
@@ -203,16 +241,21 @@ TEST(Expr, ToStringRendersTree) {
 
 TEST(Expr, RebindAgainstNewSchemaWorks) {
   auto e = Col("a") > Lit(int64_t{0});
-  ASSERT_TRUE(e->Bind(TestSchema()).ok());
-  // New schema where "a" sits at a different index.
+  const BoundExpr first = BindTest(e);
+  // New schema where "a" sits at a different index. Binding again leaves
+  // the first program as it was: both evaluate.
   Schema other({Column{"z", DataType::kInt64, 8},
                 Column{"a", DataType::kInt64, 8}});
-  ASSERT_TRUE(e->Bind(other).ok());
+  auto second = e->Bind(other);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->inputs(), (std::vector<int>{1}));
   RecordBatch batch(other);
   batch.column(0).i64 = {9, 9};
   batch.column(1).i64 = {-1, 5};
   ASSERT_TRUE(batch.SealRows(2).ok());
-  EXPECT_EQ(e->Evaluate(batch)->i64, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(second->Evaluate(batch).i64, (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(first.Evaluate(TestBatch()).i64,
+            (std::vector<int64_t>{1, 1, 1, 1}));
 }
 
 // --- RecordBatch helpers ----------------------------------------------------

@@ -636,6 +636,129 @@ TEST_F(OptimizerTest, AggregatePlanBuilds) {
   EXPECT_EQ(rows->TotalRows(), 10u);  // 10 distinct keys
 }
 
+/// The one-leaf plan that reads relation 0 by a table scan.
+PhysicalPlan TableScanPlan() {
+  PhysicalPlan plan;
+  plan.join_nodes.emplace_back().relation = 0;
+  plan.join_root = 0;
+  return plan;
+}
+
+TEST_F(OptimizerTest, NodeSharedByFilterAndAggregateInputRuns) {
+  // SELECT SUM(v + 0), COUNT(*) FROM t WHERE v < 100, where the filter and
+  // the aggregate input read one Col("v") node. The scan's fused filter
+  // reads only its own lane and the aggregate reads the scan's whole
+  // batch, so each binds the node to a different lane: binding must leave
+  // the node as it was, or one of them reads the other's lane.
+  auto table = MakeTable(1, 1000, 1000);
+  const auto spec_reading = [&](ExprPtr filter_v, ExprPtr input_v) {
+    QuerySpec spec;
+    spec.left.name = "t";
+    spec.left.variants = {table.get()};
+    spec.left.filter = std::move(filter_v) < Lit(int64_t{100});
+    spec.aggregates.push_back(
+        {"total", exec::AggFunc::kSum, std::move(input_v) + Lit(int64_t{0})});
+    spec.aggregates.push_back({"n", exec::AggFunc::kCount, nullptr});
+    return spec;
+  };
+  const ExprPtr v = Col("v");
+  const QuerySpec shared = spec_reading(v, v);
+  const QuerySpec fresh = spec_reading(Col("v"), Col("v"));
+  for (int dop : {1, 4}) {
+    SCOPED_TRACE("dop " + std::to_string(dop));
+    std::vector<std::vector<exec::Value>> rows;
+    for (const QuerySpec* spec : {&fresh, &shared}) {
+      auto op = Planner::BuildOperator(*spec, TableScanPlan());
+      ASSERT_TRUE(op.ok()) << op.status().message();
+      exec::ExecOptions options;
+      options.dop = dop;
+      exec::ExecContext ctx(platform_.get(), options);
+      auto result = exec::CollectAll(op->get(), &ctx);
+      ctx.Finish();
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      ASSERT_EQ(result->TotalRows(), 1u);
+      rows.push_back({result->batches[0].GetValue(0, 0),
+                      result->batches[0].GetValue(0, 1)});
+    }
+    EXPECT_EQ(rows[0][0].f64, 4950.0);  // 0 + 1 + ... + 99
+    EXPECT_EQ(rows[0][1].i64, 100);
+    EXPECT_EQ(rows[1], rows[0]);
+  }
+}
+
+TEST_F(OptimizerTest, FilterNodeSharedByIndexAndTableScanRelationsRuns) {
+  // t JOIN s ON k = sk, where both tables hold a column `v` and both
+  // relations filter by one node, 100 <= v < 140: t through its index on
+  // `v` (the filter runs over the index scan's whole batch), s through a
+  // table scan (the fused filter reads only its `v` lane). ChoosePlan
+  // rejects the shared name; BuildOperator builds the plan it is handed.
+  auto t = MakeTable(1, 2000, 10);
+  storage::BTreeIndex index;
+  for (int i = 0; i < 2000; ++i) index.Insert(i, static_cast<uint64_t>(i));
+  storage::TableStorage s(
+      2,
+      Schema({Column{"sk", DataType::kInt64, 8},
+              Column{"v", DataType::kInt64, 8}}),
+      storage::TableLayout::kColumn, ssd_.get());
+  std::vector<storage::ColumnData> cols(2);
+  cols[0].type = DataType::kInt64;
+  cols[1].type = DataType::kInt64;
+  for (int i = 0; i < 400; ++i) {
+    cols[0].i64.push_back(i % 10);
+    cols[1].i64.push_back(i);
+  }
+  ASSERT_TRUE(s.Append(cols).ok());
+
+  const auto spec_filtered_by = [&](ExprPtr t_filter, ExprPtr s_filter) {
+    QuerySpec spec;
+    spec.relations.resize(2);
+    spec.relations[0].name = "t";
+    spec.relations[0].variants = {t.get()};
+    spec.relations[0].columns = {"k", "v"};
+    spec.relations[0].filter = std::move(t_filter);
+    spec.relations[0].index = &index;
+    spec.relations[0].index_column = "v";
+    spec.relations[1].name = "s";
+    spec.relations[1].variants = {&s};
+    spec.relations[1].columns = {"sk", "v"};
+    spec.relations[1].filter = std::move(s_filter);
+    spec.edges = {{0, 1, "k", "sk"}};
+    spec.aggregates.push_back({"n", exec::AggFunc::kCount, nullptr});
+    return spec;
+  };
+  const auto band = [] {
+    return exec::And(Col("v") >= Lit(int64_t{100}),
+                     Col("v") < Lit(int64_t{140}));
+  };
+  const ExprPtr shared_filter = band();
+  const QuerySpec shared = spec_filtered_by(shared_filter, shared_filter);
+  const QuerySpec fresh = spec_filtered_by(band(), band());
+
+  // The index scan of t probes the hash join, which builds on s's scan.
+  PhysicalPlan plan;
+  plan.join_nodes.resize(3);
+  plan.join_nodes[0].relation = 0;
+  plan.join_nodes[0].path = AccessPath::kIndexScan;
+  plan.join_nodes[1].relation = 1;
+  plan.join_nodes[2].left = 0;
+  plan.join_nodes[2].right = 1;
+  plan.join_nodes[2].left_key = "k";
+  plan.join_nodes[2].right_key = "sk";
+  plan.join_root = 2;
+  std::vector<int64_t> counts;
+  for (const QuerySpec* spec : {&fresh, &shared}) {
+    auto op = Planner::BuildOperator(*spec, plan);
+    ASSERT_TRUE(op.ok()) << op.status().message();
+    const exec::naive::Rows rows =
+        exec::naive::Materialize(op->get(), platform_.get());
+    ASSERT_EQ(rows.rows.size(), 1u);
+    counts.push_back(rows.rows[0][0].i64);
+  }
+  // 40 rows of each side pass, 4 per key of 10: 10 · 4 · 4 pairs.
+  EXPECT_EQ(counts[0], 160);
+  EXPECT_EQ(counts[1], counts[0]);
+}
+
 TEST_F(OptimizerTest, OrderByPlansBuildSerialAndParallelSorts) {
   auto table = MakeTable(1, 5000, 50);
   QuerySpec spec;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -607,6 +608,70 @@ TEST(ServingEquivalence, PlannedQueriesMatchHandBuiltTreesRowsBillsAndScans) {
         EXPECT_EQ(plan_stats.dram_joules, hand_stats.dram_joules);
         EXPECT_EQ(plan_stats.elapsed_seconds, hand_stats.elapsed_seconds);
       }
+    }
+  }
+}
+
+TEST(ServingConcurrency, TreesFromOneSpecAndOneFactoryMatchASerialRun) {
+  // Trees built from one spec, and from one factory, run on two threads at
+  // once, 20 times each at dop 2: each thread on a platform of its own, over
+  // memory-resident tables (no device), so the threads share only the
+  // tables, the spec and the factory. Q1 filters and aggregates, so every
+  // tree binds the spec's filter and aggregate inputs at Open.
+  storage::TableStorage orders(1, OrdersSchema(),
+                               storage::TableLayout::kColumn, nullptr);
+  storage::TableStorage lineitem(2, LineitemSchema(),
+                                 storage::TableLayout::kColumn, nullptr);
+  ASSERT_TRUE(orders.Append(GenerateOrders(SmallConfig())).ok());
+  ASSERT_TRUE(lineitem.Append(GenerateLineitem(SmallConfig())).ok());
+  const ServingQuery q = MakeServingQuery(&orders, &lineitem, 0, 3);
+  const sched::SessionManager::QueryFactory factory =
+      MakeServingFactory(&orders, &lineitem);
+
+  using Rows = std::vector<std::vector<exec::Value>>;
+  // A tree's rows at dop 2, or none when it failed to build or to run.
+  const auto run = [](power::HardwarePlatform* platform, exec::Operator* root) {
+    if (root == nullptr) return Rows{};
+    exec::ExecOptions options;
+    options.dop = 2;
+    exec::ExecContext ctx(platform, options);
+    auto result = exec::CollectAll(root, &ctx);
+    ctx.Finish();
+    return result.ok() ? RowsOf(*result) : Rows{};
+  };
+  // One pass: the spec's tree, then one factory request per query class.
+  const auto pass = [&](power::HardwarePlatform* platform) {
+    auto root = optimizer::Planner::BuildOperator(q.spec, q.plan);
+    std::vector<Rows> rows = {run(platform, root.ok() ? root->get() : nullptr)};
+    for (int query_class = 0; query_class < 3; ++query_class) {
+      sim::TraceRequest req;
+      req.query_class = query_class;
+      req.param = 3;
+      auto planned = factory(req);
+      rows.push_back(
+          run(platform, planned.ok() ? planned->root.get() : nullptr));
+    }
+    return rows;
+  };
+
+  const auto serial_platform = power::MakeFlashScanPlatform();
+  const std::vector<Rows> serial = pass(serial_platform.get());
+  for (const Rows& rows : serial) ASSERT_FALSE(rows.empty());
+
+  constexpr int kRuns = 20;
+  std::vector<std::vector<std::vector<Rows>>> got(2);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const auto platform = power::MakeFlashScanPlatform();
+      for (int i = 0; i < kRuns; ++i) got[t].push_back(pass(platform.get()));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), static_cast<size_t>(kRuns));
+    for (int i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(got[t][i], serial) << "thread " << t << " run " << i;
     }
   }
 }

@@ -138,7 +138,7 @@ class ProjectAnalysis {
   }
 
   /// Fixpoint over the call graph: the lock set a function may acquire,
-  /// whether it may settle (call a Charge*/Settle*/MergeWork/Finish entry
+  /// whether it may settle (call a Charge*/Settle*/Finish entry
   /// point), and whether it polls cancellation — including through callees.
   void ComputeTransitiveFacts() {
     const size_t n = idx_.functions.size();

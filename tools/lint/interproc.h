@@ -13,7 +13,7 @@
 //                                mutex acquisition order must be consistent
 //                                (no inverted pairs, no re-acquisition of a
 //                                held lock), and no settlement call
-//                                (Charge*/Settle*/MergeWork/Finish) may run
+//                                (Charge*/Settle*/Finish) may run
 //                                — directly or transitively — while a lock
 //                                is held, or coordinator settlement order
 //                                would depend on thread scheduling.

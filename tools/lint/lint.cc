@@ -468,8 +468,8 @@ std::vector<Finding> Scanner::Run() {
     }
 
     // ---- EC2 / EC4: charge placement --------------------------------------
-    const bool charge_like = tok.text.rfind("Charge", 0) == 0 ||
-                             tok.text == "MergeWork" || tok.text == "Finish";
+    const bool charge_like =
+        tok.text.rfind("Charge", 0) == 0 || tok.text == "Finish";
     if (ec12_scope && charge_like && IsCall(i)) {
       const Region region = CurrentRegion();
       if (region == Region::kWorker) {

@@ -14,7 +14,7 @@
 //                          device submit calls, platform charge entry points,
 //                          or the simulated clock from src/exec or src/sched
 //                          is flagged.
-//   EC2  worker-regions    No Charge*/MergeWork/Finish calls inside a
+//   EC2  worker-regions    No Charge*/Finish calls inside a
 //                          `worker-context` region; in any file that has a
 //                          worker region, every such call must sit inside a
 //                          `coordinator-only` region.

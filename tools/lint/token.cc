@@ -218,7 +218,7 @@ bool IsStatementKeyword(const std::string& t) {
 
 bool IsSettlementName(const std::string& t) {
   return t.rfind("Charge", 0) == 0 || t.rfind("Settle", 0) == 0 ||
-         t == "MergeWork" || t == "Finish";
+         t == "Finish";
 }
 
 std::set<std::string> CollectUnorderedNames(const std::vector<Token>& tokens) {

@@ -69,7 +69,7 @@ bool IsUnorderedTypeName(const std::string& t);
 bool IsStatementKeyword(const std::string& t);
 
 /// Names that perform energy settlement (EC2 placement, EC9 under-lock):
-/// Charge*, Settle*, MergeWork, Finish.
+/// Charge*, Settle*, Finish.
 bool IsSettlementName(const std::string& t);
 
 /// Collects names declared with an unordered container type in the token
