@@ -42,8 +42,7 @@ RunOutcome RunTrace(double window_s) {
   sched::DiskPowerManager power_mgr(&events, &hdd,
                                     sched::SpinDownPolicy::kBreakEven);
   sched::BatchingScheduler scheduler(&events,
-                                     sched::BatchingConfig{window_s,
-                                                           SIZE_MAX});
+                                     sched::BatchingConfig{window_s});
 
   // Identical arrival trace for every window (same seed).
   Rng rng(4242);

@@ -71,7 +71,7 @@ Scenario Run(bool batch, bool migrate_first) {
                              : ecodb::sched::SpinDownPolicy::kNever);
   ecodb::sched::BatchingScheduler scheduler(
       &events,
-      ecodb::sched::BatchingConfig{batch ? 300.0 : 0.0, SIZE_MAX});
+      ecodb::sched::BatchingConfig{batch ? 300.0 : 0.0});
 
   ecodb::Rng rng(77);
   double t = clock.now();

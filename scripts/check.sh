@@ -27,10 +27,10 @@ run cmake --preset default
 run cmake --build --preset default -j "$jobs"
 run ctest --preset default -j "$jobs"
 
-# 2. Bench-regression smoke gate against the committed BENCH_engine.json.
-#    Smoke mode uses few reps and a wide wall tolerance, so on shared CI
-#    hosts it only trips on gross slowdowns (and on any Joules drift, which
-#    is deterministic at every tolerance).
+# 2. Bench-regression smoke gate: the perf suite built at HEAD against the
+#    working tree in 10 alternating pairs taking turns on one CPU, 3 reps
+#    per item; Joules and decode speedups against the committed
+#    BENCH_engine.json.
 run ./scripts/bench_regress.sh --smoke
 
 # 3. Serving-core smoke: the multi-session sweep's shape checks enforce the

@@ -2,12 +2,9 @@
 # Same-output check: the deterministic benches and examples must print the
 # same bytes after a change as they do at <rev>.
 #
-# Extracts <rev> with git archive (local, no network, nothing registered in
-# .git) under build/same_outputs/, builds the programs listed below from it
-# and from the working tree, runs each in both builds and compares its
-# stdout and exit status byte for byte. Both builds are Release builds of
-# only these programs, and both are kept, so a second run against the same
-# <rev> rebuilds only what changed in the working tree.
+# Builds the programs listed below at <rev> and in the working tree under
+# build/same_outputs/ (scripts/build_against.sh), runs each in both builds
+# and compares its stdout and exit status byte for byte.
 #
 # Usage: scripts/same_outputs.sh <rev> [-j N]
 # Exits 0 when every output matches, 1 naming each program whose output
@@ -16,6 +13,7 @@
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
+source scripts/build_against.sh
 
 # Each run: a program path relative to a build directory, then arguments.
 runs=(
@@ -62,25 +60,6 @@ while getopts "j:" opt; do
   esac
 done
 
-if ! commit=$(git rev-parse --verify --quiet "$rev^{commit}"); then
-  echo "same_outputs: $rev names no commit" >&2
-  exit 2
-fi
-
-root=build/same_outputs
-mkdir -p "$root"
-# A different <rev> starts from a fresh extract and build: its files carry
-# their commit's timestamps, which an incremental build cannot trust.
-if [[ "$(cat "$root/base.commit" 2>/dev/null)" != "$commit" ]]; then
-  rm -rf "$root/base-src" "$root/base" "$root/base.commit"
-  mkdir -p "$root/base-src"
-  if ! git archive "$commit" | tar -x -C "$root/base-src"; then
-    echo "same_outputs: could not extract $commit" >&2
-    exit 2
-  fi
-  echo "$commit" >"$root/base.commit"
-fi
-
 targets=()
 for run in "${runs[@]}"; do
   program=${run%% *}
@@ -88,21 +67,9 @@ for run in "${runs[@]}"; do
   [[ " ${targets[*]} " == *" $target "* ]] || targets+=("$target")
 done
 
-# build <source-dir> <side>: configures and builds $root/<side>.
-build() {
-  local log=$root/$2.log
-  echo "==> building $1 into $root/$2"
-  if ! { cmake -S "$1" -B "$root/$2" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$root/$2" -j "$jobs" --target "${targets[@]}"; } \
-       >"$log" 2>&1; then
-    tail -20 "$log" >&2
-    echo "same_outputs: building $1 failed (log: $log)" >&2
-    exit 2
-  fi
-}
+root=build/same_outputs
+build_against "$root" "$rev" "$jobs" "${targets[@]}"
 echo "same_outputs: ${commit:0:12} (base) against the working tree (work)"
-build "$root/base-src" base
-build . work
 
 differ=()
 for run in "${runs[@]}"; do

@@ -142,6 +142,28 @@ std::vector<std::string> ScanColumns(const QuerySpec& spec, int rel,
   return cols;
 }
 
+/// Adds one relation's scan columns to `claimed`, or fails when another
+/// relation already scans one of the names. Join output columns must be
+/// nameable without JoinedSchema's "_r" renames: residual edges,
+/// aggregates and ORDER BY address columns by name, and a renamed column
+/// would mean whichever table the plan puts on the build side. Analyze
+/// and both operator-tree walks apply this one rule. A query scans a few
+/// dozen columns at most, so a linear search over a vector costs less per
+/// served request than a node per name would.
+Status ClaimScanColumns(const std::vector<std::string>& cols,
+                        std::vector<std::string>* claimed) {
+  for (const std::string& name : cols) {
+    if (std::find(claimed->begin(), claimed->end(), name) != claimed->end()) {
+      return Status::InvalidArgument(
+          "column '" + name +
+          "' appears in multiple relations; join graphs require unique "
+          "column names");
+    }
+    claimed->push_back(name);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
@@ -177,22 +199,12 @@ StatusOr<JoinGraph> JoinGraph::Analyze(const QuerySpec& spec) {
   graph.scan_columns_.resize(n);
   graph.stats_.resize(n);
 
-  std::set<std::string> seen_everywhere;
+  std::vector<std::string> claimed;
   for (int rel = 0; rel < n; ++rel) {
     const TableAlternatives& side = rels[rel];
     const catalog::Schema& schema = side.variants[0]->schema();
     graph.scan_columns_[rel] = ScanColumns(spec, rel, schema);
-    for (const std::string& name : graph.scan_columns_[rel]) {
-      // Join output columns must be nameable without JoinedSchema's "_r"
-      // renames: residual edges address columns by name, and a renamed
-      // column would mean whichever table the chosen build side holds.
-      if (!seen_everywhere.insert(name).second) {
-        return Status::InvalidArgument(
-            "column '" + name +
-            "' appears in multiple relations; join graphs require unique "
-            "column names");
-      }
-    }
+    ECODB_RETURN_IF_ERROR(ClaimScanColumns(graph.scan_columns_[rel], &claimed));
     graph.widths_[rel] =
         schema.ProjectIndexes(ToIndexes(schema, graph.scan_columns_[rel]))
             .RowWidthBytes();
@@ -853,10 +865,11 @@ StatusOr<PlanCost> Planner::PricePlan(const QuerySpec& spec,
 
 namespace {
 
-/// Recursive operator construction for one join-tree node.
+/// Recursive operator construction for one join-tree node; `claimed`
+/// holds the column names the leaves built so far scan.
 StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
-                                          const PhysicalPlan& plan,
-                                          int index) {
+                                          const PhysicalPlan& plan, int index,
+                                          std::vector<std::string>* claimed) {
   using exec::OperatorPtr;
   if (index < 0 || index >= static_cast<int>(plan.join_nodes.size())) {
     return Status::InvalidArgument("join tree node index out of range");
@@ -867,6 +880,7 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
     const TableAlternatives& side = spec.Relations()[node.relation];
     std::vector<std::string> cols =
         ScanColumns(spec, node.relation, access.table->schema());
+    ECODB_RETURN_IF_ERROR(ClaimScanColumns(cols, claimed));
     if (node.path == AccessPath::kIndexScan) {
       OperatorPtr scan = std::make_unique<exec::IndexScanOp>(
           access.table, side.index, std::move(cols), access.lo, access.hi);
@@ -882,9 +896,9 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
   }
 
   ECODB_ASSIGN_OR_RETURN(OperatorPtr left,
-                         BuildJoinNode(spec, plan, node.left));
+                         BuildJoinNode(spec, plan, node.left, claimed));
   ECODB_ASSIGN_OR_RETURN(OperatorPtr right,
-                         BuildJoinNode(spec, plan, node.right));
+                         BuildJoinNode(spec, plan, node.right, claimed));
   // The join checks its residual edges on its candidate pairs, in order,
   // before it gathers them.
   std::vector<ExprPtr> residual;
@@ -904,7 +918,7 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
           std::move(residual));
       break;
     case JoinAlgorithm::kNestedLoop:
-      // Column names are unique across relations (Analyze enforces it), so
+      // Column names are unique across relations (ClaimScanColumns), so
       // the joined schema never renames and Col(right_key) resolves.
       joined = std::make_unique<exec::NestedLoopJoinOp>(
           std::move(left), std::move(right),
@@ -916,23 +930,26 @@ StatusOr<exec::OperatorPtr> BuildJoinNode(const QuerySpec& spec,
 }
 
 /// Appends the table-scan leaves of the subtree at `index`, left to right,
-/// as BuildJoinNode builds them.
+/// as BuildJoinNode builds them, with BuildJoinNode's checks.
 Status CollectTableScans(const QuerySpec& spec, const PhysicalPlan& plan,
-                         int index, std::vector<TableScanLeaf>* out) {
+                         int index, std::vector<std::string>* claimed,
+                         std::vector<TableScanLeaf>* out) {
   if (index < 0 || index >= static_cast<int>(plan.join_nodes.size())) {
     return Status::InvalidArgument("join tree node index out of range");
   }
   const PlanJoinNode& node = plan.join_nodes[index];
   if (node.relation < 0) {
-    ECODB_RETURN_IF_ERROR(CollectTableScans(spec, plan, node.left, out));
-    return CollectTableScans(spec, plan, node.right, out);
+    ECODB_RETURN_IF_ERROR(
+        CollectTableScans(spec, plan, node.left, claimed, out));
+    return CollectTableScans(spec, plan, node.right, claimed, out);
   }
   ECODB_ASSIGN_OR_RETURN(const LeafAccess access, ResolveLeaf(spec, node));
+  const catalog::Schema& schema = access.table->schema();
+  const std::vector<std::string> cols =
+      ScanColumns(spec, node.relation, schema);
+  ECODB_RETURN_IF_ERROR(ClaimScanColumns(cols, claimed));
   if (node.path == AccessPath::kTableScan) {
-    const catalog::Schema& schema = access.table->schema();
-    out->push_back(
-        {access.table,
-         ToIndexes(schema, ScanColumns(spec, node.relation, schema))});
+    out->push_back({access.table, ToIndexes(schema, cols)});
   }
   return Status::OK();
 }
@@ -972,17 +989,19 @@ StatusOr<exec::OperatorPtr> Planner::BuildOperator(const QuerySpec& spec,
   if (plan.join_root < 0 || plan.join_nodes.empty()) {
     return Status::InvalidArgument("plan has no join tree");
   }
+  std::vector<std::string> claimed;
   ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
-                         BuildJoinNode(spec, plan, plan.join_root));
+                         BuildJoinNode(spec, plan, plan.join_root, &claimed));
   return FinishOperatorTree(spec, plan, std::move(root));
 }
 
 StatusOr<std::vector<TableScanLeaf>> Planner::TableScanLeaves(
     const QuerySpec& spec, const PhysicalPlan& plan) {
   ECODB_RETURN_IF_ERROR(CheckOneForm(spec));
+  std::vector<std::string> claimed;
   std::vector<TableScanLeaf> scans;
   ECODB_RETURN_IF_ERROR(
-      CollectTableScans(spec, plan, plan.join_root, &scans));
+      CollectTableScans(spec, plan, plan.join_root, &claimed, &scans));
   return scans;
 }
 

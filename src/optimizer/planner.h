@@ -203,7 +203,9 @@ class Planner {
   StatusOr<PlanCost> PricePlan(const QuerySpec& spec,
                                const PhysicalPlan& plan) const;
 
-  /// Constructs the executable operator tree realizing `plan`.
+  /// Constructs the executable operator tree realizing `plan`, or
+  /// InvalidArgument when two of its leaves scan one column name (the
+  /// rule JoinGraph::Analyze applies to the spec).
   static StatusOr<exec::OperatorPtr> BuildOperator(const QuerySpec& spec,
                                                    const PhysicalPlan& plan);
 

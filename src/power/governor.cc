@@ -17,10 +17,7 @@ constexpr int kDownHysteresisSamples = 2;
 
 }  // namespace
 
-DvfsGovernor::DvfsGovernor(const CpuPowerModel* cpu, GovernorConfig config)
-    : cpu_(cpu), pstate_(config.initial_pstate) {
-  assert(pstate_ >= 0 && pstate_ < cpu_->num_pstates());
-}
+DvfsGovernor::DvfsGovernor(const CpuPowerModel* cpu) : cpu_(cpu) {}
 
 int DvfsGovernor::Observe(double utilization) {
   utilization = std::clamp(utilization, 0.0, 1.0);

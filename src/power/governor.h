@@ -21,17 +21,12 @@
 
 namespace ecodb::power {
 
-struct GovernorConfig {
-  /// Initial P-state index.
-  int initial_pstate = 0;
-};
-
 /// Ondemand-style frequency governor over a CpuPowerModel's P-states.
 /// P-state 0 is fastest; higher indexes are slower/lower-power.
 class DvfsGovernor {
  public:
-  /// `cpu` must outlive the governor.
-  DvfsGovernor(const CpuPowerModel* cpu, GovernorConfig config = {});
+  /// Starts at P0. `cpu` must outlive the governor.
+  explicit DvfsGovernor(const CpuPowerModel* cpu);
 
   /// Feeds one sampling interval's utilization in [0,1]; returns the
   /// P-state for the next interval. While pinned, always returns the pin.
@@ -48,7 +43,7 @@ class DvfsGovernor {
 
  private:
   const CpuPowerModel* cpu_;
-  int pstate_;
+  int pstate_ = 0;
   int low_streak_ = 0;
   bool pinned_ = false;
   int pinned_pstate_ = 0;

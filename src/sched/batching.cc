@@ -8,11 +8,7 @@ BatchingScheduler::BatchingScheduler(sim::EventQueue* events,
 
 void BatchingScheduler::Submit(Work work) {
   queue_.push_back(Pending{events_->clock()->now(), std::move(work)});
-  if (config_.window_s <= 0.0 || queue_.size() >= config_.max_batch) {
-    if (window_timer_ != 0) {
-      events_->Cancel(window_timer_);
-      window_timer_ = 0;
-    }
+  if (config_.window_s <= 0.0) {
     Dispatch();
     return;
   }
@@ -35,7 +31,6 @@ void BatchingScheduler::Dispatch() {
     // dispatched work items settle their own charges.
     events_->clock()->AdvanceTo(done);  // NOLINT-ECODB(EC1)
     latency_.Add(done - p.arrival);
-    ++completed_;
   }
 }
 

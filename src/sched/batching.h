@@ -3,10 +3,9 @@
 // Section 4.2: "we expect to see workload management policies that encourage
 // identifiable periods of low and high activity — perhaps batching requests
 // at the cost of increased latency." The scheduler holds arriving requests
-// for up to `window_s` (or until `max_batch` accumulate), then runs them
-// back-to-back. Between batches devices see long idle periods that a
-// spin-down policy can exploit; the cost is queueing latency, which the
-// scheduler records per request.
+// for up to `window_s`, then runs them back-to-back. Between batches
+// devices see long idle periods that a spin-down policy can exploit; the
+// cost is queueing latency, which the scheduler records per request.
 
 #ifndef ECODB_SCHED_BATCHING_H_
 #define ECODB_SCHED_BATCHING_H_
@@ -22,7 +21,6 @@ namespace ecodb::sched {
 struct BatchingConfig {
   /// 0 disables batching (requests run on arrival).
   double window_s = 0.0;
-  size_t max_batch = SIZE_MAX;
 };
 
 class BatchingScheduler {
@@ -39,7 +37,6 @@ class BatchingScheduler {
 
   /// Latency (arrival -> completion) distribution of finished requests.
   const Histogram& latency() const { return latency_; }
-  size_t completed() const { return completed_; }
   size_t batches_dispatched() const { return batches_; }
 
  private:
@@ -55,7 +52,6 @@ class BatchingScheduler {
   std::deque<Pending> queue_;
   uint64_t window_timer_ = 0;
   Histogram latency_;
-  size_t completed_ = 0;
   size_t batches_ = 0;
 };
 

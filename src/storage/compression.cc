@@ -509,8 +509,9 @@ std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind) {
 }
 
 double DecodeInstructionsPerValue(CompressionKind kind) {
-  // Rates are multiples of the uncompressed touch lane (kNone's memcpy),
-  // calibrated from bench/micro_codecs.
+  // Rates are multiples of the uncompressed touch lane (kNone's memcpy).
+  // bench/perf_regress times a kernel for every kind: an item's wall time
+  // over codec_decode_none_sequential's is the measured multiple.
   switch (kind) {
     case CompressionKind::kNone:
       return 1.0;  // the touch itself

@@ -20,11 +20,12 @@
 // Decode is the scan hot path, so each codec has one fast kernel, and the
 // bit-packing and delta codecs keep a *reference* scalar kernel beside it
 // with byte-identical output (value-at-a-time, bit-at-a-time — the
-// differential-testing oracle and the calibration baseline for
-// `bench/micro_codecs`). The fast kernels unpack bits a word at a time and
-// decode varint deltas in groups of eight. MakeInt64Codec returns the fast
-// decoders; MakeReferenceInt64Codec the scalar ones. RLE has one decoder,
-// which both factories return: a run-at-a-time fill measured no faster.
+// differential-testing oracle, and the baseline `bench/perf_regress`
+// measures the fast kernels' speedups against). The fast kernels unpack
+// bits a word at a time and decode varint deltas in groups of eight.
+// MakeInt64Codec returns the fast decoders; MakeReferenceInt64Codec the
+// scalar ones. RLE has one decoder, which both factories return: a
+// run-at-a-time fill measured no faster.
 
 #ifndef ECODB_STORAGE_COMPRESSION_H_
 #define ECODB_STORAGE_COMPRESSION_H_
@@ -72,7 +73,7 @@ std::unique_ptr<Int64Codec> MakeInt64Codec(CompressionKind kind);
 
 /// Same encoded format, but decoding uses the reference scalar kernels
 /// (value-at-a-time, bit-at-a-time). Kept as the differential-testing
-/// oracle and the `bench/micro_codecs` calibration baseline.
+/// oracle and the baseline of `bench/perf_regress`'s decode speedups.
 std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind);
 
 /// Dictionary codec for string columns.

@@ -22,19 +22,12 @@ class GovernorTest : public ::testing::Test {
   CpuPowerModel cpu_;
 };
 
-TEST_F(GovernorTest, StartsAtConfiguredState) {
-  GovernorConfig config;
-  config.initial_pstate = 2;
-  DvfsGovernor gov(&cpu_, config);
-  EXPECT_EQ(gov.pstate(), 2);
-}
-
 TEST_F(GovernorTest, HighUtilizationJumpsToFastest) {
-  GovernorConfig config;
-  config.initial_pstate = 2;
-  DvfsGovernor gov(&cpu_, config);
+  DvfsGovernor gov(&cpu_);
+  for (int i = 0; i < 4; ++i) gov.Observe(0.1);  // down to P2
+  ASSERT_EQ(gov.pstate(), 2);
   EXPECT_EQ(gov.Observe(0.95), 0);
-  EXPECT_EQ(gov.transitions(), 1);
+  EXPECT_EQ(gov.transitions(), 3);
 }
 
 TEST_F(GovernorTest, LowUtilizationDownshiftsWithHysteresis) {

@@ -687,14 +687,78 @@ TEST_F(OptimizerTest, NodeSharedByFilterAndAggregateInputRuns) {
 }
 
 TEST_F(OptimizerTest, FilterNodeSharedByIndexAndTableScanRelationsRuns) {
-  // t JOIN s ON k = sk, where both tables hold a column `v` and both
-  // relations filter by one node, 100 <= v < 140: t through its index on
-  // `v` (the filter runs over the index scan's whole batch), s through a
-  // table scan (the fused filter reads only its `v` lane). ChoosePlan
-  // rejects the shared name; BuildOperator builds the plan it is handed.
+  // t JOIN s ON k = sk, t filtered by one node, 100 <= v < 140. Two trees
+  // built from the one spec bind that node at once: one reads t through
+  // its index on `v` (the filter runs over the index scan's whole batch),
+  // the other through a table scan (the fused filter reads only its `v`
+  // lane). Both trees are open before either is drained.
   auto t = MakeTable(1, 2000, 10);
+  auto s = MakeTable(2, 400, 10, "s");
   storage::BTreeIndex index;
   for (int i = 0; i < 2000; ++i) index.Insert(i, static_cast<uint64_t>(i));
+  QuerySpec spec;
+  spec.relations.resize(2);
+  spec.relations[0].name = "t";
+  spec.relations[0].variants = {t.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[0].filter = exec::And(Col("v") >= Lit(int64_t{100}),
+                                       Col("v") < Lit(int64_t{140}));
+  spec.relations[0].index = &index;
+  spec.relations[0].index_column = "v";
+  spec.relations[1].name = "s";
+  spec.relations[1].variants = {s.get()};
+  spec.relations[1].columns = {"sk"};
+  spec.edges = {{0, 1, "k", "sk"}};
+
+  // t probes the hash join, which builds on s's scan.
+  PhysicalPlan by_table;
+  by_table.join_nodes.resize(3);
+  by_table.join_nodes[0].relation = 0;
+  by_table.join_nodes[1].relation = 1;
+  by_table.join_nodes[2].left = 0;
+  by_table.join_nodes[2].right = 1;
+  by_table.join_nodes[2].left_key = "k";
+  by_table.join_nodes[2].right_key = "sk";
+  by_table.join_root = 2;
+  PhysicalPlan by_index = by_table;
+  by_index.join_nodes[0].path = AccessPath::kIndexScan;
+
+  std::vector<exec::OperatorPtr> trees;
+  std::vector<std::unique_ptr<exec::ExecContext>> contexts;
+  for (const PhysicalPlan* plan : {&by_index, &by_table}) {
+    auto op = Planner::BuildOperator(spec, *plan);
+    ASSERT_TRUE(op.ok()) << op.status().message();
+    trees.push_back(std::move(op).value());
+    contexts.push_back(std::make_unique<exec::ExecContext>(
+        platform_.get(), exec::ExecOptions{}));
+    ASSERT_TRUE(trees.back()->Open(contexts.back().get()).ok());
+  }
+  std::vector<size_t> rows(trees.size(), 0);
+  std::vector<bool> done(trees.size(), false);
+  while (std::count(done.begin(), done.end(), false) > 0) {
+    for (size_t i = 0; i < trees.size(); ++i) {
+      if (done[i]) continue;
+      exec::RecordBatch batch;
+      bool eos = false;
+      ASSERT_TRUE(trees[i]->Next(&batch, &eos).ok());
+      rows[i] += batch.num_rows();
+      done[i] = eos;
+    }
+  }
+  for (size_t i = 0; i < trees.size(); ++i) {
+    trees[i]->Close();
+    contexts[i]->Finish();
+  }
+  // 40 rows of t pass, 4 per key of 10, and s holds 40 rows per key.
+  EXPECT_EQ(rows[0], 1600u);
+  EXPECT_EQ(rows[1], rows[0]);
+}
+
+TEST_F(OptimizerTest, ColumnNameScannedByTwoRelationsIsRejected) {
+  // t and s both hold `v`. Analyze rejects the spec, and BuildOperator and
+  // TableScanLeaves reject a plan handed to them over it with the same
+  // error, so a joined `v` never silently means the build side's copy.
+  auto t = MakeTable(1, 200, 10);
   storage::TableStorage s(
       2,
       Schema({Column{"sk", DataType::kInt64, 8},
@@ -703,60 +767,38 @@ TEST_F(OptimizerTest, FilterNodeSharedByIndexAndTableScanRelationsRuns) {
   std::vector<storage::ColumnData> cols(2);
   cols[0].type = DataType::kInt64;
   cols[1].type = DataType::kInt64;
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < 40; ++i) {
     cols[0].i64.push_back(i % 10);
     cols[1].i64.push_back(i);
   }
   ASSERT_TRUE(s.Append(cols).ok());
-
-  const auto spec_filtered_by = [&](ExprPtr t_filter, ExprPtr s_filter) {
-    QuerySpec spec;
-    spec.relations.resize(2);
-    spec.relations[0].name = "t";
-    spec.relations[0].variants = {t.get()};
-    spec.relations[0].columns = {"k", "v"};
-    spec.relations[0].filter = std::move(t_filter);
-    spec.relations[0].index = &index;
-    spec.relations[0].index_column = "v";
-    spec.relations[1].name = "s";
-    spec.relations[1].variants = {&s};
-    spec.relations[1].columns = {"sk", "v"};
-    spec.relations[1].filter = std::move(s_filter);
-    spec.edges = {{0, 1, "k", "sk"}};
-    spec.aggregates.push_back({"n", exec::AggFunc::kCount, nullptr});
-    return spec;
-  };
-  const auto band = [] {
-    return exec::And(Col("v") >= Lit(int64_t{100}),
-                     Col("v") < Lit(int64_t{140}));
-  };
-  const ExprPtr shared_filter = band();
-  const QuerySpec shared = spec_filtered_by(shared_filter, shared_filter);
-  const QuerySpec fresh = spec_filtered_by(band(), band());
-
-  // The index scan of t probes the hash join, which builds on s's scan.
+  QuerySpec spec;
+  spec.relations.resize(2);
+  spec.relations[0].name = "t";
+  spec.relations[0].variants = {t.get()};
+  spec.relations[0].columns = {"k", "v"};
+  spec.relations[1].name = "s";
+  spec.relations[1].variants = {&s};
+  spec.relations[1].columns = {"sk", "v"};
+  spec.edges = {{0, 1, "k", "sk"}};
   PhysicalPlan plan;
   plan.join_nodes.resize(3);
   plan.join_nodes[0].relation = 0;
-  plan.join_nodes[0].path = AccessPath::kIndexScan;
   plan.join_nodes[1].relation = 1;
   plan.join_nodes[2].left = 0;
   plan.join_nodes[2].right = 1;
   plan.join_nodes[2].left_key = "k";
   plan.join_nodes[2].right_key = "sk";
   plan.join_root = 2;
-  std::vector<int64_t> counts;
-  for (const QuerySpec* spec : {&fresh, &shared}) {
-    auto op = Planner::BuildOperator(*spec, plan);
-    ASSERT_TRUE(op.ok()) << op.status().message();
-    const exec::naive::Rows rows =
-        exec::naive::Materialize(op->get(), platform_.get());
-    ASSERT_EQ(rows.rows.size(), 1u);
-    counts.push_back(rows.rows[0][0].i64);
-  }
-  // 40 rows of each side pass, 4 per key of 10: 10 · 4 · 4 pairs.
-  EXPECT_EQ(counts[0], 160);
-  EXPECT_EQ(counts[1], counts[0]);
+
+  const Status analyzed = JoinGraph::Analyze(spec).status();
+  EXPECT_EQ(analyzed.code(), StatusCode::kInvalidArgument);
+  const Status built = Planner::BuildOperator(spec, plan).status();
+  EXPECT_EQ(built.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(built.message(), analyzed.message());
+  const Status leaves = Planner::TableScanLeaves(spec, plan).status();
+  EXPECT_EQ(leaves.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(leaves.message(), analyzed.message());
 }
 
 TEST_F(OptimizerTest, OrderByPlansBuildSerialAndParallelSorts) {

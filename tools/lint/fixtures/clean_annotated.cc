@@ -8,7 +8,6 @@
 
 namespace ecodb::exec {
 
-// ecodb-lint: worker-partial
 struct CleanPartial {
   uint64_t rows = 0;
   uint64_t bytes = 0;

@@ -1,7 +1,7 @@
 // EC10 fixture, caller side (labelled src/txn/ec10_discards.cc). The first
-// three statements drop a Status/StatusOr on the floor and must fire; the
-// rest consume, cast, or macro-wrap the result and must stay clean — as
-// must depth(), whose int return nobody is obliged to look at.
+// three statements and DrainFresh's first drop a Status/StatusOr and must
+// fire; the rest consume, cast, return or macro-wrap the result and must
+// stay clean, as must depth(), whose int return nobody need look at.
 namespace ecodb::txn {
 
 Status Checkpoint(storage::CompactionQueue* queue) {
@@ -13,6 +13,11 @@ Status Checkpoint(storage::CompactionQueue* queue) {
   const Status last = queue->Drain();
   ECODB_RETURN_IF_ERROR(storage::DrainAll(queue));
   return last;
+}
+
+Status DrainFresh() {
+  storage::CompactionQueue{}.Drain();
+  return storage::CompactionQueue{}.Drain();
 }
 
 }  // namespace ecodb::txn

@@ -324,6 +324,7 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
   std::map<std::string, std::vector<std::string>> guard_mutexes;
   size_t stmt_start = open;  // index of the token that closed the previous
                              // statement ('{', '}', or ';')
+  std::vector<size_t> outer_starts;  // stmt_start outside each open '{'
 
   auto release_to_depth = [&](int d) {
     held.erase(std::remove_if(held.begin(), held.end(),
@@ -350,6 +351,7 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
 
     if (t == "{") {
       ++depth;
+      outer_starts.push_back(stmt_start);
       stmt_start = k;
       continue;
     }
@@ -357,6 +359,14 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
       --depth;
       release_to_depth(depth);
       stmt_start = k;
+      // `T{...}.f()`: the braces initialized a temporary, and the
+      // statement they sit in goes on.
+      const bool member_next =
+          toks_[k + 1].text == "." || toks_[k + 1].text == "->";
+      if (!outer_starts.empty()) {
+        if (member_next) stmt_start = outer_starts.back();
+        outer_starts.pop_back();
+      }
       continue;
     }
     if (t == ";") {
@@ -476,6 +486,8 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
           const Token& p = toks_[q];
           if (p.ident) {
             if (IsControlName(p.text)) clean_prefix = false;
+          } else if (p.text == "{" && toks_[q - 1].ident) {
+            q = MatchBrace(q) - 1;  // `T{...}.f()`: a braced temporary
           } else if (p.text != "::" && p.text != "." && p.text != "->") {
             clean_prefix = false;
           }

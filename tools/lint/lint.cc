@@ -51,10 +51,8 @@ bool IsRetryChargeName(const std::string& t) {
 }
 
 struct Scope {
-  std::string guard;          // if-condition guarding this scope, if any
+  std::string guard;  // if-condition guarding this scope, if any
   Region region = Region::kNone;
-  bool is_record = false;     // struct/class body
-  bool worker_partial = false;
 };
 
 class Scanner {
@@ -98,17 +96,12 @@ class Scanner {
     findings_.push_back({rule, path_, line, message, LineText(line)});
   }
 
-  /// Applies region / worker-partial annotations whose line has been reached.
+  /// Applies region annotations whose line has been reached.
   void ApplyDirectivesUpTo(int line) {
     while (next_region_ != directives_.region.end() &&
            next_region_->first <= line) {
       if (!scopes_.empty()) scopes_.back().region = next_region_->second;
       ++next_region_;
-    }
-    while (next_partial_ != directives_.worker_partial.end() &&
-           *next_partial_ <= line) {
-      pending_worker_partial_ = true;
-      ++next_partial_;
     }
   }
 
@@ -192,9 +185,6 @@ class Scanner {
 
   std::vector<Scope> scopes_;
   std::map<int, Region>::const_iterator next_region_;
-  std::set<int>::const_iterator next_partial_;
-  bool pending_worker_partial_ = false;
-  bool pending_record_ = false;
   std::string pending_guard_;       // if-condition awaiting its '{'
   bool pending_guard_valid_ = false;
   std::string stmt_guard_;          // brace-less if: guards until next ';'
@@ -312,7 +302,6 @@ void Scanner::CheckRetryLoops() {
 
 std::vector<Finding> Scanner::Run() {
   next_region_ = directives_.region.begin();
-  next_partial_ = directives_.worker_partial.begin();
   const bool ec12_scope = in_exec_ || in_sched_;
   if (in_storage_) CheckRetryLoops();
 
@@ -328,12 +317,6 @@ std::vector<Finding> Scanner::Run() {
         pending_guard_valid_ = false;
         stmt_guard_.clear();  // the guard now lives on the scope
       }
-      if (pending_record_) {
-        s.is_record = true;
-        s.worker_partial = pending_worker_partial_;
-        pending_worker_partial_ = false;
-        pending_record_ = false;
-      }
       scopes_.push_back(std::move(s));
       continue;
     }
@@ -347,17 +330,6 @@ std::vector<Finding> Scanner::Run() {
         stmt_guard_.clear();
         pending_guard_valid_ = false;  // brace-less if: statement over
       }
-      pending_record_ = false;  // forward declaration, not a definition
-      continue;
-    }
-
-    if (tok.ident && (tok.text == "struct" || tok.text == "class")) {
-      const Token* prev = Prev(i);
-      if (prev == nullptr || prev->text != "enum") pending_record_ = true;
-      continue;
-    }
-    if (pending_record_ && (tok.text == ">" || tok.text == ")")) {
-      pending_record_ = false;  // template parameter, not a definition
       continue;
     }
 
@@ -398,16 +370,6 @@ std::vector<Finding> Scanner::Run() {
     }
 
     if (!tok.ident) continue;
-
-    // ---- EC3: float members in worker-partial records ---------------------
-    if ((tok.text == "double" || tok.text == "float") && !scopes_.empty() &&
-        scopes_.back().is_record && scopes_.back().worker_partial) {
-      Report("EC3", tok.line,
-             "floating-point member in a worker-partial struct: worker "
-             "tallies must be integral so merge grouping cannot perturb "
-             "totals (dop-invariance)");
-      continue;
-    }
 
     // ---- EC5: banned nondeterminism sources -------------------------------
     if (in_exec_ && BannedEntropyNames().count(tok.text)) {

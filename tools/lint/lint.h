@@ -18,9 +18,6 @@
 //                          `worker-context` region; in any file that has a
 //                          worker region, every such call must sit inside a
 //                          `coordinator-only` region.
-//   EC3  integer-partials  Structs annotated `worker-partial` must not
-//                          declare floating-point members (dop-invariance
-//                          requires integer-only worker state).
 //   EC4  spill-once        ChargeRead/ChargeWrite on a spill path must be
 //                          guarded by a `*charged*` watermark so Open retries
 //                          never bill the device twice.
@@ -66,8 +63,6 @@
 //                                     as running on pool workers
 //   // ecodb-lint: coordinator-only   marks the rest of the enclosing scope
 //                                     as coordinator settlement code
-//   // ecodb-lint: worker-partial     marks the next struct/class as a
-//                                     per-worker tally (EC3 applies)
 //   // NOLINT-ECODB(EC1,EC4)          suppresses the named rules on this
 //                                     line (or the next line when the
 //                                     comment stands alone); bare

@@ -74,17 +74,6 @@ TEST(EcodbLint, Ec2FlagsChargesInWorkerAndUnsettledRegions) {
   EXPECT_EQ(LinesForRule(findings, "EC2"), (std::set<int>{12, 17}));
 }
 
-TEST(EcodbLint, Ec3FlagsFloatMembersOnlyInWorkerPartials) {
-  const auto findings =
-      LintSource("src/exec/ec3_violation.cc", ReadFixture("ec3_violation.cc"));
-  const auto counts = CountByRule(findings);
-  EXPECT_EQ(counts.size(), 1u) << RenderText(findings);
-  EXPECT_EQ(counts.at("EC3"), 2) << RenderText(findings);
-  // double + float in BadPartial; CoordinatorState's double is unannotated
-  // and untouched.
-  EXPECT_EQ(LinesForRule(findings, "EC3"), (std::set<int>{10, 11}));
-}
-
 TEST(EcodbLint, Ec4FlagsUnguardedSpillCharges) {
   const auto findings =
       LintSource("src/exec/ec4_violation.cc", ReadFixture("ec4_violation.cc"));
@@ -368,11 +357,12 @@ TEST(EcodbLint, Ec10FlagsDroppedStatusAcrossFiles) {
                            "ec10_status_lib.cc"},
                           {"src/txn/ec10_discards.cc", "ec10_discards.cc"}});
   // Drain() (member), DrainAll() (a wrapper defined in the other file whose
-  // Status return carries the obligation through), and Reserve() (StatusOr)
-  // are dropped; depth(), the (void) cast, the consumed call, and the
-  // macro-wrapped call are not.
+  // Status return carries the obligation through), Reserve() (StatusOr)
+  // and Drain() on a braced temporary are dropped; depth(), the (void)
+  // cast, the consumed call, the macro-wrapped call and the call returned
+  // off a braced temporary are not.
   EXPECT_EQ(ProjectLines(findings, "EC10", "src/txn/ec10_discards.cc"),
-            (std::set<int>{8, 9, 10}))
+            (std::set<int>{8, 9, 10, 19}))
       << RenderText(findings);
   EXPECT_EQ(ProjectLines(findings, "EC10", "src/storage/ec10_status_lib.cc"),
             (std::set<int>{}))

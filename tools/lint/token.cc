@@ -189,8 +189,6 @@ LineDirectives ScanDirectives(const std::string& src) {
         d.has_worker_region = true;
       } else if (what.rfind("coordinator-only", 0) == 0) {
         d.region[line] = Region::kCoordinator;
-      } else if (what.rfind("worker-partial", 0) == 0) {
-        d.worker_partial.insert(line);
       }
     }
   }

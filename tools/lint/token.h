@@ -40,7 +40,6 @@ struct LineDirectives {
   std::map<int, std::set<std::string>> nolint;
   // line -> region annotation taking effect there
   std::map<int, Region> region;
-  std::set<int> worker_partial;  // lines carrying the worker-partial mark
   bool has_worker_region = false;
 
   /// True when `rule` is suppressed on `line`.
