@@ -73,8 +73,8 @@ done
 #    (`-L 'faults|serving|overload|joins|kernels'`) then re-run explicitly
 #    under each sanitizer so retry/degraded-mode, admission, cancellation,
 #    join-order-equivalence, planner pricing (optimizer_test,
-#    access_path_test, and the price-equals-bill gate in
-#    plan_dop_differential_test), and decode/expression/scan-gather/
+#    access_path_test, and the contract fuzzer's price-equals-bill gate
+#    in contract_fuzz_test), and decode/expression/scan-gather/
 #    aggregate-fold/sort-word/radix-run/word-merge regressions are reported
 #    by name even when a full run is noisy.
 for san in tsan asan ubsan; do

@@ -86,7 +86,11 @@ double NumericAt(const ColumnData& c, size_t row) {
                                      : static_cast<double>(c.i64[row]);
 }
 
-bool CompareDoubles(CompareOp op, double a, double b) {
+/// One comparison of two numbers: int64 and date lanes compare as
+/// integers, and any pair with a double through double, so no two distinct
+/// integers compare equal.
+template <typename T>
+bool CompareNumbers(CompareOp op, T a, T b) {
   switch (op) {
     case CompareOp::kEq:
       return a == b;
@@ -279,11 +283,17 @@ ColumnData BoundExpr::Eval::Walk(int node) const {
   for (size_t i = 0; i < rows; ++i) {
     switch (e.kind()) {
       case ExprKind::kCompare:
-        out.i64.push_back(
-            l.type == DataType::kString
-                ? CompareStrings(e.compare_op(), l.str[i], r.str[i])
-                : CompareDoubles(e.compare_op(), NumericAt(l, i),
-                                 NumericAt(r, i)));
+        if (l.type == DataType::kString) {
+          out.i64.push_back(
+              CompareStrings(e.compare_op(), l.str[i], r.str[i]));
+        } else if (catalog::IsIntegerLike(l.type) &&
+                   catalog::IsIntegerLike(r.type)) {
+          out.i64.push_back(
+              CompareNumbers(e.compare_op(), l.i64[i], r.i64[i]));
+        } else {
+          out.i64.push_back(CompareNumbers(e.compare_op(), NumericAt(l, i),
+                                           NumericAt(r, i)));
+        }
         break;
       case ExprKind::kArith:
         if (nd.type == DataType::kInt64) {
@@ -312,8 +322,8 @@ ColumnData BoundExpr::Eval::Walk(int node) const {
 // the reference semantics (and differential oracle). The
 // fused path below emits selection masks directly and reads leaf operands
 // (columns, literals) in place. It must stay byte-identical to the walk:
-// in particular, numeric comparisons always go through double — including
-// int64 vs int64 — matching the reference exactly.
+// in particular, integers compare as integers and any pair with a double
+// through double, matching the reference exactly.
 
 namespace {
 
@@ -488,6 +498,15 @@ void BoundExpr::Eval::Mask(int node, size_t depth,
         return;
       }
       uint8_t* out = mask->data();
+      if (catalog::IsIntegerLike(program.nodes_[nd.lhs].type) &&
+          catalog::IsIntegerLike(program.nodes_[nd.rhs].type)) {
+        WithI64(I64Of(lp, lc), [&](auto lg) {
+          WithI64(I64Of(rp, rc), [&](auto rg) {
+            CompareLoop(e.compare_op(), n, lg, rg, out);
+          });
+        });
+        return;
+      }
       WithNum(NumOf(lp, lc), [&](auto lg) {
         WithNum(NumOf(rp, rc),
                 [&](auto rg) { CompareLoop(e.compare_op(), n, lg, rg, out); });

@@ -66,7 +66,9 @@ inline double MergeJoinWalkInstructions(double left_rows, double right_rows,
 // rule accepts the edge's key types.
 
 /// Nested-loop join (and any equality a join checks as a predicate): keys
-/// compare unless exactly one is a string; numbers compare through double.
+/// compare unless exactly one is a string; integers compare as integers,
+/// as hash and merge joins compare them, and any pair with a double through
+/// double.
 inline Status CheckComparableKeys(catalog::DataType left,
                                   catalog::DataType right) {
   if ((left == catalog::DataType::kString) !=

@@ -95,9 +95,11 @@ void CopyRange(const ColumnData& src, ScanRowRange range, ColumnData* dst) {
   }
 }
 
-// Conservative per-block predicate check: may a row in a block with zone
-// entry `z` satisfy `op` against literal `v`? Works on the numeric view.
-bool ZoneMayMatch(CompareOp op, double zmin, double zmax, double v) {
+// Conservative per-block predicate check: may a row in a block whose values
+// lie in [zmin, zmax] satisfy `op` against literal `v`? Integers compare as
+// integers and anything else through double, as Expr's comparisons do.
+template <typename T>
+bool ZoneMayMatch(CompareOp op, T zmin, T zmax, T v) {
   switch (op) {
     case CompareOp::kEq:
       return zmin <= v && v <= zmax;
@@ -146,6 +148,10 @@ std::vector<bool> ZoneBlocksMayMatch(const ExprPtr& e,
       std::vector<bool> out(n, true);
       for (size_t b = 0; b < n; ++b) {
         const storage::ZoneEntry& z = table.zone_maps().entries[col][b];
+        if (catalog::IsIntegerLike(type) && catalog::IsIntegerLike(lit.type)) {
+          out[b] = ZoneMayMatch(op, z.min_i64, z.max_i64, lit.i64);
+          continue;
+        }
         double zmin, zmax, v;
         if (type == catalog::DataType::kDouble) {
           zmin = z.min_f64;

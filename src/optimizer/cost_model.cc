@@ -44,41 +44,61 @@ ResourceEstimate CostModel::ScanDemand(
   return demand;
 }
 
-ResourceEstimate CostModel::SortDemand(double rows, size_t num_keys,
+std::vector<double> CostModel::SortRuns(double rows,
+                                        const storage::TableStorage* scanned,
+                                        const exec::ExprPtr& filter) const {
+  if (scanned == nullptr) return {rows};
+  std::vector<double> runs;
+  double selected = 0.0;
+  for (const exec::ScanRowRange& m : exec::MorselizeRanges(
+           exec::PruneScan(filter, *scanned).ranges,
+           scanned->zone_maps().block_rows, exec_.morsel_rows)) {
+    runs.push_back(static_cast<double>(m.end - m.begin));
+    selected += runs.back();
+  }
+  for (double& run : runs) run *= rows / selected;
+  return runs;
+}
+
+ResourceEstimate CostModel::SortDemand(const std::vector<double>& runs,
+                                       size_t num_keys,
                                        double limit_rows) const {
   ResourceEstimate demand;
-  if (rows <= 1.0) return demand;
   const double keys = static_cast<double>(std::max<size_t>(1, num_keys));
-  const double run_rows =
-      std::max(2.0, static_cast<double>(exec_.morsel_rows));
-  const double runs = std::max(1.0, std::ceil(rows / run_rows));
-  const double per_run = std::min(rows, run_rows);
-  if (limit_rows >= 0.0) {
-    // SortOp under a limit, through the charge formulas it bills.
-    // Formation: every row pays the bounded heap's 1 + log2(min(run, k))
-    // ladder, divided across workers. Merge: the comparison ladder over the
-    // ≤ runs·k candidates plus the k-row emission are serial. At k ≈ n the
-    // merge ladder covers all n rows serially — strictly worse than the full
-    // sort's parallel merge — so the planner's fallback to Sort + Limit
-    // holds by construction.
-    const double k_eff = std::min(rows, std::max(0.0, limit_rows));
-    const double k_run = std::min(per_run, k_eff);
-    demand.cpu_instructions += exec::TopKCompareInstructions(rows, k_run, keys);
-    demand.serial_cpu_instructions +=
-        exec::SortMergeSerialInstructions(runs * k_run, runs, keys, k_eff);
+  const bool limited = limit_rows >= 0.0;
+  // Run formation, summed in run order as SortOp settles it: each run's
+  // n·log2(n) ladder, or under a limit its bounded heap's 1 + log2(min(n,
+  // k)) ladder per row; divided across workers.
+  double kept = 0.0;
+  double kept_runs = 0.0;
+  for (const double n : runs) {
+    const double run_kept = limited ? std::min(n, limit_rows) : n;
+    if (run_kept <= 0.0) continue;
+    kept += run_kept;
+    kept_runs += 1.0;
+    if (limited) {
+      demand.cpu_instructions +=
+          exec::TopKCompareInstructions(n, limit_rows, keys);
+    } else if (n > 1.0) {
+      demand.cpu_instructions += exec::SortLadderInstructions(n, n, keys);
+    }
+  }
+  if (kept_runs <= 1.0) return demand;
+  if (limited) {
+    // The coordinator climbs the log2(R) ladder over every kept candidate
+    // and emits the first k: all serial. At k ≈ n that covers every row
+    // serially — strictly worse than the full sort's parallel merge — so
+    // the planner's fallback to Sort + Limit holds by construction.
+    demand.serial_cpu_instructions += exec::SortMergeSerialInstructions(
+        kept, kept_runs, keys, std::min(kept, limit_rows));
     return demand;
   }
-  // Run formation: each run's n·log2(n) ladder, divided across workers.
-  demand.cpu_instructions += exec::SortLadderInstructions(rows, per_run, keys);
-  if (runs > 1.0) {
-    // Merge fan-in: the log2(R) comparison ladder parallelizes across range
-    // partitions; splitter selection and stitching stay on the coordinator.
-    // Note log2(per_run) + log2(runs) ~= log2(rows): total comparison work
-    // matches the classic serial n·log2(n) — only its Amdahl split changes.
-    demand.cpu_instructions += exec::SortLadderInstructions(rows, runs, keys);
-  }
+  // Merge fan-in: the log2(R) comparison ladder parallelizes across range
+  // partitions; splitter selection and stitching stay on the coordinator.
+  demand.cpu_instructions +=
+      exec::SortLadderInstructions(kept, kept_runs, keys);
   demand.serial_cpu_instructions +=
-      exec::SortMergeSerialInstructions(rows, runs, keys, std::nullopt);
+      exec::SortMergeSerialInstructions(kept, kept_runs, keys, std::nullopt);
   return demand;
 }
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "exec/exec_context.h"
 #include "exec/expr.h"
@@ -112,20 +113,28 @@ class CostModel {
                               const std::vector<int>& column_indexes,
                               const exec::ExprPtr& filter = nullptr) const;
 
-  /// Demand of sorting `rows` rows on `num_keys` keys, priced through
-  /// SortOp's charge functions (exec/sort_limit.h): run formation
-  /// (rows · log2(run size)) and the merge comparison ladder
-  /// (rows · log2(fan-in)) parallelize across cores, while the merge's
-  /// partition stitching stays serial (Amdahl). Runs are priced at
-  /// morsel_rows rows, SortOp's run size over a table scan; at one run this
-  /// reduces exactly to n·log2(n).
+  /// Input rows of each sorted run SortOp forms from `rows` rows. Over a
+  /// table scan of `scanned` it forms one run per morsel: the scan's own
+  /// PruneScan ranges under `filter`, cut by MorselizeRanges at
+  /// morsel_rows, each run holding its morsel's share of `rows` (the last
+  /// one partial). Over any other child (`scanned` null) it forms one run.
+  std::vector<double> SortRuns(double rows,
+                               const storage::TableStorage* scanned,
+                               const exec::ExprPtr& filter) const;
+
+  /// Demand of sorting `runs` (each run's input rows, from SortRuns) on
+  /// `num_keys` keys, priced through the charge functions SortOp bills
+  /// with (exec/sort_limit.h): each run's n·log2(n) formation and, over
+  /// several runs, the merge's log2(R) comparison ladder parallelize across
+  /// cores, while the merge's stitching stays serial (Amdahl).
   ///
-  /// `limit_rows >= 0` prices the fused top-k path instead: each run streams
-  /// through a bounded heap of min(run, k) rows — O(n log k) comparisons,
-  /// parallel — and the coordinator merges the ≤ runs·k candidates and emits
-  /// k rows (serial). Top-k keeps only a k-row working set, so callers price
-  /// its spill on k rows, not n (zero spill bytes when k fits the budget).
-  ResourceEstimate SortDemand(double rows, size_t num_keys,
+  /// `limit_rows >= 0` prices the fused top-k path instead: each run
+  /// streams through a bounded heap of min(run, k) rows — O(n log k)
+  /// comparisons, parallel — and the coordinator merges the candidates
+  /// the runs keep and emits k rows (serial). Runs that keep no rows
+  /// (empty, or k = 0) are dropped, as SortOp drops them.
+  ResourceEstimate SortDemand(const std::vector<double>& runs,
+                              size_t num_keys,
                               double limit_rows = -1.0) const;
 
   /// Converts accumulated demand into (seconds, Joules) at the given

@@ -482,14 +482,15 @@ PlanCost PriceWithResidency(const CostModel& model, ResourceEstimate demand,
 
 /// Prices the tail of `spec` into `demand`: the aggregate's update,
 /// input expressions, emission and state, as HashAggregateOp bills them,
-/// then sort / fused top-k with spill. `in_rows` is the tail's input
-/// cardinality (the join output), `output_rows` its estimated final
-/// cardinality before the LIMIT clamp, and `input_width` the materialized
-/// byte width of one pre-aggregation row (used for sort sizing when no
-/// aggregate reshapes the rows).
+/// then sort / fused top-k with spill, over the runs SortOp forms. `root`
+/// is the join tree's root, `in_rows` the tail's input cardinality (the
+/// join output), `output_rows` its estimated final cardinality before the
+/// LIMIT clamp, and `input_width` the materialized byte width of one
+/// pre-aggregation row (used for sort sizing when no aggregate reshapes
+/// the rows).
 void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
-               double in_rows, double output_rows, double input_width,
-               ResourceEstimate* demand) {
+               const PlanJoinNode& root, double in_rows, double output_rows,
+               double input_width, ResourceEstimate* demand) {
   if (!spec.aggregates.empty()) {
     for (double term :
          exec::AggregateUpdateInstructions(spec.aggregates, in_rows)) {
@@ -518,8 +519,26 @@ void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
     // rows, so it spills none whenever they fit the budget.
     const bool fused = use_topk && spec.limit.has_value();
     const double limit_rows = fused ? static_cast<double>(*spec.limit) : -1.0;
-    demand->Merge(model.SortDemand(n, spec.order_by.size(), limit_rows));
-    const double kept_bytes = (fused ? std::min(n, limit_rows) : n) * width;
+    // SortOp forms one run per morsel when it reads a table scan directly
+    // (one relation, no aggregate); over a join, an aggregate or an index
+    // scan it forms one run.
+    const storage::TableStorage* scanned = nullptr;
+    ExprPtr filter;
+    if (spec.aggregates.empty() && root.relation >= 0 &&
+        root.path == AccessPath::kTableScan) {
+      const TableAlternatives& side = spec.Relations()[root.relation];
+      scanned = side.variants[root.variant];
+      filter = side.filter;
+    }
+    const std::vector<double> runs = model.SortRuns(n, scanned, filter);
+    demand->Merge(model.SortDemand(runs, spec.order_by.size(), limit_rows));
+    // Each run keeps its rows, or under a limit its first k of them.
+    double kept_rows = n;
+    if (fused) {
+      kept_rows = 0.0;
+      for (const double run : runs) kept_rows += std::min(run, limit_rows);
+    }
+    const double kept_bytes = kept_rows * width;
     demand->dram_traffic_bytes +=
         static_cast<uint64_t>(std::min(kept_bytes, budget));
     if (spec.sort_spill_device != nullptr && kept_bytes > budget) {
@@ -610,9 +629,9 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
     return Status::InvalidArgument("join tree does not cover all relations");
   }
   const double root_rows = graph.EstimateRows(mask);
-  PriceTail(spec, plan.use_topk, model, root_rows,
-            TailOutputRows(spec, graph, root_rows), MaskWidth(graph, mask),
-            &demand);
+  PriceTail(spec, plan.use_topk, model, plan.join_nodes[plan.join_root],
+            root_rows, TailOutputRows(spec, graph, root_rows),
+            MaskWidth(graph, mask), &demand);
   return PriceWithResidency(model, std::move(demand), resident_bytes,
                             plan.dop, plan.pstate);
 }
@@ -753,7 +772,8 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
     for (int pstate = 0; pstate < num_pstates; ++pstate) {
       // A candidate's scalar. A proper subset prices what it has; the full
       // set also prices its tail under the cheaper top-k choice, so the
-      // root step compares complete plans.
+      // root step compares complete plans. The DP's candidates are joins.
+      const PlanJoinNode join_root;
       auto scalar_of = [&](const SubPlan& s, uint32_t mask) {
         if (mask != full) {
           return PriceWithResidency(*model_, s.demand, s.resident_bytes, dop,
@@ -763,8 +783,8 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
         double scalar = std::numeric_limits<double>::infinity();
         for (bool use_topk : topk_choices) {
           ResourceEstimate demand = s.demand;
-          PriceTail(spec, use_topk, *model_, root_rows, tail_rows, root_width,
-                    &demand);
+          PriceTail(spec, use_topk, *model_, join_root, root_rows, tail_rows,
+                    root_width, &demand);
           scalar = std::min(
               scalar, PriceWithResidency(*model_, std::move(demand),
                                          s.resident_bytes, dop, pstate)

@@ -24,8 +24,8 @@
 // The cardinality estimator feeds PRICING ONLY, never correctness: every
 // enumerated order is row-equivalent by construction (equi-join edges are
 // symmetric; extra edges inside a merged subset become residual edges the
-// join checks), which tests/differential_join_order_test.cc proves
-// differentially against the fixed-order oracle below.
+// join checks), which tests/contract_fuzz_test.cc checks on every plan it
+// runs, the fixed-order oracle below among them.
 //
 // Estimates: rows(S) = prod(filtered rows of relations in S)
 //                    * prod(1 / max(ndv_l, ndv_r) over edges inside S).

@@ -1,6 +1,7 @@
 #include "optimizer/planner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 
@@ -68,11 +69,12 @@ double BandSelectivity(const std::optional<ColumnCompare>& a,
   } else {
     return -1.0;
   }
-  if (hi <= lo) return -1.0;
+  if (!(hi > lo)) return -1.0;  // one value, or NaN bounds
   double lo_cut = 0.0, hi_cut = 1.0;
   for (const ColumnCompare* p : {&*a, &*b}) {
-    const double frac =
-        std::clamp((p->literal.AsDouble() - lo) / (hi - lo), 0.0, 1.0);
+    const double at = (p->literal.AsDouble() - lo) / (hi - lo);
+    if (std::isnan(at)) return -1.0;  // a NaN literal, or infinite bounds
+    const double frac = std::clamp(at, 0.0, 1.0);
     if (p->op == exec::CompareOp::kLt || p->op == exec::CompareOp::kLe) {
       hi_cut = std::min(hi_cut, frac);
     } else {
@@ -262,9 +264,10 @@ double Planner::EstimateSelectivity(const ExprPtr& filter,
       } else {
         return 0.33;  // string range: no histogram
       }
-      if (hi <= lo) return 0.5;
-      const double frac =
-          std::clamp((c->literal.AsDouble() - lo) / (hi - lo), 0.0, 1.0);
+      if (!(hi > lo)) return 0.5;  // one value, or NaN bounds
+      const double at = (c->literal.AsDouble() - lo) / (hi - lo);
+      if (std::isnan(at)) return 0.33;  // a NaN literal, or infinite bounds
+      const double frac = std::clamp(at, 0.0, 1.0);
       switch (op) {
         case exec::CompareOp::kLt:
         case exec::CompareOp::kLe:

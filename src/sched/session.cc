@@ -1,8 +1,8 @@
 #include "sched/session.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,25 +10,11 @@
 #include "exec/scan.h"
 #include "exec/worker_pool.h"
 #include "sim/event_queue.h"
+#include "util/fnv1a.h"
 
 namespace ecodb::sched {
 
 namespace {
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t b = 0;
-  static_assert(sizeof(b) == sizeof(d), "double must be 64-bit");
-  std::memcpy(&b, &d, sizeof(b));
-  return b;
-}
 
 /// Release order out of the admission gate: priority class first (0 = most
 /// urgent), then trace order. Total order -> deterministic admission.
@@ -449,8 +435,8 @@ StatusOr<ServingReport> SessionManager::Serve(const sim::ArrivalTrace& trace,
 
     fp = Fnv1a(fp, bill.session_id);
     fp = Fnv1a(fp, static_cast<uint64_t>(static_cast<int64_t>(bill.tenant_id)));
-    fp = Fnv1a(fp, DoubleBits(bill.admit_s));
-    fp = Fnv1a(fp, DoubleBits(bill.end_s));
+    fp = Fnv1a(fp, std::bit_cast<uint64_t>(bill.admit_s));
+    fp = Fnv1a(fp, std::bit_cast<uint64_t>(bill.end_s));
     fp = Fnv1a(fp, static_cast<uint64_t>(bill.terminal));
     fp = Fnv1a(fp, static_cast<uint64_t>(bill.shed_cause));
 

@@ -1,36 +1,18 @@
 #include "sim/arrival_trace.h"
 
+#include <bit>
 #include <cassert>
-#include <cstring>
 
+#include "util/fnv1a.h"
 #include "util/random.h"
 
 namespace ecodb::sim {
-
-namespace {
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t v = 0;
-  static_assert(sizeof v == sizeof d);
-  std::memcpy(&v, &d, sizeof v);
-  return v;
-}
-
-}  // namespace
 
 uint64_t ArrivalTrace::Fingerprint() const {
   uint64_t h = 1469598103934665603ULL;
   for (const TraceRequest& r : requests) {
     h = Fnv1a(h, r.index);
-    h = Fnv1a(h, DoubleBits(r.arrival_s));
+    h = Fnv1a(h, std::bit_cast<uint64_t>(r.arrival_s));
     h = Fnv1a(h, static_cast<uint64_t>(r.tenant_id));
     h = Fnv1a(h, static_cast<uint64_t>(r.priority));
     h = Fnv1a(h, static_cast<uint64_t>(r.query_class));

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/flat_key_index.h"
 
@@ -243,10 +244,19 @@ Status TableStorage::BuildZoneMaps(size_t block_rows) {
           break;
         }
         case catalog::DataType::kDouble: {
-          z.min_f64 = *std::min_element(data.f64.begin() + lo,
-                                        data.f64.begin() + hi);
-          z.max_f64 = *std::max_element(data.f64.begin() + lo,
-                                        data.f64.begin() + hi);
+          // NaN compares false with everything, so it cannot bound a
+          // block: a block holding one spans every value (its NaNs satisfy
+          // `!=`, which such a block never prunes).
+          const auto first = data.f64.begin() + lo;
+          const auto last = data.f64.begin() + hi;
+          if (std::any_of(first, last,
+                          [](double v) { return std::isnan(v); })) {
+            z.min_f64 = -std::numeric_limits<double>::infinity();
+            z.max_f64 = std::numeric_limits<double>::infinity();
+          } else {
+            z.min_f64 = *std::min_element(first, last);
+            z.max_f64 = *std::max_element(first, last);
+          }
           break;
         }
         case catalog::DataType::kString: {

@@ -1,20 +1,12 @@
 #include "txn/log_record.h"
 
 #include "storage/compression.h"  // varint helpers
+#include "util/fnv1a.h"
 
 namespace ecodb::txn {
 
 using storage::GetVarint;
 using storage::PutVarint;
-
-uint64_t Fnv1a(const uint8_t* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void LogRecord::SerializeTo(std::vector<uint8_t>* out) const {
   // Body: [lsn][txn][type][space][page][slot][before len+bytes][after ...]

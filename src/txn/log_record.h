@@ -54,9 +54,6 @@ struct LogRecord {
   bool operator==(const LogRecord&) const = default;
 };
 
-/// FNV-1a 64-bit checksum used by log records.
-uint64_t Fnv1a(const uint8_t* data, size_t len);
-
 }  // namespace ecodb::txn
 
 #endif  // ECODB_TXN_LOG_RECORD_H_

@@ -26,6 +26,7 @@
 #include "exec/filter_project.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/table_storage.h"
 
@@ -134,36 +135,17 @@ std::vector<Row> OracleRows(const OracleMap& groups, bool global,
 
 // --- Helpers -----------------------------------------------------------------
 
-/// Bitwise equality: NaN equals itself and -0.0 differs from +0.0.
-bool SameBits(const Value& a, const Value& b) {
-  return a.type == b.type && a.i64 == b.i64 && a.str == b.str &&
-         std::memcmp(&a.f64, &b.f64, sizeof(double)) == 0;
-}
-
 void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
                     const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t r = 0; r < got.size(); ++r) {
     ASSERT_EQ(got[r].size(), want[r].size()) << label << " row " << r;
     for (size_t c = 0; c < got[r].size(); ++c) {
-      EXPECT_TRUE(SameBits(got[r][c], want[r][c]))
+      EXPECT_TRUE(naive::SameBits(got[r][c], want[r][c]))
           << label << " row " << r << " col " << c << ": "
           << got[r][c].f64 << " vs " << want[r][c].f64;
     }
   }
-}
-
-std::vector<Row> RowsOf(const QueryResultSet& result) {
-  std::vector<Row> rows;
-  for (const RecordBatch& batch : result.batches) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      Row& row = rows.emplace_back();
-      for (size_t c = 0; c < batch.num_columns(); ++c) {
-        row.push_back(batch.GetValue(r, c));
-      }
-    }
-  }
-  return rows;
 }
 
 std::vector<AggregateItem> Aggregates() {
@@ -281,7 +263,7 @@ class AggregateDifferentialTest : public ::testing::TestWithParam<Case> {
     StatusOr<QueryResultSet> result = CollectAll(&agg, &ctx);
     *stats = ctx.Finish();
     EXPECT_TRUE(result.ok()) << result.status().message();
-    return result.ok() ? RowsOf(*result) : std::vector<Row>{};
+    return result.ok() ? naive::RowsOf(result->batches) : std::vector<Row>{};
   }
 
   /// The oracle over `child`: per morsel then merged when `child` is a
@@ -401,10 +383,10 @@ TEST(AggregateGroupKeyTest, NegativeAndPositiveZeroShareOneGroup) {
     StatusOr<QueryResultSet> result = CollectAll(&agg, &ctx);
     ctx.Finish();
     ASSERT_TRUE(result.ok()) << result.status().message();
-    const std::vector<Row> rows = RowsOf(*result);
+    const std::vector<Row> rows = naive::RowsOf(result->batches);
     ASSERT_EQ(rows.size(), 2u) << "morsel child: " << morsel_child;
     // The zero group's key is emitted as +0.0.
-    EXPECT_TRUE(SameBits(rows[0][0], Value::Double(0.0)));
+    EXPECT_TRUE(naive::SameBits(rows[0][0], Value::Double(0.0)));
     EXPECT_EQ(rows[0][1].i64, 4);
     EXPECT_EQ(rows[1][0].f64, 1.0);
     EXPECT_EQ(rows[1][1].i64, 1);

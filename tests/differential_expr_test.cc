@@ -19,6 +19,7 @@
 #include "exec/expr.h"
 #include "exec/filter_project.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -238,15 +239,7 @@ class FusedPlanDifferentialTest : public ::testing::Test {
     RunOutcome out;
     out.stats = ctx.Finish();
     if (!result.ok()) return out;
-    const size_t ncols = static_cast<size_t>(result->schema.num_columns());
-    for (const auto& batch : result->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        std::vector<Value> row;
-        row.reserve(ncols);
-        for (size_t c = 0; c < ncols; ++c) row.push_back(batch.GetValue(r, c));
-        out.rows.push_back(std::move(row));
-      }
-    }
+    out.rows = naive::RowsOf(result->batches);
     return out;
   }
 

@@ -13,6 +13,7 @@
 #include "core/ecodb.h"
 #include "exec/exec_context.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "power/energy_meter.h"
 #include "power/platform.h"
 #include "sim/clock.h"
@@ -699,16 +700,7 @@ class FaultedScanRig {
     Outcome out;
     out.stats = ctx.Finish();
     if (!result.ok()) return out;
-    const size_t ncols = static_cast<size_t>(result->schema.num_columns());
-    for (const auto& batch : result->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        std::vector<exec::Value> row;
-        for (size_t c = 0; c < ncols; ++c) {
-          row.push_back(batch.GetValue(r, c));
-        }
-        out.rows.push_back(std::move(row));
-      }
-    }
+    out.rows = exec::naive::RowsOf(result->batches);
     return out;
   }
 

@@ -24,6 +24,7 @@
 #include "exec/filter_project.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -144,15 +145,7 @@ class HashJoinTest : public ::testing::Test {
     Outcome out;
     out.stats = ctx.Finish();
     if (!result.ok()) return out;
-    for (const RecordBatch& batch : result->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        std::vector<Value> row;
-        for (size_t c = 0; c < batch.num_columns(); ++c) {
-          row.push_back(batch.GetValue(r, c));
-        }
-        out.rows.push_back(std::move(row));
-      }
-    }
+    out.rows = naive::RowsOf(result->batches);
     return out;
   }
 

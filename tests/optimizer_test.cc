@@ -818,7 +818,7 @@ TEST_F(OptimizerTest, OrderByPlansBuildSerialAndParallelSorts) {
 
   // The realized tree (one SortOp at every dop) sorts identically at dop 1
   // and dop 4 — the engine's determinism contract.
-  std::vector<std::vector<exec::Value>> reference;
+  std::vector<exec::naive::Row> reference;
   for (int dop : {1, 4}) {
     PhysicalPlan variant = *plan;
     variant.dop = dop;
@@ -830,12 +830,8 @@ TEST_F(OptimizerTest, OrderByPlansBuildSerialAndParallelSorts) {
     auto rows = exec::CollectAll(op->get(), &ctx);
     ctx.Finish();
     ASSERT_TRUE(rows.ok());
-    std::vector<std::vector<exec::Value>> collected;
-    for (const auto& batch : rows->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        collected.push_back({batch.GetValue(r, 0), batch.GetValue(r, 1)});
-      }
-    }
+    std::vector<exec::naive::Row> collected =
+        exec::naive::RowsOf(rows->batches);
     ASSERT_EQ(collected.size(), 5000u);
     for (size_t r = 1; r < collected.size(); ++r) {
       ASSERT_LE(collected[r - 1][0].i64, collected[r][0].i64);
@@ -887,7 +883,7 @@ TEST_F(OptimizerTest, PlannerFusesTopKForSmallLimit) {
   // The fused tree emits exactly the rows Sort + Limit would.
   PhysicalPlan unfused = *plan;
   unfused.use_topk = false;
-  std::vector<std::vector<exec::Value>> reference;
+  std::vector<exec::naive::Row> reference;
   for (const PhysicalPlan* p : {&*plan, &unfused}) {
     auto op = planner.BuildOperator(spec, *p);
     ASSERT_TRUE(op.ok());
@@ -897,12 +893,8 @@ TEST_F(OptimizerTest, PlannerFusesTopKForSmallLimit) {
     auto rows = exec::CollectAll(op->get(), &ctx);
     ctx.Finish();
     ASSERT_TRUE(rows.ok());
-    std::vector<std::vector<exec::Value>> collected;
-    for (const auto& batch : rows->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        collected.push_back({batch.GetValue(r, 0), batch.GetValue(r, 1)});
-      }
-    }
+    std::vector<exec::naive::Row> collected =
+        exec::naive::RowsOf(rows->batches);
     ASSERT_EQ(collected.size(), 10u);
     if (reference.empty()) {
       reference = std::move(collected);
@@ -930,12 +922,12 @@ TEST_F(OptimizerTest, PlannerFallsBackToSortLimitForLargeLimit) {
 
   // The same comparison at the demand level: top-k total comparison work at
   // k = n is never below the full sort's.
-  const ResourceEstimate sort = model.SortDemand(5000.0, 1);
-  const ResourceEstimate topk = model.SortDemand(5000.0, 1, 5000.0);
+  const ResourceEstimate sort = model.SortDemand({5000.0}, 1);
+  const ResourceEstimate topk = model.SortDemand({5000.0}, 1, 5000.0);
   EXPECT_GE(topk.cpu_instructions + topk.serial_cpu_instructions,
             sort.cpu_instructions + sort.serial_cpu_instructions);
   // ... while small k prices far below it.
-  const ResourceEstimate topk10 = model.SortDemand(5000.0, 1, 10.0);
+  const ResourceEstimate topk10 = model.SortDemand({5000.0}, 1, 10.0);
   EXPECT_LT(topk10.cpu_instructions + topk10.serial_cpu_instructions,
             0.5 * (sort.cpu_instructions + sort.serial_cpu_instructions));
 }

@@ -85,15 +85,7 @@ class ParallelSortTest : public ::testing::Test {
     RunOutcome out;
     out.stats = ctx.Finish();
     if (!result.ok()) return out;
-    const size_t ncols = static_cast<size_t>(result->schema.num_columns());
-    for (const auto& batch : result->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        std::vector<Value> row;
-        row.reserve(ncols);
-        for (size_t c = 0; c < ncols; ++c) row.push_back(batch.GetValue(r, c));
-        out.rows.push_back(std::move(row));
-      }
-    }
+    out.rows = naive::RowsOf(result->batches);
     return out;
   }
 
@@ -259,17 +251,11 @@ TEST_F(ParallelSortTest, NextHonorsBatchRows) {
         auto result = CollectAll(&sort, &ctx);
         ASSERT_TRUE(result.ok()) << result.status().message();
         const QueryStats stats = ctx.Finish();
-        std::vector<naive::Row> rows;
         for (const RecordBatch& batch : result->batches) {
           EXPECT_GT(batch.num_rows(), 0u);
           EXPECT_LE(batch.num_rows(), batch_rows);
-          for (size_t r = 0; r < batch.num_rows(); ++r) {
-            naive::Row& row = rows.emplace_back();
-            for (size_t c = 0; c < batch.num_columns(); ++c) {
-              row.push_back(batch.GetValue(r, c));
-            }
-          }
         }
+        const std::vector<naive::Row> rows = naive::RowsOf(result->batches);
         const size_t want = std::min(limit.value_or(sorted.size()),
                                      sorted.size());
         EXPECT_EQ(rows, std::vector<naive::Row>(
@@ -422,19 +408,16 @@ TEST_F(ParallelSortTest, ParallelSortChargesSpillExactlyOnceAcrossOpenRetry) {
     EXPECT_TRUE(sort.spilled());
     ASSERT_TRUE(sort.Open(&ctx).ok());  // the retry
 
-    RecordBatch batch;
+    std::vector<RecordBatch> batches;
     bool eos = false;
-    std::vector<naive::Row> rows;
     while (true) {
+      RecordBatch batch;
       ASSERT_TRUE(sort.Next(&batch, &eos).ok());
       if (eos) break;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        naive::Row& row = rows.emplace_back();
-        for (size_t c = 0; c < 4; ++c) row.push_back(batch.GetValue(r, c));
-      }
+      batches.push_back(std::move(batch));
     }
     sort.Close();
-    EXPECT_EQ(rows, expected);
+    EXPECT_EQ(naive::RowsOf(batches), expected);
     EXPECT_EQ(ctx.Finish().io_bytes,
               2 * base.stats.io_bytes + 2u * 10000u * row_width);
   }

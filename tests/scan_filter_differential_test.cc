@@ -19,6 +19,7 @@
 #include "exec/filter_project.h"
 #include "exec/operator.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
@@ -35,19 +36,6 @@ using storage::CompressionKind;
 constexpr size_t kRows = 6000;
 constexpr size_t kZoneRows = 128;
 constexpr size_t kMorselRows = 512;
-
-std::vector<Row> RowsOf(const std::vector<RecordBatch>& batches) {
-  std::vector<Row> rows;
-  for (const RecordBatch& batch : batches) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      Row& row = rows.emplace_back();
-      for (size_t c = 0; c < batch.num_columns(); ++c) {
-        row.push_back(batch.GetValue(r, c));
-      }
-    }
-  }
-  return rows;
-}
 
 struct Outcome {
   std::vector<Row> rows;
@@ -132,7 +120,7 @@ class ScanFilterDifferentialTest : public ::testing::TestWithParam<Case> {
     Outcome out;
     out.stats = ctx.Finish();
     EXPECT_TRUE(result.ok()) << result.status().message();
-    if (result.ok()) out.rows = RowsOf(result->batches);
+    if (result.ok()) out.rows = naive::RowsOf(result->batches);
     return out;
   }
 
@@ -148,7 +136,7 @@ class ScanFilterDifferentialTest : public ::testing::TestWithParam<Case> {
                     })
                     .ok());
     Outcome out;
-    out.rows = RowsOf(morsels);
+    out.rows = naive::RowsOf(morsels);
     scan->Close();
     out.stats = ctx.Finish();
     return out;

@@ -68,15 +68,7 @@ class TopKTest : public ::testing::Test {
     RunOutcome out;
     out.stats = ctx.Finish();
     if (!result.ok()) return out;
-    const size_t ncols = static_cast<size_t>(result->schema.num_columns());
-    for (const auto& batch : result->batches) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        std::vector<Value> row;
-        row.reserve(ncols);
-        for (size_t c = 0; c < ncols; ++c) row.push_back(batch.GetValue(r, c));
-        out.rows.push_back(std::move(row));
-      }
-    }
+    out.rows = naive::RowsOf(result->batches);
     return out;
   }
 
@@ -347,19 +339,16 @@ TEST_F(TopKTest, ParallelTopKChargesSpillExactlyOnceAcrossOpenRetry) {
     EXPECT_TRUE(topk.spilled());
     ASSERT_TRUE(topk.Open(&ctx).ok());  // the retry
 
-    RecordBatch batch;
+    std::vector<RecordBatch> batches;
     bool eos = false;
-    std::vector<naive::Row> rows;
     while (true) {
+      RecordBatch batch;
       ASSERT_TRUE(topk.Next(&batch, &eos).ok());
       if (eos) break;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        naive::Row& row = rows.emplace_back();
-        for (size_t c = 0; c < 2; ++c) row.push_back(batch.GetValue(r, c));
-      }
+      batches.push_back(std::move(batch));
     }
     topk.Close();
-    EXPECT_EQ(rows, expected);
+    EXPECT_EQ(naive::RowsOf(batches), expected);
     EXPECT_EQ(ctx.Finish().io_bytes,
               2 * base.stats.io_bytes + 2u * 5000u * row_width);
   }

@@ -13,6 +13,7 @@
 #include "exec/aggregate.h"
 #include "exec/joins.h"
 #include "exec/scan.h"
+#include "naive_reference.h"
 #include "optimizer/planner.h"
 #include "power/platform.h"
 #include "storage/ssd.h"
@@ -501,21 +502,6 @@ HandBuiltQuery HandBuilt(const storage::TableStorage* orders,
   return q;
 }
 
-/// Every row of `result`, in order.
-std::vector<std::vector<exec::Value>> RowsOf(
-    const exec::QueryResultSet& result) {
-  std::vector<std::vector<exec::Value>> rows;
-  for (const exec::RecordBatch& batch : result.batches) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      std::vector<exec::Value>& row = rows.emplace_back();
-      for (size_t c = 0; c < batch.num_columns(); ++c) {
-        row.push_back(batch.GetValue(r, c));
-      }
-    }
-  }
-  return rows;
-}
-
 /// Runs `root` on `rig` at `dop`, returning its rows and its bill.
 std::pair<std::vector<std::vector<exec::Value>>, exec::QueryStats> RunAt(
     WorkloadRig* rig, exec::Operator* root, int dop) {
@@ -525,7 +511,7 @@ std::pair<std::vector<std::vector<exec::Value>>, exec::QueryStats> RunAt(
   auto result = exec::CollectAll(root, &ctx);
   const exec::QueryStats stats = ctx.Finish();
   EXPECT_TRUE(result.ok()) << result.status().message();
-  return {result.ok() ? RowsOf(*result)
+  return {result.ok() ? exec::naive::RowsOf(result->batches)
                       : std::vector<std::vector<exec::Value>>{},
           stats};
 }
@@ -637,7 +623,7 @@ TEST(ServingConcurrency, TreesFromOneSpecAndOneFactoryMatchASerialRun) {
     exec::ExecContext ctx(platform, options);
     auto result = exec::CollectAll(root, &ctx);
     ctx.Finish();
-    return result.ok() ? RowsOf(*result) : Rows{};
+    return result.ok() ? exec::naive::RowsOf(result->batches) : Rows{};
   };
   // One pass: the spec's tree, then one factory request per query class.
   const auto pass = [&](power::HardwarePlatform* platform) {

@@ -14,6 +14,7 @@
 #include "txn/log_record.h"
 #include "txn/recovery.h"
 #include "txn/wal.h"
+#include "util/fnv1a.h"
 #include "util/random.h"
 
 namespace ecodb::txn {
