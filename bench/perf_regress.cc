@@ -12,6 +12,9 @@
 //   - filter-scan rows/sec (the scan's fused exact filter over a seeded
 //     table);
 //   - Q1-style grouped aggregate (sum/sum-expression/count by key);
+//   - TPC-H Q1's shape over compressed columns: a date filter on a
+//     FOR-coded lane, grouped by a dictionary-coded one-letter flag, with
+//     double aggregates;
 //   - full sort (ORDER BY without a limit: radix-sorted runs and the word
 //     merge over every row);
 //   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit);
@@ -88,6 +91,7 @@ using exec::Col;
 using exec::ExecContext;
 using exec::ExecOptions;
 using exec::Lit;
+using exec::LitDate;
 using exec::QueryStats;
 using storage::CompressionKind;
 
@@ -326,6 +330,48 @@ struct JoinFixture {
   std::unique_ptr<storage::TableStorage> dup;
 };
 
+// The Q1-shaped item's table, on a platform of its own so the items above
+// bill exactly as before: kTableRows rows of a return flag ("A", "N" or
+// "R", dictionary-coded), a ship date over seven years (FOR-coded), and a
+// quantity, a price and a discount.
+struct FlagFixture {
+  static constexpr int64_t kFirstDay = 8036;  // 1992-01-02
+  static constexpr int64_t kDays = 2526;
+
+  FlagFixture() : platform(power::MakeProportionalPlatform()) {
+    ssd = std::make_unique<storage::SsdDevice>("s", power::SsdSpec{},
+                                               platform->meter());
+    Schema schema({Column{"flag", DataType::kString, 1},
+                   Column{"ship", DataType::kDate, 8},
+                   Column{"qty", DataType::kDouble, 8},
+                   Column{"price", DataType::kDouble, 8},
+                   Column{"disc", DataType::kDouble, 8}});
+    Rng rng(kSeed + 4);
+    const char* flags[] = {"A", "N", "R"};
+    std::vector<storage::ColumnData> cols(5);
+    for (int c = 0; c < 5; ++c) cols[c].type = schema.column(c).type;
+    for (size_t i = 0; i < kTableRows; ++i) {
+      cols[0].str.push_back(flags[rng.Uniform(0, 2)]);
+      cols[1].i64.push_back(kFirstDay + rng.Uniform(0, kDays - 1));
+      cols[2].f64.push_back(static_cast<double>(rng.Uniform(1, 50)));
+      cols[3].f64.push_back(static_cast<double>(rng.Uniform(90000, 10500000)) *
+                            0.01);
+      cols[4].f64.push_back(static_cast<double>(rng.Uniform(0, 10)) * 0.01);
+    }
+    table = std::make_unique<storage::TableStorage>(
+        1, schema, storage::TableLayout::kColumn, ssd.get());
+    if (!table->Append(cols).ok() ||
+        !table->SetCompression("flag", CompressionKind::kDictionary).ok() ||
+        !table->SetCompression("ship", CompressionKind::kFor).ok()) {
+      std::abort();
+    }
+  }
+
+  std::unique_ptr<power::HardwarePlatform> platform;
+  std::unique_ptr<storage::SsdDevice> ssd;
+  std::unique_ptr<storage::TableStorage> table;
+};
+
 std::vector<Item> RunSuite(int reps, Turns* turns) {
   std::vector<Item> items;
 
@@ -396,6 +442,7 @@ std::vector<Item> RunSuite(int reps, Turns* turns) {
   // invocation, run at dop 1.
   QueryFixture fixture;
   JoinFixture joins;
+  FlagFixture flags;
   const auto table_scan = [&]() -> std::unique_ptr<exec::Operator> {
     return std::make_unique<exec::TableScanOp>(fixture.table.get());
   };
@@ -422,6 +469,23 @@ std::vector<Item> RunSuite(int reps, Turns* turns) {
              table_scan(), std::vector<std::string>{"k"}, std::move(aggs));
        },
        fixture.platform.get()},
+      {"q1_dictionary_aggregate",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         std::vector<AggregateItem> aggs;
+         aggs.push_back({"sum_qty", AggFunc::kSum, Col("qty")});
+         aggs.push_back({"sum_price", AggFunc::kSum, Col("price")});
+         aggs.push_back({"sum_disc_price", AggFunc::kSum,
+                         Col("price") * (Lit(1.0) - Col("disc"))});
+         aggs.push_back({"avg_qty", AggFunc::kAvg, Col("qty")});
+         aggs.push_back({"n", AggFunc::kCount, nullptr});
+         return std::make_unique<exec::HashAggregateOp>(
+             std::make_unique<exec::TableScanOp>(
+                 flags.table.get(), std::vector<std::string>{}, nullptr,
+                 Col("ship") <= LitDate(FlagFixture::kFirstDay +
+                                        FlagFixture::kDays - 90)),
+             std::vector<std::string>{"flag"}, std::move(aggs));
+       },
+       flags.platform.get()},
       {"sort",
        [&]() -> std::unique_ptr<exec::Operator> {
          return std::make_unique<exec::SortOp>(

@@ -75,8 +75,10 @@ done
 #    join-order-equivalence, planner pricing (optimizer_test,
 #    access_path_test, and the contract fuzzer's price-equals-bill gate
 #    in contract_fuzz_test), and decode/expression/scan-gather/
-#    aggregate-fold/sort-word/radix-run/word-merge regressions are reported
-#    by name even when a full run is noisy.
+#    aggregate-fold/sort-word/radix-run/word-merge regressions, as well as
+#    the flat key index (util_test), the dictionary parser
+#    (compression_test) and the column statistics (table_storage_test),
+#    are reported by name even when a full run is noisy.
 for san in tsan asan ubsan; do
   run cmake --preset "$san"
   run cmake --build --preset "$san" -j "$jobs"

@@ -68,8 +68,10 @@ uint64_t DoubleKeyBits(double v) {
 /// One word per row of a group column, equal for equal keys: int64 and
 /// date as is, a double by DoubleKeyBits, a string of at most 7 bytes
 /// packed with its length, a longer one as its tagged hash (equal words
-/// then still need a full compare).
-void KeyWords(const ColumnData& lane, size_t rows, uint64_t* out) {
+/// then still need a full compare). Returns whether every word is its
+/// row's key, that is whether no string was hashed.
+bool KeyWords(const ColumnData& lane, size_t rows, uint64_t* out) {
+  bool words_are_keys = true;
   switch (lane.type) {
     case DataType::kInt64:
     case DataType::kDate:
@@ -85,6 +87,7 @@ void KeyWords(const ColumnData& lane, size_t rows, uint64_t* out) {
         const std::string& s = lane.str[r];
         if (s.size() > kPackedStringBytes) {
           out[r] = HashBytes(s) | kHashedStringTag;
+          words_are_keys = false;
           continue;
         }
         // A byte loop: a variable-length memcpy into the word stalls
@@ -97,6 +100,7 @@ void KeyWords(const ColumnData& lane, size_t rows, uint64_t* out) {
       }
       break;
   }
+  return words_are_keys;
 }
 
 /// Folds `n` rows of an input read through `at` into the groups `ids`
@@ -272,15 +276,22 @@ void HashAggregateOp::FoldBatch(const RecordBatch& batch, FoldScratch* s,
 
   // Pass 1: batch-local group ids, in order of first appearance.
   const size_t k = group_by_.size();
+  s->words.resize(k * n);
+  bool words_are_keys = true;
+  for (size_t c = 0; c < k; ++c) {
+    words_are_keys &= KeyWords(batch.column(static_cast<size_t>(group_by_[c])),
+                               n, s->words.data() + c * n);
+  }
+  const uint64_t* words = s->words.data();
   if (k == 0) {
     s->first_rows.assign(1, 0);  // one group, so no row needs its id
+  } else if (k == 1 && words_are_keys) {
+    // The words are the keys: address them by offset when they are dense
+    // (int64 and uint64 alias legally).
+    s->index.AssignKeyIds(
+        std::span<const int64_t>(reinterpret_cast<const int64_t*>(words), n),
+        &s->ids, &s->first_rows);
   } else {
-    s->words.resize(k * n);
-    const uint64_t* words = s->words.data();
-    for (size_t c = 0; c < k; ++c) {
-      KeyWords(batch.column(static_cast<size_t>(group_by_[c])), n,
-               s->words.data() + c * n);
-    }
     const auto hash = [&](size_t r) {
       uint64_t h = 0;
       for (size_t c = 0; c < k; ++c) h = MixHash64(h ^ words[c * n + r]);

@@ -11,8 +11,11 @@
 // Each batch folds in two passes. First its rows get batch-local group ids
 // from a FlatKeyIndex keyed on one 64-bit word per group column, and each
 // batch-local group's key is encoded and looked up once, in the morsel's
-// partial or in the group table. Then every aggregate folds its input a
-// column at a time into the one statistic its function emits.
+// partial or in the group table. One group column whose words are its keys
+// (no string longer than 7 bytes) is addressed by key offset when its words
+// are dense, so a low-NDV key such as a one-letter flag is never hashed.
+// Then every aggregate folds its input a column at a time into the one
+// statistic its function emits.
 //
 // Determinism contract: each group sees a batch's rows in row order, a
 // group key appears at most once per morsel partial, and partials merge in

@@ -77,7 +77,8 @@ Status Drain(Operator* child, ExecContext* ctx, RecordBatch* out) {
 namespace {
 
 /// Copies rows [range.begin, range.end) of `src` into `dst`.
-void CopyRange(const ColumnData& src, ScanRowRange range, ColumnData* dst) {
+void CopyLaneRange(const ColumnData& src, ScanRowRange range,
+                   ColumnData* dst) {
   const auto first = static_cast<long>(range.begin);
   const auto last = static_cast<long>(range.end);
   dst->type = src.type;
@@ -291,18 +292,23 @@ Status TableScanOp::Open(ExecContext* ctx) {
                                                  *table_, column_indexes_,
                                                  pruning.selected_fraction));
 
-  // Column sources: borrow uncompressed lanes in place; decode compressed
-  // columns across the pool (one task per compressed column).
+  // Column sources: borrow uncompressed lanes in place; across the pool,
+  // one task per compressed column, parse each dictionary column into its
+  // strings and codes and decode each integer column.
   const size_t n_cols = column_indexes_.size();
-  sources_.assign(n_cols, nullptr);
+  sources_.assign(n_cols, ColumnSource{});
   owned_decodes_.assign(n_cols, storage::ColumnData{});
   std::vector<size_t> to_decode;
   for (size_t c = 0; c < n_cols; ++c) {
     const int idx = column_indexes_[c];
-    if (table_->column_layout(idx).compression ==
-        storage::CompressionKind::kNone) {
-      sources_[c] = &table_->RawColumn(idx);
+    const storage::CompressionKind kind =
+        table_->column_layout(idx).compression;
+    if (kind == storage::CompressionKind::kNone) {
+      sources_[c].lane = &table_->RawColumn(idx);
     } else {
+      if (kind != storage::CompressionKind::kDictionary) {
+        sources_[c].lane = &owned_decodes_[c];
+      }
       to_decode.push_back(c);
     }
   }
@@ -312,11 +318,15 @@ Status TableScanOp::Open(ExecContext* ctx) {
         to_decode.size(), [&](size_t t, int /*slot*/) -> Status {
           // ecodb-lint: worker-context
           const size_t c = to_decode[t];
-          ECODB_ASSIGN_OR_RETURN(owned_decodes_[c],
-                                 table_->ReadColumn(column_indexes_[c]));
+          const int idx = column_indexes_[c];
+          if (sources_[c].lane == nullptr) {  // dictionary-coded
+            ECODB_ASSIGN_OR_RETURN(sources_[c].coded,
+                                   table_->ReadDictionaryColumn(idx));
+          } else {
+            ECODB_ASSIGN_OR_RETURN(owned_decodes_[c], table_->ReadColumn(idx));
+          }
           return Status::OK();
         }));
-    for (size_t c : to_decode) sources_[c] = &owned_decodes_[c];
   }
 
   morsels_ = MorselizeRanges(pruning.ranges, table_->zone_maps().block_rows,
@@ -336,6 +346,33 @@ Status TableScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
+void TableScanOp::ColumnSource::CopyRange(ScanRowRange range,
+                                          ColumnData* dst) const {
+  if (lane != nullptr) {
+    CopyLaneRange(*lane, range, dst);
+    return;
+  }
+  dst->type = catalog::DataType::kString;
+  dst->str.clear();
+  dst->str.reserve(range.end - range.begin);
+  for (size_t r = range.begin; r < range.end; ++r) {
+    dst->str.push_back(coded.dictionary[coded.codes[r]]);
+  }
+}
+
+void TableScanOp::ColumnSource::Gather(size_t offset,
+                                       std::span<const uint32_t> rows,
+                                       ColumnData* dst) const {
+  if (lane != nullptr) {
+    GatherColumn(*lane, offset, rows, dst);
+    return;
+  }
+  assert(dst->type == catalog::DataType::kString);
+  const uint64_t* codes = coded.codes.data() + offset;
+  dst->str.reserve(dst->str.size() + rows.size());
+  for (uint32_t r : rows) dst->str.push_back(coded.dictionary[codes[r]]);
+}
+
 Status TableScanOp::ProduceRange(ScanRowRange range,
                                  RecordBatch* out) const {
   // ecodb-lint: worker-context
@@ -344,7 +381,7 @@ Status TableScanOp::ProduceRange(ScanRowRange range,
   size_t rows = take;
   if (exact_filter_ == nullptr) {
     for (size_t c = 0; c < sources_.size(); ++c) {
-      CopyRange(*sources_[c], range, &batch.column(c));
+      sources_[c].CopyRange(range, &batch.column(c));
     }
   } else {
     // Evaluate the filter over the lanes it reads, then gather the
@@ -352,7 +389,7 @@ Status TableScanOp::ProduceRange(ScanRowRange range,
     const std::vector<int>& inputs = filter_program_.inputs();
     std::vector<ColumnData> probe(inputs.size());
     for (size_t f = 0; f < inputs.size(); ++f) {
-      CopyRange(*sources_[static_cast<size_t>(inputs[f])], range, &probe[f]);
+      sources_[static_cast<size_t>(inputs[f])].CopyRange(range, &probe[f]);
     }
     EvalScratch scratch;
     std::vector<uint8_t> mask;
@@ -366,7 +403,7 @@ Status TableScanOp::ProduceRange(ScanRowRange range,
     }
     selected.resize(rows);
     for (size_t c = 0; c < sources_.size(); ++c) {
-      GatherColumn(*sources_[c], range.begin, selected, &batch.column(c));
+      sources_[c].Gather(range.begin, selected, &batch.column(c));
     }
   }
   ECODB_RETURN_IF_ERROR(batch.SealRows(rows));

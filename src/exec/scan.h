@@ -4,8 +4,11 @@
 // TableScanOp streams a TableStorage's projected columns. On Open it submits
 // the device I/O for the projected footprint (sequential stream — the whole
 // point of the Figure 2 experiment is the size of this transfer under
-// different compression choices), decodes any compressed columns, and
-// charges the corresponding CPU instructions.
+// different compression choices), decodes any integer-coded columns, parses
+// any dictionary-coded ones into their strings and codes, and charges the
+// corresponding CPU instructions. A dictionary column's strings are built
+// per morsel, for the rows it keeps (and for every row of a lane the
+// filter reads), each copied from its code's entry.
 //
 // When the table has zone maps and a prune filter is supplied, blocks whose
 // min/max cannot satisfy the filter are skipped: their rows are never
@@ -30,6 +33,7 @@
 #ifndef ECODB_EXEC_SCAN_H_
 #define ECODB_EXEC_SCAN_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,8 +141,22 @@ class TableScanOp final : public Operator, public MorselSource {
   /// it reads.
   BoundExpr filter_program_;
 
-  /// Per projected column: borrowed uncompressed lane or owned decode.
-  std::vector<const storage::ColumnData*> sources_;
+  /// One projected column as ProduceRange reads it: a lane of values, or
+  /// a dictionary column's strings and codes.
+  struct ColumnSource {
+    const storage::ColumnData* lane = nullptr;  // null: read `coded`
+    storage::DictionaryColumn coded;
+
+    /// Copies rows [range.begin, range.end) into `dst`.
+    void CopyRange(ScanRowRange range, storage::ColumnData* dst) const;
+    /// Appends rows `offset + rows[i]`, in that order, to `dst`.
+    void Gather(size_t offset, std::span<const uint32_t> rows,
+                storage::ColumnData* dst) const;
+  };
+
+  /// Per projected column: a borrowed uncompressed lane, an owned integer
+  /// decode (in owned_decodes_), or a dictionary column.
+  std::vector<ColumnSource> sources_;
   std::vector<storage::ColumnData> owned_decodes_;
 
   std::vector<ScanRowRange> morsels_;

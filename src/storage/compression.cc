@@ -528,7 +528,9 @@ double DecodeInstructionsPerValue(CompressionKind kind) {
       return 4.8;
     case CompressionKind::kDictionary:
       // Code unpack plus per-value string materialization; the strings
-      // dominate.
+      // dominate. A scan still bills this for every value, as the model
+      // decodes whole columns, though on the host it unpacks every code but
+      // builds strings only for the rows it keeps or its filter reads.
       return 3.5;
   }
   return 1.0;
@@ -558,8 +560,8 @@ Status StringDictionaryCodec::Encode(const std::vector<std::string>& values,
   return Status::OK();
 }
 
-Status StringDictionaryCodec::Decode(const std::vector<uint8_t>& buffer,
-                                     std::vector<std::string>* values) const {
+Status StringDictionaryCodec::Parse(const std::vector<uint8_t>& buffer,
+                                    DictionaryColumn* column) const {
   size_t pos = 0, count = 0;
   ECODB_RETURN_IF_ERROR(
       GetHeader(buffer, CompressionKind::kDictionary, &pos, &count));
@@ -567,33 +569,46 @@ Status StringDictionaryCodec::Decode(const std::vector<uint8_t>& buffer,
   if (!GetVarint(buffer, &pos, &dict_size)) {
     return Status::DataLoss("dictionary size truncated");
   }
-  std::vector<std::string> dict;
+  // Each entry takes at least its length byte.
+  if (dict_size > buffer.size() - pos) {
+    return Status::DataLoss("dictionary entry truncated");
+  }
+  std::vector<std::string>& dict = column->dictionary;
+  dict.clear();
   dict.reserve(dict_size);
   for (uint64_t i = 0; i < dict_size; ++i) {
     uint64_t len = 0;
-    if (!GetVarint(buffer, &pos, &len) || pos + len > buffer.size()) {
+    if (!GetVarint(buffer, &pos, &len) || len > buffer.size() - pos) {
       return Status::DataLoss("dictionary entry truncated");
     }
     dict.emplace_back(buffer.begin() + static_cast<long>(pos),
                       buffer.begin() + static_cast<long>(pos + len));
     pos += len;
   }
-  if (pos >= buffer.size() && count > 0) {
+  column->codes.clear();
+  if (count == 0) return Status::OK();
+  if (pos >= buffer.size()) {
     return Status::DataLoss("dictionary code width missing");
   }
-  if (count == 0) {
-    values->clear();
-    return Status::OK();
-  }
   const int bits = buffer[pos++];
-  std::vector<uint64_t> codes;
-  ECODB_RETURN_IF_ERROR(BitunpackValues(buffer, pos, bits, count, &codes));
-  values->clear();
-  values->reserve(count);
-  for (uint64_t c : codes) {
-    if (c >= dict.size()) return Status::DataLoss("dictionary code range");
-    values->push_back(dict[c]);
+  if (bits > 64) return Status::DataLoss("dictionary code width out of range");
+  ECODB_RETURN_IF_ERROR(
+      BitunpackValues(buffer, pos, bits, count, &column->codes));
+  const size_t entries = dict.size();
+  if (!std::all_of(column->codes.begin(), column->codes.end(),
+                   [entries](uint64_t c) { return c < entries; })) {
+    return Status::DataLoss("dictionary code range");
   }
+  return Status::OK();
+}
+
+Status StringDictionaryCodec::Decode(const std::vector<uint8_t>& buffer,
+                                     std::vector<std::string>* values) const {
+  DictionaryColumn column;
+  ECODB_RETURN_IF_ERROR(Parse(buffer, &column));
+  values->clear();
+  values->reserve(column.codes.size());
+  for (uint64_t c : column.codes) values->push_back(column.dictionary[c]);
   return Status::OK();
 }
 

@@ -76,6 +76,13 @@ std::unique_ptr<Int64Codec> MakeInt64Codec(CompressionKind kind);
 /// oracle and the baseline of `bench/perf_regress`'s decode speedups.
 std::unique_ptr<Int64Codec> MakeReferenceInt64Codec(CompressionKind kind);
 
+/// A dictionary-coded string column as stored: its distinct strings, and
+/// per value the index of its string in `dictionary`.
+struct DictionaryColumn {
+  std::vector<std::string> dictionary;
+  std::vector<uint64_t> codes;
+};
+
 /// Dictionary codec for string columns.
 class StringDictionaryCodec {
  public:
@@ -83,6 +90,12 @@ class StringDictionaryCodec {
   Status Encode(const std::vector<std::string>& values,
                 std::vector<uint8_t>* out) const;
 
+  /// Parses an Encode() buffer into its dictionary and codes. A truncated
+  /// buffer, or a code past the end of the dictionary, is DataLoss.
+  Status Parse(const std::vector<uint8_t>& buffer,
+               DictionaryColumn* column) const;
+
+  /// Parses `buffer` and expands every code into its string.
   Status Decode(const std::vector<uint8_t>& buffer,
                 std::vector<std::string>* values) const;
 };

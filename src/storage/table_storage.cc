@@ -156,6 +156,18 @@ StatusOr<ColumnData> TableStorage::ReadColumn(int i) const {
   return out;
 }
 
+StatusOr<DictionaryColumn> TableStorage::ReadDictionaryColumn(int i) const {
+  if (i < 0 || i >= schema_.num_columns()) {
+    return Status::OutOfRange("column index");
+  }
+  if (layouts_[i].compression != CompressionKind::kDictionary) {
+    return Status::InvalidArgument("column is not dictionary-coded");
+  }
+  DictionaryColumn out;
+  ECODB_RETURN_IF_ERROR(StringDictionaryCodec().Parse(encoded_[i], &out));
+  return out;
+}
+
 uint64_t TableStorage::ScanBytes(const std::vector<int>& column_indexes,
                                  double selected_fraction) const {
   // Skipped blocks skip their bytes for prunable storage (row pages and
@@ -288,16 +300,25 @@ Status TableStorage::AnalyzeInto(catalog::TableStats* stats) const {
         if (!data.i64.empty()) {
           cs.min_i64 = *std::min_element(data.i64.begin(), data.i64.end());
           cs.max_i64 = *std::max_element(data.i64.begin(), data.i64.end());
-          cs.distinct_values = CountDistinct(data.i64, [&](size_t r) {
-            return MixHash64(static_cast<uint64_t>(data.i64[r]));
-          });
+          cs.distinct_values = FlatKeyIndex::CountDistinct(data.i64);
         }
         break;
       }
       case catalog::DataType::kDouble: {
         if (!data.f64.empty()) {
-          cs.min_f64 = *std::min_element(data.f64.begin(), data.f64.end());
-          cs.max_f64 = *std::max_element(data.f64.begin(), data.f64.end());
+          // NaN compares false with everything, so it cannot bound the
+          // column: the bounds are those of the other values, wherever the
+          // NaNs sit. An all-NaN column keeps NaN bounds.
+          constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+          cs.min_f64 = kNaN;
+          cs.max_f64 = kNaN;
+          for (double v : data.f64) {
+            if (std::isnan(v)) continue;
+            // Written so the first value replaces the NaN start; a tie
+            // keeps the earlier value, as std::min_element does.
+            if (!(v >= cs.min_f64)) cs.min_f64 = v;
+            if (!(v <= cs.max_f64)) cs.max_f64 = v;
+          }
           cs.distinct_values = CountDistinct(data.f64, [&](size_t r) {
             return HashDoubleRow(data.f64[r], r);
           });

@@ -73,10 +73,15 @@ class TableStorage {
   /// Dictionary is for strings; integer codecs for int64/date. kNone resets.
   Status SetCompression(const std::string& column, CompressionKind kind);
 
-  /// Decoded values of column `i` — decodes through the codec when the
-  /// column is compressed (the work an operator's scan performs). The
-  /// result matches the appended data exactly (lossless round-trip).
+  /// Decoded values of column `i` — decodes the whole column through the
+  /// codec when it is compressed. The result matches the appended data
+  /// exactly (lossless round-trip). A scan decodes an integer column this
+  /// way but reads a dictionary column through ReadDictionaryColumn.
   StatusOr<ColumnData> ReadColumn(int i) const;
+
+  /// Column `i`'s dictionary and codes, parsed from its encoded buffer;
+  /// InvalidArgument unless the column is dictionary-coded.
+  StatusOr<DictionaryColumn> ReadDictionaryColumn(int i) const;
 
   /// In-memory reference to the uncompressed data (no decode charge);
   /// intended for loading-side helpers and tests.

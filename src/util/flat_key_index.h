@@ -8,6 +8,9 @@
 // lanes alike. The directory serves an int64 lane whose keys are dense
 // (their range spans at most kMaxDirectorySlotsPerRow slots per row): one
 // slot per key offset `key - min`, so a lookup neither hashes nor compares.
+// It serves builds, key ids and distinct counts alike. Its storage is kept
+// across calls and AssignKeyIds clears only the slots it set, so a run of
+// per-batch calls pays no range-sized allocation or clear.
 //
 // Either way, keys get ids 0, 1, ... in order of first appearance, and
 // each distinct key owns one contiguous run of row ids in ascending row
@@ -88,6 +91,14 @@ class FlatKeyIndex {
            [out](size_t r, uint32_t k) { out[r] = k; });
   }
 
+  /// AssignKeyIds over an int64 key lane, addressed as Build(keys) would
+  /// address it; the ids and first rows are the hashed call's either way.
+  /// Only the directory slots the keys set are touched, and they are
+  /// cleared again, so a dense call costs O(rows + keys) however often it
+  /// runs. Returns whether the keys were addressed by offset.
+  bool AssignKeyIds(std::span<const int64_t> keys, std::vector<uint32_t>* ids,
+                    std::vector<uint32_t>* first_rows);
+
   /// Distinct keys among rows [0, rows), with `hash` and `same` as in the
   /// hashed Build; the rows themselves are not kept.
   template <typename HashFn, typename SameFn>
@@ -98,15 +109,18 @@ class FlatKeyIndex {
                         [](size_t, uint32_t) {});
   }
 
+  /// Distinct keys of an int64 lane, addressed as Build(keys) would
+  /// address it.
+  static size_t CountDistinct(std::span<const int64_t> keys);
+
   /// Whether the last Build addressed its keys by offset. Look keys up
   /// with FindDirect when it did and with FindHashed when it did not.
-  bool direct() const { return !dir_.empty(); }
+  bool direct() const { return dir_slots_ != 0; }
 
   /// Key id of `key` in a directory index, or kNoKey.
   uint32_t FindDirect(int64_t key) const {
-    const uint64_t slot =
-        static_cast<uint64_t>(key) - static_cast<uint64_t>(dir_min_);
-    return slot < dir_.size() ? dir_[slot] - 1 : kNoKey;  // 0 - 1 = kNoKey
+    const uint64_t slot = Offset(key, dir_min_);
+    return slot < dir_slots_ ? dir_[slot] - 1 : kNoKey;  // 0 - 1 = kNoKey
   }
 
   /// Key id of the probe key in a hashed index, or kNoKey. `hash` is the
@@ -220,14 +234,31 @@ class FlatKeyIndex {
     }
   }
 
-  /// Fills the directory over `keys`, whose smallest key is `min` and
-  /// whose range spans `span` slots.
-  void BuildDirectory(std::span<const int64_t> keys, int64_t min,
-                      uint64_t span);
+  /// Directory slot of `key` when the smallest key is `min`.
+  static uint64_t Offset(int64_t key, int64_t min) {
+    return static_cast<uint64_t>(key) - static_cast<uint64_t>(min);
+  }
+
+  /// Whether `keys` is dense enough for the directory; if so, sets `min`
+  /// to its smallest key and `slots` to the slots its range spans.
+  static bool DenseRange(std::span<const int64_t> keys, int64_t* min,
+                         uint64_t* slots);
+
+  /// Drops the last Build, then gives each key of `keys`, whose smallest
+  /// key is `min` and whose range spans `slots` slots, its directory slot,
+  /// as Insert does in the hashed slots. The slots stay set (a directory
+  /// Build) until the next Reset.
+  template <typename OnRow>
+  void FillDirectory(std::span<const int64_t> keys, int64_t min,
+                     uint64_t slots, std::vector<uint32_t>* first_rows,
+                     OnRow on_row);
 
   std::vector<Slot> slots_ = std::vector<Slot>(kMinSlots);
   size_t mask_ = kMinSlots - 1;
-  std::vector<uint32_t> dir_;  // per key offset: key id + 1, 0 if absent
+  // Per key offset: key id + 1, 0 if absent. Only the first dir_slots_ are
+  // live, and all others read 0, so a call reuses the storage as it is.
+  std::vector<uint32_t> dir_;
+  uint64_t dir_slots_ = 0;  // 0 when the last Build was hashed
   int64_t dir_min_ = 0;
   size_t keys_ = 0;
   bool unique_ = false;

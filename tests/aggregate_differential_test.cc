@@ -166,7 +166,12 @@ std::vector<AggregateItem> Aggregates() {
 /// Group keys that stress the key words: extreme and negative integers,
 /// NaNs with two payloads, denormals, infinities, and strings around the
 /// 7-byte packing limit, with embedded NULs and pairs that differ only
-/// after byte 7.
+/// after byte 7. A single key whose words are its keys is addressed by
+/// key offset in a batch where its words are dense and hashed elsewhere:
+/// `w` and `d` are dense everywhere and `i` nowhere; the one-letter flags
+/// `t` are dense except in the morsels holding an empty string; and `u`'s
+/// two 7-byte strings are dense except in the even morsels, which mix in
+/// an 8-byte string that extends one of them.
 std::unique_ptr<storage::TableStorage> MakeTable(size_t rows) {
   const Schema schema({Column{"i", DataType::kInt64, 8},
                        Column{"d", DataType::kDate, 8},
@@ -174,7 +179,9 @@ std::unique_ptr<storage::TableStorage> MakeTable(size_t rows) {
                        Column{"s", DataType::kString, 8},
                        Column{"c", DataType::kInt64, 8},
                        Column{"v", DataType::kDouble, 8},
-                       Column{"w", DataType::kInt64, 8}});
+                       Column{"w", DataType::kInt64, 8},
+                       Column{"t", DataType::kString, 1},
+                       Column{"u", DataType::kString, 8}});
   const int64_t ints[] = {INT64_MIN, INT64_MAX, 0, -1};
   double other_nan = 0.0;
   const uint64_t nan_bits = 0x7ff8000000000123ULL;
@@ -206,8 +213,9 @@ std::unique_ptr<storage::TableStorage> MakeTable(size_t rows) {
                                  std::string("a\0b", 3),
                                  std::string("abcdefg\0", 8),
                                  std::string("abcdefg\0x", 9)};
-  std::vector<ColumnData> cols(7);
-  for (int c = 0; c < 7; ++c) cols[c].type = schema.column(c).type;
+  const std::string flags[] = {"N", "O", "R"};
+  std::vector<ColumnData> cols(9);
+  for (int c = 0; c < 9; ++c) cols[c].type = schema.column(c).type;
   for (size_t r = 0; r < rows; ++r) {
     cols[0].i64.push_back(r % 50 == 0 ? ints[(r / 50) % 4]
                                       : static_cast<int64_t>(r * 7919 % 401) -
@@ -220,6 +228,9 @@ std::unique_ptr<storage::TableStorage> MakeTable(size_t rows) {
                               static_cast<int64_t>(r * 37 % 1000) - 500) *
                           0.1);
     cols[6].i64.push_back(static_cast<int64_t>(r % 17) - 8);
+    cols[7].str.push_back(r % 600 == 0 ? "" : flags[r % 3]);
+    const bool mixed = r / kMorselRows % 2 == 0 && r % 5 == 0;
+    cols[8].str.push_back(mixed ? "a2345678" : r % 3 ? "a234567" : "b234567");
   }
   auto table = std::make_unique<storage::TableStorage>(
       1, schema, storage::TableLayout::kColumn, nullptr);
@@ -349,8 +360,10 @@ TEST_P(AggregateDifferentialTest, MatchesRowAtATimeFoldAtEveryDop) {
 
 INSTANTIATE_TEST_SUITE_P(
     Keys, AggregateDifferentialTest,
-    ::testing::Values(Case{"int64", {"i"}}, Case{"date", {"d"}},
-                      Case{"double", {"f"}}, Case{"string", {"s"}},
+    ::testing::Values(Case{"int64", {"i"}}, Case{"dense_int64", {"w"}},
+                      Case{"date", {"d"}}, Case{"double", {"f"}},
+                      Case{"string", {"s"}}, Case{"short_string", {"t"}},
+                      Case{"string_7_and_8_bytes", {"u"}},
                       Case{"int64_string", {"i", "s"}},
                       Case{"string_double_date", {"s", "f", "d"}},
                       Case{"one_group", {"c"}}, Case{"global", {}},

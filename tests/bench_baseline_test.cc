@@ -71,8 +71,8 @@ TEST_F(BenchBaselineTest, CoversTheFullSuite) {
         "codec_decode_for_runs", "codec_decode_rle_runs",
         "codec_decode_delta_sequential",
         "codec_decode_dictionary_priorities", "scan", "filter_scan",
-        "q1_aggregate", "sort", "topk", "hash_join_fk",
-        "hash_join_residual"}) {
+        "q1_aggregate", "q1_dictionary_aggregate", "sort", "topk",
+        "hash_join_fk", "hash_join_residual"}) {
     EXPECT_TRUE(items_.count(name)) << "baseline lost item " << name;
   }
 }
@@ -89,8 +89,9 @@ TEST_F(BenchBaselineTest, VectorizedDecodeSpeedupsHold) {
 }
 
 TEST_F(BenchBaselineTest, QueryItemsCarryDeterministicJoules) {
-  for (const char* name : {"scan", "filter_scan", "q1_aggregate", "sort",
-                           "topk", "hash_join_fk", "hash_join_residual"}) {
+  for (const char* name :
+       {"scan", "filter_scan", "q1_aggregate", "q1_dictionary_aggregate",
+        "sort", "topk", "hash_join_fk", "hash_join_residual"}) {
     ASSERT_TRUE(items_.count(name)) << name;
     EXPECT_GT(items_[name].joules, 0.0) << name;
   }

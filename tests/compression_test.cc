@@ -298,6 +298,41 @@ TEST(Dictionary, TruncationRejected) {
   EXPECT_FALSE(codec.Decode(buf, &out).ok());
 }
 
+TEST(Dictionary, ParseYieldsTheDictionaryAndCodes) {
+  StringDictionaryCodec codec;
+  std::vector<uint8_t> buf;
+  ASSERT_TRUE(codec.Encode({"R", "N", "R", "A", "N"}, &buf).ok());
+  DictionaryColumn column;
+  ASSERT_TRUE(codec.Parse(buf, &column).ok());
+  EXPECT_EQ(column.dictionary, (std::vector<std::string>{"R", "N", "A"}));
+  EXPECT_EQ(column.codes, (std::vector<uint64_t>{0, 1, 0, 2, 1}));
+  ASSERT_TRUE(codec.Encode({}, &buf).ok());
+  ASSERT_TRUE(codec.Parse(buf, &column).ok());
+  EXPECT_TRUE(column.dictionary.empty());
+  EXPECT_TRUE(column.codes.empty());
+}
+
+TEST(Dictionary, ParseAndDecodeRejectBadCodesWithDataLoss) {
+  StringDictionaryCodec codec;
+  // Three entries take 2-bit codes, so code 3 fits the width but names no
+  // entry. The four codes fill the buffer's last byte, after the width.
+  std::vector<uint8_t> buf;
+  ASSERT_TRUE(codec.Encode({"a", "b", "c", "a"}, &buf).ok());
+  ASSERT_GE(buf.size(), 2u);
+  const std::vector<uint8_t> truncated(buf.begin(), buf.end() - 1);
+  std::vector<uint8_t> past_end = truncated;
+  past_end.push_back(0xff);  // every code 3
+  std::vector<uint8_t> too_wide(buf.begin(), buf.end() - 2);
+  too_wide.push_back(65);  // a code width no word holds
+  too_wide.push_back(buf.back());
+  for (const std::vector<uint8_t>& bad : {past_end, truncated, too_wide}) {
+    DictionaryColumn column;
+    EXPECT_EQ(codec.Parse(bad, &column).code(), StatusCode::kDataLoss);
+    std::vector<std::string> out;
+    EXPECT_EQ(codec.Decode(bad, &out).code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(CostProfiles, CompressedCodecsCostMoreToDecodeThanTouch) {
   // The Figure 2 premise: decoding compressed data costs more CPU than
   // touching raw values.

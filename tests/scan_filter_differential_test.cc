@@ -54,7 +54,10 @@ struct Case {
 void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 /// Raw id, x and name lanes next to FOR-, RLE- and dictionary-compressed
-/// ones, with zone maps.
+/// ones, with zone maps. The scan gathers the dictionary lane `mode`
+/// straight from its codes, whether it is only projected
+/// (compressed_lanes), read by the filter (string_and_column_twice) or
+/// both, in morsels the filter empties (dictionary_lane_empties_morsels).
 class ScanFilterDifferentialTest : public ::testing::TestWithParam<Case> {
  protected:
   ScanFilterDifferentialTest() : platform_(power::MakeProportionalPlatform()) {
@@ -210,6 +213,16 @@ INSTANTIATE_TEST_SUITE_P(
              true,
              700},
         Case{"none", {}, [] { return Col("id") < Lit(int64_t{0}); }, true, 0},
+        // The dictionary lane is read by the filter and projected, and the
+        // filter empties the morsels before id 3584 (no block is pruned).
+        Case{"dictionary_lane_empties_morsels",
+             {"id", "mode", "x"},
+             [] {
+               return And(Col("mode") == Lit("SHIP"),
+                          Col("id") >= Lit(int64_t{4000}));
+             },
+             false,
+             500},
         Case{"alternating",
              {"name", "odd", "id"},
              [] { return Col("odd") == Lit(int64_t{1}); },

@@ -2,9 +2,12 @@
 // round-trips, layout-dependent scan volumes, decode-cost accounting, and
 // statistics.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -15,6 +18,7 @@
 #include "sim/clock.h"
 #include "storage/ssd.h"
 #include "storage/table_storage.h"
+#include "util/flat_key_index.h"
 #include "util/random.h"
 
 namespace ecodb::storage {
@@ -187,6 +191,28 @@ TEST_F(TableStorageTest, AnalyzeDistinctCountsMatchUnorderedSet) {
   // Planner estimates were built on std::unordered_set counts, so the flat
   // key index must reproduce them exactly: ±0.0 counts once, each NaN on
   // its own.
+  const auto expect_set_counts = [&](const std::vector<ColumnData>& cols) {
+    TableStorage table(1, TestSchema(), TableLayout::kColumn, &ssd_);
+    ASSERT_TRUE(table.Append(cols).ok());
+    catalog::TableStats stats;
+    ASSERT_TRUE(table.AnalyzeInto(&stats).ok());
+    EXPECT_EQ(stats.columns[0].distinct_values,
+              std::unordered_set<int64_t>(cols[0].i64.begin(),
+                                          cols[0].i64.end())
+                  .size());
+    EXPECT_EQ(stats.columns[1].distinct_values,
+              std::unordered_set<double>(cols[1].f64.begin(),
+                                         cols[1].f64.end())
+                  .size());
+    EXPECT_EQ(stats.columns[2].distinct_values,
+              std::unordered_set<std::string>(cols[2].str.begin(),
+                                              cols[2].str.end())
+                  .size());
+    EXPECT_EQ(stats.columns[3].distinct_values,
+              std::unordered_set<int64_t>(cols[3].i64.begin(),
+                                          cols[3].i64.end())
+                  .size());
+  };
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<int64_t> edge_ints = {INT64_MIN, INT64_MAX, 0, -1,
@@ -212,27 +238,76 @@ TEST_F(TableStorageTest, AnalyzeDistinctCountsMatchUnorderedSet) {
       cols[2].str.push_back(edge_strings[i]);
       cols[3].i64.push_back(edge_ints[i]);
     }
+    expect_set_counts(cols);
+  }
+  // The int64 lane spans exactly the directory's density bound, so it is
+  // counted by key offset; the date lane spans one key more, so it is
+  // hashed.
+  constexpr int64_t kRows = 3000;
+  const int64_t bound = kRows * FlatKeyIndex::kMaxDirectorySlotsPerRow;
+  Rng rng(6);
+  std::vector<ColumnData> cols = TestRows(0);
+  for (int64_t i = 0; i < kRows; ++i) {
+    const int64_t pin = i == 0 ? 0 : i == 1 ? bound : rng.Uniform(0, 999);
+    cols[0].i64.push_back(std::min(pin, bound - 1) - 7);
+    cols[1].f64.push_back(0.5 * static_cast<double>(i % 10));
+    cols[2].str.push_back(std::to_string(i % 10));
+    cols[3].i64.push_back(pin + 8000);
+  }
+  FlatKeyIndex index;
+  index.Build(std::span<const int64_t>(cols[0].i64));
+  EXPECT_TRUE(index.direct());
+  index.Build(std::span<const int64_t>(cols[3].i64));
+  EXPECT_FALSE(index.direct());
+  expect_set_counts(cols);
+}
+
+TEST_F(TableStorageTest, DoubleBoundsIgnoreNaNWhereverItSits) {
+  // The same values with one NaN first, in the middle and last: the bounds
+  // are the other values' every time.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> orders = {
+      {nan, 2.5, -1.0, 7.0}, {2.5, -1.0, nan, 7.0}, {2.5, -1.0, 7.0, nan}};
+  for (const std::vector<double>& values : orders) {
+    std::vector<ColumnData> cols = TestRows(static_cast<int>(values.size()));
+    cols[1].f64 = values;
     TableStorage table(1, TestSchema(), TableLayout::kColumn, &ssd_);
     ASSERT_TRUE(table.Append(cols).ok());
     catalog::TableStats stats;
     ASSERT_TRUE(table.AnalyzeInto(&stats).ok());
-    EXPECT_EQ(stats.columns[0].distinct_values,
-              std::unordered_set<int64_t>(cols[0].i64.begin(),
-                                          cols[0].i64.end())
-                  .size());
-    EXPECT_EQ(stats.columns[1].distinct_values,
-              std::unordered_set<double>(cols[1].f64.begin(),
-                                         cols[1].f64.end())
-                  .size());
-    EXPECT_EQ(stats.columns[2].distinct_values,
-              std::unordered_set<std::string>(cols[2].str.begin(),
-                                              cols[2].str.end())
-                  .size());
-    EXPECT_EQ(stats.columns[3].distinct_values,
-              std::unordered_set<int64_t>(cols[3].i64.begin(),
-                                          cols[3].i64.end())
-                  .size());
+    EXPECT_EQ(stats.columns[1].min_f64, -1.0);
+    EXPECT_EQ(stats.columns[1].max_f64, 7.0);
+    EXPECT_EQ(stats.columns[1].distinct_values, 4u);
   }
+  // With nothing but NaN, the bounds stay NaN.
+  std::vector<ColumnData> cols = TestRows(2);
+  cols[1].f64 = {nan, nan};
+  TableStorage table(1, TestSchema(), TableLayout::kColumn, &ssd_);
+  ASSERT_TRUE(table.Append(cols).ok());
+  catalog::TableStats stats;
+  ASSERT_TRUE(table.AnalyzeInto(&stats).ok());
+  EXPECT_TRUE(std::isnan(stats.columns[1].min_f64));
+  EXPECT_TRUE(std::isnan(stats.columns[1].max_f64));
+}
+
+TEST_F(TableStorageTest, DictionaryColumnExpandsToReadColumn) {
+  TableStorage table(1, TestSchema(), TableLayout::kColumn, &ssd_);
+  ASSERT_TRUE(table.Append(TestRows(500)).ok());
+  ASSERT_TRUE(table.SetCompression("status", CompressionKind::kDictionary)
+                  .ok());
+  const StatusOr<DictionaryColumn> coded = table.ReadDictionaryColumn(2);
+  ASSERT_TRUE(coded.ok()) << coded.status().message();
+  const StatusOr<ColumnData> full = table.ReadColumn(2);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(coded->codes.size(), full->str.size());
+  for (size_t r = 0; r < coded->codes.size(); ++r) {
+    ASSERT_LT(coded->codes[r], coded->dictionary.size());
+    EXPECT_EQ(coded->dictionary[coded->codes[r]], full->str[r]) << r;
+  }
+  EXPECT_EQ(table.ReadDictionaryColumn(0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.ReadDictionaryColumn(4).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST_F(TableStorageTest, TotalBytesTracksCompression) {

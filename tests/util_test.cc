@@ -7,6 +7,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -471,6 +472,114 @@ TEST(FlatKeyIndex, AssignKeyIdsNumbersKeysByFirstAppearance) {
       EXPECT_EQ(ids[r], it->second) << "row " << r;
     }
     EXPECT_EQ(first_rows, want_first);
+  }
+}
+
+/// Assigns `keys` their ids through `index`'s word-lane AssignKeyIds,
+/// which must address them by offset exactly when `direct` says, and
+/// checks the ids and first rows against a hashed call on a fresh index.
+void ExpectWordLaneIdsMatchHashed(FlatKeyIndex* index,
+                                  const std::vector<int64_t>& keys,
+                                  bool direct) {
+  std::vector<uint32_t> ids = {7};
+  std::vector<uint32_t> first_rows = {9};
+  ASSERT_EQ(index->AssignKeyIds(std::span<const int64_t>(keys), &ids,
+                                &first_rows),
+            direct);
+  FlatKeyIndex hashed;
+  std::vector<uint32_t> want_ids;
+  std::vector<uint32_t> want_first;
+  hashed.AssignKeyIds(
+      keys.size(), [&](size_t r) { return MixedHash(keys[r]); },
+      [&](size_t a, size_t b) { return keys[a] == keys[b]; }, &want_ids,
+      &want_first);
+  EXPECT_EQ(ids, want_ids);
+  EXPECT_EQ(first_rows, want_first);
+}
+
+/// `rows` keys in [lo, lo + span), the first two pinning both ends.
+std::vector<int64_t> LaneSpanning(Rng* rng, size_t rows, int64_t lo,
+                                  int64_t span) {
+  std::vector<int64_t> keys = {lo + (span - 1), lo};
+  while (keys.size() < rows) keys.push_back(lo + rng->Uniform(0, span - 1));
+  return keys;
+}
+
+TEST(FlatKeyIndex, WordLaneAssignKeyIdsMatchesTheHashedCall) {
+  constexpr int64_t kSlots = FlatKeyIndex::kMaxDirectorySlotsPerRow;
+  Rng rng(11);
+  FlatKeyIndex index;
+  // Dense lanes: many rows per key, and every row its own key.
+  ExpectWordLaneIdsMatchHashed(&index, LaneSpanning(&rng, 3000, -40, 81),
+                               true);
+  std::vector<int64_t> unique(2000);
+  for (size_t i = 0; i < unique.size(); ++i) {
+    unique[i] = static_cast<int64_t>(i) - 1000;
+  }
+  rng.Shuffle(&unique);
+  ExpectWordLaneIdsMatchHashed(&index, unique, true);
+  // 100 rows may span 100 * kSlots keys, and not one more.
+  ExpectWordLaneIdsMatchHashed(&index, LaneSpanning(&rng, 100, 5, 100 * kSlots),
+                               true);
+  ExpectWordLaneIdsMatchHashed(
+      &index, LaneSpanning(&rng, 100, 5, 100 * kSlots + 1), false);
+  // The whole of int64, and lanes at either end of it.
+  ExpectWordLaneIdsMatchHashed(&index, {INT64_MAX, 0, INT64_MIN, INT64_MIN},
+                               false);
+  ExpectWordLaneIdsMatchHashed(
+      &index, LaneSpanning(&rng, 50, INT64_MIN, 300), true);
+  ExpectWordLaneIdsMatchHashed(
+      &index, LaneSpanning(&rng, 50, INT64_MAX - 299, 300), true);
+  // One row, and none.
+  ExpectWordLaneIdsMatchHashed(&index, {-3}, true);
+  ExpectWordLaneIdsMatchHashed(&index, {}, false);
+}
+
+TEST(FlatKeyIndex, WordLaneAssignKeyIdsLeavesTheDirectoryClean) {
+  // One index across calls whose ranges shrink, grow, move and overlap:
+  // a slot a call left set would give a later key a stale id.
+  Rng rng(12);
+  FlatKeyIndex index;
+  for (const auto& [lo, span] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 1000}, {500, 20}, {-3000, 9000}, {0, 1000}, {999, 2}}) {
+    ExpectWordLaneIdsMatchHashed(&index, LaneSpanning(&rng, 1500, lo, span),
+                                 true);
+    // A sparse call between dense ones.
+    ExpectWordLaneIdsMatchHashed(&index, {lo, lo + (int64_t{1} << 40)},
+                                 false);
+  }
+  // A directory Build after the calls still finds only its own keys.
+  const std::vector<int64_t> keys = {4, 6, 4};
+  index.Build(std::span<const int64_t>(keys));
+  ASSERT_TRUE(index.direct());
+  EXPECT_EQ(index.distinct_keys(), 2u);
+  EXPECT_EQ(index.FindDirect(4), 0u);
+  EXPECT_EQ(index.FindDirect(5), FlatKeyIndex::kNoKey);
+  EXPECT_EQ(index.FindDirect(6), 1u);
+}
+
+TEST(FlatKeyIndex, CountDistinctByOffsetMatchesHashed) {
+  constexpr int64_t kSlots = FlatKeyIndex::kMaxDirectorySlotsPerRow;
+  Rng rng(13);
+  const std::vector<std::pair<std::vector<int64_t>, bool>> lanes = {
+      {LaneSpanning(&rng, 3000, -40, 81), true},
+      {LaneSpanning(&rng, 100, 5, 100 * kSlots), true},
+      {LaneSpanning(&rng, 100, 5, 100 * kSlots + 1), false},
+      {LaneSpanning(&rng, 50, INT64_MIN, 300), true},
+      {{INT64_MAX, 0, INT64_MIN, INT64_MIN}, false},
+      {{-3}, true},
+      {{}, false},
+  };
+  for (const auto& [keys, direct] : lanes) {
+    const std::span<const int64_t> lane(keys);
+    FlatKeyIndex built;
+    built.Build(lane);  // the rule CountDistinct addresses keys by
+    EXPECT_EQ(built.direct(), direct) << keys.size() << " rows";
+    const size_t hashed = FlatKeyIndex::CountDistinct(
+        keys.size(), [&](size_t r) { return MixedHash(keys[r]); },
+        [&](size_t a, size_t b) { return keys[a] == keys[b]; });
+    EXPECT_EQ(FlatKeyIndex::CountDistinct(lane), hashed);
+    EXPECT_EQ(hashed, std::set<int64_t>(keys.begin(), keys.end()).size());
   }
 }
 
