@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "exec/scan.h"
@@ -181,6 +182,20 @@ TopKOutcome RunTopK(power::HardwarePlatform* platform, uint64_t memory_budget,
   return out;
 }
 
+/// True when `fused` bills no more instructions, spill bytes or Joules
+/// than `unfused`, and exactly as much when `covers` (k >= n).
+bool NoMoreThan(const TopKOutcome& fused, const TopKOutcome& unfused,
+                bool covers) {
+  if (covers) {
+    return fused.instructions == unfused.instructions &&
+           fused.spill_bytes == unfused.spill_bytes &&
+           fused.joules == unfused.joules;
+  }
+  return fused.instructions <= unfused.instructions &&
+         fused.spill_bytes <= unfused.spill_bytes &&
+         fused.joules <= unfused.joules;
+}
+
 }  // namespace
 
 int Main() {
@@ -293,11 +308,14 @@ int Main() {
               sweep_ok ? "PASS" : "FAIL");
 
   // --- Top-k sweep: ORDER BY + LIMIT, fused vs sort-then-limit ------------
-  // For each k the same query runs fused (bounded-heap top-k) and unfused
-  // (full external sort, then limit) across the platform dop ladder, under
-  // a budget the full sort must spill. Small k is where the energy drops:
-  // the fused path does O(n log k) comparisons and writes zero spill bytes
-  // when its k-row candidate set fits the budget.
+  // For each k the same query runs fused (the sort's own limit, the one
+  // tree the planner builds) and unfused (full external sort, then limit)
+  // across the platform dop ladder, under a budget the full sort must
+  // spill. At every (k, dop) the fused path bills no more instructions,
+  // spill bytes or Joules than the unfused one, and exactly as much at
+  // k = n. Small k is where the energy drops: the fused path does
+  // O(n log k) comparisons and writes zero spill bytes when its k-row
+  // candidate set fits the budget.
   std::printf("\n{\"schema\":\"ecodb.topk.v1\",\"records\":%d,"
               "\"platform\":\"dl785\",\"budget_bytes\":%" PRIu64
               ",\"ks\":[1,10,100,%d]}\n",
@@ -306,9 +324,11 @@ int Main() {
   for (const size_t k : {size_t{1}, size_t{10}, size_t{100},
                          size_t{kRecords}}) {
     TopKOutcome fused_base, unfused_base;
+    std::vector<TopKOutcome> fused_at_dop;
     for (const bool fused : {true, false}) {
       TopKOutcome base;
-      for (const int dop : dops) {
+      for (size_t d = 0; d < dops.size(); ++d) {
+        const int dop = dops[d];
         auto platform = power::MakeDl785Platform();
         const TopKOutcome out =
             RunTopK(platform.get(), tight, records, dop, k, fused);
@@ -321,6 +341,11 @@ int Main() {
             out.instructions, out.cpu_core_seconds, out.cpu_elapsed_seconds,
             out.io_bytes, out.spill_bytes);
         if (!out.sorted) topk_ok = false;
+        if (fused) {
+          fused_at_dop.push_back(out);
+        } else if (!NoMoreThan(fused_at_dop[d], out, k >= kRecords)) {
+          topk_ok = false;
+        }
         if (dop == dops.front()) {
           base = out;
         } else {

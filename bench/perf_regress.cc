@@ -18,6 +18,9 @@
 //   - full sort (ORDER BY without a limit: radix-sorted runs and the word
 //     merge over every row);
 //   - top-k (ORDER BY ... LIMIT through the sort's bounded-heap limit);
+//   - top-k whose limit covers every row: the one tree the planner builds
+//     for a large LIMIT, which sorts its runs whole and bills exactly the
+//     full sort's Joules;
 //   - hash join of a fact table against a dense unique dimension (the
 //     shape of every foreign-key join: the build is addressed by key
 //     offset and each probe row finds at most one match);
@@ -499,6 +502,14 @@ std::vector<Item> RunSuite(int reps, Turns* turns) {
              table_scan(),
              std::vector<exec::SortKey>{{"x", /*ascending=*/false}},
              UINT64_MAX, nullptr, /*limit=*/100);
+       },
+       fixture.platform.get()},
+      {"topk_all_rows",
+       [&]() -> std::unique_ptr<exec::Operator> {
+         return std::make_unique<exec::SortOp>(
+             table_scan(),
+             std::vector<exec::SortKey>{{"x", /*ascending=*/false}},
+             UINT64_MAX, nullptr, /*limit=*/kTableRows);
        },
        fixture.platform.get()},
       {"hash_join_fk",

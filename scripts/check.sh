@@ -22,7 +22,9 @@ run() {
   "$@"
 }
 
-# 1. Default build + full test suite (includes the lint-labelled tests).
+# 1. Default build + full test suite (includes the lint-labelled tests,
+#    among them status_nodiscard: the build's -Werror=unused-result rejects
+#    a dropped Status or StatusOr, EC10).
 run cmake --preset default
 run cmake --build --preset default -j "$jobs"
 run ctest --preset default -j "$jobs"
@@ -51,10 +53,12 @@ run ./build/bench/ablate_join_energy
 run ./build/bench/overload_sweep --smoke
 
 # 3d. JouleSort: the sort, dop and top-k sweeps exit 1 when their shape
-#     checks fail — among them, the fused top-k returns the Sort + Limit
-#     rows with dop-invariant charges, and at k <= 100 spills nothing and
-#     bills fewer Joules. The only harness running both ORDER BY paths at
-#     JouleSort scale (~3 s).
+#     checks fail — among them, the fused top-k (the one ORDER BY + LIMIT
+#     tree the planner builds) returns the rows of Sort + Limit with
+#     dop-invariant charges, bills no more instructions, spill bytes or
+#     Joules at every (k, dop) and exactly as much at k = n, and at
+#     k <= 100 spills nothing and bills fewer Joules. The only harness
+#     comparing the two trees at JouleSort scale (~3 s).
 run ./build/bench/joulesort
 
 # 3e. The benchmark harness: its own tests, then a short run of each
@@ -89,9 +93,10 @@ done
 
 # 5. Energy-accounting linter over src/ (also covered by `ctest -L lint`,
 #    but run it standalone so failures print the findings directly).
-#    Full EC1–EC11 sweep: the JSON report is persisted for tooling, stale
-#    baseline entries (fingerprints no finding matches anymore) fail the
-#    run, and --timings keeps the cross-TU pass cost visible as src/ grows.
+#    Full sweep of the tool's rules (EC10 is the compiler's, step 1): the
+#    JSON report is persisted for tooling, stale baseline entries
+#    (fingerprints no finding matches anymore) fail the run, and --timings
+#    keeps the cross-TU pass cost visible as src/ grows.
 echo "==> ecodb-lint --format json src (persisted to build/lint-report.json)"
 ./build/tools/lint/ecodb-lint --root . --baseline tools/lint/lint-baseline.txt \
     --fail-stale --timings --format json src > build/lint-report.json

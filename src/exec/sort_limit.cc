@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <queue>
 #include <span>
@@ -167,71 +168,53 @@ Status EmitPicks(std::span<const RunRow> picks,
 
 }  // namespace
 
-// Without a limit every offered row is kept: a morsel is moved in whole (a
-// streamed child's later batches are appended to it). Under a limit k the
-// rows stream through a bounded max-heap whose top is the worst kept row in
-// (key, input position) order. The rows of a batch that enter the heap are
-// gathered into the pool once, column by column, when the batch is done;
-// evicted rows stay in the pool until as many have piled up as are kept,
-// then the pool is compacted, so the working set stays O(k + batch).
+// A run keeps its first k rows (all of them without a limit). While a run
+// holds at most 2k rows it is kept whole: a morsel is moved in, and a
+// streamed child's later batches are appended to it. A longer run streams
+// through a bounded max-heap whose top is the worst kept row in (key,
+// input position) order; a streamed run switches when its rows pass 2k,
+// offering the rows it kept to the heap first, so the heap sees the run's
+// rows in input order either way. The rows of a batch that enter the heap
+// are gathered into the pool once, column by column, when the batch is
+// done; evicted rows stay in the pool until as many have piled up as are
+// kept, then the pool is compacted, so the working set stays O(k + batch).
 // Either way TakeRun radix-sorts the kept rows' (word, row) pairs, orders
 // each range of equal words on the keys when the word is not the whole
-// key, and copies the rows once in that order, column by column.
+// key, and copies the first k rows once in that order, column by column.
+// SortRunInstructions bills exactly this split.
 class SortOp::RunBuilder {
  public:
-  explicit RunBuilder(const SortOp& op) : op_(op) {}
+  explicit RunBuilder(const SortOp& op)
+      : op_(op), k_(op.limit_.value_or(SIZE_MAX)) {}
 
   /// Offers every row of `batch`, in order, after the rows offered before.
   Status Offer(RecordBatch batch) {
-    if (!op_.limit_.has_value()) return Keep(std::move(batch));
-    const size_t k = *op_.limit_;
-    if (pos_ == 0) pool_ = RecordBatch(batch.schema());
-    op_.EncodeWords(batch, &words_);
-    entering_.clear();
-    const auto worse = [&](const Entry& a, const Entry& b) {
-      return Before(a, b, batch);
-    };
-    for (size_t r = 0; r < batch.num_rows(); ++r, ++pos_) {
-      entering_.push_back(static_cast<uint32_t>(r));
-      const Entry entry{
-          words_[r],
-          static_cast<uint32_t>(pool_.num_rows() + entering_.size() - 1),
-          pos_};
-      if (heap_.size() < k) {
-        heap_.push_back(entry);
-        std::push_heap(heap_.begin(), heap_.end(), worse);
-        continue;
-      }
-      // A new row displaces the worst kept row only when it sorts strictly
-      // before it on the keys: on a tie the kept row's input position is
-      // smaller, so stability keeps it — exactly what the unlimited sort
-      // followed by LimitOp(k) would retain.
-      if (k == 0 || !worse(entry, heap_.front())) {
-        entering_.pop_back();
-        continue;
-      }
-      std::pop_heap(heap_.begin(), heap_.end(), worse);
-      heap_.back() = entry;
-      std::push_heap(heap_.begin(), heap_.end(), worse);
+    if (!streaming_) {
+      const uint64_t rows = pos_ + batch.num_rows();
+      if (rows <= k_ || rows - k_ <= k_) return Keep(std::move(batch));
+      streaming_ = true;
+      const RecordBatch kept = std::move(pool_);
+      pos_ = 0;
+      if (kept.num_rows() > 0) ECODB_RETURN_IF_ERROR(Stream(kept));
     }
-    pool_.Gather(batch, entering_);
-    ECODB_RETURN_IF_ERROR(pool_.SealRows(pool_.num_rows() + entering_.size()));
-    if (pool_.num_rows() - heap_.size() >= k) CompactPool();
-    return Status::OK();
+    return Stream(batch);
   }
 
-  /// Moves the kept rows, in output order, and their words into `run`.
+  /// Moves the first k kept rows, in output order, and their words into
+  /// `run`.
   Status TakeRun(Run* run) {
-    if (op_.limit_.has_value()) CompactPool();
+    if (streaming_) CompactPool();
     run->rows_in = pos_;
     op_.EncodeWords(pool_, &run->words);
     std::vector<uint32_t> order(run->words.size());
     std::iota(order.begin(), order.end(), uint32_t{0});
     RadixSort(&run->words, &order);
+    const size_t keep = std::min(order.size(), k_);
     // Rows with equal words are in input order; where the word is not the
-    // whole key, each such range is stably sorted on the keys.
+    // whole key, each such range that starts among the first k is stably
+    // sorted on the keys.
     const std::vector<uint64_t>& w = run->words;
-    for (size_t i = 0, j = 0; op_.tie_key_ < op_.keys_.size() && i < w.size();
+    for (size_t i = 0, j = 0; op_.tie_key_ < op_.keys_.size() && i < keep;
          i = j) {
       while (++j < w.size() && w[j] == w[i]) {
       }
@@ -242,6 +225,8 @@ class SortOp::RunBuilder {
                                                 b) < 0;
                        });
     }
+    order.resize(keep);
+    run->words.resize(keep);
     run->rows = RecordBatch(pool_.schema());
     run->rows.Gather(pool_, order);
     return run->rows.SealRows(order.size());
@@ -256,6 +241,43 @@ class SortOp::RunBuilder {
     uint32_t row;
     uint64_t pos;
   };
+
+  /// Streams every row of `batch`, in order, through the bounded heap.
+  Status Stream(const RecordBatch& batch) {
+    if (pos_ == 0) pool_ = RecordBatch(batch.schema());
+    op_.EncodeWords(batch, &words_);
+    entering_.clear();
+    const auto worse = [&](const Entry& a, const Entry& b) {
+      return Before(a, b, batch);
+    };
+    for (size_t r = 0; r < batch.num_rows(); ++r, ++pos_) {
+      entering_.push_back(static_cast<uint32_t>(r));
+      const Entry entry{
+          words_[r],
+          static_cast<uint32_t>(pool_.num_rows() + entering_.size() - 1),
+          pos_};
+      if (heap_.size() < k_) {
+        heap_.push_back(entry);
+        std::push_heap(heap_.begin(), heap_.end(), worse);
+        continue;
+      }
+      // A new row displaces the worst kept row only when it sorts strictly
+      // before it on the keys: on a tie the kept row's input position is
+      // smaller, so stability keeps it — exactly what the unlimited sort
+      // followed by LimitOp(k) would retain.
+      if (k_ == 0 || !worse(entry, heap_.front())) {
+        entering_.pop_back();
+        continue;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), worse);
+      heap_.back() = entry;
+      std::push_heap(heap_.begin(), heap_.end(), worse);
+    }
+    pool_.Gather(batch, entering_);
+    ECODB_RETURN_IF_ERROR(pool_.SealRows(pool_.num_rows() + entering_.size()));
+    if (pool_.num_rows() - heap_.size() >= k_) CompactPool();
+    return Status::OK();
+  }
 
   /// Appends every row of `batch` to the pool, moving the first batch in.
   Status Keep(RecordBatch batch) {
@@ -306,6 +328,8 @@ class SortOp::RunBuilder {
   }
 
   const SortOp& op_;
+  const size_t k_;          // rows the run keeps
+  bool streaming_ = false;  // past 2k rows: the heap keeps them
   RecordBatch pool_;
   std::vector<Entry> heap_;  // max-heap on Before: front = worst kept
   std::vector<uint64_t> words_;     // first-key words of the offered batch
@@ -361,7 +385,7 @@ Status SortOp::FormRuns() {
         }));
   } else {
     // Any other child streams batch by batch into one run; under a limit
-    // at most 2k of its rows are ever held.
+    // k it holds at most 2k rows besides the batch being offered.
     RunBuilder builder(*this);
     bool eos = false;
     while (true) {
@@ -388,20 +412,18 @@ Status SortOp::SettleRunCharges() {
   const uint64_t row_width =
       static_cast<uint64_t>(child_->output_schema().RowWidthBytes());
 
-  // Run formation: each run pays its own comparison ladder, n·log2(n) or,
-  // under a limit, the bounded heap's. Summed in run order on the
-  // coordinator so the floating-point total is dop-invariant (run sizes
-  // derive from morsel boundaries, not from dop).
+  // Run formation: each run pays what RunBuilder did, its own n·log2(n)
+  // ladder or the bounded heap's. Summed in run order on the coordinator
+  // so the floating-point total is dop-invariant (run sizes derive from
+  // morsel boundaries, not from dop).
+  const double keep = limit_.has_value()
+                          ? static_cast<double>(*limit_)
+                          : std::numeric_limits<double>::infinity();
   double formation = 0.0;
   uint64_t kept_bytes = 0;
   for (const Run& run : runs_) {
-    const double n = static_cast<double>(run.rows_in);
-    if (limit_.has_value()) {
-      formation +=
-          TopKCompareInstructions(n, static_cast<double>(*limit_), n_keys);
-    } else if (n > 1) {
-      formation += SortLadderInstructions(n, n, n_keys);
-    }
+    formation +=
+        SortRunInstructions(static_cast<double>(run.rows_in), keep, n_keys);
     kept_bytes += run.rows.num_rows() * row_width;
   }
   ctx_->ChargeInstructions(formation);
@@ -464,21 +486,15 @@ Status SortOp::MergeRuns() {
       limit_.has_value() ? std::min<uint64_t>(*limit_, total_rows)
                          : total_rows;
 
-  // One run is already in output order, so its merge costs nothing. An
-  // unlimited merge climbs its log2(R) ladder inside each partition
-  // (parallel); the rest is the coordinator's serial Amdahl term (the cost
-  // model's SortDemand prices the same split).
+  // One run is already in output order, so its merge costs nothing. Each
+  // emitted row climbs the log2(R) ladder inside its partition (parallel);
+  // stitching the emitted rows is the coordinator's serial Amdahl term (the
+  // cost model's SortDemand prices the same split).
   if (n_runs > 1) {
-    const double rows = static_cast<double>(total_rows);
+    const double rows = static_cast<double>(take);
     const double runs = static_cast<double>(n_runs);
-    std::optional<double> limited_take;
-    if (limit_.has_value()) {
-      limited_take = static_cast<double>(take);
-    } else {
-      ctx_->ChargeInstructions(SortLadderInstructions(rows, runs, n_keys));
-    }
-    ctx_->ChargeSerialInstructions(
-        SortMergeSerialInstructions(rows, runs, n_keys, limited_take));
+    ctx_->ChargeInstructions(SortLadderInstructions(rows, runs, n_keys));
+    ctx_->ChargeSerialInstructions(SortMergeSerialInstructions(rows, runs));
   }
 
   // Output order on run rows: (key, run, position). A comparison reads the

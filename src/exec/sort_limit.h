@@ -25,13 +25,17 @@
 //     byte-identical to a stable sort of the input. Each partition is
 //     gathered a column at a time into batches of ExecOptions::batch_rows.
 //
-// ORDER BY + LIMIT fusion (DESIGN.md §8): with a limit k, each run streams
-// its rows through a bounded heap and keeps only its first k (O(n log k)
-// modeled comparisons, an O(k) working set per heap), and the merge stops
-// after the first k rows. The paper's thesis is doing the same work with
-// fewer Joules; a full external sort that spills every row only to discard
-// all but k is exactly the waste it targets. The limited sort emits rows
-// byte-identical to the unlimited one followed by LimitOp(k).
+// ORDER BY + LIMIT (DESIGN.md §8): with a limit k, each run keeps only its
+// first k rows — a run of at most 2k rows is sorted whole and cut at k, a
+// longer one streams through a bounded heap (O(n log k) modeled
+// comparisons, an O(k) working set) — and the merge emits only the first
+// k rows, billing its ladder and stitching on those rows alone. So in
+// every term and at every k the limited sort bills no more than the
+// unlimited one followed by LimitOp(k), exactly as much at k >= n, and
+// emits byte-identical rows; it is the one ORDER BY + LIMIT tree the
+// planner builds. The paper's thesis is doing the same work with fewer
+// Joules; a full external sort that spills every row only to discard all
+// but k is exactly the waste it targets.
 //
 // Determinism contract (DESIGN.md §7): results, run boundaries, splitters,
 // and all modeled charges are dop-invariant. Workers never touch the
@@ -50,7 +54,6 @@
 #ifndef ECODB_EXEC_SORT_LIMIT_H_
 #define ECODB_EXEC_SORT_LIMIT_H_
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -76,32 +79,29 @@ inline double SortLadderInstructions(double rows, double fan_in,
   return kSortPerRowLogRow * rows * std::log2(fan_in) * num_keys;
 }
 
-/// Modeled comparison instructions for streaming `rows` rows through a
-/// bounded heap of `k` rows: every row pays one compare against the heap
-/// root plus a log2(k) sift ladder. At k = n this approaches the full
-/// sort's n·log2(n); at k = 1 it degenerates to a linear min-scan. Shared
-/// with CostModel::SortDemand like SortLadderInstructions.
-inline double TopKCompareInstructions(double rows, double k,
-                                      double num_keys) {
-  if (rows <= 0.0 || k <= 0.0) return 0.0;
-  const double k_eff = std::min(rows, k);
-  return kSortPerRowLogRow * rows *
-         (1.0 + std::log2(std::max(1.0, k_eff))) * num_keys;
+/// Modeled comparison instructions for forming one run of `rows` input
+/// rows that keeps its first `keep` of them (`keep` >= `rows` keeps all;
+/// an unlimited sort passes infinity). A run of more than 2·keep rows
+/// streams through a bounded heap: every row pays a compare against the
+/// heap root plus a log2(keep) sift ladder. Any other run is sorted whole
+/// and cut at `keep`, paying its own log2(rows) ladder, so a limit never
+/// bills more than the unlimited sort. A run that keeps nothing or holds
+/// at most one row compares nothing. Shared with CostModel::SortDemand.
+inline double SortRunInstructions(double rows, double keep,
+                                  double num_keys) {
+  if (keep <= 0.0 || rows <= 1.0) return 0.0;
+  if (2.0 * keep < rows) {
+    return kSortPerRowLogRow * rows * (1.0 + std::log2(keep)) * num_keys;
+  }
+  return SortLadderInstructions(rows, rows, num_keys);
 }
 
 /// Serial instructions the coordinator bills for merging `runs` sorted runs
-/// keeping `rows` rows in all (none for one run): the stitching of every
-/// row, the log2(runs) ladder being parallel; or, under a limit, that
-/// ladder over every candidate plus emitting the `limited_take` rows kept.
+/// into the `rows` rows the merge emits (none for one run): their
+/// stitching, the log2(runs) ladder over the same rows being parallel.
 /// Shared with CostModel::SortDemand.
-inline double SortMergeSerialInstructions(double rows, double runs,
-                                          double num_keys,
-                                          std::optional<double> limited_take) {
+inline double SortMergeSerialInstructions(double rows, double runs) {
   if (runs <= 1.0) return 0.0;
-  if (limited_take.has_value()) {
-    return SortLadderInstructions(rows, runs, num_keys) +
-           OutputInstructions(*limited_take);
-  }
   return OutputInstructions(rows);
 }
 

@@ -65,40 +65,27 @@ ResourceEstimate CostModel::SortDemand(const std::vector<double>& runs,
                                        double limit_rows) const {
   ResourceEstimate demand;
   const double keys = static_cast<double>(std::max<size_t>(1, num_keys));
-  const bool limited = limit_rows >= 0.0;
-  // Run formation, summed in run order as SortOp settles it: each run's
-  // n·log2(n) ladder, or under a limit its bounded heap's 1 + log2(min(n,
-  // k)) ladder per row; divided across workers.
+  // Run formation, summed in run order as SortOp settles it, divided
+  // across workers. Runs that keep no rows are dropped, as SortOp drops
+  // them.
   double kept = 0.0;
   double kept_runs = 0.0;
   for (const double n : runs) {
-    const double run_kept = limited ? std::min(n, limit_rows) : n;
+    const double run_kept = std::min(n, limit_rows);
     if (run_kept <= 0.0) continue;
     kept += run_kept;
     kept_runs += 1.0;
-    if (limited) {
-      demand.cpu_instructions +=
-          exec::TopKCompareInstructions(n, limit_rows, keys);
-    } else if (n > 1.0) {
-      demand.cpu_instructions += exec::SortLadderInstructions(n, n, keys);
-    }
+    demand.cpu_instructions += exec::SortRunInstructions(n, limit_rows, keys);
   }
   if (kept_runs <= 1.0) return demand;
-  if (limited) {
-    // The coordinator climbs the log2(R) ladder over every kept candidate
-    // and emits the first k: all serial. At k ≈ n that covers every row
-    // serially — strictly worse than the full sort's parallel merge — so
-    // the planner's fallback to Sort + Limit holds by construction.
-    demand.serial_cpu_instructions += exec::SortMergeSerialInstructions(
-        kept, kept_runs, keys, std::min(kept, limit_rows));
-    return demand;
-  }
-  // Merge fan-in: the log2(R) comparison ladder parallelizes across range
-  // partitions; splitter selection and stitching stay on the coordinator.
+  // Merge fan-in over the rows it emits: the log2(R) comparison ladder
+  // parallelizes across range partitions; stitching stays on the
+  // coordinator.
+  const double take = std::min(kept, limit_rows);
   demand.cpu_instructions +=
-      exec::SortLadderInstructions(kept, kept_runs, keys);
+      exec::SortLadderInstructions(take, kept_runs, keys);
   demand.serial_cpu_instructions +=
-      exec::SortMergeSerialInstructions(kept, kept_runs, keys, std::nullopt);
+      exec::SortMergeSerialInstructions(take, kept_runs);
   return demand;
 }
 

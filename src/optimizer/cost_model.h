@@ -25,6 +25,7 @@
 #define ECODB_OPTIMIZER_COST_MODEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -66,9 +67,9 @@ struct ResourceEstimate {
   double cpu_instructions = 0.0;
   /// Additional CPU work confined to one core regardless of dop: what is
   /// billed through ChargeSerialInstructions, which is only the sort
-  /// merge's stitching and the limited (top-k) merge. Amdahl's law:
-  /// elapsed = serial_seconds + parallel_seconds / cores, while busy
-  /// core-seconds — and so active CPU energy — always cover both terms.
+  /// merge's stitching. Amdahl's law: elapsed = serial_seconds +
+  /// parallel_seconds / cores, while busy core-seconds — and so active CPU
+  /// energy — always cover both terms.
   double serial_cpu_instructions = 0.0;
   /// I/O demand per device (keyed by device pointer; stable during a plan).
   std::map<const storage::StorageDevice*, uint64_t> device_bytes;
@@ -123,19 +124,18 @@ class CostModel {
                                const exec::ExprPtr& filter) const;
 
   /// Demand of sorting `runs` (each run's input rows, from SortRuns) on
-  /// `num_keys` keys, priced through the charge functions SortOp bills
-  /// with (exec/sort_limit.h): each run's n·log2(n) formation and, over
-  /// several runs, the merge's log2(R) comparison ladder parallelize across
-  /// cores, while the merge's stitching stays serial (Amdahl).
-  ///
-  /// `limit_rows >= 0` prices the fused top-k path instead: each run
-  /// streams through a bounded heap of min(run, k) rows — O(n log k)
-  /// comparisons, parallel — and the coordinator merges the candidates
-  /// the runs keep and emits k rows (serial). Runs that keep no rows
-  /// (empty, or k = 0) are dropped, as SortOp drops them.
-  ResourceEstimate SortDemand(const std::vector<double>& runs,
-                              size_t num_keys,
-                              double limit_rows = -1.0) const;
+  /// `num_keys` keys and keeping the first `limit_rows` rows (infinity:
+  /// all), priced through the charge functions SortOp bills with
+  /// (exec/sort_limit.h): each run's formation (SortRunInstructions) and,
+  /// over several runs, the merge's log2(R) comparison ladder over the
+  /// rows it emits parallelize across cores, while the merge's stitching
+  /// of those rows stays serial (Amdahl). Runs that keep no rows (empty,
+  /// or k = 0) are dropped, as SortOp drops them. Every term is at most
+  /// the unlimited sort's, and equal to it when `limit_rows` covers the
+  /// rows.
+  ResourceEstimate SortDemand(
+      const std::vector<double>& runs, size_t num_keys,
+      double limit_rows = std::numeric_limits<double>::infinity()) const;
 
   /// Converts accumulated demand into (seconds, Joules) at the given
   /// execution knobs, mirroring ExecContext's critical-path rule.

@@ -482,13 +482,13 @@ PlanCost PriceWithResidency(const CostModel& model, ResourceEstimate demand,
 
 /// Prices the tail of `spec` into `demand`: the aggregate's update,
 /// input expressions, emission and state, as HashAggregateOp bills them,
-/// then sort / fused top-k with spill, over the runs SortOp forms. `root`
+/// then the sort with its LIMIT and spill, over the runs SortOp forms. `root`
 /// is the join tree's root, `in_rows` the tail's input cardinality (the
 /// join output), `output_rows` its estimated final cardinality before the
 /// LIMIT clamp, and `input_width` the materialized byte width of one
 /// pre-aggregation row (used for sort sizing when no aggregate reshapes
 /// the rows).
-void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
+void PriceTail(const QuerySpec& spec, const CostModel& model,
                const PlanJoinNode& root, double in_rows, double output_rows,
                double input_width, ResourceEstimate* demand) {
   if (!spec.aggregates.empty()) {
@@ -515,10 +515,11 @@ void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
     }
     const double budget =
         static_cast<double>(spec.sort_memory_budget_bytes);
-    // A fused top-k does O(n log k) comparisons and holds only its k kept
-    // rows, so it spills none whenever they fit the budget.
-    const bool fused = use_topk && spec.limit.has_value();
-    const double limit_rows = fused ? static_cast<double>(*spec.limit) : -1.0;
+    // Under a LIMIT k each run keeps at most k rows, so the sort holds and
+    // spills only those.
+    const double limit_rows = spec.limit.has_value()
+                                  ? static_cast<double>(*spec.limit)
+                                  : std::numeric_limits<double>::infinity();
     // SortOp forms one run per morsel when it reads a table scan directly
     // (one relation, no aggregate); over a join, an aggregate or an index
     // scan it forms one run.
@@ -534,7 +535,7 @@ void PriceTail(const QuerySpec& spec, bool use_topk, const CostModel& model,
     demand->Merge(model.SortDemand(runs, spec.order_by.size(), limit_rows));
     // Each run keeps its rows, or under a limit its first k of them.
     double kept_rows = n;
-    if (fused) {
+    if (spec.limit.has_value()) {
       kept_rows = 0.0;
       for (const double run : runs) kept_rows += std::min(run, limit_rows);
     }
@@ -629,9 +630,9 @@ StatusOr<PlanCost> PriceGraphPlan(const QuerySpec& spec,
     return Status::InvalidArgument("join tree does not cover all relations");
   }
   const double root_rows = graph.EstimateRows(mask);
-  PriceTail(spec, plan.use_topk, model, plan.join_nodes[plan.join_root],
-            root_rows, TailOutputRows(spec, graph, root_rows),
-            MaskWidth(graph, mask), &demand);
+  PriceTail(spec, model, plan.join_nodes[plan.join_root], root_rows,
+            TailOutputRows(spec, graph, root_rows), MaskWidth(graph, mask),
+            &demand);
   return PriceWithResidency(model, std::move(demand), resident_bytes,
                             plan.dop, plan.pstate);
 }
@@ -717,15 +718,6 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
   const int num_pstates =
       options_.enumerate_pstates ? model_->platform()->cpu().num_pstates()
                                  : 1;
-  // ORDER BY + LIMIT adds the fused top-k as a priced alternative: it wins
-  // at small k (bounded heap, no spill) and loses at k ~ n (the candidate
-  // merge covers all rows serially), so the fallback rule is purely
-  // cost-based.
-  std::vector<bool> topk_choices = {false};
-  if (!spec.order_by.empty() && spec.limit.has_value()) {
-    topk_choices.push_back(true);
-  }
-
   // Leaf base case: each relation's alternatives (every variant with a
   // table scan, each followed by an index scan when the filter bounds the
   // index column) stay side by side, so whatever consumes the leaf — the
@@ -771,26 +763,18 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
   for (int dop : options_.dops) {
     for (int pstate = 0; pstate < num_pstates; ++pstate) {
       // A candidate's scalar. A proper subset prices what it has; the full
-      // set also prices its tail under the cheaper top-k choice, so the
-      // root step compares complete plans. The DP's candidates are joins.
+      // set also prices its tail, so the root step compares complete plans.
+      // The DP's candidates are joins.
       const PlanJoinNode join_root;
       auto scalar_of = [&](const SubPlan& s, uint32_t mask) {
-        if (mask != full) {
-          return PriceWithResidency(*model_, s.demand, s.resident_bytes, dop,
-                                    pstate)
-              .Scalarize(objective);
-        }
-        double scalar = std::numeric_limits<double>::infinity();
-        for (bool use_topk : topk_choices) {
-          ResourceEstimate demand = s.demand;
-          PriceTail(spec, use_topk, *model_, join_root, root_rows, tail_rows,
+        ResourceEstimate demand = s.demand;
+        if (mask == full) {
+          PriceTail(spec, *model_, join_root, root_rows, tail_rows,
                     root_width, &demand);
-          scalar = std::min(
-              scalar, PriceWithResidency(*model_, std::move(demand),
-                                         s.resident_bytes, dop, pstate)
-                          .Scalarize(objective));
         }
-        return scalar;
+        return PriceWithResidency(*model_, std::move(demand),
+                                  s.resident_bytes, dop, pstate)
+            .Scalarize(objective);
       };
 
       // ---- DP over connected subgraphs at this (dop, pstate) ----
@@ -844,24 +828,20 @@ StatusOr<PhysicalPlan> Planner::ChoosePlan(const QuerySpec& spec,
       if (subs[full].empty()) return NoAlgorithmJoins(graph, algos);
 
       // Root step: each candidate for the full set (the DP's tree, or a
-      // lone relation's alternatives) with each tail choice, costed by the
-      // walk PricePlan runs.
+      // lone relation's alternatives), costed by the walk PricePlan runs.
       for (const SubPlan& root : subs[full]) {
-        for (bool use_topk : topk_choices) {
-          PhysicalPlan plan;
-          plan.dop = dop;
-          plan.pstate = pstate;
-          plan.use_topk = use_topk;
-          plan.join_root = CompactTree(arena, root.node, &plan.join_nodes);
-          plan.est_intermediate_bytes =
-              SumIntermediateBytes(plan.join_nodes, plan.join_root);
-          plan.output_rows = output_rows;
-          ECODB_ASSIGN_OR_RETURN(plan.cost,
-                                 PriceGraphPlan(spec, graph, plan, *model_));
-          if (!best.has_value() || plan.cost.Scalarize(objective) <
-                                       best->cost.Scalarize(objective)) {
-            best = std::move(plan);
-          }
+        PhysicalPlan plan;
+        plan.dop = dop;
+        plan.pstate = pstate;
+        plan.join_root = CompactTree(arena, root.node, &plan.join_nodes);
+        plan.est_intermediate_bytes =
+            SumIntermediateBytes(plan.join_nodes, plan.join_root);
+        plan.output_rows = output_rows;
+        ECODB_ASSIGN_OR_RETURN(plan.cost,
+                               PriceGraphPlan(spec, graph, plan, *model_));
+        if (!best.has_value() || plan.cost.Scalarize(objective) <
+                                     best->cost.Scalarize(objective)) {
+          best = std::move(plan);
         }
       }
     }
@@ -974,29 +954,24 @@ Status CollectTableScans(const QuerySpec& spec, const PhysicalPlan& plan,
   return Status::OK();
 }
 
-/// Wraps `root` with the operators realizing the tail (aggregate, sort or
-/// fused top-k, limit); the tree is the same at every dop.
+/// Wraps `root` with the operators realizing the tail (aggregate, then
+/// the sort with the LIMIT as its own, or a LIMIT alone); the tree is the
+/// same at every dop.
 exec::OperatorPtr FinishOperatorTree(const QuerySpec& spec,
-                                     const PhysicalPlan& plan,
                                      exec::OperatorPtr root) {
   if (!spec.aggregates.empty()) {
     root = std::make_unique<exec::HashAggregateOp>(
         std::move(root), spec.group_by, spec.aggregates);
   }
-
-  // A fused top-k is the sort's own limit; otherwise LimitOp cuts the
-  // output.
-  const bool fused =
-      !spec.order_by.empty() && plan.use_topk && spec.limit.has_value();
+  std::optional<size_t> limit;
+  if (spec.limit.has_value()) limit = static_cast<size_t>(*spec.limit);
   if (!spec.order_by.empty()) {
-    root = std::make_unique<exec::SortOp>(
+    return std::make_unique<exec::SortOp>(
         std::move(root), spec.order_by, spec.sort_memory_budget_bytes,
-        spec.sort_spill_device,
-        fused ? std::optional<size_t>(*spec.limit) : std::nullopt);
+        spec.sort_spill_device, limit);
   }
-  if (spec.limit.has_value() && !fused) {
-    root = std::make_unique<exec::LimitOp>(
-        std::move(root), static_cast<size_t>(*spec.limit));
+  if (limit.has_value()) {
+    root = std::make_unique<exec::LimitOp>(std::move(root), *limit);
   }
   return root;
 }
@@ -1012,7 +987,7 @@ StatusOr<exec::OperatorPtr> Planner::BuildOperator(const QuerySpec& spec,
   std::vector<std::string> claimed;
   ECODB_ASSIGN_OR_RETURN(exec::OperatorPtr root,
                          BuildJoinNode(spec, plan, plan.join_root, &claimed));
-  return FinishOperatorTree(spec, plan, std::move(root));
+  return FinishOperatorTree(spec, std::move(root));
 }
 
 StatusOr<std::vector<TableScanLeaf>> Planner::TableScanLeaves(

@@ -188,14 +188,9 @@ std::string PhysicalPlan::Describe(const QuerySpec& spec) const {
   std::string out = DescribeJoinNode(spec, join_nodes, join_root);
   if (!spec.aggregates.empty()) out += " -> aggregate";
   if (!spec.order_by.empty()) {
-    if (use_topk && spec.limit.has_value()) {
-      out += " -> topk(" + std::to_string(*spec.limit) + ")";
-    } else {
-      out += " -> sort";
-      if (spec.limit.has_value()) {
-        out += " -> limit(" + std::to_string(*spec.limit) + ")";
-      }
-    }
+    out += spec.limit.has_value()
+               ? " -> topk(" + std::to_string(*spec.limit) + ")"
+               : std::string(" -> sort");
   } else if (spec.limit.has_value()) {
     out += " -> limit(" + std::to_string(*spec.limit) + ")";
   }

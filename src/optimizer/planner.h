@@ -92,12 +92,11 @@ struct QuerySpec {
   /// one sequential write + read of every run on that device.
   uint64_t sort_memory_budget_bytes = UINT64_MAX;
   storage::StorageDevice* sort_spill_device = nullptr;
-  /// Optional LIMIT on the final output. With order_by present the planner
-  /// also enumerates fusing ORDER BY + LIMIT into a bounded-heap top-k
-  /// (SortOp's limit) and picks it when priced cheaper — typically
-  /// small k, where it saves O(n log n) comparisons and all spill I/O —
-  /// falling back to Sort + Limit otherwise (k ≈ n). Both paths emit
-  /// byte-identical rows.
+  /// Optional LIMIT on the final output. With order_by present it is the
+  /// sort's own limit (SortOp's top-k): each run keeps its first k rows
+  /// and the merge emits k, which bills no more than sorting every row and
+  /// cutting the output, exactly as much at k >= n, and emits the same
+  /// rows. Without order_by, LimitOp cuts the output.
   std::optional<uint64_t> limit;
 
   /// The relations every planner function reads: `relations`, or a
@@ -137,9 +136,6 @@ struct PlanJoinNode {
 struct PhysicalPlan {
   int dop = 1;
   int pstate = 0;
-  /// True when ORDER BY + LIMIT is fused into the bounded-heap top-k path
-  /// (requires spec.order_by non-empty and spec.limit set).
-  bool use_topk = false;
   /// The join tree (a single leaf for one relation): nodes plus the root
   /// index, from the DP enumerator or CanonicalJoinPlan.
   std::vector<PlanJoinNode> join_nodes;

@@ -72,7 +72,7 @@ TEST_F(BenchBaselineTest, CoversTheFullSuite) {
         "codec_decode_delta_sequential",
         "codec_decode_dictionary_priorities", "scan", "filter_scan",
         "q1_aggregate", "q1_dictionary_aggregate", "sort", "topk",
-        "hash_join_fk", "hash_join_residual"}) {
+        "topk_all_rows", "hash_join_fk", "hash_join_residual"}) {
     EXPECT_TRUE(items_.count(name)) << "baseline lost item " << name;
   }
 }
@@ -91,10 +91,13 @@ TEST_F(BenchBaselineTest, VectorizedDecodeSpeedupsHold) {
 TEST_F(BenchBaselineTest, QueryItemsCarryDeterministicJoules) {
   for (const char* name :
        {"scan", "filter_scan", "q1_aggregate", "q1_dictionary_aggregate",
-        "sort", "topk", "hash_join_fk", "hash_join_residual"}) {
+        "sort", "topk", "topk_all_rows", "hash_join_fk",
+        "hash_join_residual"}) {
     ASSERT_TRUE(items_.count(name)) << name;
     EXPECT_GT(items_[name].joules, 0.0) << name;
   }
+  // A limit that covers every row bills the full sort's Joules exactly.
+  EXPECT_EQ(items_["topk_all_rows"].joules, items_["sort"].joules);
 }
 
 }  // namespace

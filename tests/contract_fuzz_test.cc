@@ -18,11 +18,15 @@
 //   - rows: every plan — ChoosePlan at the drawn lambda with and without
 //     join-algorithm and P-state enumeration, CanonicalJoinPlan, and the
 //     canonical tree edited by hand (each join algorithm the key types
-//     allow, each leaf's other variant and access path, the fused top-k
-//     both ways) — runs at dop 1, 2, 4 and 8. Every run returns the
-//     reference's rows, bills bit-identical charges at every dop, and puts
-//     on the meter its direct pulses plus the platform's standing watts
-//     over its window; a tree opened twice bills its spill once.
+//     allow, each leaf's other variant and access path) — runs at dop 1,
+//     2, 4 and 8. Every run returns the reference's rows, bills
+//     bit-identical charges at every dop, and puts on the meter its direct
+//     pulses plus the platform's standing watts over its window; a tree
+//     opened twice bills its spill once. An ORDER BY + LIMIT plan also
+//     runs as Sort + Limit — LimitOp over the plan's unlimited sort, which
+//     no plan builds — and its fused top-k returns the same rows and bills
+//     no more in any term, and exactly as much when the limit covers every
+//     row.
 //   - exact: device-less, unfiltered specs whose FK edges point at dense
 //     keys and whose group columns hold every value, so estimates are
 //     exact. There PricePlan's seconds and Joules equal the bill at every
@@ -56,6 +60,7 @@
 
 #include "exec/operator.h"
 #include "exec/scan.h"
+#include "exec/sort_limit.h"
 #include "naive_reference.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/join_order.h"
@@ -671,10 +676,9 @@ std::string ShapeOf(const Case& c) {
   return c.kind == Kind::kExact ? "other (exact)" : "other";
 }
 
-/// A plan's tree, access paths, tail choice and P-state, to tell plans
-/// apart.
+/// A plan's tree, access paths and P-state, to tell plans apart.
 std::string PlanKey(const PhysicalPlan& plan) {
-  std::string key = std::to_string(plan.pstate) + (plan.use_topk ? "t" : "s");
+  std::string key = std::to_string(plan.pstate);
   for (const PlanJoinNode& node : plan.join_nodes) {
     key += "|" + std::to_string(node.relation) + "," +
            std::to_string(node.variant) + "," +
@@ -687,8 +691,8 @@ std::string PlanKey(const PhysicalPlan& plan) {
 
 /// Every plan the planner could run for `c`: ChoosePlan with and without
 /// join-algorithm and P-state enumeration, CanonicalJoinPlan, and the
-/// canonical tree with each join algorithm the key types allow, each
-/// leaf's other variant and access path, and the other ORDER BY path.
+/// canonical tree with each join algorithm the key types allow, and each
+/// leaf's other variant and access path.
 std::vector<PhysicalPlan> Plans(const Case& c, CostModel* model) {
   std::vector<PhysicalPlan> plans;
   std::set<std::string> seen;
@@ -739,11 +743,6 @@ std::vector<PhysicalPlan> Plans(const Case& c, CostModel* model) {
   edit([](PlanJoinNode* node) {
     if (node->relation >= 0) node->path = AccessPath::kIndexScan;
   });
-  if (!c.spec.order_by.empty() && c.spec.limit.has_value()) {
-    PhysicalPlan plan = *canonical;
-    plan.use_topk = true;
-    add(plan);
-  }
   return plans;
 }
 
@@ -756,17 +755,23 @@ struct Outcome {
 };
 
 /// Runs `plan` at `dop` with the case's options; `opens` > 1 opens the
-/// tree again before draining it, as a retry would.
-Outcome Run(const Case& c, PhysicalPlan plan, int dop, int opens = 1) {
+/// tree again before draining it, as a retry would. `sort_then_limit`
+/// runs an ORDER BY + LIMIT plan as LimitOp over its unlimited sort.
+Outcome Run(const Case& c, PhysicalPlan plan, int dop, int opens = 1,
+            bool sort_then_limit = false) {
   plan.dop = dop;
   QuerySpec spec = c.spec;
   const RunPlatform on = c.MakeRunPlatform();
   if (on.spill != nullptr) spec.sort_spill_device = on.spill.get();
+  if (sort_then_limit) spec.limit.reset();
   Outcome out;
   out.standing_watts = on.platform->meter()->TotalWatts();
   StatusOr<exec::OperatorPtr> root = Planner::BuildOperator(spec, plan);
   out.status = root.status();
   if (!root.ok()) return out;
+  if (sort_then_limit) {
+    *root = std::make_unique<exec::LimitOp>(std::move(*root), *c.spec.limit);
+  }
   exec::ExecOptions options = c.options;
   options.dop = dop;
   options.pstate = plan.pstate;
@@ -861,20 +866,53 @@ struct Tally {
     }
     if (plan.pstate > 0) ++runs["P-state above 0"];
     if (c.spill != nullptr && stats.io_bytes > 0) ++runs["spilled sort"];
-    if (limited) ++runs[plan.use_topk ? "fused top-k" : "Sort + Limit"];
+    if (limited) ++runs["fused top-k"];
+    if (stats.faults.transient_errors > 0) ++runs["injected fault"];
+  }
+
+  /// A Sort + Limit comparison run: its tail, its spill and its faults.
+  void CountSortThenLimit(const Case& c, const exec::QueryStats& stats) {
+    ++runs["Sort + Limit"];
+    if (c.spill != nullptr && stats.io_bytes > 0) ++runs["spilled sort"];
     if (stats.faults.transient_errors > 0) ++runs["injected fault"];
   }
 };
 
+/// The fused top-k's bill against Sort + Limit's for the same plan at the
+/// same dop: no more in any term, and the same bits when the limit covers
+/// every row. Runs over tables on the case's SSD share its platform, whose
+/// meter, read after earlier runs, keeps the metered Joules to about 1e-12
+/// (the meter check's bound); fresh platforms compare them exactly.
+void ExpectNoMoreThanSortThenLimit(const Case& c,
+                                   const exec::QueryStats& fused,
+                                   const exec::QueryStats& unfused) {
+  const double slack = c.ssd != nullptr ? 1e-12 * unfused.Joules() : 0.0;
+  if (*c.spec.limit >= c.want.rows.size()) {
+    EXPECT_EQ(fused.cpu_instructions, unfused.cpu_instructions);
+    EXPECT_EQ(fused.cpu_serial_seconds, unfused.cpu_serial_seconds);
+    EXPECT_EQ(fused.dram_joules, unfused.dram_joules);
+    EXPECT_EQ(fused.io_bytes, unfused.io_bytes);
+    EXPECT_NEAR(fused.Joules(), unfused.Joules(), slack);
+    return;
+  }
+  EXPECT_LE(fused.cpu_instructions, unfused.cpu_instructions);
+  EXPECT_LE(fused.cpu_serial_seconds, unfused.cpu_serial_seconds);
+  EXPECT_LE(fused.dram_joules, unfused.dram_joules);
+  EXPECT_LE(fused.io_bytes, unfused.io_bytes);
+  EXPECT_LE(fused.Joules(), unfused.Joules() + slack);
+}
+
 /// The contract on every plan of a rows or exact case: reference rows at
 /// dop 1, 2, 4 and 8; charges bit-identical across dop; metered Joules =
 /// direct pulses + standing watts over the window; a reopened tree's spill
-/// billed once; and, on an exact case, at every P-state, PricePlan's
-/// seconds and Joules equal to the bill.
+/// billed once; under ORDER BY + LIMIT, the rows of Sort + Limit and no
+/// more than its bill; and, on an exact case, at every P-state,
+/// PricePlan's seconds and Joules equal to the bill.
 void CheckCase(const Case& c, Tally* tally) {
   CostModel model(c.platform.get(), CostModelParams{}, c.options);
   const Planner pricer(&model);
   const bool exact = c.kind == Kind::kExact;
+  const bool limited = !c.spec.order_by.empty() && c.spec.limit.has_value();
   const int num_pstates = c.platform->cpu().num_pstates();
   for (const PhysicalPlan& chosen : Plans(c, &model)) {
     SCOPED_TRACE(chosen.Describe(c.spec));
@@ -911,6 +949,14 @@ void CheckCase(const Case& c, Tally* tally) {
         EXPECT_EQ(s.faults.retry_seconds, base->faults.retry_seconds);
         EXPECT_EQ(s.faults.retry_joules, base->faults.retry_joules);
         tally->Count(c, plan, s);
+        if (limited) {
+          const Outcome unfused =
+              Run(c, plan, dop, /*opens=*/1, /*sort_then_limit=*/true);
+          ASSERT_TRUE(unfused.status.ok()) << unfused.status.message();
+          EXPECT_TRUE(naive::SameBits(unfused.rows.rows, run.rows.rows));
+          ExpectNoMoreThanSortThenLimit(c, s, unfused.stats);
+          tally->CountSortThenLimit(c, unfused.stats);
+        }
         if (exact) {
           plan.dop = dop;
           const StatusOr<PlanCost> priced = pricer.PricePlan(c.spec, plan);

@@ -4,6 +4,7 @@
 // memory-power pricing (Section 4.1).
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "core/ecodb.h"
 #include "exec/scan.h"
+#include "exec/sort_limit.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/join_order.h"
 #include "optimizer/planner.h"
@@ -863,9 +865,9 @@ TEST_F(OptimizerTest, PlannerFusesTopKForSmallLimit) {
   spec.left.variants = {table.get()};
   spec.order_by = {{"k", true}, {"v", false}};
   spec.limit = 10;
-  // Tight budget: the full sort spills ~1 MiB to the SSD while the fused
-  // top-k holds 10 rows in memory, so fusion wins on wall-clock seconds
-  // even under the pure-performance objective.
+  // Tight budget: the full sort of Sort + Limit spills ~1 MiB to the SSD
+  // while the fused top-k, the one tree the planner builds, holds 10 rows
+  // in memory.
   spec.sort_memory_budget_bytes = 4 * 1024;
   spec.sort_spill_device = ssd_.get();
 
@@ -875,22 +877,22 @@ TEST_F(OptimizerTest, PlannerFusesTopKForSmallLimit) {
   Planner planner(&model, options);
   auto plan = planner.ChoosePlan(spec, Objective::Performance());
   ASSERT_TRUE(plan.ok());
-  // O(n log 10) comparisons and zero spill beat O(n log n) plus spill I/O.
-  EXPECT_TRUE(plan->use_topk);
   EXPECT_NE(plan->Describe(spec).find("-> topk(10)"), std::string::npos);
   EXPECT_DOUBLE_EQ(plan->output_rows, 10.0);
 
   // The fused tree emits exactly the rows Sort + Limit would.
-  PhysicalPlan unfused = *plan;
-  unfused.use_topk = false;
+  QuerySpec unlimited = spec;
+  unlimited.limit.reset();
   std::vector<exec::naive::Row> reference;
-  for (const PhysicalPlan* p : {&*plan, &unfused}) {
-    auto op = planner.BuildOperator(spec, *p);
+  for (const bool fused : {true, false}) {
+    auto op = planner.BuildOperator(fused ? spec : unlimited, *plan);
     ASSERT_TRUE(op.ok());
+    exec::OperatorPtr root = std::move(*op);
+    if (!fused) root = std::make_unique<exec::LimitOp>(std::move(root), 10);
     exec::ExecOptions exec_options;
-    exec_options.dop = p->dop;
+    exec_options.dop = plan->dop;
     exec::ExecContext ctx(platform_.get(), exec_options);
-    auto rows = exec::CollectAll(op->get(), &ctx);
+    auto rows = exec::CollectAll(root.get(), &ctx);
     ctx.Finish();
     ASSERT_TRUE(rows.ok());
     std::vector<exec::naive::Row> collected =
@@ -904,29 +906,54 @@ TEST_F(OptimizerTest, PlannerFusesTopKForSmallLimit) {
   }
 }
 
-TEST_F(OptimizerTest, PlannerFallsBackToSortLimitForLargeLimit) {
-  auto table = MakeTable(1, 5000, 50);
-  QuerySpec spec;
-  spec.left.name = "t";
-  spec.left.variants = {table.get()};
-  spec.order_by = {{"k", true}};
-  spec.limit = 5000;  // k ~ n: the top-k merge covers all rows serially
-
+TEST_F(OptimizerTest, LimitedSortDemandNeverExceedsTheUnlimitedSort) {
+  // Term by term — each run's formation, the merge's parallel ladder and
+  // its serial stitching — the sort under a LIMIT k prices no more than
+  // the unlimited sort that Sort + Limit runs, and exactly as much once k
+  // covers the rows: over one run, equal runs, and a partial last run.
   CostModel model = MakeModel();
-  Planner planner(&model);
-  auto plan = planner.ChoosePlan(spec, Objective::Performance());
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->use_topk);
-  EXPECT_NE(plan->Describe(spec).find("-> sort -> limit(5000)"),
-            std::string::npos);
-
-  // The same comparison at the demand level: top-k total comparison work at
-  // k = n is never below the full sort's.
+  const double kAll = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& runs :
+       {std::vector<double>{5000.0},
+        std::vector<double>{1024.0, 1024.0, 1024.0, 1024.0},
+        std::vector<double>{1024.0, 1024.0, 1024.0, 328.0}}) {
+    const double n = std::accumulate(runs.begin(), runs.end(), 0.0);
+    const double m = runs.front();  // the longest run
+    for (const size_t keys : {size_t{1}, size_t{3}}) {
+      const ResourceEstimate sort = model.SortDemand(runs, keys);
+      for (const double k : {0.0, 1.0, m / 4, m / 2 - 1, m / 2, m / 2 + 1, m,
+                             n / 2, n, 2 * n}) {
+        SCOPED_TRACE("runs=" + std::to_string(runs.size()) +
+                     " keys=" + std::to_string(keys) +
+                     " k=" + std::to_string(k));
+        const ResourceEstimate topk = model.SortDemand(runs, keys, k);
+        const double nk = static_cast<double>(keys);
+        for (const double run : runs) {
+          const double limited = exec::SortRunInstructions(run, k, nk);
+          const double full = exec::SortRunInstructions(run, kAll, nk);
+          EXPECT_EQ(full, exec::SortLadderInstructions(run, run, nk));
+          // A run longer than 2k streams through the heap; any other is
+          // sorted whole and cut.
+          if (k > 0 && 2 * k >= run) {
+            EXPECT_EQ(limited, full);
+          } else if (k > 0) {
+            EXPECT_LT(limited, full);
+          }
+        }
+        if (k >= n) {
+          EXPECT_EQ(topk.cpu_instructions, sort.cpu_instructions);
+          EXPECT_EQ(topk.serial_cpu_instructions,
+                    sort.serial_cpu_instructions);
+        } else {
+          EXPECT_LE(topk.cpu_instructions, sort.cpu_instructions);
+          EXPECT_LE(topk.serial_cpu_instructions,
+                    sort.serial_cpu_instructions);
+        }
+      }
+    }
+  }
+  // Small k prices far below the sort.
   const ResourceEstimate sort = model.SortDemand({5000.0}, 1);
-  const ResourceEstimate topk = model.SortDemand({5000.0}, 1, 5000.0);
-  EXPECT_GE(topk.cpu_instructions + topk.serial_cpu_instructions,
-            sort.cpu_instructions + sort.serial_cpu_instructions);
-  // ... while small k prices far below it.
   const ResourceEstimate topk10 = model.SortDemand({5000.0}, 1, 10.0);
   EXPECT_LT(topk10.cpu_instructions + topk10.serial_cpu_instructions,
             0.5 * (sort.cpu_instructions + sort.serial_cpu_instructions));
@@ -944,31 +971,32 @@ TEST_F(OptimizerTest, TopKPricingHasZeroSpillWhenKFitsBudget) {
 
   CostModel model = MakeModel();
   Planner planner(&model);
-  auto canonical = CanonicalJoinPlan(spec);
-  ASSERT_TRUE(canonical.ok()) << canonical.status().message();
-  PhysicalPlan fused = *canonical;
-  fused.use_topk = true;
-  auto fused_cost = planner.PricePlan(spec, fused);
+  auto plan = CanonicalJoinPlan(spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  auto fused_cost = planner.PricePlan(spec, *plan);
   ASSERT_TRUE(fused_cost.ok());
 
   // Removing the spill device changes nothing for the fused plan: its
   // 10-row candidate set fits the budget, so zero spill bytes are priced.
   QuerySpec no_spill = spec;
   no_spill.sort_spill_device = nullptr;
-  auto fused_no_device = planner.PricePlan(no_spill, fused);
+  auto fused_no_device = planner.PricePlan(no_spill, *plan);
   ASSERT_TRUE(fused_no_device.ok());
   EXPECT_DOUBLE_EQ(fused_cost->seconds, fused_no_device->seconds);
   EXPECT_DOUBLE_EQ(fused_cost->joules, fused_no_device->joules);
 
-  // The unfused plan spills all 50k rows; pricing must show it.
-  PhysicalPlan unfused = *canonical;
-  unfused.use_topk = false;
-  auto unfused_cost = planner.PricePlan(spec, unfused);
-  auto unfused_no_device = planner.PricePlan(no_spill, unfused);
-  ASSERT_TRUE(unfused_cost.ok());
-  ASSERT_TRUE(unfused_no_device.ok());
-  EXPECT_GT(unfused_cost->seconds, unfused_no_device->seconds);
-  EXPECT_GT(unfused_cost->joules, fused_cost->joules);
+  // The unlimited sort, which Sort + Limit runs, spills all 50k rows;
+  // pricing must show it.
+  QuerySpec unlimited = spec;
+  unlimited.limit.reset();
+  QuerySpec unlimited_no_spill = no_spill;
+  unlimited_no_spill.limit.reset();
+  auto unlimited_cost = planner.PricePlan(unlimited, *plan);
+  auto unlimited_no_device = planner.PricePlan(unlimited_no_spill, *plan);
+  ASSERT_TRUE(unlimited_cost.ok());
+  ASSERT_TRUE(unlimited_no_device.ok());
+  EXPECT_GT(unlimited_cost->seconds, unlimited_no_device->seconds);
+  EXPECT_GT(unlimited_cost->joules, fused_cost->joules);
 }
 
 TEST_F(OptimizerTest, LimitWithoutOrderByBuildsPlainLimit) {
@@ -982,7 +1010,6 @@ TEST_F(OptimizerTest, LimitWithoutOrderByBuildsPlainLimit) {
   Planner planner(&model);
   auto plan = planner.ChoosePlan(spec, Objective::Performance());
   ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->use_topk);
   EXPECT_NE(plan->Describe(spec).find("-> limit(25)"), std::string::npos);
   auto op = planner.BuildOperator(spec, *plan);
   ASSERT_TRUE(op.ok());

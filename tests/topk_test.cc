@@ -3,9 +3,13 @@
 // keys (stability), missing sort columns, and exactly-once spill accounting
 // across Open retries. Rows are checked against a naive stable sort, and
 // every edge case runs over both child shapes: the morsel scan, and a
-// FilterOp over it (not a MorselSource, so it streams through one heap).
+// FilterOp over it (not a MorselSource, so it streams into one run). The
+// bills are checked against SortOp + LimitOp's.
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,11 +201,12 @@ TEST_F(TopKTest, SerialChildFallsBackToSingleRun) {
   }
 }
 
-TEST_F(TopKTest, LimitedMergeBillsItsLadderAndEmissionSerially) {
-  // Under a limit the merge bills its log2(runs) ladder over every
-  // candidate row plus the k-row emission serially, where the full sort
-  // bills its ladder parallel. The scan bills no serial work, so the serial
-  // core-seconds are the merge's alone: runs·k candidates, k emitted.
+TEST_F(TopKTest, LimitedMergeBillsItsLadderInParallelAndEmissionSerially) {
+  // Under a limit the merge bills what the unlimited merge bills, over the
+  // k rows it emits: their log2(runs) ladder as parallel instructions and
+  // their stitching as serial ones. The scan bills no serial work, so the
+  // serial core-seconds are the stitching's alone; the instructions are
+  // the scan's, each run's formation, the ladder and the stitching.
   auto table = MakeTable(5000, 101);
   const size_t k = 10;
   SortOp topk(Child(table.get(), /*morsels=*/true), KeyAsc(), UINT64_MAX,
@@ -209,11 +214,74 @@ TEST_F(TopKTest, LimitedMergeBillsItsLadderAndEmissionSerially) {
   const RunOutcome got = Run(&topk, 4, 4096, 1024);
   ASSERT_GT(topk.num_runs(), 1u);
   const double runs = static_cast<double>(topk.num_runs());
-  const double serial =
-      SortLadderInstructions(runs * static_cast<double>(k), runs, 1.0) +
-      kOutputPerRow * static_cast<double>(k);
+  const double take = static_cast<double>(k);
   EXPECT_EQ(got.stats.cpu_serial_seconds,
-            platform_->cpu().SecondsForInstructions(serial, 0));
+            platform_->cpu().SecondsForInstructions(OutputInstructions(take),
+                                                    0));
+
+  OperatorPtr scan = Child(table.get(), /*morsels=*/true);
+  const RunOutcome scanned = Run(scan.get(), 4, 4096, 1024);
+  double formation = 0.0;
+  for (const ScanRowRange& m :
+       MorselizeRanges({{0, table->row_count()}},
+                       table->zone_maps().block_rows, 1024)) {
+    formation +=
+        SortRunInstructions(static_cast<double>(m.end - m.begin), take, 1.0);
+  }
+  EXPECT_DOUBLE_EQ(got.stats.cpu_instructions,
+                   scanned.stats.cpu_instructions + formation +
+                       SortLadderInstructions(take, runs, 1.0) +
+                       OutputInstructions(take));
+}
+
+TEST_F(TopKTest, RunsOfAtMostTwoKBillAsTheUnlimitedSort) {
+  // A run of at most 2k rows is sorted whole and cut at k, so it bills
+  // the unlimited sort's formation, and a limit covering every row bills
+  // every charge of SortOp + LimitOp. Below that, the streamed child's one
+  // run has no merge, so its instructions still match; the morsel child's
+  // merge bills its ladder and stitching over the k rows it emits, not n.
+  auto table = MakeTable(3000, 101);
+  const size_t n = 3000;
+  for (const bool morsels : {true, false}) {
+    for (const size_t k : {n / 2, n - 1, n, n + 10}) {
+      for (const int dop : {1, 2, 4, 8}) {
+        SCOPED_TRACE("morsels=" + std::to_string(morsels) +
+                     " k=" + std::to_string(k) + " dop=" + std::to_string(dop));
+        SortOp fused(Child(table.get(), morsels), KeyAsc(), UINT64_MAX,
+                     nullptr, k);
+        LimitOp unfused(
+            std::make_unique<SortOp>(Child(table.get(), morsels), KeyAsc()),
+            k);
+        const RunOutcome a = Run(&fused, dop, 4096, 1024);
+        const RunOutcome b = Run(&unfused, dop, 4096, 1024);
+        EXPECT_EQ(a.rows, b.rows);
+        const double runs = static_cast<double>(fused.num_runs());
+        ASSERT_EQ(runs > 1, morsels);
+        if (k >= n || !morsels) {
+          EXPECT_EQ(a.stats.cpu_instructions, b.stats.cpu_instructions);
+          EXPECT_EQ(a.stats.cpu_seconds, b.stats.cpu_seconds);
+          EXPECT_EQ(a.stats.cpu_serial_seconds, b.stats.cpu_serial_seconds);
+        } else {
+          const auto merge = [&](size_t rows) {
+            const double emitted = static_cast<double>(rows);
+            return SortLadderInstructions(emitted, runs, 1.0) +
+                   OutputInstructions(emitted);
+          };
+          EXPECT_DOUBLE_EQ(a.stats.cpu_instructions - merge(k),
+                           b.stats.cpu_instructions - merge(n));
+        }
+        if (k >= n) {
+          EXPECT_EQ(a.stats.dram_joules, b.stats.dram_joules);
+          EXPECT_EQ(a.stats.io_bytes, b.stats.io_bytes);
+          // Both runs read one platform's meter, at different uptimes.
+          EXPECT_NEAR(a.stats.Joules(), b.stats.Joules(),
+                      1e-12 * b.stats.Joules());
+        } else {
+          EXPECT_LE(a.stats.dram_joules, b.stats.dram_joules);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(TopKTest, MissingSortColumnIsNotFound) {
@@ -224,6 +292,78 @@ TEST_F(TopKTest, MissingSortColumnIsNotFound) {
     ExecContext ctx(platform_.get(), ExecOptions{});
     EXPECT_EQ(topk.Open(&ctx).code(), StatusCode::kNotFound)
         << "morsels=" << morsels;
+  }
+}
+
+/// Emits rows (key, payload = input position) in batches of the given
+/// sizes, with keys repeating, so a streamed run grows unevenly.
+class SizedBatchesOp final : public Operator {
+ public:
+  explicit SizedBatchesOp(std::vector<size_t> sizes)
+      : schema_({Column{"key", DataType::kInt64, 8},
+                 Column{"payload", DataType::kInt64, 8}}),
+        sizes_(std::move(sizes)) {}
+
+  static int64_t Key(int64_t row) { return row * 7919 % 13; }
+
+  const catalog::Schema& output_schema() const override { return schema_; }
+
+  Status Open(ExecContext*) override {
+    next_ = 0;
+    emitted_ = 0;
+    return Status::OK();
+  }
+
+  Status Next(RecordBatch* out, bool* eos) override {
+    *eos = next_ == sizes_.size();
+    if (*eos) return Status::OK();
+    RecordBatch batch(schema_);
+    for (size_t i = 0; i < sizes_[next_]; ++i, ++emitted_) {
+      batch.column(0).i64.push_back(Key(emitted_));
+      batch.column(1).i64.push_back(emitted_);
+    }
+    ECODB_RETURN_IF_ERROR(batch.SealRows(sizes_[next_++]));
+    *out = std::move(batch);
+    return Status::OK();
+  }
+
+  void Close() override {}
+
+ private:
+  catalog::Schema schema_;
+  std::vector<size_t> sizes_;
+  size_t next_ = 0;
+  int64_t emitted_ = 0;
+};
+
+TEST_F(TopKTest, StreamedRunSwitchesToTheHeapMidBatch) {
+  // Batches of 1, 3, 5, ... rows: a run holds 1, 4, 9, 16, ... rows after
+  // each, never exactly 2k, so for each k it passes 2k inside a batch with
+  // the rows before it kept whole; those rows enter the heap first.
+  for (const size_t k : {size_t{1}, size_t{7}, size_t{64}}) {
+    std::vector<size_t> sizes;
+    int64_t rows = 0;
+    for (size_t b = 1; rows < static_cast<int64_t>(8 * k + 40); b += 2) {
+      sizes.push_back(b);
+      rows += static_cast<int64_t>(b);
+    }
+    std::vector<naive::Row> expected;
+    for (int64_t r = 0; r < rows; ++r) {
+      expected.push_back(
+          {Value::Int64(SizedBatchesOp::Key(r)), Value::Int64(r)});
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const naive::Row& a, const naive::Row& b) {
+                       return a[0].i64 < b[0].i64;
+                     });
+    expected.resize(k);
+    for (const int dop : {1, 4}) {
+      SortOp topk(std::make_unique<SizedBatchesOp>(sizes), KeyAsc(),
+                  UINT64_MAX, nullptr, k);
+      EXPECT_EQ(Run(&topk, dop).rows, expected)
+          << "k=" << k << " dop=" << dop;
+      EXPECT_EQ(topk.num_runs(), 1u);
+    }
   }
 }
 

@@ -269,20 +269,6 @@ size_t FileIndexer::TryFunctionDef(size_t i) {
   fn.min_arity = min_arity;
   fn.max_arity = max_arity;
 
-  // Return type: tokens before the name chain, same statement. Walk back
-  // over type-ish tokens; a Status/StatusOr mention marks the return.
-  for (size_t k = name_begin; k-- > 0;) {
-    const std::string& t = toks_[k].text;
-    if (t == ";" || t == "{" || t == "}" || t == ")" ||
-        IsControlName(t)) {
-      break;
-    }
-    if (t == "Status" || t == "StatusOr") {
-      fn.returns_status = true;
-      break;
-    }
-  }
-
   const std::string saved_class = current_class_;
   if (!fn.class_name.empty()) current_class_ = fn.class_name;
   const size_t body_end = MatchBrace(j);
@@ -322,9 +308,6 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
   int depth = 0;  // relative to the body's own braces
   std::vector<HeldLock> held;
   std::map<std::string, std::vector<std::string>> guard_mutexes;
-  size_t stmt_start = open;  // index of the token that closed the previous
-                             // statement ('{', '}', or ';')
-  std::vector<size_t> outer_starts;  // stmt_start outside each open '{'
 
   auto release_to_depth = [&](int d) {
     held.erase(std::remove_if(held.begin(), held.end(),
@@ -351,28 +334,14 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
 
     if (t == "{") {
       ++depth;
-      outer_starts.push_back(stmt_start);
-      stmt_start = k;
       continue;
     }
     if (t == "}") {
       --depth;
       release_to_depth(depth);
-      stmt_start = k;
-      // `T{...}.f()`: the braces initialized a temporary, and the
-      // statement they sit in goes on.
-      const bool member_next =
-          toks_[k + 1].text == "." || toks_[k + 1].text == "->";
-      if (!outer_starts.empty()) {
-        if (member_next) stmt_start = outer_starts.back();
-        outer_starts.pop_back();
-      }
       continue;
     }
-    if (t == ";") {
-      stmt_start = k;
-      continue;
-    }
+    if (t == ";") continue;
 
     if (!tok.ident) continue;
 
@@ -477,25 +446,6 @@ void FileIndexer::WalkBody(FunctionInfo* fn, size_t open, size_t close) {
       const size_t cp = MatchParen(k + 1);
       call.arg_count = static_cast<int>(SplitArgs(k + 1, cp).size());
       call.locks_held = held_ids();
-
-      // Discard detection: the call chain starts the statement and the
-      // statement ends right after the call's closing paren.
-      if (cp < close && toks_[cp].text == ";") {
-        bool clean_prefix = true;
-        for (size_t q = stmt_start + 1; q < k && clean_prefix; ++q) {
-          const Token& p = toks_[q];
-          if (p.ident) {
-            if (IsControlName(p.text)) clean_prefix = false;
-          } else if (p.text == "{" && toks_[q - 1].ident) {
-            q = MatchBrace(q) - 1;  // `T{...}.f()`: a braced temporary
-          } else if (p.text != "::" && p.text != "." && p.text != "->") {
-            clean_prefix = false;
-          }
-        }
-        // The qualifier/member chain must actually connect to this call:
-        // `Foo x; x.F();` — stmt tokens are only the chain, checked above.
-        call.discards_result = clean_prefix;
-      }
       fn->calls.push_back(std::move(call));
       continue;
     }

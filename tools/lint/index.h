@@ -23,8 +23,7 @@
 // matches nothing is an **unknown callee** and the analysis conservatively
 // treats it as opaque (no edges). A call that matches several candidates
 // links to all of them — over-approximating reachability is the safe
-// direction for EC8/EC9, while EC10 only fires when every candidate agrees
-// on a Status-like return type.
+// direction for EC8/EC9.
 
 #ifndef ECODB_TOOLS_LINT_INDEX_H_
 #define ECODB_TOOLS_LINT_INDEX_H_
@@ -44,7 +43,6 @@ struct CallSite {
   bool via_member = false;  // obj.name(...) / obj->name(...)
   int line = 0;
   int arg_count = 0;
-  bool discards_result = false;
   std::vector<std::string> locks_held;  // lock ids held at this call
 };
 
@@ -72,7 +70,6 @@ struct FunctionInfo {
   int line = 0;            // definition line
   int min_arity = 0;       // params without defaults
   int max_arity = 0;       // all params (INT_MAX when variadic)
-  bool returns_status = false;  // return type mentions Status/StatusOr
 
   std::vector<CallSite> calls;
   std::vector<TokenUse> entropy;          // banned nondeterminism tokens

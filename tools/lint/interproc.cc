@@ -61,7 +61,6 @@ class ProjectAnalysis {
 
   std::vector<Finding> RunEc8();
   std::vector<Finding> RunEc9();
-  std::vector<Finding> RunEc10();
   std::vector<Finding> RunEc11();
 
  private:
@@ -119,8 +118,7 @@ class ProjectAnalysis {
       }
       // Arity narrowing only when it keeps at least one candidate — an
       // empty cut more likely means the token-level count was off than
-      // that the call targets none of them (over-approximate for EC8/EC9;
-      // EC10 separately demands unanimity).
+      // that the call targets none of them (over-approximate for EC8/EC9).
       if (!filtered.empty()) candidates = filtered;
     }
     return candidates;
@@ -382,36 +380,6 @@ std::vector<Finding> ProjectAnalysis::RunEc9() {
   return out;
 }
 
-// --- EC10: no dropped Status ------------------------------------------------
-
-std::vector<Finding> ProjectAnalysis::RunEc10() {
-  std::vector<Finding> out;
-  for (size_t f = 0; f < idx_.functions.size(); ++f) {
-    const FunctionInfo& fn = idx_.functions[f];
-    for (size_t k = 0; k < fn.calls.size(); ++k) {
-      const CallSite& c = fn.calls[k];
-      if (!c.discards_result) continue;
-      const std::vector<size_t>& candidates = resolved_[f][k];
-      if (candidates.empty()) continue;  // unknown callee: conservative skip
-      bool all_status = true;
-      for (size_t g : candidates) {
-        if (!idx_.functions[g].returns_status) {
-          all_status = false;
-          break;
-        }
-      }
-      if (!all_status) continue;
-      const FunctionInfo& decl = idx_.functions[candidates.front()];
-      Report(&out, "EC10", fn.file, c.line,
-             "result of '" + c.name + "' is discarded but " + decl.qualified +
-                 " (" + decl.file + ":" + std::to_string(decl.line) +
-                 ") returns Status/StatusOr: handle it, propagate it, or "
-                 "cast to (void) with a justification (EC10)");
-    }
-  }
-  return out;
-}
-
 // --- EC11: cancellation polling ---------------------------------------------
 
 std::vector<Finding> ProjectAnalysis::RunEc11() {
@@ -468,16 +436,12 @@ std::vector<Finding> LintProject(const std::vector<SourceFile>& files,
   auto t9 = std::chrono::steady_clock::now();
   std::vector<Finding> ec9 = analysis.RunEc9();
   if (timings != nullptr) timings->ec9_seconds = SecondsSince(t9);
-  auto t10 = std::chrono::steady_clock::now();
-  std::vector<Finding> ec10 = analysis.RunEc10();
-  if (timings != nullptr) timings->ec10_seconds = SecondsSince(t10);
   auto t11 = std::chrono::steady_clock::now();
   std::vector<Finding> ec11 = analysis.RunEc11();
   if (timings != nullptr) timings->ec11_seconds = SecondsSince(t11);
 
   findings.insert(findings.end(), ec8.begin(), ec8.end());
   findings.insert(findings.end(), ec9.begin(), ec9.end());
-  findings.insert(findings.end(), ec10.begin(), ec10.end());
   findings.insert(findings.end(), ec11.begin(), ec11.end());
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {

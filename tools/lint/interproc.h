@@ -1,6 +1,6 @@
-// Pass 2 of the cross-TU analyzer: the interprocedural rules EC8–EC11
-// evaluated over the ProjectIndex call graph (see index.h for pass 1 and
-// lint.h for the full rule list).
+// Pass 2 of the cross-TU analyzer: the interprocedural rules EC8, EC9 and
+// EC11 evaluated over the ProjectIndex call graph (see index.h for pass 1
+// and lint.h for the full rule list).
 //
 //   EC8  transitive-determinism  No function reachable from a src/exec or
 //                                src/sched entry point may reach an entropy
@@ -17,13 +17,6 @@
 //                                — directly or transitively — while a lock
 //                                is held, or coordinator settlement order
 //                                would depend on thread scheduling.
-//   EC10 no-dropped-status       A statement-level call whose every
-//                                resolved candidate returns Status/StatusOr
-//                                must not discard the result; resolution is
-//                                cross-TU, so [[nodiscard]] wrappers defined
-//                                in another file still protect their
-//                                callers. Unknown callees are skipped
-//                                (conservative fallback).
 //   EC11 cancellation-polling    Every operator pull loop (a member
 //                                Next(out, eos) definition in src/exec) and
 //                                every morsel dispatch (a body handing work
@@ -49,7 +42,6 @@ struct ProjectTimings {
   double index_seconds = 0;
   double ec8_seconds = 0;
   double ec9_seconds = 0;
-  double ec10_seconds = 0;
   double ec11_seconds = 0;
 };
 

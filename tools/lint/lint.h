@@ -33,8 +33,8 @@
 //                          constructed with a session identity — anonymous
 //                          contexts produce Joules nobody is billed for.
 //
-// Four further rules (EC8–EC11) are interprocedural: they run over a
-// project-wide symbol index and call graph built from the same token
+// Three further rules (EC8, EC9, EC11) are interprocedural: they run over
+// a project-wide symbol index and call graph built from the same token
 // stream (see index.h / interproc.h) and are reported by LintProject
 // rather than LintSource:
 //   EC8  transitive-determinism  Nothing reachable from a src/exec or
@@ -47,16 +47,17 @@
 //                          re-entry are flagged from the observed lock
 //                          graph), and no settlement call while any lock
 //                          is held — directly or through a callee.
-//   EC10 no-dropped-status A statement-level call whose every candidate
-//                          definition returns Status/StatusOr must not
-//                          discard the result, including through wrappers
-//                          whose own return type carries the obligation.
 //   EC11 cancellation-polling  Every operator pull loop (member
 //                          Next(out, eos) in src/exec) and every morsel
 //                          dispatch through WorkerPool::Run must reach
 //                          ExecContext::PollCancel(), directly or through
 //                          a helper, so deadlines and sheds stop the plan
 //                          at the next batch/morsel boundary.
+//
+// EC10 (no dropped Status) is the compiler's to check, not this tool's:
+// Status and StatusOr are [[nodiscard]] and the build compiles with
+// -Werror=unused-result, which resolves every call exactly
+// (check_dropped_status.sh holds the flag to that contract).
 //
 // Annotations (in ordinary // comments):
 //   // ecodb-lint: worker-context     marks the rest of the enclosing scope
@@ -83,7 +84,7 @@
 namespace ecodb::lint {
 
 struct Finding {
-  std::string rule;     // "EC1".."EC10"
+  std::string rule;     // "EC1".."EC11"
   std::string file;     // path label the content was linted under
   int line = 0;         // 1-based
   std::string message;  // human explanation

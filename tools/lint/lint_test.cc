@@ -1,6 +1,6 @@
 // Tests for ecodb-lint: each EC rule must catch its seeded-violation
 // fixture, annotated/suppressed code must lint clean, and the baseline and
-// render plumbing must round-trip. The cross-TU rules (EC8–EC10) are
+// render plumbing must round-trip. The cross-TU rules (EC8, EC9, EC11) are
 // exercised through LintProject over small multi-file fixture sets.
 
 #include "lint.h"
@@ -213,7 +213,7 @@ TEST(EcodbLint, NolintForADifferentRuleDoesNotSuppress) {
       << RenderText(findings);
 }
 
-// --- Cross-TU rules (EC8–EC10) ----------------------------------------------
+// --- Cross-TU rules (EC8, EC9, EC11) -----------------------------------------
 
 std::vector<Finding> LintFixtureProject(
     const std::vector<std::pair<std::string, std::string>>& labeled) {
@@ -351,36 +351,6 @@ TEST(EcodbLint, Ec9AmbiguousMemberCallStaysUnknown) {
   EXPECT_TRUE(findings.empty()) << RenderText(findings);
 }
 
-TEST(EcodbLint, Ec10FlagsDroppedStatusAcrossFiles) {
-  const auto findings =
-      LintFixtureProject({{"src/storage/ec10_status_lib.cc",
-                           "ec10_status_lib.cc"},
-                          {"src/txn/ec10_discards.cc", "ec10_discards.cc"}});
-  // Drain() (member), DrainAll() (a wrapper defined in the other file whose
-  // Status return carries the obligation through), Reserve() (StatusOr)
-  // and Drain() on a braced temporary are dropped; depth(), the (void)
-  // cast, the consumed call, the macro-wrapped call and the call returned
-  // off a braced temporary are not.
-  EXPECT_EQ(ProjectLines(findings, "EC10", "src/txn/ec10_discards.cc"),
-            (std::set<int>{8, 9, 10, 19}))
-      << RenderText(findings);
-  EXPECT_EQ(ProjectLines(findings, "EC10", "src/storage/ec10_status_lib.cc"),
-            (std::set<int>{}))
-      << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec10UnknownCalleeIsNotGuessedAt) {
-  // FlushRemote has no definition in the project: the discard may be fine
-  // (void return, int return — who knows), so the conservative fallback is
-  // to stay quiet rather than cry wolf.
-  const std::string src =
-      "void Sync(RemoteLog* log) {\n"
-      "  log->FlushRemote();\n"
-      "}\n";
-  const auto findings = LintProject({{"src/txn/sync.cc", src}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
 TEST(EcodbLint, Ec11FlagsUnpolledPullLoopsAndDispatch) {
   const auto findings =
       LintFixtureProject({{"src/exec/ec11_exec_ops.cc", "ec11_exec_ops.cc"}});
@@ -435,7 +405,6 @@ TEST(EcodbLint, ProjectPassReportsPerRuleTimings) {
   timings.index_seconds = -1;
   timings.ec8_seconds = -1;
   timings.ec9_seconds = -1;
-  timings.ec10_seconds = -1;
   timings.ec11_seconds = -1;
   const std::vector<SourceFile> files = {
       {"src/exec/ec8_exec_chain.cc", ReadFixture("ec8_exec_chain.cc")},
@@ -444,7 +413,6 @@ TEST(EcodbLint, ProjectPassReportsPerRuleTimings) {
   EXPECT_GE(timings.index_seconds, 0.0);
   EXPECT_GE(timings.ec8_seconds, 0.0);
   EXPECT_GE(timings.ec9_seconds, 0.0);
-  EXPECT_GE(timings.ec10_seconds, 0.0);
   EXPECT_GE(timings.ec11_seconds, 0.0);
 }
 

@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   }
   const double scan_seconds = SecondsSince(scan_start);
 
-  // Pass B: cross-TU rules EC8–EC10 over the whole file set.
+  // Pass B: cross-TU rules EC8, EC9 and EC11 over the whole file set.
   ecodb::lint::ProjectTimings project_timings;
   const auto project_findings =
       ecodb::lint::LintProject(sources, &project_timings);
@@ -180,8 +180,6 @@ int main(int argc, char** argv) {
       << "  EC8 transitive determ.  " << project_timings.ec8_seconds * 1e3
       << " ms\n"
       << "  EC9 lock discipline     " << project_timings.ec9_seconds * 1e3
-      << " ms\n"
-      << "  EC10 dropped status     " << project_timings.ec10_seconds * 1e3
       << " ms\n"
       << "  EC11 cancellation poll  " << project_timings.ec11_seconds * 1e3
       << " ms\n";

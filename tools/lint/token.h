@@ -1,7 +1,7 @@
 // Shared lexical layer for ecodb-lint: the tokenizer, line-directive
 // scanner (NOLINT-ECODB / ecodb-lint: annotations), and the name predicates
 // that both the per-file scanner (EC1–EC7, lint.cc) and the cross-TU
-// analyzer (EC8–EC10, index.cc / interproc.cc) agree on.
+// analyzer (EC8, EC9, EC11: index.cc / interproc.cc) agree on.
 //
 // Keeping one tokenizer is load-bearing: a finding's line number and the
 // suppression that excuses it must come from the same lexical model, or a
