@@ -8,15 +8,14 @@
 //
 // On a spinning disk, random index I/O costs both time and seek energy; the
 // harness sweeps range selectivity and locates the crossover where the
-// sequential scan becomes the more energy-efficient access path.
+// sequential scan becomes the more energy-efficient access path. Both arms
+// are the planner's own one-leaf plans over one QuerySpec, built by
+// Planner::BuildOperator and differing only in the leaf's access path.
 
-#include <functional>
 #include <memory>
 
 #include "bench_util.h"
-#include "exec/filter_project.h"
-#include "exec/index_scan.h"
-#include "exec/scan.h"
+#include "optimizer/planner.h"
 #include "power/energy_meter.h"
 #include "power/platform.h"
 #include "storage/btree.h"
@@ -42,10 +41,16 @@ struct Outcome {
 };
 
 Outcome Measure(power::HardwarePlatform* platform,
-                const std::function<exec::OperatorPtr()>& make_plan) {
+                const optimizer::QuerySpec& spec, optimizer::AccessPath path) {
+  optimizer::PhysicalPlan plan;
+  plan.join_nodes.resize(1);
+  plan.join_nodes[0].relation = 0;
+  plan.join_nodes[0].path = path;
+  plan.join_root = 0;
+  auto op = optimizer::Planner::BuildOperator(spec, plan);
+  if (!op.ok()) std::exit(1);
   exec::ExecContext ctx(platform, exec::ExecOptions{});
-  exec::OperatorPtr plan = make_plan();
-  auto result = exec::CollectAll(plan.get(), &ctx);
+  auto result = exec::CollectAll(op->get(), &ctx);
   if (!result.ok()) std::exit(1);
   const exec::QueryStats stats = ctx.Finish();
   return Outcome{stats.Joules(), stats.elapsed_seconds, result->TotalRows()};
@@ -101,20 +106,24 @@ int Main() {
     index.Insert(i, position_of_key[i]);
   }
 
+  optimizer::QuerySpec spec;
+  spec.relations.resize(1);
+  optimizer::TableAlternatives& rel = spec.relations[0];
+  rel.name = "t";
+  rel.variants = {&table};
+  rel.index = &index;
+  rel.index_column = "id";
+
   bench::Table out({"selectivity", "rows", "index J", "scan J", "winner"});
   bool low_sel_index_wins = false;
   bool high_sel_scan_wins = false;
   for (double sel : {0.0001, 0.001, 0.01, 0.05, 0.2, 0.5}) {
     const int64_t hi = static_cast<int64_t>(sel * kRows) - 1;
-    const Outcome via_index = Measure(platform.get(), [&] {
-      return std::make_unique<exec::IndexScanOp>(
-          &table, &index, std::vector<std::string>{}, 0, hi);
-    });
-    const Outcome via_scan = Measure(platform.get(), [&] {
-      return std::make_unique<exec::FilterOp>(
-          std::make_unique<exec::TableScanOp>(&table),
-          exec::Between(Col("id"), Lit(int64_t{0}), Lit(hi)));
-    });
+    rel.filter = exec::Between(Col("id"), Lit(int64_t{0}), Lit(hi));
+    const Outcome via_index =
+        Measure(platform.get(), spec, optimizer::AccessPath::kIndexScan);
+    const Outcome via_scan =
+        Measure(platform.get(), spec, optimizer::AccessPath::kTableScan);
     if (via_index.rows != via_scan.rows) {
       std::printf("FAIL: access paths disagree on the result\n");
       return 1;

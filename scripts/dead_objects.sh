@@ -52,14 +52,14 @@ fi
 report=$(
   {
     for bin in "${binaries[@]}"; do
-      nm --defined-only -g --format=posix "$bin" |
+      nm --defined-only -g -P "$bin" |
         awk '$2 ~ /^[TDBR]$/ { print "L", $1 }'
     done
     for lib in "${archives[@]}"; do
       name=$(basename "$lib")
       ar t "$lib" | awk -v lib="$name" '{ print "M", lib "(" $0 ")" }'
-      # nm's posix format names a member "path/lib.a[object.o]:".
-      nm --defined-only -g -A --format=posix "$lib" |
+      # nm's posix format (-P) names a member "path/lib.a[object.o]:".
+      nm --defined-only -g -A -P "$lib" |
         awk -v lib="$name" '$3 ~ /^[TDBR]$/ {
           member = $1
           sub(/^.*\[/, "", member)

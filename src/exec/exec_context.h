@@ -170,8 +170,9 @@ class ExecContext {
   /// Records `instructions` of CPU work (parallelizable across dop cores).
   void ChargeInstructions(double instructions);
 
-  /// Records CPU work confined to one core regardless of dop (splitter
-  /// selection, merge stitching, final emission). Amdahl's law on the
+  /// Records CPU work confined to one core regardless of dop (the sort
+  /// merge's partition stitching; its splitter selection also runs on the
+  /// coordinator but is not billed). Amdahl's law on the
   /// critical path: cpu_elapsed = serial + parallel / cores, while busy
   /// core-seconds — and so active CPU energy — cover both terms in full.
   /// Mirrors the cost model's ResourceEstimate::serial_cpu_instructions.

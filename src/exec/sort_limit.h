@@ -42,8 +42,10 @@
 // ExecContext; the coordinator settles every charge after each pool round
 // in run/partition order, so floating-point accumulation order is fixed.
 // Parallelism shortens only the CPU critical path (run formation and
-// partition merges divide across cores; splitter selection and partition
-// stitching are charged serial per Amdahl) and thereby the energy window.
+// partition merges divide across cores; partition stitching is charged
+// serial per Amdahl) and thereby the energy window. Splitter selection —
+// sorting up to 16 sampled keys per run and binary-searching every run at
+// up to 7 splitters — also runs on the coordinator, and is not billed.
 //
 // Spill accounting: when the rows the runs keep exceed
 // `memory_budget_bytes` and a spill device is configured, every run is

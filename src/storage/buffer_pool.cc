@@ -33,8 +33,8 @@ namespace {
 
 // frames_ is an unordered_map, so every scan over it must break ties by
 // page id: otherwise the victim (and with it the whole device timeline and
-// energy bill) depends on hash iteration order, which EC8 forbids for
-// anything the executor can reach.
+// energy bill) depends on hash iteration order, which EC5 forbids
+// everywhere under src/.
 bool PageIdLess(const PageId& a, const PageId& b) {
   return a.space_id != b.space_id ? a.space_id < b.space_id
                                   : a.page_no < b.page_no;
@@ -49,7 +49,7 @@ PageId BufferPool::PickVictim() {
       PageId victim{};
       bool have_victim = false;
       uint64_t oldest = std::numeric_limits<uint64_t>::max();
-      for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC8): order-independent min-reduction (id tie-break)
+      for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC5): order-independent min-reduction (id tie-break)
         if (f.last_used_tick < oldest ||
             (f.last_used_tick == oldest &&
              (!have_victim || PageIdLess(id, victim)))) {
@@ -81,7 +81,7 @@ PageId BufferPool::PickVictim() {
       PageId victim{};
       bool have_victim = false;
       double best = std::numeric_limits<double>::max();
-      for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC8): order-independent min-reduction (id tie-break)
+      for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC5): order-independent min-reduction (id tie-break)
         const double age =
             static_cast<double>(tick_ - f.last_used_tick) + 1.0;
         const double recency_weight = 1.0 / age;
@@ -167,7 +167,7 @@ StatusOr<double> BufferPool::FlushAll() {
   // timeline, so hash order here would leak into completion times.
   std::vector<PageId> dirty;
   dirty.reserve(frames_.size());
-  for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC8): collect-then-sort, order-independent
+  for (const auto& [id, f] : frames_) {  // NOLINT-ECODB(EC5): collect-then-sort, order-independent
     if (f.dirty && f.source != nullptr) dirty.push_back(id);
   }
   std::sort(dirty.begin(), dirty.end(), PageIdLess);

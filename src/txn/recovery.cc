@@ -26,7 +26,7 @@ void PageStore::ForEach(
   // see the same sequence on every run regardless of hash layout.
   std::vector<storage::PageId> ids;
   ids.reserve(pages_.size());
-  for (const auto& [id, page] : pages_) ids.push_back(id);  // NOLINT-ECODB(EC8): collect-then-sort, order-independent
+  for (const auto& [id, page] : pages_) ids.push_back(id);  // NOLINT-ECODB(EC5): collect-then-sort, order-independent
   std::sort(ids.begin(), ids.end(),
             [](const storage::PageId& a, const storage::PageId& b) {
               return a.space_id != b.space_id ? a.space_id < b.space_id
@@ -37,7 +37,7 @@ void PageStore::ForEach(
 
 bool PageStore::Equal(const PageStore& a, const PageStore& b) {
   if (a.pages_.size() != b.pages_.size()) return false;
-  for (const auto& [id, page] : a.pages_) {
+  for (const auto& [id, page] : a.pages_) {  // NOLINT-ECODB(EC5): all-of lookup, order-independent
     const storage::Page* other = b.Find(id);
     if (other == nullptr || other->image() != page.image()) return false;
   }

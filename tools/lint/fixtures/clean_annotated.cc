@@ -16,6 +16,7 @@ struct CleanPartial {
 Status ComputeCleanly(ExecContext* ctx, storage::StorageDevice* spill_device,
                       uint64_t spill_bytes, uint64_t spill_write_charged) {
   // ecodb-lint: coordinator-only
+  ECODB_RETURN_IF_ERROR(ctx->PollCancel());
   WorkerPool* pool = ctx->worker_pool();
   std::vector<CleanPartial> partials(4);
   ECODB_RETURN_IF_ERROR(pool->Run(4, [&](size_t m, int slot) -> Status {

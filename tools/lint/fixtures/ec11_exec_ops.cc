@@ -1,7 +1,8 @@
-// Seeded EC11 violations. Never compiled — the test feeds this file to
-// LintProject labelled src/exec/ec11_exec_ops.cc. BadScanOp::Next and
-// BadShuffleOp::Partition never reach PollCancel; GoodFilterOp::Next
-// polls through the helper, and WorkerPool's own machinery is exempt.
+// Seeded EC11 violations. Never compiled — the test lints this file
+// labelled src/exec/ec11_exec_ops.cc. BadScanOp::Next,
+// BadShuffleOp::Partition and HelperPolledOp::Next never call PollCancel in
+// their own body; GoodFilterOp::Next does, and WorkerPool::Run dispatches
+// nothing.
 namespace ecodb::exec {
 
 Status PollAtBatchBoundary(ExecContext* ctx) {
@@ -22,6 +23,11 @@ Status BadShuffleOp::Partition(ExecContext* ctx) {
 }
 
 Status GoodFilterOp::Next(RecordBatch* out, bool* eos) {
+  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());
+  return child_->Next(out, eos);
+}
+
+Status HelperPolledOp::Next(RecordBatch* out, bool* eos) {
   ECODB_RETURN_IF_ERROR(PollAtBatchBoundary(ctx_));
   return child_->Next(out, eos);
 }

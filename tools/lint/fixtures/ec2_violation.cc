@@ -1,11 +1,11 @@
 // Fixture for lint_test: seeded EC2 violations. Never compiled — the test
 // lints this file under the label src/exec/ec2_violation.cc.
-
 #include "exec/exec_context.h"
 
 namespace ecodb::exec {
 
 Status ComputeBadly(ExecContext* ctx) {
+  ECODB_RETURN_IF_ERROR(ctx->PollCancel());
   WorkerPool* pool = ctx->worker_pool();
   ECODB_RETURN_IF_ERROR(pool->Run(8, [&](size_t m, int slot) -> Status {
     // ecodb-lint: worker-context

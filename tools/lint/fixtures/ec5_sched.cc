@@ -1,7 +1,7 @@
-// Seeded EC8 violations in a scheduler body (labelled
-// src/sched/ec8_sched.cc). src/sched is outside EC5's textual scope, so
-// these only fire through the project pass, which reports a serving-path
-// entry's own body directly (no chain needed).
+// Seeded EC5 violations in a scheduler body (labelled
+// src/sched/ec5_sched.cc): hardware entropy, and a range-for over an
+// unordered_map member harvested from the class above its use. Never
+// compiled.
 namespace ecodb::sched {
 
 class AdmissionQueue {

@@ -1,6 +1,6 @@
-// Seeded EC8 violations, callee side (labelled src/util/ec8_util.cc).
-// These bodies are outside src/exec, so EC5 never sees them textually —
-// only the cross-TU pass can attribute them to the operators that call in.
+// Seeded EC5 violations outside src/exec (labelled src/util/ec5_util.cc).
+// EC5 reads every body under src/, whether or not an operator calls it,
+// and reports each use at its own line. Never compiled.
 namespace ecodb::util {
 
 int JitterDelay(int bound) {

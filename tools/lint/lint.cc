@@ -64,9 +64,13 @@ class Scanner {
         tokens_(Tokenize(content)),
         lines_(SplitLines(content)),
         unordered_names_(extra_unordered) {
+    in_src_ = path_.find("src/") != std::string::npos;
     in_exec_ = path_.find("src/exec") != std::string::npos;
     in_sched_ = path_.find("src/sched") != std::string::npos;
     in_storage_ = path_.find("src/storage") != std::string::npos;
+    // EC11 polices the operators WorkerPool serves, not the pool itself.
+    polling_scope_ =
+        in_exec_ && path_.find("src/exec/worker_pool.") == std::string::npos;
     // EC7 applies to serving paths: sched sources that talk to the
     // SessionManager (directly or by implementing it).
     serving_scope_ =
@@ -169,19 +173,25 @@ class Scanner {
     return tokens_.size();
   }
 
+  size_t BodyAfterParams(size_t k) const;
+
   void HarvestDeclaration(size_t i);
   void CheckRangeFor(size_t header_begin, size_t header_end);
   void CheckRetryLoops();
+  void CheckCancellationPolling();
+  void CheckSuppressionsNameRules();
 
   std::string path_;
   LineDirectives directives_;
   std::vector<Token> tokens_;
   std::vector<std::string> lines_;
   std::set<std::string> unordered_names_;
+  bool in_src_ = false;
   bool in_exec_ = false;
   bool in_sched_ = false;
   bool in_storage_ = false;
   bool serving_scope_ = false;
+  bool polling_scope_ = false;
 
   std::vector<Scope> scopes_;
   std::map<int, Region>::const_iterator next_region_;
@@ -300,10 +310,122 @@ void Scanner::CheckRetryLoops() {
   }
 }
 
+/// Index of the '{' opening a function body when the parameter list of a
+/// definition closes just before `k` — past cv/ref qualifiers, override,
+/// noexcept, a trailing return type and a constructor's initializer list —
+/// or tokens_.size() when none follows (a declaration, a call).
+size_t Scanner::BodyAfterParams(size_t k) const {
+  const size_t n = tokens_.size();
+  while (k < n) {
+    const std::string& t = tokens_[k].text;
+    if (t == "const" || t == "noexcept" || t == "override" || t == "final" ||
+        t == "&") {
+      ++k;
+    } else if (t == "->") {  // trailing return type: a plain type name
+      ++k;
+      while (k < n && (tokens_[k].ident || tokens_[k].text == "::" ||
+                       tokens_[k].text == "<" || tokens_[k].text == ">" ||
+                       tokens_[k].text == "*" || tokens_[k].text == "&")) {
+        ++k;
+      }
+    } else if (t == ":") {  // initializer list: name(args) or name{args}, ...
+      do {
+        ++k;
+        while (k < n && (tokens_[k].ident || tokens_[k].text == "::")) ++k;
+        if (k >= n) return n;
+        if (tokens_[k].text == "(") {
+          k = MatchParen(k);
+        } else if (tokens_[k].text == "{") {
+          k = MatchBrace(k);
+        } else {
+          return n;
+        }
+      } while (k < n && tokens_[k].text == ",");
+    } else {
+      break;
+    }
+  }
+  return k < n && tokens_[k].text == "{" ? k : n;
+}
+
+/// EC11: an operator pull loop (a Next definition taking out and eos: two or
+/// more parameters) and a morsel dispatch (a body calling `->Run(` or
+/// `.Run(`) must each call PollCancel in their own body, so a deadline or
+/// shed lands at the next batch or morsel boundary. A poll in the child's
+/// Next or in a helper is not the function's own. A definition is a name,
+/// its parameter list and then its body; the body is skipped whole, so the
+/// lambdas and blocks in it are part of it.
+void Scanner::CheckCancellationPolling() {
+  for (size_t i = 0; i + 1 < tokens_.size(); ++i) {
+    const Token& name = tokens_[i];
+    if (!name.ident || tokens_[i + 1].text != "(") continue;
+    const size_t params_end = MatchParen(i + 1);
+    const size_t body = BodyAfterParams(params_end);
+    if (IsStatementKeyword(name.text) || name.text == "catch" ||
+        body == tokens_.size()) {
+      i = params_end - 1;
+      continue;
+    }
+    const size_t body_end = MatchBrace(body);
+    int params = params_end > i + 3 ? 1 : 0;  // "( )" holds none
+    int depth = 0;
+    for (size_t k = i + 1; k < params_end; ++k) {
+      const std::string& t = tokens_[k].text;
+      if (t == "(" || t == "<") ++depth;
+      if (t == ")" || t == ">") --depth;
+      if (t == "," && depth == 1) ++params;
+    }
+    bool polls = false;
+    bool dispatches = false;
+    for (size_t k = body + 1; k + 1 < body_end; ++k) {
+      const std::string& t = tokens_[k].text;
+      if (t == "PollCancel") polls = true;
+      if (t == "Run" && tokens_[k + 1].text == "(" &&
+          (tokens_[k - 1].text == "->" || tokens_[k - 1].text == ".")) {
+        dispatches = true;
+      }
+    }
+    const bool pull_loop = name.text == "Next" && params >= 2;
+    if ((pull_loop || dispatches) && !polls) {
+      std::string qualified = name.text;
+      if (i >= 2 && tokens_[i - 1].text == "::" && tokens_[i - 2].ident) {
+        qualified = tokens_[i - 2].text + "::" + qualified;
+      }
+      const std::string what =
+          pull_loop ? "operator pull loop " : "morsel dispatch ";
+      Report("EC11", name.line,
+             what + qualified +
+                 " never calls ExecContext::PollCancel() in its own body: "
+                 "poll at the batch/morsel boundary so a deadline or shed "
+                 "stops the plan instead of running it to completion");
+    }
+    i = body_end - 1;
+  }
+}
+
+/// A NOLINT-ECODB that names a retired or mistyped rule would shield
+/// nothing yet read as a justified exception: report it at its own line.
+void Scanner::CheckSuppressionsNameRules() {
+  static const std::set<std::string> kRules = {"EC1", "EC2", "EC4", "EC5",
+                                               "EC6", "EC7", "EC11"};
+  for (const auto& [line, rules] : directives_.named) {
+    for (const std::string& rule : rules) {
+      if (kRules.count(rule) > 0) continue;
+      Report("NOLINT-ECODB", line,
+             "NOLINT-ECODB names '" + rule +
+                 "', which is no ecodb-lint rule (EC1, EC2, EC4, EC5, EC6, "
+                 "EC7, EC11): name the rule the line breaks, or drop the "
+                 "suppression");
+    }
+  }
+}
+
 std::vector<Finding> Scanner::Run() {
   next_region_ = directives_.region.begin();
   const bool ec12_scope = in_exec_ || in_sched_;
+  CheckSuppressionsNameRules();
   if (in_storage_) CheckRetryLoops();
+  if (polling_scope_) CheckCancellationPolling();
 
   for (size_t i = 0; i < tokens_.size(); ++i) {
     const Token& tok = tokens_[i];
@@ -350,7 +472,7 @@ std::vector<Finding> Scanner::Run() {
       const Token* next = Next(i);
       if (next != nullptr && next->text == "(") {
         const size_t close = MatchParen(i + 1);
-        if (in_exec_) CheckRangeFor(i + 2, close - 1);
+        if (in_src_) CheckRangeFor(i + 2, close - 1);
         // Harvest declarations made inside the header, then resume there so
         // normal scanning still sees the body.
         for (size_t k = i + 2; k + 1 < close; ++k) {
@@ -372,7 +494,7 @@ std::vector<Finding> Scanner::Run() {
     if (!tok.ident) continue;
 
     // ---- EC5: banned nondeterminism sources -------------------------------
-    if (in_exec_ && BannedEntropyNames().count(tok.text)) {
+    if (in_src_ && BannedEntropyNames().count(tok.text)) {
       Report("EC5", tok.line,
              "'" + tok.text +
                  "' is nondeterministic: accounting and row order must be "
@@ -464,28 +586,6 @@ std::vector<Finding> Scanner::Run() {
   return findings_;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<Finding> LintSource(
@@ -498,31 +598,6 @@ std::set<std::string> HarvestUnorderedNames(const std::string& content) {
   return CollectUnorderedNames(Tokenize(content));
 }
 
-std::string Fingerprint(const Finding& f) {
-  return f.rule + "|" + f.file + "|" + f.snippet;
-}
-
-std::set<std::string> ParseBaseline(const std::string& content) {
-  std::set<std::string> out;
-  std::istringstream in(content);
-  std::string line;
-  while (std::getline(in, line)) {
-    line = Trim(line);
-    if (line.empty() || line[0] == '#') continue;
-    out.insert(line);
-  }
-  return out;
-}
-
-std::vector<Finding> ApplyBaseline(const std::vector<Finding>& findings,
-                                   const std::set<std::string>& baseline) {
-  std::vector<Finding> kept;
-  for (const Finding& f : findings) {
-    if (baseline.count(Fingerprint(f)) == 0) kept.push_back(f);
-  }
-  return kept;
-}
-
 std::string RenderText(const std::vector<Finding>& findings) {
   std::ostringstream out;
   for (const Finding& f : findings) {
@@ -532,31 +607,6 @@ std::string RenderText(const std::vector<Finding>& findings) {
   out << (findings.empty() ? "ecodb-lint: clean\n"
                            : "ecodb-lint: " + std::to_string(findings.size()) +
                                  " finding(s)\n");
-  return out.str();
-}
-
-std::string RenderJson(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "{\"version\":\"ecodb-lint.v1\",\"findings\":[";
-  for (size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i > 0) out << ",";
-    out << "{\"rule\":\"" << JsonEscape(f.rule) << "\",\"file\":\""
-        << JsonEscape(f.file) << "\",\"line\":" << f.line << ",\"message\":\""
-        << JsonEscape(f.message) << "\",\"snippet\":\""
-        << JsonEscape(f.snippet) << "\"}";
-  }
-  out << "],\"count\":" << findings.size() << "}\n";
-  return out.str();
-}
-
-std::string RenderBaseline(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "# ecodb-lint baseline: one fingerprint (rule|file|line text) per\n"
-         "# line. Entries here are known, accepted findings; remove a line\n"
-         "# once its violation is fixed. Prefer NOLINT-ECODB annotations\n"
-         "# with a justification for anything long-lived.\n";
-  for (const Finding& f : findings) out << Fingerprint(f) << "\n";
   return out.str();
 }
 

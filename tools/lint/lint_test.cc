@@ -1,7 +1,6 @@
 // Tests for ecodb-lint: each EC rule must catch its seeded-violation
-// fixture, annotated/suppressed code must lint clean, and the baseline and
-// render plumbing must round-trip. The cross-TU rules (EC8, EC9, EC11) are
-// exercised through LintProject over small multi-file fixture sets.
+// fixture at its exact line, annotated/suppressed code must lint clean, and
+// a suppression naming no rule must itself be reported.
 
 #include "lint.h"
 
@@ -10,11 +9,9 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "interproc.h"
 
 namespace ecodb::lint {
 namespace {
@@ -108,10 +105,36 @@ TEST(EcodbLint, Ec5FlagsEntropyAndUnorderedIteration) {
   EXPECT_EQ(LinesForRule(findings, "EC5"), (std::set<int>{11, 12, 15}));
 }
 
-TEST(EcodbLint, Ec5IsScopedToExec) {
-  const auto findings = LintSource("src/sched/ec5_violation.cc",
-                                   ReadFixture("ec5_violation.cc"));
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
+TEST(EcodbLint, Ec5IsScopedToSrc) {
+  // Every body under src/ is read, whether or not an operator reaches it;
+  // code outside src/ (benches, tools) is not the engine's.
+  const std::string content = ReadFixture("ec5_violation.cc");
+  for (const char* dir : {"src/util", "src/storage", "src/sched", "src/txn"}) {
+    const auto findings =
+        LintSource(std::string(dir) + "/ec5_violation.cc", content);
+    EXPECT_EQ(LinesForRule(findings, "EC5"), (std::set<int>{11, 12, 15}))
+        << dir << "\n" << RenderText(findings);
+  }
+  for (const char* label :
+       {"bench/ec5_violation.cc", "tools/ec5_violation.cc"}) {
+    const auto findings = LintSource(label, content);
+    EXPECT_TRUE(findings.empty()) << label << "\n" << RenderText(findings);
+  }
+}
+
+TEST(EcodbLint, Ec5FlagsBodiesOutsideExec) {
+  // rand() and the wall clock in src/util, hardware entropy and a range-for
+  // over an unordered member in src/sched: each at its own line.
+  const auto util =
+      LintSource("src/util/ec5_util.cc", ReadFixture("ec5_util.cc"));
+  EXPECT_EQ(LinesForRule(util, "EC5"), (std::set<int>{7, 11}))
+      << RenderText(util);
+  EXPECT_EQ(util.size(), 2u) << RenderText(util);
+  const auto sched =
+      LintSource("src/sched/ec5_sched.cc", ReadFixture("ec5_sched.cc"));
+  EXPECT_EQ(LinesForRule(sched, "EC5"), (std::set<int>{16, 18}))
+      << RenderText(sched);
+  EXPECT_EQ(sched.size(), 2u) << RenderText(sched);
 }
 
 TEST(EcodbLint, Ec5SeesMembersHarvestedFromSiblingHeader) {
@@ -200,7 +223,29 @@ TEST(EcodbLint, CleanAnnotatedFixtureLintsClean) {
 TEST(EcodbLint, NolintSuppressesInlineStandaloneAndBare) {
   const auto findings =
       LintSource("src/sched/suppression.cc", ReadFixture("suppression.cc"));
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
+  EXPECT_TRUE(LinesForRule(findings, "EC1").empty()) << RenderText(findings);
+}
+
+TEST(EcodbLint, NolintNamingNoRuleIsReported) {
+  // Line 15's suppression still shields its EC1; the EC12 it also names is
+  // no rule, and is reported at the suppression's own line.
+  const auto findings =
+      LintSource("src/sched/suppression.cc", ReadFixture("suppression.cc"));
+  EXPECT_EQ(LinesForRule(findings, "NOLINT-ECODB"), (std::set<int>{15}))
+      << RenderText(findings);
+  EXPECT_EQ(findings.size(), 1u) << RenderText(findings);
+  // A standalone suppression naming no rule (a retired id would read the
+  // same) is reported at its own line, and shields nothing below it.
+  const std::string src =
+      "void Collect(const std::unordered_map<int, int>& pages) {\n"
+      "  // NOLINT-ECODB(EC13): collect-then-sort, order-independent\n"
+      "  for (const auto& [id, page] : pages) ids.push_back(id);\n"
+      "}\n";
+  const auto stale = LintSource("src/txn/stale.cc", src);
+  EXPECT_EQ(LinesForRule(stale, "NOLINT-ECODB"), (std::set<int>{2}))
+      << RenderText(stale);
+  EXPECT_EQ(LinesForRule(stale, "EC5"), (std::set<int>{3}))
+      << RenderText(stale);
 }
 
 TEST(EcodbLint, NolintForADifferentRuleDoesNotSuppress) {
@@ -213,168 +258,33 @@ TEST(EcodbLint, NolintForADifferentRuleDoesNotSuppress) {
       << RenderText(findings);
 }
 
-// --- Cross-TU rules (EC8, EC9, EC11) -----------------------------------------
-
-std::vector<Finding> LintFixtureProject(
-    const std::vector<std::pair<std::string, std::string>>& labeled) {
-  std::vector<SourceFile> files;
-  files.reserve(labeled.size());
-  for (const auto& [label, fixture] : labeled) {
-    files.push_back({label, ReadFixture(fixture)});
-  }
-  return LintProject(files);
-}
-
-std::set<int> ProjectLines(const std::vector<Finding>& findings,
-                           const std::string& rule, const std::string& file) {
-  std::set<int> lines;
-  for (const Finding& f : findings) {
-    if (f.rule == rule && f.file == file) lines.insert(f.line);
-  }
-  return lines;
-}
-
-TEST(EcodbLint, Ec8FlagsCrossFileChainsFromExecToUtil) {
-  const auto findings = LintFixtureProject(
-      {{"src/exec/ec8_exec_chain.cc", "ec8_exec_chain.cc"},
-       {"src/util/ec8_util.cc", "ec8_util.cc"}});
-  // Both entry operators reach nondeterminism through src/util: Open ->
-  // JitterDelay -> rand(), Next -> WallClockSeconds -> system_clock. The
-  // findings land on the entry's call site, naming the chain.
-  EXPECT_EQ(ProjectLines(findings, "EC8", "src/exec/ec8_exec_chain.cc"),
-            (std::set<int>{9, 14}))
-      << RenderText(findings);
-  bool chain_rendered = false;
-  for (const Finding& f : findings) {
-    if (f.rule == "EC8" && f.message.find("call chain") != std::string::npos &&
-        f.message.find("JitterDelay") != std::string::npos &&
-        f.message.find("rand") != std::string::npos) {
-      chain_rendered = true;
-    }
-  }
-  EXPECT_TRUE(chain_rendered) << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec8ReportsSchedulerOwnBodies) {
-  const auto findings =
-      LintFixtureProject({{"src/sched/ec8_sched.cc", "ec8_sched.cc"}});
-  // std::random_device and the range-for over the unordered_map member
-  // (harvested from the same file) are reported directly: src/sched is
-  // outside EC5's textual scope, so the project pass owns them.
-  EXPECT_EQ(ProjectLines(findings, "EC8", "src/sched/ec8_sched.cc"),
-            (std::set<int>{16, 18}))
-      << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec8LeavesExecBodiesToEc5) {
-  // The same entropy inside a src/exec body is EC5's (per-file, textual)
-  // business; EC8 reporting it again would double-count every finding.
-  const std::string src =
-      "void ScanOp::Next(RecordBatch* out) {\n"
-      "  out->Append(rand());\n"
-      "}\n";
-  const auto findings = LintProject({{"src/exec/scan_op.cc", src}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec8ChainSiteHonoursSuppression) {
-  const std::string entry =
-      "void ScanOp::Open(ExecContext* ctx) {\n"
-      "  // NOLINT-ECODB(EC8): startup jitter is outside the billed window\n"
-      "  ctx->set_open_delay(util::JitterDelay(8));\n"
-      "}\n";
-  const auto findings = LintProject(
-      {{"src/exec/scan_op.cc", entry},
-       {"src/util/jitter.cc",
-        "namespace ecodb::util {\n"
-        "int JitterDelay(int bound) { return rand() % bound; }\n"
-        "}  // namespace ecodb::util\n"}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec9FlagsInvertedLockPairsAcrossFiles) {
-  const auto findings =
-      LintFixtureProject({{"src/sched/ec9_order_a.cc", "ec9_order_a.cc"},
-                          {"src/catalog/ec9_order_b.cc", "ec9_order_b.cc"}});
-  // a.cc:15 takes admission_mu -> billing_mu, b.cc:10 the inverse; both
-  // directions are reported, each citing the other site. a.cc:21 settles
-  // directly under a lock, a.cc:30 through PublishTotals, and b.cc:15
-  // re-enters BillingCatalog::mu_ through RecomputeLocked.
-  EXPECT_EQ(ProjectLines(findings, "EC9", "src/sched/ec9_order_a.cc"),
-            (std::set<int>{15, 21, 30}))
-      << RenderText(findings);
-  EXPECT_EQ(ProjectLines(findings, "EC9", "src/catalog/ec9_order_b.cc"),
-            (std::set<int>{10, 15}))
-      << RenderText(findings);
-  bool cites_inverse = false;
-  for (const Finding& f : findings) {
-    if (f.message.find("inconsistent lock order") != std::string::npos &&
-        f.message.find("src/catalog/ec9_order_b.cc:10") != std::string::npos) {
-      cites_inverse = true;
-    }
-  }
-  EXPECT_TRUE(cites_inverse) << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec9IgnoresOrderingOutsideSchedAndCatalog) {
-  // The same inverted pair in src/storage is not EC9's business: the rule
-  // covers the serving path's shared structures, not device internals.
-  const auto findings =
-      LintFixtureProject({{"src/storage/ec9_order_a.cc", "ec9_order_a.cc"},
-                          {"src/storage/ec9_order_b.cc", "ec9_order_b.cc"}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-TEST(EcodbLint, Ec9AmbiguousMemberCallStaysUnknown) {
-  // Two unrelated classes define Count(); a member call through a field
-  // must not link to the lock-taking one and invent a self-deadlock.
-  const std::string src =
-      "namespace ecodb::catalog {\n"
-      "class Registry {\n"
-      " public:\n"
-      "  size_t Count() const {\n"
-      "    std::shared_lock lock(mu_);\n"
-      "    return entries_.size();\n"
-      "  }\n"
-      "  void Install(TableEntry entry);\n"
-      "};\n"
-      "class Window {\n"
-      " public:\n"
-      "  size_t Count() const { return width_; }\n"
-      "};\n"
-      "void Registry::Install(TableEntry entry) {\n"
-      "  std::unique_lock lock(mu_);\n"
-      "  entry.stats.resize(entry.schema.Count());\n"
-      "}\n"
-      "}  // namespace ecodb::catalog\n";
-  const auto findings = LintProject({{"src/catalog/registry.cc", src}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
 TEST(EcodbLint, Ec11FlagsUnpolledPullLoopsAndDispatch) {
-  const auto findings =
-      LintFixtureProject({{"src/exec/ec11_exec_ops.cc", "ec11_exec_ops.cc"}});
-  // BadScanOp::Next (pull loop) and BadShuffleOp::Partition (morsel
-  // dispatch) never reach PollCancel; GoodFilterOp::Next polls through the
-  // helper and WorkerPool::Run is the exempt machinery.
-  EXPECT_EQ(ProjectLines(findings, "EC11", "src/exec/ec11_exec_ops.cc"),
-            (std::set<int>{11, 19}))
+  const auto findings = LintSource("src/exec/ec11_exec_ops.cc",
+                                   ReadFixture("ec11_exec_ops.cc"));
+  // BadScanOp::Next (pull loop), BadShuffleOp::Partition (morsel dispatch)
+  // and HelperPolledOp::Next (polls only through a helper) never call
+  // PollCancel themselves; GoodFilterOp::Next does, and WorkerPool::Run
+  // dispatches nothing.
+  EXPECT_EQ(LinesForRule(findings, "EC11"), (std::set<int>{12, 20, 30}))
       << RenderText(findings);
-  EXPECT_EQ(findings.size(), 2u) << RenderText(findings);
+  EXPECT_EQ(findings.size(), 3u) << RenderText(findings);
 }
 
 TEST(EcodbLint, Ec11IsScopedToExec) {
   // The same content outside src/exec is not an operator loop: storage and
-  // tool code has no batch boundary to poll at.
-  const auto findings = LintFixtureProject(
-      {{"src/storage/ec11_exec_ops.cc", "ec11_exec_ops.cc"}});
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
+  // tool code has no batch boundary to poll at. WorkerPool's own files are
+  // the dispatch machinery the polling protects.
+  const std::string content = ReadFixture("ec11_exec_ops.cc");
+  for (const char* label :
+       {"src/storage/ec11_exec_ops.cc", "src/exec/worker_pool.cc"}) {
+    const auto findings = LintSource(label, content);
+    EXPECT_TRUE(findings.empty()) << label << "\n" << RenderText(findings);
+  }
 }
 
 TEST(EcodbLint, Ec11DoesNotInheritPollingFromTheChildOperator) {
-  // Every operator defines Next, so child_->Next resolves opaquely: a
-  // pass-through parent cannot take credit for its child's poll — it must
-  // poll in its own body (or a helper it provably reaches).
+  // A pass-through parent cannot take credit for its child's poll: each
+  // Next must poll in its own body.
   const std::string src =
       "Status PassThroughOp::Next(RecordBatch* out, bool* eos) {\n"
       "  return child_->Next(out, eos);\n"
@@ -383,9 +293,8 @@ TEST(EcodbLint, Ec11DoesNotInheritPollingFromTheChildOperator) {
       "  ECODB_RETURN_IF_ERROR(ctx_->PollCancel());\n"
       "  return child_->Next(out, eos);\n"
       "}\n";
-  const auto findings = LintProject({{"src/exec/pass_through.cc", src}});
-  EXPECT_EQ(ProjectLines(findings, "EC11", "src/exec/pass_through.cc"),
-            (std::set<int>{1}))
+  const auto findings = LintSource("src/exec/pass_through.cc", src);
+  EXPECT_EQ(LinesForRule(findings, "EC11"), (std::set<int>{1}))
       << RenderText(findings);
 }
 
@@ -396,24 +305,8 @@ TEST(EcodbLint, Ec11NolintSuppresses) {
       "  *eos = true;\n"
       "  return Status::OK();\n"
       "}\n";
-  const auto findings = LintProject({{"src/exec/buffered.cc", src}});
+  const auto findings = LintSource("src/exec/buffered.cc", src);
   EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-TEST(EcodbLint, ProjectPassReportsPerRuleTimings) {
-  ProjectTimings timings;
-  timings.index_seconds = -1;
-  timings.ec8_seconds = -1;
-  timings.ec9_seconds = -1;
-  timings.ec11_seconds = -1;
-  const std::vector<SourceFile> files = {
-      {"src/exec/ec8_exec_chain.cc", ReadFixture("ec8_exec_chain.cc")},
-      {"src/util/ec8_util.cc", ReadFixture("ec8_util.cc")}};
-  (void)LintProject(files, &timings);
-  EXPECT_GE(timings.index_seconds, 0.0);
-  EXPECT_GE(timings.ec8_seconds, 0.0);
-  EXPECT_GE(timings.ec9_seconds, 0.0);
-  EXPECT_GE(timings.ec11_seconds, 0.0);
 }
 
 TEST(EcodbLint, NolintCoversMultiLineStatementContinuation) {
@@ -433,41 +326,12 @@ TEST(EcodbLint, NolintCoversMultiLineStatementContinuation) {
       << RenderText(findings);
 }
 
-TEST(EcodbLint, BaselineRoundTripsAndFiltersFindings) {
-  const auto findings =
-      LintSource("src/exec/ec1_violation.cc", ReadFixture("ec1_violation.cc"));
-  ASSERT_FALSE(findings.empty());
-  const std::string rendered = RenderBaseline(findings);
-  const std::set<std::string> baseline = ParseBaseline(rendered);
-  EXPECT_EQ(baseline.size(), findings.size());
-  EXPECT_TRUE(ApplyBaseline(findings, baseline).empty());
-  // A partial baseline keeps the rest.
-  const std::set<std::string> one = {Fingerprint(findings.front())};
-  EXPECT_EQ(ApplyBaseline(findings, one).size(), findings.size() - 1);
-}
-
-TEST(EcodbLint, FingerprintsAreStableAcrossLineShifts) {
-  const std::string content = ReadFixture("ec1_violation.cc");
-  const auto before = LintSource("src/exec/ec1_violation.cc", content);
-  const auto after =
-      LintSource("src/exec/ec1_violation.cc", "\n\n\n" + content);
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(Fingerprint(before[i]), Fingerprint(after[i]));
-    EXPECT_EQ(before[i].line + 3, after[i].line);
-  }
-}
-
-TEST(EcodbLint, RenderTextAndJsonCarryTheFindings) {
+TEST(EcodbLint, RenderTextCarriesTheFindings) {
   const auto findings =
       LintSource("src/exec/ec4_violation.cc", ReadFixture("ec4_violation.cc"));
   const std::string text = RenderText(findings);
   EXPECT_NE(text.find("[EC4]"), std::string::npos);
   EXPECT_NE(text.find("2 finding(s)"), std::string::npos);
-  const std::string json = RenderJson(findings);
-  EXPECT_NE(json.find("\"version\":\"ecodb-lint.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"EC4\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
   EXPECT_EQ(RenderText({}).find("ecodb-lint: clean"), 0u);
 }
 

@@ -160,7 +160,11 @@ LineDirectives ScanDirectives(const std::string& src) {
           if (!rule.empty()) rules.insert(rule);
         }
       }
-      if (rules.empty()) rules.insert("*");
+      if (rules.empty()) {
+        rules.insert("*");
+      } else {
+        d.named[line] = rules;
+      }
       d.nolint[line].insert(rules.begin(), rules.end());
       // The first code line the suppression covers: this line when the
       // comment trails code, the next line when the comment stands alone.
@@ -212,11 +216,6 @@ bool IsStatementKeyword(const std::string& t) {
   static const std::set<std::string> kKeywords = {
       "return", "if", "else", "while", "for", "do", "switch", "case", "co_return"};
   return kKeywords.count(t) > 0;
-}
-
-bool IsSettlementName(const std::string& t) {
-  return t.rfind("Charge", 0) == 0 || t.rfind("Settle", 0) == 0 ||
-         t == "Finish";
 }
 
 std::set<std::string> CollectUnorderedNames(const std::vector<Token>& tokens) {

@@ -1,11 +1,9 @@
-// Shared lexical layer for ecodb-lint: the tokenizer, line-directive
-// scanner (NOLINT-ECODB / ecodb-lint: annotations), and the name predicates
-// that both the per-file scanner (EC1–EC7, lint.cc) and the cross-TU
-// analyzer (EC8, EC9, EC11: index.cc / interproc.cc) agree on.
+// Lexical layer for ecodb-lint: the tokenizer, the line-directive scanner
+// (NOLINT-ECODB / ecodb-lint: annotations), and the name predicates the
+// rules in lint.cc share.
 //
-// Keeping one tokenizer is load-bearing: a finding's line number and the
-// suppression that excuses it must come from the same lexical model, or a
-// NOLINT would drift off its statement between passes.
+// A finding's line number and the suppression that excuses it come from
+// the same lexical model, so a NOLINT cannot drift off its statement.
 
 #ifndef ECODB_TOOLS_LINT_TOKEN_H_
 #define ECODB_TOOLS_LINT_TOKEN_H_
@@ -38,6 +36,8 @@ enum class Region { kNone, kWorker, kCoordinator };
 struct LineDirectives {
   // line -> rules suppressed on it ("*" = all)
   std::map<int, std::set<std::string>> nolint;
+  // comment line -> the rules its NOLINT-ECODB(...) names (bare: absent)
+  std::map<int, std::set<std::string>> named;
   // line -> region annotation taking effect there
   std::map<int, Region> region;
   bool has_worker_region = false;
@@ -57,23 +57,17 @@ struct LineDirectives {
 /// the same continuation rule.
 LineDirectives ScanDirectives(const std::string& src);
 
-// --- Shared name predicates -------------------------------------------------
+// --- Name predicates ---------------------------------------------------------
 
-/// Entropy / wall-clock identifiers banned by EC5 (textually, in src/exec)
-/// and EC8 (transitively, from any exec/sched entry point).
+/// Entropy / wall-clock identifiers EC5 bans under src/.
 const std::set<std::string>& BannedEntropyNames();
 
 bool IsUnorderedTypeName(const std::string& t);
 
 bool IsStatementKeyword(const std::string& t);
 
-/// Names that perform energy settlement (EC2 placement, EC9 under-lock):
-/// Charge*, Settle*, Finish.
-bool IsSettlementName(const std::string& t);
-
 /// Collects names declared with an unordered container type in the token
-/// stream (the engine behind HarvestUnorderedNames and the index's per-file
-/// unordered-name sets).
+/// stream (the engine behind HarvestUnorderedNames).
 std::set<std::string> CollectUnorderedNames(const std::vector<Token>& tokens);
 
 }  // namespace ecodb::lint
